@@ -23,10 +23,6 @@ from .veronese import sym_matrix
 
 IDENTITY3 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
-#: When True, every orbit BFS expansion re-checks that point-class counts
-#: are preserved.  Expensive; meant for tests and debugging sessions.
-DEBUG_CHECKS = False
-
 
 def pgl_order(q: int) -> int:
     gl = (q**3 - 1) * (q**3 - q) * (q**3 - q * q)
@@ -302,7 +298,6 @@ def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     k0 = pack_rows(gf, s.rows)
     seen = {k0}
     frontier = [tuple(tuple(r) for r in start)]
-    checker = _debug_class_counts(s) if DEBUG_CHECKS else None
     while frontier:
         new = []
         for rows in frontier:
@@ -319,31 +314,9 @@ def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
                             "orbit enumeration exceeded %d keys" % max_keys,
                             partial=len(seen),
                         )
-                    if checker is not None:
-                        checker(img)
                     new.append(img)
         frontier = new
     return seen
-
-
-def _debug_class_counts(s: Subspace):
-    from .invariants import point_class_counts
-
-    gf = s.gf
-    want = point_class_counts(s)
-
-    def check(rows):
-        got = point_class_counts(Subspace(gf, s.n, rows))
-        if got != want:
-            raise VerificationError(
-                "orbit expansion changed point-class counts: %r -> %r" % (want, got)
-            )
-
-    return check
-
-
-def orbit(s: Subspace, max_keys: int | None = None) -> set[int]:
-    return orbit_keys(s, max_keys=max_keys)
 
 
 def stabilizer_order(s: Subspace, max_keys: int | None = None) -> int:

@@ -24,7 +24,6 @@ from .action import (
     act_point,
     act_subspace,
     generators,
-    k_equivalent,
     lift,
     lift_transpose,
     orbit_keys,
@@ -42,7 +41,6 @@ from .errors import (
 from .gf import GF, field
 from .invariants import (
     PlaneSignature,
-    line_class_profile,
     nuclear_point_count,
     double_line_hyperplane_count,
     nucleus_meet_dim,
@@ -60,7 +58,7 @@ from .projgeom import (
     rref,
     unpack_rows,
 )
-from .veronese import form_eval, point_class
+from .veronese import conic_plane_of, form_eval, point_class
 
 SCHEMA = "conicnets-report/1"
 
@@ -286,7 +284,6 @@ def representative(gf: GF, label: str) -> Subspace:
 # -- signature lookup and classification ------------------------------------
 
 _SIG_CACHE: dict[GF, dict[PlaneSignature, tuple[str, ...]]] = {}
-_PROFILE_CACHE: dict[GF, dict[str, tuple]] = {}
 
 
 def signature_table(gf: GF) -> dict[PlaneSignature, tuple[str, ...]]:
@@ -302,13 +299,6 @@ def signature_table(gf: GF) -> dict[PlaneSignature, tuple[str, ...]]:
             build.setdefault(plane_signature(representatives(gf)[label]), []).append(label)
         table = _SIG_CACHE[gf] = {sig: tuple(ls) for sig, ls in build.items()}
     return table
-
-
-def _rep_profile(gf: GF, label: str):
-    profiles = _PROFILE_CACHE.setdefault(gf, {})
-    if label not in profiles:
-        profiles[label] = line_class_profile(representatives(gf)[label])
-    return profiles[label]
 
 
 _ATLAS_CACHE: dict[GF, dict[str, frozenset[int]]] = {}
@@ -334,15 +324,17 @@ def orbit_atlas(gf: GF) -> dict[str, frozenset[int]]:
     return sets
 
 
-def classify_plane(s: Subspace, membership_budget: int | None = 2_000_000) -> str:
+def classify_plane(s: Subspace) -> str:
     """Orbit label of a plane meeting the nucleus plane.
 
     The signature (point/hyperplane class counts plus the cubic-curve kind
-    and its point count) pins down every label except one ambiguous pair.
-    That pair is resolved by orbit membership for q <= 4 and by the
-    line-class profile of the plane for larger q; profiles of the ambiguous
-    representatives are verified to differ before being trusted.  A budgeted
-    breadth-first equivalence search is the last resort.
+    and its point count) pins down every label except Sigma3 and Sigma4.
+    A plane of either orbit holds one nuclear point and two rank-1 points;
+    the nuclear point lies on the conic plane of exactly one line of
+    PG(2,q), and that conic plane holds one of the rank-1 points for Sigma3
+    and neither for Sigma4.  The count is invariant because the lifted
+    group commutes with the Veronese map, so it carries conic planes to
+    conic planes.
     """
     gf = s.gf
     if s.n != 5 or s.dim != 2:
@@ -357,23 +349,23 @@ def classify_plane(s: Subspace, membership_budget: int | None = 2_000_000) -> st
         raise ClassificationError("signature matches no catalogued orbit: %r" % (sig,))
     if len(labels) == 1:
         return labels[0]
-    if gf.q <= 4:
-        key = s.key_int()
-        atlas = orbit_atlas(gf)
-        for label in labels:
-            if key in atlas[label]:
-                return label
-        raise ClassificationError("plane escaped the exhaustive orbit atlas")
-    profiles = {label: _rep_profile(gf, label) for label in labels}
-    if len(set(profiles.values())) == len(profiles):
-        mine = line_class_profile(s)
-        hits = [label for label, prof in profiles.items() if prof == mine]
-        if len(hits) == 1:
-            return hits[0]
-    for label in labels:
-        if k_equivalent(s, representatives(gf)[label], max_keys=membership_budget):
-            return label
-    raise ClassificationError("ambiguous plane matched no candidate orbit")
+    if labels != ("Sigma3", "Sigma4"):
+        raise ClassificationError(
+            "signature is shared by orbits %s: %r" % (", ".join(labels), sig)
+        )
+    points = s.points()
+    (nuclear,) = [y for y in points if (y[0] | y[3] | y[5]) == 0]
+    _, conic_plane = conic_plane_of(gf, nuclear)
+    hits = sum(
+        1 for y in points
+        if conic_plane.contains_point(y) and point_class(gf, y) == "rank1"
+    )
+    label = {1: "Sigma3", 0: "Sigma4"}.get(hits)
+    if label is None:
+        raise ClassificationError(
+            "conic plane of the nuclear point holds %d rank-1 points" % hits
+        )
+    return label
 
 
 # -- planes <-> nets of conics ----------------------------------------------
@@ -431,9 +423,9 @@ def net_double_line_count(gf: GF, forms) -> int:
     return count
 
 
-def classify_net(gf: GF, forms, membership_budget: int | None = 2_000_000) -> str:
+def classify_net(gf: GF, forms) -> str:
     """Orbit label of a net of conics containing a double line."""
-    return classify_plane(plane_of_net(gf, forms), membership_budget)
+    return classify_plane(plane_of_net(gf, forms))
 
 
 def example_net(gf: GF) -> tuple[tuple[int, ...], ...]:
@@ -552,7 +544,7 @@ def _run_chunks(gf: GF, worker, chunks, workers: int):
     if workers and workers > 1:
         ctx = get_context("fork")
         with ctx.Pool(workers) as pool:
-            return pool.map(worker, chunks)
+            return pool.map(worker, chunks, chunksize=1)
     return [worker(chunk) for chunk in chunks]
 
 

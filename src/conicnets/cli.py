@@ -25,7 +25,7 @@ from .errors import (
     VerificationError,
 )
 from .gf import GF, field
-from .invariants import nucleus_meet_dim, plane_signature
+from .invariants import nucleus_meet_dim
 from .projgeom import Subspace, meet, plane_from_pattern
 from .veronese import form_from_str, form_to_str, nucleus_plane
 
@@ -44,6 +44,13 @@ class UsageError(ValueError):
 
 def _field(args) -> GF:
     return field(args.q, args.modulus)
+
+
+def _element(gf: GF, v) -> int:
+    """v itself when it is an element of GF(q); bools and floats are not."""
+    if type(v) is int and 0 <= v < gf.q:
+        return v
+    raise UsageError("%r is not an element of GF(%d)" % (v, gf.q))
 
 
 def _read_payload(args) -> dict:
@@ -72,6 +79,7 @@ def _plane_from_payload(gf: GF, payload: dict) -> Subspace:
         if (not isinstance(rows, list) or len(rows) != 3
                 or any(not isinstance(r, list) or len(r) != 6 for r in rows)):
             raise UsageError("rows must be a 3x6 array of field elements")
+        rows = [[_element(gf, v) for v in r] for r in rows]
         try:
             return plane_from_pattern(gf, rows)
         except ValueError as exc:
@@ -95,11 +103,12 @@ def _forms_from_payload(gf: GF, payload: dict):
     for f in forms:
         if isinstance(f, str):
             try:
-                out.append(form_from_str(f))
+                coeffs = form_from_str(f)
             except ValueError as exc:
                 raise UsageError("bad form %r: %s" % (f, exc)) from exc
+            out.append(tuple(_element(gf, v) for v in coeffs))
         elif isinstance(f, list) and len(f) == 6:
-            out.append(tuple(int(v) for v in f))
+            out.append(tuple(_element(gf, v) for v in f))
         else:
             raise UsageError("each form must be a string or a 6-element array")
     return out
@@ -143,7 +152,8 @@ def cmd_classify_plane(args) -> int:
     gf = _field(args)
     plane = _plane_from_payload(gf, _read_payload(args))
     label = atlas.classify_plane(plane)
-    sig = plane_signature(plane)
+    # the table key that produced the label is the plane's own signature
+    sig = next(key for key, labels in atlas.signature_table(gf).items() if label in labels)
     cut = meet(plane, nucleus_plane(gf))
     record = {
         "schema": atlas.SCHEMA,
@@ -218,7 +228,7 @@ def cmd_verify(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, io_input: bool = False) -> None:
     p.add_argument("--q", type=int, required=True,
-                   help="field size, a power of 2 between 2 and 16")
+                   help="field size, a power of 2 from 2 to 256")
     p.add_argument("--modulus", type=int, default=None,
                    help="override the irreducible modulus polynomial (bit mask)")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")

@@ -317,11 +317,6 @@ def enumerate_subspace_rows(gf: GF, width: int, r: int):
         yield from _pattern_rows(gf, width, pivots)
 
 
-def enumerate_points(gf: GF, n: int):
-    for pt in pg_points(gf, n):
-        yield pt
-
-
 def enumerate_planes(gf: GF, filter=None):
     """All planes of PG(5, q) as Subspace objects, exactly once."""
     for rows in enumerate_subspace_rows(gf, 6, 3):

@@ -23,15 +23,7 @@ from __future__ import annotations
 
 from .errors import ClassificationError
 from .gf import GF
-from .projgeom import (
-    Subspace,
-    meet,
-    normalize_point,
-    nullspace,
-    pg_points,
-    rref,
-    span,
-)
+from .projgeom import Subspace, normalize_point, nullspace, pg_points, span
 
 POINT_CLASSES = ("rank1", "rank2_nuclear", "rank2_secant", "rank3")
 CONIC_CLASSES = ("DoubleLine", "RealPair", "ImaginaryPair", "Nonsingular")
@@ -132,27 +124,35 @@ def form_eval(gf: GF, form, p) -> int:
 def classify_conic(gf: GF, form) -> str:
     """Orbit of a nonzero conic under projectivities of PG(2,q), q even.
 
-    Double lines are exactly the forms with zero cross coefficients (perfect
-    squares of linear forms); the remaining classes are separated by their
-    rational point counts 2q+1 (real line pair), 1 (imaginary line pair,
-    meeting point only) and q+1 (nonsingular).
+    Closed form for even characteristic (Hirschfeld, Projective Geometries
+    over Finite Fields, conics in characteristic 2).  Forms with zero cross
+    coefficients are squares of linear forms: double lines.  Otherwise the
+    partial derivatives all vanish at N = (a12, a02, a01), the nucleus of a
+    nonsingular conic or the vertex of a line pair, and f(N) != 0 exactly
+    when the conic is nonsingular.  A line pair is split on a coordinate
+    line X_i = 0 missing N: there f restricts to a*s^2 + b*s*t + c*t^2 with
+    b != 0, which has two roots (real pair) when Tr(ac/b^2) = 0 and none
+    (imaginary pair) otherwise.
     """
     form = tuple(form)
     if len(form) != 6:
         raise ValueError("a conic is a 6-tuple of coefficients")
     if not any(form):
         raise ValueError("the zero form is not a conic")
-    if form[1] == 0 and form[2] == 0 and form[4] == 0:
+    a00, a01, a02, a11, a12, a22 = form
+    if a01 == 0 and a02 == 0 and a12 == 0:
         return "DoubleLine"
-    q = gf.q
-    count = sum(1 for p in pg_points(gf, 2) if form_eval(gf, form, p) == 0)
-    if count == 2 * q + 1:
-        return "RealPair"
-    if count == 1:
-        return "ImaginaryPair"
-    if count == q + 1:
+    if form_eval(gf, form, (a12, a02, a01)):
         return "Nonsingular"
-    raise ClassificationError("conic %r has impossible point count %d" % (form, count))
+    if a12:
+        a, b, c = a11, a12, a22
+    elif a02:
+        a, b, c = a00, a02, a22
+    else:
+        a, b, c = a00, a01, a11
+    if gf.trace(gf.div(gf.mul(a, c), gf.sq(b))):
+        return "ImaginaryPair"
+    return "RealPair"
 
 
 def delta(gf: GF, form) -> Subspace:
@@ -223,131 +223,28 @@ def form_from_str(text: str) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-# -- per-field cached geometry --------------------------------------------
-
-
-class VeroneseModel:
-    """Cached tables for one field: PG(2,q) points and lines, Veronese
-    images, conic planes and their nuclei."""
-
-    def __init__(self, gf: GF):
-        self.gf = gf
-        self.points2 = pg_points(gf, 2)
-        self.point2_index = {p: i for i, p in enumerate(self.points2)}
-        self.nu = [veronese(gf, p) for p in self.points2]
-        self.nu_index = {v: i for i, v in enumerate(self.nu)}
-        mul = gf._mul
-        self.line_duals = list(self.points2)
-        self.line_points: list[tuple[int, ...]] = []
-        for u, v, w in self.line_duals:
-            idxs = []
-            for i, (x, y, z) in enumerate(self.points2):
-                if mul[u][x] ^ mul[v][y] ^ mul[w][z] == 0:
-                    idxs.append(i)
-            self.line_points.append(tuple(idxs))
-        self.line_index = {d: i for i, d in enumerate(self.line_duals)}
-        self._conic_planes: list[tuple[tuple[int, ...], ...]] | None = None
-        self._nuclei: list[tuple[int, ...]] | None = None
-        self._nucleus_rows = nucleus_plane(gf).rows
-
-    @property
-    def conic_planes(self):
-        if self._conic_planes is None:
-            self._conic_planes = [
-                rref(self.gf, [self.nu[i] for i in idxs])
-                for idxs in self.line_points
-            ]
-        return self._conic_planes
-
-    @property
-    def nuclei(self):
-        if self._nuclei is None:
-            self._nuclei = [self._nucleus_of(i) for i in range(len(self.line_duals))]
-        return self._nuclei
-
-    def conic_points(self, line_idx: int) -> set[tuple[int, ...]]:
-        return {self.nu[i] for i in self.line_points[line_idx]}
-
-    def _nucleus_of(self, line_idx: int) -> tuple[int, ...]:
-        """Meet of the tangent lines at two conic points."""
-        gf = self.gf
-        plane = Subspace(gf, 5, self.conic_planes[line_idx])
-        conic = self.conic_points(line_idx)
-        pts = sorted(conic)
-        t1 = self._tangent_at(plane, conic, pts[0])
-        t2 = self._tangent_at(plane, conic, pts[1])
-        pt = meet(t1, t2)
-        if pt is None or len(pt.rows) != 1:
-            raise ClassificationError("tangent lines failed to meet in a point")
-        nucleus = pt.rows[0]
-        if not _in_rows(gf, self._nucleus_rows, nucleus):
-            raise ClassificationError("conic nucleus %r left the nucleus plane" % (nucleus,))
-        return nucleus
-
-    def _tangent_at(self, plane: Subspace, conic, at) -> Subspace:
-        gf = self.gf
-        seen = set()
-        tangent = None
-        for other in plane.points():
-            if other == at:
-                continue
-            line = span(gf, [at, other])
-            key = line.rows
-            if key in seen:
-                continue
-            seen.add(key)
-            hits = sum(1 for c in conic if line.contains_point(c))
-            if hits == 1:
-                if tangent is not None:
-                    raise ClassificationError("two tangents at one conic point")
-                tangent = line
-        if tangent is None:
-            raise ClassificationError("no tangent line at %r" % (at,))
-        return tangent
-
-
-def _in_rows(gf: GF, rows, vec) -> bool:
-    mul = gf._mul
-    v = list(vec)
-    for row in rows:
-        p = next(j for j, x in enumerate(row) if x)
-        if v[p]:
-            mf = mul[v[p]]
-            v = [v[j] ^ mf[row[j]] for j in range(len(v))]
-    return not any(v)
-
-
-_MODELS: dict[GF, VeroneseModel] = {}
-
-
-def model(gf: GF) -> VeroneseModel:
-    m = _MODELS.get(gf)
-    if m is None:
-        m = VeroneseModel(gf)
-        _MODELS[gf] = m
-    return m
+# -- conic planes -----------------------------------------------------------
 
 
 def conic_plane_of(gf: GF, y) -> tuple[tuple[int, ...], Subspace]:
-    """The unique line of PG(2,q) whose conic plane contains the rank-2
-    point y, with that plane; certified unique by full scan."""
+    """The line u of PG(2,q) whose conic plane contains the rank-2 point y,
+    with that plane.
+
+    The conic plane of u, spanned by the images of the points of u, is
+    {M : M u = 0}; so u spans the kernel of y's symmetric matrix.
+    """
     if rank_sym3(gf, y) != 2:
         raise ValueError("conic planes are defined for rank-2 points only")
-    m = model(gf)
-    y = normalize_point(gf, y)
-    matches = [i for i, rows in enumerate(m.conic_planes) if _in_rows(gf, rows, y)]
-    if len(matches) != 1:
-        raise ClassificationError(
-            "rank-2 point %r lies on %d conic planes" % (y, len(matches))
-        )
-    i = matches[0]
-    return m.line_duals[i], Subspace(gf, 5, m.conic_planes[i])
+    (u,) = nullspace(gf, sym_matrix(y), 3)
+    u = normalize_point(gf, u)
+    u0, u1, u2 = u
+    equations = ((u0, u1, u2, 0, 0, 0), (0, u0, 0, u1, u2, 0), (0, 0, u0, 0, u1, u2))
+    return u, Subspace(gf, 5, nullspace(gf, equations, 6))
 
 
 def conic_nucleus(gf: GF, line_dual) -> tuple[int, ...]:
-    """Nucleus of the conic that is the Veronese image of the given line."""
-    m = model(gf)
-    idx = m.line_index.get(normalize_point(gf, line_dual))
-    if idx is None:
-        raise ValueError("%r is not a line of PG(2,%d)" % (line_dual, gf.q))
-    return m.nuclei[idx]
+    """Nucleus of the conic that is the Veronese image of the line u: the
+    zero-diagonal matrix [[0, u2, u1], [u2, 0, u0], [u1, u0, 0]], which
+    kills u and so lies on u's conic plane."""
+    u0, u1, u2 = line_dual
+    return normalize_point(gf, (0, u2, u1, 0, u0, 0))

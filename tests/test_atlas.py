@@ -7,6 +7,7 @@ exhaustive orbit enumeration before being pinned here.
 import pytest
 
 from conicnets.action import act_subspace, generators, k_equivalent
+from conicnets import atlas
 from conicnets.atlas import (
     EMPTY_BASE_LABELS,
     EXPECTED_CUBIC_KIND,
@@ -34,10 +35,10 @@ from conicnets.atlas import (
     verify_known_net,
     verify_partition,
 )
-from conicnets.errors import ConfigurationError, OutOfFamilyError
+from conicnets.errors import ClassificationError, ConfigurationError, OutOfFamilyError
 from conicnets.gf import field
-from conicnets.invariants import point_class_counts
-from conicnets.projgeom import plane_from_pattern, span
+from conicnets.invariants import plane_signature, point_class_counts
+from conicnets.projgeom import Subspace, plane_from_pattern, span, unpack_rows
 from conicnets.veronese import form_eval
 
 # independently recomputed by breadth-first orbit enumeration at q = 2
@@ -144,11 +145,37 @@ def test_classify_plane_on_moved_representatives(gf4):
         assert classify_plane(moved) == label
 
 
-def test_classify_plane_on_moved_representatives_q8(gf8):
-    g0, g1 = generators(gf8)[:2]
-    for label in LABELS:
-        moved = act_subspace(act_subspace(representative(gf8, label), g1), g0)
-        assert classify_plane(moved) == label
+def test_classify_plane_on_moved_representatives_q8(gf8, gf16):
+    for gf in (gf8, gf16):
+        g0, g1 = generators(gf)[:2]
+        for label in LABELS:
+            moved = act_subspace(act_subspace(representative(gf, label), g1), g0)
+            assert classify_plane(moved) == label, (gf.q, label)
+
+
+def test_classify_plane_agrees_with_orbit_atlas_q2(gf2):
+    planes = 0
+    for label, keys in orbit_atlas(gf2).items():
+        for key in keys:
+            assert classify_plane(Subspace(gf2, 5, unpack_rows(gf2, key, 6, 3))) == label
+            planes += 1
+    assert planes == 883
+
+
+def test_classify_plane_agrees_with_orbit_atlas_on_sigma3_sigma4_q4(gf4):
+    sets = orbit_atlas(gf4)
+    for label in ("Sigma3", "Sigma4"):
+        for key in sets[label]:
+            assert classify_plane(Subspace(gf4, 5, unpack_rows(gf4, key, 6, 3))) == label
+    assert len(sets["Sigma3"]) + len(sets["Sigma4"]) == 4200
+
+
+def test_classify_plane_rejects_unexpected_signature_collisions(gf4, monkeypatch):
+    s = representative(gf4, "Sigma9")
+    table = {plane_signature(s): ("Sigma9", "Sigma10")}
+    monkeypatch.setattr(atlas, "signature_table", lambda gf: table)
+    with pytest.raises(ClassificationError):
+        classify_plane(s)
 
 
 def test_classify_plane_input_validation(gf4):

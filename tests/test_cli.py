@@ -151,6 +151,34 @@ def test_exit_code_usage_errors(capsys):
     assert code == 2
 
 
+SIGMA19_Q4 = [[1, 0, 0, 0, 0, 1], [0, 1, 0, 1, 0, 0], [0, 0, 0, 1, 1, 0]]
+EXAMPLE_NET_Q4 = ["X0*X2 + X1^2", "X0^2 + X0*X2 + X1*X2", "X2^2"]
+
+
+def _with(rows, i, j, value):
+    out = [list(r) for r in rows]
+    out[i][j] = value
+    return out
+
+
+@pytest.mark.parametrize("command,payload", [
+    # negative entries would wrap around as table indices
+    ("classify-plane", {"rows": _with(SIGMA19_Q4, 0, 0, -1)}),
+    ("classify-plane", {"rows": _with(SIGMA19_Q4, 2, 4, 7)}),
+    ("classify-plane", {"rows": _with(SIGMA19_Q4, 1, 3, True)}),
+    ("classify-plane", {"rows": _with(SIGMA19_Q4, 1, 1, 1.5)}),
+    ("classify-net", {"forms": ["9*X0*X2 + X1^2"] + EXAMPLE_NET_Q4[1:]}),
+    ("classify-net", {"forms": [[0, 0, -3, 1, 0, 0], [1, 0, 1, 0, 1, 0], [0, 0, 0, 0, 0, 1]]}),
+], ids=["row-negative", "row-too-large", "row-bool", "row-float",
+        "form-string-coefficient", "form-vector-negative"])
+def test_exit_code_rejects_non_field_elements(command, payload, capsys):
+    code, out, err = run([command, "--q", "4", "--data", json.dumps(payload)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_exit_code_out_of_family(capsys):
     data = '{"rows": [[1,0,0,0,0,0],[0,0,0,1,0,0],[0,0,0,0,0,1]]}'
     code, _, err = run(["classify-plane", "--q", "4", "--data", data], capsys)
@@ -170,7 +198,7 @@ def test_exit_code_verification_failure(capsys, monkeypatch):
 
 
 def test_exit_code_resource_budget(capsys, monkeypatch):
-    def explode(s, membership_budget=None):
+    def explode(s):
         raise ResourceBudgetError("orbit too large", partial=123)
 
     monkeypatch.setattr(atlas, "classify_plane", explode)

@@ -9,7 +9,6 @@ from conicnets.projgeom import (
     Subspace,
     enumerate_planes,
     enumerate_planes_chunk,
-    enumerate_points,
     gaussian_binomial,
     hyperplanes_through,
     join,
@@ -123,10 +122,6 @@ def test_hyperplanes_through_counts(gf2, gf4):
         for h in hs:
             assert h.dim == 4
             assert h.contains(plane)
-
-
-def test_enumerate_points_matches_pg_points(gf4):
-    assert sorted(enumerate_points(gf4, 2)) == sorted(pg_points(gf4, 2))
 
 
 def test_enumerate_planes_count_q2(gf2):

@@ -3,7 +3,7 @@
 import pytest
 
 from conicnets.gf import field
-from conicnets.projgeom import normalize_point, pg_points
+from conicnets.projgeom import normalize_point, pg_points, span
 from conicnets.veronese import (
     POINT_CLASSES,
     census,
@@ -91,6 +91,23 @@ def test_classify_conic_known_forms(q):
         classify_conic(gf, (0, 0, 0, 0, 0, 0))
 
 
+def _classify_conic_by_point_count(gf, form):
+    """Reference rule: cross part for double lines, rational point counts
+    for the rest."""
+    if form[1] == 0 and form[2] == 0 and form[4] == 0:
+        return "DoubleLine"
+    q = gf.q
+    count = sum(1 for p in pg_points(gf, 2) if form_eval(gf, form, p) == 0)
+    return {2 * q + 1: "RealPair", 1: "ImaginaryPair", q + 1: "Nonsingular"}[count]
+
+
+@pytest.mark.parametrize("q", (2, 4, 8))
+def test_classify_conic_matches_point_counting(q):
+    gf = field(q)
+    for form in pg_points(gf, 5):
+        assert classify_conic(gf, form) == _classify_conic_by_point_count(gf, form), form
+
+
 def test_conic_rational_point_counts(gf4):
     q = gf4.q
     counts = {"DoubleLine": q + 1, "RealPair": 2 * q + 1,
@@ -146,3 +163,26 @@ def test_conic_plane_and_nucleus(gf4):
     assert nucleus_plane(gf4).contains_point(nuc)
     with pytest.raises(ValueError):
         conic_plane_of(gf4, veronese(gf4, (1, 0, 0)))  # rank 1, not rank 2
+
+
+def test_conic_planes_and_nuclei_by_brute_force(gf4):
+    mul = gf4._mul
+    nuclear = nucleus_plane(gf4)
+    for u in pg_points(gf4, 2):
+        on_line = [p for p in pg_points(gf4, 2)
+                   if mul[u[0]][p[0]] ^ mul[u[1]][p[1]] ^ mul[u[2]][p[2]] == 0]
+        conic = {veronese(gf4, p) for p in on_line}
+        plane = span(gf4, sorted(conic))
+        assert plane.dim == 2
+        # every rank-2 point of the span maps back to this line and plane
+        rank2 = [y for y in plane.points() if rank_sym3(gf4, y) == 2]
+        assert len(rank2) == 4 * 4 + 4 + 1 - len(conic)
+        for y in rank2:
+            assert conic_plane_of(gf4, y) == (u, plane)
+        # the nucleus is the plane's only nuclear point, and each line of the
+        # plane through it is tangent: it meets the conic exactly once
+        nuc = conic_nucleus(gf4, u)
+        assert [y for y in plane.points() if nuclear.contains_point(y)] == [nuc]
+        for c in conic:
+            tangent = span(gf4, [nuc, c])
+            assert sum(1 for d in conic if tangent.contains_point(d)) == 1
