@@ -2,24 +2,30 @@
 
 A projectivity with matrix A acts on symmetric 3x3 matrices by congruence
 M -> A M A^T; reading points of PG(5,q) as symmetric matrices, this lifts A
-to a 6x6 matrix L with L . vec(M) = vec(A M A^T).  The lift is a group
-homomorphism up to scalars and commutes with the Veronese embedding:
-lift(A) maps the image of p to the image of A p.
+to a 6x6 matrix L with L . vec(M) = vec(A M A^T), which ``lift`` writes down
+in closed form.  The lift is a group homomorphism up to scalars and commutes
+with the Veronese embedding: lift(A) maps the image of p to the image of A p.
 
 Matrices of PG(2,q) projectivities are flat 9-tuples (row-major),
-normalized so the first nonzero entry is 1.  Orbits of subspaces are
-enumerated by breadth-first closure under a fixed generating set, with the
-packed RREF basis as hash key; stabilizer orders follow from the
-orbit-stabilizer identity and, for small q, can be cross-checked by
-filtering the full group.
+normalized so the first nonzero entry is 1.
+
+Orbit work runs on packed rows: a 6-vector held as one int, e bits per
+entry, first entry in the highest bits (the layout of ``projgeom.pack_rows``),
+so a subspace key is its reduced packed rows joined together.  The action is
+linear and addition is XOR, so the image of a packed row v is
+``hi[v >> 3e] ^ lo[v & (2^3e - 1)]`` for two split tables of q^3 entries
+each; scaling by c uses one such pair per c.  ``PackedAction`` builds these
+tables per call and holds the one packed RREF and the one breadth-first
+orbit closure behind ``orbit_keys``, ``k_equivalent`` and the line-orbit
+checks.  Stabilizer orders follow from the orbit-stabilizer identity and,
+for small q, can be cross-checked by filtering the full group.
 """
 
 from __future__ import annotations
 
 from .errors import ResourceBudgetError, VerificationError
 from .gf import GF
-from .projgeom import Subspace, pack_rows
-from .veronese import sym_matrix
+from .projgeom import Subspace, normalize_point, rref
 
 IDENTITY3 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
@@ -48,12 +54,12 @@ def normalize_mat3(gf: GF, a) -> tuple[int, ...]:
 
 def mat3_mul(gf: GF, a, b) -> tuple[int, ...]:
     mul = gf._mul
-    a, b = as_flat3(a), as_flat3(b)
-    out = []
+    a = as_flat3(a)
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = as_flat3(b)
+    out: list[int] = []
     for i in (0, 3, 6):
-        a0, a1, a2 = a[i], a[i + 1], a[i + 2]
-        for j in (0, 1, 2):
-            out.append(mul[a0][b[j]] ^ mul[a1][b[3 + j]] ^ mul[a2][b[6 + j]])
+        m0, m1, m2 = mul[a[i]], mul[a[i + 1]], mul[a[i + 2]]
+        out += (m0[b0] ^ m1[b3] ^ m2[b6], m0[b1] ^ m1[b4] ^ m2[b7], m0[b2] ^ m1[b5] ^ m2[b8])
     return tuple(out)
 
 
@@ -103,114 +109,161 @@ def act_point_pg2(gf: GF, a, p) -> tuple[int, ...]:
 
 
 def lift(gf: GF, a) -> tuple[tuple[int, ...], ...]:
-    """The 6x6 matrix of the congruence action M -> A M A^T on vec(M)."""
+    """The 6x6 matrix of the congruence action M -> A M A^T on vec(M).
+
+    Coordinates are ordered (00, 01, 02, 11, 12, 22).  Row ik holds
+    a_it a_kt in column tt and a_it a_ks + a_is a_kt in column ts, t < s.
+    """
     a = as_flat3(a)
-    arows = (a[0:3], a[3:6], a[6:9])
     mul = gf._mul
-    cols = []
-    for j in range(6):
-        y = [0] * 6
-        y[j] = 1
-        msym = sym_matrix(y)
-        am = [[0] * 3 for _ in range(3)]
-        for i in range(3):
-            for k in range(3):
-                acc = 0
-                for t in range(3):
-                    acc ^= mul[arows[i][t]][msym[t][k]]
-                am[i][k] = acc
-        out = [[0] * 3 for _ in range(3)]
-        for i in range(3):
-            for k in range(3):
-                acc = 0
-                for t in range(3):
-                    acc ^= mul[am[i][t]][arows[k][t]]
-                out[i][k] = acc
-        cols.append((out[0][0], out[0][1], out[0][2], out[1][1], out[1][2], out[2][2]))
-    return tuple(tuple(cols[j][i] for j in range(6)) for i in range(6))
+    out = []
+    for i, k in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        x0, x1, x2 = mul[a[3 * i]], mul[a[3 * i + 1]], mul[a[3 * i + 2]]
+        y0, y1, y2 = a[3 * k:3 * k + 3]
+        out.append((
+            x0[y0], x0[y1] ^ x1[y0], x0[y2] ^ x2[y0],
+            x1[y1], x1[y2] ^ x2[y1], x2[y2],
+        ))
+    return tuple(out)
 
 
-def lift_transpose(gf: GF, a) -> tuple[tuple[int, ...], ...]:
-    l = lift(gf, a)
-    return tuple(tuple(l[i][j] for i in range(6)) for j in range(6))
+def _image(gf: GF, l, y) -> tuple[int, ...]:
+    """l . y for a 6x6 matrix l and a 6-vector y, not normalized."""
+    m0, m1, m2, m3, m4, m5 = (gf._mul[v] for v in y)
+    return tuple([m0[r0] ^ m1[r1] ^ m2[r2] ^ m3[r3] ^ m4[r4] ^ m5[r5]
+                  for r0, r1, r2, r3, r4, r5 in l])
 
 
 def act_point(gf: GF, l, y) -> tuple[int, ...]:
     """Image of a PG(5,q) point under a lifted 6x6 matrix, normalized."""
-    mul = gf._mul
-    img = []
-    for i in range(6):
-        row = l[i]
-        acc = 0
-        for j in range(6):
-            if y[j] and row[j]:
-                acc ^= mul[y[j]][row[j]]
-        img.append(acc)
-    for v in img:
-        if v:
-            if v != 1:
-                m = gf._mul[gf._inv[v]]
-                img = [m[t] for t in img]
-            return tuple(img)
-    raise ValueError("lifted matrix was singular")
-
-
-def _act_rows(gf: GF, lt, rows):
-    """Apply a lifted matrix (given transposed) to basis rows; RREF result."""
-    mul = gf._mul
-    out = []
-    for r in rows:
-        acc = [0, 0, 0, 0, 0, 0]
-        for j in range(6):
-            v = r[j]
-            if v:
-                ltj = lt[j]
-                mv = mul[v]
-                acc[0] ^= mv[ltj[0]]
-                acc[1] ^= mv[ltj[1]]
-                acc[2] ^= mv[ltj[2]]
-                acc[3] ^= mv[ltj[3]]
-                acc[4] ^= mv[ltj[4]]
-                acc[5] ^= mv[ltj[5]]
-        out.append(acc)
-    return _rref_rows_inplace(gf, out)
-
-
-def _rref_rows_inplace(gf: GF, rows):
-    mul, inv = gf._mul, gf._inv
-    n = len(rows)
-    r = 0
-    for c in range(6):
-        pr = None
-        for i in range(r, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        a = prow[c]
-        if a != 1:
-            mia = mul[inv[a]]
-            for j in range(c, 6):
-                prow[j] = mia[prow[j]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                mf = mul[rows[i][c]]
-                row = rows[i]
-                for j in range(c, 6):
-                    row[j] ^= mf[prow[j]]
-        r += 1
-        if r == n:
-            break
-    return tuple(tuple(row) for row in rows[:r])
+    return normalize_point(gf, _image(gf, l, y))
 
 
 def act_subspace(s: Subspace, a) -> Subspace:
-    lt = lift_transpose(s.gf, a)
-    return Subspace(s.gf, s.n, _act_rows(s.gf, lt, s.rows))
+    """Image of a subspace under the lift of a.  Builds no tables, so it
+    serves every q."""
+    l = lift(s.gf, a)
+    return Subspace(s.gf, s.n, rref(s.gf, [_image(s.gf, l, r) for r in s.rows]))
+
+
+# -- packed rows -----------------------------------------------------------
+
+
+def _split_tables(gf: GF, l) -> tuple[list[int], list[int]]:
+    """Split image tables of a 6x6 matrix l acting on packed rows.
+
+    The image of a packed row v is hi[v >> 3e] ^ lo[v & (2^3e - 1)]: the
+    first three entries of v index hi, the last three index lo.
+    """
+    e, mul = gf.e, gf._mul
+    # col[j][c]: c times column j of l, packed
+    col = [
+        [sum(mul[c][l[i][j]] << (5 - i) * e for i in range(6)) for c in gf.elements]
+        for j in range(6)
+    ]
+    hi = [x ^ y ^ z for x in col[0] for y in col[1] for z in col[2]]
+    lo = [x ^ y ^ z for x in col[3] for y in col[4] for z in col[5]]
+    return hi, lo
+
+
+class PackedAction:
+    """Projectivities acting on packed-row subspaces of PG(5,q).
+
+    Holds the scale tables of the field, one split pair per nonzero c;
+    ``tables(a)`` builds the split image tables of lift(a).  A subspace
+    with n basis rows is passed around as its packed key.  All tables are
+    built per instance, q^3 entries each, so this serves only the small
+    fields where orbits can be enumerated.
+    """
+
+    def __init__(self, gf: GF):
+        if gf.q > 16:
+            raise ResourceBudgetError(
+                "packed orbit tables are limited to q <= 16, got q=%d" % gf.q)
+        self.gf = gf
+        e = self.e = gf.e
+        self.w, self.s3 = 6 * e, 3 * e
+        self.m6, self.m3 = (1 << 6 * e) - 1, (1 << 3 * e) - 1
+        self.scale = [None] + [
+            _split_tables(gf, [[c if i == j else 0 for j in range(6)] for i in range(6)])
+            for c in gf.nonzero
+        ]
+
+    def tables(self, a) -> tuple[list[int], list[int]]:
+        return _split_tables(self.gf, lift(self.gf, a))
+
+    def rref(self, rows) -> list[int]:
+        """Canonical reduced echelon form of packed rows, zero rows dropped.
+
+        Pivot rows come first to last, which is decreasing int order.  The
+        pivot of a row is its highest nonzero e-bit field.
+        """
+        e, s3, m3, scale = self.e, self.s3, self.m3, self.scale
+        m, inv = self.gf.q - 1, self.gf._inv
+        out: list[int] = []
+        shifts: list[int] = []
+        for v in rows:
+            for r, sh in zip(out, shifts):
+                f = (v >> sh) & m
+                if f:
+                    hi, lo = scale[f]
+                    v ^= hi[r >> s3] ^ lo[r & m3]
+            if not v:
+                continue
+            sh = (v.bit_length() - 1) // e * e
+            lead = v >> sh
+            if lead != 1:
+                hi, lo = scale[inv[lead]]
+                v = hi[v >> s3] ^ lo[v & m3]
+            for i, r in enumerate(out):
+                f = (r >> sh) & m
+                if f:
+                    hi, lo = scale[f]
+                    out[i] = r ^ hi[v >> s3] ^ lo[v & m3]
+            out.append(v)
+            shifts.append(sh)
+        out.sort(reverse=True)
+        return out
+
+    def image(self, key: int, n: int, tables) -> int:
+        """Key of the image of the n-row subspace ``key`` under ``tables``."""
+        hi, lo = tables
+        w, s3, m3, m6 = self.w, self.s3, self.m3, self.m6
+        rows = []
+        for _ in range(n):
+            v = key & m6
+            rows.append(hi[v >> s3] ^ lo[v & m3])
+            key >>= w
+        out = 0
+        for r in self.rref(rows):
+            out = (out << w) | r
+        return out
+
+    def orbit(self, key: int, n: int, gens, max_keys: int | None = None,
+              target: int | None = None) -> set[int]:
+        """Keys of the orbit of ``key`` under the group generated by the
+        tables ``gens``, by breadth-first closure.  Returns early, with the
+        keys found so far, once ``target`` is among them."""
+        image = self.image
+        seen = {key}
+        frontier = [key]
+        while frontier and target not in seen:
+            new = []
+            for k in frontier:
+                for t in gens:
+                    k2 = image(k, n, t)
+                    if k2 not in seen:
+                        seen.add(k2)
+                        if k2 == target:
+                            return seen
+                        if max_keys is not None and len(seen) > max_keys:
+                            raise ResourceBudgetError(
+                                "orbit enumeration exceeded %d keys" % max_keys,
+                                partial=len(seen),
+                            )
+                        new.append(k2)
+            frontier = new
+        return seen
 
 
 # -- generators and group closure ----------------------------------------
@@ -285,38 +338,15 @@ def certify_generators(gf: GF) -> int:
 # -- orbits ----------------------------------------------------------------
 
 
-def _lifted_transposes(gf: GF):
-    return [lift_transpose(gf, g) for g in generators(gf)]
+def _generator_orbit(s: Subspace, max_keys: int | None, target: int | None) -> set[int]:
+    pa = PackedAction(s.gf)
+    gens = [pa.tables(g) for g in generators(s.gf)]
+    return pa.orbit(s.key_int(), len(s.rows), gens, max_keys, target)
 
 
 def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     """Packed keys of the full orbit of s, by breadth-first closure."""
-    gf = s.gf
-    lts = _lifted_transposes(gf)
-    e = gf.e
-    start = [list(r) for r in s.rows]
-    k0 = pack_rows(gf, s.rows)
-    seen = {k0}
-    frontier = [tuple(tuple(r) for r in start)]
-    while frontier:
-        new = []
-        for rows in frontier:
-            for lt in lts:
-                img = _act_rows(gf, lt, rows)
-                k = 0
-                for row in img:
-                    for v in row:
-                        k = (k << e) | v
-                if k not in seen:
-                    seen.add(k)
-                    if max_keys is not None and len(seen) > max_keys:
-                        raise ResourceBudgetError(
-                            "orbit enumeration exceeded %d keys" % max_keys,
-                            partial=len(seen),
-                        )
-                    new.append(img)
-        frontier = new
-    return seen
+    return _generator_orbit(s, max_keys, None)
 
 
 def stabilizer_order(s: Subspace, max_keys: int | None = None) -> int:
@@ -332,13 +362,7 @@ def stabilizer_order(s: Subspace, max_keys: int | None = None) -> int:
 
 def stabilizer_order_direct(s: Subspace) -> int:
     """|stabilizer| by filtering the full group; practical for q <= 4."""
-    gf = s.gf
-    target = s.rows
-    count = 0
-    for g in pgl_elements(gf):
-        if _act_rows(gf, lift_transpose(gf, g), target) == target:
-            count += 1
-    return count
+    return sum(1 for g in pgl_elements(s.gf) if act_subspace(s, g) == s)
 
 
 def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> bool:
@@ -353,35 +377,8 @@ def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> boo
         return False
     if point_class_counts(s1) != point_class_counts(s2):
         return False
-    gf = s1.gf
-    target = pack_rows(gf, s2.rows)
-    lts = _lifted_transposes(gf)
-    e = gf.e
-    seen = {pack_rows(gf, s1.rows)}
-    if target in seen:
-        return True
-    frontier = [s1.rows]
-    while frontier:
-        new = []
-        for rows in frontier:
-            for lt in lts:
-                img = _act_rows(gf, lt, rows)
-                k = 0
-                for row in img:
-                    for v in row:
-                        k = (k << e) | v
-                if k == target:
-                    return True
-                if k not in seen:
-                    seen.add(k)
-                    if max_keys is not None and len(seen) > max_keys:
-                        raise ResourceBudgetError(
-                            "equivalence search exceeded %d keys" % max_keys,
-                            partial=len(seen),
-                        )
-                    new.append(img)
-        frontier = new
-    return False
+    target = s2.key_int()
+    return target in _generator_orbit(s1, max_keys, target)
 
 
 # -- stabilizers via transversals ------------------------------------------
@@ -412,38 +409,34 @@ def orbit_transversal(gf: GF, state0, act):
 def stabilizer_from_transversal(gf: GF, state0, act, tr) -> set[tuple[int, ...]]:
     """Full stabilizer of state0, from Schreier generators of the transversal.
 
-    The expected order is |group| / |orbit|; generation stops as soon as the
-    closure reaches it and fails loudly if the Schreier set cannot.
+    The expected order is |group| / |orbit|.  Schreier generators are made
+    one at a time and closed as they come; the closure is returned as soon
+    as it reaches that order, and an overshoot or a shortfall fails loudly.
     """
     gens = generators(gf)
     order = pgl_order(gf.q)
     if order % len(tr):
         raise VerificationError("orbit size %d does not divide %d" % (len(tr), order))
     target = order // len(tr)
-    sgens = set()
+    picked: list[tuple[int, ...]] = []
+    closure: set[tuple[int, ...]] = {IDENTITY3}
     for s, u in tr.items():
         for k, a in enumerate(gens):
             v = tr[act(s, k)]
             h = normalize_mat3(
                 gf, mat3_mul(gf, mat3_inv(gf, v), mat3_mul(gf, a, u))
             )
-            if h != IDENTITY3:
-                sgens.add(h)
-    picked: list[tuple[int, ...]] = []
-    closure: set[tuple[int, ...]] = {IDENTITY3}
-    for h in sorted(sgens):
-        if h in closure:
-            continue
-        picked.append(h)
-        closure = mulclose(gf, picked)
-        if len(closure) == target:
-            return closure
-        if len(closure) > target:
-            raise VerificationError(
-                "stabilizer closure overshot: %d > %d" % (len(closure), target)
-            )
-    if len(closure) != target:
-        raise VerificationError(
-            "Schreier generators closed at %d, expected %d" % (len(closure), target)
-        )
-    return closure
+            if h in closure:
+                continue
+            picked.append(h)
+            try:
+                closure = mulclose(gf, picked, limit=target)
+            except ResourceBudgetError as exc:
+                raise VerificationError(
+                    "stabilizer closure overshot %d elements" % target
+                ) from exc
+            if len(closure) == target:
+                return closure
+    raise VerificationError(
+        "Schreier generators closed at %d, expected %d" % (len(closure), target)
+    )

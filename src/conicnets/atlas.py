@@ -20,12 +20,11 @@ from collections import Counter
 from multiprocessing import get_context
 
 from .action import (
-    _act_rows,
+    PackedAction,
     act_point,
     act_subspace,
     generators,
     lift,
-    lift_transpose,
     orbit_keys,
     orbit_transversal,
     pgl_elements,
@@ -52,6 +51,7 @@ from .projgeom import (
     enumerate_planes_chunk,
     gaussian_binomial,
     nullspace,
+    pack_rows,
     pg_points,
     plane_enumeration_chunks,
     plane_from_pattern,
@@ -182,10 +182,10 @@ def representative_pattern(gf: GF, label: str, overrides: dict | None = None):
 
     def pick(key: str, searched) -> int:
         if overrides and key in overrides:
-            v = int(overrides[key])
-            if not 0 <= v < gf.q:
+            v = overrides[key]
+            if type(v) is not int or not 0 <= v < gf.q:
                 raise ConfigurationError(
-                    "parameter %s=%d is not a GF(%d) element" % (key, v, gf.q)
+                    "parameter %s=%r is not a GF(%d) element" % (key, v, gf.q)
                 )
             return v
         return searched()
@@ -790,26 +790,24 @@ def _lines_through_in(gf: GF, p, amb: Subspace) -> dict[int, Subspace]:
 
 
 def _subgroup_orbits_on_lines(gf: GF, members, keyed: dict[int, Subspace]):
-    """Orbit partition of the given lines under a set of group elements."""
-    lts = [lift_transpose(gf, a) for a in members]
-    left = set(keyed)
+    """Orbit partition of the given lines under a subgroup, given as the
+    set of all its elements: the orbit of a line is its set of images."""
+    pa = PackedAction(gf)
+    images = {k: {k} for k in keyed}
+    for a in members:
+        t = pa.tables(a)
+        for k, imgs in images.items():
+            imgs.add(pa.image(k, 2, t))
     orbits: list[set[int]] = []
-    while left:
-        k0 = min(left)
-        comp = {k0}
-        frontier = [keyed[k0]]
-        while frontier:
-            nxt = []
-            for l in frontier:
-                for lt in lts:
-                    img = Subspace(gf, 5, _act_rows(gf, lt, l.rows))
-                    k = img.key_int()
-                    if k not in comp:
-                        comp.add(k)
-                        nxt.append(img)
-            frontier = nxt
+    placed: set[int] = set()
+    for k in sorted(keyed):
+        if k in placed:
+            continue
+        comp = images[k]
+        if any(images[j] != comp for j in comp):
+            raise VerificationError("line images do not form orbits of a subgroup")
         orbits.append(comp)
-        left -= comp
+        placed |= comp
     return orbits
 
 
@@ -819,16 +817,14 @@ def _rank1_hits(l: Subspace) -> int:
 
 def _pair_stabilizer(gf: GF, l: Subspace, p):
     """Full stabilizer of (line, point) via a transversal of the pair orbit."""
-    gens = generators(gf)
-    lts = [lift_transpose(gf, a) for a in gens]
-    lifts = [lift(gf, a) for a in gens]
+    pa = PackedAction(gf)
+    gens = [pa.tables(a) for a in generators(gf)]
 
     def act(state, k):
-        rows, pt = state
-        img = _act_rows(gf, lts[k], [list(r) for r in rows])
-        return (tuple(tuple(r) for r in img), act_point(gf, lifts[k], pt))
+        line, point = state
+        return pa.image(line, 2, gens[k]), pa.image(point, 1, gens[k])
 
-    state0 = (tuple(tuple(r) for r in l.rows), tuple(p))
+    state0 = (l.key_int(), pack_rows(gf, [p]))
     tr = orbit_transversal(gf, state0, act)
     return stabilizer_from_transversal(gf, state0, act, tr), len(tr)
 

@@ -86,7 +86,13 @@ def _plane_from_payload(gf: GF, payload: dict) -> Subspace:
             raise UsageError(str(exc)) from exc
     if "label" in payload:
         label = payload["label"]
+        if not isinstance(label, str):
+            raise UsageError("label must be a string")
         params = payload.get("parameters")
+        if params is not None:
+            if not isinstance(params, dict):
+                raise UsageError("parameters must be an object of field elements")
+            params = {k: _element(gf, v) for k, v in params.items()}
         try:
             rows, _ = atlas.representative_pattern(gf, label, params)
             return plane_from_pattern(gf, rows)

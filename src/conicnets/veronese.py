@@ -201,10 +201,14 @@ def form_to_str(form) -> str:
 
 
 def form_from_str(text: str) -> tuple[int, ...]:
-    """Parse the output format of form_to_str back to a 6-tuple."""
+    """Parse the output format of form_to_str back to a 6-tuple.
+
+    A monomial may appear once (X0*X1 and X1*X0 are the same monomial).
+    """
     index = {"X0^2": 0, "X0*X1": 1, "X1*X0": 1, "X0*X2": 2, "X2*X0": 2,
              "X1^2": 3, "X1*X2": 4, "X2*X1": 4, "X2^2": 5}
     coeffs = [0, 0, 0, 0, 0, 0]
+    seen: set[int] = set()
     text = text.replace(" ", "")
     if not text or text == "0":
         raise ValueError("empty form")
@@ -219,7 +223,11 @@ def form_from_str(text: str) -> tuple[int, ...]:
             mono = rest
         if mono not in index:
             raise ValueError("unknown monomial %r in form" % mono)
-        coeffs[index[mono]] ^= 0 if coeff == 0 else coeff
+        i = index[mono]
+        if i in seen:
+            raise ValueError("monomial %r repeated in form" % mono)
+        seen.add(i)
+        coeffs[i] = coeff
     return tuple(coeffs)
 
 

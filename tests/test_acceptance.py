@@ -5,6 +5,8 @@ constants (orbit sizes, stabilizer orders, line counts) were recomputed
 independently by exhaustive enumeration before being pinned.
 """
 
+import pytest
+
 from conicnets.action import (
     act_point,
     act_point_pg2,
@@ -66,6 +68,19 @@ PINNED_CUBIC_KINDS = {
 
 def _checks(report):
     return {c["name"]: c for c in report["checks"]}
+
+
+@pytest.fixture(scope="module")
+def line_orbits():
+    """verify_line_orbits(field(q)), computed once per q for this module."""
+    reports = {}
+
+    def report(q):
+        if q not in reports:
+            reports[q] = verify_line_orbits(field(q))
+        return reports[q]
+
+    return report
 
 
 def test_criterion_01_orbit_partition_exhaustive_q2_q4():
@@ -149,10 +164,10 @@ def test_criterion_06_cubic_invariants_q4_q8():
         assert sig18.cubic_kind == "NoRationalComponentPoint"
 
 
-def test_criterion_07_special_line_stabilizers_and_count_q4():
+def test_criterion_07_special_line_stabilizers_and_count_q4(line_orbits):
     """At q = 4 the two marked line classes have stabilizer orders 6 and 2,
     and the hyperplane holds (1/6) q^3 (q-1) (q^2-1) = 480 triangle lines."""
-    checks = _checks(verify_line_orbits(field(4)))
+    checks = _checks(line_orbits(4))
     assert checks["special_line_stabilizers"]["pass"]
     assert checks["special_line_stabilizers"]["details"]["orders"] == [6, 2]
     assert checks["triangle_lines_in_hyperplane"]["pass"]
@@ -161,19 +176,19 @@ def test_criterion_07_special_line_stabilizers_and_count_q4():
     assert 480 == q ** 3 * (q - 1) * (q * q - 1) // 6
 
 
-def test_criterion_08_line_orbit_splits_q4_q8():
+def test_criterion_08_line_orbit_splits_q4_q8(line_orbits):
     """The pair stabilizer splits the conic-plane lines through the fixed
     point into 3 orbits (q = 4 and 8); the tangency configuration splits its
     60 candidate lines into exactly 2 orbits (q = 4)."""
     for q in (4, 8):
-        checks = _checks(verify_line_orbits(field(q)))
+        checks = _checks(line_orbits(q))
         assert checks["pair_stabilizer_order"]["pass"]
         assert checks["pair_stabilizer_order"]["details"]["order"] == q * q * (q - 1)
         orbits = checks["conic_plane_line_orbits"]["details"]["orbits"]
         assert checks["conic_plane_line_orbits"]["pass"]
         assert len(orbits) == 3
         assert sorted(n for n, _ in orbits) == sorted([1, q // 2, q // 2])
-    checks4 = _checks(verify_line_orbits(field(4)))
+    checks4 = _checks(line_orbits(4))
     assert checks4["tangency_candidate_orbits"]["pass"]
     assert checks4["tangency_candidate_orbits"]["details"]["orbit_sizes"] == [12, 48]
     assert checks4["joint_stabilizer_order"]["details"]["order"] == 144

@@ -1,9 +1,19 @@
-"""The PGL(3,q) action on PG(2,q) and its lift to PG(5,q)."""
+"""The PGL(3,q) action on PG(2,q) and its lift to PG(5,q).
+
+The packed kernel is checked against the brute-force code it replaced,
+which lives on here only: the lift as a congruence product, the RREF of
+``projgeom``, a breadth-first orbit on row tuples, and the closure of the
+whole Schreier generator set.
+"""
+
+import random
 
 import pytest
 
+from conicnets import atlas
 from conicnets.action import (
     IDENTITY3,
+    PackedAction,
     act_point,
     act_point_pg2,
     act_subspace,
@@ -11,20 +21,24 @@ from conicnets.action import (
     generators,
     k_equivalent,
     lift,
+    mat3_det,
     mat3_inv,
     mat3_mul,
+    mulclose,
     normalize_mat3,
     orbit_keys,
+    orbit_transversal,
     pgl_elements,
     pgl_order,
+    stabilizer_from_transversal,
     stabilizer_order,
     stabilizer_order_direct,
 )
-from conicnets.atlas import representative
+from conicnets.atlas import representative, representatives
 from conicnets.errors import ResourceBudgetError
 from conicnets.gf import field
-from conicnets.projgeom import pg_points, span
-from conicnets.veronese import nucleus_plane, veronese
+from conicnets.projgeom import pack_rows, pg_points, rref, span
+from conicnets.veronese import nucleus_plane, sym_matrix, veronese
 
 
 def test_pgl_order_formula():
@@ -127,3 +141,126 @@ def test_orbit_budget_enforced(gf4):
     with pytest.raises(ResourceBudgetError) as info:
         orbit_keys(s, max_keys=1000)
     assert info.value.partial >= 1000
+    # the split tables grow as q^3 per scalar: refused before any is built
+    with pytest.raises(ResourceBudgetError):
+        orbit_keys(span(field(32), [veronese(field(32), (1, 0, 0))]), max_keys=10)
+
+
+# -- the packed kernel against brute force -----------------------------------
+
+
+def congruence_lift(gf, a):
+    """Column j of the lift is vec(A E_j A^T) for the j-th unit symmetric
+    matrix E_j, by two 3x3 matrix products."""
+    mul = gf._mul
+    rows = (a[0:3], a[3:6], a[6:9])
+    cols = []
+    for j in range(6):
+        m = sym_matrix(tuple(int(i == j) for i in range(6)))
+        am = [[mul[rows[i][0]][m[0][k]] ^ mul[rows[i][1]][m[1][k]] ^ mul[rows[i][2]][m[2][k]]
+               for k in range(3)] for i in range(3)]
+        out = [[mul[am[i][0]][rows[k][0]] ^ mul[am[i][1]][rows[k][1]] ^ mul[am[i][2]][rows[k][2]]
+                for k in range(3)] for i in range(3)]
+        cols.append((out[0][0], out[0][1], out[0][2], out[1][1], out[1][2], out[2][2]))
+    return tuple(tuple(cols[j][i] for j in range(6)) for i in range(6))
+
+
+def apply_matrix(gf, l, r):
+    """The 6-vector l . r, entry by entry."""
+    mul = gf._mul
+    return [mul[l[i][0]][r[0]] ^ mul[l[i][1]][r[1]] ^ mul[l[i][2]][r[2]]
+            ^ mul[l[i][3]][r[3]] ^ mul[l[i][4]][r[4]] ^ mul[l[i][5]][r[5]]
+            for i in range(6)]
+
+
+def _random_projectivities(gf, count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a = tuple(rng.randrange(gf.q) for _ in range(9))
+        if mat3_det(gf, a):
+            out.append(a)
+    return out
+
+
+def test_closed_form_lift_matches_congruence_product_q2(gf2):
+    for a in pgl_elements(gf2):
+        assert lift(gf2, a) == congruence_lift(gf2, a)
+
+
+@pytest.mark.parametrize("q", (4, 8, 16))
+def test_closed_form_lift_matches_congruence_product_sampled(q):
+    gf = field(q)
+    for a in _random_projectivities(gf, 200, q):
+        assert lift(gf, a) == congruence_lift(gf, a)
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_packed_rref_matches_rref(q):
+    gf = field(q)
+    pa = PackedAction(gf)
+    rng = random.Random(q)
+    for _ in range(400):
+        rows = [[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(6)]
+                for _ in range(rng.randint(1, 4))]
+        if len(rows) > 1 and rng.random() < 0.3:  # force a dependent row
+            c = rng.randrange(1, q)
+            rows.append([gf.mul(c, x) ^ y for x, y in zip(rows[0], rows[1])])
+        want = [pack_rows(gf, [r]) for r in rref(gf, rows)]
+        assert pa.rref([pack_rows(gf, [r]) for r in rows]) == want
+
+
+def tuple_orbit_keys(s):
+    """Breadth-first orbit on row tuples: lift, multiply, projgeom.rref."""
+    gf = s.gf
+    lifts = [lift(gf, g) for g in generators(gf)]
+    seen = {s.key_int()}
+    frontier = [s.rows]
+    while frontier:
+        new = []
+        for rows in frontier:
+            for l in lifts:
+                img = rref(gf, [apply_matrix(gf, l, r) for r in rows])
+                k = pack_rows(gf, img)
+                if k not in seen:
+                    seen.add(k)
+                    new.append(img)
+        frontier = new
+    return seen
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_packed_orbit_keys_match_tuple_bfs(q):
+    for label, s in representatives(field(q)).items():
+        assert orbit_keys(s) == tuple_orbit_keys(s), label
+
+
+def test_act_subspace_matches_congruence_lift(gf8):
+    for a in _random_projectivities(gf8, 20, 3):
+        l = congruence_lift(gf8, a)
+        for s in representatives(gf8).values():
+            images = [apply_matrix(gf8, l, r) for r in s.rows]
+            assert act_subspace(s, a).rows == rref(gf8, images)
+
+
+def test_on_demand_schreier_closure_matches_full_schreier_set(gf4):
+    """The q=4 pair stabilizer of the line-orbit suite: closing Schreier
+    generators as they come gives the closure of all of them."""
+    line = atlas._line(gf4, (0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0))
+    point = (0, 1, 0, 1, 0, 0)
+    pa = PackedAction(gf4)
+    gens = generators(gf4)
+    tables = [pa.tables(a) for a in gens]
+
+    def act(state, k):
+        return pa.image(state[0], 2, tables[k]), pa.image(state[1], 1, tables[k])
+
+    state0 = (line.key_int(), pack_rows(gf4, [point]))
+    tr = orbit_transversal(gf4, state0, act)
+    schreier = {
+        normalize_mat3(gf4, mat3_mul(gf4, mat3_inv(gf4, tr[act(s, k)]), mat3_mul(gf4, a, u)))
+        for s, u in tr.items() for k, a in enumerate(gens)
+    }
+    full = mulclose(gf4, schreier)
+    assert stabilizer_from_transversal(gf4, state0, act, tr) == full
+    assert len(full) == 4 * 4 * 3

@@ -205,6 +205,10 @@ def test_representative_pattern_override_validation(gf4):
     with pytest.raises(ConfigurationError):
         representative_pattern(gf4, "Sigma21", {"a": 9})
     with pytest.raises(ConfigurationError):
+        representative_pattern(gf4, "Sigma21", {"a": True})
+    with pytest.raises(ConfigurationError):
+        representative_pattern(gf4, "Sigma21", {"a": 2.0})
+    with pytest.raises(ConfigurationError):
         representative_pattern(gf4, "Sigma20", {"b": 0})
     with pytest.raises(ConfigurationError):
         representative_pattern(gf4, "NotALabel")

@@ -1,10 +1,13 @@
 """Command line behavior: payload parsing, report shapes, exit codes,
 byte-level determinism."""
 
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conicnets import atlas, cli
 from conicnets.errors import ResourceBudgetError
@@ -169,8 +172,14 @@ def _with(rows, i, j, value):
     ("classify-plane", {"rows": _with(SIGMA19_Q4, 1, 1, 1.5)}),
     ("classify-net", {"forms": ["9*X0*X2 + X1^2"] + EXAMPLE_NET_Q4[1:]}),
     ("classify-net", {"forms": [[0, 0, -3, 1, 0, 0], [1, 0, 1, 0, 1, 0], [0, 0, 0, 0, 0, 1]]}),
+    # a repeated monomial would cancel the bad coefficient by XOR
+    ("classify-net", {"forms": ["9*X0*X2 + 9*X0*X2 + X1^2", "X0^2", "X2^2"]}),
+    # label parameters: a bool is not 1, a float is not truncated
+    ("classify-plane", {"label": "Sigma21", "parameters": {"a": True}}),
+    ("classify-plane", {"label": "Sigma21", "parameters": {"a": 2.7}}),
 ], ids=["row-negative", "row-too-large", "row-bool", "row-float",
-        "form-string-coefficient", "form-vector-negative"])
+        "form-string-coefficient", "form-vector-negative", "form-string-repeated-monomial",
+        "label-parameter-bool", "label-parameter-float"])
 def test_exit_code_rejects_non_field_elements(command, payload, capsys):
     code, out, err = run([command, "--q", "4", "--data", json.dumps(payload)], capsys)
     assert code == 2
@@ -216,3 +225,53 @@ def test_argparse_usage_exits_2():
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "--q", "2", "--suite", "nonsense"])
     assert info.value.code == 2
+
+
+# -- malformed input, property-tested ---------------------------------------
+
+# Field elements of the smaller fields, their near misses, and values of the
+# wrong JSON type.
+_values = st.one_of(
+    st.integers(min_value=-3, max_value=20),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_vectors = st.one_of(_values, st.lists(_values, min_size=0, max_size=7))
+_monomials = st.sampled_from(
+    ["X0^2", "X0*X1", "X1*X0", "X0*X2", "X1^2", "X1*X2", "X2^2", "X3^2", "X0", ""]
+)
+_terms = st.tuples(st.one_of(st.none(), st.integers(0, 12), st.text("0123456789*+", max_size=3)),
+                   _monomials).map(lambda t: t[1] if t[0] is None else "%s*%s" % t)
+_form_strings = st.one_of(
+    st.lists(_terms, min_size=0, max_size=4).map(" + ".join),
+    st.text("X0123^*+ 9", max_size=14),
+)
+_payloads = st.one_of(
+    st.builds(lambda rows: ("classify-plane", {"rows": rows}),
+              st.one_of(_vectors, st.lists(_vectors, min_size=0, max_size=4))),
+    st.builds(lambda forms: ("classify-net", {"forms": forms}),
+              st.lists(st.one_of(_form_strings, _vectors), min_size=0, max_size=4)),
+    st.builds(lambda label, params: ("classify-plane", {"label": label, "parameters": params}),
+              st.one_of(st.sampled_from(atlas.LABELS + ("Sigma99",)), _values),
+              st.one_of(st.none(), _values,
+                        st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), _values,
+                                        max_size=3))),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from([2, 4, 8]), request=_payloads)
+def test_malformed_input_never_tracebacks(q, request):
+    """Any payload ends in exit 0, 2 or 3, never in an uncaught exception;
+    a rejected one gets a one-line message on stderr."""
+    command, payload = request
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--q", str(q), "--data", json.dumps(payload)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1

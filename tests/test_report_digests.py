@@ -5,11 +5,15 @@ projectivity and sent through ``classify-plane`` and through
 ``classify-net``; the sha256 of each report's stdout is pinned here, next
 to that of ``verify --suite distributions --q 16``.  Any change to the
 classifier that alters a label, an invariant or the report layout shows up
-as a digest mismatch naming the request.
+as a digest mismatch naming the request.  The ``verify --suite
+line-orbits`` reports at q = 4 and 8 are pinned the same way, so the group
+action behind them cannot change an orbit, an order or a count unnoticed.
 """
 
 import hashlib
 import json
+
+import pytest
 
 from conicnets import atlas, cli
 from conicnets.action import act_subspace
@@ -161,3 +165,15 @@ def report_digests(capsys) -> dict[str, str]:
 
 def test_report_bytes_are_pinned(capsys):
     assert report_digests(capsys) == PINNED
+
+
+LINE_ORBITS_PINNED = {
+    4: 'd9ded9997f6ad463acf18ff4d1e5cfb2099b623b88699a1de2285aa5e0f0061e',
+    8: 'fbeda6f0e07d96b1f828d17053d0ce8924776163e61d2d2f8a711e17a569ee93',
+}
+
+
+@pytest.mark.parametrize("q", (4, 8))
+def test_line_orbit_report_bytes_are_pinned(q, capsys):
+    out = _report(["verify", "--q", str(q), "--suite", "line-orbits"], capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == LINE_ORBITS_PINNED[q]

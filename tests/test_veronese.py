@@ -144,6 +144,16 @@ def test_form_string_round_trip():
         form_from_str("X3^2")
 
 
+@pytest.mark.parametrize("text", [
+    "9*X0*X2 + 9*X0*X2 + X1^2",  # the repeat would cancel by XOR
+    "X0*X1 + X1*X0",             # one monomial in two spellings
+    "X2^2 + 3*X2^2",
+])
+def test_form_string_rejects_repeated_monomials(text):
+    with pytest.raises(ValueError, match="repeated"):
+        form_from_str(text)
+
+
 def test_conic_plane_and_nucleus(gf4):
     # the conic plane over a line of PG(2,q) holds its Veronese image; the
     # image conic's nucleus is a nuclear rank-2 point on that plane
