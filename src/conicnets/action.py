@@ -139,6 +139,25 @@ def act_point(gf: GF, l, y) -> tuple[int, ...]:
     return normalize_point(gf, _image(gf, l, y))
 
 
+def congruence_image(gf: GF, a, y) -> tuple[int, ...]:
+    """Image of a PG(5,q) point under the lift of a, normalized: vec(A M A^T)
+    for the symmetric matrix M of y, by two 3x3 products and without the
+    6x6 lift."""
+    mul = gf._mul
+    a = as_flat3(a)
+    y0, y1, y2, y3, y4, y5 = y
+    am = []
+    for i in (0, 3, 6):
+        m0, m1, m2 = mul[a[i]], mul[a[i + 1]], mul[a[i + 2]]
+        am.append((mul[m0[y0] ^ m1[y1] ^ m2[y2]],
+                   mul[m0[y1] ^ m1[y3] ^ m2[y4]],
+                   mul[m0[y2] ^ m1[y4] ^ m2[y5]]))
+    return normalize_point(gf, [
+        am[i][0][a[k]] ^ am[i][1][a[k + 1]] ^ am[i][2][a[k + 2]]
+        for i, k in ((0, 0), (0, 3), (0, 6), (1, 3), (1, 6), (2, 6))
+    ])
+
+
 def act_subspace(s: Subspace, a) -> Subspace:
     """Image of a subspace under the lift of a.  Builds no tables, so it
     serves every q."""

@@ -21,10 +21,9 @@ from multiprocessing import get_context
 
 from .action import (
     PackedAction,
-    act_point,
     act_subspace,
+    congruence_image,
     generators,
-    lift,
     orbit_keys,
     orbit_transversal,
     pgl_elements,
@@ -408,19 +407,14 @@ def net_double_line_count(gf: GF, forms) -> int:
     """Number of double lines (perfect-square conics) in the net.
 
     In characteristic 2 a form is a square exactly when its cross
-    coefficients vanish, so this scans the q^2+q+1 projective combinations.
+    coefficients (a01, a02, a12) vanish, so the double lines are the points
+    of the kernel of the linear map taking a form of the net to its cross
+    part: (q^k - 1) / (q - 1) of them, k = dim of the net - rank of its
+    cross columns.
     """
-    vecs = [tuple(f) for f in rref(gf, [tuple(f) for f in forms])]
-    count = 0
-    for coeffs in pg_points(gf, 2):
-        combo = [0] * 6
-        for c, vec in zip(coeffs, vecs):
-            if c:
-                for j in range(6):
-                    combo[j] ^= gf.mul(c, vec[j])
-        if combo[1] == 0 and combo[2] == 0 and combo[4] == 0 and any(combo):
-            count += 1
-    return count
+    vecs = [tuple(f) for f in forms]
+    k = len(rref(gf, vecs)) - len(rref(gf, [(f[1], f[2], f[4]) for f in vecs]))
+    return (gf.q**k - 1) // (gf.q - 1)
 
 
 def classify_net(gf: GF, forms) -> str:
@@ -857,14 +851,14 @@ def verify_line_orbits(gf: GF) -> dict:
     fixed_pt = (0, 0, 0, 1, 0, 0)
     checks.append(_check(
         "pair_stabilizer_fixes_conic_point",
-        all(act_point(gf, lift(gf, a), fixed_pt) == fixed_pt for a in stab),
+        all(congruence_image(gf, a, fixed_pt) == fixed_pt for a in stab),
         {"point": list(fixed_pt)},
     ))
     if q == 4:
         lk = l0.key_int()
         direct = {
             a for a in pgl_elements(gf)
-            if act_point(gf, lift(gf, a), R) == R
+            if congruence_image(gf, a, R) == R
             and act_subspace(l0, a).key_int() == lk
         }
         checks.append(_check(
@@ -892,7 +886,7 @@ def verify_line_orbits(gf: GF) -> dict:
         hk = H.key_int()
         joint = []
         for a in pgl_elements(gf):
-            if act_point(gf, lift(gf, a), P) != P:
+            if congruence_image(gf, a, P) != P:
                 continue
             if act_subspace(H, a).key_int() == hk:
                 joint.append(a)

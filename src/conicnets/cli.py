@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -282,9 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves a parser unchanged, so one serves every call in a process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except OutOfFamilyError as exc:

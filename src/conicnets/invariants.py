@@ -68,6 +68,49 @@ def point_class_counts(s: Subspace) -> tuple[int, int, int, int]:
     return tuple(out)
 
 
+def cubic_zeros_and_counts(s: Subspace):
+    """One pass over the points x*B0 + y*B1 + z*B2 of a plane.
+
+    Returns the zeros (x, y, z) of its determinantal cubic, normalized, and
+    the plane's (rank1, rank2_nuclear, rank2_secant, rank3) counts.  The
+    determinant a*d*f + a*e^2 + b^2*f + c^2*d of each point comes from table
+    lookups; its zeros are the rank <= 2 points (all of them when the cubic
+    vanishes identically).  A zero is nuclear when its diagonal vanishes (a
+    nonzero alternating matrix has rank 2) and rank 1 when its three
+    principal 2x2 minors vanish too: with a != 0 that makes the matrix
+    (a, b, c)^T (a, b, c) / a, and likewise for d or f.
+    """
+    _require_plane(s)
+    gf = s.gf
+    q, mul, sq = gf.q, gf._mul, gf._sq
+    r0, r1, r2 = s.rows
+    ma, mb, mc, md, me, mf = (mul[v] for v in r2)
+    zeros = []
+    rank1 = nuclear = 0
+    # the points (1, y, z), (0, 1, z) and (0, 0, 1), by their (x, y) heads
+    heads = [(1, y, gf.elements) for y in gf.elements] + [(0, 1, gf.elements), (0, 0, (1,))]
+    for x, y, zs in heads:
+        my = mul[y]
+        a0, b0, c0, d0, e0, f0 = ((u if x else 0) ^ my[v] for u, v in zip(r0, r1))
+        for z in zs:
+            a = a0 ^ ma[z]
+            b = b0 ^ mb[z]
+            c = c0 ^ mc[z]
+            d = d0 ^ md[z]
+            e = e0 ^ me[z]
+            f = f0 ^ mf[z]
+            mul_d = mul[d]
+            if mul[a][mul_d[f] ^ sq[e]] ^ mul[sq[b]][f] ^ mul_d[sq[c]]:
+                continue
+            zeros.append((x, y, z))
+            if not a | d | f:
+                nuclear += 1
+            elif mul_d[a] == sq[b] and mul[a][f] == sq[c] and mul_d[f] == sq[e]:
+                rank1 += 1
+    rank3 = q * q + q + 1 - len(zeros)
+    return zeros, (rank1, nuclear, len(zeros) - rank1 - nuclear, rank3)
+
+
 def forms_through(s: Subspace) -> list[tuple[int, ...]]:
     """Normalized coefficient vectors of every hyperplane containing s."""
     gf = s.gf
@@ -308,36 +351,83 @@ def _det3(gf: GF, rows) -> int:
     )
 
 
-def cubic_type(gf: GF, cubic) -> str:
+def _dot(gf: GF, u, p) -> int:
+    mul = gf._mul
+    return mul[u[0]][p[0]] ^ mul[u[1]][p[1]] ^ mul[u[2]][p[2]]
+
+
+def _join(gf: GF, p, r) -> tuple[int, ...]:
+    """Normalized dual coordinates of the line through two distinct points
+    (their cross product; characteristic 2 needs no signs)."""
+    mul = gf._mul
+    return normalize_point(gf, (
+        mul[p[1]][r[2]] ^ mul[p[2]][r[1]],
+        mul[p[2]][r[0]] ^ mul[p[0]][r[2]],
+        mul[p[0]][r[1]] ^ mul[p[1]][r[0]],
+    ))
+
+
+def component_candidates(gf: GF, zeros) -> list[tuple[int, ...]]:
+    """Lines of PG(2,q), as normalized dual coordinates, whose q+1 points
+    all lie in the zero set of a nonzero cubic.
+
+    Every linear factor of the cubic is among them.  They are found through
+    a line L on a point N off the curve: L is not a component, so it holds
+    at most three zeros (Bezout; at q = 2, at most q of its q+1 points),
+    and every other line meets L in a point, which is a zero when that line
+    is made of zeros.  So each candidate is a line through a zero P of L
+    that carries q further zeros.  At q = 2 a nonzero cubic can vanish on
+    every point; then every line is a candidate.  At q = 2 a line of zeros
+    need not be a component, so candidates still go to exact division.
+    """
+    q = gf.q
+    if len(zeros) < q + 1:
+        return []
+    on_curve = set(zeros)
+    n = next((p for p in pg_points(gf, 2) if p not in on_curve), None)
+    if n is None:
+        return pg_points(gf, 2)
+    u = (n[1], n[0], 0) if n[0] | n[1] else (1, 0, 0)
+    out = []
+    for p in zeros:
+        if _dot(gf, u, p):
+            continue
+        through: dict[tuple[int, ...], int] = {}
+        for r in zeros:
+            if r != p:
+                line = _join(gf, p, r)
+                through[line] = through.get(line, 0) + 1
+        out += [line for line, hits in through.items() if hits == q]
+    return out
+
+
+def cubic_type(gf: GF, cubic, zeros=None) -> str:
     """Factorization type of a nonzero cubic form over GF(q), q even.
 
-    Rational linear factors are extracted with multiplicity by exact
-    polynomial division; the residual conic, if any, is classified by
-    classify_conic.  Types are the CUBIC_KINDS strings.
+    ``zeros`` is the cubic's rational zero set, computed here when not
+    given.  Rational linear factors are extracted with multiplicity by
+    exact polynomial division by the component candidates of that zero set;
+    the residual conic, if any, is classified by classify_conic and meets
+    the component line in the zeros of the conic on that line.  Types are
+    the CUBIC_KINDS strings.
     """
     if not any(cubic):
         raise ValueError("the zero cubic has no factorization type")
+    if zeros is None:
+        zeros = cubic_points(gf, cubic)
     current = _cubic_dict(cubic)
-    degree = 3
     factors: list[tuple[int, ...]] = []
-    while degree > 1:
-        found = None
-        for lin in pg_points(gf, 2):
+    for lin in component_candidates(gf, zeros):
+        while len(factors) < 2:
             quot = divide_by_linear(gf, current, lin)
-            if quot is not None:
-                found = lin
-                current = quot
+            if quot is None:
                 break
-        if found is None:
-            break
-        factors.append(found)
-        degree -= 1
-    if degree == 1:
+            factors.append(lin)
+            current = quot
+    if len(factors) == 2:
         # the residual is itself a linear factor
         coeffs = tuple(current.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         factors.append(normalize_point(gf, coeffs))
-        current = {}
-        degree = 0
 
     if len(factors) == 3:
         distinct = set(factors)
@@ -357,12 +447,10 @@ def cubic_type(gf: GF, cubic) -> str:
             return "LinePlusImaginaryPair"
         if kind == "Nonsingular":
             lin = factors[0]
-            hits = 0
-            for p in pg_points(gf, 2):
-                mul = gf._mul
-                on_line = mul[lin[0]][p[0]] ^ mul[lin[1]][p[1]] ^ mul[lin[2]][p[2]]
-                if on_line == 0 and _conic_eval(gf, conic, p) == 0:
-                    hits += 1
+            hits = sum(
+                1 for p in zeros
+                if _dot(gf, lin, p) == 0 and _conic_eval(gf, conic, p) == 0
+            )
             if hits == 1:
                 return "LinePlusConic_Tangent"
             if hits == 2:
@@ -373,14 +461,11 @@ def cubic_type(gf: GF, cubic) -> str:
         raise ClassificationError(
             "reducible residual conic (%s) escaped linear factor extraction" % kind
         )
-    if not factors:
-        npoints = len(cubic_points(gf, cubic))
-        if npoints == 1:
-            return "NoRationalComponentPoint"
-        if npoints >= 2:
-            return "IrreducibleCubic"
-        raise ClassificationError("cubic with no factors and no rational points")
-    raise ClassificationError("impossible factor count %d" % len(factors))
+    if len(zeros) == 1:
+        return "NoRationalComponentPoint"
+    if len(zeros) >= 2:
+        return "IrreducibleCubic"
+    raise ClassificationError("cubic with no factors and no rational points")
 
 
 def _conic_eval(gf: GF, conic, p) -> int:
@@ -458,9 +543,10 @@ def plane_signature(s: Subspace) -> PlaneSignature:
     _require_plane(s)
     gf = s.gf
     cubic = cubic_form(s)
+    zeros, counts = cubic_zeros_and_counts(s)
     if any(cubic):
-        npts = len(cubic_points(gf, cubic))
-        kind = cubic_type(gf, cubic)
+        npts = len(zeros)
+        kind = cubic_type(gf, cubic, zeros)
         vanishes = False
     else:
         npts = None
@@ -468,7 +554,7 @@ def plane_signature(s: Subspace) -> PlaneSignature:
         vanishes = True
     return PlaneSignature(
         nucleus_meet_dim=nucleus_meet_dim(s),
-        point_counts=point_class_counts(s),
+        point_counts=counts,
         cubic_vanishes=vanishes,
         cubic_point_count=npts,
         cubic_kind=kind,

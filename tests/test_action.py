@@ -18,6 +18,7 @@ from conicnets.action import (
     act_point_pg2,
     act_subspace,
     certify_generators,
+    congruence_image,
     generators,
     k_equivalent,
     lift,
@@ -37,7 +38,7 @@ from conicnets.action import (
 from conicnets.atlas import representative, representatives
 from conicnets.errors import ResourceBudgetError
 from conicnets.gf import field
-from conicnets.projgeom import pack_rows, pg_points, rref, span
+from conicnets.projgeom import normalize_point, pack_rows, pg_points, rref, span
 from conicnets.veronese import nucleus_plane, sym_matrix, veronese
 
 
@@ -241,6 +242,21 @@ def test_act_subspace_matches_congruence_lift(gf8):
         for s in representatives(gf8).values():
             images = [apply_matrix(gf8, l, r) for r in s.rows]
             assert act_subspace(s, a).rows == rref(gf8, images)
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_congruence_image_matches_lifted_point(q):
+    gf = field(q)
+    if q == 2:
+        elements, points = pgl_elements(gf), pg_points(gf, 5)
+    else:
+        rng = random.Random(q)
+        elements = _random_projectivities(gf, 40, q)
+        points = {normalize_point(gf, [rng.randrange(q) for _ in range(6)]) for _ in range(60)}
+    for a in elements:
+        l = congruence_lift(gf, a)
+        for y in points:
+            assert congruence_image(gf, a, y) == act_point(gf, l, y), (a, y)
 
 
 def test_on_demand_schreier_closure_matches_full_schreier_set(gf4):

@@ -38,7 +38,7 @@ from conicnets.atlas import (
 from conicnets.errors import ClassificationError, ConfigurationError, OutOfFamilyError
 from conicnets.gf import field
 from conicnets.invariants import plane_signature, point_class_counts
-from conicnets.projgeom import Subspace, plane_from_pattern, span, unpack_rows
+from conicnets.projgeom import Subspace, pg_points, plane_from_pattern, rref, span, unpack_rows
 from conicnets.veronese import form_eval
 
 # independently recomputed by breadth-first orbit enumeration at q = 2
@@ -252,6 +252,35 @@ def test_net_double_line_count_counts_squares(gf4):
     forms = net_of_plane(representative(gf4, "SigmaN"))
     assert net_double_line_count(gf4, forms) == 4 * 4 + 4 + 1
     assert net_double_line_count(gf4, example_net(gf4)) == 1
+
+
+def _double_lines_by_scan(gf, forms):
+    """Squares among the q^2+q+1 projective combinations of the net."""
+    vecs = rref(gf, forms)
+    assert len(vecs) == 3
+    count = 0
+    for coeffs in pg_points(gf, 2):
+        combo = [0] * 6
+        for c, vec in zip(coeffs, vecs):
+            for j in range(6):
+                combo[j] ^= gf.mul(c, vec[j])
+        count += combo[1] == combo[2] == combo[4] == 0
+    return count
+
+
+@pytest.mark.parametrize("q", (2, 4, 8))
+def test_net_double_line_count_matches_scan(q):
+    gf = field(q)
+    g0, g1 = generators(gf)[:2]
+    nets = [example_net(gf)] + [
+        net_of_plane(act_subspace(act_subspace(s, g0), g1))
+        for s in representatives(gf).values()
+    ]
+    counts = set()
+    for forms in nets:
+        assert net_double_line_count(gf, forms) == _double_lines_by_scan(gf, forms), forms
+        counts.add(net_double_line_count(gf, forms))
+    assert counts == {1, q + 1, q * q + q + 1}
 
 
 @pytest.mark.parametrize("q", (2, 4, 8))

@@ -227,6 +227,22 @@ def test_argparse_usage_exits_2():
     assert info.value.code == 2
 
 
+def test_parser_is_shared_without_carrying_state(capsys, tmp_path):
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    path = tmp_path / "report.json"
+    code, out, _ = run(["verify", "--q", "2", "--suite", "known-net",
+                        "--output", str(path)], capsys)
+    assert code == 0 and out == ""
+    # a usage error in between exits 2 and leaves the next call unaffected
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--q", "2"])
+    assert info.value.code == 2
+    code, out, _ = run(["verify", "--q", "2", "--suite", "known-net"], capsys)
+    assert code == 0
+    assert json.loads(out) == json.loads(path.read_text())
+
+
 # -- malformed input, property-tested ---------------------------------------
 
 # Field elements of the smaller fields, their near misses, and values of the

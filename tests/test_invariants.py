@@ -1,21 +1,34 @@
 """Plane invariants: point/hyperplane distributions, the determinantal cubic,
 and its factorization type."""
 
+import random
+from itertools import product
+
 import pytest
 
+from conicnets.action import act_subspace, mat3_det
 from conicnets.atlas import (
     EXPECTED_CUBIC_KIND,
     LABELS,
     expected_point_distribution,
+    orbit_atlas,
     representative,
+    representatives,
+    sigma18_parameter,
+    sigma21_parameter,
 )
+from conicnets.errors import ClassificationError
 from conicnets.gf import field
 from conicnets.invariants import (
+    CONIC_MONOMIALS,
+    CUBIC_KINDS,
     CUBIC_MONOMIALS,
+    component_candidates,
     cubic_eval,
     cubic_form,
     cubic_points,
     cubic_type,
+    cubic_zeros_and_counts,
     divide_by_linear,
     double_line_hyperplane_count,
     hyperplane_class_counts,
@@ -26,8 +39,11 @@ from conicnets.invariants import (
     plane_signature,
     point_class_counts,
 )
-from conicnets.projgeom import span
-from conicnets.veronese import nucleus_plane
+from conicnets.projgeom import Subspace, normalize_point, pg_points, span, unpack_rows
+from conicnets.veronese import classify_conic, nucleus_plane
+
+# Invertible over GF(4), GF(8) and GF(16) with the default moduli.
+MOVE = (2, 1, 0, 0, 3, 1, 1, 0, 2)
 
 
 def _cubic(coeffs: dict) -> tuple[int, ...]:
@@ -162,3 +178,224 @@ def test_vanishing_cubic_signature(gf4):
     sig = plane_signature(representative(gf4, "SigmaN"))
     assert sig.cubic_vanishes
     assert sig.cubic_kind is None and sig.cubic_point_count is None
+
+
+# -- differential checks against brute force ---------------------------------
+
+
+def _poly_mul(gf, p1, p2):
+    out = {}
+    for (a1, b1, c1), v1 in p1.items():
+        for (a2, b2, c2), v2 in p2.items():
+            k = (a1 + a2, b1 + b2, c1 + c2)
+            out[k] = out.get(k, 0) ^ gf.mul(v1, v2)
+    return {k: v for k, v in out.items() if v}
+
+
+def _poly_add(*polys):
+    out = {}
+    for p in polys:
+        for k, v in p.items():
+            out[k] = out.get(k, 0) ^ v
+    return {k: v for k, v in out.items() if v}
+
+
+def _linear(coeffs):
+    return {e: c for e, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coeffs) if c}
+
+
+def _poly_eval(gf, poly, p):
+    acc = 0
+    for (i, j, k), c in poly.items():
+        v = c
+        for coord, n in zip(p, (i, j, k)):
+            for _ in range(n):
+                v = gf.mul(v, coord)
+        acc ^= v
+    return acc
+
+
+def _cubic_type_by_trial_division(gf, cubic):
+    """The factorization type by trial division by every line of PG(2,q),
+    with the tangency count and the point count taken over all of PG(2,q)."""
+    current = {m: c for m, c in zip(CUBIC_MONOMIALS, cubic) if c}
+    factors = []
+    while len(factors) < 2:
+        for lin in pg_points(gf, 2):
+            quot = divide_by_linear(gf, current, lin)
+            if quot is not None:
+                factors.append(lin)
+                current = quot
+                break
+        else:
+            break
+    if len(factors) == 2:
+        factors.append(normalize_point(
+            gf, tuple(current.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
+    if len(factors) == 3:
+        distinct = len(set(factors))
+        if distinct == 1:
+            return "TripleLine"
+        if distinct == 2:
+            return "LinePlusDoubleLine"
+        det = mat3_det(gf, [v for lin in factors for v in lin])
+        return "ThreeConcurrentLines" if det == 0 else "ThreeNonConcurrentLines"
+    if len(factors) == 1:
+        kind = classify_conic(gf, tuple(current.get(m, 0) for m in CONIC_MONOMIALS))
+        if kind == "ImaginaryPair":
+            return "LinePlusImaginaryPair"
+        if kind != "Nonsingular":
+            raise ClassificationError("reducible residual conic")
+        lin = factors[0]
+        hits = sum(
+            1 for p in pg_points(gf, 2)
+            if _poly_eval(gf, _linear(lin), p) == 0 and _poly_eval(gf, current, p) == 0
+        )
+        kinds = {1: "LinePlusConic_Tangent", 2: "LinePlusConic_Transversal"}
+        if hits not in kinds:
+            raise ClassificationError("line meets the conic in %d points" % hits)
+        return kinds[hits]
+    npoints = len(cubic_points(gf, cubic))
+    if npoints == 0:
+        raise ClassificationError("no factors and no rational points")
+    return "NoRationalComponentPoint" if npoints == 1 else "IrreducibleCubic"
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ClassificationError:
+        return ClassificationError
+
+
+def _lines_of_zeros(gf, zeros):
+    """Every line of PG(2,q) all of whose points are zeros, by brute force."""
+    on = set(zeros)
+    return {
+        u for u in pg_points(gf, 2)
+        if all(p in on for p in pg_points(gf, 2) if _poly_eval(gf, _linear(u), p) == 0)
+    }
+
+
+def _prod(gf, *polys):
+    out = {(0, 0, 0): 1}
+    for p in polys:
+        out = _poly_mul(gf, out, p)
+    return out
+
+
+def _const(c):
+    return {(0, 0, 0): c}
+
+
+def _as_cubic(poly):
+    assert all(sum(k) == 3 for k in poly)
+    return tuple(poly.get(m, 0) for m in CUBIC_MONOMIALS)
+
+
+def _sample_cubics(gf, rng, rounds):
+    """Per round: one cubic of every CUBIC_KINDS type in random coordinates,
+    a line times a random conic, three lines drawn with repeats, and a
+    uniformly random cubic, each times a random nonzero scalar."""
+    q = gf.q
+    c18, t1 = sigma18_parameter(gf), sigma21_parameter(gf)
+
+    def rand_linear():
+        while True:
+            coeffs = [rng.randrange(q) for _ in range(3)]
+            if any(coeffs):
+                return _linear(coeffs)
+
+    def rand_conic():
+        while True:
+            conic = {m: c for m in CONIC_MONOMIALS if (c := rng.randrange(q))}
+            if conic:
+                return conic
+
+    out = []
+    for _ in range(rounds):
+        while True:
+            frame = [rng.randrange(q) for _ in range(9)]
+            if mat3_det(gf, frame):
+                break
+        x, y, z = (_linear(frame[i:i + 3]) for i in (0, 3, 6))
+        pool = [rand_linear(), rand_linear()]
+        polys = [
+            _prod(gf, x, x, x),  # TripleLine
+            _prod(gf, x, y, y),  # LinePlusDoubleLine
+            _prod(gf, x, y, _poly_add(x, y)),  # ThreeConcurrentLines
+            _prod(gf, x, y, z),  # ThreeNonConcurrentLines
+            # z (x^2 + xy + t y^2), Tr(t) = 1: LinePlusImaginaryPair
+            _prod(gf, z, _poly_add(_prod(gf, x, x), _prod(gf, x, y), _prod(gf, _const(t1), y, y))),
+            _prod(gf, x, _poly_add(_prod(gf, x, z), _prod(gf, y, y))),  # LinePlusConic_Tangent
+            _prod(gf, x, _poly_add(_prod(gf, y, z), _prod(gf, x, x))),  # ..._Transversal
+            # y^2 z + xyz + x^3 + z^3: IrreducibleCubic
+            _poly_add(_prod(gf, y, y, z), _prod(gf, x, y, z), _prod(gf, x, x, x), _prod(gf, z, z, z)),
+            # x^3 + x y^2 + c y^3 with t^3 + t + c rootless: NoRationalComponentPoint
+            _poly_add(_prod(gf, x, x, x), _prod(gf, x, y, y), _prod(gf, _const(c18), y, y, y)),
+            _prod(gf, rand_linear(), rand_conic()),
+            _prod(gf, *(rng.choice(pool + [rand_linear()]) for _ in range(3))),
+            {m: rng.randrange(q) for m in CUBIC_MONOMIALS},
+        ]
+        scale = _const(rng.randrange(1, q))
+        out += [c for p in polys if any(c := _as_cubic(_prod(gf, scale, p)))]
+    return out
+
+
+def test_cubic_type_matches_trial_division_on_every_cubic_q2(gf2):
+    kinds = set()
+    for coeffs in product(range(2), repeat=10):
+        if not any(coeffs):
+            continue
+        want = _outcome(_cubic_type_by_trial_division, gf2, coeffs)
+        assert _outcome(cubic_type, gf2, coeffs) == want, coeffs
+        zeros = cubic_points(gf2, coeffs)
+        assert _outcome(cubic_type, gf2, coeffs, zeros) == want, coeffs
+        assert set(component_candidates(gf2, zeros)) == _lines_of_zeros(gf2, zeros), coeffs
+        kinds.add(want)
+    assert set(CUBIC_KINDS) <= kinds
+
+
+@pytest.mark.parametrize("q, rounds", ((4, 40), (8, 20), (16, 10)))
+def test_cubic_type_matches_trial_division_sampled(q, rounds):
+    gf = field(q)
+    kinds = set()
+    for cubic in _sample_cubics(gf, random.Random(q), rounds):
+        want = _outcome(_cubic_type_by_trial_division, gf, cubic)
+        assert _outcome(cubic_type, gf, cubic) == want, cubic
+        if q <= 8:
+            zeros = cubic_points(gf, cubic)
+            assert set(component_candidates(gf, zeros)) == _lines_of_zeros(gf, zeros), cubic
+        kinds.add(want)
+    assert set(CUBIC_KINDS) <= kinds
+
+
+def _check_fused_pass(s):
+    gf = s.gf
+    zeros, counts = cubic_zeros_and_counts(s)
+    assert counts == point_class_counts(s)
+    cubic = cubic_form(s)
+    if any(cubic):
+        assert sorted(zeros) == sorted(cubic_points(gf, cubic))
+    else:
+        assert sorted(zeros) == sorted(pg_points(gf, 2))
+    assert plane_signature(s).point_counts == counts
+    return any(cubic)
+
+
+def test_fused_point_pass_on_every_meeting_plane_q2(gf2):
+    planes = vanishing = 0
+    for keys in orbit_atlas(gf2).values():
+        for key in keys:
+            vanishing += not _check_fused_pass(Subspace(gf2, 5, unpack_rows(gf2, key, 6, 3)))
+            planes += 1
+    assert planes == 883 and vanishing > 0
+
+
+@pytest.mark.parametrize("q", (4, 8, 16))
+def test_fused_point_pass_on_moved_representatives(q):
+    gf = field(q)
+    vanishing = 0
+    for label, s in representatives(gf).items():
+        vanishing += not _check_fused_pass(act_subspace(s, MOVE))
+    assert vanishing == sum(EXPECTED_CUBIC_KIND[label] is None for label in LABELS)
