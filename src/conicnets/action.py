@@ -23,6 +23,8 @@ for small q, can be cross-checked by filtering the full group.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import ResourceBudgetError, VerificationError
 from .gf import GF
 from .projgeom import Subspace, normalize_point, rref
@@ -332,20 +334,16 @@ def mulclose(gf: GF, gens, limit: int | None = None) -> set[tuple[int, ...]]:
     return seen
 
 
-_PGL_CACHE: dict[GF, set[tuple[int, ...]]] = {}
-
-
+@functools.cache
 def pgl_elements(gf: GF) -> set[tuple[int, ...]]:
     """The full projectivity group as normalized matrices (practical q <= 4)."""
-    if gf not in _PGL_CACHE:
-        els = mulclose(gf, generators(gf))
-        if len(els) != pgl_order(gf.q):
-            raise VerificationError(
-                "generator closure has %d elements, expected %d"
-                % (len(els), pgl_order(gf.q))
-            )
-        _PGL_CACHE[gf] = els
-    return _PGL_CACHE[gf]
+    els = mulclose(gf, generators(gf))
+    if len(els) != pgl_order(gf.q):
+        raise VerificationError(
+            "generator closure has %d elements, expected %d"
+            % (len(els), pgl_order(gf.q))
+        )
+    return els
 
 
 def certify_generators(gf: GF) -> int:

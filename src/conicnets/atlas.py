@@ -15,6 +15,8 @@ so it serializes to JSON without further massaging.
 
 from __future__ import annotations
 
+import functools
+import os
 import random
 from collections import Counter
 from multiprocessing import get_context
@@ -42,6 +44,7 @@ from .invariants import (
     nuclear_point_count,
     double_line_hyperplane_count,
     nucleus_meet_dim,
+    plane_key,
     plane_signature,
     point_class_counts,
 )
@@ -122,6 +125,52 @@ def expected_point_distribution(label: str, q: int) -> tuple[int, int, int, int]
         "Sigma23": (0, 1, 2 * q, q * q - q),
     }
     return table[label]
+
+
+def expected_hyperplane_distribution(label: str, q: int) -> tuple[int, int, int, int]:
+    """Conic-class counts (DoubleLine, RealPair, ImaginaryPair, Nonsingular)
+    of the hyperplanes through a plane in the named orbit, as closed
+    formulas in q with h = q/2."""
+    h = q // 2
+    table = {
+        "Sigma1": (1, q * q + q, 0, 0),
+        "Sigma3": (1, 2 * q, 0, q * q - q),
+        "Sigma4": (1, 2 * q, 0, q * q - q),
+        "Sigma7": (q + 1, h * (q + 1), h * (q - 1), 0),
+        "Sigma8": (q + 1, q, 0, q * q - q),
+        "Sigma9": (1, 3 * h, h, q * q - q),
+        "Sigma10": (1, 3 * h, h, q * q - q),
+        "Sigma11": (1, q, 0, q * q),
+        "Sigma15": (1, q, 0, q * q),
+        "SigmaN": (q * q + q + 1, 0, 0, 0),
+        "Sigma16": (q + 1, 0, 0, q * q),
+        "Sigma17": (q + 1, h, h, q * q - q),
+        "Sigma18": (1, 0, 0, q * q + q),
+        "Sigma19": (1, 3 * h, 3 * h, q * q - 2 * q),
+        "Sigma20": (1, h, h, q * q),
+        "Sigma21": (1, q, q, q * q - q),
+        "Sigma22": (1, h, h, q * q),
+        "Sigma23": (1, q, q, q * q - q),
+    }
+    return table[label]
+
+
+def expected_signature(label: str, q: int) -> PlaneSignature:
+    """The signature shared by every plane of the named orbit, from the
+    closed-form tables.  The nuclear point count fixes the dimension of the
+    meet with the nucleus plane, and the cubic's rational points are the
+    plane's points of rank at most 2."""
+    counts = expected_point_distribution(label, q)
+    kind = EXPECTED_CUBIC_KIND[label]
+    n = q * q + q + 1
+    return PlaneSignature(
+        nucleus_meet_dim={1: 0, q + 1: 1, n: 2}[counts[1]],
+        point_counts=counts,
+        cubic_vanishes=kind is None,
+        cubic_point_count=None if kind is None else n - counts[3],
+        cubic_kind=kind,
+        hyperplane_counts=expected_hyperplane_distribution(label, q),
+    )
 
 
 # -- parameter searches ----------------------------------------------------
@@ -229,38 +278,21 @@ def representative_pattern(gf: GF, label: str, overrides: dict | None = None):
     raise ConfigurationError("unknown orbit label %r" % label)
 
 
-def _validate_representative(s: Subspace, label: str) -> None:
-    sig = plane_signature(s)
-    want = expected_point_distribution(label, s.gf.q)
-    if sig.point_counts != want:
-        raise ConfigurationError(
-            "representative %s has point counts %r, expected %r"
-            % (label, sig.point_counts, want)
-        )
-    kind = EXPECTED_CUBIC_KIND[label]
-    if (kind is None) != sig.cubic_vanishes or (kind is not None and sig.cubic_kind != kind):
-        raise ConfigurationError(
-            "representative %s has cubic kind %r, expected %r"
-            % (label, sig.cubic_kind, kind)
-        )
-
-
-_REP_CACHE: dict[GF, tuple[dict[str, Subspace], dict[str, dict[str, int]]]] = {}
-
-
+@functools.cache
 def _rep_data(gf: GF):
-    cached = _REP_CACHE.get(gf)
-    if cached is None:
-        reps: dict[str, Subspace] = {}
-        params: dict[str, dict[str, int]] = {}
-        for label in LABELS:
-            rows, pars = representative_pattern(gf, label)
-            s = plane_from_pattern(gf, rows)
-            _validate_representative(s, label)
-            reps[label] = s
-            params[label] = pars
-        cached = _REP_CACHE[gf] = (reps, params)
-    return cached
+    reps: dict[str, Subspace] = {}
+    params: dict[str, dict[str, int]] = {}
+    for label in LABELS:
+        rows, pars = representative_pattern(gf, label)
+        s = plane_from_pattern(gf, rows)
+        sig, want = plane_signature(s), expected_signature(label, gf.q)
+        if sig != want:
+            raise ConfigurationError(
+                "representative %s has signature %r, expected %r" % (label, sig, want)
+            )
+        reps[label] = s
+        params[label] = pars
+    return reps, params
 
 
 def representatives(gf: GF) -> dict[str, Subspace]:
@@ -282,58 +314,50 @@ def representative(gf: GF, label: str) -> Subspace:
 
 # -- signature lookup and classification ------------------------------------
 
-_SIG_CACHE: dict[GF, dict[PlaneSignature, tuple[str, ...]]] = {}
 
-
+@functools.cache
 def signature_table(gf: GF) -> dict[PlaneSignature, tuple[str, ...]]:
-    """Signature -> candidate orbit labels, built from the representatives.
+    """Signature -> orbit labels, from the closed-form tables.
 
-    All signatures are unique except (empirically, at every q tried) the
-    Sigma3/Sigma4 pair, which classify_plane resolves separately.
+    Every signature names one orbit except the one Sigma3 and Sigma4 share,
+    which classify_plane resolves separately.
     """
-    table = _SIG_CACHE.get(gf)
-    if table is None:
-        build: dict[PlaneSignature, list[str]] = {}
-        for label in LABELS:
-            build.setdefault(plane_signature(representatives(gf)[label]), []).append(label)
-        table = _SIG_CACHE[gf] = {sig: tuple(ls) for sig, ls in build.items()}
-    return table
+    build: dict[PlaneSignature, list[str]] = {}
+    for label in LABELS:
+        build.setdefault(expected_signature(label, gf.q), []).append(label)
+    return {sig: tuple(ls) for sig, ls in build.items()}
 
 
-_ATLAS_CACHE: dict[GF, dict[str, frozenset[int]]] = {}
-
-
+@functools.cache
 def orbit_atlas(gf: GF) -> dict[str, frozenset[int]]:
     """Orbit label -> frozenset of packed plane keys.  Exhaustive, q <= 4."""
     if gf.q > 4:
         raise ConfigurationError("orbit atlas enumeration is limited to q <= 4")
-    sets = _ATLAS_CACHE.get(gf)
-    if sets is None:
-        sets = {}
-        union: set[int] = set()
-        total = 0
-        for label in LABELS:
-            keys = orbit_keys(representatives(gf)[label])
-            sets[label] = frozenset(keys)
-            union |= keys
-            total += len(keys)
-        if len(union) != total:
-            raise VerificationError("orbit key-sets are not pairwise disjoint")
-        _ATLAS_CACHE[gf] = sets
+    sets = {}
+    union: set[int] = set()
+    total = 0
+    for label in LABELS:
+        keys = orbit_keys(representatives(gf)[label])
+        sets[label] = frozenset(keys)
+        union |= keys
+        total += len(keys)
+    if len(union) != total:
+        raise VerificationError("orbit key-sets are not pairwise disjoint")
     return sets
 
 
 def classify_plane(s: Subspace) -> str:
     """Orbit label of a plane meeting the nucleus plane.
 
-    The signature (point/hyperplane class counts plus the cubic-curve kind
-    and its point count) pins down every label except Sigma3 and Sigma4.
-    A plane of either orbit holds one nuclear point and two rank-1 points;
-    the nuclear point lies on the conic plane of exactly one line of
-    PG(2,q), and that conic plane holds one of the rank-1 points for Sigma3
-    and neither for Sigma4.  The count is invariant because the lifted
-    group commutes with the Veronese map, so it carries conic planes to
-    conic planes.
+    The plane's key, its point-class counts and cubic-curve kind, is looked
+    up among the keys of the signature table; it pins down every label
+    except Sigma3 and Sigma4.  The hyperplane classes separate no further
+    orbit, so they are not computed here.  A plane of either orbit holds
+    one nuclear point and two rank-1 points; the nuclear point lies on the
+    conic plane of exactly one line of PG(2,q), and that conic plane holds
+    one of the rank-1 points for Sigma3 and neither for Sigma4.  The count
+    is invariant because the lifted group commutes with the Veronese map,
+    so it carries conic planes to conic planes.
     """
     gf = s.gf
     if s.n != 5 or s.dim != 2:
@@ -342,15 +366,17 @@ def classify_plane(s: Subspace) -> str:
         raise OutOfFamilyError(
             "plane misses the nucleus plane; it is outside the classified family"
         )
-    sig = plane_signature(s)
-    labels = signature_table(gf).get(sig)
-    if labels is None:
-        raise ClassificationError("signature matches no catalogued orbit: %r" % (sig,))
+    key = plane_key(s)
+    labels = tuple(
+        label for sig, ls in signature_table(gf).items() if sig.key == key for label in ls
+    )
+    if not labels:
+        raise ClassificationError("plane key matches no catalogued orbit: %r" % (key,))
     if len(labels) == 1:
         return labels[0]
     if labels != ("Sigma3", "Sigma4"):
         raise ClassificationError(
-            "signature is shared by orbits %s: %r" % (", ".join(labels), sig)
+            "plane key is shared by orbits %s: %r" % (", ".join(labels), key)
         )
     points = s.points()
     (nuclear,) = [y for y in points if (y[0] | y[3] | y[5]) == 0]
@@ -450,7 +476,7 @@ def _orbit_rows(gf: GF, sizes: dict[str, int] | None) -> list[dict]:
     params = representative_parameters(gf)
     for label in LABELS:
         s = representatives(gf)[label]
-        sig = plane_signature(s)
+        sig = expected_signature(label, gf.q)
         size = sizes.get(label) if sizes else None
         stab = None
         if size:
@@ -470,21 +496,17 @@ def _orbit_rows(gf: GF, sizes: dict[str, int] | None) -> list[dict]:
 
 
 def verify_distributions(gf: GF) -> dict:
-    """Check every representative's point distribution against the closed
-    formulas and its cubic kind against the pinned table.  Works for any
-    2 <= q <= 16 without enumeration."""
+    """Check every representative's computed signature against the
+    closed-form one: point and hyperplane distributions, cubic kind and
+    point count.  Works for any q without enumeration."""
     checks = []
     for label in LABELS:
-        s = representatives(gf)[label]
-        sig = plane_signature(s)
-        want = expected_point_distribution(label, gf.q)
-        ok = sig.point_counts == want
-        kind = EXPECTED_CUBIC_KIND[label]
-        kind_ok = sig.cubic_vanishes if kind is None else sig.cubic_kind == kind
+        sig = plane_signature(representatives(gf)[label])
         checks.append(_check(
             "distribution[%s]" % label,
-            ok and kind_ok,
-            {"od0": list(sig.point_counts), "expected": list(want),
+            sig == expected_signature(label, gf.q),
+            {"od0": list(sig.point_counts),
+             "expected": list(expected_point_distribution(label, gf.q)),
              "cubic_type": sig.cubic_kind},
         ))
     empty = [label for label in LABELS
@@ -511,11 +533,9 @@ _SWEEP: dict = {}
 def _partition_chunk(chunk):
     gf = field(_SWEEP["q"], _SWEEP["modulus"])
     index = _SWEEP["index"]
-    step = _SWEEP["step"]
     tally: Counter = Counter()
     stray: list[int] = []
-    meeting = 0
-    agree = checked = 0
+    meeting = agree = 0
     for s in enumerate_planes_chunk(gf, chunk):
         if nucleus_meet_dim(s) < 0:
             continue
@@ -527,17 +547,16 @@ def _partition_chunk(chunk):
                 stray.append(key)
             continue
         tally[label] += 1
-        if (meeting - 1) % step == 0:
-            checked += 1
-            if classify_plane(s) == label:
-                agree += 1
-    return tally, stray, meeting, checked, agree
+        agree += classify_plane(s) == label
+    return tally, stray, meeting, agree
 
 
-def _run_chunks(gf: GF, worker, chunks, workers: int):
-    if workers and workers > 1:
-        ctx = get_context("fork")
-        with ctx.Pool(workers) as pool:
+def _run_chunks(worker, chunks, workers: int):
+    """worker over every chunk, in chunk order; more processes than chunks
+    or CPUs would only sit idle."""
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with get_context("fork").Pool(workers) as pool:
             return pool.map(worker, chunks, chunksize=1)
     return [worker(chunk) for chunk in chunks]
 
@@ -547,8 +566,8 @@ def verify_partition(gf: GF, exhaustive: bool | None = None, workers: int = 0) -
 
     Exhaustive mode (default for q <= 4) checks that the 18 orbit key-sets
     are pairwise disjoint and absorb every enumerated plane that meets the
-    nucleus plane, and cross-checks the signature classifier on a
-    deterministic subsample.  Representative mode (default for q = 8) checks
+    nucleus plane, and runs the classifier on every one of those planes
+    against its orbit.  Representative mode (default for q = 8) checks
     disjointness and that the breadth-first orbit sizes sum to the
     independently computed count of planes meeting the nucleus plane.
     """
@@ -607,20 +626,19 @@ def verify_partition(gf: GF, exhaustive: bool | None = None, workers: int = 0) -
         for label in LABELS:
             for key in key_sets[label]:
                 index[key] = label
-        step = 1 if q == 2 else 97
         _SWEEP.clear()
-        _SWEEP.update({"q": q, "modulus": gf.modulus, "index": index, "step": step})
-        results = _run_chunks(gf, _partition_chunk, plane_enumeration_chunks(gf), workers)
+        _SWEEP.update({"q": q, "modulus": gf.modulus, "index": index})
+        results = _run_chunks(_partition_chunk, plane_enumeration_chunks(gf), workers)
         _SWEEP.clear()
         tally: Counter = Counter()
         stray: list[int] = []
-        meeting = checked = agree = 0
-        for t, st, m, ch, ag in results:
+        meeting = agree = 0
+        for t, st, m, ag in results:
             tally.update(t)
             stray.extend(st)
             meeting += m
-            checked += ch
             agree += ag
+        checked = sum(tally.values())
         checks.append(_check(
             "every_meeting_plane_classified",
             not stray and meeting == expected_total,
@@ -633,7 +651,7 @@ def verify_partition(gf: GF, exhaustive: bool | None = None, workers: int = 0) -
             {"mismatched": [label for label in LABELS if tally[label] != sizes[label]]},
         ))
         checks.append(_check(
-            "classifier_agrees_on_subsample",
+            "classifier_agrees_on_every_plane",
             checked > 0 and agree == checked,
             {"checked": checked, "agree": agree},
         ))
@@ -706,12 +724,14 @@ def verify_double_lines(
     q = gf.q
     if exhaustive is None:
         exhaustive = q <= 4
+    if not exhaustive and samples < 1:
+        raise ValueError("samples must be at least 1, got %d" % samples)
     _SWEEP.clear()
     _SWEEP.update({"q": q, "modulus": gf.modulus})
     checks = []
     totals: dict[str, int] = {}
     if exhaustive:
-        results = _run_chunks(gf, _double_line_chunk, plane_enumeration_chunks(gf), workers)
+        results = _run_chunks(_double_line_chunk, plane_enumeration_chunks(gf), workers)
         total = meeting = 0
         bad: list[int] = []
         for t, m, b in results:
@@ -739,7 +759,7 @@ def verify_double_lines(
             (seed * (2**32) + i, base + (1 if i < extra else 0))
             for i in range(nchunks)
         ]
-        results = _run_chunks(gf, _double_line_sample_chunk, args, workers)
+        results = _run_chunks(_double_line_sample_chunk, args, workers)
         total = meeting = 0
         bad = []
         for t, m, b in results:

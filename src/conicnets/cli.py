@@ -159,8 +159,7 @@ def cmd_classify_plane(args) -> int:
     gf = _field(args)
     plane = _plane_from_payload(gf, _read_payload(args))
     label = atlas.classify_plane(plane)
-    # the table key that produced the label is the plane's own signature
-    sig = next(key for key, labels in atlas.signature_table(gf).items() if label in labels)
+    sig = atlas.expected_signature(label, gf.q)
     cut = meet(plane, nucleus_plane(gf))
     record = {
         "schema": atlas.SCHEMA,
@@ -290,6 +289,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 0) < 0:
+            raise UsageError("--workers must be 0 or more, got %d" % args.workers)
         return args.run(args)
     except OutOfFamilyError as exc:
         print("out of family: %s" % exc, file=sys.stderr)

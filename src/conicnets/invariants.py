@@ -19,7 +19,9 @@ invariants collected here:
   * the determinantal cubic, its rational points, and its factorization
     type over GF(q);
   * line_class_profile: the multiset of point-class counts of the lines
-    inside a plane.
+    inside a plane;
+  * plane_key: the point-class counts with the cubic's factorization type,
+    the part of plane_signature that classification reads.
 
 All are constant on orbits of the lifted projectivity group.
 """
@@ -112,20 +114,9 @@ def cubic_zeros_and_counts(s: Subspace):
 
 
 def forms_through(s: Subspace) -> list[tuple[int, ...]]:
-    """Normalized coefficient vectors of every hyperplane containing s."""
-    gf = s.gf
-    ann = nullspace(gf, s.rows, 6)
-    out = []
-    for coeffs in pg_points(gf, len(ann) - 1):
-        mul = gf._mul
-        form = [0] * 6
-        for c, row in zip(coeffs, ann):
-            if c:
-                mc = mul[c]
-                for j in range(6):
-                    form[j] ^= mc[row[j]]
-        out.append(tuple(form))
-    return out
+    """Normalized coefficient vectors of every hyperplane containing s: the
+    points of its annihilator."""
+    return Subspace(s.gf, 5, nullspace(s.gf, s.rows, 6)).points()
 
 
 def hyperplane_class_counts(s: Subspace) -> tuple[int, int, int, int]:
@@ -199,13 +190,6 @@ def _pd_mul(gf: GF, d1: dict, d2: dict) -> dict:
             else:
                 out.pop(k, None)
     return out
-
-
-def _pd_scale(gf: GF, d: dict, a: int) -> dict:
-    if a == 0:
-        return {}
-    ma = gf._mul[a]
-    return {k: ma[v] for k, v in d.items()}
 
 
 def _lin_dict(coeffs) -> dict:
@@ -528,6 +512,11 @@ class PlaneSignature:
     cubic_kind: str | None
     hyperplane_counts: tuple[int, int, int, int]
 
+    @property
+    def key(self) -> tuple:
+        """(point_counts, cubic_kind): what plane_key computes."""
+        return self.point_counts, self.cubic_kind
+
     def to_json(self) -> dict:
         return {
             "nucleus_meet_dim": self.nucleus_meet_dim,
@@ -539,24 +528,23 @@ class PlaneSignature:
         }
 
 
-def plane_signature(s: Subspace) -> PlaneSignature:
+def plane_key(s: Subspace) -> tuple:
+    """(point_counts, cubic_kind) of a plane; cubic_kind is None when the
+    determinantal cubic vanishes identically.  Together they separate every
+    orbit except Sigma3 from Sigma4."""
     _require_plane(s)
-    gf = s.gf
     cubic = cubic_form(s)
     zeros, counts = cubic_zeros_and_counts(s)
-    if any(cubic):
-        npts = len(zeros)
-        kind = cubic_type(gf, cubic, zeros)
-        vanishes = False
-    else:
-        npts = None
-        kind = None
-        vanishes = True
+    return counts, cubic_type(s.gf, cubic, zeros) if any(cubic) else None
+
+
+def plane_signature(s: Subspace) -> PlaneSignature:
+    counts, kind = plane_key(s)
     return PlaneSignature(
         nucleus_meet_dim=nucleus_meet_dim(s),
         point_counts=counts,
-        cubic_vanishes=vanishes,
-        cubic_point_count=npts,
+        cubic_vanishes=kind is None,
+        cubic_point_count=None if kind is None else sum(counts[:3]),
         cubic_kind=kind,
         hyperplane_counts=hyperplane_class_counts(s),
     )

@@ -9,8 +9,8 @@ A point of PG(5,q) is identified with a symmetric 3x3 matrix via
 The Veronese image of (u0, u1, u2) is the rank-1 point
 (u0^2, u0*u1, u0*u2, u1^2, u1*u2, u2^2).  In even characteristic the
 matrices with zero diagonal form a distinguished plane, the nucleus plane,
-and every point off the Veronese surface has matrix rank 2 or 3.  Rank is
-computed by exact Gaussian elimination.
+and every point off the Veronese surface has matrix rank 2 or 3.  Ranks
+come from the determinant and the principal 2x2 minors, in closed form.
 
 A quadratic form a00*X0^2 + a01*X0*X1 + a02*X0*X2 + a11*X1^2 + a12*X1*X2
 + a22*X2^2 is stored as the 6-tuple (a00, a01, a02, a11, a12, a22); the
@@ -44,33 +44,6 @@ def sym_matrix(y) -> tuple[tuple[int, int, int], ...]:
     return ((y0, y1, y2), (y1, y3, y4), (y2, y4, y5))
 
 
-def rank_sym3(gf: GF, y) -> int:
-    """Rank of the symmetric matrix of y, by Gaussian elimination."""
-    mul, inv = gf._mul, gf._inv
-    m = [list(r) for r in sym_matrix(y)]
-    rank = 0
-    for c in range(3):
-        pr = None
-        for i in range(rank, 3):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        a = m[rank][c]
-        if a != 1:
-            mia = mul[inv[a]]
-            m[rank] = [mia[v] for v in m[rank]]
-        prow = m[rank]
-        for i in range(rank + 1, 3):
-            if m[i][c]:
-                mf = mul[m[i][c]]
-                m[i] = [m[i][j] ^ mf[prow[j]] for j in range(3)]
-        rank += 1
-    return rank
-
-
 def nucleus_plane(gf: GF) -> Subspace:
     """The plane of zero-diagonal symmetric matrices."""
     return span(gf, [(0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0)])
@@ -79,14 +52,24 @@ def nucleus_plane(gf: GF) -> Subspace:
 def point_class(gf: GF, y) -> str:
     """rank1 (Veronese surface), rank3, or one of the two rank-2 classes:
     rank2_nuclear (zero diagonal, i.e. on the nucleus plane) and
-    rank2_secant (the rest of the secant variety)."""
-    r = rank_sym3(gf, y)
-    if r == 1:
-        return "rank1"
-    if r == 3:
+    rank2_secant (the rest of the secant variety).
+
+    In even characteristic det = a*d*f + a*e^2 + b^2*f + c^2*d for
+    y = (a, b, c, d, e, f).  A singular y with zero diagonal is alternating,
+    so of rank 2 when nonzero; otherwise it has rank 1 exactly when its
+    three principal 2x2 minors vanish (with a != 0 that makes it
+    (a, b, c)^T (a, b, c) / a, and likewise for d or f).  The zero vector
+    falls in rank2_nuclear.
+    """
+    a, b, c, d, e, f = y
+    mul, sq = gf._mul, gf._sq
+    if mul[a][mul[d][f] ^ sq[e]] ^ mul[sq[b]][f] ^ mul[d][sq[c]]:
         return "rank3"
-    y0, _, _, y3, _, y5 = y
-    return "rank2_nuclear" if (y0 | y3 | y5) == 0 else "rank2_secant"
+    if not a | d | f:
+        return "rank2_nuclear"
+    if mul[a][d] == sq[b] and mul[a][f] == sq[c] and mul[d][f] == sq[e]:
+        return "rank1"
+    return "rank2_secant"
 
 
 def census(gf: GF) -> dict[str, int]:
@@ -241,7 +224,7 @@ def conic_plane_of(gf: GF, y) -> tuple[tuple[int, ...], Subspace]:
     The conic plane of u, spanned by the images of the points of u, is
     {M : M u = 0}; so u spans the kernel of y's symmetric matrix.
     """
-    if rank_sym3(gf, y) != 2:
+    if not any(y) or point_class(gf, y) not in ("rank2_nuclear", "rank2_secant"):
         raise ValueError("conic planes are defined for rank-2 points only")
     (u,) = nullspace(gf, sym_matrix(y), 3)
     u = normalize_point(gf, u)

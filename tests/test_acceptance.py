@@ -101,6 +101,9 @@ def test_criterion_01_orbit_partition_exhaustive_q2_q4():
     assert sum(sizes4.values()) == 114661
     stabs4 = {row["label"]: row["stabilizer_order"] for row in r4["orbits"]}
     assert stabs4 == STABILIZER_ORDERS_Q4
+    # the classifier labels every meeting plane with its orbit
+    agreement = _checks(r4)["classifier_agrees_on_every_plane"]["details"]
+    assert agreement["checked"] == agreement["agree"] == 114661
 
 
 def test_criterion_02_point_distribution_table_q4_q8_q16():

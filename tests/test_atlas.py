@@ -4,10 +4,12 @@ Frozen integer constants in this file were independently recomputed by
 exhaustive orbit enumeration before being pinned here.
 """
 
+import json
+
 import pytest
 
 from conicnets.action import act_subspace, generators, k_equivalent
-from conicnets import atlas
+from conicnets import atlas, cli, invariants
 from conicnets.atlas import (
     EMPTY_BASE_LABELS,
     EXPECTED_CUBIC_KIND,
@@ -16,6 +18,7 @@ from conicnets.atlas import (
     classify_plane,
     example_net,
     expected_point_distribution,
+    expected_signature,
     net_base_points,
     net_double_line_count,
     net_of_plane,
@@ -48,6 +51,9 @@ ORBIT_SIZES_Q2 = {
     "Sigma16": 7, "Sigma17": 42, "Sigma18": 14, "Sigma19": 7, "Sigma20": 21,
     "Sigma21": 42, "Sigma22": 168, "Sigma23": 84,
 }
+
+# Invertible over GF(4), GF(8) and GF(16) with the default moduli.
+MOVE = (2, 1, 0, 0, 3, 1, 1, 0, 2)
 
 
 def test_label_inventory():
@@ -112,6 +118,48 @@ def test_signature_collisions_are_only_the_known_pair(q):
     multi = [labels for labels in table.values() if len(labels) > 1]
     assert multi == [("Sigma3", "Sigma4")]
     assert sum(len(ls) for ls in table.values()) == 18
+
+
+@pytest.mark.parametrize("q", (32, 64))
+def test_closed_form_signatures_match_computed(q):
+    # beyond the fields whose representatives the other tests validate
+    gf = field(q)
+    for label in LABELS:
+        rows, _ = representative_pattern(gf, label)
+        assert plane_signature(plane_from_pattern(gf, rows)) == expected_signature(label, q), label
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_short_key_collides_only_for_sigma3_sigma4(e):
+    q = 2**e
+    by_key: dict = {}
+    for label in LABELS:
+        by_key.setdefault(expected_signature(label, q).key, []).append(label)
+    assert [ls for ls in by_key.values() if len(ls) > 1] == [["Sigma3", "Sigma4"]]
+    assert len(by_key) == 17
+
+
+def test_classify_paths_compute_no_signature_hyperplanes_or_representatives(
+        gf16, monkeypatch, capsys):
+    moved = {label: act_subspace(representative(gf16, label), MOVE) for label in LABELS}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the classify path")
+
+    for module in (atlas, invariants):
+        for name in ("plane_signature", "hyperplane_class_counts", "representatives"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for label, s in moved.items():
+        assert classify_plane(s) == label
+        payloads = {
+            "classify-plane": {"rows": [list(r) for r in s.rows]},
+            "classify-net": {"forms": [list(f) for f in net_of_plane(s)]},
+        }
+        for command, payload in payloads.items():
+            code = cli.main([command, "--q", "16", "--data", json.dumps(payload)])
+            out, err = capsys.readouterr()
+            assert code == 0 and err == "", (command, label, err)
+            assert json.loads(out)["label"] == label
 
 
 def test_orbit_atlas_q2_sizes(gf2):
@@ -293,6 +341,44 @@ def test_classify_net_matches_plane_labels(gf2):
     for label in LABELS:
         forms = net_of_plane(representative(gf2, label))
         assert classify_net(gf2, forms) == label
+
+
+def test_sweep_pool_never_outnumbers_chunks_or_cpus(gf2, monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(atlas, "get_context", lambda method: FakeContext)
+    serial = verify_double_lines(gf2, exhaustive=False, samples=300, seed=3)
+    chunks = len(atlas.plane_enumeration_chunks(gf2))
+    for cpus, workers, exhaustive, want in [
+        (3, 10**9, False, 3),         # capped by the CPU count
+        (1000, 10**9, False, 128),    # by the 128 sample chunks
+        (1000, 10**9, True, chunks),  # by the enumeration chunks
+        (1000, 2, False, 2),          # by the workers asked for
+        (None, 8, False, None),       # unknown CPU count: one process
+    ]:
+        monkeypatch.setattr(atlas.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        report = verify_double_lines(gf2, exhaustive=exhaustive, samples=300, seed=3,
+                                     workers=workers)
+        assert sizes == ([want] if want else [])
+        if not exhaustive:
+            assert report == serial
 
 
 def test_verify_double_lines_q2_exhaustive(gf2):

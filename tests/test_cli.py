@@ -188,6 +188,21 @@ def test_exit_code_rejects_non_field_elements(command, payload, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "8", "--suite", "double-lines", "--samples", "-5"],
+    ["verify", "--q", "8", "--suite", "double-lines", "--samples", "0"],
+    ["verify", "--q", "2", "--suite", "double-lines", "--workers", "-1"],
+    ["verify", "--q", "2", "--suite", "partition", "--workers", "-2"],
+    ["atlas", "--q", "2", "--workers", "-1"],
+], ids=["samples-negative", "samples-zero", "workers-double-lines",
+        "workers-partition", "workers-atlas"])
+def test_exit_code_rejects_bad_sample_and_worker_counts(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_exit_code_out_of_family(capsys):
     data = '{"rows": [[1,0,0,0,0,0],[0,0,0,1,0,0],[0,0,0,0,0,1]]}'
     code, _, err = run(["classify-plane", "--q", "4", "--data", data], capsys)

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from conicnets.action import act_subspace, mat3_det
+from conicnets.action import act_subspace, generators, mat3_det
 from conicnets.atlas import (
     EXPECTED_CUBIC_KIND,
     LABELS,
@@ -31,6 +31,7 @@ from conicnets.invariants import (
     cubic_zeros_and_counts,
     divide_by_linear,
     double_line_hyperplane_count,
+    forms_through,
     hyperplane_class_counts,
     line_class_profile,
     lines_in_plane,
@@ -48,6 +49,26 @@ MOVE = (2, 1, 0, 0, 3, 1, 1, 0, 2)
 
 def _cubic(coeffs: dict) -> tuple[int, ...]:
     return tuple(coeffs.get(m, 0) for m in CUBIC_MONOMIALS)
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_forms_through_matches_brute_force(q):
+    # the forms vanishing on every basis row, among all points of PG(5,q)
+    gf = field(q)
+    mul = gf._mul
+    forms = pg_points(gf, 5)
+    g = generators(gf)[0]
+    for label in LABELS:
+        for s in (representative(gf, label), act_subspace(representative(gf, label), g)):
+            want = {
+                f for f in forms
+                if not any(mul[f[0]][r[0]] ^ mul[f[1]][r[1]] ^ mul[f[2]][r[2]]
+                           ^ mul[f[3]][r[3]] ^ mul[f[4]][r[4]] ^ mul[f[5]][r[5]]
+                           for r in s.rows)
+            }
+            got = forms_through(s)
+            assert len(got) == len(set(got)) == q * q + q + 1
+            assert set(got) == want, label
 
 
 @pytest.mark.parametrize("q", (2, 4))

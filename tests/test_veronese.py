@@ -3,7 +3,7 @@
 import pytest
 
 from conicnets.gf import field
-from conicnets.projgeom import normalize_point, pg_points, span
+from conicnets.projgeom import normalize_point, pg_points, rank, span
 from conicnets.veronese import (
     POINT_CLASSES,
     census,
@@ -19,7 +19,6 @@ from conicnets.veronese import (
     form_to_str,
     nucleus_plane,
     point_class,
-    rank_sym3,
     sym_matrix,
     veronese,
 )
@@ -28,7 +27,7 @@ from conicnets.veronese import (
 def test_veronese_images_have_rank_one(gf4):
     for p in pg_points(gf4, 2):
         y = veronese(gf4, p)
-        assert rank_sym3(gf4, y) == 1
+        assert rank(gf4, sym_matrix(y)) == 1
         assert point_class(gf4, y) == "rank1"
 
 
@@ -49,6 +48,24 @@ def test_nucleus_plane_points_are_nuclear(gf4):
         assert point_class(gf4, y) == "rank2_nuclear"
         # zero diagonal in matrix form
         assert y[0] == y[3] == y[5] == 0
+
+
+@pytest.mark.parametrize("q", (2, 4, 8))
+def test_point_class_matches_matrix_rank_on_every_point(q):
+    # the closed-form rule against Gaussian elimination of the matrix
+    gf = field(q)
+    for y in pg_points(gf, 5):
+        r = rank(gf, sym_matrix(y))
+        want = {1: "rank1", 3: "rank3"}.get(r)
+        if want is None:
+            want = "rank2_nuclear" if y[0] == y[3] == y[5] == 0 else "rank2_secant"
+        assert point_class(gf, y) == want, y
+
+
+def test_conic_plane_of_refuses_points_not_of_rank_2(gf4):
+    for y in [(0,) * 6, veronese(gf4, (1, 2, 3)), (1, 0, 0, 1, 0, 1)]:
+        with pytest.raises(ValueError, match="rank-2 points only"):
+            conic_plane_of(gf4, y)
 
 
 @pytest.mark.parametrize("q", (2, 4, 8))
@@ -162,7 +179,7 @@ def test_conic_plane_and_nucleus(gf4):
     # a rank-2 secant point on the line's chord: nu(1,0,0) + nu(0,1,0)
     p1, p2 = veronese(gf4, (1, 0, 0)), veronese(gf4, (0, 1, 0))
     secant = tuple(a ^ b for a, b in zip(p1, p2))
-    assert rank_sym3(gf4, secant) == 2
+    assert rank(gf4, sym_matrix(secant)) == 2
     dual, plane = conic_plane_of(gf4, secant)
     assert dual == normalize_point(gf4, line)
     assert plane.dim == 2
@@ -185,7 +202,7 @@ def test_conic_planes_and_nuclei_by_brute_force(gf4):
         plane = span(gf4, sorted(conic))
         assert plane.dim == 2
         # every rank-2 point of the span maps back to this line and plane
-        rank2 = [y for y in plane.points() if rank_sym3(gf4, y) == 2]
+        rank2 = [y for y in plane.points() if rank(gf4, sym_matrix(y)) == 2]
         assert len(rank2) == 4 * 4 + 4 + 1 - len(conic)
         for y in rank2:
             assert conic_plane_of(gf4, y) == (u, plane)
