@@ -9,25 +9,33 @@ with the Veronese embedding: lift(A) maps the image of p to the image of A p.
 Matrices of PG(2,q) projectivities are flat 9-tuples (row-major),
 normalized so the first nonzero entry is 1.
 
+Orbits are closed under two generators, the transvection I + E01 and a
+Singer cycle: by Kantor's theorem a subgroup of GL(3,q) holding a Singer
+cycle contains SL(3,q) or lies in GammaL(1,q^3), which has no involution
+for q even, and the Singer cycle's determinant is primitive.
+``pgl_elements`` lists the whole group row by row.
+
 Orbit work runs on packed rows: a 6-vector held as one int, e bits per
 entry, first entry in the highest bits (the layout of ``projgeom.pack_rows``),
 so a subspace key is its reduced packed rows joined together.  The action is
 linear and addition is XOR, so the image of a packed row v is
 ``hi[v >> 3e] ^ lo[v & (2^3e - 1)]`` for two split tables of q^3 entries
 each; scaling by c uses one such pair per c.  ``PackedAction`` builds these
-tables per call and holds the one packed RREF and the one breadth-first
-orbit closure behind ``orbit_keys``, ``k_equivalent`` and the line-orbit
-checks.  Stabilizer orders follow from the orbit-stabilizer identity and,
-for small q, can be cross-checked by filtering the full group.
+tables per call; its ``image`` maps and reduces in one packed elimination,
+and its breadth-first orbit closure is behind ``orbit_keys``,
+``k_equivalent`` and the line-orbit checks.  Stabilizer orders follow from
+the orbit-stabilizer identity and, for small q, can be cross-checked by
+filtering the full group.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import product
 
 from .errors import ResourceBudgetError, VerificationError
 from .gf import GF
-from .projgeom import Subspace, normalize_point, rref
+from .projgeom import Subspace, normalize_point, pg_points, rref
 
 IDENTITY3 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
@@ -76,13 +84,12 @@ def mat3_det(gf: GF, a) -> int:
 
 
 def mat3_inv(gf: GF, a) -> tuple[int, ...]:
-    mul, inv = gf._mul, gf._inv
+    m = gf._mul
     a = as_flat3(a)
     d = mat3_det(gf, a)
     if d == 0:
         raise ValueError("singular matrix has no inverse")
-    di = inv[d]
-    m = mul
+    di = gf._inv[d]
     adj = (
         m[a[4]][a[8]] ^ m[a[5]][a[7]], m[a[2]][a[7]] ^ m[a[1]][a[8]], m[a[1]][a[5]] ^ m[a[2]][a[4]],
         m[a[5]][a[6]] ^ m[a[3]][a[8]], m[a[0]][a[8]] ^ m[a[2]][a[6]], m[a[2]][a[3]] ^ m[a[0]][a[5]],
@@ -101,13 +108,7 @@ def act_point_pg2(gf: GF, a, p) -> tuple[int, ...]:
         mul[a[3]][x] ^ mul[a[4]][y] ^ mul[a[5]][z],
         mul[a[6]][x] ^ mul[a[7]][y] ^ mul[a[8]][z],
     )
-    for v in img:
-        if v:
-            if v != 1:
-                m = gf._mul[gf._inv[v]]
-                img = tuple(m[t] for t in img)
-            return img
-    raise ValueError("projectivity matrix was singular")
+    return normalize_point(gf, img)
 
 
 def lift(gf: GF, a) -> tuple[tuple[int, ...], ...]:
@@ -190,7 +191,8 @@ def _split_tables(gf: GF, l) -> tuple[list[int], list[int]]:
 class PackedAction:
     """Projectivities acting on packed-row subspaces of PG(5,q).
 
-    Holds the scale tables of the field, one split pair per nonzero c;
+    Holds the scale tables of the field, one split pair per nonzero c
+    (``scale``, also split into the ``shi``/``slo`` lists ``image`` reads);
     ``tables(a)`` builds the split image tables of lift(a).  A subspace
     with n basis rows is passed around as its packed key.  All tables are
     built per instance, q^3 entries each, so this serves only the small
@@ -209,56 +211,51 @@ class PackedAction:
             _split_tables(gf, [[c if i == j else 0 for j in range(6)] for i in range(6)])
             for c in gf.nonzero
         ]
+        self.shi = [p and p[0] for p in self.scale]
+        self.slo = [p and p[1] for p in self.scale]
 
     def tables(self, a) -> tuple[list[int], list[int]]:
         return _split_tables(self.gf, lift(self.gf, a))
 
-    def rref(self, rows) -> list[int]:
-        """Canonical reduced echelon form of packed rows, zero rows dropped.
+    def image(self, key: int, n: int, tables) -> int:
+        """Key of the image of the n-row subspace ``key`` under ``tables``.
 
-        Pivot rows come first to last, which is decreasing int order.  The
-        pivot of a row is its highest nonzero e-bit field.
-        """
-        e, s3, m3, scale = self.e, self.s3, self.m3, self.scale
+        Each mapped row is reduced against the kept (pivot shift, row)
+        pairs, a row's pivot being its highest nonzero e-bit field; the kept
+        rows, pivots first to last, are the canonical RREF.  Dependent rows
+        drop out."""
+        hi, lo = tables
+        e, w, s3, m3, m6 = self.e, self.w, self.s3, self.m3, self.m6
+        shi, slo = self.shi, self.slo
         m, inv = self.gf.q - 1, self.gf._inv
-        out: list[int] = []
-        shifts: list[int] = []
-        for v in rows:
-            for r, sh in zip(out, shifts):
+        out: list[tuple[int, int]] = []
+        for _ in range(n):
+            v = key & m6
+            key >>= w
+            v = hi[v >> s3] ^ lo[v & m3]
+            for sh, r in out:
                 f = (v >> sh) & m
                 if f:
-                    hi, lo = scale[f]
-                    v ^= hi[r >> s3] ^ lo[r & m3]
+                    v ^= shi[f][r >> s3] ^ slo[f][r & m3]
             if not v:
                 continue
             sh = (v.bit_length() - 1) // e * e
-            lead = v >> sh
-            if lead != 1:
-                hi, lo = scale[inv[lead]]
-                v = hi[v >> s3] ^ lo[v & m3]
-            for i, r in enumerate(out):
+            c = v >> sh
+            if c != 1:
+                c = inv[c]
+                v = shi[c][v >> s3] ^ slo[c][v & m3]
+            hv, lv = v >> s3, v & m3
+            for i in range(len(out)):
+                sr, r = out[i]
                 f = (r >> sh) & m
                 if f:
-                    hi, lo = scale[f]
-                    out[i] = r ^ hi[v >> s3] ^ lo[v & m3]
-            out.append(v)
-            shifts.append(sh)
+                    out[i] = sr, r ^ shi[f][hv] ^ slo[f][lv]
+            out.append((sh, v))
         out.sort(reverse=True)
-        return out
-
-    def image(self, key: int, n: int, tables) -> int:
-        """Key of the image of the n-row subspace ``key`` under ``tables``."""
-        hi, lo = tables
-        w, s3, m3, m6 = self.w, self.s3, self.m3, self.m6
-        rows = []
-        for _ in range(n):
-            v = key & m6
-            rows.append(hi[v >> s3] ^ lo[v & m3])
-            key >>= w
-        out = 0
-        for r in self.rref(rows):
-            out = (out << w) | r
-        return out
+        key = 0
+        for _, r in out:
+            key = (key << w) | r
+        return key
 
     def orbit(self, key: int, n: int, gens, max_keys: int | None = None,
               target: int | None = None) -> set[int]:
@@ -287,28 +284,51 @@ class PackedAction:
         return seen
 
 
-# -- generators and group closure ----------------------------------------
+# -- generators and the group ---------------------------------------------
+
+
+TRANSVECTION = (1, 1, 0, 0, 1, 0, 0, 0, 1)
+
+
+def _has_order(gf: GF, a, n: int) -> bool:
+    """Whether a has order exactly n in GL(3,q): a^n = I and a^(n/p) != I
+    for every prime p dividing n."""
+
+    def power(k):
+        out, b = IDENTITY3, a
+        while k:
+            if k & 1:
+                out = mat3_mul(gf, out, b)
+            b, k = mat3_mul(gf, b, b), k >> 1
+        return out
+
+    primes, m, p = [], n, 2
+    while m > 1:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return power(n) == IDENTITY3 and all(power(n // p) != IDENTITY3 for p in primes)
 
 
 def generators(gf: GF) -> tuple[tuple[int, ...], ...]:
-    """Two elementary transvections, a primitive diagonal, a coordinate cycle.
+    """The transvection I + E01 and a Singer cycle, which generate PGL(3,q).
 
-    The degenerate duplicates that appear at q=2 (the diagonal collapses to
-    the identity) are dropped.  Certified by closure size for small q.
-    """
-    g = gf.primitive_element()
-    cand = [
-        (1, 1, 0, 0, 1, 0, 0, 0, 1),
-        (1, 0, 0, 1, 1, 0, 0, 0, 1),
-        (g, 0, 0, 0, 1, 0, 0, 0, 1),
-        (0, 0, 1, 1, 0, 0, 0, 1, 0),
-    ]
-    out = []
-    for m in cand:
-        m = normalize_mat3(gf, m)
-        if m != IDENTITY3 and m not in out:
-            out.append(m)
-    return tuple(out)
+    The Singer cycle is the companion matrix of the first primitive cubic
+    x^3 + a x^2 + b x + c, one of order q^3 - 1 in GL(3,q).  By Kantor's
+    theorem (Linear groups containing a Singer cycle, 1980) a subgroup of
+    GL(3,q) holding a Singer cycle contains SL(3,q) or lies in
+    GammaL(1,q^3), of odd order 3(q^3 - 1) for q even, which holds no
+    involution such as the transvection.  The determinant c is primitive
+    in GF(q), so the pair generates GL(3,q), hence PGL(3,q)."""
+    for a in gf.elements:
+        for b in gf.elements:
+            for c in gf.nonzero:
+                singer = (0, 1, 0, 0, 0, 1, c, b, a)
+                if _has_order(gf, singer, gf.q**3 - 1):
+                    return TRANSVECTION, singer
+    raise VerificationError("no primitive cubic over GF(%d)" % gf.q)
 
 
 def mulclose(gf: GF, gens, limit: int | None = None) -> set[tuple[int, ...]]:
@@ -336,20 +356,22 @@ def mulclose(gf: GF, gens, limit: int | None = None) -> set[tuple[int, ...]]:
 
 @functools.cache
 def pgl_elements(gf: GF) -> set[tuple[int, ...]]:
-    """The full projectivity group as normalized matrices (practical q <= 4)."""
-    els = mulclose(gf, generators(gf))
-    if len(els) != pgl_order(gf.q):
-        raise VerificationError(
-            "generator closure has %d elements, expected %d"
-            % (len(els), pgl_order(gf.q))
-        )
-    return els
+    """The full projectivity group as normalized matrices (practical q <= 4).
 
-
-def certify_generators(gf: GF) -> int:
-    """Closure size of the generating set; raises unless it equals the
-    projectivity group order."""
-    return len(pgl_elements(gf))
+    Enumerated row by row: a normalized first row, then any second row off
+    its span, then any third row off the span of both.  Each element of
+    PGL(3,q) is met once, by its matrix with first nonzero entry 1.
+    """
+    mul, els = gf._mul, gf.elements
+    vectors = list(product(els, repeat=3))
+    out = set()
+    for r0 in pg_points(gf, 2):
+        line = {tuple(mul[c][x] for x in r0) for c in els}
+        for r1 in vectors:
+            if r1 not in line:
+                plane = {tuple(u ^ mul[c][x] for u, x in zip(p, r1)) for p in line for c in els}
+                out.update(r0 + r1 + r2 for r2 in vectors if r2 not in plane)
+    return out
 
 
 # -- orbits ----------------------------------------------------------------
@@ -375,11 +397,6 @@ def stabilizer_order(s: Subspace, max_keys: int | None = None) -> int:
             "orbit size %d does not divide the group order %d" % (size, total)
         )
     return total // size
-
-
-def stabilizer_order_direct(s: Subspace) -> int:
-    """|stabilizer| by filtering the full group; practical for q <= 4."""
-    return sum(1 for g in pgl_elements(s.gf) if act_subspace(s, g) == s)
 
 
 def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> bool:

@@ -526,13 +526,9 @@ def verify_distributions(gf: GF) -> dict:
     }
 
 
-# Module-level state inherited by forked sweep workers.
-_SWEEP: dict = {}
-
-
-def _partition_chunk(chunk):
-    gf = field(_SWEEP["q"], _SWEEP["modulus"])
-    index = _SWEEP["index"]
+def _partition_chunk(state, chunk):
+    gf = field(state["q"], state["modulus"])
+    index = state["index"]
     tally: Counter = Counter()
     stray: list[int] = []
     meeting = agree = 0
@@ -551,14 +547,28 @@ def _partition_chunk(chunk):
     return tally, stray, meeting, agree
 
 
-def _run_chunks(worker, chunks, workers: int):
-    """worker over every chunk, in chunk order; more processes than chunks
-    or CPUs would only sit idle."""
+_task = None  # a pool process's sweep task, bound as the process starts
+
+
+def _bind_task(worker, state) -> None:
+    global _task
+    _task = functools.partial(worker, state)
+
+
+def _run_task(chunk):
+    return _task(chunk)
+
+
+def _run_chunks(worker, state: dict, chunks, workers: int):
+    """worker(state, chunk) over every chunk, in chunk order.  Pool
+    processes get the state once, through the pool initializer, so any
+    start method works; more processes than chunks or CPUs would idle."""
     workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers > 1:
-        with get_context("fork").Pool(workers) as pool:
-            return pool.map(worker, chunks, chunksize=1)
-    return [worker(chunk) for chunk in chunks]
+        with get_context().Pool(workers, initializer=_bind_task,
+                                initargs=(worker, state)) as pool:
+            return pool.map(_run_task, chunks, chunksize=1)
+    return [worker(state, chunk) for chunk in chunks]
 
 
 def verify_partition(gf: GF, exhaustive: bool | None = None, workers: int = 0) -> dict:
@@ -626,10 +636,8 @@ def verify_partition(gf: GF, exhaustive: bool | None = None, workers: int = 0) -
         for label in LABELS:
             for key in key_sets[label]:
                 index[key] = label
-        _SWEEP.clear()
-        _SWEEP.update({"q": q, "modulus": gf.modulus, "index": index})
-        results = _run_chunks(_partition_chunk, plane_enumeration_chunks(gf), workers)
-        _SWEEP.clear()
+        state = {"q": q, "modulus": gf.modulus, "index": index}
+        results = _run_chunks(_partition_chunk, state, plane_enumeration_chunks(gf), workers)
         tally: Counter = Counter()
         stray: list[int] = []
         meeting = agree = 0
@@ -667,18 +675,19 @@ def verify_partition(gf: GF, exhaustive: bool | None = None, workers: int = 0) -
     }
 
 
-def _double_line_chunk(chunk):
-    gf = field(_SWEEP["q"], _SWEEP["modulus"])
+def _double_line_tally(planes):
     total = meeting = 0
     bad: list[int] = []
-    for s in enumerate_planes_chunk(gf, chunk):
+    for s in planes:
         total += 1
-        if nucleus_meet_dim(s) >= 0:
-            meeting += 1
-        if nuclear_point_count(s) != double_line_hyperplane_count(s):
-            if len(bad) < 16:
-                bad.append(s.key_int())
+        meeting += nucleus_meet_dim(s) >= 0
+        if nuclear_point_count(s) != double_line_hyperplane_count(s) and len(bad) < 16:
+            bad.append(s.key_int())
     return total, meeting, bad
+
+
+def _double_line_chunk(state, chunk):
+    return _double_line_tally(enumerate_planes_chunk(field(state["q"], state["modulus"]), chunk))
 
 
 def _sample_plane(gf: GF, rng: random.Random) -> Subspace:
@@ -689,20 +698,11 @@ def _sample_plane(gf: GF, rng: random.Random) -> Subspace:
             return Subspace(gf, 5, reduced)
 
 
-def _double_line_sample_chunk(args):
+def _double_line_sample_chunk(state, args):
     seed, count = args
-    gf = field(_SWEEP["q"], _SWEEP["modulus"])
+    gf = field(state["q"], state["modulus"])
     rng = random.Random(seed)
-    meeting = 0
-    bad: list[int] = []
-    for _ in range(count):
-        s = _sample_plane(gf, rng)
-        if nucleus_meet_dim(s) >= 0:
-            meeting += 1
-        if nuclear_point_count(s) != double_line_hyperplane_count(s):
-            if len(bad) < 16:
-                bad.append(s.key_int())
-    return count, meeting, bad
+    return _double_line_tally(_sample_plane(gf, rng) for _ in range(count))
 
 
 def verify_double_lines(
@@ -726,60 +726,40 @@ def verify_double_lines(
         exhaustive = q <= 4
     if not exhaustive and samples < 1:
         raise ValueError("samples must be at least 1, got %d" % samples)
-    _SWEEP.clear()
-    _SWEEP.update({"q": q, "modulus": gf.modulus})
-    checks = []
-    totals: dict[str, int] = {}
     if exhaustive:
-        results = _run_chunks(_double_line_chunk, plane_enumeration_chunks(gf), workers)
-        total = meeting = 0
-        bad: list[int] = []
-        for t, m, b in results:
-            total += t
-            meeting += m
-            bad.extend(b)
+        worker, chunks = _double_line_chunk, plane_enumeration_chunks(gf)
+    else:
+        base, extra = divmod(samples, 128)
+        worker = _double_line_sample_chunk
+        chunks = [(seed * (2**32) + i, base + (i < extra)) for i in range(128)]
+    total = meeting = 0
+    bad: list[int] = []
+    for t, m, b in _run_chunks(worker, {"q": q, "modulus": gf.modulus}, chunks, workers):
+        total += t
+        meeting += m
+        bad.extend(b)
+    checks = []
+    if exhaustive:
         expected = gaussian_binomial(6, 3, q)
         checks.append(_check(
             "all_planes_enumerated",
             total == expected,
             {"planes": total, "expected": expected},
         ))
-        checks.append(_check(
-            "identity_holds",
-            not bad,
-            {"violations": len(bad), "witness_keys": sorted(bad)[:16]},
-        ))
-        totals = {"planes": total, "meeting_nucleus_plane": meeting,
-                  "violations": len(bad)}
-        mode = "exhaustive"
+        totals = {"planes": total, "meeting_nucleus_plane": meeting, "violations": len(bad)}
     else:
-        nchunks = 128
-        base, extra = divmod(samples, nchunks)
-        args = [
-            (seed * (2**32) + i, base + (1 if i < extra else 0))
-            for i in range(nchunks)
-        ]
-        results = _run_chunks(_double_line_sample_chunk, args, workers)
-        total = meeting = 0
-        bad = []
-        for t, m, b in results:
-            total += t
-            meeting += m
-            bad.extend(b)
-        checks.append(_check(
-            "identity_holds",
-            not bad,
-            {"violations": len(bad), "witness_keys": sorted(bad)[:16]},
-        ))
         totals = {"planes_sampled": total, "meeting_nucleus_plane": meeting,
                   "violations": len(bad), "seed": seed}
-        mode = "sampled"
-    _SWEEP.clear()
+    checks.append(_check(
+        "identity_holds",
+        not bad,
+        {"violations": len(bad), "witness_keys": sorted(bad)[:16]},
+    ))
     return {
         "schema": SCHEMA,
         "q": q,
         "suite": "double-lines",
-        "mode": mode,
+        "mode": "exhaustive" if exhaustive else "sampled",
         "totals": totals,
         "checks": checks,
     }

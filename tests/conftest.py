@@ -1,5 +1,6 @@
 import pytest
 
+from conicnets.action import generators, normalize_mat3
 from conicnets.gf import field
 
 
@@ -21,3 +22,26 @@ def gf8():
 @pytest.fixture(scope="session")
 def gf16():
     return field(16)
+
+
+@pytest.fixture(scope="session")
+def sample_matrices():
+    """Some projectivities, for tests that need group elements: the
+    transvections I + E01 and I + E10, a primitive diagonal and a coordinate
+    cycle, then the generating pair, each once and none the identity."""
+
+    def samples(gf):
+        out = []
+        for a in (
+            (1, 1, 0, 0, 1, 0, 0, 0, 1),
+            (1, 0, 0, 1, 1, 0, 0, 0, 1),
+            (gf.primitive_element(), 0, 0, 0, 1, 0, 0, 0, 1),
+            (0, 0, 1, 1, 0, 0, 0, 1, 0),
+            *generators(gf),
+        ):
+            a = normalize_mat3(gf, a)
+            if a != (1, 0, 0, 0, 1, 0, 0, 0, 1) and a not in out:
+                out.append(a)
+        return out
+
+    return samples

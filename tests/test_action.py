@@ -17,7 +17,6 @@ from conicnets.action import (
     act_point,
     act_point_pg2,
     act_subspace,
-    certify_generators,
     congruence_image,
     generators,
     k_equivalent,
@@ -33,7 +32,6 @@ from conicnets.action import (
     pgl_order,
     stabilizer_from_transversal,
     stabilizer_order,
-    stabilizer_order_direct,
 )
 from conicnets.atlas import representative, representatives
 from conicnets.errors import ResourceBudgetError
@@ -48,13 +46,62 @@ def test_pgl_order_formula():
     assert pgl_order(8) == 16482816
 
 
+def certify_generators(gf):
+    """Closure size of the generating pair; the closure oracle for the
+    row-by-row group."""
+    return len(mulclose(gf, generators(gf)))
+
+
 @pytest.mark.parametrize("q", (2, 4))
 def test_generators_generate_the_whole_group(q):
     assert certify_generators(field(q)) == pgl_order(q)
 
 
-def test_matrix_algebra(gf4):
-    gens = generators(gf4)
+def _gl_order_divides(gf, a, n):
+    """Whether a^n is the identity matrix (unnormalized), by squaring."""
+    power, base = IDENTITY3, a
+    while n:
+        if n & 1:
+            power = mat3_mul(gf, power, base)
+        base = mat3_mul(gf, base, base)
+        n >>= 1
+    return power == IDENTITY3
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_generators_are_a_transvection_and_a_singer_cycle(e):
+    q = 2**e
+    gf = field(q)
+    t, s = generators(gf)
+    assert t == (1, 1, 0, 0, 1, 0, 0, 0, 1)
+    # companion matrix of a cubic with nonzero constant term
+    assert s[:6] == (0, 1, 0, 0, 0, 1) and s[6] != 0
+    n = q**3 - 1
+    assert _gl_order_divides(gf, s, n)
+    primes, m, d = [], n, 2
+    while m > 1:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    assert all(not _gl_order_divides(gf, s, n // p) for p in primes)
+    if q <= 16:
+        # order by stepping through every power
+        x, order = s, 1
+        while x != IDENTITY3:
+            x, order = mat3_mul(gf, x, s), order + 1
+        assert order == n
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_pgl_elements_matches_generator_closure(q):
+    gf = field(q)
+    assert pgl_elements(gf) == mulclose(gf, generators(gf))
+
+
+def test_matrix_algebra(gf4, sample_matrices):
+    gens = sample_matrices(gf4)
     for a in gens:
         inv = mat3_inv(gf4, a)
         assert normalize_mat3(gf4, mat3_mul(gf4, a, inv)) == IDENTITY3
@@ -74,16 +121,16 @@ def test_lift_equivariance_exhaustive_q2(gf2):
             assert act_point(gf2, l, veronese(gf2, p)) == veronese(gf2, act_point_pg2(gf2, a, p))
 
 
-def test_lift_equivariance_sampled_q8(gf8):
+def test_lift_equivariance_sampled_q8(gf8, sample_matrices):
     pts = pg_points(gf8, 2)[::7]
-    for a in generators(gf8):
+    for a in sample_matrices(gf8):
         l = lift(gf8, a)
         for p in pts:
             assert act_point(gf8, l, veronese(gf8, p)) == veronese(gf8, act_point_pg2(gf8, a, p))
 
 
-def test_lift_is_a_homomorphism(gf4):
-    gens = generators(gf4)
+def test_lift_is_a_homomorphism(gf4, sample_matrices):
+    gens = sample_matrices(gf4)
     y = veronese(gf4, (1, 2, 3))
     for a in gens:
         for b in gens:
@@ -92,10 +139,10 @@ def test_lift_is_a_homomorphism(gf4):
                 == act_point(gf4, lift(gf4, a), act_point(gf4, lift(gf4, b), y))
 
 
-def test_act_subspace_preserves_structure(gf4):
+def test_act_subspace_preserves_structure(gf4, sample_matrices):
     s = representative(gf4, "Sigma9")
     pn = nucleus_plane(gf4)
-    for a in generators(gf4):
+    for a in sample_matrices(gf4):
         t = act_subspace(s, a)
         assert t.dim == s.dim
         # K fixes the nucleus plane setwise
@@ -123,16 +170,21 @@ def test_orbit_stabilizer_products(q):
         assert n * stabilizer_order(s) == pgl_order(q)
 
 
+def stabilizer_order_direct(s):
+    """|stabilizer| by filtering the full group."""
+    return sum(1 for g in pgl_elements(s.gf) if act_subspace(s, g) == s)
+
+
 def test_stabilizer_direct_agrees_q2(gf2):
     for label in ("Sigma1", "Sigma9", "Sigma18"):
         s = representative(gf2, label)
         assert stabilizer_order_direct(s) == stabilizer_order(s)
 
 
-def test_k_equivalent_on_moved_copies(gf4):
+def test_k_equivalent_on_moved_copies(gf4, sample_matrices):
     s = representative(gf4, "Sigma17")
-    a = generators(gf4)[1]
-    moved = act_subspace(act_subspace(s, a), generators(gf4)[0])
+    a = sample_matrices(gf4)[1]
+    moved = act_subspace(act_subspace(s, a), sample_matrices(gf4)[0])
     assert k_equivalent(s, moved)
     assert not k_equivalent(s, representative(gf4, "Sigma18"))
 
@@ -207,8 +259,8 @@ def test_packed_rref_matches_rref(q):
         if len(rows) > 1 and rng.random() < 0.3:  # force a dependent row
             c = rng.randrange(1, q)
             rows.append([gf.mul(c, x) ^ y for x, y in zip(rows[0], rows[1])])
-        want = [pack_rows(gf, [r]) for r in rref(gf, rows)]
-        assert pa.rref([pack_rows(gf, [r]) for r in rows]) == want
+        want = pack_rows(gf, rref(gf, rows))
+        assert pa.image(pack_rows(gf, rows), len(rows), pa.scale[1]) == want
 
 
 def tuple_orbit_keys(s):

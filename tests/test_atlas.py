@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from conicnets.action import act_subspace, generators, k_equivalent
+from conicnets.action import act_subspace, k_equivalent
 from conicnets import atlas, cli, invariants
 from conicnets.atlas import (
     EMPTY_BASE_LABELS,
@@ -186,16 +186,16 @@ def test_classify_plane_fixes_representatives(q):
         assert classify_plane(representative(gf, label)) == label
 
 
-def test_classify_plane_on_moved_representatives(gf4):
-    g0, g1 = generators(gf4)[:2]
+def test_classify_plane_on_moved_representatives(gf4, sample_matrices):
+    g0, g1 = sample_matrices(gf4)[:2]
     for label in LABELS:
         moved = act_subspace(act_subspace(representative(gf4, label), g0), g1)
         assert classify_plane(moved) == label
 
 
-def test_classify_plane_on_moved_representatives_q8(gf8, gf16):
+def test_classify_plane_on_moved_representatives_q8(gf8, gf16, sample_matrices):
     for gf in (gf8, gf16):
-        g0, g1 = generators(gf)[:2]
+        g0, g1 = sample_matrices(gf)[:2]
         for label in LABELS:
             moved = act_subspace(act_subspace(representative(gf, label), g1), g0)
             assert classify_plane(moved) == label, (gf.q, label)
@@ -317,9 +317,9 @@ def _double_lines_by_scan(gf, forms):
 
 
 @pytest.mark.parametrize("q", (2, 4, 8))
-def test_net_double_line_count_matches_scan(q):
+def test_net_double_line_count_matches_scan(q, sample_matrices):
     gf = field(q)
-    g0, g1 = generators(gf)[:2]
+    g0, g1 = sample_matrices(gf)[:2]
     nets = [example_net(gf)] + [
         net_of_plane(act_subspace(act_subspace(s, g0), g1))
         for s in representatives(gf).values()
@@ -347,8 +347,9 @@ def test_sweep_pool_never_outnumbers_chunks_or_cpus(gf2, monkeypatch):
     sizes = []
 
     class FakePool:
-        def __init__(self, n):
+        def __init__(self, n, initializer, initargs):
             sizes.append(n)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -362,7 +363,8 @@ def test_sweep_pool_never_outnumbers_chunks_or_cpus(gf2, monkeypatch):
     class FakeContext:
         Pool = FakePool
 
-    monkeypatch.setattr(atlas, "get_context", lambda method: FakeContext)
+    monkeypatch.setattr(atlas, "get_context", lambda: FakeContext)
+    monkeypatch.setattr(atlas, "_task", None)  # FakePool binds it in this process
     serial = verify_double_lines(gf2, exhaustive=False, samples=300, seed=3)
     chunks = len(atlas.plane_enumeration_chunks(gf2))
     for cpus, workers, exhaustive, want in [

@@ -4,6 +4,7 @@ byte-level determinism."""
 import contextlib
 import io
 import json
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,31 @@ def test_deterministic_output_across_workers(capsys):
                           "--workers", "2"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "2", "--suite", "partition"],
+    ["verify", "--q", "2", "--suite", "double-lines"],
+    ["verify", "--q", "8", "--suite", "double-lines", "--samples", "2000"],
+], ids=["partition-q2", "double-lines-q2-exhaustive", "double-lines-q8-sampled"])
+def test_sweep_output_is_the_same_across_workers_and_start_methods(argv, capsys, monkeypatch):
+    """Pool processes get the sweep state through the pool initializer, so
+    a spawned process, which inherits nothing, reports what a forked one
+    and the serial path report."""
+    code, serial, _ = run(argv + ["--workers", "0"], capsys)
+    assert code == 0
+    monkeypatch.setattr(atlas.os, "cpu_count", lambda: 2)
+    for method in ("fork", "spawn"):
+        used = []
+
+        def get_context(method=method):
+            used.append(method)
+            return multiprocessing.get_context(method)
+
+        monkeypatch.setattr(atlas, "get_context", get_context)
+        code, out, _ = run(argv + ["--workers", "2"], capsys)
+        assert code == 0 and used == [method]
+        assert out == serial, method
 
 
 def test_verify_double_lines_sampled(capsys):

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from conicnets.action import act_subspace, generators, mat3_det
+from conicnets.action import act_subspace, mat3_det
 from conicnets.atlas import (
     EXPECTED_CUBIC_KIND,
     LABELS,
@@ -52,12 +52,12 @@ def _cubic(coeffs: dict) -> tuple[int, ...]:
 
 
 @pytest.mark.parametrize("q", (2, 4))
-def test_forms_through_matches_brute_force(q):
+def test_forms_through_matches_brute_force(q, sample_matrices):
     # the forms vanishing on every basis row, among all points of PG(5,q)
     gf = field(q)
     mul = gf._mul
     forms = pg_points(gf, 5)
-    g = generators(gf)[0]
+    g = sample_matrices(gf)[0]
     for label in LABELS:
         for s in (representative(gf, label), act_subspace(representative(gf, label), g)):
             want = {
