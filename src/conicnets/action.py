@@ -21,11 +21,12 @@ so a subspace key is its reduced packed rows joined together.  The action is
 linear and addition is XOR, so the image of a packed row v is
 ``hi[v >> 3e] ^ lo[v & (2^3e - 1)]`` for two split tables of q^3 entries
 each; scaling by c uses one such pair per c.  ``PackedAction`` builds these
-tables per call; its ``image`` maps and reduces in one packed elimination,
-and its breadth-first orbit closure is behind ``orbit_keys``,
-``k_equivalent`` and the line-orbit checks.  Stabilizer orders follow from
-the orbit-stabilizer identity and, for small q, can be cross-checked by
-filtering the full group.
+tables per call; its ``image`` maps and reduces in one packed elimination.
+One breadth-first ``closure``, which records each state's parent, serves
+``orbit_keys``, ``k_equivalent``, ``mulclose`` and ``stabilizer``; the last
+multiplies out Schreier generators along the parent pointers.  Stabilizer
+orders follow from the orbit-stabilizer identity and, for small q, can be
+cross-checked by filtering the full group.
 """
 
 from __future__ import annotations
@@ -257,32 +258,6 @@ class PackedAction:
             key = (key << w) | r
         return key
 
-    def orbit(self, key: int, n: int, gens, max_keys: int | None = None,
-              target: int | None = None) -> set[int]:
-        """Keys of the orbit of ``key`` under the group generated by the
-        tables ``gens``, by breadth-first closure.  Returns early, with the
-        keys found so far, once ``target`` is among them."""
-        image = self.image
-        seen = {key}
-        frontier = [key]
-        while frontier and target not in seen:
-            new = []
-            for k in frontier:
-                for t in gens:
-                    k2 = image(k, n, t)
-                    if k2 not in seen:
-                        seen.add(k2)
-                        if k2 == target:
-                            return seen
-                        if max_keys is not None and len(seen) > max_keys:
-                            raise ResourceBudgetError(
-                                "orbit enumeration exceeded %d keys" % max_keys,
-                                partial=len(seen),
-                            )
-                        new.append(k2)
-            frontier = new
-        return seen
-
 
 # -- generators and the group ---------------------------------------------
 
@@ -334,24 +309,8 @@ def generators(gf: GF) -> tuple[tuple[int, ...], ...]:
 def mulclose(gf: GF, gens, limit: int | None = None) -> set[tuple[int, ...]]:
     """Closure of a generating set under products, all elements normalized."""
     gens = [normalize_mat3(gf, g) for g in gens]
-    seen = {IDENTITY3}
-    seen.update(gens)
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = normalize_mat3(gf, mat3_mul(gf, x, g))
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    if limit is not None and len(seen) > limit:
-                        raise ResourceBudgetError(
-                            "group closure exceeded %d elements" % limit,
-                            partial=len(seen),
-                        )
-        frontier = new
-    return seen
+    return set(closure(
+        IDENTITY3, lambda x, k: normalize_mat3(gf, mat3_mul(gf, x, gens[k])), len(gens), limit))
 
 
 @functools.cache
@@ -377,15 +336,46 @@ def pgl_elements(gf: GF) -> set[tuple[int, ...]]:
 # -- orbits ----------------------------------------------------------------
 
 
-def _generator_orbit(s: Subspace, max_keys: int | None, target: int | None) -> set[int]:
+def closure(start, step, ngens: int, max_keys: int | None = None, target=None) -> dict:
+    """Breadth-first closure of ``start`` under ``step(state, i)``, i < ngens.
+
+    Returns {state: parent} in discovery order, ``start`` mapping to None;
+    each state's parent is the one it was first reached from, so the
+    parents span the orbit as a tree.  Returns early, with the states found
+    so far, once ``target`` is among them, and raises ResourceBudgetError
+    once there are more than ``max_keys`` states.
+    """
+    tree = {start: None}
+    frontier = [start]
+    while frontier and target not in tree:
+        new = []
+        for k in frontier:
+            for i in range(ngens):
+                k2 = step(k, i)
+                if k2 not in tree:
+                    tree[k2] = k
+                    if k2 == target:
+                        return tree
+                    if max_keys is not None and len(tree) > max_keys:
+                        raise ResourceBudgetError(
+                            "orbit enumeration exceeded %d keys" % max_keys,
+                            partial=len(tree),
+                        )
+                    new.append(k2)
+        frontier = new
+    return tree
+
+
+def _generator_orbit(s: Subspace, max_keys: int | None, target: int | None) -> dict:
     pa = PackedAction(s.gf)
     gens = [pa.tables(g) for g in generators(s.gf)]
-    return pa.orbit(s.key_int(), len(s.rows), gens, max_keys, target)
+    image, n = pa.image, len(s.rows)
+    return closure(s.key_int(), lambda k, i: image(k, n, gens[i]), len(gens), max_keys, target)
 
 
 def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     """Packed keys of the full orbit of s, by breadth-first closure."""
-    return _generator_orbit(s, max_keys, None)
+    return set(_generator_orbit(s, max_keys, None))
 
 
 def stabilizer_order(s: Subspace, max_keys: int | None = None) -> int:
@@ -415,62 +405,52 @@ def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> boo
     return target in _generator_orbit(s1, max_keys, target)
 
 
-# -- stabilizers via transversals ------------------------------------------
+def stabilizer(gf: GF, state0, step) -> tuple[set[tuple[int, ...]], int]:
+    """Full stabilizer of a hashable state, with the size of its orbit.
 
-
-def orbit_transversal(gf: GF, state0, act):
-    """BFS orbit of a hashable state under the standard generators.
-
-    ``act(state, k)`` applies generator k.  Returns {state: witness matrix}
-    with witness(state0) = identity and witness mapping state0 to the state.
+    ``step(state, k)`` applies generator k of ``generators(gf)``.  By
+    Schreier's lemma the elements w(step(s, k))^-1 g_k w(s) generate the
+    stabilizer, the witness w(s) being the product of the generators along
+    the closure's parent chain from state0 to s; a witness is built only
+    when needed, and kept.  Schreier generators are closed as they come,
+    the closure is returned once it reaches |group| / |orbit|, and an
+    overshoot or a shortfall fails loudly.
     """
     gens = generators(gf)
-    tr = {state0: IDENTITY3}
-    frontier = [state0]
-    while frontier:
-        new = []
-        for s in frontier:
-            u = tr[s]
-            for k in range(len(gens)):
-                s2 = act(s, k)
-                if s2 not in tr:
-                    tr[s2] = normalize_mat3(gf, mat3_mul(gf, gens[k], u))
-                    new.append(s2)
-        frontier = new
-    return tr
-
-
-def stabilizer_from_transversal(gf: GF, state0, act, tr) -> set[tuple[int, ...]]:
-    """Full stabilizer of state0, from Schreier generators of the transversal.
-
-    The expected order is |group| / |orbit|.  Schreier generators are made
-    one at a time and closed as they come; the closure is returned as soon
-    as it reaches that order, and an overshoot or a shortfall fails loudly.
-    """
-    gens = generators(gf)
+    tree = closure(state0, step, len(gens))
     order = pgl_order(gf.q)
-    if order % len(tr):
-        raise VerificationError("orbit size %d does not divide %d" % (len(tr), order))
-    target = order // len(tr)
+    if order % len(tree):
+        raise VerificationError("orbit size %d does not divide %d" % (len(tree), order))
+    target = order // len(tree)
+    witness = {state0: IDENTITY3}
+
+    def word(s):
+        # States come in discovery order, so a parent's witness is known
+        # or one call away.
+        if s not in witness:
+            p = tree[s]
+            k = next(k for k in range(len(gens)) if step(p, k) == s)
+            witness[s] = normalize_mat3(gf, mat3_mul(gf, gens[k], word(p)))
+        return witness[s]
+
     picked: list[tuple[int, ...]] = []
-    closure: set[tuple[int, ...]] = {IDENTITY3}
-    for s, u in tr.items():
+    group: set[tuple[int, ...]] = {IDENTITY3}
+    for s in tree:
         for k, a in enumerate(gens):
-            v = tr[act(s, k)]
             h = normalize_mat3(
-                gf, mat3_mul(gf, mat3_inv(gf, v), mat3_mul(gf, a, u))
+                gf, mat3_mul(gf, mat3_inv(gf, word(step(s, k))), mat3_mul(gf, a, word(s)))
             )
-            if h in closure:
+            if h in group:
                 continue
             picked.append(h)
             try:
-                closure = mulclose(gf, picked, limit=target)
+                group = mulclose(gf, picked, limit=target)
             except ResourceBudgetError as exc:
                 raise VerificationError(
                     "stabilizer closure overshot %d elements" % target
                 ) from exc
-            if len(closure) == target:
-                return closure
+            if len(group) == target:
+                return group, len(tree)
     raise VerificationError(
-        "Schreier generators closed at %d, expected %d" % (len(closure), target)
+        "Schreier generators closed at %d, expected %d" % (len(group), target)
     )

@@ -27,10 +27,9 @@ from .action import (
     congruence_image,
     generators,
     orbit_keys,
-    orbit_transversal,
     pgl_elements,
     pgl_order,
-    stabilizer_from_transversal,
+    stabilizer,
 )
 from .errors import (
     ClassificationError,
@@ -60,7 +59,7 @@ from .projgeom import (
     rref,
     unpack_rows,
 )
-from .veronese import conic_plane_of, form_eval, point_class
+from .veronese import form_eval, point_class
 
 SCHEMA = "conicnets-report/1"
 
@@ -380,10 +379,13 @@ def classify_plane(s: Subspace) -> str:
         )
     points = s.points()
     (nuclear,) = [y for y in points if (y[0] | y[3] | y[5]) == 0]
-    _, conic_plane = conic_plane_of(gf, nuclear)
+    # A rank-1 point y = p p^T lies on the conic plane {M : M u = 0} of the nuclear
+    # point's kernel u = (e,c,b) iff p.u = 0, iff (p.u)^2 = y0 e^2 + y3 c^2 + y5 b^2 = 0.
+    _, b, c, _, e, _ = nuclear
+    m0, m3, m5 = (gf._mul[gf._mul[v][v]] for v in (e, c, b))
     hits = sum(
         1 for y in points
-        if conic_plane.contains_point(y) and point_class(gf, y) == "rank1"
+        if not (m0[y[0]] ^ m3[y[3]] ^ m5[y[5]]) and point_class(gf, y) == "rank1"
     )
     label = {1: "Sigma3", 0: "Sigma4"}.get(hits)
     if label is None:
@@ -676,14 +678,16 @@ def verify_partition(gf: GF, exhaustive: bool | None = None, workers: int = 0) -
 
 
 def _double_line_tally(planes):
-    total = meeting = 0
+    total = meeting = violations = 0
     bad: list[int] = []
     for s in planes:
         total += 1
         meeting += nucleus_meet_dim(s) >= 0
-        if nuclear_point_count(s) != double_line_hyperplane_count(s) and len(bad) < 16:
-            bad.append(s.key_int())
-    return total, meeting, bad
+        if nuclear_point_count(s) != double_line_hyperplane_count(s):
+            violations += 1
+            if len(bad) < 16:
+                bad.append(s.key_int())
+    return total, meeting, violations, bad
 
 
 def _double_line_chunk(state, chunk):
@@ -708,13 +712,14 @@ def _double_line_sample_chunk(state, args):
 def verify_double_lines(
     gf: GF,
     exhaustive: bool | None = None,
-    samples: int = 100_000,
+    samples: int | None = None,
     seed: int = 0,
     workers: int = 0,
 ) -> dict:
     """Check that a plane's rank-2 nuclear point count equals the number of
     double-line hyperplane classes through it, on every plane (exhaustive)
-    or on uniformly sampled planes.
+    or on uniformly sampled planes.  A sample count selects sampling at any
+    q; without one, q <= 4 sweeps every plane and larger q samples 100,000.
 
     Sampling draws random full-rank 3x6 matrices, which is uniform on
     planes because every plane has the same number of ordered bases.  The
@@ -723,7 +728,9 @@ def verify_double_lines(
     """
     q = gf.q
     if exhaustive is None:
-        exhaustive = q <= 4
+        exhaustive = samples is None and q <= 4
+    if samples is None:
+        samples = 100_000
     if not exhaustive and samples < 1:
         raise ValueError("samples must be at least 1, got %d" % samples)
     if exhaustive:
@@ -732,11 +739,12 @@ def verify_double_lines(
         base, extra = divmod(samples, 128)
         worker = _double_line_sample_chunk
         chunks = [(seed * (2**32) + i, base + (i < extra)) for i in range(128)]
-    total = meeting = 0
+    total = meeting = violations = 0
     bad: list[int] = []
-    for t, m, b in _run_chunks(worker, {"q": q, "modulus": gf.modulus}, chunks, workers):
+    for t, m, v, b in _run_chunks(worker, {"q": q, "modulus": gf.modulus}, chunks, workers):
         total += t
         meeting += m
+        violations += v
         bad.extend(b)
     checks = []
     if exhaustive:
@@ -746,14 +754,14 @@ def verify_double_lines(
             total == expected,
             {"planes": total, "expected": expected},
         ))
-        totals = {"planes": total, "meeting_nucleus_plane": meeting, "violations": len(bad)}
+        totals = {"planes": total, "meeting_nucleus_plane": meeting, "violations": violations}
     else:
         totals = {"planes_sampled": total, "meeting_nucleus_plane": meeting,
-                  "violations": len(bad), "seed": seed}
+                  "violations": violations, "seed": seed}
     checks.append(_check(
         "identity_holds",
-        not bad,
-        {"violations": len(bad), "witness_keys": sorted(bad)[:16]},
+        not violations,
+        {"violations": violations, "witness_keys": sorted(bad)[:16]},
     ))
     return {
         "schema": SCHEMA,
@@ -810,17 +818,12 @@ def _rank1_hits(l: Subspace) -> int:
 
 
 def _pair_stabilizer(gf: GF, l: Subspace, p):
-    """Full stabilizer of (line, point) via a transversal of the pair orbit."""
+    """Full stabilizer of (line, point), with the size of the pair's orbit."""
     pa = PackedAction(gf)
     gens = [pa.tables(a) for a in generators(gf)]
-
-    def act(state, k):
-        line, point = state
-        return pa.image(line, 2, gens[k]), pa.image(point, 1, gens[k])
-
-    state0 = (l.key_int(), pack_rows(gf, [p]))
-    tr = orbit_transversal(gf, state0, act)
-    return stabilizer_from_transversal(gf, state0, act, tr), len(tr)
+    image = pa.image
+    return stabilizer(gf, (l.key_int(), pack_rows(gf, [p])),
+                      lambda st, k: (image(st[0], 2, gens[k]), image(st[1], 1, gens[k])))
 
 
 def verify_line_orbits(gf: GF) -> dict:

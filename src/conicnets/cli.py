@@ -216,6 +216,8 @@ def cmd_verify(args) -> int:
     if args.suite == "distributions":
         report = atlas.verify_distributions(gf)
     elif args.suite == "double-lines":
+        if args.exhaustive and args.samples is not None:
+            raise UsageError("--exhaustive and --samples exclude each other")
         report = atlas.verify_double_lines(
             gf, exhaustive=args.exhaustive, samples=args.samples,
             seed=args.seed, workers=args.workers,
@@ -274,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=0, help="parallel sweep processes")
     p.add_argument("--exhaustive", action="store_true", default=None,
                    help="force the all-planes sweep (default: on for q <= 4)")
-    p.add_argument("--samples", type=int, default=100_000,
-                   help="sample count for the sampled double-lines suite")
+    p.add_argument("--samples", type=int, default=None,
+                   help="sample the double-lines suite at any q "
+                        "(default: every plane for q <= 4, else 100000)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.set_defaults(run=cmd_verify)
 

@@ -135,11 +135,11 @@ class Subspace:
         return len(self.rows) - 1
 
     def contains_point(self, pt) -> bool:
-        return _reduces_to_zero(self.gf, self.rows, pt)
+        return rref(self.gf, self.rows + (tuple(pt),)) == self.rows
 
     def contains(self, other: "Subspace") -> bool:
         _check_ambient(self, other)
-        return all(_reduces_to_zero(self.gf, self.rows, r) for r in other.rows)
+        return rref(self.gf, self.rows + other.rows) == self.rows
 
     def points(self) -> list[tuple[int, ...]]:
         """All points, normalized, in deterministic coefficient order."""
@@ -179,21 +179,6 @@ class Subspace:
 def _check_ambient(a: Subspace, b: Subspace):
     if a.gf != b.gf or a.n != b.n:
         raise ValueError("subspaces live in different ambient spaces")
-
-
-def _reduces_to_zero(gf: GF, red_rows, vec) -> bool:
-    mul = gf._mul
-    v = list(vec)
-    for row in red_rows:
-        p = None
-        for j, x in enumerate(row):
-            if x:
-                p = j
-                break
-        if v[p]:
-            mf = mul[v[p]]
-            v = [v[j] ^ mf[row[j]] for j in range(len(v))]
-    return not any(v)
 
 
 def _normalized_coeffs(gf: GF, r: int):

@@ -17,6 +17,7 @@ from conicnets.action import (
     act_point,
     act_point_pg2,
     act_subspace,
+    closure,
     congruence_image,
     generators,
     k_equivalent,
@@ -27,10 +28,9 @@ from conicnets.action import (
     mulclose,
     normalize_mat3,
     orbit_keys,
-    orbit_transversal,
     pgl_elements,
     pgl_order,
-    stabilizer_from_transversal,
+    stabilizer,
     stabilizer_order,
 )
 from conicnets.atlas import representative, representatives
@@ -311,24 +311,77 @@ def test_congruence_image_matches_lifted_point(q):
             assert congruence_image(gf, a, y) == act_point(gf, l, y), (a, y)
 
 
-def test_on_demand_schreier_closure_matches_full_schreier_set(gf4):
-    """The q=4 pair stabilizer of the line-orbit suite: closing Schreier
-    generators as they come gives the closure of all of them."""
-    line = atlas._line(gf4, (0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0))
+def orbit_transversal(gf, state0, act):
+    """Breadth-first orbit of a state, storing for every state a witness
+    matrix that maps state0 to it; the oracle for ``stabilizer``."""
+    gens = generators(gf)
+    tr = {state0: IDENTITY3}
+    frontier = [state0]
+    while frontier:
+        new = []
+        for s in frontier:
+            u = tr[s]
+            for k in range(len(gens)):
+                s2 = act(s, k)
+                if s2 not in tr:
+                    tr[s2] = normalize_mat3(gf, mat3_mul(gf, gens[k], u))
+                    new.append(s2)
+        frontier = new
+    return tr
+
+
+def _pair_action(gf):
+    """The (line, point) pair of the line-orbit suite and the generators'
+    action on it."""
+    line = atlas._line(gf, (0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0))
     point = (0, 1, 0, 1, 0, 0)
-    pa = PackedAction(gf4)
-    gens = generators(gf4)
-    tables = [pa.tables(a) for a in gens]
+    pa = PackedAction(gf)
+    tables = [pa.tables(a) for a in generators(gf)]
 
     def act(state, k):
         return pa.image(state[0], 2, tables[k]), pa.image(state[1], 1, tables[k])
 
-    state0 = (line.key_int(), pack_rows(gf4, [point]))
+    return (line.key_int(), pack_rows(gf, [point])), act
+
+
+def test_on_demand_schreier_closure_matches_full_schreier_set(gf4):
+    """The q=4 pair stabilizer of the line-orbit suite: closing Schreier
+    generators as they come gives the closure of all of them."""
+    state0, act = _pair_action(gf4)
+    gens = generators(gf4)
     tr = orbit_transversal(gf4, state0, act)
     schreier = {
         normalize_mat3(gf4, mat3_mul(gf4, mat3_inv(gf4, tr[act(s, k)]), mat3_mul(gf4, a, u)))
         for s, u in tr.items() for k, a in enumerate(gens)
     }
     full = mulclose(gf4, schreier)
-    assert stabilizer_from_transversal(gf4, state0, act, tr) == full
+    assert stabilizer(gf4, state0, act)[0] == full
     assert len(full) == 4 * 4 * 3
+
+
+def test_closure_parents_span_the_orbit(gf4):
+    """Every state but the start is one generator step from its parent,
+    and the states come in the witness-storing BFS's discovery order."""
+    state0, act = _pair_action(gf4)
+    tree = closure(state0, act, 2)
+    assert len(tree) == 1260 and tree[state0] is None
+    assert list(tree) == list(orbit_transversal(gf4, state0, act))
+    for s, parent in tree.items():
+        if s != state0:
+            assert s in (act(parent, 0), act(parent, 1))
+
+
+def test_closure_target_returns_early(gf4):
+    state0, act = _pair_action(gf4)
+    full = list(closure(state0, act, 2))
+    tree = closure(state0, act, 2, target=full[100])
+    assert list(tree) == full[:101]
+    assert closure(state0, act, 2, target=state0) == {state0: None}
+
+
+def test_closure_max_keys_raises_with_partial(gf4):
+    state0, act = _pair_action(gf4)
+    with pytest.raises(ResourceBudgetError, match="orbit enumeration exceeded 100 keys") as info:
+        closure(state0, act, 2, max_keys=100)
+    assert info.value.partial == 101
+    assert len(closure(state0, act, 2, max_keys=1260)) == 1260

@@ -391,6 +391,19 @@ def test_verify_double_lines_q2_exhaustive(gf2):
     assert report["totals"]["violations"] == 0
 
 
+def test_double_line_violations_are_all_counted(gf2, monkeypatch):
+    """Every violation is counted, though each chunk keeps at most 16
+    witness keys."""
+    real = atlas.double_line_hyperplane_count
+    monkeypatch.setattr(atlas, "double_line_hyperplane_count", lambda s: real(s) + 1)
+    for report, n in ((verify_double_lines(gf2), 1395),
+                      (verify_double_lines(gf2, samples=300, seed=3), 300)):
+        holds = report["checks"][-1]
+        assert holds["name"] == "identity_holds" and not holds["pass"]
+        assert report["totals"]["violations"] == holds["details"]["violations"] == n
+        assert 0 < len(holds["details"]["witness_keys"]) <= 16
+
+
 @pytest.mark.slow
 def test_verify_partition_q8_representative():
     """Breadth-first orbit sizes at q = 8: disjoint, summing to the meeting

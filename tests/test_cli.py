@@ -162,6 +162,17 @@ def test_verify_double_lines_sampled(capsys):
     assert out2 == out
 
 
+def test_samples_selects_sampling_at_every_q(capsys):
+    argv = ["verify", "--q", "2", "--suite", "double-lines", "--samples", "300"]
+    code, out, _ = run(argv, capsys)
+    rec = json.loads(out)
+    assert code == 0 and rec["mode"] == "sampled"
+    assert rec["totals"]["planes_sampled"] == 300
+    code, out, err = run(argv + ["--exhaustive"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_exit_code_usage_errors(capsys):
     code, _, err = run(["classify-plane", "--q", "4", "--data", "not json"], capsys)
     assert code == 2 and "error" in err

@@ -191,3 +191,30 @@ def test_subspace_identity_keys(gf2):
     assert a.key_int() == b.key_int()
     assert a.key_hex() == b.key_hex()
     assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_contains_matches_point_sets(q):
+    """contains_point and contains against the subspace's own point set:
+    every point of PG(5,2), and 300 sampled points at q=4, on random
+    subspaces of every dimension, each with a subspace spanned by some of
+    its points."""
+    gf = field(q)
+    rng = random.Random(q)
+    points = pg_points(gf, 5)
+    if q == 4:
+        points = rng.sample(points, 300)
+    subspaces = []
+    for r in range(1, 7):
+        for _ in range(4):
+            rows = rref(gf, _random_rows(gf, rng, r, 6))
+            while len(rows) < r:
+                rows = rref(gf, _random_rows(gf, rng, r, 6))
+            s = Subspace(gf, 5, rows)
+            subspaces += [s, span(gf, rng.sample(s.points(), rng.randint(1, r)))]
+    for s in subspaces:
+        pts = set(s.points())
+        for y in points:
+            assert s.contains_point(y) == (y in pts)
+        for t in subspaces:
+            assert s.contains(t) == (set(t.points()) <= pts)

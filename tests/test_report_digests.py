@@ -7,7 +7,9 @@ to that of ``verify --suite distributions --q 16``.  Any change to the
 classifier that alters a label, an invariant or the report layout shows up
 as a digest mismatch naming the request.  The ``verify --suite
 line-orbits`` reports at q = 4 and 8 are pinned the same way, so the group
-action behind them cannot change an orbit, an order or a count unnoticed.
+action behind them cannot change an orbit, an order or a count unnoticed,
+and so are the partition sweep at q = 2 (orbit sizes and stabilizer orders)
+and the double-line sweeps at q = 2 (every plane) and q = 8 (sampled).
 """
 
 import hashlib
@@ -177,3 +179,17 @@ LINE_ORBITS_PINNED = {
 def test_line_orbit_report_bytes_are_pinned(q, capsys):
     out = _report(["verify", "--q", str(q), "--suite", "line-orbits"], capsys)
     assert hashlib.sha256(out.encode()).hexdigest() == LINE_ORBITS_PINNED[q]
+
+
+SWEEPS_PINNED = {
+    "partition --q 2": '101822ad79e7132fd28a95165d92425c15751ac7dc7981ac9963a066dff32773',
+    "double-lines --q 2": '22de0c77eec15fd690e1bb974aa468dcb79ac48d5f51aa6ebd38dc83c3f3f4c1',
+    "double-lines --q 8 --samples 2000":
+        '13823a08ab862290dc332bd8800180cf6a5c0ae894234e6cdfac9794ecc0ed6e',
+}
+
+
+@pytest.mark.parametrize("args", sorted(SWEEPS_PINNED))
+def test_sweep_report_bytes_are_pinned(args, capsys):
+    out = _report(["verify", "--suite", *args.split()], capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEPS_PINNED[args]

@@ -213,3 +213,27 @@ def test_conic_planes_and_nuclei_by_brute_force(gf4):
         for c in conic:
             tangent = span(gf4, [nuc, c])
             assert sum(1 for d in conic if tangent.contains_point(d)) == 1
+
+
+@pytest.mark.parametrize("q", (2, 4, 8))
+def test_conic_plane_of_nuclear_point_is_closed_form(q):
+    """A nuclear point (0,b,c,0,e,0) has kernel u = (e,c,b); a point y lies
+    on that line's conic plane iff M_y u = 0, and a rank-1 point y iff
+    y0 u0^2 + y3 u1^2 + y5 u2^2 = 0, the test the Sigma3/Sigma4 tie-break of
+    classify_plane makes."""
+    gf = field(q)
+    sq = [gf.mul(x, x) for x in gf.elements]
+    for y in nucleus_plane(gf).points():
+        u, plane = conic_plane_of(gf, y)
+        assert u == normalize_point(gf, (y[4], y[2], y[1]))
+        for p in pg_points(gf, 2):
+            z = veronese(gf, p)
+            on = not (gf.mul(z[0], sq[u[0]]) ^ gf.mul(z[3], sq[u[1]]) ^ gf.mul(z[5], sq[u[2]]))
+            assert plane.contains_point(z) == on
+        if q <= 4:
+            for z in pg_points(gf, 5):
+                kills = not any(
+                    gf.mul(r[0], u[0]) ^ gf.mul(r[1], u[1]) ^ gf.mul(r[2], u[2])
+                    for r in sym_matrix(z)
+                )
+                assert plane.contains_point(z) == kills
