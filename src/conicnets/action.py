@@ -24,9 +24,7 @@ each; scaling by c uses one such pair per c.  ``PackedAction`` builds these
 tables per call; its ``image`` maps and reduces in one packed elimination.
 One breadth-first ``closure``, which records each state's parent, serves
 ``orbit_keys``, ``k_equivalent``, ``mulclose`` and ``stabilizer``; the last
-multiplies out Schreier generators along the parent pointers.  Stabilizer
-orders follow from the orbit-stabilizer identity and, for small q, can be
-cross-checked by filtering the full group.
+multiplies out Schreier generators along the parent pointers.
 """
 
 from __future__ import annotations
@@ -376,17 +374,6 @@ def _generator_orbit(s: Subspace, max_keys: int | None, target: int | None) -> d
 def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     """Packed keys of the full orbit of s, by breadth-first closure."""
     return set(_generator_orbit(s, max_keys, None))
-
-
-def stabilizer_order(s: Subspace, max_keys: int | None = None) -> int:
-    """|stabilizer| via the orbit-stabilizer identity."""
-    size = len(orbit_keys(s, max_keys=max_keys))
-    total = pgl_order(s.gf.q)
-    if total % size:
-        raise VerificationError(
-            "orbit size %d does not divide the group order %d" % (size, total)
-        )
-    return total // size
 
 
 def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> bool:

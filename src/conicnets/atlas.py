@@ -1,7 +1,9 @@
 """Orbit atlas for planes meeting the nucleus plane of the Veronese surface.
 
 Ships the 18 orbit representatives with their field-dependent parameter
-searches, the end-to-end classifier for planes and for nets of conics, the
+searches, the closed-form orbit table (point and hyperplane distributions,
+cubic kinds, stabilizer orders) with a direct stabilizer count to check it
+against, the end-to-end classifier for planes and for nets of conics, the
 plane <-> net correspondence, and the verification reports that back the
 ``conicnets verify`` command line.
 
@@ -19,6 +21,7 @@ import functools
 import os
 import random
 from collections import Counter
+from itertools import product
 from multiprocessing import get_context
 
 from .action import (
@@ -170,6 +173,66 @@ def expected_signature(label: str, q: int) -> PlaneSignature:
         cubic_kind=kind,
         hyperplane_counts=expected_hyperplane_distribution(label, q),
     )
+
+
+def expected_stabilizer_order(label: str, q: int) -> int:
+    """Order of the stabilizer in PGL(3,q) of a plane in the named orbit, as
+    closed formulas in q; the orbit has pgl_order(q) / order planes."""
+    g = pgl_order(q)
+    table = {
+        "Sigma1": g // (q * q + q + 1),
+        "Sigma3": q * (q - 1) ** 2,
+        "Sigma4": 2 * q * (q - 1),
+        "Sigma7": g // (q * q + q + 1),
+        "Sigma8": q * q * (q - 1) ** 2,
+        "Sigma9": q * q * (q - 1),
+        "Sigma10": q * (q - 1),
+        "Sigma11": q - 1,
+        "Sigma15": q**3 * (q - 1),
+        "SigmaN": g,
+        "Sigma16": q**3 * (q * q - 1),
+        "Sigma17": q * q * (q - 1),
+        "Sigma18": 3 * q * q,
+        "Sigma19": 6 * q * q,
+        "Sigma20": 2 * q * q,
+        "Sigma21": 2 * q * (q - 1),
+        "Sigma22": 1,
+        "Sigma23": q,
+    }
+    return table[label]
+
+
+def plane_stabilizer_order(s: Subspace) -> int:
+    """Order of the stabilizer in PGL(3,q) of a plane meeting the nucleus
+    plane, counted directly.
+
+    Kernels u = (y4, y2, y1) of nuclear points move by u -> A^-T u, so the
+    stabilizer fixes the one kernel u, or the dual vector w (moving by
+    w -> A w) of the kernels' line.  Moved by C, whose first row is u or
+    whose last two rows are kernels (unit vectors fill the rest), the plane
+    has u or w at e0, and its stabilizer lies among the q^3 (q-1) (q^2-1)
+    normalized matrices with first row, or first column, (1,0,0); those
+    that carry each basis row, row 0 first, into the plane are counted.
+    The whole group fixes the nucleus plane.
+    """
+    gf, q = s.gf, s.gf.q
+    kernels = [(y[4], y[2], y[1]) for y in s.points() if not (y[0] | y[3] | y[5])]
+    if not kernels:
+        raise OutOfFamilyError("plane misses the nucleus plane")
+    if len(kernels) > q + 1:
+        return pgl_order(q)
+    point = len(kernels) == 1
+    pivots = [r.index(1) for r in rref(gf, kernels[:2])]
+    units = [tuple(int(i == j) for i in range(3)) for j in range(3) if j not in pivots]
+    moved = act_subspace(s, sum(kernels[:1] + units if point else units + kernels[:2], ()))
+    pts, mul, els = set(moved.points()), gf._mul, gf.elements
+    blocks = [(b, c, e, f) for b, c, e, f in product(els, repeat=4) if mul[b][f] ^ mul[c][e]]
+    count = 0
+    for x, y in product(els, repeat=2):
+        for b, c, e, f in blocks:
+            a = (1, 0, 0, x, b, c, y, e, f) if point else (1, x, y, 0, b, c, 0, e, f)
+            count += all(congruence_image(gf, a, r) in pts for r in moved.rows)
+    return count
 
 
 # -- parameter searches ----------------------------------------------------
@@ -332,17 +395,7 @@ def orbit_atlas(gf: GF) -> dict[str, frozenset[int]]:
     """Orbit label -> frozenset of packed plane keys.  Exhaustive, q <= 4."""
     if gf.q > 4:
         raise ConfigurationError("orbit atlas enumeration is limited to q <= 4")
-    sets = {}
-    union: set[int] = set()
-    total = 0
-    for label in LABELS:
-        keys = orbit_keys(representatives(gf)[label])
-        sets[label] = frozenset(keys)
-        union |= keys
-        total += len(keys)
-    if len(union) != total:
-        raise VerificationError("orbit key-sets are not pairwise disjoint")
-    return sets
+    return {label: frozenset(orbit_keys(s)) for label, s in representatives(gf).items()}
 
 
 def classify_plane(s: Subspace) -> str:
@@ -473,19 +526,16 @@ def planes_meeting_nucleus_count(q: int) -> int:
     return gaussian_binomial(6, 3, q) - q**9
 
 
-def _orbit_rows(gf: GF, sizes: dict[str, int] | None) -> list[dict]:
+def _orbit_rows(gf: GF, orders: dict[str, int] | None) -> list[dict]:
     rows = []
     params = representative_parameters(gf)
     for label in LABELS:
         s = representatives(gf)[label]
         sig = expected_signature(label, gf.q)
-        size = sizes.get(label) if sizes else None
-        stab = None
-        if size:
-            stab = pgl_order(gf.q) // size
+        stab = orders[label] if orders else None
         rows.append({
             "label": label,
-            "size": size,
+            "size": stab and pgl_order(gf.q) // stab,
             "stabilizer_order": stab,
             "od0": list(sig.point_counts),
             "od4": list(sig.hyperplane_counts),
@@ -529,7 +579,10 @@ def verify_distributions(gf: GF) -> dict:
 
 
 def _partition_chunk(state, chunk):
+    """A label's stabilizer order, or one enumeration chunk's sweep tally."""
     gf = field(state["q"], state["modulus"])
+    if isinstance(chunk, str):
+        return plane_stabilizer_order(representative(gf, chunk))
     index = state["index"]
     tally: Counter = Counter()
     stray: list[int] = []
@@ -573,44 +626,40 @@ def _run_chunks(worker, state: dict, chunks, workers: int):
     return [worker(state, chunk) for chunk in chunks]
 
 
-def verify_partition(gf: GF, exhaustive: bool | None = None, workers: int = 0) -> dict:
+def verify_partition(gf: GF, workers: int = 0) -> dict:
     """Reproduce the 18-orbit partition of planes meeting the nucleus plane.
 
-    Exhaustive mode (default for q <= 4) checks that the 18 orbit key-sets
-    are pairwise disjoint and absorb every enumerated plane that meets the
-    nucleus plane, and runs the classifier on every one of those planes
-    against its orbit.  Representative mode (default for q = 8) checks
-    disjointness and that the breadth-first orbit sizes sum to the
-    independently computed count of planes meeting the nucleus plane.
+    At every q each representative's stabilizer is counted directly and
+    must equal its closed form (VerificationError otherwise), and the orbit
+    sizes |G| / |stabilizer| must sum to the count of planes meeting the
+    nucleus plane.  The classifier reads only invariants, so its 18
+    distinct labels on the representatives make the orbits disjoint.  For
+    q <= 4 (exhaustive mode; q = 8 is representative mode) the orbit key
+    sets are the oracle: every plane is swept, every meeting plane must lie
+    in one, tallies must equal the sizes, and the classifier must agree.
     """
     q = gf.q
     if q > 8:
         raise ConfigurationError("partition verification supports q in {2, 4, 8}")
-    if exhaustive is None:
-        exhaustive = q <= 4
+    exhaustive = q <= 4
     reps = representatives(gf)
-    checks = []
-    sizes: dict[str, int] = {}
-    key_sets: dict[str, frozenset[int]] | None = None
-    if q <= 4:
-        key_sets = orbit_atlas(gf)
-        sizes = {label: len(key_sets[label]) for label in LABELS}
-        disjoint = True  # orbit_atlas fails loudly otherwise
-    else:
-        if exhaustive:
-            key_sets = {}
-        union: set[int] = set()
-        total = 0
-        for label in LABELS:
-            keys = orbit_keys(reps[label])
-            sizes[label] = len(keys)
-            total += len(keys)
-            union |= keys
-            if key_sets is not None:
-                key_sets[label] = frozenset(keys)
-        disjoint = len(union) == total
-        del union
-    checks.append(_check("orbit_sets_disjoint", disjoint, {"orbits": len(LABELS)}))
+    index = {key: label for label, keys in orbit_atlas(gf).items()
+             for key in keys} if exhaustive else {}
+    chunks = list(LABELS) + (plane_enumeration_chunks(gf) if exhaustive else [])
+    state = {"q": q, "modulus": gf.modulus, "index": index}
+    results = _run_chunks(_partition_chunk, state, chunks, workers)
+    orders = dict(zip(LABELS, results))
+    for label, order in orders.items():
+        want = expected_stabilizer_order(label, q)
+        if order != want:
+            raise VerificationError(
+                "stabilizer of %s has order %d, expected %d" % (label, order, want))
+    sizes = {label: pgl_order(q) // orders[label] for label in LABELS}
+    checks = [_check(
+        "orbit_sets_disjoint",
+        all(classify_plane(reps[label]) == label for label in LABELS),
+        {"orbits": len(LABELS)},
+    )]
     expected_total = planes_meeting_nucleus_count(q)
     total = sum(sizes.values())
     checks.append(_check(
@@ -618,12 +667,6 @@ def verify_partition(gf: GF, exhaustive: bool | None = None, workers: int = 0) -
         total == expected_total,
         {"sum": total, "expected": expected_total},
     ))
-    for label in LABELS:
-        if pgl_order(q) % sizes[label]:
-            raise VerificationError(
-                "orbit size %d of %s does not divide the group order"
-                % (sizes[label], label)
-            )
     empty = [label for label in LABELS
              if point_class_counts(reps[label])[0] == 0]
     checks.append(_check(
@@ -631,19 +674,12 @@ def verify_partition(gf: GF, exhaustive: bool | None = None, workers: int = 0) -
         len(empty) == 9 and tuple(empty) == EMPTY_BASE_LABELS,
         {"labels": empty},
     ))
-    mode = "exhaustive" if exhaustive else "representative"
     totals = {"orbit_count": len(LABELS), "family_size": total}
     if exhaustive:
-        index: dict[int, str] = {}
-        for label in LABELS:
-            for key in key_sets[label]:
-                index[key] = label
-        state = {"q": q, "modulus": gf.modulus, "index": index}
-        results = _run_chunks(_partition_chunk, state, plane_enumeration_chunks(gf), workers)
         tally: Counter = Counter()
         stray: list[int] = []
         meeting = agree = 0
-        for t, st, m, ag in results:
+        for t, st, m, ag in results[len(LABELS):]:
             tally.update(t)
             stray.extend(st)
             meeting += m
@@ -670,8 +706,8 @@ def verify_partition(gf: GF, exhaustive: bool | None = None, workers: int = 0) -
         "schema": SCHEMA,
         "q": q,
         "suite": "partition",
-        "mode": mode,
-        "orbits": _orbit_rows(gf, sizes),
+        "mode": "exhaustive" if exhaustive else "representative",
+        "orbits": _orbit_rows(gf, orders),
         "totals": totals,
         "checks": checks,
     }
@@ -711,15 +747,15 @@ def _double_line_sample_chunk(state, args):
 
 def verify_double_lines(
     gf: GF,
-    exhaustive: bool | None = None,
     samples: int | None = None,
     seed: int = 0,
     workers: int = 0,
 ) -> dict:
     """Check that a plane's rank-2 nuclear point count equals the number of
     double-line hyperplane classes through it, on every plane (exhaustive)
-    or on uniformly sampled planes.  A sample count selects sampling at any
-    q; without one, q <= 4 sweeps every plane and larger q samples 100,000.
+    or on uniformly sampled planes.  The mode follows ``samples`` alone: a
+    sample count selects sampling at any q; without one, q <= 4 sweeps
+    every plane and larger q samples 100,000.
 
     Sampling draws random full-rank 3x6 matrices, which is uniform on
     planes because every plane has the same number of ordered bases.  The
@@ -727,11 +763,10 @@ def verify_double_lines(
     depend on the worker count.
     """
     q = gf.q
-    if exhaustive is None:
-        exhaustive = samples is None and q <= 4
+    exhaustive = samples is None and q <= 4
     if samples is None:
         samples = 100_000
-    if not exhaustive and samples < 1:
+    if samples < 1:
         raise ValueError("samples must be at least 1, got %d" % samples)
     if exhaustive:
         worker, chunks = _double_line_chunk, plane_enumeration_chunks(gf)

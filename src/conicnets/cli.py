@@ -203,7 +203,7 @@ def cmd_classify_net(args) -> int:
 
 def cmd_atlas(args) -> int:
     gf = _field(args)
-    report = atlas.verify_partition(gf, exhaustive=args.exhaustive, workers=args.workers)
+    report = atlas.verify_partition(gf, workers=args.workers)
     if args.format == "csv":
         _emit(args, _atlas_csv(report))
     else:
@@ -213,21 +213,20 @@ def cmd_atlas(args) -> int:
 
 def cmd_verify(args) -> int:
     gf = _field(args)
+    if args.suite != "double-lines":
+        for flag in ("samples", "seed"):
+            if getattr(args, flag) is not None:
+                raise UsageError("--%s applies only to --suite double-lines" % flag)
     if args.suite == "distributions":
         report = atlas.verify_distributions(gf)
     elif args.suite == "double-lines":
-        if args.exhaustive and args.samples is not None:
-            raise UsageError("--exhaustive and --samples exclude each other")
         report = atlas.verify_double_lines(
-            gf, exhaustive=args.exhaustive, samples=args.samples,
-            seed=args.seed, workers=args.workers,
+            gf, samples=args.samples, seed=args.seed or 0, workers=args.workers,
         )
     elif args.suite == "line-orbits":
         report = atlas.verify_line_orbits(gf)
     elif args.suite == "partition":
-        report = atlas.verify_partition(
-            gf, exhaustive=args.exhaustive, workers=args.workers
-        )
+        report = atlas.verify_partition(gf, workers=args.workers)
     else:
         report = atlas.verify_known_net(gf)
     _emit(args, report)
@@ -265,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", help="build the orbit atlas and partition report")
     _add_common(p)
     p.add_argument("--workers", type=int, default=0, help="parallel sweep processes")
-    p.add_argument("--exhaustive", action="store_true", default=None,
-                   help="force the all-planes sweep (default: on for q <= 4)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(run=cmd_atlas)
 
@@ -274,12 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--workers", type=int, default=0, help="parallel sweep processes")
-    p.add_argument("--exhaustive", action="store_true", default=None,
-                   help="force the all-planes sweep (default: on for q <= 4)")
     p.add_argument("--samples", type=int, default=None,
                    help="sample the double-lines suite at any q "
                         "(default: every plane for q <= 4, else 100000)")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--seed", type=int, default=None,
+                   help="sampling seed of the double-lines suite (default: 0)")
     p.set_defaults(run=cmd_verify)
 
     return parser

