@@ -30,6 +30,7 @@ multiplies out Schreier generators along the parent pointers.
 from __future__ import annotations
 
 import functools
+from collections.abc import KeysView
 from itertools import product
 
 from .errors import ResourceBudgetError, VerificationError
@@ -371,9 +372,10 @@ def _generator_orbit(s: Subspace, max_keys: int | None, target: int | None) -> d
     return closure(s.key_int(), lambda k, i: image(k, n, gens[i]), len(gens), max_keys, target)
 
 
-def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
-    """Packed keys of the full orbit of s, by breadth-first closure."""
-    return set(_generator_orbit(s, max_keys, None))
+def orbit_keys(s: Subspace, max_keys: int | None = None) -> KeysView[int]:
+    """Packed keys of the full orbit of s, by breadth-first closure: a
+    set-like view of the closure's parent map, not copied into a set."""
+    return _generator_orbit(s, max_keys, None).keys()
 
 
 def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> bool:

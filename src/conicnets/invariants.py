@@ -17,7 +17,7 @@ invariants collected here:
   * nucleus_meet_dim: projective dimension of the meet with the nucleus
     plane;
   * the determinantal cubic, its rational points, and its factorization
-    type over GF(q);
+    type over GF(q), read off its gradient at those points;
   * line_class_profile: the multiset of point-class counts of the lines
     inside a plane;
   * plane_key: the point-class counts with the cubic's factorization type,
@@ -29,6 +29,7 @@ All are constant on orbits of the lifted projectivity group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import ClassificationError
 from .gf import GF
@@ -39,8 +40,6 @@ CUBIC_MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
     (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
 )
-
-CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
 CUBIC_KINDS = (
     "TripleLine",
@@ -167,56 +166,32 @@ def nucleus_meet_dim(s: Subspace) -> int:
 # -- the determinantal cubic ----------------------------------------------
 
 
-def _pd_add(d1: dict, d2: dict) -> dict:
-    out = dict(d1)
-    for k, v in d2.items():
-        nv = out.get(k, 0) ^ v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _pd_mul(gf: GF, d1: dict, d2: dict) -> dict:
-    mul = gf._mul
-    out: dict = {}
-    for (a1, b1, c1), v1 in d1.items():
-        for (a2, b2, c2), v2 in d2.items():
-            k = (a1 + a2, b1 + b2, c1 + c2)
-            nv = out.get(k, 0) ^ mul[v1][v2]
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _lin_dict(coeffs) -> dict:
-    exps = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return {e: c for e, c in zip(exps, coeffs) if c}
+# CUBIC_MONOMIALS index of x_i*x_j*x_k for every ordered triple (i, j, k)
+_CUBE = {
+    ijk: CUBIC_MONOMIALS.index(tuple(ijk.count(v) for v in range(3)))
+    for ijk in product(range(3), repeat=3)
+}
 
 
 def cubic_form(s: Subspace) -> tuple[int, ...]:
     """Coefficients of det(x*B0 + y*B1 + z*B2) in CUBIC_MONOMIALS order.
 
-    The zero tuple is a legal value: planes inside the secant variety have
-    identically vanishing determinant.
+    Each matrix entry is the linear form in (x, y, z) given by its column of
+    the basis.  a*d*f is expanded over the ordered index triples; squaring
+    is additive in characteristic 2, so a*e^2 + b^2*f + c^2*d contributes
+    a_i e_j^2 + b_j^2 f_i + c_j^2 d_i to x_i x_j^2.  The zero tuple is a
+    legal value: planes inside the secant variety have identically
+    vanishing determinant.
     """
     _require_plane(s)
-    gf = s.gf
-    b0, b1, b2 = s.rows
-    la = _lin_dict((b0[0], b1[0], b2[0]))
-    lb = _lin_dict((b0[1], b1[1], b2[1]))
-    lc = _lin_dict((b0[2], b1[2], b2[2]))
-    ld = _lin_dict((b0[3], b1[3], b2[3]))
-    le = _lin_dict((b0[4], b1[4], b2[4]))
-    lf = _lin_dict((b0[5], b1[5], b2[5]))
-    det = _pd_mul(gf, _pd_mul(gf, la, ld), lf)
-    det = _pd_add(det, _pd_mul(gf, la, _pd_mul(gf, le, le)))
-    det = _pd_add(det, _pd_mul(gf, _pd_mul(gf, lb, lb), lf))
-    det = _pd_add(det, _pd_mul(gf, _pd_mul(gf, lc, lc), ld))
-    return tuple(det.get(m, 0) for m in CUBIC_MONOMIALS)
+    mul, sq = s.gf._mul, s.gf._sq
+    a, b, c, d, e, f = zip(*s.rows)
+    out = [0] * len(CUBIC_MONOMIALS)
+    for (i, j, k), n in _CUBE.items():
+        out[n] ^= mul[mul[a[i]][d[j]]][f[k]]
+        if j == k:
+            out[n] ^= mul[a[i]][sq[e[j]]] ^ mul[sq[b[j]]][f[i]] ^ mul[sq[c[j]]][d[i]]
+    return tuple(out)
 
 
 def cubic_eval(gf: GF, cubic, p) -> int:
@@ -243,86 +218,19 @@ def cubic_points(gf: GF, cubic) -> list[tuple[int, ...]]:
     return [p for p in pg_points(gf, 2) if cubic_eval(gf, cubic, p) == 0]
 
 
-def _cubic_dict(cubic) -> dict:
-    return {m: c for m, c in zip(CUBIC_MONOMIALS, cubic) if c}
-
-
-def _subst_var(gf: GF, d: dict, var: int, repl: dict) -> dict:
-    """Substitute x_var -> repl (a polynomial dict) in d."""
-    out: dict = {}
-    pow_cache = {0: {(0, 0, 0): 1}}
-
-    def rpow(k):
-        if k not in pow_cache:
-            pow_cache[k] = _pd_mul(gf, rpow(k - 1), repl)
-        return pow_cache[k]
-
-    for exps, v in d.items():
-        k = exps[var]
-        rest = list(exps)
-        rest[var] = 0
-        term = _pd_mul(gf, {tuple(rest): v}, rpow(k))
-        out = _pd_add(out, term)
-    return out
-
-
-def divide_by_linear(gf: GF, d: dict, lin) -> dict | None:
-    """Exact quotient d / lin for a homogeneous polynomial dict, or None.
-
-    Works by the substitution x_p -> u + m where lin = x_p + m after
-    normalizing its pivot coefficient; divisibility is the vanishing of the
-    u-free part, which is a polynomial identity test, not a point test.
-    """
-    lcoeffs = list(lin)
-    pivot = next((i for i, c in enumerate(lcoeffs) if c), None)
-    if pivot is None:
-        raise ValueError("zero linear form")
-    if lcoeffs[pivot] != 1:
-        inv = gf._inv[lcoeffs[pivot]]
-        lcoeffs = [gf._mul[inv][c] for c in lcoeffs]
-    m = dict(_lin_dict(lcoeffs))
-    m.pop(((1, 0, 0), (0, 1, 0), (0, 0, 1))[pivot])
-    # split d by pivot exponent after x_p -> x_p + m (char 2 binomials are
-    # all-ones for exponents <= 3)
-    shifted: dict = {}
-    for exps, v in d.items():
-        k = exps[pivot]
-        base = list(exps)
-        base[pivot] = 0
-        basekey = tuple(base)
-        if k == 0:
-            shifted = _pd_add(shifted, {basekey: v})
-            continue
-        term: dict = {}
-        mpow = {(0, 0, 0): 1}
-        for i in range(k + 1):
-            # u^(k-i) * m^i kept only when C(k,i) is odd (Lucas test)
-            if (i & (k - i)) == 0:
-                ukey = [0, 0, 0]
-                ukey[pivot] = k - i
-                term = _pd_add(term, _pd_mul(gf, {tuple(ukey): 1}, mpow))
-            if i < k:
-                mpow = _pd_mul(gf, mpow, m)
-        shifted = _pd_add(shifted, _pd_mul(gf, {basekey: v}, term))
-    remainder = {e: v for e, v in shifted.items() if e[pivot] == 0}
-    if remainder:
-        return None
-    quot_u: dict = {}
-    for exps, v in shifted.items():
-        k = exps[pivot]
-        down = list(exps)
-        down[pivot] = k - 1
-        quot_u[tuple(down)] = v
-    lin_d = _lin_dict(lcoeffs)
-    quot = _subst_var(gf, quot_u, pivot, lin_d)
-    # belt: verify lin * quot reproduces d exactly
-    if _pd_add(_pd_mul(gf, lin_d, quot), d):
-        raise ClassificationError("polynomial division self-check failed")
-    return quot
-
-
-def _conic_tuple(d: dict) -> tuple[int, ...]:
-    return tuple(d.get(m, 0) for m in CONIC_MONOMIALS)
+def _gradient(gf: GF, cubic, p) -> tuple[int, int, int]:
+    """The gradient of a cubic form at p.  In characteristic 2 the terms
+    with an even exponent drop out of each partial derivative, leaving
+    d/dx = c0 x^2 + c3 y^2 + c4 yz + c5 z^2 and likewise for y and z."""
+    mul, sq = gf._mul, gf._sq
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = cubic
+    x, y, z = p
+    x2, y2, z2 = sq[x], sq[y], sq[z]
+    return (
+        mul[c0][x2] ^ mul[c3][y2] ^ mul[c4][mul[y][z]] ^ mul[c5][z2],
+        mul[c1][x2] ^ mul[c4][mul[x][z]] ^ mul[c6][y2] ^ mul[c8][z2],
+        mul[c2][x2] ^ mul[c4][mul[x][y]] ^ mul[c7][y2] ^ mul[c9][z2],
+    )
 
 
 def _det3(gf: GF, rows) -> int:
@@ -340,15 +248,20 @@ def _dot(gf: GF, u, p) -> int:
     return mul[u[0]][p[0]] ^ mul[u[1]][p[1]] ^ mul[u[2]][p[2]]
 
 
-def _join(gf: GF, p, r) -> tuple[int, ...]:
-    """Normalized dual coordinates of the line through two distinct points
-    (their cross product; characteristic 2 needs no signs)."""
+def _cross(gf: GF, p, r) -> tuple[int, int, int]:
+    """Cross product; characteristic 2 needs no signs.  It vanishes exactly
+    when p and r are linearly dependent."""
     mul = gf._mul
-    return normalize_point(gf, (
+    return (
         mul[p[1]][r[2]] ^ mul[p[2]][r[1]],
         mul[p[2]][r[0]] ^ mul[p[0]][r[2]],
         mul[p[0]][r[1]] ^ mul[p[1]][r[0]],
-    ))
+    )
+
+
+def _join(gf: GF, p, r) -> tuple[int, ...]:
+    """Normalized dual coordinates of the line through two distinct points."""
+    return normalize_point(gf, _cross(gf, p, r))
 
 
 def component_candidates(gf: GF, zeros) -> list[tuple[int, ...]]:
@@ -362,7 +275,8 @@ def component_candidates(gf: GF, zeros) -> list[tuple[int, ...]]:
     is made of zeros.  So each candidate is a line through a zero P of L
     that carries q further zeros.  At q = 2 a nonzero cubic can vanish on
     every point; then every line is a candidate.  At q = 2 a line of zeros
-    need not be a component, so candidates still go to exact division.
+    need not be a component, so cubic_type still tests each candidate
+    against the gradient.
     """
     q = gf.q
     if len(zeros) < q + 1:
@@ -386,90 +300,63 @@ def component_candidates(gf: GF, zeros) -> list[tuple[int, ...]]:
 
 
 def cubic_type(gf: GF, cubic, zeros=None) -> str:
-    """Factorization type of a nonzero cubic form over GF(q), q even.
+    """Factorization type of a nonzero cubic form f over GF(q), q even.
 
     ``zeros`` is the cubic's rational zero set, computed here when not
-    given.  Rational linear factors are extracted with multiplicity by
-    exact polynomial division by the component candidates of that zero set;
-    the residual conic, if any, is classified by classify_conic and meets
-    the component line in the zeros of the conic on that line.  Types are
-    the CUBIC_KINDS strings.
+    given.  Everything is read off the gradient at those zeros (Hirschfeld,
+    Projective Geometries over Finite Fields).  If f = L*g, the gradient at
+    a point of L is g there times L's dual vector u.  So a line of zeros is
+    a component iff the gradient is a multiple of u on all of it (which
+    only q = 2 needs checked), and a double one iff all its points are
+    singular.  For f = L*C with L simple, C is an imaginary pair iff no zero
+    off L is smooth; otherwise C is a conic and the singular points of L are
+    where it meets C.  Types are the CUBIC_KINDS strings.
     """
     if not any(cubic):
         raise ValueError("the zero cubic has no factorization type")
     if zeros is None:
         zeros = cubic_points(gf, cubic)
-    current = _cubic_dict(cubic)
-    factors: list[tuple[int, ...]] = []
-    for lin in component_candidates(gf, zeros):
-        while len(factors) < 2:
-            quot = divide_by_linear(gf, current, lin)
-            if quot is None:
-                break
-            factors.append(lin)
-            current = quot
-    if len(factors) == 2:
-        # the residual is itself a linear factor
-        coeffs = tuple(current.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        factors.append(normalize_point(gf, coeffs))
+    candidates = component_candidates(gf, zeros)
+    grad = {p: _gradient(gf, cubic, p) for p in zeros} if candidates else {}
+    simple, double = [], []
+    for u in candidates:
+        on = [p for p in zeros if not _dot(gf, u, p)]
+        if any(any(_cross(gf, grad[p], u)) for p in on):
+            continue
+        (simple if any(any(grad[p]) for p in on) else double).append(u)
 
-    if len(factors) == 3:
-        distinct = set(factors)
-        if len(distinct) == 1:
-            return "TripleLine"
-        if len(distinct) == 2:
-            return "LinePlusDoubleLine"
+    shape = len(double), len(simple)
+    if shape == (1, 0):
+        return "TripleLine"
+    if shape == (1, 1):
+        return "LinePlusDoubleLine"
+    if shape == (0, 3):
         return (
             "ThreeConcurrentLines"
-            if _det3(gf, factors) == 0
+            if _det3(gf, simple) == 0
             else "ThreeNonConcurrentLines"
         )
-    if len(factors) == 1:
-        conic = _conic_tuple(current)
-        kind = classify_conic(gf, conic)
-        if kind == "ImaginaryPair":
+    if shape == (0, 1):
+        u = simple[0]
+        if not any(any(grad[p]) for p in zeros if _dot(gf, u, p)):
             return "LinePlusImaginaryPair"
-        if kind == "Nonsingular":
-            lin = factors[0]
-            hits = sum(
-                1 for p in zeros
-                if _dot(gf, lin, p) == 0 and _conic_eval(gf, conic, p) == 0
-            )
-            if hits == 1:
-                return "LinePlusConic_Tangent"
-            if hits == 2:
-                return "LinePlusConic_Transversal"
-            raise ClassificationError(
-                "component line meets the residual conic in %d points" % hits
-            )
+        hits = sum(1 for p in zeros if not _dot(gf, u, p) and not any(grad[p]))
+        if hits == 1:
+            return "LinePlusConic_Tangent"
+        if hits == 2:
+            return "LinePlusConic_Transversal"
         raise ClassificationError(
-            "reducible residual conic (%s) escaped linear factor extraction" % kind
+            "component line meets the residual conic in %d points" % hits
+        )
+    if shape != (0, 0):
+        raise ClassificationError(
+            "%d double and %d simple line components" % shape
         )
     if len(zeros) == 1:
         return "NoRationalComponentPoint"
     if len(zeros) >= 2:
         return "IrreducibleCubic"
     raise ClassificationError("cubic with no factors and no rational points")
-
-
-def _conic_eval(gf: GF, conic, p) -> int:
-    mul = gf._mul
-    x, y, z = p
-    a00, a01, a02, a11, a12, a22 = conic
-    acc = 0
-    if a00:
-        acc ^= mul[a00][mul[x][x]]
-    if a01:
-        acc ^= mul[a01][mul[x][y]]
-    if a02:
-        acc ^= mul[a02][mul[x][z]]
-    if a11:
-        acc ^= mul[a11][mul[y][y]]
-    if a12:
-        acc ^= mul[a12][mul[y][z]]
-    if a22:
-        acc ^= mul[a22][mul[z][z]]
-    return acc
 
 
 # -- line profile and full signature ---------------------------------------

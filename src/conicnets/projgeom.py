@@ -264,10 +264,11 @@ def _free_positions(pivots, width: int):
     return free
 
 
-def _pattern_rows(gf: GF, width: int, pivots, first_free: int | None = None):
-    """RREF bases with the given pivot columns, free entries in row-major
-    field order.  ``first_free`` pins the value of the first free entry,
-    which splits one pattern into q equal streams."""
+def _pattern_rows(gf: GF, width: int, pivots, first_free: int | None):
+    """RREF bases with the given pivot columns whose first free entry is
+    ``first_free`` (None when the pattern has no free entry), the other free
+    entries in row-major field order.  Pinning the first free entry splits
+    one pattern into q equal streams."""
     free_pos = _free_positions(pivots, width)
     base = []
     for i, p in enumerate(pivots):
@@ -275,39 +276,21 @@ def _pattern_rows(gf: GF, width: int, pivots, first_free: int | None = None):
         row[p] = 1
         base.append(row)
     if not free_pos:
-        if first_free is None:
-            yield tuple(tuple(row) for row in base)
+        yield tuple(tuple(row) for row in base)
         return
-    if first_free is None:
-        tails = product(gf.elements, repeat=len(free_pos))
-    else:
-        tails = (
-            (first_free,) + rest
-            for rest in product(gf.elements, repeat=len(free_pos) - 1)
-        )
-    for vals in tails:
+    for rest in product(gf.elements, repeat=len(free_pos) - 1):
         rows = [row[:] for row in base]
-        for (i, j), v in zip(free_pos, vals):
+        for (i, j), v in zip(free_pos, (first_free,) + rest):
             rows[i][j] = v
         yield tuple(tuple(row) for row in rows)
 
 
-def enumerate_subspace_rows(gf: GF, width: int, r: int):
-    """Every RREF basis of an r-dimensional subspace of GF(q)^width, once.
-
-    Iterates pivot-column patterns in lexicographic order, then free
-    entries in row-major field order.
-    """
-    for pivots in combinations(range(width), r):
-        yield from _pattern_rows(gf, width, pivots)
-
-
-def enumerate_planes(gf: GF, filter=None):
-    """All planes of PG(5, q) as Subspace objects, exactly once."""
-    for rows in enumerate_subspace_rows(gf, 6, 3):
-        s = Subspace(gf, 5, rows)
-        if filter is None or filter(s):
-            yield s
+def enumerate_planes(gf: GF):
+    """All planes of PG(5, q) as Subspace objects, exactly once: the chunks
+    of plane_enumeration_chunks in order, which walks pivot-column patterns
+    lexicographically, then free entries in row-major field order."""
+    for chunk in plane_enumeration_chunks(gf):
+        yield from enumerate_planes_chunk(gf, chunk)
 
 
 def plane_enumeration_chunks(gf: GF) -> list[tuple[tuple[int, ...], int | None]]:

@@ -18,9 +18,8 @@ from conicnets.atlas import (
     sigma21_parameter,
 )
 from conicnets.errors import ClassificationError
-from conicnets.gf import field
+from conicnets.gf import GF, field
 from conicnets.invariants import (
-    CONIC_MONOMIALS,
     CUBIC_KINDS,
     CUBIC_MONOMIALS,
     component_candidates,
@@ -29,7 +28,6 @@ from conicnets.invariants import (
     cubic_points,
     cubic_type,
     cubic_zeros_and_counts,
-    divide_by_linear,
     double_line_hyperplane_count,
     forms_through,
     hyperplane_class_counts,
@@ -40,8 +38,10 @@ from conicnets.invariants import (
     plane_signature,
     point_class_counts,
 )
-from conicnets.projgeom import Subspace, normalize_point, pg_points, span, unpack_rows
+from conicnets.projgeom import Subspace, normalize_point, pg_points, rref, span, unpack_rows
 from conicnets.veronese import classify_conic, nucleus_plane
+
+CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
 # Invertible over GF(4), GF(8) and GF(16) with the default moduli.
 MOVE = (2, 1, 0, 0, 3, 1, 1, 0, 2)
@@ -145,6 +145,14 @@ def test_cubic_type_on_constructed_forms(q):
     # x * (x*z + y^2): line plus a conic touching it
     tangent = _cubic({(2, 0, 1): 1, (1, 2, 0): 1})
     assert cubic_type(gf, tangent) == "LinePlusConic_Tangent"
+    # x * (x^2 + xy + t y^2), Tr(t) = 1: the pair's vertex (0,0,1) lies on
+    # the line, so the zero set is that of x^3 and only the gradient differs
+    pair = _cubic({(3, 0, 0): 1, (2, 1, 0): 1, (1, 2, 0): sigma21_parameter(gf)})
+    assert cubic_points(gf, pair) == cubic_points(gf, x3)
+    assert cubic_type(gf, pair) == "LinePlusImaginaryPair"
+    # x * (y*z + x^2): at q = 2 the conic's one zero off the line is smooth
+    transversal = _cubic({(3, 0, 0): 1, (1, 1, 1): 1})
+    assert cubic_type(gf, transversal) == "LinePlusConic_Transversal"
 
 
 def test_cubic_type_triangle_vs_concurrent(gf4):
@@ -199,6 +207,113 @@ def test_vanishing_cubic_signature(gf4):
     sig = plane_signature(representative(gf4, "SigmaN"))
     assert sig.cubic_vanishes
     assert sig.cubic_kind is None and sig.cubic_point_count is None
+
+
+# -- trial division by a linear form: the oracle for cubic_type ------------
+
+
+def _pd_add(d1: dict, d2: dict) -> dict:
+    out = dict(d1)
+    for k, v in d2.items():
+        nv = out.get(k, 0) ^ v
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _pd_mul(gf: GF, d1: dict, d2: dict) -> dict:
+    mul = gf._mul
+    out: dict = {}
+    for (a1, b1, c1), v1 in d1.items():
+        for (a2, b2, c2), v2 in d2.items():
+            k = (a1 + a2, b1 + b2, c1 + c2)
+            nv = out.get(k, 0) ^ mul[v1][v2]
+            if nv:
+                out[k] = nv
+            else:
+                out.pop(k, None)
+    return out
+
+
+def _lin_dict(coeffs) -> dict:
+    exps = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return {e: c for e, c in zip(exps, coeffs) if c}
+
+
+def _subst_var(gf: GF, d: dict, var: int, repl: dict) -> dict:
+    """Substitute x_var -> repl (a polynomial dict) in d."""
+    out: dict = {}
+    pow_cache = {0: {(0, 0, 0): 1}}
+
+    def rpow(k):
+        if k not in pow_cache:
+            pow_cache[k] = _pd_mul(gf, rpow(k - 1), repl)
+        return pow_cache[k]
+
+    for exps, v in d.items():
+        k = exps[var]
+        rest = list(exps)
+        rest[var] = 0
+        term = _pd_mul(gf, {tuple(rest): v}, rpow(k))
+        out = _pd_add(out, term)
+    return out
+
+
+def divide_by_linear(gf: GF, d: dict, lin) -> dict | None:
+    """Exact quotient d / lin for a homogeneous polynomial dict, or None.
+
+    Works by the substitution x_p -> u + m where lin = x_p + m after
+    normalizing its pivot coefficient; divisibility is the vanishing of the
+    u-free part, which is a polynomial identity test, not a point test.
+    """
+    lcoeffs = list(lin)
+    pivot = next((i for i, c in enumerate(lcoeffs) if c), None)
+    if pivot is None:
+        raise ValueError("zero linear form")
+    if lcoeffs[pivot] != 1:
+        inv = gf._inv[lcoeffs[pivot]]
+        lcoeffs = [gf._mul[inv][c] for c in lcoeffs]
+    m = dict(_lin_dict(lcoeffs))
+    m.pop(((1, 0, 0), (0, 1, 0), (0, 0, 1))[pivot])
+    # split d by pivot exponent after x_p -> x_p + m (char 2 binomials are
+    # all-ones for exponents <= 3)
+    shifted: dict = {}
+    for exps, v in d.items():
+        k = exps[pivot]
+        base = list(exps)
+        base[pivot] = 0
+        basekey = tuple(base)
+        if k == 0:
+            shifted = _pd_add(shifted, {basekey: v})
+            continue
+        term: dict = {}
+        mpow = {(0, 0, 0): 1}
+        for i in range(k + 1):
+            # u^(k-i) * m^i kept only when C(k,i) is odd (Lucas test)
+            if (i & (k - i)) == 0:
+                ukey = [0, 0, 0]
+                ukey[pivot] = k - i
+                term = _pd_add(term, _pd_mul(gf, {tuple(ukey): 1}, mpow))
+            if i < k:
+                mpow = _pd_mul(gf, mpow, m)
+        shifted = _pd_add(shifted, _pd_mul(gf, {basekey: v}, term))
+    remainder = {e: v for e, v in shifted.items() if e[pivot] == 0}
+    if remainder:
+        return None
+    quot_u: dict = {}
+    for exps, v in shifted.items():
+        k = exps[pivot]
+        down = list(exps)
+        down[pivot] = k - 1
+        quot_u[tuple(down)] = v
+    lin_d = _lin_dict(lcoeffs)
+    quot = _subst_var(gf, quot_u, pivot, lin_d)
+    # belt: verify lin * quot reproduces d exactly
+    if _pd_add(_pd_mul(gf, lin_d, quot), d):
+        raise ClassificationError("polynomial division self-check failed")
+    return quot
 
 
 # -- differential checks against brute force ---------------------------------
@@ -312,6 +427,23 @@ def _const(c):
 def _as_cubic(poly):
     assert all(sum(k) == 3 for k in poly)
     return tuple(poly.get(m, 0) for m in CUBIC_MONOMIALS)
+
+
+@pytest.mark.parametrize("q", (2, 4, 16))
+def test_cubic_form_matches_polynomial_product(q):
+    # a*d*f + a*e^2 + b^2*f + c^2*d, each entry the linear form of its column
+    gf = field(q)
+    rng = random.Random(q)
+    planes = 0
+    while planes < 50:
+        rows = rref(gf, [tuple(rng.randrange(q) for _ in range(6)) for _ in range(3)])
+        if len(rows) < 3:
+            continue
+        a, b, c, d, e, f = (_linear(col) for col in zip(*rows))
+        det = _poly_add(_prod(gf, a, d, f), _prod(gf, a, e, e),
+                        _prod(gf, b, b, f), _prod(gf, c, c, d))
+        assert cubic_form(Subspace(gf, 5, rows)) == _as_cubic(det), rows
+        planes += 1
 
 
 def _sample_cubics(gf, rng, rounds):

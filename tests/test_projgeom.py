@@ -133,7 +133,7 @@ def test_enumerate_planes_count_q2(gf2):
 
 def test_enumerate_planes_filter(gf2):
     origin = (1, 0, 0, 0, 0, 0)
-    through = list(enumerate_planes(gf2, filter=lambda s: s.contains_point(origin)))
+    through = [s for s in enumerate_planes(gf2) if s.contains_point(origin)]
     # planes through a fixed point of PG(5,q) = planes of the quotient PG(4,q)
     assert len(through) == gaussian_binomial(5, 2, 2)
 
