@@ -45,10 +45,12 @@ from .invariants import (
     PlaneSignature,
     nuclear_point_count,
     double_line_hyperplane_count,
+    nucleus_meet,
     nucleus_meet_dim,
     plane_key,
     plane_signature,
     point_class_counts,
+    veronese_points,
 )
 from .projgeom import (
     Subspace,
@@ -56,13 +58,12 @@ from .projgeom import (
     gaussian_binomial,
     nullspace,
     pack_rows,
-    pg_points,
     plane_enumeration_chunks,
     plane_from_pattern,
     rref,
     unpack_rows,
 )
-from .veronese import form_eval, point_class
+from .veronese import point_class
 
 SCHEMA = "conicnets-report/1"
 
@@ -206,25 +207,26 @@ def plane_stabilizer_order(s: Subspace) -> int:
     """Order of the stabilizer in PGL(3,q) of a plane meeting the nucleus
     plane, counted directly.
 
-    Kernels u = (y4, y2, y1) of nuclear points move by u -> A^-T u, so the
-    stabilizer fixes the one kernel u, or the dual vector w (moving by
-    w -> A w) of the kernels' line.  Moved by C, whose first row is u or
-    whose last two rows are kernels (unit vectors fill the rest), the plane
-    has u or w at e0, and its stabilizer lies among the q^3 (q-1) (q^2-1)
-    normalized matrices with first row, or first column, (1,0,0); those
-    that carry each basis row, row 0 first, into the plane are counted.
-    The whole group fixes the nucleus plane.
+    Kernels u = (y4, y2, y1) of nuclear points (the basis of nucleus_meet)
+    move by u -> A^-T u, so the stabilizer fixes the one kernel u, or the
+    dual vector w (moving by w -> A w) of the kernels' line.  Moved by C,
+    whose first row is u or whose last two rows are kernels (unit vectors
+    fill the rest), the plane has u or w at e0, and its stabilizer lies
+    among the q^3 (q-1) (q^2-1) normalized matrices with first row, or
+    first column, (1,0,0); those that carry each basis row, row 0 first,
+    into the plane are counted.  The whole group fixes the nucleus plane.
     """
     gf, q = s.gf, s.gf.q
-    kernels = [(y[4], y[2], y[1]) for y in s.points() if not (y[0] | y[3] | y[5])]
-    if not kernels:
+    meet = nucleus_meet(s)
+    if meet is None:
         raise OutOfFamilyError("plane misses the nucleus plane")
-    if len(kernels) > q + 1:
+    if meet.dim == 2:
         return pgl_order(q)
-    point = len(kernels) == 1
-    pivots = [r.index(1) for r in rref(gf, kernels[:2])]
+    kernels = [(y[4], y[2], y[1]) for y in meet.rows]
+    pivots = [r.index(1) for r in rref(gf, kernels)]
     units = [tuple(int(i == j) for i in range(3)) for j in range(3) if j not in pivots]
-    moved = act_subspace(s, sum(kernels[:1] + units if point else units + kernels[:2], ()))
+    point = meet.dim == 0
+    moved = act_subspace(s, sum(kernels + units if point else units + kernels, ()))
     pts, mul, els = set(moved.points()), gf._mul, gf.elements
     blocks = [(b, c, e, f) for b, c, e, f in product(els, repeat=4) if mul[b][f] ^ mul[c][e]]
     count = 0
@@ -405,11 +407,14 @@ def classify_plane(s: Subspace) -> str:
     up among the keys of the signature table; it pins down every label
     except Sigma3 and Sigma4.  The hyperplane classes separate no further
     orbit, so they are not computed here.  A plane of either orbit holds
-    one nuclear point and two rank-1 points; the nuclear point lies on the
-    conic plane of exactly one line of PG(2,q), and that conic plane holds
-    one of the rank-1 points for Sigma3 and neither for Sigma4.  The count
-    is invariant because the lifted group commutes with the Veronese map,
-    so it carries conic planes to conic planes.
+    one nuclear point (invariants.nucleus_meet) and two rank-1 points v(p)
+    (invariants.veronese_points).  The nuclear point lies on the conic
+    plane {M : M u = 0} of one line of PG(2,q), its kernel u = (y4, y2, y1),
+    and v(p) lies there iff p.u = 0: for one p for Sigma3, for neither for
+    Sigma4.  The count is invariant because the lifted group commutes with
+    the Veronese map, so it carries conic planes to conic planes.  A
+    ClassificationError names the plane's packed hex key and the stage that
+    failed: the key lookup or the Sigma3/Sigma4 tie-break.
     """
     gf = s.gf
     if s.n != 5 or s.dim != 2:
@@ -418,33 +423,27 @@ def classify_plane(s: Subspace) -> str:
         raise OutOfFamilyError(
             "plane misses the nucleus plane; it is outside the classified family"
         )
-    key = plane_key(s)
+    def fail(stage: str, message: str) -> ClassificationError:
+        return ClassificationError("plane %s, %s: %s" % (s.key_hex(), stage, message))
+    try:
+        key = plane_key(s)
+    except ClassificationError as exc:
+        raise fail("key lookup", str(exc)) from exc
     labels = tuple(
         label for sig, ls in signature_table(gf).items() if sig.key == key for label in ls
     )
     if not labels:
-        raise ClassificationError("plane key matches no catalogued orbit: %r" % (key,))
+        raise fail("key lookup", "key matches no catalogued orbit: %r" % (key,))
     if len(labels) == 1:
         return labels[0]
     if labels != ("Sigma3", "Sigma4"):
-        raise ClassificationError(
-            "plane key is shared by orbits %s: %r" % (", ".join(labels), key)
-        )
-    points = s.points()
-    (nuclear,) = [y for y in points if (y[0] | y[3] | y[5]) == 0]
-    # A rank-1 point y = p p^T lies on the conic plane {M : M u = 0} of the nuclear
-    # point's kernel u = (e,c,b) iff p.u = 0, iff (p.u)^2 = y0 e^2 + y3 c^2 + y5 b^2 = 0.
-    _, b, c, _, e, _ = nuclear
-    m0, m3, m5 = (gf._mul[gf._mul[v][v]] for v in (e, c, b))
-    hits = sum(
-        1 for y in points
-        if not (m0[y[0]] ^ m3[y[3]] ^ m5[y[5]]) and point_class(gf, y) == "rank1"
-    )
+        raise fail("key lookup", "key is shared by orbits %s: %r" % (", ".join(labels), key))
+    (nuclear,) = nucleus_meet(s).rows
+    m0, m1, m2 = (gf._mul[nuclear[i]] for i in (4, 2, 1))
+    hits = sum(1 for p in veronese_points(s) if not (m0[p[0]] ^ m1[p[1]] ^ m2[p[2]]))
     label = {1: "Sigma3", 0: "Sigma4"}.get(hits)
     if label is None:
-        raise ClassificationError(
-            "conic plane of the nuclear point holds %d rank-1 points" % hits
-        )
+        raise fail("Sigma3/Sigma4 tie-break", "the conic plane holds %d rank-1 points" % hits)
     return label
 
 
@@ -469,19 +468,19 @@ def plane_of_net(gf: GF, forms) -> Subspace:
     vecs = [tuple(f) for f in forms]
     if len(vecs) != 3 or any(len(v) != 6 for v in vecs):
         raise ValueError("a net needs exactly three coefficient 6-vectors")
-    reduced = rref(gf, vecs)
-    if len(reduced) != 3:
+    rows = nullspace(gf, vecs, 6)
+    if len(rows) != 3:
         raise ValueError("net basis forms are linearly dependent")
-    return Subspace(gf, 5, rref(gf, nullspace(gf, reduced, 6)))
+    return Subspace(gf, 5, rows)
 
 
 def net_base_points(gf: GF, forms) -> list[tuple[int, ...]]:
-    """Common zeros in PG(2, q) of every conic in the net."""
-    vecs = [tuple(f) for f in forms]
-    return [
-        p for p in pg_points(gf, 2)
-        if all(form_eval(gf, f, p) == 0 for f in vecs)
-    ]
+    """Common zeros in PG(2, q) of every conic in the net, in pg_points
+    order: the points p with v(p) in the net's plane, which lie on every
+    double line of the net (invariants.veronese_points).  Dependent forms
+    raise ValueError, as in plane_of_net.
+    """
+    return veronese_points(plane_of_net(gf, forms))
 
 
 def net_double_line_count(gf: GF, forms) -> int:

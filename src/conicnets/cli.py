@@ -26,9 +26,9 @@ from .errors import (
     VerificationError,
 )
 from .gf import GF, field
-from .invariants import nucleus_meet_dim
-from .projgeom import Subspace, meet, plane_from_pattern
-from .veronese import form_from_str, form_to_str, nucleus_plane
+from .invariants import nucleus_meet
+from .projgeom import Subspace, plane_from_pattern
+from .veronese import form_from_str, form_to_str
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -160,7 +160,7 @@ def cmd_classify_plane(args) -> int:
     plane = _plane_from_payload(gf, _read_payload(args))
     label = atlas.classify_plane(plane)
     sig = atlas.expected_signature(label, gf.q)
-    cut = meet(plane, nucleus_plane(gf))
+    cut = nucleus_meet(plane)
     record = {
         "schema": atlas.SCHEMA,
         "q": gf.q,
@@ -171,8 +171,8 @@ def cmd_classify_plane(args) -> int:
         "cubic_type": sig.cubic_kind,
         "plane": [list(r) for r in plane.rows],
         "intersection_with_nucleus_plane": {
-            "dimension": nucleus_meet_dim(plane),
-            "basis": [list(r) for r in cut.rows] if cut is not None else [],
+            "dimension": cut.dim,
+            "basis": [list(r) for r in cut.rows],
         },
     }
     _emit(args, record)

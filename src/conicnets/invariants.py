@@ -14,8 +14,8 @@ invariants collected here:
     contains (rank1, rank2_nuclear, rank2_secant, rank3);
   * hyperplane_class_counts: the conic classes of the q^2+q+1 hyperplanes
     through a plane (DoubleLine, RealPair, ImaginaryPair, Nonsingular);
-  * nucleus_meet_dim: projective dimension of the meet with the nucleus
-    plane;
+  * nucleus_meet_dim, nucleus_meet: the meet with the nucleus plane;
+  * veronese_points: the points of PG(2,q) whose image lies in a plane;
   * the determinantal cubic, its rational points, and its factorization
     type over GF(q), read off its gradient at those points;
   * line_class_profile: the multiset of point-class counts of the lines
@@ -34,7 +34,7 @@ from itertools import product
 from .errors import ClassificationError
 from .gf import GF
 from .projgeom import Subspace, normalize_point, nullspace, pg_points, rref
-from .veronese import classify_conic, point_class
+from .veronese import classify_conic, point_class, veronese
 
 CUBIC_MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -161,6 +161,54 @@ def nucleus_meet_dim(s: Subspace) -> int:
     """
     cols = [(r[0], r[3], r[5]) for r in s.rows]
     return len(s.rows) - len(rref(s.gf, cols)) - 1
+
+
+def nucleus_meet(s: Subspace) -> Subspace | None:
+    """The meet with the nucleus plane, or None when it is empty.
+
+    Row-reducing each basis row prefixed by its diagonal coordinates 0, 3, 5
+    combines the rows by the kernel vectors of those three columns; the
+    reduced rows whose prefix vanishes are the meet's RREF basis.
+    """
+    red = rref(s.gf, [(r[0], r[3], r[5]) + r for r in s.rows])
+    rows = tuple(r[3:] for r in red if not (r[0] | r[1] | r[2]))
+    return Subspace(s.gf, s.n, rows) if rows else None
+
+
+def veronese_points(s: Subspace) -> list[tuple[int, ...]]:
+    """The points p of PG(2,q) with v(p) in the plane, in pg_points order.
+
+    Squaring is additive in characteristic 2, so v(p) = sum l_i B_i puts p
+    in the span of the columns (sqrt B_i0, sqrt B_i3, sqrt B_i5): the net's
+    double line if the plane meets the nucleus plane in a point, a point if
+    in a line, all of PG(2,q) only if it misses it.  v(p) is in the plane
+    iff it has no residual off the basis pivots after subtracting the basis
+    rows weighted by its pivot coordinates."""
+    _require_plane(s)
+    gf = s.gf
+    mul, sq, root = gf._mul, gf._sq, gf._sqrt
+    i0, i1, i2 = pivots = [r.index(1) for r in s.rows]
+    free = [(j, *(r[j] for r in s.rows)) for j in range(6) if j not in pivots]
+
+    def residual(p):
+        y = veronese(gf, p)
+        m0, m1, m2 = mul[y[i0]], mul[y[i1]], mul[y[i2]]
+        return [y[j] ^ m0[a] ^ m1[b] ^ m2[c] for j, a, b, c in free]
+
+    span = rref(gf, [(root[r[0]], root[r[3]], root[r[5]]) for r in s.rows])
+    if len(span) != 2:
+        return [p for p in (pg_points(gf, 2) if len(span) == 3 else span) if not any(residual(p))]
+    # v(a + t*b) = v(a) + t^2 v(b) + t (v(a + b) + v(a) + v(b)); residual is linear
+    a, b = span
+    ra, rb = residual(a), residual(b)
+    rw = [x ^ y ^ z for x, y, z in zip(residual(tuple(u ^ v for u, v in zip(a, b))), ra, rb)]
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = zip(ra, rb, rw)
+    out = [tuple(u ^ mul[t][v] for u, v in zip(a, b)) for t in gf.elements
+           if not (x0 ^ mul[sq[t]][y0] ^ mul[t][z0] or x1 ^ mul[sq[t]][y1] ^ mul[t][z1]
+                   or x2 ^ mul[sq[t]][y2] ^ mul[t][z2])]
+    if not any(rb):
+        out.append(b)
+    return out
 
 
 # -- the determinantal cubic ----------------------------------------------

@@ -223,24 +223,6 @@ def join(a: Subspace, b: Subspace) -> Subspace:
     return span(a.gf, a.rows + b.rows, n=a.n)
 
 
-def hyperplanes_through(s: Subspace):
-    """All hyperplanes containing s, in deterministic order."""
-    width = s.n + 1
-    if len(s.rows) >= width:
-        raise ValueError("the whole space lies in no hyperplane")
-    ann = nullspace(s.gf, s.rows, width)
-    mul = s.gf._mul
-    for coeff in _normalized_coeffs(s.gf, len(ann)):
-        vec = [0] * width
-        for c, row in zip(coeff, ann):
-            if c:
-                mc = mul[c]
-                for j, v in enumerate(row):
-                    if v:
-                        vec[j] ^= mc[v]
-        yield Subspace(s.gf, s.n, nullspace(s.gf, (tuple(vec),), width))
-
-
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over GF(q)."""
     if k < 0 or k > n:

@@ -9,7 +9,10 @@ import json
 import pytest
 
 from conicnets.action import act_subspace, k_equivalent, orbit_keys, pgl_order
-from conicnets import atlas, cli, invariants
+import importlib
+import re
+
+from conicnets import atlas, cli, invariants, projgeom
 from conicnets.atlas import (
     EMPTY_BASE_LABELS,
     EXPECTED_CUBIC_KIND,
@@ -50,6 +53,8 @@ from conicnets.gf import field
 from conicnets.invariants import plane_signature, point_class_counts
 from conicnets.projgeom import Subspace, pg_points, plane_from_pattern, rref, span, unpack_rows
 from conicnets.veronese import form_eval
+
+veronese = importlib.import_module("conicnets.veronese")
 
 # independently recomputed by breadth-first orbit enumeration at q = 2
 ORBIT_SIZES_Q2 = {
@@ -148,14 +153,20 @@ def test_short_key_collides_only_for_sigma3_sigma4(e):
 
 def test_classify_paths_compute_no_signature_hyperplanes_or_representatives(
         gf16, monkeypatch, capsys):
+    """Neither request path builds a signature or a representative, and
+    neither scans points: no Subspace.points, no form_eval over PG(2,q) and
+    no generic three-nullspace meet."""
     moved = {label: act_subspace(representative(gf16, label), MOVE) for label in LABELS}
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called on the classify path")
 
-    for module in (atlas, invariants):
-        for name in ("plane_signature", "hyperplane_class_counts", "representatives"):
-            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for module in (atlas, cli, invariants, projgeom, veronese):
+        for name in ("plane_signature", "hyperplane_class_counts", "representatives",
+                     "form_eval", "meet"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(Subspace, "points", forbidden)
     for label, s in moved.items():
         assert classify_plane(s) == label
         payloads = {
@@ -229,7 +240,30 @@ def test_classify_plane_rejects_unexpected_signature_collisions(gf4, monkeypatch
     s = representative(gf4, "Sigma9")
     table = {plane_signature(s): ("Sigma9", "Sigma10")}
     monkeypatch.setattr(atlas, "signature_table", lambda gf: table)
-    with pytest.raises(ClassificationError):
+    with pytest.raises(ClassificationError, match="plane %s, key lookup: " % s.key_hex()):
+        classify_plane(s)
+
+
+def test_classification_errors_name_the_plane_and_the_stage(gf4, monkeypatch):
+    s = act_subspace(representative(gf4, "Sigma3"), MOVE)
+    lookup = re.escape("plane %s, key lookup: " % s.key_hex())
+    with monkeypatch.context() as m:
+        m.setattr(atlas, "plane_key", lambda s: ((0, 0, 0, 0), None))
+        with pytest.raises(ClassificationError, match=lookup + "key matches no"):
+            classify_plane(s)
+
+    def broken(*args):
+        raise ClassificationError("cubic says no")
+
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "cubic_type", broken)
+        with pytest.raises(ClassificationError, match=lookup + "cubic says no"):
+            classify_plane(s)
+    # each Veronese point listed twice: two of them on the conic plane
+    veronese_points = atlas.veronese_points
+    monkeypatch.setattr(atlas, "veronese_points", lambda s: 2 * veronese_points(s))
+    tie_break = re.escape("plane %s, Sigma3/Sigma4 tie-break: " % s.key_hex())
+    with pytest.raises(ClassificationError, match=tie_break + ".* 2 rank-1 points"):
         classify_plane(s)
 
 

@@ -2,6 +2,7 @@
 and its factorization type."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -10,7 +11,10 @@ from conicnets.action import act_subspace, mat3_det
 from conicnets.atlas import (
     EXPECTED_CUBIC_KIND,
     LABELS,
+    example_net,
     expected_point_distribution,
+    net_base_points,
+    net_of_plane,
     orbit_atlas,
     representative,
     representatives,
@@ -34,12 +38,23 @@ from conicnets.invariants import (
     line_class_profile,
     lines_in_plane,
     nuclear_point_count,
+    nucleus_meet,
     nucleus_meet_dim,
     plane_signature,
     point_class_counts,
+    veronese_points,
 )
-from conicnets.projgeom import Subspace, normalize_point, pg_points, rref, span, unpack_rows
-from conicnets.veronese import classify_conic, nucleus_plane
+from conicnets.projgeom import (
+    Subspace,
+    enumerate_planes,
+    meet,
+    normalize_point,
+    pg_points,
+    rref,
+    span,
+    unpack_rows,
+)
+from conicnets.veronese import classify_conic, form_eval, nucleus_plane, veronese
 
 CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
@@ -105,6 +120,56 @@ def test_nucleus_meet_dim(gf4):
     assert nucleus_meet_dim(representative(gf4, "Sigma9")) == 0
     off = span(gf4, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1)])
     assert nucleus_meet_dim(off) == -1
+
+
+def _net_base_scan(gf, forms):
+    return [p for p in pg_points(gf, 2) if all(form_eval(gf, f, p) == 0 for f in forms)]
+
+
+def _check_veronese_points(s):
+    """veronese_points, nucleus_meet and net_base_points against the scans
+    they replaced: the rank-1 points among s.points(), the three-nullspace
+    meet with the nucleus plane, and the conics of the net at every point
+    of PG(2,q)."""
+    gf = s.gf
+    points = set(s.points())
+    got = veronese_points(s)
+    assert got == [p for p in pg_points(gf, 2) if veronese(gf, p) in points], s
+    assert nucleus_meet(s) == meet(s, nucleus_plane(gf)), s
+    forms = net_of_plane(s)
+    assert net_base_points(gf, forms) == _net_base_scan(gf, forms) == got, s
+    return nucleus_meet_dim(s)
+
+
+def test_veronese_points_and_nucleus_meet_on_every_plane_q2(gf2):
+    dims = Counter(_check_veronese_points(s) for s in enumerate_planes(gf2))
+    # 1395 - 883 planes miss the nucleus plane; each of its 7 lines lies on
+    # 14 other planes, and the rest meet it in a point
+    assert dims == {-1: 512, 0: 784, 1: 98, 2: 1}
+    assert net_base_points(gf2, example_net(gf2)) == _net_base_scan(gf2, example_net(gf2)) == []
+
+
+@pytest.mark.parametrize("q", (4, 8, 16))
+def test_veronese_points_and_nucleus_meet_on_moved_planes(q):
+    # three seeded moves of every representative (SigmaN is the nucleus
+    # plane), and random planes, which mostly miss the nucleus plane
+    gf = field(q)
+    rng = random.Random(100 + q)
+    planes = []
+    for s in representatives(gf).values():
+        for _ in range(3):
+            while True:
+                g = tuple(rng.randrange(q) for _ in range(9))
+                if mat3_det(gf, g):
+                    break
+            planes.append(act_subspace(s, g))
+    while len(planes) < 18 * 3 + 10:
+        rows = rref(gf, [tuple(rng.randrange(q) for _ in range(6)) for _ in range(3)])
+        if len(rows) == 3:
+            planes.append(Subspace(gf, 5, rows))
+    dims = Counter(_check_veronese_points(s) for s in planes)
+    assert set(dims) == {-1, 0, 1, 2}
+    assert net_base_points(gf, example_net(gf)) == _net_base_scan(gf, example_net(gf)) == []
 
 
 def test_cubic_vanishes_exactly_for_secant_planes(gf4):

@@ -10,7 +10,6 @@ from conicnets.projgeom import (
     enumerate_planes,
     enumerate_planes_chunk,
     gaussian_binomial,
-    hyperplanes_through,
     join,
     meet,
     nullspace,
@@ -24,6 +23,17 @@ from conicnets.projgeom import (
     subspace_from_json,
     unpack_rows,
 )
+
+
+def hyperplanes_through(s: Subspace):
+    """All hyperplanes containing s: one per point of its annihilator, in
+    that subspace's point order."""
+    width = s.n + 1
+    if len(s.rows) >= width:
+        raise ValueError("the whole space lies in no hyperplane")
+    ann = Subspace(s.gf, s.n, nullspace(s.gf, s.rows, width))
+    for vec in ann.points():
+        yield Subspace(s.gf, s.n, nullspace(s.gf, (vec,), width))
 
 
 def _random_rows(gf, rng, r, n):
