@@ -24,12 +24,14 @@ each; scaling by c uses one such pair per c.  ``PackedAction`` builds these
 tables per call; its ``image`` maps and reduces in one packed elimination.
 One breadth-first ``closure``, which records each state's parent, serves
 ``orbit_keys``, ``k_equivalent``, ``mulclose`` and ``stabilizer``; the last
-multiplies out Schreier generators along the parent pointers.
+multiplies out Schreier generators along the parent pointers, also for the
+line-orbit suite's joint stabilizers.  The transvection is an involution, so
+no state it reached is stepped back by it.  ``congruence_image`` moves one
+point, each diagonal entry of A M A^T a sum of squares.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import KeysView
 from itertools import product
 
@@ -144,21 +146,21 @@ def act_point(gf: GF, l, y) -> tuple[int, ...]:
 
 def congruence_image(gf: GF, a, y) -> tuple[int, ...]:
     """Image of a PG(5,q) point under the lift of a, normalized: vec(A M A^T)
-    for the symmetric matrix M of y, by two 3x3 products and without the
-    6x6 lift."""
-    mul = gf._mul
-    a = as_flat3(a)
+    for the symmetric matrix M of y, without the 6x6 lift.  The cross terms
+    of a diagonal entry cancel in characteristic 2, leaving sum_s m_ss a_is^2;
+    entry ik off it is row_i . (M row_k), with v = M row_1, w = M row_2."""
+    mul, sq = gf._mul, gf._sq
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = as_flat3(a)
     y0, y1, y2, y3, y4, y5 = y
-    am = []
-    for i in (0, 3, 6):
-        m0, m1, m2 = mul[a[i]], mul[a[i + 1]], mul[a[i + 2]]
-        am.append((mul[m0[y0] ^ m1[y1] ^ m2[y2]],
-                   mul[m0[y1] ^ m1[y3] ^ m2[y4]],
-                   mul[m0[y2] ^ m1[y4] ^ m2[y5]]))
-    return normalize_point(gf, [
-        am[i][0][a[k]] ^ am[i][1][a[k + 1]] ^ am[i][2][a[k + 2]]
-        for i, k in ((0, 0), (0, 3), (0, 6), (1, 3), (1, 6), (2, 6))
-    ])
+    m0, m1, m2, m3, m4, m5 = mul[y0], mul[y1], mul[y2], mul[y3], mul[y4], mul[y5]
+    u0, u1, u2 = mul[a0], mul[a1], mul[a2]
+    v0, v1, v2 = m0[a3] ^ m1[a4] ^ m2[a5], m1[a3] ^ m3[a4] ^ m4[a5], m2[a3] ^ m4[a4] ^ m5[a5]
+    w0, w1, w2 = m0[a6] ^ m1[a7] ^ m2[a8], m1[a6] ^ m3[a7] ^ m4[a8], m2[a6] ^ m4[a7] ^ m5[a8]
+    return normalize_point(gf, (
+        m0[sq[a0]] ^ m3[sq[a1]] ^ m5[sq[a2]], u0[v0] ^ u1[v1] ^ u2[v2], u0[w0] ^ u1[w1] ^ u2[w2],
+        m0[sq[a3]] ^ m3[sq[a4]] ^ m5[sq[a5]], mul[a3][w0] ^ mul[a4][w1] ^ mul[a5][w2],
+        m0[sq[a6]] ^ m3[sq[a7]] ^ m5[sq[a8]],
+    ))
 
 
 def act_subspace(s: Subspace, a) -> Subspace:
@@ -312,7 +314,6 @@ def mulclose(gf: GF, gens, limit: int | None = None) -> set[tuple[int, ...]]:
         IDENTITY3, lambda x, k: normalize_mat3(gf, mat3_mul(gf, x, gens[k])), len(gens), limit))
 
 
-@functools.cache
 def pgl_elements(gf: GF) -> set[tuple[int, ...]]:
     """The full projectivity group as normalized matrices (practical q <= 4).
 
@@ -335,21 +336,28 @@ def pgl_elements(gf: GF) -> set[tuple[int, ...]]:
 # -- orbits ----------------------------------------------------------------
 
 
-def closure(start, step, ngens: int, max_keys: int | None = None, target=None) -> dict:
+def closure(start, step, ngens: int, max_keys: int | None = None, target=None,
+            involutions=()) -> dict:
     """Breadth-first closure of ``start`` under ``step(state, i)``, i < ngens.
 
     Returns {state: parent} in discovery order, ``start`` mapping to None;
     each state's parent is the one it was first reached from, so the
     parents span the orbit as a tree.  Returns early, with the states found
     so far, once ``target`` is among them, and raises ResourceBudgetError
-    once there are more than ``max_keys`` states.
+    once there are more than ``max_keys`` states.  Generators listed in
+    ``involutions`` are their own inverse: a state first reached by one is
+    not stepped by it again, since that step leads back to its parent.
     """
+    # found[j] picks the moves of frontier[j]: 0 for all, n for all but
+    # involutions[n - 1], the one that first reached it; one byte per state
+    moves = [range(ngens)] + [[j for j in range(ngens) if j != i] for i in involutions]
+    code = {i: n for n, i in enumerate(involutions, 1)}
     tree = {start: None}
-    frontier = [start]
+    frontier, found = [start], bytearray(1)
     while frontier and target not in tree:
-        new = []
-        for k in frontier:
-            for i in range(ngens):
+        new, new_found = [], bytearray()
+        for k, c in zip(frontier, found):
+            for i in moves[c]:
                 k2 = step(k, i)
                 if k2 not in tree:
                     tree[k2] = k
@@ -361,7 +369,8 @@ def closure(start, step, ngens: int, max_keys: int | None = None, target=None) -
                             partial=len(tree),
                         )
                     new.append(k2)
-        frontier = new
+                    new_found.append(code.get(i, 0))
+        frontier, found = new, new_found
     return tree
 
 
@@ -369,7 +378,8 @@ def _generator_orbit(s: Subspace, max_keys: int | None, target: int | None) -> d
     pa = PackedAction(s.gf)
     gens = [pa.tables(g) for g in generators(s.gf)]
     image, n = pa.image, len(s.rows)
-    return closure(s.key_int(), lambda k, i: image(k, n, gens[i]), len(gens), max_keys, target)
+    return closure(s.key_int(), lambda k, i: image(k, n, gens[i]), len(gens), max_keys, target,
+                   involutions=(0,))
 
 
 def orbit_keys(s: Subspace, max_keys: int | None = None) -> KeysView[int]:
@@ -397,16 +407,16 @@ def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> boo
 def stabilizer(gf: GF, state0, step) -> tuple[set[tuple[int, ...]], int]:
     """Full stabilizer of a hashable state, with the size of its orbit.
 
-    ``step(state, k)`` applies generator k of ``generators(gf)``.  By
-    Schreier's lemma the elements w(step(s, k))^-1 g_k w(s) generate the
-    stabilizer, the witness w(s) being the product of the generators along
-    the closure's parent chain from state0 to s; a witness is built only
-    when needed, and kept.  Schreier generators are closed as they come,
-    the closure is returned once it reaches |group| / |orbit|, and an
-    overshoot or a shortfall fails loudly.
+    ``step(state, k)`` applies generator k of ``generators(gf)``, the first
+    an involution.  By Schreier's lemma the elements w(step(s, k))^-1 g_k
+    w(s) generate the stabilizer, the witness w(s) being the product of the
+    generators along the closure's parent chain from state0 to s; a witness
+    is built only when needed, and kept.  Schreier generators are closed as
+    they come, the closure is returned once it reaches |group| / |orbit|,
+    and an overshoot or a shortfall fails loudly.
     """
     gens = generators(gf)
-    tree = closure(state0, step, len(gens))
+    tree = closure(state0, step, len(gens), involutions=(0,))
     order = pgl_order(gf.q)
     if order % len(tree):
         raise VerificationError("orbit size %d does not divide %d" % (len(tree), order))

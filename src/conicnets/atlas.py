@@ -57,10 +57,10 @@ from .projgeom import (
     enumerate_planes_chunk,
     gaussian_binomial,
     nullspace,
-    pack_rows,
     plane_enumeration_chunks,
     plane_from_pattern,
     rref,
+    span,
     unpack_rows,
 )
 from .veronese import point_class
@@ -851,13 +851,14 @@ def _rank1_hits(l: Subspace) -> int:
     return sum(1 for y in l.points() if point_class(l.gf, y) == "rank1")
 
 
-def _pair_stabilizer(gf: GF, l: Subspace, p):
-    """Full stabilizer of (line, point), with the size of the pair's orbit."""
+def _pair_stabilizer(gf: GF, s: Subspace, t: Subspace):
+    """Full stabilizer of a pair of subspaces, with the size of the pair's
+    orbit."""
     pa = PackedAction(gf)
     gens = [pa.tables(a) for a in generators(gf)]
-    image = pa.image
-    return stabilizer(gf, (l.key_int(), pack_rows(gf, [p])),
-                      lambda st, k: (image(st[0], 2, gens[k]), image(st[1], 1, gens[k])))
+    image, ns, nt = pa.image, len(s.rows), len(t.rows)
+    return stabilizer(gf, (s.key_int(), t.key_int()),
+                      lambda st, k: (image(st[0], ns, gens[k]), image(st[1], nt, gens[k])))
 
 
 def verify_line_orbits(gf: GF) -> dict:
@@ -878,7 +879,7 @@ def verify_line_orbits(gf: GF) -> dict:
 
     l0 = _line(gf, (0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0))
     R = (0, 1, 0, 1, 0, 0)
-    stab, pair_orbit = _pair_stabilizer(gf, l0, R)
+    stab, pair_orbit = _pair_stabilizer(gf, l0, span(gf, [R]))
     want_order = q * q * (q - 1)
     checks.append(_check(
         "pair_stabilizer_order",
@@ -920,13 +921,7 @@ def verify_line_orbits(gf: GF) -> dict:
     if q == 4:
         P = (0, 0, 0, 0, 1, 0)
         H = Subspace(gf, 5, rref(gf, [list(_e(j)) for j in range(5)]))
-        hk = H.key_int()
-        joint = []
-        for a in pgl_elements(gf):
-            if congruence_image(gf, a, P) != P:
-                continue
-            if act_subspace(H, a).key_int() == hk:
-                joint.append(a)
+        joint, _ = _pair_stabilizer(gf, span(gf, [P]), H)
         checks.append(_check(
             "joint_stabilizer_order",
             len(joint) == (q - 1) ** 2 * q * q,

@@ -56,10 +56,13 @@ def _element(gf: GF, v) -> int:
 
 def _read_payload(args) -> dict:
     """Inline --data, --input file, or stdin; always a JSON object."""
-    if getattr(args, "data", None):
-        text = args.data
-    elif getattr(args, "input", None):
-        with open(args.input, "r", encoding="utf-8") as fh:
+    data, path = getattr(args, "data", None), getattr(args, "input", None)
+    if data is not None and path is not None:
+        raise UsageError("give --data or --input, not both")
+    if data is not None:
+        text = data
+    elif path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
@@ -75,6 +78,8 @@ def _read_payload(args) -> dict:
 
 
 def _plane_from_payload(gf: GF, payload: dict) -> Subspace:
+    if "rows" in payload and "label" in payload:
+        raise UsageError('plane input takes "rows" or "label", not both')
     if "rows" in payload:
         rows = payload["rows"]
         if (not isinstance(rows, list) or len(rows) != 3

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conicnets import atlas
+from conicnets import action, atlas
 from conicnets.action import (
     IDENTITY3,
     PackedAction,
@@ -296,14 +296,14 @@ def test_act_subspace_matches_congruence_lift(gf8):
             assert act_subspace(s, a).rows == rref(gf8, images)
 
 
-@pytest.mark.parametrize("q", (2, 4, 8, 16))
+@pytest.mark.parametrize("q", (2, 4, 8, 16, 32, 64, 128, 256))
 def test_congruence_image_matches_lifted_point(q):
     gf = field(q)
     if q == 2:
         elements, points = pgl_elements(gf), pg_points(gf, 5)
     else:
         rng = random.Random(q)
-        elements = _random_projectivities(gf, 40, q)
+        elements = _random_projectivities(gf, 40 if q <= 16 else 15, q)
         points = {normalize_point(gf, [rng.randrange(q) for _ in range(6)]) for _ in range(60)}
     for a in elements:
         l = congruence_lift(gf, a)
@@ -385,3 +385,76 @@ def test_closure_max_keys_raises_with_partial(gf4):
         closure(state0, act, 2, max_keys=100)
     assert info.value.partial == 101
     assert len(closure(state0, act, 2, max_keys=1260)) == 1260
+
+
+def _packed_step(s):
+    """Packed start key of a subspace and the generators' action on it."""
+    pa = PackedAction(s.gf)
+    tables = [pa.tables(a) for a in generators(s.gf)]
+    return s.key_int(), lambda k, i: pa.image(k, len(s.rows), tables[i])
+
+
+def test_closure_involution_skip_keeps_the_tree(gf2, gf4):
+    """Not stepping a state back by the involution that reached it leaves
+    the parent map, items and discovery order, as the plain BFS has it."""
+    b, c = atlas.sigma20_parameters(gf4)
+    lines = [atlas._line(gf4, (1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0)),
+             atlas._line(gf4, (1, 0, b, c, 0, 1), (0, 1, 0, 1, 0, 0))]
+    cases = [_packed_step(s) for s in list(representatives(gf2).values()) + lines]
+    cases.append(_pair_action(gf4))
+    assert len(cases) == 21
+    sizes = []
+    for start, step in cases:
+        calls = []
+
+        def counted(k, i):
+            calls.append(i)
+            return step(k, i)
+
+        plain = closure(start, counted, 2)
+        n_plain = len(calls)
+        assert list(closure(start, counted, 2, involutions=(0,)).items()) == list(plain.items())
+        # one step saved per state that generator 0 reached first
+        by_t = sum(1 for k, p in plain.items() if p is not None and step(p, 0) == k)
+        assert n_plain - (len(calls) - n_plain) == by_t
+        sizes.append(len(plain))
+    assert sizes[18:] == [10080, 30240, 1260]
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_transvection_is_an_involution(e):
+    gf = field(2**e)
+    t = generators(gf)[0]
+    assert mat3_mul(gf, t, t) == IDENTITY3
+
+
+def test_k_equivalent_stops_at_its_target(gf4, sample_matrices, monkeypatch):
+    trees = []
+
+    def recording(*args, **kwargs):
+        trees.append(closure(*args, **kwargs))
+        return trees[-1]
+
+    monkeypatch.setattr(action, "closure", recording)
+    s = representative(gf4, "Sigma17")
+    moved = act_subspace(s, sample_matrices(gf4)[0])
+    assert k_equivalent(s, moved)
+    (tree,) = trees
+    assert list(tree)[-1] == moved.key_int()
+    assert len(tree) < len(orbit_keys(s))
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_joint_stabilizer_matches_group_filter(q):
+    """The Schreier stabilizer of (P, H), a point and a hyperplane through
+    it, against the elements of the group that fix both."""
+    gf = field(q)
+    point = span(gf, [(0, 0, 0, 0, 1, 0)])
+    hyperplane = span(gf, [tuple(int(i == j) for i in range(6)) for j in range(5)])
+    joint, orbit = atlas._pair_stabilizer(gf, point, hyperplane)
+    p = point.rows[0]
+    direct = {a for a in pgl_elements(gf)
+              if congruence_image(gf, a, p) == p and act_subspace(hyperplane, a) == hyperplane}
+    assert joint == direct
+    assert len(joint) == (q - 1) ** 2 * q * q
+    assert orbit * len(joint) == pgl_order(q)

@@ -233,6 +233,28 @@ def test_exit_code_rejects_non_field_elements(command, payload, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+SIGMA7_Q4 = [list(r) for r in atlas.representative_pattern(field(4), "Sigma7")[0]]
+
+
+@pytest.mark.parametrize("command,argv,stdin", [
+    # an empty --data is input, not a cue to read stdin
+    ("classify-plane", ["--data", ""], '{"label": "Sigma3"}'),
+    ("classify-plane", ["--data", '{"label": "Sigma3"}', "--input", "FILE"], ""),
+    ("classify-net", ["--input", "FILE", "--data", json.dumps({"forms": EXAMPLE_NET_Q4})], ""),
+    # a plane given twice, once by rows and once by label
+    ("classify-plane", ["--data", json.dumps({"rows": SIGMA7_Q4, "label": "Sigma3"})], ""),
+], ids=["data-empty", "data-and-input-plane", "data-and-input-net", "rows-and-label"])
+def test_exit_code_rejects_ambiguous_input(command, argv, stdin, capsys, monkeypatch, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text('{"label": "Sigma3", "forms": %s}' % json.dumps(EXAMPLE_NET_Q4))
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    code, out, err = run([command, "--q", "4"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--q", "8", "--suite", "double-lines", "--samples", "-5"],
     ["verify", "--q", "8", "--suite", "double-lines", "--samples", "0"],
