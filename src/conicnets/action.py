@@ -7,7 +7,7 @@ in closed form.  The lift is a group homomorphism up to scalars and commutes
 with the Veronese embedding: lift(A) maps the image of p to the image of A p.
 
 Matrices of PG(2,q) projectivities are flat 9-tuples (row-major),
-normalized so the first nonzero entry is 1.
+normalized as points (``projgeom.normalize_point``): first nonzero entry 1.
 
 Orbits are closed under two generators, the transvection I + E01 and a
 Singer cycle: by Kantor's theorem a subgroup of GL(3,q) holding a Singer
@@ -24,10 +24,11 @@ each; scaling by c uses one such pair per c.  ``PackedAction`` builds these
 tables per call; its ``image`` maps and reduces in one packed elimination.
 One breadth-first ``closure``, which records each state's parent, serves
 ``orbit_keys``, ``k_equivalent``, ``mulclose`` and ``stabilizer``; the last
-multiplies out Schreier generators along the parent pointers, also for the
-line-orbit suite's joint stabilizers.  The transvection is an involution, so
-no state it reached is stepped back by it.  ``congruence_image`` moves one
-point, each diagonal entry of A M A^T a sum of squares.
+multiplies out Schreier generators along the parent pointers and returns
+the few it closed, whose closures give the line-orbit suite its orbits.
+The transvection is an involution, so no state it reached is stepped back
+by it.  ``congruence_image`` moves one point, each diagonal entry of
+A M A^T a sum of squares.
 """
 
 from __future__ import annotations
@@ -47,27 +48,9 @@ def pgl_order(q: int) -> int:
     return gl // (q - 1)
 
 
-def as_flat3(a) -> tuple[int, ...]:
-    if len(a) == 9:
-        return tuple(a)
-    return tuple(v for row in a for v in row)
-
-
-def normalize_mat3(gf: GF, a) -> tuple[int, ...]:
-    a = as_flat3(a)
-    for v in a:
-        if v:
-            if v != 1:
-                m = gf._mul[gf._inv[v]]
-                a = tuple(m[x] for x in a)
-            return a
-    raise ValueError("zero matrix is not a projectivity")
-
-
 def mat3_mul(gf: GF, a, b) -> tuple[int, ...]:
     mul = gf._mul
-    a = as_flat3(a)
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = as_flat3(b)
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
     out: list[int] = []
     for i in (0, 3, 6):
         m0, m1, m2 = mul[a[i]], mul[a[i + 1]], mul[a[i + 2]]
@@ -77,7 +60,6 @@ def mat3_mul(gf: GF, a, b) -> tuple[int, ...]:
 
 def mat3_det(gf: GF, a) -> int:
     mul = gf._mul
-    a = as_flat3(a)
     return (
         mul[a[0]][mul[a[4]][a[8]] ^ mul[a[5]][a[7]]]
         ^ mul[a[1]][mul[a[3]][a[8]] ^ mul[a[5]][a[6]]]
@@ -87,7 +69,6 @@ def mat3_det(gf: GF, a) -> int:
 
 def mat3_inv(gf: GF, a) -> tuple[int, ...]:
     m = gf._mul
-    a = as_flat3(a)
     d = mat3_det(gf, a)
     if d == 0:
         raise ValueError("singular matrix has no inverse")
@@ -103,7 +84,6 @@ def mat3_inv(gf: GF, a) -> tuple[int, ...]:
 def act_point_pg2(gf: GF, a, p) -> tuple[int, ...]:
     """Image of a PG(2,q) point under the column action p -> A p, normalized."""
     mul = gf._mul
-    a = as_flat3(a)
     x, y, z = p
     img = (
         mul[a[0]][x] ^ mul[a[1]][y] ^ mul[a[2]][z],
@@ -119,7 +99,6 @@ def lift(gf: GF, a) -> tuple[tuple[int, ...], ...]:
     Coordinates are ordered (00, 01, 02, 11, 12, 22).  Row ik holds
     a_it a_kt in column tt and a_it a_ks + a_is a_kt in column ts, t < s.
     """
-    a = as_flat3(a)
     mul = gf._mul
     out = []
     for i, k in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
@@ -150,7 +129,7 @@ def congruence_image(gf: GF, a, y) -> tuple[int, ...]:
     of a diagonal entry cancel in characteristic 2, leaving sum_s m_ss a_is^2;
     entry ik off it is row_i . (M row_k), with v = M row_1, w = M row_2."""
     mul, sq = gf._mul, gf._sq
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = as_flat3(a)
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
     y0, y1, y2, y3, y4, y5 = y
     m0, m1, m2, m3, m4, m5 = mul[y0], mul[y1], mul[y2], mul[y3], mul[y4], mul[y5]
     u0, u1, u2 = mul[a0], mul[a1], mul[a2]
@@ -309,9 +288,9 @@ def generators(gf: GF) -> tuple[tuple[int, ...], ...]:
 
 def mulclose(gf: GF, gens, limit: int | None = None) -> set[tuple[int, ...]]:
     """Closure of a generating set under products, all elements normalized."""
-    gens = [normalize_mat3(gf, g) for g in gens]
+    gens = [normalize_point(gf, g) for g in gens]
     return set(closure(
-        IDENTITY3, lambda x, k: normalize_mat3(gf, mat3_mul(gf, x, gens[k])), len(gens), limit))
+        IDENTITY3, lambda x, k: normalize_point(gf, mat3_mul(gf, x, gens[k])), len(gens), limit))
 
 
 def pgl_elements(gf: GF) -> set[tuple[int, ...]]:
@@ -404,16 +383,18 @@ def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> boo
     return target in _generator_orbit(s1, max_keys, target)
 
 
-def stabilizer(gf: GF, state0, step) -> tuple[set[tuple[int, ...]], int]:
-    """Full stabilizer of a hashable state, with the size of its orbit.
+def stabilizer(gf: GF, state0, step) -> tuple[set[tuple[int, ...]], int, list[tuple[int, ...]]]:
+    """Full stabilizer of a hashable state, the size of its orbit, and the
+    Schreier generators whose closure it is.
 
     ``step(state, k)`` applies generator k of ``generators(gf)``, the first
     an involution.  By Schreier's lemma the elements w(step(s, k))^-1 g_k
     w(s) generate the stabilizer, the witness w(s) being the product of the
     generators along the closure's parent chain from state0 to s; a witness
-    is built only when needed, and kept.  Schreier generators are closed as
-    they come, the closure is returned once it reaches |group| / |orbit|,
-    and an overshoot or a shortfall fails loudly.
+    is built only when needed, and kept.  Schreier generators not yet in the
+    closure are kept and closed as they come, the closure is returned once
+    it reaches |group| / |orbit|, and an overshoot or a shortfall fails
+    loudly.
     """
     gens = generators(gf)
     tree = closure(state0, step, len(gens), involutions=(0,))
@@ -429,14 +410,14 @@ def stabilizer(gf: GF, state0, step) -> tuple[set[tuple[int, ...]], int]:
         if s not in witness:
             p = tree[s]
             k = next(k for k in range(len(gens)) if step(p, k) == s)
-            witness[s] = normalize_mat3(gf, mat3_mul(gf, gens[k], word(p)))
+            witness[s] = normalize_point(gf, mat3_mul(gf, gens[k], word(p)))
         return witness[s]
 
     picked: list[tuple[int, ...]] = []
     group: set[tuple[int, ...]] = {IDENTITY3}
     for s in tree:
         for k, a in enumerate(gens):
-            h = normalize_mat3(
+            h = normalize_point(
                 gf, mat3_mul(gf, mat3_inv(gf, word(step(s, k))), mat3_mul(gf, a, word(s)))
             )
             if h in group:
@@ -449,7 +430,7 @@ def stabilizer(gf: GF, state0, step) -> tuple[set[tuple[int, ...]], int]:
                     "stabilizer closure overshot %d elements" % target
                 ) from exc
             if len(group) == target:
-                return group, len(tree)
+                return group, len(tree), picked
     raise VerificationError(
         "Schreier generators closed at %d, expected %d" % (len(group), target)
     )

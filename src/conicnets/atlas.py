@@ -27,6 +27,7 @@ from multiprocessing import get_context
 from .action import (
     PackedAction,
     act_subspace,
+    closure,
     congruence_image,
     generators,
     orbit_keys,
@@ -63,7 +64,6 @@ from .projgeom import (
     span,
     unpack_rows,
 )
-from .veronese import point_class
 
 SCHEMA = "conicnets-report/1"
 
@@ -286,10 +286,11 @@ def representative_pattern(gf: GF, label: str, overrides: dict | None = None):
     """Basis rows (coefficient 6-vectors) and parameters for the named orbit
     representative.
 
-    Parameterized families (Sigma18, Sigma20, Sigma21, Sigma23) search the
-    field for the first valid value; overrides substitute explicit field
-    elements instead.  An overridden pattern is returned unvalidated, so it
-    need not lie in the named orbit.
+    Parameterized families (Sigma18 takes c, Sigma20 b and c, Sigma21 and
+    Sigma23 a) search the field for the first valid value; overrides
+    substitute explicit field elements instead, and any other name raises.
+    An overridden pattern is returned unvalidated, so it need not lie in the
+    named orbit.
     """
 
     def pick(key: str, searched) -> int:
@@ -302,8 +303,10 @@ def representative_pattern(gf: GF, label: str, overrides: dict | None = None):
             return v
         return searched()
 
-    if overrides and label not in ("Sigma18", "Sigma20", "Sigma21", "Sigma23"):
-        raise ConfigurationError("orbit %s takes no parameters" % label)
+    takes = {"Sigma18": ("c",), "Sigma20": ("b", "c"), "Sigma21": ("a",), "Sigma23": ("a",)}
+    unknown = sorted(map(str, set(overrides or ()) - set(takes.get(label, ()))))
+    if unknown:
+        raise ConfigurationError("orbit %s takes no parameter %s" % (label, ", ".join(unknown)))
     fixed = {
         "Sigma1": (_e(0), _e(1), _e(3)),
         "Sigma3": (_e(0), _e(3), _e(2)),
@@ -351,7 +354,7 @@ def _rep_data(gf: GF):
         s = plane_from_pattern(gf, rows)
         sig, want = plane_signature(s), expected_signature(label, gf.q)
         if sig != want:
-            raise ConfigurationError(
+            raise VerificationError(
                 "representative %s has signature %r, expected %r" % (label, sig, want)
             )
         reps[label] = s
@@ -460,7 +463,7 @@ def net_of_plane(s: Subspace) -> tuple[tuple[int, ...], ...]:
     """
     if s.n != 5 or s.dim != 2:
         raise ValueError("expected a plane of PG(5, q)")
-    return rref(s.gf, nullspace(s.gf, s.rows, 6))
+    return nullspace(s.gf, s.rows, 6)
 
 
 def plane_of_net(gf: GF, forms) -> Subspace:
@@ -810,50 +813,40 @@ def verify_double_lines(
 # -- line-orbit verification --------------------------------------------------
 
 
-def _line(gf: GF, u, v) -> Subspace:
-    return Subspace(gf, 5, rref(gf, [list(u), list(v)]))
-
-
 def _lines_through_in(gf: GF, p, amb: Subspace) -> dict[int, Subspace]:
     """Distinct lines through p inside the subspace amb, keyed by packed key."""
     out: dict[int, Subspace] = {}
     for s in amb.points():
         if s == p:
             continue
-        l = _line(gf, p, s)
+        l = span(gf, [p, s])
         out[l.key_int()] = l
     return out
 
 
-def _subgroup_orbits_on_lines(gf: GF, members, keyed: dict[int, Subspace]):
-    """Orbit partition of the given lines under a subgroup, given as the
-    set of all its elements: the orbit of a line is its set of images."""
+def _subgroup_orbits_on_lines(gf: GF, gens, keyed: dict[int, Subspace]):
+    """Orbit partition of the given lines under the subgroup generated by
+    gens, in order of each orbit's least key: an orbit is the closure of a
+    line under the generators' tables, and one that leaves the given lines
+    raises VerificationError."""
     pa = PackedAction(gf)
-    images = {k: {k} for k in keyed}
-    for a in members:
-        t = pa.tables(a)
-        for k, imgs in images.items():
-            imgs.add(pa.image(k, 2, t))
+    tables = [pa.tables(a) for a in gens]
     orbits: list[set[int]] = []
     placed: set[int] = set()
     for k in sorted(keyed):
         if k in placed:
             continue
-        comp = images[k]
-        if any(images[j] != comp for j in comp):
-            raise VerificationError("line images do not form orbits of a subgroup")
+        comp = set(closure(k, lambda x, i: pa.image(x, 2, tables[i]), len(tables)))
+        if not comp <= keyed.keys():
+            raise VerificationError("a line orbit leaves its candidate set")
         orbits.append(comp)
         placed |= comp
     return orbits
 
 
-def _rank1_hits(l: Subspace) -> int:
-    return sum(1 for y in l.points() if point_class(l.gf, y) == "rank1")
-
-
 def _pair_stabilizer(gf: GF, s: Subspace, t: Subspace):
-    """Full stabilizer of a pair of subspaces, with the size of the pair's
-    orbit."""
+    """Full stabilizer of a pair of subspaces, the size of the pair's orbit,
+    and the Schreier generators of the stabilizer (action.stabilizer)."""
     pa = PackedAction(gf)
     gens = [pa.tables(a) for a in generators(gf)]
     image, ns, nt = pa.image, len(s.rows), len(t.rows)
@@ -877,9 +870,9 @@ def verify_line_orbits(gf: GF) -> dict:
         raise ConfigurationError("line-orbit verification supports q in {4, 8}")
     checks = []
 
-    l0 = _line(gf, (0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0))
+    l0 = span(gf, [(0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0)])
     R = (0, 1, 0, 1, 0, 0)
-    stab, pair_orbit = _pair_stabilizer(gf, l0, span(gf, [R]))
+    stab, pair_orbit, stab_gens = _pair_stabilizer(gf, l0, span(gf, [R]))
     want_order = q * q * (q - 1)
     checks.append(_check(
         "pair_stabilizer_order",
@@ -904,11 +897,10 @@ def verify_line_orbits(gf: GF) -> dict:
             direct == stab,
             {"filter_order": len(direct)},
         ))
-    conic_plane = Subspace(gf, 5, rref(gf, [list(_e(0)), list(_e(1)), list(_e(3))]))
-    keyed = _lines_through_in(gf, R, conic_plane)
-    orbits = _subgroup_orbits_on_lines(gf, stab, keyed)
+    keyed = _lines_through_in(gf, R, span(gf, [_e(0), _e(1), _e(3)]))
+    orbits = _subgroup_orbits_on_lines(gf, stab_gens, keyed)
     shape = sorted(
-        (len(comp), sorted({_rank1_hits(keyed[k]) for k in comp}))
+        (len(comp), sorted({point_class_counts(keyed[k])[0] for k in comp}))
         for comp in orbits
     )
     checks.append(_check(
@@ -920,8 +912,8 @@ def verify_line_orbits(gf: GF) -> dict:
 
     if q == 4:
         P = (0, 0, 0, 0, 1, 0)
-        H = Subspace(gf, 5, rref(gf, [list(_e(j)) for j in range(5)]))
-        joint, _ = _pair_stabilizer(gf, span(gf, [P]), H)
+        H = span(gf, [_e(j) for j in range(5)])
+        joint, _, joint_gens = _pair_stabilizer(gf, span(gf, [P]), H)
         checks.append(_check(
             "joint_stabilizer_order",
             len(joint) == (q - 1) ** 2 * q * q,
@@ -931,9 +923,9 @@ def verify_line_orbits(gf: GF) -> dict:
             k: l for k, l in _lines_through_in(gf, P, H).items()
             if point_class_counts(l) == (0, 1, 1, q - 1) and any(r[0] for r in l.rows)
         }
-        orbits = _subgroup_orbits_on_lines(gf, joint, cand)
-        rep_a = _line(gf, (1, 1, 0, 0, 0, 0), P).key_int()
-        rep_b = _line(gf, (1, 0, 1, 0, 0, 0), P).key_int()
+        orbits = _subgroup_orbits_on_lines(gf, joint_gens, cand)
+        rep_a = span(gf, [(1, 1, 0, 0, 0, 0), P]).key_int()
+        rep_b = span(gf, [(1, 0, 1, 0, 0, 0), P]).key_int()
         split = [i for i, comp in enumerate(orbits) if rep_a in comp] != [
             i for i, comp in enumerate(orbits) if rep_b in comp
         ]
@@ -944,10 +936,10 @@ def verify_line_orbits(gf: GF) -> dict:
              "candidates": len(cand)},
         ))
 
-        la = _line(gf, (1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0))
+        la = span(gf, [(1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0)])
         oa = orbit_keys(la)
         b, c = sigma20_parameters(gf)
-        lb = _line(gf, (1, 0, b, c, 0, 1), (0, 1, 0, 1, 0, 0))
+        lb = span(gf, [(1, 0, b, c, 0, 1), (0, 1, 0, 1, 0, 0)])
         ob = orbit_keys(lb)
         checks.append(_check(
             "special_line_stabilizers",

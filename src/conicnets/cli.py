@@ -26,7 +26,7 @@ from .errors import (
     VerificationError,
 )
 from .gf import GF, field
-from .invariants import nucleus_meet
+from .invariants import nucleus_meet, veronese_points
 from .projgeom import Subspace, plane_from_pattern
 from .veronese import form_from_str, form_to_str
 
@@ -85,11 +85,7 @@ def _plane_from_payload(gf: GF, payload: dict) -> Subspace:
         if (not isinstance(rows, list) or len(rows) != 3
                 or any(not isinstance(r, list) or len(r) != 6 for r in rows)):
             raise UsageError("rows must be a 3x6 array of field elements")
-        rows = [[_element(gf, v) for v in r] for r in rows]
-        try:
-            return plane_from_pattern(gf, rows)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return plane_from_pattern(gf, [[_element(gf, v) for v in r] for r in rows])
     if "label" in payload:
         label = payload["label"]
         if not isinstance(label, str):
@@ -99,11 +95,7 @@ def _plane_from_payload(gf: GF, payload: dict) -> Subspace:
             if not isinstance(params, dict):
                 raise UsageError("parameters must be an object of field elements")
             params = {k: _element(gf, v) for k, v in params.items()}
-        try:
-            rows, _ = atlas.representative_pattern(gf, label, params)
-            return plane_from_pattern(gf, rows)
-        except (ConfigurationError, ValueError) as exc:
-            raise UsageError(str(exc)) from exc
+        return plane_from_pattern(gf, atlas.representative_pattern(gf, label, params)[0])
     raise UsageError('plane input needs "rows" or "label"')
 
 
@@ -187,10 +179,7 @@ def cmd_classify_plane(args) -> int:
 def cmd_classify_net(args) -> int:
     gf = _field(args)
     forms = _forms_from_payload(gf, _read_payload(args))
-    try:
-        plane = atlas.plane_of_net(gf, forms)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    plane = atlas.plane_of_net(gf, forms)
     label = atlas.classify_plane(plane)
     record = {
         "schema": atlas.SCHEMA,
@@ -199,7 +188,7 @@ def cmd_classify_net(args) -> int:
         "forms": [form_to_str(f) for f in forms],
         "form_vectors": [list(f) for f in forms],
         "plane": [list(r) for r in plane.rows],
-        "base_points": [list(p) for p in atlas.net_base_points(gf, forms)],
+        "base_points": [list(p) for p in veronese_points(plane)],
         "double_line_count": atlas.net_double_line_count(gf, forms),
     }
     _emit(args, record)

@@ -13,9 +13,10 @@ class OutOfFamilyError(ValueError):
 
 
 class ConfigurationError(RuntimeError):
-    """No parameter value satisfies a representative's constraints, or a
-    constructed representative fails its validation; never silently
-    substituted."""
+    """A request the package cannot serve: an unknown orbit label or a
+    parameter the orbit does not take, no parameter value satisfying a
+    representative's constraints, or a field size a suite does not support;
+    never silently substituted."""
 
 
 class ClassificationError(RuntimeError):

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .action import mat3_det
 from .errors import ClassificationError
 from .gf import GF
 from .projgeom import Subspace, normalize_point, nullspace, pg_points, rref
@@ -281,16 +282,6 @@ def _gradient(gf: GF, cubic, p) -> tuple[int, int, int]:
     )
 
 
-def _det3(gf: GF, rows) -> int:
-    mul = gf._mul
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return (
-        mul[a][mul[e][i] ^ mul[f][h]]
-        ^ mul[b][mul[d][i] ^ mul[f][g]]
-        ^ mul[c][mul[d][h] ^ mul[e][g]]
-    )
-
-
 def _dot(gf: GF, u, p) -> int:
     mul = gf._mul
     return mul[u[0]][p[0]] ^ mul[u[1]][p[1]] ^ mul[u[2]][p[2]]
@@ -381,7 +372,7 @@ def cubic_type(gf: GF, cubic, zeros=None) -> str:
     if shape == (0, 3):
         return (
             "ThreeConcurrentLines"
-            if _det3(gf, simple) == 0
+            if mat3_det(gf, sum(simple, ())) == 0
             else "ThreeNonConcurrentLines"
         )
     if shape == (0, 1):

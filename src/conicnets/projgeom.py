@@ -58,13 +58,8 @@ def rank(gf: GF, rows) -> int:
     return len(rref(gf, rows))
 
 
-def nullspace(gf: GF, rows, width: int | None = None) -> tuple[tuple[int, ...], ...]:
+def nullspace(gf: GF, rows, width: int) -> tuple[tuple[int, ...], ...]:
     """RREF basis of {v : row . v = 0 for every row}, rows as row vectors."""
-    rows = tuple(rows)
-    if width is None:
-        if not rows:
-            raise ValueError("need explicit width for an empty row set")
-        width = len(rows[0])
     red = rref(gf, rows)
     pivots = []
     for row in red:
@@ -142,12 +137,12 @@ class Subspace:
         return rref(self.gf, self.rows + other.rows) == self.rows
 
     def points(self) -> list[tuple[int, ...]]:
-        """All points, normalized, in deterministic coefficient order."""
+        """All points, normalized: the basis rows combined by pg_points(dim)."""
         out = []
         rows = self.rows
         width = self.n + 1
         mul = self.gf._mul
-        for coeff in _normalized_coeffs(self.gf, len(rows)):
+        for coeff in pg_points(self.gf, len(rows) - 1):
             pt = [0] * width
             for c, row in zip(coeff, rows):
                 if c:
@@ -179,14 +174,6 @@ class Subspace:
 def _check_ambient(a: Subspace, b: Subspace):
     if a.gf != b.gf or a.n != b.n:
         raise ValueError("subspaces live in different ambient spaces")
-
-
-def _normalized_coeffs(gf: GF, r: int):
-    """Projectively normalized coefficient tuples (first nonzero entry 1)."""
-    for pivot in range(r):
-        head = (0,) * pivot + (1,)
-        for tail in product(gf.elements, repeat=r - pivot - 1):
-            yield head + tail
 
 
 def span(gf: GF, vectors, n: int | None = None) -> Subspace:

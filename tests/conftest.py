@@ -1,7 +1,8 @@
 import pytest
 
-from conicnets.action import generators, normalize_mat3
+from conicnets.action import generators
 from conicnets.gf import field
+from conicnets.projgeom import normalize_point
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +40,7 @@ def sample_matrices():
             (0, 0, 1, 1, 0, 0, 0, 1, 0),
             *generators(gf),
         ):
-            a = normalize_mat3(gf, a)
+            a = normalize_point(gf, a)
             if a != (1, 0, 0, 0, 1, 0, 0, 0, 1) and a not in out:
                 out.append(a)
         return out

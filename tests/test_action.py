@@ -2,8 +2,9 @@
 
 The packed kernel is checked against the brute-force code it replaced,
 which lives on here only: the lift as a congruence product, the RREF of
-``projgeom``, a breadth-first orbit on row tuples, and the closure of the
-whole Schreier generator set.
+``projgeom``, a breadth-first orbit on row tuples, the closure of the
+whole Schreier generator set, and line orbits as the images under every
+element of a stabilizer.
 """
 
 import random
@@ -26,15 +27,15 @@ from conicnets.action import (
     mat3_inv,
     mat3_mul,
     mulclose,
-    normalize_mat3,
     orbit_keys,
     pgl_elements,
     pgl_order,
     stabilizer,
 )
 from conicnets.atlas import plane_stabilizer_order, representative, representatives
-from conicnets.errors import ResourceBudgetError
+from conicnets.errors import ResourceBudgetError, VerificationError
 from conicnets.gf import field
+from conicnets.invariants import point_class_counts
 from conicnets.projgeom import normalize_point, pack_rows, pg_points, rref, span
 from conicnets.veronese import nucleus_plane, sym_matrix, veronese
 
@@ -103,12 +104,12 @@ def test_matrix_algebra(gf4, sample_matrices):
     gens = sample_matrices(gf4)
     for a in gens:
         inv = mat3_inv(gf4, a)
-        assert normalize_mat3(gf4, mat3_mul(gf4, a, inv)) == IDENTITY3
+        assert normalize_point(gf4, mat3_mul(gf4, a, inv)) == IDENTITY3
         for b in gens:
             ab = mat3_mul(gf4, a, b)
             # (ab)^-1 = b^-1 a^-1
-            assert normalize_mat3(gf4, mat3_mul(gf4, mat3_inv(gf4, b), mat3_inv(gf4, a))) \
-                == normalize_mat3(gf4, mat3_inv(gf4, ab))
+            assert normalize_point(gf4, mat3_mul(gf4, mat3_inv(gf4, b), mat3_inv(gf4, a))) \
+                == normalize_point(gf4, mat3_inv(gf4, ab))
 
 
 def test_lift_equivariance_exhaustive_q2(gf2):
@@ -324,7 +325,7 @@ def orbit_transversal(gf, state0, act):
             for k in range(len(gens)):
                 s2 = act(s, k)
                 if s2 not in tr:
-                    tr[s2] = normalize_mat3(gf, mat3_mul(gf, gens[k], u))
+                    tr[s2] = normalize_point(gf, mat3_mul(gf, gens[k], u))
                     new.append(s2)
         frontier = new
     return tr
@@ -333,7 +334,7 @@ def orbit_transversal(gf, state0, act):
 def _pair_action(gf):
     """The (line, point) pair of the line-orbit suite and the generators'
     action on it."""
-    line = atlas._line(gf, (0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0))
+    line = span(gf, [(0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0)])
     point = (0, 1, 0, 1, 0, 0)
     pa = PackedAction(gf)
     tables = [pa.tables(a) for a in generators(gf)]
@@ -351,7 +352,7 @@ def test_on_demand_schreier_closure_matches_full_schreier_set(gf4):
     gens = generators(gf4)
     tr = orbit_transversal(gf4, state0, act)
     schreier = {
-        normalize_mat3(gf4, mat3_mul(gf4, mat3_inv(gf4, tr[act(s, k)]), mat3_mul(gf4, a, u)))
+        normalize_point(gf4, mat3_mul(gf4, mat3_inv(gf4, tr[act(s, k)]), mat3_mul(gf4, a, u)))
         for s, u in tr.items() for k, a in enumerate(gens)
     }
     full = mulclose(gf4, schreier)
@@ -398,8 +399,8 @@ def test_closure_involution_skip_keeps_the_tree(gf2, gf4):
     """Not stepping a state back by the involution that reached it leaves
     the parent map, items and discovery order, as the plain BFS has it."""
     b, c = atlas.sigma20_parameters(gf4)
-    lines = [atlas._line(gf4, (1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0)),
-             atlas._line(gf4, (1, 0, b, c, 0, 1), (0, 1, 0, 1, 0, 0))]
+    lines = [span(gf4, [(1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0)]),
+             span(gf4, [(1, 0, b, c, 0, 1), (0, 1, 0, 1, 0, 0)])]
     cases = [_packed_step(s) for s in list(representatives(gf2).values()) + lines]
     cases.append(_pair_action(gf4))
     assert len(cases) == 21
@@ -451,10 +452,81 @@ def test_joint_stabilizer_matches_group_filter(q):
     gf = field(q)
     point = span(gf, [(0, 0, 0, 0, 1, 0)])
     hyperplane = span(gf, [tuple(int(i == j) for i in range(6)) for j in range(5)])
-    joint, orbit = atlas._pair_stabilizer(gf, point, hyperplane)
+    joint, orbit, _ = atlas._pair_stabilizer(gf, point, hyperplane)
     p = point.rows[0]
     direct = {a for a in pgl_elements(gf)
               if congruence_image(gf, a, p) == p and act_subspace(hyperplane, a) == hyperplane}
     assert joint == direct
     assert len(joint) == (q - 1) ** 2 * q * q
     assert orbit * len(joint) == pgl_order(q)
+
+
+def _line_orbit_cases(gf):
+    """The two stabilizers of the line-orbit suite, each with the candidate
+    lines it splits: the (line, point) pair stabilizer with the lines of the
+    conic plane through R, and the joint stabilizer of (P, H) with the
+    tangency candidates through P inside H."""
+    q = gf.q
+    R, P = (0, 1, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0)
+    line = span(gf, [R, (0, 0, 0, 1, 1, 0)])
+    hyperplane = span(gf, [atlas._e(j) for j in range(5)])
+    conic_lines = atlas._lines_through_in(gf, R, span(gf, [atlas._e(i) for i in (0, 1, 3)]))
+    tangency = {k: l for k, l in atlas._lines_through_in(gf, P, hyperplane).items()
+                if point_class_counts(l) == (0, 1, 1, q - 1) and any(r[0] for r in l.rows)}
+    return [(atlas._pair_stabilizer(gf, line, span(gf, [R])), conic_lines),
+            (atlas._pair_stabilizer(gf, span(gf, [P]), hyperplane), tangency)]
+
+
+def orbits_by_every_element(gf, members, keyed):
+    """Orbit partition of the given lines under a subgroup, given as the
+    set of all its elements: the orbit of a line is its set of images.  The
+    oracle for the closure over Schreier generators."""
+    pa = PackedAction(gf)
+    images = {k: {k} for k in keyed}
+    for a in members:
+        t = pa.tables(a)
+        for k, imgs in images.items():
+            imgs.add(pa.image(k, 2, t))
+    orbits = []
+    placed = set()
+    for k in sorted(keyed):
+        if k in placed:
+            continue
+        comp = images[k]
+        assert all(images[j] == comp for j in comp)
+        orbits.append(comp)
+        placed |= comp
+    return orbits
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_stabilizer_generators_close_to_the_stabilizer(q):
+    gf = field(q)
+    for (group, _, gens), _ in _line_orbit_cases(gf):
+        assert mulclose(gf, gens) == group
+
+
+def test_pair_stabilizer_generators_close_to_the_stabilizer_q8(gf8):
+    line = span(gf8, [(0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0)])
+    group, _, gens = atlas._pair_stabilizer(gf8, line, span(gf8, [(0, 1, 0, 1, 0, 0)]))
+    assert len(group) == 8 * 8 * 7
+    assert mulclose(gf8, gens) == group
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_line_orbits_by_closure_match_images_under_every_element(q):
+    gf = field(q)
+    sizes = []
+    for (group, _, gens), keyed in _line_orbit_cases(gf):
+        orbits = atlas._subgroup_orbits_on_lines(gf, gens, keyed)
+        assert orbits == orbits_by_every_element(gf, group, keyed)
+        sizes.append(sorted(len(c) for c in orbits))
+    assert sizes[0] == [1, q // 2, q // 2]
+
+
+def test_line_orbit_leaving_its_candidates_raises(gf4):
+    (group, _, gens), keyed = _line_orbit_cases(gf4)[0]
+    orbit = next(c for c in orbits_by_every_element(gf4, group, keyed) if len(c) > 1)
+    keyed.pop(min(orbit))
+    with pytest.raises(VerificationError, match="leaves its candidate set"):
+        atlas._subgroup_orbits_on_lines(gf4, gens, keyed)

@@ -2,6 +2,7 @@
 byte-level determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -222,9 +223,13 @@ def _with(rows, i, j, value):
     # label parameters: a bool is not 1, a float is not truncated
     ("classify-plane", {"label": "Sigma21", "parameters": {"a": True}}),
     ("classify-plane", {"label": "Sigma21", "parameters": {"a": 2.7}}),
+    # a parameter name the orbit does not take
+    ("classify-plane", {"label": "Sigma18", "parameters": {"z": 1}}),
+    ("classify-plane", {"label": "Sigma21", "parameters": {"a": 1, "b": 2}}),
 ], ids=["row-negative", "row-too-large", "row-bool", "row-float",
         "form-string-coefficient", "form-vector-negative", "form-string-repeated-monomial",
-        "label-parameter-bool", "label-parameter-float"])
+        "label-parameter-bool", "label-parameter-float", "label-parameter-unknown",
+        "label-parameter-extra"])
 def test_exit_code_rejects_non_field_elements(command, payload, capsys):
     code, out, err = run([command, "--q", "4", "--data", json.dumps(payload)], capsys)
     assert code == 2
@@ -286,6 +291,27 @@ def test_exit_code_verification_failure(capsys, monkeypatch):
     monkeypatch.setattr(atlas, "verify_known_net", lambda gf: failing)
     code, out, _ = run(["verify", "--q", "2", "--suite", "known-net"], capsys)
     assert code == 4
+
+
+def test_exit_code_representative_fails_validation(capsys, monkeypatch):
+    """A built representative whose signature disagrees with the closed-form
+    table is an internal-consistency failure: exit 4, before any check."""
+    table = atlas.expected_signature
+
+    def skewed(label, q):
+        sig = table(label, q)
+        if label == "Sigma9":
+            return dataclasses.replace(sig, hyperplane_counts=(0, 0, 0, 0))
+        return sig
+
+    monkeypatch.setattr(atlas, "expected_signature", skewed)
+    atlas._rep_data.cache_clear()
+    try:
+        code, out, err = run(["verify", "--q", "2", "--suite", "distributions"], capsys)
+    finally:
+        atlas._rep_data.cache_clear()
+    assert code == 4 and out == ""
+    assert err.startswith("verification failure: representative Sigma9 ")
 
 
 def test_exit_code_resource_budget(capsys, monkeypatch):
