@@ -393,8 +393,8 @@ def stabilizer(gf: GF, state0, step) -> tuple[set[tuple[int, ...]], int, list[tu
     generators along the closure's parent chain from state0 to s; a witness
     is built only when needed, and kept.  Schreier generators not yet in the
     closure are kept and closed as they come, the closure is returned once
-    it reaches |group| / |orbit|, and an overshoot or a shortfall fails
-    loudly.
+    it reaches |group| / |orbit| (at once, with no generators, when that is
+    1), and an overshoot or a shortfall fails loudly.
     """
     gens = generators(gf)
     tree = closure(state0, step, len(gens), involutions=(0,))
@@ -402,6 +402,8 @@ def stabilizer(gf: GF, state0, step) -> tuple[set[tuple[int, ...]], int, list[tu
     if order % len(tree):
         raise VerificationError("orbit size %d does not divide %d" % (len(tree), order))
     target = order // len(tree)
+    if target == 1:
+        return {IDENTITY3}, len(tree), []
     witness = {state0: IDENTITY3}
 
     def word(s):

@@ -44,7 +44,7 @@ from .errors import (
 from .gf import GF, field
 from .invariants import (
     PlaneSignature,
-    nuclear_point_count,
+    cubic_zeros_and_counts,
     double_line_hyperplane_count,
     nucleus_meet,
     nucleus_meet_dim,
@@ -720,8 +720,9 @@ def _double_line_tally(planes):
     bad: list[int] = []
     for s in planes:
         total += 1
-        meeting += nucleus_meet_dim(s) >= 0
-        if nuclear_point_count(s) != double_line_hyperplane_count(s):
+        nuclear = cubic_zeros_and_counts(s)[1][1]
+        meeting += nuclear > 0
+        if nuclear != double_line_hyperplane_count(s):
             violations += 1
             if len(bad) < 16:
                 bad.append(s.key_int())

@@ -44,9 +44,9 @@ def _poly_mod(p: int, g: int) -> int:
 
 def is_irreducible(modulus: int) -> bool:
     """Trial division by every polynomial of degree <= deg/2."""
-    e = _poly_deg(modulus)
-    if e < 1:
+    if modulus < 2:
         return False
+    e = _poly_deg(modulus)
     for g in range(2, 1 << (e // 2 + 1)):
         if _poly_deg(g) >= 1 and _poly_mod(modulus, g) == 0:
             return False
@@ -69,10 +69,8 @@ class GF:
             raise ValueError("supported extension degrees are 1..8, got e=%d" % e)
         if modulus is None:
             modulus = DEFAULT_MODULI[e]
-        if _poly_deg(modulus) != e:
-            raise ValueError(
-                "modulus 0x%x has degree %d, expected %d" % (modulus, _poly_deg(modulus), e)
-            )
+        if modulus < 0 or _poly_deg(modulus) != e:
+            raise ValueError("modulus %#x is not a bit mask of degree %d" % (modulus, e))
         if not is_irreducible(modulus):
             raise ValueError("modulus 0x%x is reducible over GF(2)" % modulus)
         self.q = q

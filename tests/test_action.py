@@ -395,6 +395,13 @@ def _packed_step(s):
     return s.key_int(), lambda k, i: pa.image(k, len(s.rows), tables[i])
 
 
+def test_stabilizer_can_be_trivial(gf2):
+    """Sigma22 at q=2 has stabilizer order 1: its orbit is the whole group,
+    and the stabilizer is the identity alone, closed by no generator."""
+    key, step = _packed_step(representative(gf2, "Sigma22"))
+    assert stabilizer(gf2, key, step) == ({IDENTITY3}, 168, [])
+
+
 def test_closure_involution_skip_keeps_the_tree(gf2, gf4):
     """Not stepping a state back by the involution that reached it leaves
     the parent map, items and discovery order, as the plain BFS has it."""

@@ -266,8 +266,9 @@ def test_exit_code_rejects_ambiguous_input(command, argv, stdin, capsys, monkeyp
     ["verify", "--q", "2", "--suite", "double-lines", "--workers", "-1"],
     ["verify", "--q", "2", "--suite", "partition", "--workers", "-2"],
     ["atlas", "--q", "2", "--workers", "-1"],
+    ["classify-plane", "--q", "4", "--modulus", "-7", "--data", '{"label": "Sigma3"}'],
 ], ids=["samples-negative", "samples-zero", "workers-double-lines",
-        "workers-partition", "workers-atlas"])
+        "workers-partition", "workers-atlas", "modulus-negative"])
 def test_exit_code_rejects_bad_sample_and_worker_counts(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2

@@ -150,6 +150,11 @@ def test_modulus_validation():
         field(4, 0b101)
     with pytest.raises(ValueError):
         field(4, 0b1011)  # degree 3 modulus for a degree 2 field
+    # a negative int is no bit mask, whatever its bit_length says
+    for q, bad in ((2, -3), (4, -5), (4, -7)):
+        assert not is_irreducible(bad)
+        with pytest.raises(ValueError, match="not a bit mask"):
+            field(q, bad)
 
 
 def test_alternate_modulus_is_still_a_field():
