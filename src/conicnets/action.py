@@ -21,14 +21,18 @@ so a subspace key is its reduced packed rows joined together.  The action is
 linear and addition is XOR, so the image of a packed row v is
 ``hi[v >> 3e] ^ lo[v & (2^3e - 1)]`` for two split tables of q^3 entries
 each; scaling by c uses one such pair per c.  ``PackedAction`` builds these
-tables per call; its ``image`` maps and reduces in one packed elimination.
-One breadth-first ``closure``, which records each state's parent, serves
-``orbit_keys``, ``k_equivalent``, ``mulclose`` and ``stabilizer``; the last
-multiplies out Schreier generators along the parent pointers and returns
-the few it closed, whose closures give the line-orbit suite its orbits.
-The transvection is an involution, so no state it reached is stepped back
-by it.  ``congruence_image`` moves one point, each diagonal entry of
-A M A^T a sum of squares.
+tables per call.  Its ``mover`` binds one matrix's tables into a map from
+n-row keys to image keys, straight-line for up to three rows: a lift of an
+invertible matrix drops no row, so there is no dependent-row branch.  Its
+``image`` is the general packed RREF, which serves n >= 4 and the tests.
+Every orbit walk steps through movers.  One breadth-first ``closure``,
+which records each state's parent, serves ``orbit_keys``, ``k_equivalent``,
+``mulclose`` and ``stabilizer``; the last multiplies out Schreier
+generators along the parent pointers and returns the few it closed, whose
+closures give the line-orbit suite its orbits.  The transvection is an
+involution, so no state it reached is stepped back by it.
+``congruence_image`` moves one point, each diagonal entry of A M A^T a sum
+of squares.
 """
 
 from __future__ import annotations
@@ -173,9 +177,12 @@ class PackedAction:
     """Projectivities acting on packed-row subspaces of PG(5,q).
 
     Holds the scale tables of the field, one split pair per nonzero c
-    (``scale``, also split into the ``shi``/``slo`` lists ``image`` reads);
-    ``tables(a)`` builds the split image tables of lift(a).  A subspace
-    with n basis rows is passed around as its packed key.  All tables are
+    (``scale``, also split into the ``shi``/``slo`` lists the eliminations
+    read); ``tables(a)`` builds the split image tables of lift(a).  A
+    subspace with n basis rows is passed around as its packed key.
+    ``mover(tables, n)`` is the map the orbit walks use, straight-line up
+    to three rows; ``image`` is the general packed RREF behind n >= 4 and
+    the tests, which also accepts dependent rows.  All tables are
     built per instance, q^3 entries each, so this serves only the small
     fields where orbits can be enumerated.
     """
@@ -194,9 +201,112 @@ class PackedAction:
         ]
         self.shi = [p and p[0] for p in self.scale]
         self.slo = [p and p[1] for p in self.scale]
+        # pivot[b]: shift of the highest nonzero e-bit field of a row of bit length b
+        self.pivot = [0] + [(b - 1) // e * e for b in range(1, 6 * e + 1)]
 
     def tables(self, a) -> tuple[list[int], list[int]]:
         return _split_tables(self.gf, lift(self.gf, a))
+
+    def mover(self, tables, n: int):
+        """The map key -> image key of n-row subspaces under ``tables``.
+
+        For n <= 3 the elimination is straight-line: map the rows, normalize
+        the first, then reduce, normalize and back-substitute the second and
+        the third, and order the rows by at most three pivot comparisons.
+        The tables are those of an invertible matrix, so no mapped row is
+        dependent and none is dropped.  Larger n falls back on ``image``."""
+        if n > 3:
+            image = self.image
+            return lambda key: image(key, n, tables)
+        hi, lo = tables
+        w, s3, m3, m6 = self.w, self.s3, self.m3, self.m6
+        shi, slo, pivot = self.shi, self.slo, self.pivot
+        m, inv = self.gf.q - 1, self.gf._inv
+
+        def move1(key):
+            a = hi[key >> s3] ^ lo[key & m3]
+            c = a >> pivot[a.bit_length()]
+            if c != 1:
+                c = inv[c]
+                a = shi[c][a >> s3] ^ slo[c][a & m3]
+            return a
+
+        def move2(key):
+            a, b = key >> w, key & m6
+            a = hi[a >> s3] ^ lo[a & m3]
+            b = hi[b >> s3] ^ lo[b & m3]
+            sa = pivot[a.bit_length()]
+            c = a >> sa
+            if c != 1:
+                c = inv[c]
+                a = shi[c][a >> s3] ^ slo[c][a & m3]
+            c = (b >> sa) & m
+            if c:
+                b ^= shi[c][a >> s3] ^ slo[c][a & m3]
+            sb = pivot[b.bit_length()]
+            c = b >> sb
+            if c != 1:
+                c = inv[c]
+                b = shi[c][b >> s3] ^ slo[c][b & m3]
+            c = (a >> sb) & m
+            if c:
+                a ^= shi[c][b >> s3] ^ slo[c][b & m3]
+            return a << w | b if sa > sb else b << w | a
+
+        def move3(key):
+            a, b, d = key >> 2 * w, (key >> w) & m6, key & m6
+            a = hi[a >> s3] ^ lo[a & m3]
+            b = hi[b >> s3] ^ lo[b & m3]
+            d = hi[d >> s3] ^ lo[d & m3]
+            sa = pivot[a.bit_length()]
+            c = a >> sa
+            if c != 1:
+                c = inv[c]
+                a = shi[c][a >> s3] ^ slo[c][a & m3]
+            ah, al = a >> s3, a & m3
+            c = (b >> sa) & m
+            if c:
+                b ^= shi[c][ah] ^ slo[c][al]
+            c = (d >> sa) & m
+            if c:
+                d ^= shi[c][ah] ^ slo[c][al]
+            sb = pivot[b.bit_length()]
+            c = b >> sb
+            if c != 1:
+                c = inv[c]
+                b = shi[c][b >> s3] ^ slo[c][b & m3]
+            bh, bl = b >> s3, b & m3
+            c = (a >> sb) & m
+            if c:
+                a ^= shi[c][bh] ^ slo[c][bl]
+            c = (d >> sb) & m
+            if c:
+                d ^= shi[c][bh] ^ slo[c][bl]
+            sd = pivot[d.bit_length()]
+            c = d >> sd
+            if c != 1:
+                c = inv[c]
+                d = shi[c][d >> s3] ^ slo[c][d & m3]
+            dh, dl = d >> s3, d & m3
+            c = (a >> sd) & m
+            if c:
+                a ^= shi[c][dh] ^ slo[c][dl]
+            c = (b >> sd) & m
+            if c:
+                b ^= shi[c][dh] ^ slo[c][dl]
+            if sa > sb:
+                if sb > sd:
+                    return (a << w | b) << w | d
+                if sa > sd:
+                    return (a << w | d) << w | b
+                return (d << w | a) << w | b
+            if sa > sd:
+                return (b << w | a) << w | d
+            if sb > sd:
+                return (b << w | d) << w | a
+            return (d << w | b) << w | a
+
+        return (move1, move2, move3)[n - 1]
 
     def image(self, key: int, n: int, tables) -> int:
         """Key of the image of the n-row subspace ``key`` under ``tables``.
@@ -355,9 +465,8 @@ def closure(start, step, ngens: int, max_keys: int | None = None, target=None,
 
 def _generator_orbit(s: Subspace, max_keys: int | None, target: int | None) -> dict:
     pa = PackedAction(s.gf)
-    gens = [pa.tables(g) for g in generators(s.gf)]
-    image, n = pa.image, len(s.rows)
-    return closure(s.key_int(), lambda k, i: image(k, n, gens[i]), len(gens), max_keys, target,
+    movers = [pa.mover(pa.tables(g), len(s.rows)) for g in generators(s.gf)]
+    return closure(s.key_int(), lambda k, i: movers[i](k), len(movers), max_keys, target,
                    involutions=(0,))
 
 

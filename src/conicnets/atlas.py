@@ -62,7 +62,6 @@ from .projgeom import (
     plane_from_pattern,
     rref,
     span,
-    unpack_rows,
 )
 
 SCHEMA = "conicnets-report/1"
@@ -831,13 +830,13 @@ def _subgroup_orbits_on_lines(gf: GF, gens, keyed: dict[int, Subspace]):
     line under the generators' tables, and one that leaves the given lines
     raises VerificationError."""
     pa = PackedAction(gf)
-    tables = [pa.tables(a) for a in gens]
+    movers = [pa.mover(pa.tables(a), 2) for a in gens]
     orbits: list[set[int]] = []
     placed: set[int] = set()
     for k in sorted(keyed):
         if k in placed:
             continue
-        comp = set(closure(k, lambda x, i: pa.image(x, 2, tables[i]), len(tables)))
+        comp = set(closure(k, lambda x, i: movers[i](x), len(movers)))
         if not comp <= keyed.keys():
             raise VerificationError("a line orbit leaves its candidate set")
         orbits.append(comp)
@@ -849,10 +848,10 @@ def _pair_stabilizer(gf: GF, s: Subspace, t: Subspace):
     """Full stabilizer of a pair of subspaces, the size of the pair's orbit,
     and the Schreier generators of the stabilizer (action.stabilizer)."""
     pa = PackedAction(gf)
-    gens = [pa.tables(a) for a in generators(gf)]
-    image, ns, nt = pa.image, len(s.rows), len(t.rows)
+    tables = [pa.tables(a) for a in generators(gf)]
+    ms, mt = ([pa.mover(tab, len(x.rows)) for tab in tables] for x in (s, t))
     return stabilizer(gf, (s.key_int(), t.key_int()),
-                      lambda st, k: (image(st[0], ns, gens[k]), image(st[1], nt, gens[k])))
+                      lambda st, k: (ms[k](st[0]), mt[k](st[1])))
 
 
 def verify_line_orbits(gf: GF) -> dict:
@@ -948,9 +947,11 @@ def verify_line_orbits(gf: GF) -> dict:
             {"orders": [pgl_order(q) // len(oa), pgl_order(q) // len(ob)],
              "expected": [6, 2]},
         ))
+        # x00 = x22 on both rows: first and last e-bit fields of each
+        top, w, m = 5 * gf.e, 6 * gf.e, q - 1
         contained = sum(
             1 for k in oa
-            if all(r[0] == r[5] for r in unpack_rows(gf, k, 6, 2))
+            if k >> (top + w) == (k >> w) & m and (k >> top) & m == k & m
         )
         want = q**3 * (q - 1) * (q * q - 1) // 6
         checks.append(_check(

@@ -345,6 +345,11 @@ def cubic_type(gf: GF, cubic, zeros=None) -> str:
     singular.  For f = L*C with L simple, C is an imaginary pair iff no zero
     off L is smooth; otherwise C is a conic and the singular points of L are
     where it meets C.  Types are the CUBIC_KINDS strings.
+
+    The kinds cover the determinantal cubics of planes meeting the nucleus
+    plane.  Off that family two more shapes occur, a line plus a conic the
+    line misses and a cubic with no factors and no rational points; both
+    raise ClassificationError.
     """
     if not any(cubic):
         raise ValueError("the zero cubic has no factorization type")
@@ -452,7 +457,11 @@ class PlaneSignature:
 def plane_key(s: Subspace) -> tuple:
     """(point_counts, cubic_kind) of a plane; cubic_kind is None when the
     determinantal cubic vanishes identically.  Together they separate every
-    orbit except Sigma3 from Sigma4."""
+    orbit except Sigma3 from Sigma4.  The cubic kinds cover the planes
+    meeting the nucleus plane; a plane off that family whose cubic is a
+    line plus a conic the line misses, or has no factors and no rational
+    points, raises ClassificationError (36 of the 512 such planes at
+    q = 2)."""
     _require_plane(s)
     cubic = cubic_form(s)
     zeros, counts = cubic_zeros_and_counts(s)

@@ -297,7 +297,7 @@ def plane_from_pattern(gf: GF, pattern) -> Subspace:
         raise ValueError("pattern must consist of three 6-tuples")
     rows = rref(gf, vecs)
     if len(rows) != 3:
-        raise ValueError("pattern vectors are linearly dependent")
+        raise ValueError("plane rows are linearly dependent")
     return Subspace(gf, 5, rows)
 
 

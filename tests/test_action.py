@@ -264,6 +264,46 @@ def test_packed_rref_matches_rref(q):
         assert pa.image(pack_rows(gf, rows), len(rows), pa.scale[1]) == want
 
 
+def _first_pivots(gf, rows):
+    """The pivot column each row adds when the rows are reduced in order."""
+    out = []
+    for i in range(1, len(rows) + 1):
+        cols = {next(j for j, x in enumerate(r) if x) for r in rref(gf, rows[:i])}
+        out.append((cols - set(out)).pop())
+    return out
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_movers_match_rref_and_image(q):
+    """Each mover against the RREF of the tuple-mapped rows and against
+    ``image``, on random full-rank RREF keys of 1, 2 and 3 rows, and of 5
+    through the fallback, under the generators and random projectivities.
+    At q=4 the mapped rows arrive in every pivot order, so every branch of
+    the mover's row ordering runs."""
+    gf = field(q)
+    pa = PackedAction(gf)
+    rng = random.Random(q)
+    orders = {2: set(), 3: set()}
+    for a in list(generators(gf)) + _random_projectivities(gf, 8, q):
+        l, tables = lift(gf, a), pa.tables(a)
+        for n in (1, 2, 3, 5):
+            move = pa.mover(tables, n)
+            for _ in range(40):
+                rows = ()
+                while len(rows) < n:
+                    rows = rref(gf, [[rng.randrange(q) if rng.random() < 0.5 else 0
+                                      for _ in range(6)] for _ in range(n)])
+                key = pack_rows(gf, rows)
+                mapped = [apply_matrix(gf, l, r) for r in rows]
+                want = pack_rows(gf, rref(gf, mapped))
+                assert move(key) == want == pa.image(key, n, tables), (a, rows)
+                if n in orders:
+                    piv = _first_pivots(gf, mapped)
+                    orders[n].add(tuple(sorted(range(n), key=piv.__getitem__)))
+    if q == 4:
+        assert len(orders[2]) == 2 and len(orders[3]) == 6
+
+
 def tuple_orbit_keys(s):
     """Breadth-first orbit on row tuples: lift, multiply, projgeom.rref."""
     gf = s.gf

@@ -276,6 +276,18 @@ def test_exit_code_rejects_bad_sample_and_worker_counts(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command,payload,what", [
+    ("classify-plane", {"rows": SIGMA19_Q4[:2] + [[1, 1, 0, 1, 0, 1]]}, "plane rows"),
+    ("classify-net", {"forms": EXAMPLE_NET_Q4[:2] + ["X0^2 + X1^2 + X1*X2"]}, "net basis forms"),
+], ids=["plane-rows", "net-forms"])
+def test_dependent_input_names_what_the_user_gave(command, payload, what, capsys):
+    code, out, err = run([command, "--q", "4", "--data", json.dumps(payload)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == "error: %s are linearly dependent\n" % what
+
+
 def test_exit_code_out_of_family(capsys):
     data = '{"rows": [[1,0,0,0,0,0],[0,0,0,1,0,0],[0,0,0,0,0,1]]}'
     code, _, err = run(["classify-plane", "--q", "4", "--data", data], capsys)

@@ -39,6 +39,7 @@ from conicnets.invariants import (
     lines_in_plane,
     nucleus_meet,
     nucleus_meet_dim,
+    plane_key,
     plane_signature,
     point_class_counts,
     veronese_points,
@@ -636,6 +637,25 @@ def test_fused_point_pass_on_every_plane_q2(gf2):
         nuclear[cubic_zeros_and_counts(s)[1][1]] += 1
     assert vanishing > 0
     assert nuclear == {0: 512, 1: 784, 3: 98, 7: 1}
+
+
+def test_plane_key_off_the_family_raises_classification_error_q2(gf2):
+    """The cubic kinds cover the planes meeting the nucleus plane; the other
+    shapes, met only off it, raise ClassificationError and nothing else."""
+    off = {}
+    for s in enumerate_planes(gf2):
+        try:
+            plane_key(s)
+        except ClassificationError as exc:
+            assert not cubic_zeros_and_counts(s)[1][1], s
+            off[s.key_hex()] = str(exc)
+    assert len(off) == 36
+    assert off["21509"] == "component line meets the residual conic in 0 points"
+    assert off["224cd"] == "cubic with no factors and no rational points"
+    assert Counter(off.values()) == {
+        "component line meets the residual conic in 0 points": 28,
+        "cubic with no factors and no rational points": 8,
+    }
 
 
 @pytest.mark.parametrize("q", (4, 8, 16))
