@@ -22,15 +22,16 @@ linear and addition is XOR, so the image of a packed row v is
 ``hi[v >> 3e] ^ lo[v & (2^3e - 1)]`` for two split tables of q^3 entries
 each; scaling by c uses one such pair per c.  ``PackedAction`` builds these
 tables per call.  Its ``mover`` binds one matrix's tables into a map from
-n-row keys to image keys, straight-line for up to three rows: a lift of an
-invertible matrix drops no row, so there is no dependent-row branch.  Its
-``image`` is the general packed RREF, which serves n >= 4 and the tests.
-Every orbit walk steps through movers.  One breadth-first ``closure``,
-which records each state's parent, serves ``orbit_keys``, ``k_equivalent``,
-``mulclose`` and ``stabilizer``; the last multiplies out Schreier
-generators along the parent pointers and returns the few it closed, whose
-closures give the line-orbit suite its orbits.  The transvection is an
-involution, so no state it reached is stepped back by it.
+n-row keys to image keys for points, lines and planes (n = 1, 2, 3): the one
+packed elimination, straight-line code with no dependent-row branch, since
+a lift of an invertible matrix drops no row.  ``projgeom.rref`` is the one
+general elimination.  Every orbit walk steps through movers.  One
+breadth-first ``closure``, which records each state's parent, serves
+``orbit_keys``, ``k_equivalent``, ``mulclose`` and ``stabilizer``; the last
+multiplies out Schreier generators along the parent pointers and returns
+the few it closed, whose closures give the line-orbit suite its orbits.
+The transvection is an involution, so no state it reached is stepped back
+by it.
 ``congruence_image`` moves one point, each diagonal entry of A M A^T a sum
 of squares.
 """
@@ -174,17 +175,15 @@ def _split_tables(gf: GF, l) -> tuple[list[int], list[int]]:
 
 
 class PackedAction:
-    """Projectivities acting on packed-row subspaces of PG(5,q).
+    """Projectivities acting on packed-row points, lines and planes of PG(5,q).
 
-    Holds the scale tables of the field, one split pair per nonzero c
-    (``scale``, also split into the ``shi``/``slo`` lists the eliminations
-    read); ``tables(a)`` builds the split image tables of lift(a).  A
-    subspace with n basis rows is passed around as its packed key.
-    ``mover(tables, n)`` is the map the orbit walks use, straight-line up
-    to three rows; ``image`` is the general packed RREF behind n >= 4 and
-    the tests, which also accepts dependent rows.  All tables are
-    built per instance, q^3 entries each, so this serves only the small
-    fields where orbits can be enumerated.
+    Holds the scale tables of the field, one split pair per nonzero c in
+    the ``shi``/``slo`` lists; ``tables(a)`` builds the split image tables
+    of lift(a).  A subspace with n basis rows is passed around as its
+    packed key, and ``mover(tables, n)`` maps it to its image key for n in
+    1..3, the only packed elimination.  All tables are built per instance,
+    q^3 entries each, so this serves only the small fields where orbits
+    can be enumerated.
     """
 
     def __init__(self, gf: GF):
@@ -192,15 +191,13 @@ class PackedAction:
             raise ResourceBudgetError(
                 "packed orbit tables are limited to q <= 16, got q=%d" % gf.q)
         self.gf = gf
-        e = self.e = gf.e
+        e = gf.e
         self.w, self.s3 = 6 * e, 3 * e
         self.m6, self.m3 = (1 << 6 * e) - 1, (1 << 3 * e) - 1
-        self.scale = [None] + [
-            _split_tables(gf, [[c if i == j else 0 for j in range(6)] for i in range(6)])
-            for c in gf.nonzero
-        ]
-        self.shi = [p and p[0] for p in self.scale]
-        self.slo = [p and p[1] for p in self.scale]
+        scale = [_split_tables(gf, [[c if i == j else 0 for j in range(6)] for i in range(6)])
+                 for c in gf.nonzero]
+        self.shi = [None] + [hi for hi, _ in scale]
+        self.slo = [None] + [lo for _, lo in scale]
         # pivot[b]: shift of the highest nonzero e-bit field of a row of bit length b
         self.pivot = [0] + [(b - 1) // e * e for b in range(1, 6 * e + 1)]
 
@@ -208,16 +205,16 @@ class PackedAction:
         return _split_tables(self.gf, lift(self.gf, a))
 
     def mover(self, tables, n: int):
-        """The map key -> image key of n-row subspaces under ``tables``.
+        """The map key -> image key of n-row subspaces under ``tables``,
+        n = 1, 2 or 3; other n raise ValueError.
 
-        For n <= 3 the elimination is straight-line: map the rows, normalize
-        the first, then reduce, normalize and back-substitute the second and
-        the third, and order the rows by at most three pivot comparisons.
-        The tables are those of an invertible matrix, so no mapped row is
-        dependent and none is dropped.  Larger n falls back on ``image``."""
-        if n > 3:
-            image = self.image
-            return lambda key: image(key, n, tables)
+        The elimination is straight-line: map the rows, normalize the first,
+        then reduce, normalize and back-substitute the second and the third,
+        and order the rows by at most three pivot comparisons.  The tables
+        are those of an invertible matrix, so no mapped row is dependent and
+        none is dropped."""
+        if not 1 <= n <= 3:
+            raise ValueError("packed movers take 1 to 3 rows, got %d" % n)
         hi, lo = tables
         w, s3, m3, m6 = self.w, self.s3, self.m3, self.m6
         shi, slo, pivot = self.shi, self.slo, self.pivot
@@ -307,46 +304,6 @@ class PackedAction:
             return (d << w | b) << w | a
 
         return (move1, move2, move3)[n - 1]
-
-    def image(self, key: int, n: int, tables) -> int:
-        """Key of the image of the n-row subspace ``key`` under ``tables``.
-
-        Each mapped row is reduced against the kept (pivot shift, row)
-        pairs, a row's pivot being its highest nonzero e-bit field; the kept
-        rows, pivots first to last, are the canonical RREF.  Dependent rows
-        drop out."""
-        hi, lo = tables
-        e, w, s3, m3, m6 = self.e, self.w, self.s3, self.m3, self.m6
-        shi, slo = self.shi, self.slo
-        m, inv = self.gf.q - 1, self.gf._inv
-        out: list[tuple[int, int]] = []
-        for _ in range(n):
-            v = key & m6
-            key >>= w
-            v = hi[v >> s3] ^ lo[v & m3]
-            for sh, r in out:
-                f = (v >> sh) & m
-                if f:
-                    v ^= shi[f][r >> s3] ^ slo[f][r & m3]
-            if not v:
-                continue
-            sh = (v.bit_length() - 1) // e * e
-            c = v >> sh
-            if c != 1:
-                c = inv[c]
-                v = shi[c][v >> s3] ^ slo[c][v & m3]
-            hv, lv = v >> s3, v & m3
-            for i in range(len(out)):
-                sr, r = out[i]
-                f = (r >> sh) & m
-                if f:
-                    out[i] = sr, r ^ shi[f][hv] ^ slo[f][lv]
-            out.append((sh, v))
-        out.sort(reverse=True)
-        key = 0
-        for _, r in out:
-            key = (key << w) | r
-        return key
 
 
 # -- generators and the group ---------------------------------------------

@@ -55,6 +55,7 @@ from .invariants import (
 )
 from .projgeom import (
     Subspace,
+    annihilator,
     enumerate_planes_chunk,
     gaussian_binomial,
     nullspace,
@@ -465,15 +466,21 @@ def net_of_plane(s: Subspace) -> tuple[tuple[int, ...], ...]:
     return nullspace(s.gf, s.rows, 6)
 
 
-def plane_of_net(gf: GF, forms) -> Subspace:
-    """The plane of PG(5, q) whose dual hyperplanes carry the given net."""
+def _net_rows(gf: GF, forms) -> tuple[tuple[int, ...], ...]:
+    """RREF of a net's basis forms; ValueError unless they are three
+    linearly independent coefficient 6-vectors."""
     vecs = [tuple(f) for f in forms]
     if len(vecs) != 3 or any(len(v) != 6 for v in vecs):
         raise ValueError("a net needs exactly three coefficient 6-vectors")
-    rows = nullspace(gf, vecs, 6)
-    if len(rows) != 3:
+    red = rref(gf, vecs)
+    if len(red) != 3:
         raise ValueError("net basis forms are linearly dependent")
-    return Subspace(gf, 5, rows)
+    return red
+
+
+def plane_of_net(gf: GF, forms) -> Subspace:
+    """The plane of PG(5, q) whose dual hyperplanes carry the given net."""
+    return Subspace(gf, 5, rref(gf, annihilator(gf, _net_rows(gf, forms), 6)))
 
 
 def net_base_points(gf: GF, forms) -> list[tuple[int, ...]]:
@@ -492,10 +499,10 @@ def net_double_line_count(gf: GF, forms) -> int:
     coefficients (a01, a02, a12) vanish, so the double lines are the points
     of the kernel of the linear map taking a form of the net to its cross
     part: (q^k - 1) / (q - 1) of them, k = dim of the net - rank of its
-    cross columns.
+    cross columns.  Forms that are not a net raise ValueError, as in
+    plane_of_net.
     """
-    vecs = [tuple(f) for f in forms]
-    k = len(rref(gf, vecs)) - len(rref(gf, [(f[1], f[2], f[4]) for f in vecs]))
+    k = 3 - len(rref(gf, [(f[1], f[2], f[4]) for f in _net_rows(gf, forms)]))
     return (gf.q**k - 1) // (gf.q - 1)
 
 
@@ -897,7 +904,8 @@ def verify_line_orbits(gf: GF) -> dict:
             direct == stab,
             {"filter_order": len(direct)},
         ))
-    keyed = _lines_through_in(gf, R, span(gf, [_e(0), _e(1), _e(3)]))
+    conic_plane = span(gf, [_e(0), _e(1), _e(3)])  # the conic plane of the line X2 = 0
+    keyed = _lines_through_in(gf, R, conic_plane)
     orbits = _subgroup_orbits_on_lines(gf, stab_gens, keyed)
     shape = sorted(
         (len(comp), sorted({point_class_counts(keyed[k])[0] for k in comp}))
@@ -913,7 +921,10 @@ def verify_line_orbits(gf: GF) -> dict:
     if q == 4:
         P = (0, 0, 0, 0, 1, 0)
         H = span(gf, [_e(j) for j in range(5)])
-        joint, _, joint_gens = _pair_stabilizer(gf, span(gf, [P]), H)
+        # H = {m22 = 0} and the conic plane are fixed by the same matrices,
+        # those with A^T e2 a multiple of e2, so the stabilizer walks the
+        # three-row plane in place of the five-row hyperplane.
+        joint, _, joint_gens = _pair_stabilizer(gf, span(gf, [P]), conic_plane)
         checks.append(_check(
             "joint_stabilizer_order",
             len(joint) == (q - 1) ** 2 * q * q,

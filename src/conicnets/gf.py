@@ -198,25 +198,6 @@ class GF:
         """Smaller root x of x^2 + x = c, or None when Tr(c) = 1 (no root)."""
         return self._as_root[self._check(c)]
 
-    def poly_roots(self, coeffs) -> list[int]:
-        """Roots in this field of sum(coeffs[i] * X^i); exhaustive scan.
-
-        Intended for the small degrees (<= 3) this engine needs; raises on
-        the zero polynomial.
-        """
-        cs = [self._check(c) for c in coeffs]
-        if not any(cs):
-            raise ValueError("zero polynomial has every element as a root")
-        mul = self._mul
-        roots = []
-        for x in self.elements:
-            acc = 0
-            for c in reversed(cs):
-                acc = mul[acc][x] ^ c
-            if acc == 0:
-                roots.append(x)
-        return roots
-
     def primitive_element(self) -> int:
         """Smallest generator of the multiplicative group."""
         target = self.q - 1

@@ -34,7 +34,7 @@ from itertools import product
 from .action import mat3_det
 from .errors import ClassificationError
 from .gf import GF
-from .projgeom import Subspace, normalize_point, nullspace, pg_points, rref
+from .projgeom import Subspace, annihilator, normalize_point, nullspace, pg_points, rref
 from .veronese import classify_conic, point_class, veronese
 
 CUBIC_MONOMIALS = (
@@ -132,14 +132,14 @@ def hyperplane_class_counts(s: Subspace) -> tuple[int, int, int, int]:
 
 def double_line_hyperplane_count(s: Subspace) -> int:
     """How many hyperplanes through the plane cut the Veronese surface in a
-    double line: the forms x*N0 + y*N1 + z*N2 over the annihilator rows
-    whose cross columns 1, 2, 4 vanish, found by scanning the q^2+q+1
-    triples (x, y, z).  Deliberately not derived from the nucleus meet
-    dimension."""
+    double line: the forms x*N0 + y*N1 + z*N2 over the unreduced
+    ``annihilator`` basis whose cross columns 1, 2, 4 vanish, found by
+    scanning the q^2+q+1 triples (x, y, z); the count does not depend on the
+    basis.  Deliberately not derived from the nucleus meet dimension."""
     _require_plane(s)
     gf, mul = s.gf, s.gf._mul
     (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = (
-        (r[1], r[2], r[4]) for r in nullspace(gf, s.rows, 6))
+        (r[1], r[2], r[4]) for r in annihilator(gf, s.rows, 6))
     count = 0
     for x, y, z in pg_points(gf, 2):
         mx, my, mz = mul[x], mul[y], mul[z]

@@ -58,9 +58,10 @@ def rank(gf: GF, rows) -> int:
     return len(rref(gf, rows))
 
 
-def nullspace(gf: GF, rows, width: int) -> tuple[tuple[int, ...], ...]:
-    """RREF basis of {v : row . v = 0 for every row}, rows as row vectors."""
-    red = rref(gf, rows)
+def annihilator(gf: GF, red, width: int) -> tuple[tuple[int, ...], ...]:
+    """Basis of {v : row . v = 0 for every row} for rows ``red`` already in
+    canonical RREF, one vector per free column, read off without reduction;
+    ``nullspace`` reduces it."""
     pivots = []
     for row in red:
         for j, v in enumerate(row):
@@ -75,7 +76,12 @@ def nullspace(gf: GF, rows, width: int) -> tuple[tuple[int, ...], ...]:
         for i, p in enumerate(pivots):
             v[p] = red[i][f]  # characteristic 2: no sign flip
         basis.append(tuple(v))
-    return rref(gf, basis)
+    return tuple(basis)
+
+
+def nullspace(gf: GF, rows, width: int) -> tuple[tuple[int, ...], ...]:
+    """RREF basis of {v : row . v = 0 for every row}, rows as row vectors."""
+    return rref(gf, annihilator(gf, rref(gf, rows), width))
 
 
 # -- points -------------------------------------------------------------

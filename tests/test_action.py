@@ -249,21 +249,6 @@ def test_closed_form_lift_matches_congruence_product_sampled(q):
         assert lift(gf, a) == congruence_lift(gf, a)
 
 
-@pytest.mark.parametrize("q", (2, 4, 8, 16))
-def test_packed_rref_matches_rref(q):
-    gf = field(q)
-    pa = PackedAction(gf)
-    rng = random.Random(q)
-    for _ in range(400):
-        rows = [[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(6)]
-                for _ in range(rng.randint(1, 4))]
-        if len(rows) > 1 and rng.random() < 0.3:  # force a dependent row
-            c = rng.randrange(1, q)
-            rows.append([gf.mul(c, x) ^ y for x, y in zip(rows[0], rows[1])])
-        want = pack_rows(gf, rref(gf, rows))
-        assert pa.image(pack_rows(gf, rows), len(rows), pa.scale[1]) == want
-
-
 def _first_pivots(gf, rows):
     """The pivot column each row adds when the rows are reduced in order."""
     out = []
@@ -275,18 +260,17 @@ def _first_pivots(gf, rows):
 
 @pytest.mark.parametrize("q", (2, 4, 8, 16))
 def test_movers_match_rref_and_image(q):
-    """Each mover against the RREF of the tuple-mapped rows and against
-    ``image``, on random full-rank RREF keys of 1, 2 and 3 rows, and of 5
-    through the fallback, under the generators and random projectivities.
-    At q=4 the mapped rows arrive in every pivot order, so every branch of
-    the mover's row ordering runs."""
+    """Each mover against the RREF of the tuple-mapped rows, on random
+    full-rank RREF keys of 1, 2 and 3 rows, under the generators and random
+    projectivities.  At q=4 the mapped rows arrive in every pivot order, so
+    every branch of the mover's row ordering runs."""
     gf = field(q)
     pa = PackedAction(gf)
     rng = random.Random(q)
     orders = {2: set(), 3: set()}
     for a in list(generators(gf)) + _random_projectivities(gf, 8, q):
         l, tables = lift(gf, a), pa.tables(a)
-        for n in (1, 2, 3, 5):
+        for n in (1, 2, 3):
             move = pa.mover(tables, n)
             for _ in range(40):
                 rows = ()
@@ -296,12 +280,24 @@ def test_movers_match_rref_and_image(q):
                 key = pack_rows(gf, rows)
                 mapped = [apply_matrix(gf, l, r) for r in rows]
                 want = pack_rows(gf, rref(gf, mapped))
-                assert move(key) == want == pa.image(key, n, tables), (a, rows)
+                assert move(key) == want, (a, rows)
                 if n in orders:
                     piv = _first_pivots(gf, mapped)
                     orders[n].add(tuple(sorted(range(n), key=piv.__getitem__)))
     if q == 4:
         assert len(orders[2]) == 2 and len(orders[3]) == 6
+
+
+def test_mover_takes_one_to_three_rows(gf4):
+    """Packed movers serve points, lines and planes only; a solid or a
+    hyperplane key is refused up front rather than misread."""
+    pa = PackedAction(gf4)
+    tables = pa.tables(generators(gf4)[1])
+    for n in (0, 4, 5):
+        with pytest.raises(ValueError, match="1 to 3 rows"):
+            pa.mover(tables, n)
+    with pytest.raises(ValueError, match="1 to 3 rows"):
+        orbit_keys(span(gf4, [atlas._e(j) for j in range(5)]))
 
 
 def tuple_orbit_keys(s):
@@ -377,10 +373,10 @@ def _pair_action(gf):
     line = span(gf, [(0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0)])
     point = (0, 1, 0, 1, 0, 0)
     pa = PackedAction(gf)
-    tables = [pa.tables(a) for a in generators(gf)]
+    movers = [(pa.mover(t, 2), pa.mover(t, 1)) for t in map(pa.tables, generators(gf))]
 
     def act(state, k):
-        return pa.image(state[0], 2, tables[k]), pa.image(state[1], 1, tables[k])
+        return movers[k][0](state[0]), movers[k][1](state[1])
 
     return (line.key_int(), pack_rows(gf, [point])), act
 
@@ -431,8 +427,8 @@ def test_closure_max_keys_raises_with_partial(gf4):
 def _packed_step(s):
     """Packed start key of a subspace and the generators' action on it."""
     pa = PackedAction(s.gf)
-    tables = [pa.tables(a) for a in generators(s.gf)]
-    return s.key_int(), lambda k, i: pa.image(k, len(s.rows), tables[i])
+    movers = [pa.mover(pa.tables(a), len(s.rows)) for a in generators(s.gf)]
+    return s.key_int(), lambda k, i: movers[i](k)
 
 
 def test_stabilizer_can_be_trivial(gf2):
@@ -494,12 +490,14 @@ def test_k_equivalent_stops_at_its_target(gf4, sample_matrices, monkeypatch):
 
 @pytest.mark.parametrize("q", (2, 4))
 def test_joint_stabilizer_matches_group_filter(q):
-    """The Schreier stabilizer of (P, H), a point and a hyperplane through
-    it, against the elements of the group that fix both."""
+    """The Schreier stabilizer of (P, conic plane of X2 = 0), which the
+    line-orbit suite walks, against the elements of the group that fix P
+    and the hyperplane H = {m22 = 0}: the two pairs have one stabilizer."""
     gf = field(q)
     point = span(gf, [(0, 0, 0, 0, 1, 0)])
-    hyperplane = span(gf, [tuple(int(i == j) for i in range(6)) for j in range(5)])
-    joint, orbit, _ = atlas._pair_stabilizer(gf, point, hyperplane)
+    hyperplane = span(gf, [atlas._e(j) for j in range(5)])
+    conic_plane = span(gf, [atlas._e(i) for i in (0, 1, 3)])
+    joint, orbit, _ = atlas._pair_stabilizer(gf, point, conic_plane)
     p = point.rows[0]
     direct = {a for a in pgl_elements(gf)
               if congruence_image(gf, a, p) == p and act_subspace(hyperplane, a) == hyperplane}
@@ -511,17 +509,19 @@ def test_joint_stabilizer_matches_group_filter(q):
 def _line_orbit_cases(gf):
     """The two stabilizers of the line-orbit suite, each with the candidate
     lines it splits: the (line, point) pair stabilizer with the lines of the
-    conic plane through R, and the joint stabilizer of (P, H) with the
-    tangency candidates through P inside H."""
+    conic plane through R, and the joint stabilizer of P and the conic plane,
+    which is that of P and H, with the tangency candidates through P inside
+    H."""
     q = gf.q
     R, P = (0, 1, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0)
     line = span(gf, [R, (0, 0, 0, 1, 1, 0)])
     hyperplane = span(gf, [atlas._e(j) for j in range(5)])
-    conic_lines = atlas._lines_through_in(gf, R, span(gf, [atlas._e(i) for i in (0, 1, 3)]))
+    conic_plane = span(gf, [atlas._e(i) for i in (0, 1, 3)])
+    conic_lines = atlas._lines_through_in(gf, R, conic_plane)
     tangency = {k: l for k, l in atlas._lines_through_in(gf, P, hyperplane).items()
                 if point_class_counts(l) == (0, 1, 1, q - 1) and any(r[0] for r in l.rows)}
     return [(atlas._pair_stabilizer(gf, line, span(gf, [R])), conic_lines),
-            (atlas._pair_stabilizer(gf, span(gf, [P]), hyperplane), tangency)]
+            (atlas._pair_stabilizer(gf, span(gf, [P]), conic_plane), tangency)]
 
 
 def orbits_by_every_element(gf, members, keyed):
@@ -531,9 +531,9 @@ def orbits_by_every_element(gf, members, keyed):
     pa = PackedAction(gf)
     images = {k: {k} for k in keyed}
     for a in members:
-        t = pa.tables(a)
+        move = pa.mover(pa.tables(a), 2)
         for k, imgs in images.items():
-            imgs.add(pa.image(k, 2, t))
+            imgs.add(move(k))
     orbits = []
     placed = set()
     for k in sorted(keyed):

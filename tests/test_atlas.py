@@ -343,6 +343,17 @@ def test_net_double_line_count_counts_squares(gf4):
     assert net_double_line_count(gf4, example_net(gf4)) == 1
 
 
+def test_net_functions_reject_non_nets(gf4):
+    """Repeated forms, two forms and three 5-vectors are not nets: each net
+    function raises ValueError on them (the double-line count once returned
+    5 for all three)."""
+    f, g = (1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)
+    for forms in ([f, f, g], [f, g], [f[:5], g[:5], (0, 1, 0, 0, 0)]):
+        for fn in (net_double_line_count, net_base_points, plane_of_net):
+            with pytest.raises(ValueError):
+                fn(gf4, forms)
+
+
 def _double_lines_by_scan(gf, forms):
     """Squares among the q^2+q+1 projective combinations of the net."""
     vecs = rref(gf, forms)

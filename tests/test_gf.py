@@ -6,7 +6,7 @@ can be checked on every element tuple.
 
 import pytest
 
-from conicnets.gf import GF, field, is_irreducible
+from conicnets.gf import field, is_irreducible
 
 QS = (2, 4, 8, 16)
 
@@ -94,34 +94,6 @@ def test_artin_schreier_solvability(q):
             assert r == min(r, other)
         else:
             assert r is None
-
-
-@pytest.mark.parametrize("q", QS)
-def test_poly_roots_against_brute_force(q):
-    gf = field(q)
-    polys = [
-        (0, 1),          # X
-        (1, 1),          # X + 1
-        (1, 1, 1),       # X^2 + X + 1
-        (0, 0, 0, 1),    # X^3
-        (1, 0, 1, 1),    # X^3 + X^2 + 1
-        (2 % q, 1, 0, 1) if q > 2 else (1, 1, 0, 1),
-    ]
-    for coeffs in polys:
-        expect = [
-            x for x in gf.elements
-            if not _eval_poly(gf, coeffs, x)
-        ]
-        assert gf.poly_roots(coeffs) == expect
-    with pytest.raises(ValueError):
-        gf.poly_roots((0, 0, 0))
-
-
-def _eval_poly(gf: GF, coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = gf.mul(acc, x) ^ c
-    return acc
 
 
 @pytest.mark.parametrize("q", QS)

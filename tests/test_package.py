@@ -1,9 +1,11 @@
-"""Package-wide rules: the package imports only the standard library, and
-every function the benchmark tracer wraps still exists."""
+"""Package-wide rules: the package imports only the standard library,
+every function the benchmark tracer wraps still exists, and every name a
+docstring quotes still exists."""
 
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -42,3 +44,58 @@ def test_tracer_targets_resolve_to_callables(monkeypatch):
             obj = vars(obj).get(part)
             assert obj is not None, t.name
         assert callable(obj), t.name
+
+
+def test_docstring_identifiers_name_something():
+    """Every ``identifier`` quoted in double backticks in a package docstring
+    names a module or a module attribute (dotted paths resolved), a class
+    attribute, a parameter of a package function, or a ``self.X`` assigned
+    in the same module.  Quoted expressions such as ``range(q)`` are not
+    checked."""
+    pkg = Path(conicnets.__file__).parent
+    paths = sorted(pkg.glob("*.py"))
+    modules = {"conicnets": conicnets}
+    modules.update((p.stem, importlib.import_module("conicnets." + p.stem))
+                   for p in paths if p.stem != "__init__")
+    namespace = dict(modules)
+    for mod in modules.values():
+        namespace.update(vars(mod))
+    names = set(namespace)
+    for obj in list(namespace.values()):
+        if isinstance(obj, type) and obj.__module__.startswith("conicnets"):
+            names.update(vars(obj))
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names.update(x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                             + [a.vararg, a.kwarg] if x)
+
+    def resolves(dotted):
+        head, *rest = dotted.split(".")
+        obj = namespace.get(head)
+        for part in rest:
+            obj = getattr(obj, part, None)
+        return obj is not None
+
+    ident = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+    stale = []
+    for fname, tree in trees.items():
+        assigned = {n.attr for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+                continue
+            for quoted in re.findall(r"``([^`]+)``", ast.get_docstring(node) or ""):
+                if not ident.fullmatch(quoted):
+                    continue
+                if "." in quoted:
+                    ok = resolves(quoted)
+                else:
+                    ok = quoted in names or quoted in assigned
+                if not ok:
+                    stale.append((fname, getattr(node, "name", "<module>"), quoted))
+    assert not stale

@@ -7,6 +7,7 @@ import pytest
 from conicnets.gf import field
 from conicnets.projgeom import (
     Subspace,
+    annihilator,
     enumerate_planes,
     enumerate_planes_chunk,
     gaussian_binomial,
@@ -73,6 +74,26 @@ def test_nullspace_is_the_kernel(gf4):
                 assert acc == 0
         # kernel vectors are independent
         assert rank(gf4, ns) == len(ns) if ns else True
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_annihilator_of_rref_rows_reduces_to_the_nullspace(q):
+    """The unreduced free-column basis of rows in RREF spans the null
+    space: it reduces to ``nullspace`` and is orthogonal to every row."""
+    gf = field(q)
+    rng = random.Random(q)
+    for _ in range(60):
+        red = rref(gf, [[rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(6)]
+                        for _ in range(rng.randrange(1, 6))])
+        ann = annihilator(gf, red, 6)
+        assert rref(gf, ann) == nullspace(gf, red, 6)
+        assert len(ann) == 6 - len(red)
+        for v in ann:
+            for row in red:
+                acc = 0
+                for a, b in zip(row, v):
+                    acc ^= gf.mul(a, b)
+                assert acc == 0
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (4, 2), (2, 5), (4, 5)])
