@@ -48,7 +48,7 @@ from .invariants import (
     double_line_hyperplane_count,
     nucleus_meet,
     nucleus_meet_dim,
-    plane_key,
+    plane_key_at,
     plane_signature,
     point_class_counts,
     veronese_points,
@@ -58,7 +58,6 @@ from .projgeom import (
     annihilator,
     enumerate_planes_chunk,
     gaussian_binomial,
-    nullspace,
     plane_enumeration_chunks,
     plane_from_pattern,
     rref,
@@ -406,11 +405,13 @@ def orbit_atlas(gf: GF) -> dict[str, frozenset[int]]:
 def classify_plane(s: Subspace) -> str:
     """Orbit label of a plane meeting the nucleus plane.
 
-    The plane's key, its point-class counts and cubic-curve kind, is looked
-    up among the keys of the signature table; it pins down every label
-    except Sigma3 and Sigma4.  The hyperplane classes separate no further
-    orbit, so they are not computed here.  A plane of either orbit holds
-    one nuclear point (invariants.nucleus_meet) and two rank-1 points v(p)
+    One nucleus_meet decides whether the plane is in the family, gives the
+    nuclear point at which plane_key_at reads the plane's key, and feeds
+    the tie-break below.  The key, the point-class counts and cubic-curve
+    kind, is looked up among the keys of the signature table; it pins down
+    every label except Sigma3 and Sigma4.  The hyperplane classes separate
+    no further orbit, so they are not computed here.  A plane of either
+    orbit holds one nuclear point and two rank-1 points v(p)
     (invariants.veronese_points).  The nuclear point lies on the conic
     plane {M : M u = 0} of one line of PG(2,q), its kernel u = (y4, y2, y1),
     and v(p) lies there iff p.u = 0: for one p for Sigma3, for neither for
@@ -422,14 +423,15 @@ def classify_plane(s: Subspace) -> str:
     gf = s.gf
     if s.n != 5 or s.dim != 2:
         raise ValueError("expected a plane of PG(5, q)")
-    if nucleus_meet_dim(s) < 0:
+    meet = nucleus_meet(s)
+    if meet is None:
         raise OutOfFamilyError(
             "plane misses the nucleus plane; it is outside the classified family"
         )
     def fail(stage: str, message: str) -> ClassificationError:
         return ClassificationError("plane %s, %s: %s" % (s.key_hex(), stage, message))
     try:
-        key = plane_key(s)
+        key = plane_key_at(s, meet)
     except ClassificationError as exc:
         raise fail("key lookup", str(exc)) from exc
     labels = tuple(
@@ -441,7 +443,7 @@ def classify_plane(s: Subspace) -> str:
         return labels[0]
     if labels != ("Sigma3", "Sigma4"):
         raise fail("key lookup", "key is shared by orbits %s: %r" % (", ".join(labels), key))
-    (nuclear,) = nucleus_meet(s).rows
+    (nuclear,) = meet.rows
     m0, m1, m2 = (gf._mul[nuclear[i]] for i in (4, 2, 1))
     hits = sum(1 for p in veronese_points(s) if not (m0[p[0]] ^ m1[p[1]] ^ m2[p[2]]))
     label = {1: "Sigma3", 0: "Sigma4"}.get(hits)
@@ -463,7 +465,7 @@ def net_of_plane(s: Subspace) -> tuple[tuple[int, ...], ...]:
     """
     if s.n != 5 or s.dim != 2:
         raise ValueError("expected a plane of PG(5, q)")
-    return nullspace(s.gf, s.rows, 6)
+    return rref(s.gf, annihilator(s.gf, s.rows, 6))
 
 
 def _net_rows(gf: GF, forms) -> tuple[tuple[int, ...], ...]:

@@ -80,6 +80,8 @@ def _read_payload(args) -> dict:
 def _plane_from_payload(gf: GF, payload: dict) -> Subspace:
     if "rows" in payload and "label" in payload:
         raise UsageError('plane input takes "rows" or "label", not both')
+    if "parameters" in payload and "label" not in payload:
+        raise UsageError('plane input gives "parameters" without "label"')
     if "rows" in payload:
         rows = payload["rows"]
         if (not isinstance(rows, list) or len(rows) != 3

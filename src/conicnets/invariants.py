@@ -17,11 +17,13 @@ invariants collected here:
   * nucleus_meet_dim, nucleus_meet: the meet with the nucleus plane;
   * veronese_points: the points of PG(2,q) whose image lies in a plane;
   * the determinantal cubic, its rational points, and its factorization
-    type over GF(q), read off its gradient at those points;
+    type over GF(q), read off the pencil of lines through one rational
+    zero (cubic_pencil);
   * line_class_profile: the multiset of point-class counts of the lines
     inside a plane;
   * plane_key: the point-class counts with the cubic's factorization type,
-    the part of plane_signature that classification reads.
+    the part of plane_signature that classification reads, from the pencil
+    at the plane's nuclear point and the closed forms above, with no scan.
 
 All are constant on orbits of the lifted projectivity group.
 """
@@ -34,7 +36,7 @@ from itertools import product
 from .action import mat3_det
 from .errors import ClassificationError
 from .gf import GF
-from .projgeom import Subspace, annihilator, normalize_point, nullspace, pg_points, rref
+from .projgeom import Subspace, annihilator, nullspace, pg_points, rref
 from .veronese import classify_conic, point_class, veronese
 
 CUBIC_MONOMIALS = (
@@ -116,7 +118,7 @@ def cubic_zeros_and_counts(s: Subspace):
 def forms_through(s: Subspace) -> list[tuple[int, ...]]:
     """Normalized coefficient vectors of every hyperplane containing s: the
     points of its annihilator."""
-    return Subspace(s.gf, 5, nullspace(s.gf, s.rows, 6)).points()
+    return Subspace(s.gf, 5, rref(s.gf, annihilator(s.gf, s.rows, 6))).points()
 
 
 def hyperplane_class_counts(s: Subspace) -> tuple[int, int, int, int]:
@@ -228,8 +230,13 @@ def cubic_form(s: Subspace) -> tuple[int, ...]:
     vanishing determinant.
     """
     _require_plane(s)
-    mul, sq = s.gf._mul, s.gf._sq
-    a, b, c, d, e, f = zip(*s.rows)
+    return _det_cubic(s.gf, s.rows)
+
+
+def _det_cubic(gf: GF, rows) -> tuple[int, ...]:
+    """cubic_form of any three basis rows, reduced or not."""
+    mul, sq = gf._mul, gf._sq
+    a, b, c, d, e, f = zip(*rows)
     out = [0] * len(CUBIC_MONOMIALS)
     for (i, j, k), n in _CUBE.items():
         out[n] ^= mul[mul[a[i]][d[j]]][f[k]]
@@ -262,89 +269,146 @@ def cubic_points(gf: GF, cubic) -> list[tuple[int, ...]]:
     return [p for p in pg_points(gf, 2) if cubic_eval(gf, cubic, p) == 0]
 
 
-def _gradient(gf: GF, cubic, p) -> tuple[int, int, int]:
-    """The gradient of a cubic form at p.  In characteristic 2 the terms
-    with an even exponent drop out of each partial derivative, leaving
-    d/dx = c0 x^2 + c3 y^2 + c4 yz + c5 z^2 and likewise for y and z."""
-    mul, sq = gf._mul, gf._sq
-    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = cubic
-    x, y, z = p
-    x2, y2, z2 = sq[x], sq[y], sq[z]
-    return (
-        mul[c0][x2] ^ mul[c3][y2] ^ mul[c4][mul[y][z]] ^ mul[c5][z2],
-        mul[c1][x2] ^ mul[c4][mul[x][z]] ^ mul[c6][y2] ^ mul[c8][z2],
-        mul[c2][x2] ^ mul[c4][mul[x][y]] ^ mul[c7][y2] ^ mul[c9][z2],
-    )
+def _first_zero(gf: GF, cubic) -> tuple[int, ...]:
+    """One rational zero of a nonzero cubic, found by a scan of PG(2,q)."""
+    p = next((p for p in pg_points(gf, 2) if not cubic_eval(gf, cubic, p)), None)
+    if p is None:
+        raise ClassificationError("cubic with no factors and no rational points")
+    return p
 
 
-def _dot(gf: GF, u, p) -> int:
-    mul = gf._mul
-    return mul[u[0]][p[0]] ^ mul[u[1]][p[1]] ^ mul[u[2]][p[2]]
-
-
-def _cross(gf: GF, p, r) -> tuple[int, int, int]:
-    """Cross product; characteristic 2 needs no signs.  It vanishes exactly
-    when p and r are linearly dependent."""
-    mul = gf._mul
-    return (
-        mul[p[1]][r[2]] ^ mul[p[2]][r[1]],
-        mul[p[2]][r[0]] ^ mul[p[0]][r[2]],
-        mul[p[0]][r[1]] ^ mul[p[1]][r[0]],
-    )
-
-
-def _join(gf: GF, p, r) -> tuple[int, ...]:
-    """Normalized dual coordinates of the line through two distinct points."""
-    return normalize_point(gf, _cross(gf, p, r))
-
-
-def component_candidates(gf: GF, zeros) -> list[tuple[int, ...]]:
-    """Lines of PG(2,q), as normalized dual coordinates, whose q+1 points
-    all lie in the zero set of a nonzero cubic.
-
-    Every linear factor of the cubic is among them.  They are found through
-    a line L on a point N off the curve: L is not a component, so it holds
-    at most three zeros (Bezout; at q = 2, at most q of its q+1 points),
-    and every other line meets L in a point, which is a zero when that line
-    is made of zeros.  So each candidate is a line through a zero P of L
-    that carries q further zeros.  At q = 2 a nonzero cubic can vanish on
-    every point; then every line is a candidate.  At q = 2 a line of zeros
-    need not be a component, so cubic_type still tests each candidate
-    against the gradient.
-    """
-    q = gf.q
-    if len(zeros) < q + 1:
+def _roots(gf: GF, a: int, b: int, c: int) -> list[int]:
+    """The roots in GF(q) of a*x^2 + b*x + c with a != 0.  With b != 0,
+    x = (b/a) w turns it into w^2 + w = a*c/b^2, an Artin-Schreier
+    equation with two roots w, w + 1 or none."""
+    mul, inv = gf._mul, gf._inv
+    if not b:
+        return [gf._sqrt[mul[c][inv[a]]]]
+    w = gf._as_root[mul[mul[a][c]][inv[gf._sq[b]]]]
+    if w is None:
         return []
-    on_curve = set(zeros)
-    n = next((p for p in pg_points(gf, 2) if p not in on_curve), None)
-    if n is None:
-        return pg_points(gf, 2)
-    u = (n[1], n[0], 0) if n[0] | n[1] else (1, 0, 0)
-    out = []
-    for p in zeros:
-        if _dot(gf, u, p):
-            continue
-        through: dict[tuple[int, ...], int] = {}
-        for r in zeros:
-            if r != p:
-                line = _join(gf, p, r)
-                through[line] = through.get(line, 0) + 1
-        out += [line for line, hits in through.items() if hits == q]
-    return out
+    x = mul[b][inv[a]]
+    return [mul[w][x], mul[w ^ 1][x]]
+
+
+# x_i * x_j * x_k of every CUBIC_MONOMIALS entry, as its index triple (i, j, k)
+_TRIPLES = tuple(tuple(v for v in range(3) for _ in range(e[v])) for e in CUBIC_MONOMIALS)
+
+
+def _shear(gf: GF, cubic, p) -> tuple[int, ...]:
+    """The cubic's coefficients in the basis (p, e_j, e_k), e_j and e_k the
+    unit vectors off p's first nonzero coordinate: p moves to (1, 0, 0)."""
+    mul = gf._mul
+    pivot = next(k for k, v in enumerate(p) if v)
+    cols = [tuple(p)] + [tuple(int(r == j) for r in range(3)) for j in range(3) if j != pivot]
+    out = [0] * len(CUBIC_MONOMIALS)
+    for c, (i, j, k) in zip(cubic, _TRIPLES):
+        if c:
+            for (a, b, d), n in _CUBE.items():
+                out[n] ^= mul[mul[mul[c][cols[a][i]]][cols[b][j]]][cols[d][k]]
+    return tuple(out)
+
+
+def cubic_pencil(gf: GF, cubic, p=(1, 0, 0)) -> tuple[int, str]:
+    """(rational zero count, CUBIC_KINDS type) of a nonzero cubic form f
+    with a rational zero p, read off the pencil of lines through P = p.
+    Any p other than (1, 0, 0) is first sheared there (_shear).
+
+    In coordinates (s, t, u), f = s^2 A2 + s A1 + A0 with A2 = c1 t + c2 u,
+    A1 = c3 t^2 + c4 t u + c5 u^2 and A0 = c6 t^3 + c7 t^2 u + c8 t u^2
+    + c9 u^3 (c_i the CUBIC_MONOMIALS coefficients).  The line of direction
+    (t, u) through P meets the curve in P and in the roots s of one
+    quadratic; all three coefficients vanish exactly on a component through
+    P.  A component s = a t + b u missing P makes f vanish identically on
+    it: c1 a^2 + c3 a + c6 = 0, c2 b^2 + c5 b + c9 = 0, c2 a^2 + c4 a + c3 b
+    + c7 = 0 and c1 b^2 + c4 b + c5 a + c8 = 0, which leave at most four
+    candidates (a rank-2 linear system when c1 = c2 = 0).  Three distinct
+    components are concurrent or not; two make a line plus a double line.
+    One component L leaves the conic f/L, which has no rational line other
+    than L: it is L^2 (a triple line), a line pair (imaginary) when it
+    vanishes at its nucleus, or else a conic meeting L in 2q + 2 - |Z|
+    points (Hirschfeld, Projective Geometries over Finite Fields).
+    """
+    if tuple(p) != (1, 0, 0):
+        cubic = _shear(gf, cubic, p)
+    if cubic[0] or not any(cubic):
+        raise ValueError("%r is not a zero of a nonzero cubic" % (tuple(p),))
+    q, mul, sq, inv, trace = gf.q, gf._mul, gf._sq, gf._inv, gf._trace
+    _, c1, c2, c3, c4, c5, c6, c7, c8, c9 = cubic
+    m2, m4, m5, m9 = mul[c2], mul[c4], mul[c5], mul[c9]
+    # (A2, A1, A0) on the lines of direction (1, l), then on (0, 1)
+    lines = [(c1 ^ m2[l], c3 ^ mul[l][c4 ^ m5[l]], c6 ^ mul[l][c7 ^ mul[l][c8 ^ m9[l]]])
+             for l in gf.elements]
+    lines.append((c2, c5, c9))
+    zeros, through = 1, []
+    for l, (a2, a1, a0) in enumerate(lines):
+        if a1:
+            zeros += 2 - 2 * trace[mul[mul[a2][a0]][inv[sq[a1]]]] if a2 else 1
+        elif a2:
+            zeros += 1
+        elif not a0:
+            zeros += q
+            through.append(l)
+
+    if c1:
+        pairs = [(a, b) for a in _roots(gf, c1, c3, c6) for b in _roots(gf, c1, c4, m5[a] ^ c8)]
+    elif c2:
+        pairs = [(a, b) for b in _roots(gf, c2, c5, c9)
+                 for a in _roots(gf, c2, c4, mul[c3][b] ^ c7)]
+    elif c3:
+        a = mul[c6][inv[c3]]
+        pairs = [(a, mul[c7 ^ m4[a]][inv[c3]])]
+    elif c5:
+        b = mul[c9][inv[c5]]
+        pairs = [(mul[c8 ^ m4[b]][inv[c5]], b)]
+    elif c4:
+        pairs = [(mul[c7][inv[c4]], mul[c8][inv[c4]])]
+    else:
+        pairs = []
+    missing = [
+        (a, b) for a, b in pairs
+        if not (mul[c1][sq[a]] ^ mul[c3][a] ^ c6 or m2[sq[b]] ^ m5[b] ^ c9
+                or m2[sq[a]] ^ m4[a] ^ mul[c3][b] ^ c7 or mul[c1][sq[b]] ^ m4[b] ^ m5[a] ^ c8)
+    ]
+
+    duals = [(0, l, 1) if l < q else (0, 1, 0) for l in through] + [(1, a, b) for a, b in missing]
+    if len(duals) == 3:
+        if mat3_det(gf, sum(duals, ())):
+            return zeros, "ThreeNonConcurrentLines"
+        return zeros, "ThreeConcurrentLines"
+    if len(duals) == 2:
+        return zeros, "LinePlusDoubleLine"
+    if not duals:
+        return zeros, "NoRationalComponentPoint" if zeros == 1 else "IrreducibleCubic"
+    # f/L as (s^2, st, su, t^2, tu, u^2) coefficients
+    if missing:
+        (a, b), = missing
+        conic = (0, c1, c2, mul[a][c1] ^ c3, m2[a] ^ mul[b][c1] ^ c4, m2[b] ^ c5)
+    elif through[0] == q:  # L = t: drop the u-only terms
+        conic = (c1, c3, c4, c6, c7, c8)
+    else:  # L = u + l t: synthetic division of each A_i
+        ml = mul[through[0]]
+        d8 = c8 ^ ml[c9]
+        conic = (c2, c4 ^ ml[c5], c5, c7 ^ ml[d8], d8, c9)
+    a00, a01, a02, a11, a12, a22 = conic
+    if not a01 | a02 | a12:
+        return zeros, "TripleLine"
+    if not (mul[a00][sq[a12]] ^ mul[a11][sq[a02]] ^ mul[a22][sq[a01]] ^ mul[mul[a01][a02]][a12]):
+        return zeros, "LinePlusImaginaryPair"
+    hits = 2 * q + 2 - zeros
+    if hits == 1:
+        return zeros, "LinePlusConic_Tangent"
+    if hits == 2:
+        return zeros, "LinePlusConic_Transversal"
+    raise ClassificationError("component line meets the residual conic in %d points" % hits)
 
 
 def cubic_type(gf: GF, cubic, zeros=None) -> str:
-    """Factorization type of a nonzero cubic form f over GF(q), q even.
+    """Factorization type of a nonzero cubic form over GF(q), q even.
 
-    ``zeros`` is the cubic's rational zero set, computed here when not
-    given.  Everything is read off the gradient at those zeros (Hirschfeld,
-    Projective Geometries over Finite Fields).  If f = L*g, the gradient at
-    a point of L is g there times L's dual vector u.  So a line of zeros is
-    a component iff the gradient is a multiple of u on all of it (which
-    only q = 2 needs checked), and a double one iff all its points are
-    singular.  For f = L*C with L simple, C is an imaginary pair iff no zero
-    off L is smooth; otherwise C is a conic and the singular points of L are
-    where it meets C.  Types are the CUBIC_KINDS strings.
+    ``zeros`` holds rational zeros of the cubic; the pencil of lines through
+    the first of them gives the type (cubic_pencil).  When it is not given,
+    PG(2,q) is scanned for one zero.  Types are the CUBIC_KINDS strings.
 
     The kinds cover the determinantal cubics of planes meeting the nucleus
     plane.  Off that family two more shapes occur, a line plus a conic the
@@ -353,49 +417,7 @@ def cubic_type(gf: GF, cubic, zeros=None) -> str:
     """
     if not any(cubic):
         raise ValueError("the zero cubic has no factorization type")
-    if zeros is None:
-        zeros = cubic_points(gf, cubic)
-    candidates = component_candidates(gf, zeros)
-    grad = {p: _gradient(gf, cubic, p) for p in zeros} if candidates else {}
-    simple, double = [], []
-    for u in candidates:
-        on = [p for p in zeros if not _dot(gf, u, p)]
-        if any(any(_cross(gf, grad[p], u)) for p in on):
-            continue
-        (simple if any(any(grad[p]) for p in on) else double).append(u)
-
-    shape = len(double), len(simple)
-    if shape == (1, 0):
-        return "TripleLine"
-    if shape == (1, 1):
-        return "LinePlusDoubleLine"
-    if shape == (0, 3):
-        return (
-            "ThreeConcurrentLines"
-            if mat3_det(gf, sum(simple, ())) == 0
-            else "ThreeNonConcurrentLines"
-        )
-    if shape == (0, 1):
-        u = simple[0]
-        if not any(any(grad[p]) for p in zeros if _dot(gf, u, p)):
-            return "LinePlusImaginaryPair"
-        hits = sum(1 for p in zeros if not _dot(gf, u, p) and not any(grad[p]))
-        if hits == 1:
-            return "LinePlusConic_Tangent"
-        if hits == 2:
-            return "LinePlusConic_Transversal"
-        raise ClassificationError(
-            "component line meets the residual conic in %d points" % hits
-        )
-    if shape != (0, 0):
-        raise ClassificationError(
-            "%d double and %d simple line components" % shape
-        )
-    if len(zeros) == 1:
-        return "NoRationalComponentPoint"
-    if len(zeros) >= 2:
-        return "IrreducibleCubic"
-    raise ClassificationError("cubic with no factors and no rational points")
+    return cubic_pencil(gf, cubic, zeros[0] if zeros else _first_zero(gf, cubic))[1]
 
 
 # -- line profile and full signature ---------------------------------------
@@ -463,9 +485,33 @@ def plane_key(s: Subspace) -> tuple:
     points, raises ClassificationError (36 of the 512 such planes at
     q = 2)."""
     _require_plane(s)
-    cubic = cubic_form(s)
-    zeros, counts = cubic_zeros_and_counts(s)
-    return counts, cubic_type(s.gf, cubic, zeros) if any(cubic) else None
+    return plane_key_at(s, nucleus_meet(s))
+
+
+def plane_key_at(s: Subspace, meet: Subspace | None) -> tuple:
+    """plane_key of a plane whose nucleus_meet is ``meet``.
+
+    The rank-1 count is that of veronese_points, and the nuclear count is
+    1, q+1 or q^2+q+1 by the meet's dimension.  A nuclear point P replaces
+    the basis row at its first nonzero pivot, which puts P at (1, 0, 0) for
+    cubic_pencil (off the family a scan finds a zero, and cubic_pencil
+    shears it there).  The pencil counts the cubic's zeros Z and gives its
+    type; the secant count is |Z| - rank1 - nuclear and the rank-3 count
+    q^2+q+1 - |Z|."""
+    gf, q = s.gf, s.gf.q
+    n = q * q + q + 1
+    rank1 = len(veronese_points(s))
+    if meet is None:
+        nuclear, cubic = 0, cubic_form(s)
+        p = _first_zero(gf, cubic) if any(cubic) else None
+    else:
+        nuclear, point, p = (1, q + 1, n)[meet.dim], meet.rows[0], (1, 0, 0)
+        i = next(k for k, r in enumerate(s.rows) if point[r.index(1)])
+        cubic = _det_cubic(gf, (point,) + s.rows[:i] + s.rows[i + 1:])
+    if not any(cubic):
+        return (rank1, nuclear, n - rank1 - nuclear, 0), None
+    zeros, kind = cubic_pencil(gf, cubic, p)
+    return (rank1, nuclear, zeros - rank1 - nuclear, n - zeros), kind
 
 
 def plane_signature(s: Subspace) -> PlaneSignature:

@@ -203,8 +203,8 @@ def meet(a: Subspace, b: Subspace) -> Subspace | None:
     """Intersection subspace, or None when the intersection is empty."""
     _check_ambient(a, b)
     width = a.n + 1
-    na = nullspace(a.gf, a.rows, width)
-    nb = nullspace(b.gf, b.rows, width)
+    na = annihilator(a.gf, a.rows, width)
+    nb = annihilator(b.gf, b.rows, width)
     rows = nullspace(a.gf, na + nb, width)
     if not rows:
         return None

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .errors import ClassificationError
 from .gf import GF
-from .projgeom import Subspace, normalize_point, nullspace, pg_points, span
+from .projgeom import Subspace, annihilator, normalize_point, nullspace, pg_points, rref, span
 
 POINT_CLASSES = ("rank1", "rank2_nuclear", "rank2_secant", "rank3")
 CONIC_CLASSES = ("DoubleLine", "RealPair", "ImaginaryPair", "Nonsingular")
@@ -148,8 +148,8 @@ def delta_inv(h: Subspace) -> tuple[int, ...]:
     """Coefficient 6-tuple (normalized) of the hyperplane h."""
     if h.n != 5 or len(h.rows) != 5:
         raise ValueError("expected a hyperplane of PG(5,q)")
-    ann = nullspace(h.gf, h.rows, 6)
-    return normalize_point(h.gf, ann[0])
+    (form,) = rref(h.gf, annihilator(h.gf, h.rows, 6))
+    return form
 
 
 def classify_hyperplane(h: Subspace) -> str:

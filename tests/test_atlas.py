@@ -154,8 +154,9 @@ def test_short_key_collides_only_for_sigma3_sigma4(e):
 def test_classify_paths_compute_no_signature_hyperplanes_or_representatives(
         gf16, monkeypatch, capsys):
     """Neither request path builds a signature or a representative, and
-    neither scans points: no Subspace.points, no form_eval over PG(2,q) and
-    no generic three-nullspace meet."""
+    neither scans points: no Subspace.points, no form_eval over PG(2,q), no
+    pass over the plane's points or the cubic's zeros, no listing of
+    PG(2,q) and no generic three-nullspace meet."""
     moved = {label: act_subspace(representative(gf16, label), MOVE) for label in LABELS}
 
     def forbidden(*args, **kwargs):
@@ -163,7 +164,8 @@ def test_classify_paths_compute_no_signature_hyperplanes_or_representatives(
 
     for module in (atlas, cli, invariants, projgeom, veronese):
         for name in ("plane_signature", "hyperplane_class_counts", "representatives",
-                     "form_eval", "meet"):
+                     "form_eval", "meet", "cubic_zeros_and_counts", "cubic_points",
+                     "pg_points"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(Subspace, "points", forbidden)
@@ -248,7 +250,7 @@ def test_classification_errors_name_the_plane_and_the_stage(gf4, monkeypatch):
     s = act_subspace(representative(gf4, "Sigma3"), MOVE)
     lookup = re.escape("plane %s, key lookup: " % s.key_hex())
     with monkeypatch.context() as m:
-        m.setattr(atlas, "plane_key", lambda s: ((0, 0, 0, 0), None))
+        m.setattr(atlas, "plane_key_at", lambda s, meet: ((0, 0, 0, 0), None))
         with pytest.raises(ClassificationError, match=lookup + "key matches no"):
             classify_plane(s)
 
@@ -256,7 +258,7 @@ def test_classification_errors_name_the_plane_and_the_stage(gf4, monkeypatch):
         raise ClassificationError("cubic says no")
 
     with monkeypatch.context() as m:
-        m.setattr(invariants, "cubic_type", broken)
+        m.setattr(invariants, "cubic_pencil", broken)
         with pytest.raises(ClassificationError, match=lookup + "cubic says no"):
             classify_plane(s)
     # each Veronese point listed twice: two of them on the conic plane

@@ -248,7 +248,10 @@ SIGMA7_Q4 = [list(r) for r in atlas.representative_pattern(field(4), "Sigma7")[0
     ("classify-net", ["--input", "FILE", "--data", json.dumps({"forms": EXAMPLE_NET_Q4})], ""),
     # a plane given twice, once by rows and once by label
     ("classify-plane", ["--data", json.dumps({"rows": SIGMA7_Q4, "label": "Sigma3"})], ""),
-], ids=["data-empty", "data-and-input-plane", "data-and-input-net", "rows-and-label"])
+    # label parameters with no label: they would be dropped unread
+    ("classify-plane", ["--data", json.dumps({"rows": SIGMA7_Q4, "parameters": {"a": 1}})], ""),
+], ids=["data-empty", "data-and-input-plane", "data-and-input-net", "rows-and-label",
+        "parameters-without-label"])
 def test_exit_code_rejects_ambiguous_input(command, argv, stdin, capsys, monkeypatch, tmp_path):
     path = tmp_path / "input.json"
     path.write_text('{"label": "Sigma3", "forms": %s}' % json.dumps(EXAMPLE_NET_Q4))

@@ -14,9 +14,11 @@ from conicnets.atlas import (
     LABELS,
     example_net,
     expected_point_distribution,
+    expected_signature,
     net_base_points,
     net_of_plane,
     representative,
+    representative_pattern,
     representatives,
     sigma18_parameter,
     sigma21_parameter,
@@ -26,9 +28,9 @@ from conicnets.gf import GF, field
 from conicnets.invariants import (
     CUBIC_KINDS,
     CUBIC_MONOMIALS,
-    component_candidates,
     cubic_eval,
     cubic_form,
+    cubic_pencil,
     cubic_points,
     cubic_type,
     cubic_zeros_and_counts,
@@ -50,6 +52,7 @@ from conicnets.projgeom import (
     meet,
     normalize_point,
     pg_points,
+    plane_from_pattern,
     rref,
     span,
 )
@@ -495,15 +498,6 @@ def _outcome(fn, *args):
         return ClassificationError
 
 
-def _lines_of_zeros(gf, zeros):
-    """Every line of PG(2,q) all of whose points are zeros, by brute force."""
-    on = set(zeros)
-    return {
-        u for u in pg_points(gf, 2)
-        if all(p in on for p in pg_points(gf, 2) if _poly_eval(gf, _linear(u), p) == 0)
-    }
-
-
 def _prod(gf, *polys):
     out = {(0, 0, 0): 1}
     for p in polys:
@@ -595,7 +589,6 @@ def test_cubic_type_matches_trial_division_on_every_cubic_q2(gf2):
         assert _outcome(cubic_type, gf2, coeffs) == want, coeffs
         zeros = cubic_points(gf2, coeffs)
         assert _outcome(cubic_type, gf2, coeffs, zeros) == want, coeffs
-        assert set(component_candidates(gf2, zeros)) == _lines_of_zeros(gf2, zeros), coeffs
         kinds.add(want)
     assert set(CUBIC_KINDS) <= kinds
 
@@ -607,11 +600,57 @@ def test_cubic_type_matches_trial_division_sampled(q, rounds):
     for cubic in _sample_cubics(gf, random.Random(q), rounds):
         want = _outcome(_cubic_type_by_trial_division, gf, cubic)
         assert _outcome(cubic_type, gf, cubic) == want, cubic
-        if q <= 8:
-            zeros = cubic_points(gf, cubic)
-            assert set(component_candidates(gf, zeros)) == _lines_of_zeros(gf, zeros), cubic
         kinds.add(want)
     assert set(CUBIC_KINDS) <= kinds
+
+
+def test_pencil_type_does_not_depend_on_the_vertex_q2(gf2):
+    # every nonzero cubic over GF(2) with a rational zero, read at each zero
+    vertices = 0
+    for coeffs in product(range(2), repeat=10):
+        if not any(coeffs):
+            continue
+        want = _outcome(_cubic_type_by_trial_division, gf2, coeffs)
+        zeros = cubic_points(gf2, coeffs)
+        expect = want if want is ClassificationError else (len(zeros), want)
+        for i, p in enumerate(zeros):
+            assert _outcome(cubic_pencil, gf2, coeffs, p) == expect, (coeffs, p)
+            assert _outcome(cubic_type, gf2, coeffs, zeros[i:] + zeros[:i]) == want, (coeffs, p)
+            vertices += 1
+    assert vertices > 1023
+
+
+@pytest.mark.parametrize("q, rounds", ((4, 40), (8, 20), (16, 10)))
+def test_pencil_matches_trial_division_and_point_count_at_a_random_zero(q, rounds):
+    gf = field(q)
+    rng = random.Random(q + 1)
+    for cubic in _sample_cubics(gf, random.Random(q), rounds):
+        want = _outcome(_cubic_type_by_trial_division, gf, cubic)
+        zeros = cubic_points(gf, cubic)
+        if not zeros:
+            continue
+        expect = want if want is ClassificationError else (len(zeros), want)
+        p = rng.choice(zeros)
+        assert _outcome(cubic_pencil, gf, cubic, p) == expect, (cubic, p)
+
+
+def test_pencil_rejects_a_point_off_the_cubic(gf4):
+    x3 = _cubic({(3, 0, 0): 1})
+    with pytest.raises(ValueError):
+        cubic_pencil(gf4, x3, (1, 0, 0))
+    assert cubic_pencil(gf4, x3, (0, 1, 2)) == (5, "TripleLine")
+
+
+@pytest.mark.parametrize("q", (8, 16, 64, 256))
+def test_plane_key_of_moved_representatives_matches_the_closed_forms(q, sample_matrices):
+    # the patterns, not representatives(): those are validated by a scan of
+    # all q^2+q+1 hyperplanes through each plane, seconds at q = 256
+    gf = field(q)
+    g0, g1 = sample_matrices(gf)[0], sample_matrices(gf)[-1]
+    for label in LABELS:
+        s = plane_from_pattern(gf, representative_pattern(gf, label)[0])
+        s = act_subspace(act_subspace(s, g0), g1)
+        assert plane_key(s) == expected_signature(label, q).key, (q, label)
 
 
 def _check_fused_pass(s):

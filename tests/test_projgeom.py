@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from conicnets.atlas import net_of_plane
 from conicnets.gf import field
+from conicnets.invariants import forms_through
 from conicnets.projgeom import (
     Subspace,
     annihilator,
@@ -24,6 +26,7 @@ from conicnets.projgeom import (
     subspace_from_json,
     unpack_rows,
 )
+from conicnets.veronese import delta_inv
 
 
 def hyperplanes_through(s: Subspace):
@@ -94,6 +97,29 @@ def test_annihilator_of_rref_rows_reduces_to_the_nullspace(q):
                 for a, b in zip(row, v):
                     acc ^= gf.mul(a, b)
                 assert acc == 0
+
+
+@pytest.mark.parametrize("q", (2, 4, 16))
+def test_null_spaces_of_subspaces_match_nullspace(q):
+    """net_of_plane, forms_through, delta_inv and meet reduce the
+    annihilator of rows already in RREF; each equals its nullspace form."""
+    gf = field(q)
+    rng = random.Random(q)
+
+    def sample(r):
+        while len(red := rref(gf, _random_rows(gf, rng, r, 6))) < r:
+            pass
+        return Subspace(gf, 5, red)
+
+    for _ in range(20):
+        s = sample(3)
+        assert net_of_plane(s) == nullspace(gf, s.rows, 6)
+        assert forms_through(s) == Subspace(gf, 5, nullspace(gf, s.rows, 6)).points()
+        h = sample(5)
+        assert delta_inv(h) == nullspace(gf, h.rows, 6)[0]
+        a, b = sample(rng.randrange(1, 6)), sample(rng.randrange(1, 6))
+        rows = nullspace(gf, nullspace(gf, a.rows, 6) + nullspace(gf, b.rows, 6), 6)
+        assert meet(a, b) == (Subspace(gf, 5, rows) if rows else None)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (4, 2), (2, 5), (4, 5)])
