@@ -151,7 +151,7 @@ def act_subspace(s: Subspace, a) -> Subspace:
     """Image of a subspace under the lift of a.  Builds no tables, so it
     serves every q."""
     l = lift(s.gf, a)
-    return Subspace(s.gf, s.n, rref(s.gf, [_image(s.gf, l, r) for r in s.rows]))
+    return Subspace.from_rref(s.gf, s.n, rref(s.gf, [_image(s.gf, l, r) for r in s.rows]))
 
 
 # -- packed rows -----------------------------------------------------------

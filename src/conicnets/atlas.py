@@ -22,7 +22,6 @@ import os
 import random
 from collections import Counter
 from itertools import product
-from multiprocessing import get_context
 
 from .action import (
     PackedAction,
@@ -47,6 +46,7 @@ from .invariants import (
     cubic_zeros_and_counts,
     double_line_hyperplane_count,
     nucleus_meet,
+    nucleus_meet_and_points,
     nucleus_meet_dim,
     plane_key_at,
     plane_signature,
@@ -157,6 +157,7 @@ def expected_hyperplane_distribution(label: str, q: int) -> tuple[int, int, int,
     return table[label]
 
 
+@functools.cache
 def expected_signature(label: str, q: int) -> PlaneSignature:
     """The signature shared by every plane of the named orbit, from the
     closed-form tables.  The nuclear point count fixes the dimension of the
@@ -395,6 +396,15 @@ def signature_table(gf: GF) -> dict[PlaneSignature, tuple[str, ...]]:
 
 
 @functools.cache
+def key_table(gf: GF) -> dict[tuple, tuple[str, ...]]:
+    """Plane key (PlaneSignature.key) -> orbit labels, from signature_table."""
+    table: dict[tuple, tuple[str, ...]] = {}
+    for sig, labels in signature_table(gf).items():
+        table[sig.key] = table.get(sig.key, ()) + labels
+    return table
+
+
+@functools.cache
 def orbit_atlas(gf: GF) -> dict[str, frozenset[int]]:
     """Orbit label -> frozenset of packed plane keys.  Exhaustive, q <= 4."""
     if gf.q > 4:
@@ -403,16 +413,22 @@ def orbit_atlas(gf: GF) -> dict[str, frozenset[int]]:
 
 
 def classify_plane(s: Subspace) -> str:
-    """Orbit label of a plane meeting the nucleus plane.
+    """Orbit label of a plane meeting the nucleus plane (classify_plane_at)."""
+    return classify_plane_at(s, *nucleus_meet_and_points(s))
 
-    One nucleus_meet decides whether the plane is in the family, gives the
-    nuclear point at which plane_key_at reads the plane's key, and feeds
-    the tie-break below.  The key, the point-class counts and cubic-curve
-    kind, is looked up among the keys of the signature table; it pins down
-    every label except Sigma3 and Sigma4.  The hyperplane classes separate
-    no further orbit, so they are not computed here.  A plane of either
-    orbit holds one nuclear point and two rank-1 points v(p)
-    (invariants.veronese_points).  The nuclear point lies on the conic
+
+def classify_plane_at(s: Subspace, meet: Subspace | None, points) -> str:
+    """classify_plane of a plane whose nucleus_meet is ``meet`` and whose
+    veronese_points are ``points`` (invariants.nucleus_meet_and_points,
+    which also checks that s is a plane).
+
+    The meet decides whether the plane is in the family, gives the nuclear
+    point at which plane_key_at reads the plane's key, and feeds the
+    tie-break below.  The key, the point-class counts and cubic-curve kind,
+    is looked up in key_table; it pins down every label except Sigma3 and
+    Sigma4.  The hyperplane classes separate no further orbit, so they are
+    not computed here.  A plane of either orbit holds one nuclear point and
+    two rank-1 points v(p).  The nuclear point lies on the conic
     plane {M : M u = 0} of one line of PG(2,q), its kernel u = (y4, y2, y1),
     and v(p) lies there iff p.u = 0: for one p for Sigma3, for neither for
     Sigma4.  The count is invariant because the lifted group commutes with
@@ -421,9 +437,6 @@ def classify_plane(s: Subspace) -> str:
     failed: the key lookup or the Sigma3/Sigma4 tie-break.
     """
     gf = s.gf
-    if s.n != 5 or s.dim != 2:
-        raise ValueError("expected a plane of PG(5, q)")
-    meet = nucleus_meet(s)
     if meet is None:
         raise OutOfFamilyError(
             "plane misses the nucleus plane; it is outside the classified family"
@@ -431,12 +444,10 @@ def classify_plane(s: Subspace) -> str:
     def fail(stage: str, message: str) -> ClassificationError:
         return ClassificationError("plane %s, %s: %s" % (s.key_hex(), stage, message))
     try:
-        key = plane_key_at(s, meet)
+        key = plane_key_at(s, meet, points)
     except ClassificationError as exc:
         raise fail("key lookup", str(exc)) from exc
-    labels = tuple(
-        label for sig, ls in signature_table(gf).items() if sig.key == key for label in ls
-    )
+    labels = key_table(gf).get(key, ())
     if not labels:
         raise fail("key lookup", "key matches no catalogued orbit: %r" % (key,))
     if len(labels) == 1:
@@ -445,7 +456,7 @@ def classify_plane(s: Subspace) -> str:
         raise fail("key lookup", "key is shared by orbits %s: %r" % (", ".join(labels), key))
     (nuclear,) = meet.rows
     m0, m1, m2 = (gf._mul[nuclear[i]] for i in (4, 2, 1))
-    hits = sum(1 for p in veronese_points(s) if not (m0[p[0]] ^ m1[p[1]] ^ m2[p[2]]))
+    hits = sum(1 for p in points if not (m0[p[0]] ^ m1[p[1]] ^ m2[p[2]]))
     label = {1: "Sigma3", 0: "Sigma4"}.get(hits)
     if label is None:
         raise fail("Sigma3/Sigma4 tie-break", "the conic plane holds %d rank-1 points" % hits)
@@ -482,7 +493,15 @@ def _net_rows(gf: GF, forms) -> tuple[tuple[int, ...], ...]:
 
 def plane_of_net(gf: GF, forms) -> Subspace:
     """The plane of PG(5, q) whose dual hyperplanes carry the given net."""
-    return Subspace(gf, 5, rref(gf, annihilator(gf, _net_rows(gf, forms), 6)))
+    return plane_and_double_lines_of_net(gf, forms)[0]
+
+
+def plane_and_double_lines_of_net(gf: GF, forms) -> tuple[Subspace, int]:
+    """(plane_of_net, net_double_line_count) from one reduction of the forms."""
+    red = _net_rows(gf, forms)
+    k = 3 - len(rref(gf, [(f[1], f[2], f[4]) for f in red]))
+    plane = Subspace.from_rref(gf, 5, rref(gf, annihilator(gf, red, 6)))
+    return plane, (gf.q**k - 1) // (gf.q - 1)
 
 
 def net_base_points(gf: GF, forms) -> list[tuple[int, ...]]:
@@ -504,8 +523,7 @@ def net_double_line_count(gf: GF, forms) -> int:
     cross columns.  Forms that are not a net raise ValueError, as in
     plane_of_net.
     """
-    k = 3 - len(rref(gf, [(f[1], f[2], f[4]) for f in _net_rows(gf, forms)]))
-    return (gf.q**k - 1) // (gf.q - 1)
+    return plane_and_double_lines_of_net(gf, forms)[1]
 
 
 def classify_net(gf: GF, forms) -> str:
@@ -622,6 +640,12 @@ def _bind_task(worker, state) -> None:
 
 def _run_task(chunk):
     return _task(chunk)
+
+
+def get_context():
+    """multiprocessing.get_context(), imported only when a sweep starts a pool."""
+    import multiprocessing
+    return multiprocessing.get_context()
 
 
 def _run_chunks(worker, state: dict, chunks, workers: int):
@@ -746,7 +770,7 @@ def _sample_plane(gf: GF, rng: random.Random) -> Subspace:
         rows = [[rng.randrange(gf.q) for _ in range(6)] for _ in range(3)]
         reduced = rref(gf, rows)
         if len(reduced) == 3:
-            return Subspace(gf, 5, reduced)
+            return Subspace.from_rref(gf, 5, reduced)
 
 
 def _double_line_sample_chunk(state, args):

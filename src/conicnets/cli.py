@@ -26,7 +26,7 @@ from .errors import (
     VerificationError,
 )
 from .gf import GF, field
-from .invariants import nucleus_meet, veronese_points
+from .invariants import nucleus_meet_and_points
 from .projgeom import Subspace, plane_from_pattern
 from .veronese import form_from_str, form_to_str
 
@@ -78,6 +78,8 @@ def _read_payload(args) -> dict:
 
 
 def _plane_from_payload(gf: GF, payload: dict) -> Subspace:
+    if "forms" in payload:
+        raise UsageError('plane input takes no "forms" key')
     if "rows" in payload and "label" in payload:
         raise UsageError('plane input takes "rows" or "label", not both')
     if "parameters" in payload and "label" not in payload:
@@ -105,6 +107,8 @@ def _forms_from_payload(gf: GF, payload: dict):
     forms = payload.get("forms")
     if not isinstance(forms, list) or len(forms) != 3:
         raise UsageError('net input needs "forms": three coefficient vectors or strings')
+    if payload.keys() & {"rows", "label", "parameters"}:
+        raise UsageError('net input takes "forms" alone, not "rows", "label" or "parameters"')
     out = []
     for f in forms:
         if isinstance(f, str):
@@ -157,9 +161,9 @@ def _atlas_csv(report: dict) -> str:
 def cmd_classify_plane(args) -> int:
     gf = _field(args)
     plane = _plane_from_payload(gf, _read_payload(args))
-    label = atlas.classify_plane(plane)
+    cut, points = nucleus_meet_and_points(plane)
+    label = atlas.classify_plane_at(plane, cut, points)
     sig = atlas.expected_signature(label, gf.q)
-    cut = nucleus_meet(plane)
     record = {
         "schema": atlas.SCHEMA,
         "q": gf.q,
@@ -181,8 +185,9 @@ def cmd_classify_plane(args) -> int:
 def cmd_classify_net(args) -> int:
     gf = _field(args)
     forms = _forms_from_payload(gf, _read_payload(args))
-    plane = atlas.plane_of_net(gf, forms)
-    label = atlas.classify_plane(plane)
+    plane, double_lines = atlas.plane_and_double_lines_of_net(gf, forms)
+    meet, points = nucleus_meet_and_points(plane)
+    label = atlas.classify_plane_at(plane, meet, points)
     record = {
         "schema": atlas.SCHEMA,
         "q": gf.q,
@@ -190,8 +195,8 @@ def cmd_classify_net(args) -> int:
         "forms": [form_to_str(f) for f in forms],
         "form_vectors": [list(f) for f in forms],
         "plane": [list(r) for r in plane.rows],
-        "base_points": [list(p) for p in veronese_points(plane)],
-        "double_line_count": atlas.net_double_line_count(gf, forms),
+        "base_points": [list(p) for p in points],
+        "double_line_count": double_lines,
     }
     _emit(args, record)
     return EXIT_OK

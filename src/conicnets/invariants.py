@@ -14,7 +14,7 @@ invariants collected here:
     contains (rank1, rank2_nuclear, rank2_secant, rank3);
   * hyperplane_class_counts: the conic classes of the q^2+q+1 hyperplanes
     through a plane (DoubleLine, RealPair, ImaginaryPair, Nonsingular);
-  * nucleus_meet_dim, nucleus_meet: the meet with the nucleus plane;
+  * nucleus_meet_dim, nucleus_meet, nucleus_cut: the meet with the nucleus plane;
   * veronese_points: the points of PG(2,q) whose image lies in a plane;
   * the determinantal cubic, its rational points, and its factorization
     type over GF(q), read off the pencil of lines through one rational
@@ -118,7 +118,7 @@ def cubic_zeros_and_counts(s: Subspace):
 def forms_through(s: Subspace) -> list[tuple[int, ...]]:
     """Normalized coefficient vectors of every hyperplane containing s: the
     points of its annihilator."""
-    return Subspace(s.gf, 5, rref(s.gf, annihilator(s.gf, s.rows, 6))).points()
+    return Subspace.from_rref(s.gf, 5, rref(s.gf, annihilator(s.gf, s.rows, 6))).points()
 
 
 def hyperplane_class_counts(s: Subspace) -> tuple[int, int, int, int]:
@@ -161,30 +161,43 @@ def nucleus_meet_dim(s: Subspace) -> int:
     return len(s.rows) - len(rref(s.gf, cols)) - 1
 
 
-def nucleus_meet(s: Subspace) -> Subspace | None:
-    """The meet with the nucleus plane, or None when it is empty.
-
-    Row-reducing each basis row prefixed by its diagonal coordinates 0, 3, 5
-    combines the rows by the kernel vectors of those three columns; the
-    reduced rows whose prefix vanishes are the meet's RREF basis.
-    """
-    red = rref(s.gf, [(r[0], r[3], r[5]) + r for r in s.rows])
+def nucleus_cut(s: Subspace):
+    """(nucleus_meet, veronese_points span) from one elimination of the basis
+    rows prefixed by their diagonal coordinates 0, 3, 5: rows with a zero
+    prefix are the meet's RREF basis, the other prefixes the RREF of the
+    diagonal columns, whose square roots (a field automorphism) are the span."""
+    gf, root = s.gf, s.gf._sqrt
+    red = rref(gf, [(r[0], r[3], r[5]) + r for r in s.rows])
     rows = tuple(r[3:] for r in red if not (r[0] | r[1] | r[2]))
-    return Subspace(s.gf, s.n, rows) if rows else None
+    span = tuple((root[r[0]], root[r[1]], root[r[2]]) for r in red if r[0] | r[1] | r[2])
+    return (Subspace.from_rref(gf, s.n, rows) if rows else None), span
 
 
-def veronese_points(s: Subspace) -> list[tuple[int, ...]]:
+def nucleus_meet(s: Subspace) -> Subspace | None:
+    """The meet with the nucleus plane (nucleus_cut), or None when empty."""
+    return nucleus_cut(s)[0]
+
+
+def nucleus_meet_and_points(s: Subspace):
+    """(nucleus_meet, veronese_points) of a plane from one nucleus_cut; the
+    points are None when the meet is, as they may be all of PG(2,q)."""
+    _require_plane(s)
+    meet, span = nucleus_cut(s)
+    return meet, meet and veronese_points(s, span)
+
+
+def veronese_points(s: Subspace, span=None) -> list[tuple[int, ...]]:
     """The points p of PG(2,q) with v(p) in the plane, in pg_points order.
 
     Squaring is additive in characteristic 2, so v(p) = sum l_i B_i puts p
-    in the span of the columns (sqrt B_i0, sqrt B_i3, sqrt B_i5): the net's
-    double line if the plane meets the nucleus plane in a point, a point if
-    in a line, all of PG(2,q) only if it misses it.  v(p) is in the plane
-    iff it has no residual off the basis pivots after subtracting the basis
-    rows weighted by its pivot coordinates."""
+    in ``span`` (nucleus_cut), that of the columns (sqrt B_i0, sqrt B_i3,
+    sqrt B_i5): the net's double line if the plane meets the nucleus plane
+    in a point, a point if in a line, all of PG(2,q) only if it misses it.
+    v(p) is in the plane iff it has no residual off the basis pivots after
+    subtracting the basis rows weighted by its pivot coordinates."""
     _require_plane(s)
     gf = s.gf
-    mul, sq, root = gf._mul, gf._sq, gf._sqrt
+    mul, sq = gf._mul, gf._sq
     i0, i1, i2 = pivots = [r.index(1) for r in s.rows]
     free = [(j, *(r[j] for r in s.rows)) for j in range(6) if j not in pivots]
 
@@ -193,7 +206,7 @@ def veronese_points(s: Subspace) -> list[tuple[int, ...]]:
         m0, m1, m2 = mul[y[i0]], mul[y[i1]], mul[y[i2]]
         return [y[j] ^ m0[a] ^ m1[b] ^ m2[c] for j, a, b, c in free]
 
-    span = rref(gf, [(root[r[0]], root[r[3]], root[r[5]]) for r in s.rows])
+    span = nucleus_cut(s)[1] if span is None else span
     if len(span) != 2:
         return [p for p in (pg_points(gf, 2) if len(span) == 3 else span) if not any(residual(p))]
     # v(a + t*b) = v(a) + t^2 v(b) + t (v(a + b) + v(a) + v(b)); residual is linear
@@ -440,7 +453,7 @@ def lines_in_plane(s: Subspace) -> list[Subspace]:
                     for j in range(6):
                         row[j] ^= mc[brow[j]]
             rows.append(tuple(row))
-        out.append(Subspace(gf, 5, rref(gf, rows)))
+        out.append(Subspace.from_rref(gf, 5, rref(gf, rows)))
     return out
 
 
@@ -484,14 +497,15 @@ def plane_key(s: Subspace) -> tuple:
     line plus a conic the line misses, or has no factors and no rational
     points, raises ClassificationError (36 of the 512 such planes at
     q = 2)."""
-    _require_plane(s)
-    return plane_key_at(s, nucleus_meet(s))
+    meet, span = nucleus_cut(s)
+    return plane_key_at(s, meet, veronese_points(s, span))
 
 
-def plane_key_at(s: Subspace, meet: Subspace | None) -> tuple:
-    """plane_key of a plane whose nucleus_meet is ``meet``.
+def plane_key_at(s: Subspace, meet: Subspace | None, points) -> tuple:
+    """plane_key of a plane whose nucleus_meet is ``meet`` and whose
+    veronese_points are ``points``.
 
-    The rank-1 count is that of veronese_points, and the nuclear count is
+    The rank-1 count is the number of those points, and the nuclear count is
     1, q+1 or q^2+q+1 by the meet's dimension.  A nuclear point P replaces
     the basis row at its first nonzero pivot, which puts P at (1, 0, 0) for
     cubic_pencil (off the family a scan finds a zero, and cubic_pencil
@@ -500,7 +514,7 @@ def plane_key_at(s: Subspace, meet: Subspace | None) -> tuple:
     q^2+q+1 - |Z|."""
     gf, q = s.gf, s.gf.q
     n = q * q + q + 1
-    rank1 = len(veronese_points(s))
+    rank1 = len(points)
     if meet is None:
         nuclear, cubic = 0, cubic_form(s)
         p = _first_zero(gf, cubic) if any(cubic) else None

@@ -10,7 +10,7 @@ is the stable serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import combinations, product
 from math import prod
 
@@ -119,16 +119,22 @@ class Subspace:
     gf: GF
     n: int
     rows: tuple[tuple[int, ...], ...]
+    reduced: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, reduced):
         width = self.n + 1
         if not 1 <= len(self.rows) <= width:
             raise ValueError("basis must have between 1 and %d rows" % width)
         for row in self.rows:
             if len(row) != width:
                 raise ValueError("basis row width %d != %d" % (len(row), width))
-        if self.rows != rref(self.gf, self.rows):
+        if not reduced and self.rows != rref(self.gf, self.rows):
             raise ValueError("basis rows are not in canonical RREF")
+
+    @classmethod
+    def from_rref(cls, gf: GF, n: int, rows) -> "Subspace":
+        """A subspace of rows straight out of rref: no second reduction."""
+        return cls(gf, n, rows, True)
 
     @property
     def dim(self) -> int:
@@ -191,7 +197,7 @@ def span(gf: GF, vectors, n: int | None = None) -> Subspace:
     rows = rref(gf, vectors)
     if not rows:
         raise ValueError("span of zero vectors only")
-    return Subspace(gf, n, rows)
+    return Subspace.from_rref(gf, n, rows)
 
 
 def subspace_from_json(obj: dict, modulus: int | None = None) -> Subspace:
@@ -208,7 +214,7 @@ def meet(a: Subspace, b: Subspace) -> Subspace | None:
     rows = nullspace(a.gf, na + nb, width)
     if not rows:
         return None
-    return Subspace(a.gf, a.n, rows)
+    return Subspace.from_rref(a.gf, a.n, rows)
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
@@ -288,7 +294,7 @@ def enumerate_planes_chunk(gf: GF, chunk):
     """Planes of PG(5, q) belonging to one enumeration chunk."""
     pivots, first_free = chunk
     for rows in _pattern_rows(gf, 6, pivots, first_free):
-        yield Subspace(gf, 5, rows)
+        yield Subspace.from_rref(gf, 5, rows)
 
 
 def plane_from_pattern(gf: GF, pattern) -> Subspace:
@@ -304,7 +310,7 @@ def plane_from_pattern(gf: GF, pattern) -> Subspace:
     rows = rref(gf, vecs)
     if len(rows) != 3:
         raise ValueError("plane rows are linearly dependent")
-    return Subspace(gf, 5, rows)
+    return Subspace.from_rref(gf, 5, rows)
 
 
 # -- packed keys ---------------------------------------------------------

@@ -141,7 +141,7 @@ def classify_conic(gf: GF, form) -> str:
 def delta(gf: GF, form) -> Subspace:
     """Hyperplane of PG(5,q) whose points are the zero locus pairing of f."""
     form = normalize_point(gf, form)
-    return Subspace(gf, 5, nullspace(gf, (form,), 6))
+    return Subspace.from_rref(gf, 5, nullspace(gf, (form,), 6))
 
 
 def delta_inv(h: Subspace) -> tuple[int, ...]:
@@ -230,7 +230,7 @@ def conic_plane_of(gf: GF, y) -> tuple[tuple[int, ...], Subspace]:
     u = normalize_point(gf, u)
     u0, u1, u2 = u
     equations = ((u0, u1, u2, 0, 0, 0), (0, u0, 0, u1, u2, 0), (0, 0, u0, 0, u1, u2))
-    return u, Subspace(gf, 5, nullspace(gf, equations, 6))
+    return u, Subspace.from_rref(gf, 5, nullspace(gf, equations, 6))
 
 
 def conic_nucleus(gf: GF, line_dual) -> tuple[int, ...]:

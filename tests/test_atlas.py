@@ -50,7 +50,7 @@ from conicnets.errors import (
     VerificationError,
 )
 from conicnets.gf import field
-from conicnets.invariants import plane_signature, point_class_counts
+from conicnets.invariants import plane_key, plane_signature, point_class_counts
 from conicnets.projgeom import Subspace, pg_points, plane_from_pattern, rref, span, unpack_rows
 from conicnets.veronese import form_eval
 
@@ -240,8 +240,8 @@ def test_classify_plane_agrees_with_orbit_atlas_on_sigma3_sigma4_q4(gf4):
 
 def test_classify_plane_rejects_unexpected_signature_collisions(gf4, monkeypatch):
     s = representative(gf4, "Sigma9")
-    table = {plane_signature(s): ("Sigma9", "Sigma10")}
-    monkeypatch.setattr(atlas, "signature_table", lambda gf: table)
+    table = {plane_signature(s).key: ("Sigma9", "Sigma10")}
+    monkeypatch.setattr(atlas, "key_table", lambda gf: table)
     with pytest.raises(ClassificationError, match="plane %s, key lookup: " % s.key_hex()):
         classify_plane(s)
 
@@ -250,7 +250,7 @@ def test_classification_errors_name_the_plane_and_the_stage(gf4, monkeypatch):
     s = act_subspace(representative(gf4, "Sigma3"), MOVE)
     lookup = re.escape("plane %s, key lookup: " % s.key_hex())
     with monkeypatch.context() as m:
-        m.setattr(atlas, "plane_key_at", lambda s, meet: ((0, 0, 0, 0), None))
+        m.setattr(atlas, "plane_key_at", lambda s, meet, points: ((0, 0, 0, 0), None))
         with pytest.raises(ClassificationError, match=lookup + "key matches no"):
             classify_plane(s)
 
@@ -261,9 +261,16 @@ def test_classification_errors_name_the_plane_and_the_stage(gf4, monkeypatch):
         m.setattr(invariants, "cubic_pencil", broken)
         with pytest.raises(ClassificationError, match=lookup + "cubic says no"):
             classify_plane(s)
-    # each Veronese point listed twice: two of them on the conic plane
-    veronese_points = atlas.veronese_points
-    monkeypatch.setattr(atlas, "veronese_points", lambda s: 2 * veronese_points(s))
+    # each Veronese point listed twice, two of them on the conic plane, and
+    # the key read off the true points
+    key, meet_and_points = plane_key(s), atlas.nucleus_meet_and_points
+
+    def doubled(s):
+        meet, points = meet_and_points(s)
+        return meet, 2 * points
+
+    monkeypatch.setattr(atlas, "nucleus_meet_and_points", doubled)
+    monkeypatch.setattr(atlas, "plane_key_at", lambda s, meet, points: key)
     tie_break = re.escape("plane %s, Sigma3/Sigma4 tie-break: " % s.key_hex())
     with pytest.raises(ClassificationError, match=tie_break + ".* 2 rank-1 points"):
         classify_plane(s)

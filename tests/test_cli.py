@@ -6,12 +6,14 @@ import dataclasses
 import io
 import json
 import multiprocessing
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conicnets import atlas, cli
+from conicnets import atlas, cli, projgeom
+from conicnets.action import act_subspace
 from conicnets.errors import ResourceBudgetError
 from conicnets.gf import field
 
@@ -250,8 +252,17 @@ SIGMA7_Q4 = [list(r) for r in atlas.representative_pattern(field(4), "Sigma7")[0
     ("classify-plane", ["--data", json.dumps({"rows": SIGMA7_Q4, "label": "Sigma3"})], ""),
     # label parameters with no label: they would be dropped unread
     ("classify-plane", ["--data", json.dumps({"rows": SIGMA7_Q4, "parameters": {"a": 1}})], ""),
+    # a key of the other command: it would be dropped unread
+    ("classify-net", ["--data", json.dumps({"forms": ["X0^2", "X1^2", "X2^2"],
+                                            "label": "Sigma9"})], ""),
+    ("classify-net", ["--data", json.dumps({"forms": EXAMPLE_NET_Q4, "rows": SIGMA7_Q4})], ""),
+    ("classify-net", ["--data", json.dumps({"forms": EXAMPLE_NET_Q4,
+                                            "parameters": {"a": 1}})], ""),
+    ("classify-plane", ["--data", json.dumps({"label": "Sigma3", "forms": EXAMPLE_NET_Q4})], ""),
+    ("classify-plane", ["--data", json.dumps({"rows": SIGMA7_Q4, "forms": EXAMPLE_NET_Q4})], ""),
 ], ids=["data-empty", "data-and-input-plane", "data-and-input-net", "rows-and-label",
-        "parameters-without-label"])
+        "parameters-without-label", "net-with-label", "net-with-rows", "net-with-parameters",
+        "plane-label-with-forms", "plane-rows-with-forms"])
 def test_exit_code_rejects_ambiguous_input(command, argv, stdin, capsys, monkeypatch, tmp_path):
     path = tmp_path / "input.json"
     path.write_text('{"label": "Sigma3", "forms": %s}' % json.dumps(EXAMPLE_NET_Q4))
@@ -331,15 +342,45 @@ def test_exit_code_representative_fails_validation(capsys, monkeypatch):
 
 
 def test_exit_code_resource_budget(capsys, monkeypatch):
-    def explode(s):
+    def explode(s, meet, points):
         raise ResourceBudgetError("orbit too large", partial=123)
 
-    monkeypatch.setattr(atlas, "classify_plane", explode)
+    monkeypatch.setattr(atlas, "classify_plane_at", explode)
     code, _, err = run(
         ["classify-plane", "--q", "4", "--data", '{"label": "Sigma9"}'], capsys
     )
     assert code == 5
     assert "resource budget" in err
+
+
+@pytest.mark.parametrize("q", (4, 16))
+def test_classify_requests_reduce_their_input_at_most_twice_or_four_times(q, capsys, monkeypatch):
+    """A classify-plane request reduces its rows once and its diagonal
+    columns once (invariants.nucleus_cut); a classify-net request reduces
+    its forms, their annihilator and their cross columns, then the plane's
+    diagonal columns.  Every module's rref is counted."""
+    gf = field(q)
+    requests = []
+    for label in atlas.LABELS:
+        moved = act_subspace(act_subspace(atlas.representative(gf, label), (2, 1, 0, 0, 3, 1, 1, 0, 2)),
+                             (1, 1, 0, 0, 1, 0, 0, 0, 1))
+        requests.append(("classify-plane", label, {"rows": [list(r) for r in moved.rows]}))
+        requests.append(("classify-net", label, {"forms": [list(f) for f in atlas.net_of_plane(moved)]}))
+    calls = []
+    real = projgeom.rref
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("conicnets") and getattr(module, "rref", None) is real:
+            monkeypatch.setattr(module, "rref", counting)
+    for command, label, payload in requests:
+        calls.clear()
+        code, out, _ = run([command, "--q", str(q), "--data", json.dumps(payload)], capsys)
+        assert code == 0 and json.loads(out)["label"] == label
+        assert len(calls) <= {"classify-plane": 2, "classify-net": 4}[command], (command, label)
 
 
 def test_argparse_usage_exits_2():

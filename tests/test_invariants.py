@@ -39,6 +39,7 @@ from conicnets.invariants import (
     hyperplane_class_counts,
     line_class_profile,
     lines_in_plane,
+    nucleus_cut,
     nucleus_meet,
     nucleus_meet_dim,
     plane_key,
@@ -199,6 +200,48 @@ def test_veronese_points_and_nucleus_meet_on_moved_planes(q):
     dims = Counter(_check_veronese_points(s) for s in planes)
     assert set(dims) == {-1, 0, 1, 2}
     assert net_base_points(gf, example_net(gf)) == _net_base_scan(gf, example_net(gf)) == []
+
+
+def _rooted_diagonal_rref(s):
+    """The Veronese span as veronese_points reduced it on its own: the RREF
+    of the square roots of the diagonal columns 0, 3, 5."""
+    root = s.gf._sqrt
+    return rref(s.gf, [(root[r[0]], root[r[3]], root[r[5]]) for r in s.rows])
+
+
+def test_nucleus_cut_span_is_the_rooted_diagonal_rref_on_every_plane_q2(gf2):
+    planes = 0
+    for s in enumerate_planes(gf2):
+        assert nucleus_cut(s)[1] == _rooted_diagonal_rref(s), s
+        planes += 1
+    assert planes == 1395
+
+
+@pytest.mark.parametrize("q", (4, 16, 256))
+def test_nucleus_cut_span_is_the_rooted_diagonal_rref_on_samples(q):
+    # random planes (mostly rank 3 spans) and moved representative
+    # patterns, which give every rank from 0 (the nucleus plane) to 2
+    gf = field(q)
+    rng = random.Random(700 + q)
+    planes = []
+    for label in LABELS:
+        base = plane_from_pattern(gf, representative_pattern(gf, label)[0])
+        for _ in range(4):
+            while True:
+                g = tuple(rng.randrange(q) for _ in range(9))
+                if mat3_det(gf, g):
+                    break
+            planes.append(act_subspace(base, g))
+    while len(planes) < 18 * 4 + 200:
+        rows = rref(gf, [tuple(rng.randrange(q) for _ in range(6)) for _ in range(3)])
+        if len(rows) == 3:
+            planes.append(Subspace(gf, 5, rows))
+    ranks = Counter()
+    for s in planes:
+        got = nucleus_cut(s)[1]
+        assert got == _rooted_diagonal_rref(s), s
+        ranks[len(got)] += 1
+    assert set(ranks) == {0, 1, 2, 3}
 
 
 def test_cubic_vanishes_exactly_for_secant_planes(gf4):

@@ -216,6 +216,31 @@ def test_chunk_sizes_bounded(gf4):
         assert 0 < n <= bound
 
 
+@pytest.mark.parametrize("q", (2, 4))
+def test_enumerated_bases_are_their_own_rref(q):
+    """The sweeps build their planes with Subspace.from_rref, which skips
+    the reduction check, so every enumerated basis must already be
+    canonical."""
+    gf = field(q)
+    planes = 0
+    for chunk in plane_enumeration_chunks(gf):
+        for s in enumerate_planes_chunk(gf, chunk):
+            assert s.rows == rref(gf, s.rows), s
+            planes += 1
+    assert planes == gaussian_binomial(6, 3, q)
+
+
+def test_from_rref_skips_only_the_reduction(gf4):
+    rows = ((1, 2, 0), (0, 0, 1))
+    assert Subspace.from_rref(gf4, 2, rows) == Subspace(gf4, 2, rows)
+    assert hash(Subspace.from_rref(gf4, 2, rows)) == hash(Subspace(gf4, 2, rows))
+    with pytest.raises(ValueError, match="canonical RREF"):
+        Subspace(gf4, 2, ((1, 2, 0), (0, 1, 0)))
+    for bad in ((), ((1, 0),), ((1, 0, 0),) * 4):
+        with pytest.raises(ValueError, match="basis"):
+            Subspace.from_rref(gf4, 2, bad)
+
+
 def test_pack_unpack_round_trip(gf8):
     rng = random.Random(3)
     for _ in range(25):

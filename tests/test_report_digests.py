@@ -10,6 +10,9 @@ line-orbits`` reports at q = 4 and 8 are pinned the same way, so the group
 action behind them cannot change an orbit, an order or a count unnoticed,
 and so are the partition sweep at q = 2 (orbit sizes and stabilizer orders)
 and the double-line sweeps at q = 2 (every plane) and q = 8 (sampled).
+The unmoved representatives at q = 4 and 16, sent by label to
+``classify-plane`` and by their nets' form strings to ``classify-net``,
+are pinned as one digest per command and q.
 """
 
 import hashlib
@@ -20,6 +23,7 @@ import pytest
 from conicnets import atlas, cli
 from conicnets.action import act_subspace
 from conicnets.gf import field
+from conicnets.veronese import form_to_str
 
 # Invertible over GF(4), GF(8) and GF(16) with the default moduli.
 MOVE = (2, 1, 0, 0, 3, 1, 1, 0, 2)
@@ -195,3 +199,28 @@ SWEEPS_PINNED = {
 def test_sweep_report_bytes_are_pinned(args, capsys):
     out = _report(["verify", "--suite", *args.split()], capsys)
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEPS_PINNED[args]
+
+
+REPRESENTATIVES_PINNED = {
+    "classify-plane q=4": 'a51a50af045a4e0019efcbbb1276bb7ff2ff33b678fcbe1b73fd58ab84362f10',
+    "classify-net q=4": '2d6386d1f8b18a656c8bda00d1d47e2f52e846ab6478a4f9f1ae04e898d96b0e',
+    "classify-plane q=16": 'ddb6832ee2846061be5daed5250004ee36c3844f40e91efeebaecebeae2e7e2a',
+    "classify-net q=16": '17e36cc5987a36466be827f42260d5db887be1052727bdb15099cb2c1ca76b8a',
+}
+
+
+@pytest.mark.parametrize("q", (4, 16))
+def test_representative_report_bytes_are_pinned(q, capsys):
+    gf = field(q)
+    for command in ("classify-plane", "classify-net"):
+        digest = hashlib.sha256()
+        for label in atlas.LABELS:
+            if command == "classify-plane":
+                payload = {"label": label}
+            else:
+                net = atlas.net_of_plane(atlas.representative(gf, label))
+                payload = {"forms": [form_to_str(f) for f in net]}
+            out = _report([command, "--q", str(q), "--data", json.dumps(payload)], capsys)
+            assert json.loads(out)["label"] == label
+            digest.update(out.encode())
+        assert digest.hexdigest() == REPRESENTATIVES_PINNED["%s q=%d" % (command, q)]
