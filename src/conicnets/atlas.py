@@ -45,9 +45,7 @@ from .invariants import (
     PlaneSignature,
     cubic_zeros_and_counts,
     double_line_hyperplane_count,
-    nucleus_meet,
-    nucleus_meet_and_points,
-    nucleus_meet_dim,
+    nucleus_cut,
     plane_key_at,
     plane_signature,
     point_class_counts,
@@ -160,20 +158,9 @@ def expected_hyperplane_distribution(label: str, q: int) -> tuple[int, int, int,
 @functools.cache
 def expected_signature(label: str, q: int) -> PlaneSignature:
     """The signature shared by every plane of the named orbit, from the
-    closed-form tables.  The nuclear point count fixes the dimension of the
-    meet with the nucleus plane, and the cubic's rational points are the
-    plane's points of rank at most 2."""
-    counts = expected_point_distribution(label, q)
-    kind = EXPECTED_CUBIC_KIND[label]
-    n = q * q + q + 1
-    return PlaneSignature(
-        nucleus_meet_dim={1: 0, q + 1: 1, n: 2}[counts[1]],
-        point_counts=counts,
-        cubic_vanishes=kind is None,
-        cubic_point_count=None if kind is None else n - counts[3],
-        cubic_kind=kind,
-        hyperplane_counts=expected_hyperplane_distribution(label, q),
-    )
+    closed-form tables."""
+    return PlaneSignature(expected_point_distribution(label, q), EXPECTED_CUBIC_KIND[label],
+                          expected_hyperplane_distribution(label, q))
 
 
 def expected_stabilizer_order(label: str, q: int) -> int:
@@ -207,7 +194,7 @@ def plane_stabilizer_order(s: Subspace) -> int:
     """Order of the stabilizer in PGL(3,q) of a plane meeting the nucleus
     plane, counted directly.
 
-    Kernels u = (y4, y2, y1) of nuclear points (the basis of nucleus_meet)
+    Kernels u = (y4, y2, y1) of nuclear points (the basis of the meet)
     move by u -> A^-T u, so the stabilizer fixes the one kernel u, or the
     dual vector w (moving by w -> A w) of the kernels' line.  Moved by C,
     whose first row is u or whose last two rows are kernels (unit vectors
@@ -217,7 +204,7 @@ def plane_stabilizer_order(s: Subspace) -> int:
     into the plane are counted.  The whole group fixes the nucleus plane.
     """
     gf, q = s.gf, s.gf.q
-    meet = nucleus_meet(s)
+    meet = nucleus_cut(s)[0]
     if meet is None:
         raise OutOfFamilyError("plane misses the nucleus plane")
     if meet.dim == 2:
@@ -414,13 +401,12 @@ def orbit_atlas(gf: GF) -> dict[str, frozenset[int]]:
 
 def classify_plane(s: Subspace) -> str:
     """Orbit label of a plane meeting the nucleus plane (classify_plane_at)."""
-    return classify_plane_at(s, *nucleus_meet_and_points(s))
+    return classify_plane_at(s, *nucleus_cut(s))
 
 
 def classify_plane_at(s: Subspace, meet: Subspace | None, points) -> str:
-    """classify_plane of a plane whose nucleus_meet is ``meet`` and whose
-    veronese_points are ``points`` (invariants.nucleus_meet_and_points,
-    which also checks that s is a plane).
+    """classify_plane of a plane whose invariants.nucleus_cut, which also
+    checks that s is a plane, is (``meet``, ``points``).
 
     The meet decides whether the plane is in the family, gives the nuclear
     point at which plane_key_at reads the plane's key, and feeds the
@@ -479,26 +465,21 @@ def net_of_plane(s: Subspace) -> tuple[tuple[int, ...], ...]:
     return rref(s.gf, annihilator(s.gf, s.rows, 6))
 
 
-def _net_rows(gf: GF, forms) -> tuple[tuple[int, ...], ...]:
-    """RREF of a net's basis forms; ValueError unless they are three
-    linearly independent coefficient 6-vectors."""
-    vecs = [tuple(f) for f in forms]
-    if len(vecs) != 3 or any(len(v) != 6 for v in vecs):
-        raise ValueError("a net needs exactly three coefficient 6-vectors")
-    red = rref(gf, vecs)
-    if len(red) != 3:
-        raise ValueError("net basis forms are linearly dependent")
-    return red
-
-
 def plane_of_net(gf: GF, forms) -> Subspace:
     """The plane of PG(5, q) whose dual hyperplanes carry the given net."""
     return plane_and_double_lines_of_net(gf, forms)[0]
 
 
 def plane_and_double_lines_of_net(gf: GF, forms) -> tuple[Subspace, int]:
-    """(plane_of_net, net_double_line_count) from one reduction of the forms."""
-    red = _net_rows(gf, forms)
+    """(plane_of_net, net_double_line_count) from one reduction of the
+    forms; ValueError unless they are three linearly independent
+    coefficient 6-vectors."""
+    vecs = [tuple(f) for f in forms]
+    if len(vecs) != 3 or any(len(v) != 6 for v in vecs):
+        raise ValueError("a net needs exactly three coefficient 6-vectors")
+    red = rref(gf, vecs)
+    if len(red) != 3:
+        raise ValueError("net basis forms are linearly dependent")
     k = 3 - len(rref(gf, [(f[1], f[2], f[4]) for f in red]))
     plane = Subspace.from_rref(gf, 5, rref(gf, annihilator(gf, red, 6)))
     return plane, (gf.q**k - 1) // (gf.q - 1)
@@ -616,7 +597,8 @@ def _partition_chunk(state, chunk):
     stray: list[int] = []
     meeting = agree = 0
     for s in enumerate_planes_chunk(gf, chunk):
-        if nucleus_meet_dim(s) < 0:
+        meet, points = nucleus_cut(s)
+        if meet is None:
             continue
         meeting += 1
         key = s.key_int()
@@ -626,7 +608,7 @@ def _partition_chunk(state, chunk):
                 stray.append(key)
             continue
         tally[label] += 1
-        agree += classify_plane(s) == label
+        agree += classify_plane_at(s, meet, points) == label
     return tally, stray, meeting, agree
 
 
@@ -795,7 +777,8 @@ def verify_double_lines(
     Sampling draws random full-rank 3x6 matrices, which is uniform on
     planes because every plane has the same number of ordered bases.  The
     sample stream is split into 128 fixed subchunks so results do not
-    depend on the worker count.
+    depend on the worker count.  A negative seed raises ValueError, since
+    random.Random takes the absolute value of subchunk i's seed * 2**32 + i.
     """
     q = gf.q
     exhaustive = samples is None and q <= 4
@@ -803,6 +786,8 @@ def verify_double_lines(
         samples = 100_000
     if samples < 1:
         raise ValueError("samples must be at least 1, got %d" % samples)
+    if seed < 0:
+        raise ValueError("seed must be 0 or more, got %d" % seed)
     if exhaustive:
         worker, chunks = _double_line_chunk, plane_enumeration_chunks(gf)
     else:

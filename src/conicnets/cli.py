@@ -26,7 +26,7 @@ from .errors import (
     VerificationError,
 )
 from .gf import GF, field
-from .invariants import nucleus_meet_and_points
+from .invariants import nucleus_cut
 from .projgeom import Subspace, plane_from_pattern
 from .veronese import form_from_str, form_to_str
 
@@ -70,6 +70,8 @@ def _read_payload(args) -> dict:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError("input is not valid JSON: %s" % exc) from exc
+    except RecursionError as exc:
+        raise UsageError("input JSON is nested too deeply") from exc
     if isinstance(payload, list):
         return {"rows": payload}
     if not isinstance(payload, dict):
@@ -161,8 +163,8 @@ def _atlas_csv(report: dict) -> str:
 def cmd_classify_plane(args) -> int:
     gf = _field(args)
     plane = _plane_from_payload(gf, _read_payload(args))
-    cut, points = nucleus_meet_and_points(plane)
-    label = atlas.classify_plane_at(plane, cut, points)
+    meet, points = nucleus_cut(plane)
+    label = atlas.classify_plane_at(plane, meet, points)
     sig = atlas.expected_signature(label, gf.q)
     record = {
         "schema": atlas.SCHEMA,
@@ -174,8 +176,8 @@ def cmd_classify_plane(args) -> int:
         "cubic_type": sig.cubic_kind,
         "plane": [list(r) for r in plane.rows],
         "intersection_with_nucleus_plane": {
-            "dimension": cut.dim,
-            "basis": [list(r) for r in cut.rows],
+            "dimension": meet.dim,
+            "basis": [list(r) for r in meet.rows],
         },
     }
     _emit(args, record)
@@ -186,7 +188,7 @@ def cmd_classify_net(args) -> int:
     gf = _field(args)
     forms = _forms_from_payload(gf, _read_payload(args))
     plane, double_lines = atlas.plane_and_double_lines_of_net(gf, forms)
-    meet, points = nucleus_meet_and_points(plane)
+    meet, points = nucleus_cut(plane)
     label = atlas.classify_plane_at(plane, meet, points)
     record = {
         "schema": atlas.SCHEMA,

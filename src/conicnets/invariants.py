@@ -14,7 +14,7 @@ invariants collected here:
     contains (rank1, rank2_nuclear, rank2_secant, rank3);
   * hyperplane_class_counts: the conic classes of the q^2+q+1 hyperplanes
     through a plane (DoubleLine, RealPair, ImaginaryPair, Nonsingular);
-  * nucleus_meet_dim, nucleus_meet, nucleus_cut: the meet with the nucleus plane;
+  * nucleus_meet_dim, nucleus_cut: the meet with the nucleus plane;
   * veronese_points: the points of PG(2,q) whose image lies in a plane;
   * the determinantal cubic, its rational points, and its factorization
     type over GF(q), read off the pencil of lines through one rational
@@ -162,40 +162,41 @@ def nucleus_meet_dim(s: Subspace) -> int:
 
 
 def nucleus_cut(s: Subspace):
-    """(nucleus_meet, veronese_points span) from one elimination of the basis
-    rows prefixed by their diagonal coordinates 0, 3, 5: rows with a zero
-    prefix are the meet's RREF basis, the other prefixes the RREF of the
-    diagonal columns, whose square roots (a field automorphism) are the span."""
-    gf, root = s.gf, s.gf._sqrt
-    red = rref(gf, [(r[0], r[3], r[5]) + r for r in s.rows])
-    rows = tuple(r[3:] for r in red if not (r[0] | r[1] | r[2]))
-    span = tuple((root[r[0]], root[r[1]], root[r[2]]) for r in red if r[0] | r[1] | r[2])
-    return (Subspace.from_rref(gf, s.n, rows) if rows else None), span
-
-
-def nucleus_meet(s: Subspace) -> Subspace | None:
-    """The meet with the nucleus plane (nucleus_cut), or None when empty."""
-    return nucleus_cut(s)[0]
-
-
-def nucleus_meet_and_points(s: Subspace):
-    """(nucleus_meet, veronese_points) of a plane from one nucleus_cut; the
-    points are None when the meet is, as they may be all of PG(2,q)."""
+    """(meet, veronese_points) of a plane, its meet with the nucleus plane
+    in RREF, or (None, None) when the meet is empty: a point lies on the
+    nucleus plane iff its diagonal coordinates 0, 3, 5 vanish, so that is
+    when the diagonal block has a nonzero mat3_det, and no elimination is
+    made.  Otherwise one elimination of the basis rows prefixed by their
+    diagonal coordinates gives both: rows with a zero prefix are the meet's
+    basis, and the square roots (a field automorphism) of the others span
+    the points (veronese_points)."""
     _require_plane(s)
-    meet, span = nucleus_cut(s)
-    return meet, meet and veronese_points(s, span)
+    gf, root = s.gf, s.gf._sqrt
+    diag = [(r[0], r[3], r[5]) for r in s.rows]
+    if mat3_det(gf, diag[0] + diag[1] + diag[2]):
+        return None, None
+    red = rref(gf, [d + r for d, r in zip(diag, s.rows)])
+    meet = Subspace.from_rref(gf, s.n, tuple(r[3:] for r in red if not (r[0] | r[1] | r[2])))
+    span = [(root[r[0]], root[r[1]], root[r[2]]) for r in red if r[0] | r[1] | r[2]]
+    return meet, _points_in_span(s, span)
 
 
-def veronese_points(s: Subspace, span=None) -> list[tuple[int, ...]]:
+def veronese_points(s: Subspace) -> list[tuple[int, ...]]:
     """The points p of PG(2,q) with v(p) in the plane, in pg_points order.
 
     Squaring is additive in characteristic 2, so v(p) = sum l_i B_i puts p
-    in ``span`` (nucleus_cut), that of the columns (sqrt B_i0, sqrt B_i3,
-    sqrt B_i5): the net's double line if the plane meets the nucleus plane
-    in a point, a point if in a line, all of PG(2,q) only if it misses it.
-    v(p) is in the plane iff it has no residual off the basis pivots after
-    subtracting the basis rows weighted by its pivot coordinates."""
-    _require_plane(s)
+    in the span of the columns (sqrt B_i0, sqrt B_i3, sqrt B_i5): the net's
+    double line if the plane meets the nucleus plane in a point, a point if
+    in a line, no point if it is the nucleus plane (nucleus_cut).  Only a
+    plane missing the nucleus plane has all of PG(2,q) to test."""
+    points = nucleus_cut(s)[1]
+    return _points_in_span(s, None) if points is None else points
+
+
+def _points_in_span(s: Subspace, span) -> list[tuple[int, ...]]:
+    """The points p of the RREF ``span`` (None: all of PG(2,q)) with v(p)
+    in the plane: those whose v(p) has no residual off the basis pivots
+    after subtracting the basis rows weighted by its pivot coordinates."""
     gf = s.gf
     mul, sq = gf._mul, gf._sq
     i0, i1, i2 = pivots = [r.index(1) for r in s.rows]
@@ -206,9 +207,8 @@ def veronese_points(s: Subspace, span=None) -> list[tuple[int, ...]]:
         m0, m1, m2 = mul[y[i0]], mul[y[i1]], mul[y[i2]]
         return [y[j] ^ m0[a] ^ m1[b] ^ m2[c] for j, a, b, c in free]
 
-    span = nucleus_cut(s)[1] if span is None else span
-    if len(span) != 2:
-        return [p for p in (pg_points(gf, 2) if len(span) == 3 else span) if not any(residual(p))]
+    if span is None or len(span) < 2:
+        return [p for p in (pg_points(gf, 2) if span is None else span) if not any(residual(p))]
     # v(a + t*b) = v(a) + t^2 v(b) + t (v(a + b) + v(a) + v(b)); residual is linear
     a, b = span
     ra, rb = residual(a), residual(b)
@@ -464,14 +464,24 @@ def line_class_profile(s: Subspace) -> tuple[tuple[int, int, int, int], ...]:
 
 @dataclass(frozen=True)
 class PlaneSignature:
-    """Orbit invariants of a plane, used to look orbits up in the atlas."""
+    """Orbit invariants of a plane, used to look orbits up in the atlas.
+    Only the computed invariants are stored; the rest follow from them."""
 
-    nucleus_meet_dim: int
     point_counts: tuple[int, int, int, int]
-    cubic_vanishes: bool
-    cubic_point_count: int | None
     cubic_kind: str | None
     hyperplane_counts: tuple[int, int, int, int]
+
+    @property
+    def nucleus_meet_dim(self) -> int:  # nuclear count 0, 1, q+1 or q^2+q+1
+        return {0: -1, 1: 0, sum(self.point_counts): 2}.get(self.point_counts[1], 1)
+
+    @property
+    def cubic_vanishes(self) -> bool:
+        return self.cubic_kind is None
+
+    @property
+    def cubic_point_count(self) -> int | None:  # the points of rank <= 2
+        return None if self.cubic_kind is None else sum(self.point_counts[:3])
 
     @property
     def key(self) -> tuple:
@@ -497,13 +507,14 @@ def plane_key(s: Subspace) -> tuple:
     line plus a conic the line misses, or has no factors and no rational
     points, raises ClassificationError (36 of the 512 such planes at
     q = 2)."""
-    meet, span = nucleus_cut(s)
-    return plane_key_at(s, meet, veronese_points(s, span))
+    meet, points = nucleus_cut(s)
+    return plane_key_at(s, meet, _points_in_span(s, None) if points is None else points)
 
 
 def plane_key_at(s: Subspace, meet: Subspace | None, points) -> tuple:
-    """plane_key of a plane whose nucleus_meet is ``meet`` and whose
-    veronese_points are ``points``.
+    """plane_key of a plane whose nucleus_cut is (``meet``, ``points``);
+    off the family, where the cut gives no points, ``points`` are its
+    veronese_points.
 
     The rank-1 count is the number of those points, and the nuclear count is
     1, q+1 or q^2+q+1 by the meet's dimension.  A nuclear point P replaces
@@ -529,12 +540,4 @@ def plane_key_at(s: Subspace, meet: Subspace | None, points) -> tuple:
 
 
 def plane_signature(s: Subspace) -> PlaneSignature:
-    counts, kind = plane_key(s)
-    return PlaneSignature(
-        nucleus_meet_dim=nucleus_meet_dim(s),
-        point_counts=counts,
-        cubic_vanishes=kind is None,
-        cubic_point_count=None if kind is None else sum(counts[:3]),
-        cubic_kind=kind,
-        hyperplane_counts=hyperplane_class_counts(s),
-    )
+    return PlaneSignature(*plane_key(s), hyperplane_class_counts(s))

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from conicnets import projgeom
 from conicnets.action import generators
 from conicnets.gf import field
 from conicnets.projgeom import normalize_point
@@ -23,6 +26,23 @@ def gf8():
 @pytest.fixture(scope="session")
 def gf16():
     return field(16)
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """A list that gains one entry per projgeom.rref call made through any
+    conicnets module, for tests that count eliminations."""
+    calls = []
+    real = projgeom.rref
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("conicnets") and getattr(module, "rref", None) is real:
+            monkeypatch.setattr(module, "rref", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ exhaustive orbit enumeration before being pinned here.
 """
 
 import json
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from conicnets.atlas import (
     classify_net,
     classify_plane,
     example_net,
+    expected_hyperplane_distribution,
     expected_point_distribution,
     expected_signature,
     expected_stabilizer_order,
@@ -51,8 +53,18 @@ from conicnets.errors import (
 )
 from conicnets.gf import field
 from conicnets.invariants import plane_key, plane_signature, point_class_counts
-from conicnets.projgeom import Subspace, pg_points, plane_from_pattern, rref, span, unpack_rows
-from conicnets.veronese import form_eval
+from conicnets.projgeom import (
+    Subspace,
+    enumerate_planes_chunk,
+    gaussian_binomial,
+    pg_points,
+    plane_enumeration_chunks,
+    plane_from_pattern,
+    rref,
+    span,
+    unpack_rows,
+)
+from conicnets.veronese import expected_census, form_eval
 
 veronese = importlib.import_module("conicnets.veronese")
 
@@ -263,13 +275,13 @@ def test_classification_errors_name_the_plane_and_the_stage(gf4, monkeypatch):
             classify_plane(s)
     # each Veronese point listed twice, two of them on the conic plane, and
     # the key read off the true points
-    key, meet_and_points = plane_key(s), atlas.nucleus_meet_and_points
+    key, cut = plane_key(s), atlas.nucleus_cut
 
     def doubled(s):
-        meet, points = meet_and_points(s)
+        meet, points = cut(s)
         return meet, 2 * points
 
-    monkeypatch.setattr(atlas, "nucleus_meet_and_points", doubled)
+    monkeypatch.setattr(atlas, "nucleus_cut", doubled)
     monkeypatch.setattr(atlas, "plane_key_at", lambda s, meet, points: key)
     tie_break = re.escape("plane %s, Sigma3/Sigma4 tie-break: " % s.key_hex())
     with pytest.raises(ClassificationError, match=tie_break + ".* 2 rank-1 points"):
@@ -451,6 +463,14 @@ def test_verify_double_lines_q2_exhaustive(gf2):
     assert report["totals"]["violations"] == 0
 
 
+def test_verify_double_lines_rejects_a_negative_seed(gf2):
+    """Subchunk seeds are seed * 2**32 + i, and random.Random seeds with the
+    absolute value: seed -1 would draw seed 1's subchunk 0."""
+    assert random.Random(-2**32).random() == random.Random(2**32).random()
+    with pytest.raises(ValueError, match="seed must be 0 or more"):
+        verify_double_lines(gf2, samples=5, seed=-1)
+
+
 def test_double_line_violations_are_all_counted(gf2, monkeypatch):
     """Every violation is counted, though each chunk keeps at most 16
     witness keys."""
@@ -490,6 +510,56 @@ def test_stabilizer_table_sizes_sum_to_meeting_count(q):
     assert all(g % expected_stabilizer_order(label, q) == 0 for label in LABELS)
     total = sum(g // expected_stabilizer_order(label, q) for label in LABELS)
     assert total == planes_meeting_nucleus_count(q)
+
+
+def test_distribution_tables_double_count_points_and_hyperplanes():
+    """Summed over the orbits with their sizes, the point and hyperplane
+    tables count incidences with the planes meeting the nucleus plane.  A
+    point of class i lies on M_i of them: [5 2]_q when it is nuclear, else
+    all but the q^6 planes through it that miss the nucleus plane.  A
+    hyperplane of conic class j holds M'_j of them: [5 3]_q when it is a
+    double line, which contains the nucleus plane, else all but the q^6
+    planes in it that miss its line of the nucleus plane.  A plane's double
+    lines are its nuclear points.  For even q (the tables use h = q/2) both
+    sides are polynomials in q of degree at most 11, so agreement at the 20
+    even q from 2 to 40 makes these identities in q."""
+    for q in range(2, 41, 2):
+        g, n, q6 = pgl_order(q), q * q + q + 1, q**6
+        assert all(g % expected_stabilizer_order(label, q) == 0 for label in LABELS)
+        sizes = [g // expected_stabilizer_order(label, q) for label in LABELS]
+        od0 = [expected_point_distribution(label, q) for label in LABELS]
+        od4 = [expected_hyperplane_distribution(label, q) for label in LABELS]
+        points = [sum(size * d[i] for size, d in zip(sizes, od0)) for i in range(4)]
+        census = expected_census(q)
+        m = gaussian_binomial(5, 2, q)
+        assert points == [census["rank1"] * (m - q6), census["rank2_nuclear"] * m,
+                          census["rank2_secant"] * (m - q6), census["rank3"] * (m - q6)], q
+        hyperplanes = [sum(size * d[j] for size, d in zip(sizes, od4)) for j in range(4)]
+        m = gaussian_binomial(5, 3, q)
+        conics = (n, n * (q * q + q) // 2, n * (q * q - q) // 2, q**5 - q * q)
+        assert hyperplanes == [conics[0] * m] + [c * (m - q6) for c in conics[1:]], q
+        assert [d[0] for d in od4] == [d[1] for d in od0], q
+
+
+def test_partition_sweep_cuts_each_meeting_plane_once(gf4, rref_calls):
+    """The exhaustive sweep makes one rref per plane meeting the nucleus
+    plane (invariants.nucleus_cut, whose meet and points also serve the
+    classifier) and none for a plane whose diagonal block has a nonzero
+    determinant.  Every module's rref is counted, on chunks holding planes
+    that miss the nucleus plane and planes meeting it in a point, a line
+    and the whole plane."""
+    index = {key: label for label, keys in orbit_atlas(gf4).items() for key in keys}
+    state = {"q": 4, "modulus": gf4.modulus, "index": index}
+    chunks = [c for c in plane_enumeration_chunks(gf4) if c[0] in ((0, 1, 4), (1, 2, 4))]
+    planes = sum(1 for c in chunks for _ in enumerate_planes_chunk(gf4, c))
+    rref_calls.clear()
+    meeting = agree = 0
+    for chunk in chunks:
+        tally, stray, m, a = atlas._partition_chunk(state, chunk)
+        assert not stray
+        meeting, agree = meeting + m, agree + a
+    assert planes == 17408 and meeting == 8192 == agree
+    assert len(rref_calls) == meeting
 
 
 def test_verify_partition_rejects_a_wrong_stabilizer_table(gf2, monkeypatch):

@@ -6,13 +6,12 @@ import dataclasses
 import io
 import json
 import multiprocessing
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conicnets import atlas, cli, projgeom
+from conicnets import atlas, cli
 from conicnets.action import act_subspace
 from conicnets.errors import ResourceBudgetError
 from conicnets.gf import field
@@ -277,17 +276,33 @@ def test_exit_code_rejects_ambiguous_input(command, argv, stdin, capsys, monkeyp
 @pytest.mark.parametrize("argv", [
     ["verify", "--q", "8", "--suite", "double-lines", "--samples", "-5"],
     ["verify", "--q", "8", "--suite", "double-lines", "--samples", "0"],
+    ["verify", "--q", "8", "--suite", "double-lines", "--seed", "-1"],
     ["verify", "--q", "2", "--suite", "double-lines", "--workers", "-1"],
     ["verify", "--q", "2", "--suite", "partition", "--workers", "-2"],
     ["atlas", "--q", "2", "--workers", "-1"],
     ["classify-plane", "--q", "4", "--modulus", "-7", "--data", '{"label": "Sigma3"}'],
-], ids=["samples-negative", "samples-zero", "workers-double-lines",
+], ids=["samples-negative", "samples-zero", "seed-negative", "workers-double-lines",
         "workers-partition", "workers-atlas", "modulus-negative"])
 def test_exit_code_rejects_bad_sample_and_worker_counts(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["classify-plane", "classify-net"])
+@pytest.mark.parametrize("source", ["--data", "--input"])
+def test_deeply_nested_json_exits_2(command, source, capsys, tmp_path):
+    """json.loads raises RecursionError, not JSONDecodeError, past its
+    nesting limit."""
+    text = "[" * 100000 + "]" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run([command, "--q", "4", source, text if source == "--data" else str(path)],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: input JSON is nested too deeply\n"
 
 
 @pytest.mark.parametrize("command,payload,what", [
@@ -354,7 +369,7 @@ def test_exit_code_resource_budget(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("q", (4, 16))
-def test_classify_requests_reduce_their_input_at_most_twice_or_four_times(q, capsys, monkeypatch):
+def test_classify_requests_reduce_their_input_at_most_twice_or_four_times(q, capsys, rref_calls):
     """A classify-plane request reduces its rows once and its diagonal
     columns once (invariants.nucleus_cut); a classify-net request reduces
     its forms, their annihilator and their cross columns, then the plane's
@@ -366,21 +381,11 @@ def test_classify_requests_reduce_their_input_at_most_twice_or_four_times(q, cap
                              (1, 1, 0, 0, 1, 0, 0, 0, 1))
         requests.append(("classify-plane", label, {"rows": [list(r) for r in moved.rows]}))
         requests.append(("classify-net", label, {"forms": [list(f) for f in atlas.net_of_plane(moved)]}))
-    calls = []
-    real = projgeom.rref
-
-    def counting(*args):
-        calls.append(None)
-        return real(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("conicnets") and getattr(module, "rref", None) is real:
-            monkeypatch.setattr(module, "rref", counting)
     for command, label, payload in requests:
-        calls.clear()
+        rref_calls.clear()
         code, out, _ = run([command, "--q", str(q), "--data", json.dumps(payload)], capsys)
         assert code == 0 and json.loads(out)["label"] == label
-        assert len(calls) <= {"classify-plane": 2, "classify-net": 4}[command], (command, label)
+        assert len(rref_calls) <= {"classify-plane": 2, "classify-net": 4}[command], (command, label)
 
 
 def test_argparse_usage_exits_2():

@@ -40,7 +40,6 @@ from conicnets.invariants import (
     line_class_profile,
     lines_in_plane,
     nucleus_cut,
-    nucleus_meet,
     nucleus_meet_dim,
     plane_key,
     plane_signature,
@@ -157,7 +156,7 @@ def _net_base_scan(gf, forms):
 
 
 def _check_veronese_points(s):
-    """veronese_points, nucleus_meet and net_base_points against the scans
+    """veronese_points, nucleus_cut's meet and net_base_points against the scans
     they replaced: the rank-1 points among s.points(), the three-nullspace
     meet with the nucleus plane, and the conics of the net at every point
     of PG(2,q)."""
@@ -165,7 +164,7 @@ def _check_veronese_points(s):
     points = set(s.points())
     got = veronese_points(s)
     assert got == [p for p in pg_points(gf, 2) if veronese(gf, p) in points], s
-    assert nucleus_meet(s) == meet(s, nucleus_plane(gf)), s
+    assert nucleus_cut(s)[0] == meet(s, nucleus_plane(gf)), s
     forms = net_of_plane(s)
     assert net_base_points(gf, forms) == _net_base_scan(gf, forms) == got, s
     return nucleus_meet_dim(s)
@@ -203,18 +202,32 @@ def test_veronese_points_and_nucleus_meet_on_moved_planes(q):
 
 
 def _rooted_diagonal_rref(s):
-    """The Veronese span as veronese_points reduced it on its own: the RREF
-    of the square roots of the diagonal columns 0, 3, 5."""
+    """The Veronese span as veronese_points once reduced it on its own: the
+    RREF of the square roots of the diagonal columns 0, 3, 5."""
     root = s.gf._sqrt
     return rref(s.gf, [(root[r[0]], root[r[3]], root[r[5]]) for r in s.rows])
 
 
+def _check_cut_points(s):
+    """nucleus_cut's points against the points p of the rooted diagonal
+    span with v(p) in the plane, tested by rank; a span of rank 3 (a plane
+    missing the nucleus plane) gives no cut.  Returns the span's rank."""
+    gf = s.gf
+    span_rows = _rooted_diagonal_rref(s)
+    meet_, points = nucleus_cut(s)
+    if len(span_rows) == 3:
+        assert meet_ is None and points is None, s
+        return 3
+    span_points = Subspace(gf, 2, span_rows).points() if span_rows else []
+    want = [p for p in span_points if len(rref(gf, [*s.rows, veronese(gf, p)])) == 3]
+    assert sorted(points) == sorted(want), s
+    assert meet_.dim == 2 - len(span_rows), s
+    return len(span_rows)
+
+
 def test_nucleus_cut_span_is_the_rooted_diagonal_rref_on_every_plane_q2(gf2):
-    planes = 0
-    for s in enumerate_planes(gf2):
-        assert nucleus_cut(s)[1] == _rooted_diagonal_rref(s), s
-        planes += 1
-    assert planes == 1395
+    ranks = Counter(_check_cut_points(s) for s in enumerate_planes(gf2))
+    assert ranks == {3: 512, 2: 784, 1: 98, 0: 1}
 
 
 @pytest.mark.parametrize("q", (4, 16, 256))
@@ -236,12 +249,7 @@ def test_nucleus_cut_span_is_the_rooted_diagonal_rref_on_samples(q):
         rows = rref(gf, [tuple(rng.randrange(q) for _ in range(6)) for _ in range(3)])
         if len(rows) == 3:
             planes.append(Subspace(gf, 5, rows))
-    ranks = Counter()
-    for s in planes:
-        got = nucleus_cut(s)[1]
-        assert got == _rooted_diagonal_rref(s), s
-        ranks[len(got)] += 1
-    assert set(ranks) == {0, 1, 2, 3}
+    assert {_check_cut_points(s) for s in planes} == {0, 1, 2, 3}
 
 
 def test_cubic_vanishes_exactly_for_secant_planes(gf4):

@@ -1,11 +1,14 @@
 """Package-wide rules: the package imports only the standard library,
-every function the benchmark tracer wraps still exists, and every name a
-docstring quotes still exists."""
+importing the command line loads no multiprocessing, every function the
+benchmark tracer wraps still exists, and every name a docstring quotes
+still exists."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,6 +47,17 @@ def test_tracer_targets_resolve_to_callables(monkeypatch):
             obj = vars(obj).get(part)
             assert obj is not None, t.name
         assert callable(obj), t.name
+
+
+def test_cli_import_loads_no_multiprocessing():
+    """Importing multiprocessing costs every cold command-line call; only a
+    sweep that starts a pool imports it (atlas.get_context)."""
+    src = str(Path(conicnets.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, conicnets.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_docstring_identifiers_name_something():
