@@ -39,6 +39,7 @@ from .errors import (
     ConfigurationError,
     OutOfFamilyError,
     VerificationError,
+    brief,
 )
 from .gf import GF, field
 from .invariants import (
@@ -285,15 +286,17 @@ def representative_pattern(gf: GF, label: str, overrides: dict | None = None):
             v = overrides[key]
             if type(v) is not int or not 0 <= v < gf.q:
                 raise ConfigurationError(
-                    "parameter %s=%r is not a GF(%d) element" % (key, v, gf.q)
+                    "parameter %s=%s is not a GF(%d) element" % (key, brief.repr(v), gf.q)
                 )
             return v
         return searched()
 
+    if label not in LABELS:
+        raise ConfigurationError("unknown orbit label %s" % brief.repr(label))
     takes = {"Sigma18": ("c",), "Sigma20": ("b", "c"), "Sigma21": ("a",), "Sigma23": ("a",)}
-    unknown = sorted(map(str, set(overrides or ()) - set(takes.get(label, ()))))
+    unknown = ", ".join(sorted(map(str, set(overrides or ()) - set(takes.get(label, ())))))
     if unknown:
-        raise ConfigurationError("orbit %s takes no parameter %s" % (label, ", ".join(unknown)))
+        raise ConfigurationError("orbit %s takes no parameter %s" % (label, brief.repr(unknown)))
     fixed = {
         "Sigma1": (_e(0), _e(1), _e(3)),
         "Sigma3": (_e(0), _e(3), _e(2)),
@@ -325,11 +328,9 @@ def representative_pattern(gf: GF, label: str, overrides: dict | None = None):
             ((1, 0, b, c, 0, 1), (0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0)),
             {"b": b, "c": c},
         )
-    if label in ("Sigma21", "Sigma23"):
-        a = pick("a", lambda: sigma21_parameter(gf))
-        first = (1, 1, 0, 0, 0, 0) if label == "Sigma21" else (1, 0, 1, 0, 0, 0)
-        return (first, _e(4), (0, a, 0, 1, 0, 0)), {"a": a}
-    raise ConfigurationError("unknown orbit label %r" % label)
+    a = pick("a", lambda: sigma21_parameter(gf))  # Sigma21 or Sigma23
+    first = (1, 1, 0, 0, 0, 0) if label == "Sigma21" else (1, 0, 1, 0, 0, 0)
+    return (first, _e(4), (0, a, 0, 1, 0, 0)), {"a": a}
 
 
 @functools.cache
@@ -362,7 +363,7 @@ def representative_parameters(gf: GF) -> dict[str, dict[str, int]]:
 def representative(gf: GF, label: str) -> Subspace:
     """Validated plane representative of one orbit."""
     if label not in LABELS:
-        raise ConfigurationError("unknown orbit label %r" % label)
+        raise ConfigurationError("unknown orbit label %s" % brief.repr(label))
     return representatives(gf)[label]
 
 

@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import atlas
 from .errors import (
@@ -24,6 +25,7 @@ from .errors import (
     OutOfFamilyError,
     ResourceBudgetError,
     VerificationError,
+    brief,
 )
 from .gf import GF, field
 from .invariants import nucleus_cut
@@ -51,7 +53,7 @@ def _element(gf: GF, v) -> int:
     """v itself when it is an element of GF(q); bools and floats are not."""
     if type(v) is int and 0 <= v < gf.q:
         return v
-    raise UsageError("%r is not an element of GF(%d)" % (v, gf.q))
+    raise UsageError("%s is not an element of GF(%d)" % (brief.repr(v), gf.q))
 
 
 def _read_payload(args) -> dict:
@@ -117,7 +119,7 @@ def _forms_from_payload(gf: GF, payload: dict):
             try:
                 coeffs = form_from_str(f)
             except ValueError as exc:
-                raise UsageError("bad form %r: %s" % (f, exc)) from exc
+                raise UsageError("bad form %s: %s" % (brief.repr(f), exc)) from exc
             out.append(tuple(_element(gf, v) for v in coeffs))
         elif isinstance(f, list) and len(f) == 6:
             out.append(tuple(_element(gf, v) for v in f))
@@ -126,11 +128,34 @@ def _forms_from_payload(gf: GF, payload: dict):
     return out
 
 
+def _json(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) byte for byte, for the types
+    records hold: dicts with str keys, lists, str, int, bool and None."""
+    t = type(obj)
+    if t is list or t is dict:
+        if not obj:
+            return "[]" if t is list else "{}"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if t is dict:  # a key that is not a str fails in _json_str
+            body = sep.join([_json_str(k) + ": " + _json(obj[k], inner) for k in sorted(obj)])
+            return "{\n" + inner + body + "\n" + indent + "}"
+        ints = set(map(type, obj)) == {int}
+        body = sep.join(map(int.__repr__, obj) if ints else [_json(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if t is str:
+        return _json_str(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    raise TypeError("a record holds no %s" % t.__name__)
+
+
 def _emit(args, obj: dict | str) -> None:
-    if isinstance(obj, dict):
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    else:
-        text = obj
+    text = _json(obj) + "\n" if isinstance(obj, dict) else obj
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -281,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling seed of the double-lines suite (default: 0)")
     p.set_defaults(run=cmd_verify)
 
+    parser.commands = sub.choices  # subcommand name -> its parser, for main
     return parser
 
 
@@ -289,7 +315,12 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one request.  A known command's own parser reads its options in one
+    pass; -h, a missing or an unknown command go to the top-level parser."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
         if getattr(args, "workers", 0) < 0:
             raise UsageError("--workers must be 0 or more, got %d" % args.workers)

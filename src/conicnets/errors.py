@@ -7,6 +7,14 @@ codes or that verification code must be able to tell apart.
 
 from __future__ import annotations
 
+import reprlib
+
+# Input echoed in a message shows three items of a list, two of an object, none
+# nested in them and 30 characters of a string or number: one short line.
+brief = reprlib.Repr()
+brief.maxlevel, brief.maxlist, brief.maxdict = 1, 3, 2
+brief.maxstring = brief.maxlong = brief.maxother = 30
+
 
 class OutOfFamilyError(ValueError):
     """A plane outside the classified family (it misses the nucleus plane)."""

@@ -21,7 +21,7 @@ in that hyperplane.
 
 from __future__ import annotations
 
-from .errors import ClassificationError
+from .errors import ClassificationError, brief
 from .gf import GF
 from .projgeom import Subspace, annihilator, normalize_point, nullspace, pg_points, rref, span
 
@@ -197,7 +197,7 @@ def form_from_str(text: str) -> tuple[int, ...]:
         raise ValueError("empty form")
     for term in text.split("+"):
         if not term:
-            raise ValueError("malformed form %r" % text)
+            raise ValueError("malformed form %s" % brief.repr(text))
         coeff = 1
         mono = term
         head, star, rest = term.partition("*")
@@ -205,7 +205,7 @@ def form_from_str(text: str) -> tuple[int, ...]:
             coeff = int(head)
             mono = rest
         if mono not in index:
-            raise ValueError("unknown monomial %r in form" % mono)
+            raise ValueError("unknown monomial %s in form" % brief.repr(mono))
         i = index[mono]
         if i in seen:
             raise ValueError("monomial %r repeated in form" % mono)

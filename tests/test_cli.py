@@ -1,6 +1,7 @@
 """Command line behavior: payload parsing, report shapes, exit codes,
 byte-level determinism."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -411,6 +412,140 @@ def test_parser_is_shared_without_carrying_state(capsys, tmp_path):
     code, out, _ = run(["verify", "--q", "2", "--suite", "known-net"], capsys)
     assert code == 0
     assert json.loads(out) == json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("payload", [
+    {"rows": _with(SIGMA19_Q4, 0, 0, [0] * 200000)},
+    {"rows": _with(SIGMA19_Q4, 1, 2, "x" * 100000)},
+    {"rows": _with(SIGMA19_Q4, 2, 5, {"k" * 1000: [1] * 100, "a" * 1000: 1, "b": 2})},
+    {"label": "Sigma18", "parameters": {"c": json.loads("[" * 900 + "]" * 900)}},
+    {"label": "Sigma18", "parameters": {"c": 10 ** 4000}},
+    {"label": "S" * 100000, "parameters": {"a": 1}},
+    {"label": "Sigma18", "parameters": {"z%d" % i * 50: 1 for i in range(2000)}},
+    {"forms": ["X0^2" + " +" * 100000, "X1^2", "X2^2"]},
+    {"forms": ["X9^2" * 100000, "X1^2", "X2^2"]},
+], ids=["long-list", "long-string", "object-of-long-keys", "deeply-nested", "huge-int",
+        "long-label", "long-parameter-names", "malformed-long-form", "long-unknown-monomial"])
+def test_huge_input_values_give_a_short_one_line_message(payload, capsys):
+    """A value echoed in an input error is shown in bounded form, so the
+    message stays one short line however large or deep the value is."""
+    command = "classify-net" if "forms" in payload else "classify-plane"
+    code, out, err = run([command, "--q", "4", "--data", json.dumps(payload)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200, err
+
+
+def test_classify_requests_parse_their_arguments_once(capsys, monkeypatch):
+    """Only the command's own parser reads a classify request's options."""
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for argv in (
+        ["classify-plane", "--q", "4", "--data", json.dumps({"rows": SIGMA19_Q4})],
+        ["classify-plane", "--q", "8", "--data", '{"label": "Sigma18"}'],
+        ["classify-net", "--q", "4", "--data", json.dumps({"forms": EXAMPLE_NET_Q4})],
+        ["classify-net", "--q", "16", "--data", json.dumps({"forms": EXAMPLE_NET_Q4})],
+    ):
+        calls.clear()
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and json.loads(out)["q"] == int(argv[2])
+        assert calls == ["conicnets " + argv[0]], argv
+
+
+def test_unknown_option_is_reported_by_the_command_parser(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["classify-plane", "--q", "4", "--foo", "1"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: conicnets classify-plane [-h] --q Q")
+    assert err.endswith("\nconicnets classify-plane: error: unrecognized arguments: --foo 1\n")
+
+
+@pytest.mark.parametrize("argv,code,stream,text", [
+    ([], 2, "err", "conicnets: error: the following arguments are required: command\n"),
+    (["bogus"], 2, "err", "conicnets: error: argument command: invalid choice: 'bogus'"),
+    (["-h"], 0, "out", "usage: conicnets [-h]"),
+], ids=["no-command", "unknown-command", "help"])
+def test_top_level_arguments_go_through_the_top_level_parser(argv, code, stream, text, capsys):
+    """No command, an unknown one or -h: exit code and message are those of
+    the top-level parser, as before commands were parsed in one pass."""
+    outputs = []
+    for parse in (cli.main, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        outputs.append((info.value.code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    got_code, (out, err) = outputs[0]
+    assert got_code == code
+    assert text in {"out": out, "err": err}[stream]
+    assert {"out": err, "err": out}[stream] == ""
+
+
+# -- the record writer -------------------------------------------------------
+
+# Strings that need escaping: quotes, backslashes, control characters,
+# non-ASCII, a character outside the BMP and a lone surrogate.
+_json_text = st.one_of(st.text(max_size=8), st.sampled_from([
+    '"', "\\", "\n\t\x00\x1f\x7f", "\u00e9/\u2028", "a\U0001f600b", "\ud800", "",
+]))
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), _json_text)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(st.one_of(st.integers(), st.booleans(), _json_text), max_size=5),
+        st.dictionaries(_json_text, inner, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(obj=_json_values)
+def test_record_writer_matches_json_dumps(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [(1, 2), 1.5, {"a": {1: 2}}, {"a": [0, {"b", "c"}]}],
+                         ids=["tuple", "float", "int-key", "set"])
+def test_record_writer_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        cli._json(obj)
+
+
+def test_reports_are_written_as_json_dumps_writes_them(capsys, monkeypatch):
+    """Both classify records and every q=2 report of atlas and verify are
+    the bytes of json.dumps(indent=2, sort_keys=True)."""
+    gf = field(4)
+    requests = [["atlas", "--q", "2"]] + [
+        ["verify", "--q", "2", "--suite", suite] for suite in cli.SUITES if suite != "line-orbits"
+    ]
+    for label in atlas.LABELS:
+        moved = act_subspace(atlas.representative(gf, label), (2, 1, 0, 0, 3, 1, 1, 0, 2))
+        requests.append(["classify-plane", "--q", "4", "--data",
+                         json.dumps({"rows": [list(r) for r in moved.rows]})])
+        requests.append(["classify-net", "--q", "4", "--data",
+                         json.dumps({"forms": [list(f) for f in atlas.net_of_plane(moved)]})])
+    objs = []
+    real = cli._emit
+
+    def spy(args, obj):
+        objs.append(obj)
+        real(args, obj)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    for argv in requests:
+        objs.clear()
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and len(objs) == 1, argv
+        assert out == json.dumps(objs[0], indent=2, sort_keys=True) + "\n", argv
 
 
 # -- malformed input, property-tested ---------------------------------------
