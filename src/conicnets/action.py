@@ -86,18 +86,6 @@ def mat3_inv(gf: GF, a) -> tuple[int, ...]:
     return tuple(m[di][v] for v in adj)
 
 
-def act_point_pg2(gf: GF, a, p) -> tuple[int, ...]:
-    """Image of a PG(2,q) point under the column action p -> A p, normalized."""
-    mul = gf._mul
-    x, y, z = p
-    img = (
-        mul[a[0]][x] ^ mul[a[1]][y] ^ mul[a[2]][z],
-        mul[a[3]][x] ^ mul[a[4]][y] ^ mul[a[5]][z],
-        mul[a[6]][x] ^ mul[a[7]][y] ^ mul[a[8]][z],
-    )
-    return normalize_point(gf, img)
-
-
 def lift(gf: GF, a) -> tuple[tuple[int, ...], ...]:
     """The 6x6 matrix of the congruence action M -> A M A^T on vec(M).
 
@@ -121,11 +109,6 @@ def _image(gf: GF, l, y) -> tuple[int, ...]:
     m0, m1, m2, m3, m4, m5 = (gf._mul[v] for v in y)
     return tuple([m0[r0] ^ m1[r1] ^ m2[r2] ^ m3[r3] ^ m4[r4] ^ m5[r5]
                   for r0, r1, r2, r3, r4, r5 in l])
-
-
-def act_point(gf: GF, l, y) -> tuple[int, ...]:
-    """Image of a PG(5,q) point under a lifted 6x6 matrix, normalized."""
-    return normalize_point(gf, _image(gf, l, y))
 
 
 def congruence_image(gf: GF, a, y) -> tuple[int, ...]:

@@ -44,8 +44,8 @@ from .errors import (
 from .gf import GF, field
 from .invariants import (
     PlaneSignature,
-    cubic_zeros_and_counts,
     double_line_hyperplane_count,
+    nuclear_point_count,
     nucleus_cut,
     plane_key_at,
     plane_signature,
@@ -735,7 +735,7 @@ def _double_line_tally(planes):
     bad: list[int] = []
     for s in planes:
         total += 1
-        nuclear = cubic_zeros_and_counts(s)[1][1]
+        nuclear = nuclear_point_count(s)
         meeting += nuclear > 0
         if nuclear != double_line_hyperplane_count(s):
             violations += 1

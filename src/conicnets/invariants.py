@@ -14,6 +14,11 @@ invariants collected here:
     contains (rank1, rank2_nuclear, rank2_secant, rank3);
   * hyperplane_class_counts: the conic classes of the q^2+q+1 hyperplanes
     through a plane (DoubleLine, RealPair, ImaginaryPair, Nonsingular);
+  * nuclear_point_count, double_line_hyperplane_count: the two sides of
+    the double-line identity, each a scan of the kernel of a 3x3 block over
+    the q^2+q+1 points of PG(2,q): the basis's diagonal columns 0, 3, 5
+    for the nuclear points, the annihilator's cross columns 1, 2, 4 for the
+    double-line hyperplanes;
   * nucleus_meet_dim, nucleus_cut: the meet with the nucleus plane;
   * veronese_points: the points of PG(2,q) whose image lies in a plane;
   * the determinantal cubic, its rational points, and its factorization
@@ -72,49 +77,6 @@ def point_class_counts(s: Subspace) -> tuple[int, int, int, int]:
     return tuple(out)
 
 
-def cubic_zeros_and_counts(s: Subspace):
-    """One pass over the points x*B0 + y*B1 + z*B2 of a plane.
-
-    Returns the zeros (x, y, z) of its determinantal cubic, normalized, and
-    the plane's (rank1, rank2_nuclear, rank2_secant, rank3) counts.  The
-    determinant a*d*f + a*e^2 + b^2*f + c^2*d of each point comes from table
-    lookups; its zeros are the rank <= 2 points (all of them when the cubic
-    vanishes identically).  A zero is nuclear when its diagonal vanishes (a
-    nonzero alternating matrix has rank 2) and rank 1 when its three
-    principal 2x2 minors vanish too: with a != 0 that makes the matrix
-    (a, b, c)^T (a, b, c) / a, and likewise for d or f.
-    """
-    _require_plane(s)
-    gf = s.gf
-    q, mul, sq = gf.q, gf._mul, gf._sq
-    r0, r1, r2 = s.rows
-    ma, mb, mc, md, me, mf = (mul[v] for v in r2)
-    zeros = []
-    rank1 = nuclear = 0
-    # the points (1, y, z), (0, 1, z) and (0, 0, 1), by their (x, y) heads
-    heads = [(1, y, gf.elements) for y in gf.elements] + [(0, 1, gf.elements), (0, 0, (1,))]
-    for x, y, zs in heads:
-        my = mul[y]
-        a0, b0, c0, d0, e0, f0 = ((u if x else 0) ^ my[v] for u, v in zip(r0, r1))
-        for z in zs:
-            a = a0 ^ ma[z]
-            b = b0 ^ mb[z]
-            c = c0 ^ mc[z]
-            d = d0 ^ md[z]
-            e = e0 ^ me[z]
-            f = f0 ^ mf[z]
-            mul_d = mul[d]
-            if mul[a][mul_d[f] ^ sq[e]] ^ mul[sq[b]][f] ^ mul_d[sq[c]]:
-                continue
-            zeros.append((x, y, z))
-            if not a | d | f:
-                nuclear += 1
-            elif mul_d[a] == sq[b] and mul[a][f] == sq[c] and mul_d[f] == sq[e]:
-                rank1 += 1
-    rank3 = q * q + q + 1 - len(zeros)
-    return zeros, (rank1, nuclear, len(zeros) - rank1 - nuclear, rank3)
-
-
 def forms_through(s: Subspace) -> list[tuple[int, ...]]:
     """Normalized coefficient vectors of every hyperplane containing s: the
     points of its annihilator."""
@@ -132,22 +94,37 @@ def hyperplane_class_counts(s: Subspace) -> tuple[int, int, int, int]:
     return tuple(out)
 
 
+def _kernel_count(gf: GF, u, v, w) -> int:
+    """How many points (x, y, z) of PG(2,q) have x*u + y*v + z*w = 0, for
+    3-vectors u, v, w: a walk over (1, y, z), (0, 1, z) and (0, 0, 1) that
+    matches x*u + y*v against the multiples z*w (characteristic 2)."""
+    mul = gf._mul
+    zw = list(zip(mul[w[0]], mul[w[1]], mul[w[2]]))  # z*w, z in GF(q)
+    u0, u1, u2 = u
+    v0, v1, v2 = mul[v[0]], mul[v[1]], mul[v[2]]
+    count = zw.count(tuple(v)) + (not any(w))
+    for y in gf.elements:
+        count += zw.count((u0 ^ v0[y], u1 ^ v1[y], u2 ^ v2[y]))
+    return count
+
+
+def nuclear_point_count(s: Subspace) -> int:
+    """How many points of a plane are rank2_nuclear: a kernel scan of the
+    diagonal block, since a point x*B0 + y*B1 + z*B2 is nuclear exactly when
+    its diagonal coordinates 0, 3, 5 vanish (a nonzero alternating matrix
+    has rank 2)."""
+    _require_plane(s)
+    return _kernel_count(s.gf, *[(r[0], r[3], r[5]) for r in s.rows])
+
+
 def double_line_hyperplane_count(s: Subspace) -> int:
     """How many hyperplanes through the plane cut the Veronese surface in a
     double line: the forms x*N0 + y*N1 + z*N2 over the unreduced
-    ``annihilator`` basis whose cross columns 1, 2, 4 vanish, found by
-    scanning the q^2+q+1 triples (x, y, z); the count does not depend on the
-    basis.  Deliberately not derived from the nucleus meet dimension."""
+    ``annihilator`` basis whose cross columns 1, 2, 4 vanish, counted by a
+    kernel scan of those columns; the count does not depend on the basis.
+    Deliberately not derived from the nucleus meet dimension."""
     _require_plane(s)
-    gf, mul = s.gf, s.gf._mul
-    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = (
-        (r[1], r[2], r[4]) for r in annihilator(gf, s.rows, 6))
-    count = 0
-    for x, y, z in pg_points(gf, 2):
-        mx, my, mz = mul[x], mul[y], mul[z]
-        count += not (mx[a0] ^ my[a1] ^ mz[a2] or mx[b0] ^ my[b1] ^ mz[b2]
-                      or mx[c0] ^ my[c1] ^ mz[c2])
-    return count
+    return _kernel_count(s.gf, *[(r[1], r[2], r[4]) for r in annihilator(s.gf, s.rows, 6)])
 
 
 def nucleus_meet_dim(s: Subspace) -> int:

@@ -330,14 +330,3 @@ def pack_rows(gf: GF, rows) -> int:
 def pack_hex(gf: GF, rows, n: int) -> str:
     bits = gf.e * (n + 1) * len(rows)
     return format(pack_rows(gf, rows), "0%dx" % ((bits + 3) // 4))
-
-
-def unpack_rows(gf: GF, key: int, width: int, r: int) -> tuple[tuple[int, ...], ...]:
-    e = gf.e
-    mask = (1 << e) - 1
-    flat = []
-    for _ in range(width * r):
-        flat.append(key & mask)
-        key >>= e
-    flat.reverse()
-    return tuple(tuple(flat[i * width:(i + 1) * width]) for i in range(r))

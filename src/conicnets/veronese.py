@@ -39,11 +39,6 @@ def veronese(gf: GF, p) -> tuple[int, ...]:
     )
 
 
-def sym_matrix(y) -> tuple[tuple[int, int, int], ...]:
-    y0, y1, y2, y3, y4, y5 = y
-    return ((y0, y1, y2), (y1, y3, y4), (y2, y4, y5))
-
-
 def nucleus_plane(gf: GF) -> Subspace:
     """The plane of zero-diagonal symmetric matrices."""
     return span(gf, [(0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0)])
@@ -212,30 +207,3 @@ def form_from_str(text: str) -> tuple[int, ...]:
         seen.add(i)
         coeffs[i] = coeff
     return tuple(coeffs)
-
-
-# -- conic planes -----------------------------------------------------------
-
-
-def conic_plane_of(gf: GF, y) -> tuple[tuple[int, ...], Subspace]:
-    """The line u of PG(2,q) whose conic plane contains the rank-2 point y,
-    with that plane.
-
-    The conic plane of u, spanned by the images of the points of u, is
-    {M : M u = 0}; so u spans the kernel of y's symmetric matrix.
-    """
-    if not any(y) or point_class(gf, y) not in ("rank2_nuclear", "rank2_secant"):
-        raise ValueError("conic planes are defined for rank-2 points only")
-    (u,) = nullspace(gf, sym_matrix(y), 3)
-    u = normalize_point(gf, u)
-    u0, u1, u2 = u
-    equations = ((u0, u1, u2, 0, 0, 0), (0, u0, 0, u1, u2, 0), (0, 0, u0, 0, u1, u2))
-    return u, Subspace.from_rref(gf, 5, nullspace(gf, equations, 6))
-
-
-def conic_nucleus(gf: GF, line_dual) -> tuple[int, ...]:
-    """Nucleus of the conic that is the Veronese image of the line u: the
-    zero-diagonal matrix [[0, u2, u1], [u2, 0, u0], [u1, u0, 0]], which
-    kills u and so lies on u's conic plane."""
-    u0, u1, u2 = line_dual
-    return normalize_point(gf, (0, u2, u1, 0, u0, 0))

@@ -1,0 +1,112 @@
+"""Brute-force references that only tests call: point-by-point passes and
+per-point actions the package replaced by closed forms or kernel scans, and
+helpers the package itself has no use for.  Tests compare the package
+against them."""
+
+from conicnets.action import _image
+from conicnets.gf import GF
+from conicnets.projgeom import Subspace, normalize_point, nullspace
+from conicnets.veronese import point_class
+
+
+def sym_matrix(y) -> tuple[tuple[int, int, int], ...]:
+    """The symmetric 3x3 matrix of a PG(5,q) point y."""
+    y0, y1, y2, y3, y4, y5 = y
+    return ((y0, y1, y2), (y1, y3, y4), (y2, y4, y5))
+
+
+def cubic_zeros_and_counts(s: Subspace):
+    """One pass over the points x*B0 + y*B1 + z*B2 of a plane.
+
+    Returns the zeros (x, y, z) of its determinantal cubic, normalized, and
+    the plane's (rank1, rank2_nuclear, rank2_secant, rank3) counts.  The
+    determinant a*d*f + a*e^2 + b^2*f + c^2*d of each point comes from table
+    lookups; its zeros are the rank <= 2 points (all of them when the cubic
+    vanishes identically).  A zero is nuclear when its diagonal vanishes (a
+    nonzero alternating matrix has rank 2) and rank 1 when its three
+    principal 2x2 minors vanish too: with a != 0 that makes the matrix
+    (a, b, c)^T (a, b, c) / a, and likewise for d or f.
+    """
+    if s.n != 5 or len(s.rows) != 3:
+        raise ValueError("expected a plane of PG(5,q)")
+    gf = s.gf
+    q, mul, sq = gf.q, gf._mul, gf._sq
+    r0, r1, r2 = s.rows
+    ma, mb, mc, md, me, mf = (mul[v] for v in r2)
+    zeros = []
+    rank1 = nuclear = 0
+    # the points (1, y, z), (0, 1, z) and (0, 0, 1), by their (x, y) heads
+    heads = [(1, y, gf.elements) for y in gf.elements] + [(0, 1, gf.elements), (0, 0, (1,))]
+    for x, y, zs in heads:
+        my = mul[y]
+        a0, b0, c0, d0, e0, f0 = ((u if x else 0) ^ my[v] for u, v in zip(r0, r1))
+        for z in zs:
+            a = a0 ^ ma[z]
+            b = b0 ^ mb[z]
+            c = c0 ^ mc[z]
+            d = d0 ^ md[z]
+            e = e0 ^ me[z]
+            f = f0 ^ mf[z]
+            mul_d = mul[d]
+            if mul[a][mul_d[f] ^ sq[e]] ^ mul[sq[b]][f] ^ mul_d[sq[c]]:
+                continue
+            zeros.append((x, y, z))
+            if not a | d | f:
+                nuclear += 1
+            elif mul_d[a] == sq[b] and mul[a][f] == sq[c] and mul_d[f] == sq[e]:
+                rank1 += 1
+    rank3 = q * q + q + 1 - len(zeros)
+    return zeros, (rank1, nuclear, len(zeros) - rank1 - nuclear, rank3)
+
+
+def act_point_pg2(gf: GF, a, p) -> tuple[int, ...]:
+    """Image of a PG(2,q) point under the column action p -> A p, normalized."""
+    mul = gf._mul
+    x, y, z = p
+    img = (
+        mul[a[0]][x] ^ mul[a[1]][y] ^ mul[a[2]][z],
+        mul[a[3]][x] ^ mul[a[4]][y] ^ mul[a[5]][z],
+        mul[a[6]][x] ^ mul[a[7]][y] ^ mul[a[8]][z],
+    )
+    return normalize_point(gf, img)
+
+
+def act_point(gf: GF, l, y) -> tuple[int, ...]:
+    """Image of a PG(5,q) point under a lifted 6x6 matrix, normalized."""
+    return normalize_point(gf, _image(gf, l, y))
+
+
+def conic_plane_of(gf: GF, y) -> tuple[tuple[int, ...], Subspace]:
+    """The line u of PG(2,q) whose conic plane contains the rank-2 point y,
+    with that plane.
+
+    The conic plane of u, spanned by the images of the points of u, is
+    {M : M u = 0}; so u spans the kernel of y's symmetric matrix.
+    """
+    if not any(y) or point_class(gf, y) not in ("rank2_nuclear", "rank2_secant"):
+        raise ValueError("conic planes are defined for rank-2 points only")
+    (u,) = nullspace(gf, sym_matrix(y), 3)
+    u = normalize_point(gf, u)
+    u0, u1, u2 = u
+    equations = ((u0, u1, u2, 0, 0, 0), (0, u0, 0, u1, u2, 0), (0, 0, u0, 0, u1, u2))
+    return u, Subspace.from_rref(gf, 5, nullspace(gf, equations, 6))
+
+
+def conic_nucleus(gf: GF, line_dual) -> tuple[int, ...]:
+    """Nucleus of the conic that is the Veronese image of the line u: the
+    zero-diagonal matrix [[0, u2, u1], [u2, 0, u0], [u1, u0, 0]], which
+    kills u and so lies on u's conic plane."""
+    u0, u1, u2 = line_dual
+    return normalize_point(gf, (0, u2, u1, 0, u0, 0))
+
+
+def unpack_rows(gf: GF, key: int, width: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of a packed-int key (projgeom.pack_rows)."""
+    e = gf.e
+    mask = (1 << e) - 1
+    flat = []
+    for _ in range(width * r):
+        flat.append(key & mask)
+        key >>= e
+    flat.reverse()
+    return tuple(tuple(flat[i * width:(i + 1) * width]) for i in range(r))

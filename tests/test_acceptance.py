@@ -8,8 +8,6 @@ independently by exhaustive enumeration before being pinned.
 import pytest
 
 from conicnets.action import (
-    act_point,
-    act_point_pg2,
     lift,
     orbit_keys,
     pgl_elements,
@@ -30,6 +28,7 @@ from conicnets.gf import field
 from conicnets.invariants import plane_signature, point_class_counts
 from conicnets.projgeom import rank, rref, span
 from conicnets.veronese import census, expected_census, veronese
+from oracles import act_point, act_point_pg2
 
 WORKERS = 4
 

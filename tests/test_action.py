@@ -15,8 +15,6 @@ from conicnets import action, atlas
 from conicnets.action import (
     IDENTITY3,
     PackedAction,
-    act_point,
-    act_point_pg2,
     act_subspace,
     closure,
     congruence_image,
@@ -37,7 +35,8 @@ from conicnets.errors import ResourceBudgetError, VerificationError
 from conicnets.gf import field
 from conicnets.invariants import point_class_counts
 from conicnets.projgeom import normalize_point, pack_rows, pg_points, rref, span
-from conicnets.veronese import nucleus_plane, sym_matrix, veronese
+from conicnets.veronese import nucleus_plane, veronese
+from oracles import act_point, act_point_pg2, sym_matrix
 
 
 def test_pgl_order_formula():

@@ -6,6 +6,7 @@ exhaustive orbit enumeration before being pinned here.
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -62,9 +63,9 @@ from conicnets.projgeom import (
     plane_from_pattern,
     rref,
     span,
-    unpack_rows,
 )
 from conicnets.veronese import expected_census, form_eval
+from oracles import unpack_rows
 
 veronese = importlib.import_module("conicnets.veronese")
 
@@ -473,15 +474,39 @@ def test_verify_double_lines_rejects_a_negative_seed(gf2):
 
 def test_double_line_violations_are_all_counted(gf2, monkeypatch):
     """Every violation is counted, though each chunk keeps at most 16
-    witness keys."""
-    real = atlas.double_line_hyperplane_count
-    monkeypatch.setattr(atlas, "double_line_hyperplane_count", lambda s: real(s) + 1)
-    for report, n in ((verify_double_lines(gf2), 1395),
-                      (verify_double_lines(gf2, samples=300, seed=3), 300)):
-        holds = report["checks"][-1]
-        assert holds["name"] == "identity_holds" and not holds["pass"]
-        assert report["totals"]["violations"] == holds["details"]["violations"] == n
-        assert 0 < len(holds["details"]["witness_keys"]) <= 16
+    witness keys, whichever side of the identity is off by one."""
+    for side in ("double_line_hyperplane_count", "nuclear_point_count"):
+        real = getattr(atlas, side)
+        with monkeypatch.context() as m:
+            m.setattr(atlas, side, lambda s, real=real: real(s) + 1)
+            for report, n in ((verify_double_lines(gf2), 1395),
+                              (verify_double_lines(gf2, samples=300, seed=3), 300)):
+                holds = report["checks"][-1]
+                assert holds["name"] == "identity_holds" and not holds["pass"], side
+                assert report["totals"]["violations"] == holds["details"]["violations"] == n
+                assert 0 < len(holds["details"]["witness_keys"]) <= 16
+
+
+def test_double_line_sweep_makes_no_elimination_and_no_point_pass(gf2, rref_calls,
+                                                                   monkeypatch):
+    """The exhaustive sweep reads both sides of the identity off kernel
+    scans of 3x3 blocks: no rref, no listing of PG(2,q), no pass over a
+    plane's points and no point classification."""
+    calls = []
+    for name, real in (("pg_points", projgeom.pg_points), ("point_class", veronese.point_class)):
+        def counting(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("conicnets") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    real_points = Subspace.points
+    monkeypatch.setattr(Subspace, "points",
+                        lambda s: calls.append("Subspace.points") or real_points(s))
+    report = verify_double_lines(gf2)
+    assert report["totals"] == {"planes": 1395, "meeting_nucleus_plane": 883, "violations": 0}
+    assert rref_calls == [] and calls == []
 
 
 @pytest.mark.parametrize("q", (2, 4))

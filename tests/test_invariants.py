@@ -33,12 +33,12 @@ from conicnets.invariants import (
     cubic_pencil,
     cubic_points,
     cubic_type,
-    cubic_zeros_and_counts,
     double_line_hyperplane_count,
     forms_through,
     hyperplane_class_counts,
     line_class_profile,
     lines_in_plane,
+    nuclear_point_count,
     nucleus_cut,
     nucleus_meet_dim,
     plane_key,
@@ -57,6 +57,7 @@ from conicnets.projgeom import (
     span,
 )
 from conicnets.veronese import classify_conic, form_eval, nucleus_plane, veronese
+from oracles import cubic_zeros_and_counts
 
 CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
@@ -122,12 +123,15 @@ def _double_lines_through(s):
     return sum(1 for f in forms_through(s) if not (f[1] | f[2] | f[4]))
 
 
-@pytest.mark.parametrize("q", (2, 4, 8))
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
 def test_double_line_hyperplane_count_matches_oracles(q):
-    """The cross-column scan against the forms_through scan and the conic
-    classes of the hyperplanes: every plane at q=2, and at q = 4 and 8
-    2,000 sampled planes (most missing the nucleus plane) and the moved
-    representatives (which meet it in a point, a line or the whole plane)."""
+    """Both kernel scans against the point pass and the forms_through scan
+    they replaced: the nuclear count against cubic_zeros_and_counts and
+    point_class_counts, the double-line count against the double-line forms
+    among forms_through and the conic classes of the hyperplanes.  Every
+    plane at q=2, and at q = 4, 8 and 16 2,000 sampled planes (most missing
+    the nucleus plane) and the moved representatives (which meet it in a
+    point, a line or the whole plane)."""
     gf = field(q)
     if q == 2:
         planes = list(enumerate_planes(gf))
@@ -137,10 +141,12 @@ def test_double_line_hyperplane_count_matches_oracles(q):
         planes += [act_subspace(s, MOVE) for s in representatives(gf).values()]
     counts = Counter()
     for s in planes:
+        nuclear = nuclear_point_count(s)
+        assert nuclear == cubic_zeros_and_counts(s)[1][1] == point_class_counts(s)[1], s
         n = double_line_hyperplane_count(s)
         assert n == _double_lines_through(s) == hyperplane_class_counts(s)[0], s
-        counts[n] += 1
-    assert set(counts) == {0, 1, q + 1, q * q + q + 1}
+        counts[nuclear, n] += 1
+    assert set(counts) == {(n, n) for n in (0, 1, q + 1, q * q + q + 1)}
 
 
 def test_nucleus_meet_dim(gf4):

@@ -24,9 +24,9 @@ from conicnets.projgeom import (
     rref,
     span,
     subspace_from_json,
-    unpack_rows,
 )
 from conicnets.veronese import delta_inv
+from oracles import unpack_rows
 
 
 def hyperplanes_through(s: Subspace):

@@ -201,6 +201,22 @@ def test_sweep_report_bytes_are_pinned(args, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEPS_PINNED[args]
 
 
+def test_one_plane_off_by_one_breaks_the_double_line_report(monkeypatch, capsys):
+    """A nuclear count one too high on a single plane is one violation,
+    witnessed by that plane's key: the q=2 report exits 4 and leaves its
+    digest."""
+    key = atlas.representative(field(2), "Sigma16").key_int()
+    real = atlas.nuclear_point_count
+    monkeypatch.setattr(atlas, "nuclear_point_count", lambda s: real(s) + (s.key_int() == key))
+    code = cli.main(["verify", "--suite", "double-lines", "--q", "2"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (cli.EXIT_VERIFY, "")
+    holds = json.loads(out)["checks"][-1]
+    assert holds["name"] == "identity_holds" and not holds["pass"]
+    assert holds["details"] == {"violations": 1, "witness_keys": [key]}
+    assert hashlib.sha256(out.encode()).hexdigest() != SWEEPS_PINNED["double-lines --q 2"]
+
+
 REPRESENTATIVES_PINNED = {
     "classify-plane q=4": 'a51a50af045a4e0019efcbbb1276bb7ff2ff33b678fcbe1b73fd58ab84362f10',
     "classify-net q=4": '2d6386d1f8b18a656c8bda00d1d47e2f52e846ab6478a4f9f1ae04e898d96b0e',

@@ -9,8 +9,6 @@ from conicnets.veronese import (
     census,
     classify_conic,
     classify_hyperplane,
-    conic_nucleus,
-    conic_plane_of,
     delta,
     delta_inv,
     expected_census,
@@ -19,9 +17,9 @@ from conicnets.veronese import (
     form_to_str,
     nucleus_plane,
     point_class,
-    sym_matrix,
     veronese,
 )
+from oracles import conic_nucleus, conic_plane_of, sym_matrix
 
 
 def test_veronese_images_have_rank_one(gf4):
