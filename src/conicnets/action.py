@@ -33,7 +33,7 @@ the few it closed, whose closures give the line-orbit suite its orbits.
 The transvection is an involution, so no state it reached is stepped back
 by it.
 ``congruence_image`` moves one point, each diagonal entry of A M A^T a sum
-of squares.
+of squares; ``act_subspace`` moves each basis row with it and reduces.
 """
 
 from __future__ import annotations
@@ -104,13 +104,6 @@ def lift(gf: GF, a) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _image(gf: GF, l, y) -> tuple[int, ...]:
-    """l . y for a 6x6 matrix l and a 6-vector y, not normalized."""
-    m0, m1, m2, m3, m4, m5 = (gf._mul[v] for v in y)
-    return tuple([m0[r0] ^ m1[r1] ^ m2[r2] ^ m3[r3] ^ m4[r4] ^ m5[r5]
-                  for r0, r1, r2, r3, r4, r5 in l])
-
-
 def congruence_image(gf: GF, a, y) -> tuple[int, ...]:
     """Image of a PG(5,q) point under the lift of a, normalized: vec(A M A^T)
     for the symmetric matrix M of y, without the 6x6 lift.  The cross terms
@@ -131,10 +124,9 @@ def congruence_image(gf: GF, a, y) -> tuple[int, ...]:
 
 
 def act_subspace(s: Subspace, a) -> Subspace:
-    """Image of a subspace under the lift of a.  Builds no tables, so it
-    serves every q."""
-    l = lift(s.gf, a)
-    return Subspace.from_rref(s.gf, s.n, rref(s.gf, [_image(s.gf, l, r) for r in s.rows]))
+    """Image of a subspace under the lift of a, its rows moved by
+    ``congruence_image``; builds no tables, so it serves every q."""
+    return Subspace.from_rref(s.gf, s.n, rref(s.gf, [congruence_image(s.gf, a, r) for r in s.rows]))
 
 
 # -- packed rows -----------------------------------------------------------

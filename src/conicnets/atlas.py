@@ -2,7 +2,7 @@
 
 Ships the 18 orbit representatives with their field-dependent parameter
 searches, the closed-form orbit table (point and hyperplane distributions,
-cubic kinds, stabilizer orders) with a direct stabilizer count to check it
+cubic kinds, stabilizer orders) with an orbit-stabilizer count to check it
 against, the end-to-end classifier for planes and for nets of conics, the
 plane <-> net correspondence, and the verification reports that back the
 ``conicnets verify`` command line.
@@ -21,7 +21,6 @@ import functools
 import os
 import random
 from collections import Counter
-from itertools import product
 
 from .action import (
     PackedAction,
@@ -191,18 +190,27 @@ def expected_stabilizer_order(label: str, q: int) -> int:
     return table[label]
 
 
+def _kernel_subgroup_generators(gf: GF, point: bool) -> tuple[tuple[int, ...], ...]:
+    """x12(1), x21(1), x10(1) (point) or x01(1) (line), diag(1, w, 1) for w
+    primitive: its conjugates of x12(1), x21(1) give GL(2,q) in the lower
+    block, whose conjugates of the third give every translation of H."""
+    return ((1, 0, 0, 0, 1, 1, 0, 0, 1), (1, 0, 0, 0, 1, 0, 0, 1, 1),
+            (1, 0, 0, 1, 1, 0, 0, 0, 1) if point else (1, 1, 0, 0, 1, 0, 0, 0, 1),
+            (1, 0, 0, 0, gf.primitive_element(), 0, 0, 0, 1))
+
+
 def plane_stabilizer_order(s: Subspace) -> int:
     """Order of the stabilizer in PGL(3,q) of a plane meeting the nucleus
-    plane, counted directly.
+    plane, by orbit-stabilizer inside the subgroup H that holds it.
 
     Kernels u = (y4, y2, y1) of nuclear points (the basis of the meet)
     move by u -> A^-T u, so the stabilizer fixes the one kernel u, or the
     dual vector w (moving by w -> A w) of the kernels' line.  Moved by C,
     whose first row is u or whose last two rows are kernels (unit vectors
-    fill the rest), the plane has u or w at e0, and its stabilizer lies
-    among the q^3 (q-1) (q^2-1) normalized matrices with first row, or
-    first column, (1,0,0); those that carry each basis row, row 0 first,
-    into the plane are counted.  The whole group fixes the nucleus plane.
+    fill the rest), the plane has u or w at e0, and its stabilizer lies in
+    H, the q^3 (q-1) (q^2-1) normalized matrices with first row, or first
+    column, (1,0,0): the order is |H| / |H s|, H s a ``closure`` (refused
+    past 2^18 planes).  The whole group fixes the nucleus plane.
     """
     gf, q = s.gf, s.gf.q
     meet = nucleus_cut(s)[0]
@@ -215,14 +223,11 @@ def plane_stabilizer_order(s: Subspace) -> int:
     units = [tuple(int(i == j) for i in range(3)) for j in range(3) if j not in pivots]
     point = meet.dim == 0
     moved = act_subspace(s, sum(kernels + units if point else units + kernels, ()))
-    pts, mul, els = set(moved.points()), gf._mul, gf.elements
-    blocks = [(b, c, e, f) for b, c, e, f in product(els, repeat=4) if mul[b][f] ^ mul[c][e]]
-    count = 0
-    for x, y in product(els, repeat=2):
-        for b, c, e, f in blocks:
-            a = (1, 0, 0, x, b, c, y, e, f) if point else (1, x, y, 0, b, c, 0, e, f)
-            count += all(congruence_image(gf, a, r) in pts for r in moved.rows)
-    return count
+    pa = PackedAction(gf)
+    movers = [pa.mover(pa.tables(a), 3) for a in _kernel_subgroup_generators(gf, point)]
+    orbit = closure(moved.key_int(), lambda k, i: movers[i](k), len(movers),
+                    max_keys=2**18, involutions=(0, 1, 2))
+    return q**3 * (q - 1) * (q * q - 1) // len(orbit)
 
 
 # -- parameter searches ----------------------------------------------------

@@ -60,14 +60,9 @@ def rank(gf: GF, rows) -> int:
 
 def annihilator(gf: GF, red, width: int) -> tuple[tuple[int, ...], ...]:
     """Basis of {v : row . v = 0 for every row} for rows ``red`` already in
-    canonical RREF, one vector per free column, read off without reduction;
-    ``nullspace`` reduces it."""
-    pivots = []
-    for row in red:
-        for j, v in enumerate(row):
-            if v:
-                pivots.append(j)
-                break
+    canonical RREF, one vector per free column, read off without reduction
+    (each row's pivot is its first 1); ``nullspace`` reduces it."""
+    pivots = [row.index(1) for row in red]
     free = [j for j in range(width) if j not in pivots]
     basis = []
     for f in free:

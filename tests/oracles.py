@@ -3,9 +3,13 @@ per-point actions the package replaced by closed forms or kernel scans, and
 helpers the package itself has no use for.  Tests compare the package
 against them."""
 
-from conicnets.action import _image
+from itertools import product
+
+from conicnets.action import act_subspace, congruence_image, pgl_order
+from conicnets.errors import OutOfFamilyError
 from conicnets.gf import GF
-from conicnets.projgeom import Subspace, normalize_point, nullspace
+from conicnets.invariants import nucleus_cut
+from conicnets.projgeom import Subspace, normalize_point, nullspace, rref
 from conicnets.veronese import point_class
 
 
@@ -71,9 +75,16 @@ def act_point_pg2(gf: GF, a, p) -> tuple[int, ...]:
     return normalize_point(gf, img)
 
 
+def lifted_image(gf: GF, l, y) -> tuple[int, ...]:
+    """l . y for a 6x6 matrix l and a 6-vector y, not normalized."""
+    m0, m1, m2, m3, m4, m5 = (gf._mul[v] for v in y)
+    return tuple([m0[r0] ^ m1[r1] ^ m2[r2] ^ m3[r3] ^ m4[r4] ^ m5[r5]
+                  for r0, r1, r2, r3, r4, r5 in l])
+
+
 def act_point(gf: GF, l, y) -> tuple[int, ...]:
     """Image of a PG(5,q) point under a lifted 6x6 matrix, normalized."""
-    return normalize_point(gf, _image(gf, l, y))
+    return normalize_point(gf, lifted_image(gf, l, y))
 
 
 def conic_plane_of(gf: GF, y) -> tuple[tuple[int, ...], Subspace]:
@@ -110,3 +121,35 @@ def unpack_rows(gf: GF, key: int, width: int, r: int) -> tuple[tuple[int, ...], 
         key >>= e
     flat.reverse()
     return tuple(tuple(flat[i * width:(i + 1) * width]) for i in range(r))
+
+
+def stabilizer_order_by_candidates(s: Subspace) -> int:
+    """Order of the stabilizer in PGL(3,q) of a plane meeting the nucleus
+    plane, counted directly over the subgroup that holds it.
+
+    Moved by C, whose first row is the kernel u = (y4, y2, y1) of the one
+    nuclear point, or whose last two rows are kernels of the meet line's
+    points (unit vectors fill the rest), the plane's stabilizer lies among
+    the q^3 (q-1) (q^2-1) normalized matrices with first row, or first
+    column, (1,0,0); those that carry each basis row into the plane are
+    counted.
+    """
+    gf, q = s.gf, s.gf.q
+    meet = nucleus_cut(s)[0]
+    if meet is None:
+        raise OutOfFamilyError("plane misses the nucleus plane")
+    if meet.dim == 2:
+        return pgl_order(q)
+    kernels = [(y[4], y[2], y[1]) for y in meet.rows]
+    pivots = [r.index(1) for r in rref(gf, kernels)]
+    units = [tuple(int(i == j) for i in range(3)) for j in range(3) if j not in pivots]
+    point = meet.dim == 0
+    moved = act_subspace(s, sum(kernels + units if point else units + kernels, ()))
+    pts, mul, els = set(moved.points()), gf._mul, gf.elements
+    blocks = [(b, c, e, f) for b, c, e, f in product(els, repeat=4) if mul[b][f] ^ mul[c][e]]
+    count = 0
+    for x, y in product(els, repeat=2):
+        for b, c, e, f in blocks:
+            a = (1, 0, 0, x, b, c, y, e, f) if point else (1, x, y, 0, b, c, 0, e, f)
+            count += all(congruence_image(gf, a, r) in pts for r in moved.rows)
+    return count

@@ -28,7 +28,7 @@ from conicnets.gf import field
 from conicnets.invariants import plane_signature, point_class_counts
 from conicnets.projgeom import rank, rref, span
 from conicnets.veronese import census, expected_census, veronese
-from oracles import act_point, act_point_pg2
+from oracles import act_point, act_point_pg2, stabilizer_order_by_candidates
 
 WORKERS = 4
 
@@ -210,7 +210,8 @@ def test_criterion_09_known_net_classifies_as_sigma18_q4_q8():
 def test_criterion_10_property_suites():
     """Field axioms with Frobenius/trace/Artin-Schreier laws (full fields,
     q <= 16), RREF round-trips, exhaustive lift equivariance at q = 2, and
-    orbit-stabilizer products."""
+    orbit-stabilizer products, each stabilizer counted directly over its
+    candidate matrices and equal to ``plane_stabilizer_order``."""
     # field laws, every element pair/triple
     for q in (2, 4, 8, 16):
         gf = field(q)
@@ -262,4 +263,6 @@ def test_criterion_10_property_suites():
         for s in probes[:2]:
             assert pgl_order(q) % len(orbit_keys(s)) == 0
         for s in probes[2:]:
-            assert len(orbit_keys(s)) * plane_stabilizer_order(s) == pgl_order(q)
+            order = stabilizer_order_by_candidates(s)
+            assert plane_stabilizer_order(s) == order
+            assert len(orbit_keys(s)) * order == pgl_order(q)

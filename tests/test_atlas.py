@@ -10,7 +10,16 @@ import sys
 
 import pytest
 
-from conicnets.action import act_subspace, k_equivalent, orbit_keys, pgl_order
+from conicnets.action import (
+    IDENTITY3,
+    act_subspace,
+    k_equivalent,
+    mat3_det,
+    mat3_mul,
+    mulclose,
+    orbit_keys,
+    pgl_order,
+)
 import importlib
 import re
 
@@ -50,6 +59,7 @@ from conicnets.errors import (
     ClassificationError,
     ConfigurationError,
     OutOfFamilyError,
+    ResourceBudgetError,
     VerificationError,
 )
 from conicnets.gf import field
@@ -65,7 +75,8 @@ from conicnets.projgeom import (
     span,
 )
 from conicnets.veronese import expected_census, form_eval
-from oracles import unpack_rows
+import oracles
+from oracles import stabilizer_order_by_candidates, unpack_rows
 
 veronese = importlib.import_module("conicnets.veronese")
 
@@ -513,8 +524,112 @@ def test_double_line_sweep_makes_no_elimination_and_no_point_pass(gf2, rref_call
 def test_plane_stabilizer_order_matches_table_and_bfs(q):
     gf = field(q)
     for label, keys in orbit_atlas(gf).items():
-        order = plane_stabilizer_order(representative(gf, label))
-        assert order == expected_stabilizer_order(label, q) == pgl_order(q) // len(keys), label
+        s = representative(gf, label)
+        order = plane_stabilizer_order(s)
+        assert order == stabilizer_order_by_candidates(s) == expected_stabilizer_order(label, q) \
+            == pgl_order(q) // len(keys), label
+
+
+def kernel_subgroup_order(q):
+    return q**3 * (q - 1) * (q * q - 1)
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_kernel_subgroup_generators_generate_it(q):
+    """Each generator has first row (point) or first column (line) (1,0,0)
+    and is invertible, and the four close to all q^3 (q-1) (q^2-1) such
+    normalized matrices."""
+    gf = field(q)
+    for point in (True, False):
+        gens = atlas._kernel_subgroup_generators(gf, point)
+        assert len(gens) == 4
+        for g in gens:
+            assert (g[:3] if point else g[::3]) == (1, 0, 0) and mat3_det(gf, g), g
+        # the closure steps no state back by the generators it calls involutions
+        assert all(mat3_mul(gf, g, g) == IDENTITY3 for g in gens[:3])
+        assert len(mulclose(gf, gens)) == kernel_subgroup_order(q)
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_plane_stabilizer_order_matches_candidate_count(q, sample_matrices):
+    """The orbit-stabilizer count against the direct count over the kernel's
+    subgroup, on every representative and on moved copies of each."""
+    gf = field(q)
+    moves = sample_matrices(gf)[:4] if q == 4 else sample_matrices(gf)
+    for label in LABELS:
+        s = representative(gf, label)
+        for t in [s] + [act_subspace(s, g) for g in moves]:
+            assert plane_stabilizer_order(t) == stabilizer_order_by_candidates(t), label
+
+
+@pytest.mark.parametrize("label", ("Sigma10", "Sigma11", "Sigma22"))
+def test_plane_stabilizer_order_matches_candidate_count_q8(gf8, label):
+    s = representative(gf8, label)
+    assert plane_stabilizer_order(s) == stabilizer_order_by_candidates(s) \
+        == expected_stabilizer_order(label, 8)
+
+
+@pytest.mark.slow
+def test_plane_stabilizer_order_matches_candidate_count_all_q8(gf8):
+    """All 18 representatives at q = 8: the candidate count walks 225,792
+    matrices per plane, about 25 s in all on 2 vCPU."""
+    for label in LABELS:
+        s = representative(gf8, label)
+        assert plane_stabilizer_order(s) == stabilizer_order_by_candidates(s), label
+
+
+@pytest.mark.parametrize("dropped", range(4))
+def test_dropping_a_kernel_subgroup_generator_breaks_the_partition(dropped, monkeypatch):
+    """With any one generator replaced by the identity, the closure covers
+    part of the subgroup, some stabilizer order comes out too large, and the
+    q = 4 partition report refuses it.  The plane sweep is left out: the
+    stabilizer check reads only the 18 label chunks."""
+    real = atlas._kernel_subgroup_generators
+
+    def fewer(gf, point):
+        gens = list(real(gf, point))
+        gens[dropped] = IDENTITY3
+        return tuple(gens)
+
+    monkeypatch.setattr(atlas, "_kernel_subgroup_generators", fewer)
+    monkeypatch.setattr(atlas, "plane_enumeration_chunks", lambda gf: [])
+    with pytest.raises(VerificationError, match="stabilizer of Sigma"):
+        verify_partition(field(4))
+
+
+def test_plane_stabilizer_order_budget_q16(gf16):
+    """At q = 16 a small orbit under the kernel's subgroup gives the closed
+    form, and one of more than 2^18 planes (Sigma22's has |H| = 15,667,200)
+    raises instead of holding them all."""
+    assert plane_stabilizer_order(representative(gf16, "Sigma16")) \
+        == expected_stabilizer_order("Sigma16", 16)
+    with pytest.raises(ResourceBudgetError, match="262144"):
+        plane_stabilizer_order(representative(gf16, "Sigma22"))
+
+
+def test_plane_stabilizer_order_tests_no_candidates(gf4, monkeypatch):
+    """The count moves each plane once by C (three congruence_image calls,
+    one per basis row, none for the nucleus plane) and tests no candidate
+    matrix; the candidate count makes at least one call per matrix of the
+    subgroup, 2,880 at q = 4."""
+    calls = []
+    real = atlas.congruence_image
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("conicnets") and getattr(module, "congruence_image", None) is real:
+            monkeypatch.setattr(module, "congruence_image", counting)
+    monkeypatch.setattr(oracles, "congruence_image", counting)
+    for label in LABELS:
+        calls.clear()
+        plane_stabilizer_order(representative(gf4, label))
+        assert len(calls) == (0 if label == "SigmaN" else 3), label
+    calls.clear()
+    stabilizer_order_by_candidates(representative(gf4, "Sigma22"))
+    assert len(calls) >= kernel_subgroup_order(4)
 
 
 def test_plane_stabilizer_order_on_moved_planes(gf4, sample_matrices):
@@ -607,9 +722,10 @@ def test_stabilizer_table_matches_bfs_orbit_sizes_q8():
 
 @pytest.mark.slow
 def test_verify_partition_q8_representative():
-    """The q = 8 partition from directly counted stabilizer orders: orbit
-    sizes summing to the meeting count.  About 15 s at 4 workers on 2 vCPU,
-    under 20 MB per process; deselected by default."""
+    """The q = 8 partition from stabilizer orders by orbit-stabilizer in the
+    kernels' subgroups: orbit sizes summing to the meeting count.  About 4 s
+    at 4 workers on 2 vCPU, under 45 MB per process; deselected by
+    default."""
     report = verify_partition(field(8), workers=4)
     assert report["mode"] == "representative"
     assert all(c["pass"] for c in report["checks"])
