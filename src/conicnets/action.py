@@ -26,19 +26,19 @@ n-row keys to image keys for points, lines and planes (n = 1, 2, 3): the one
 packed elimination, straight-line code with no dependent-row branch, since
 a lift of an invertible matrix drops no row.  ``projgeom.rref`` is the one
 general elimination.  Every orbit walk steps through movers.  One
-breadth-first ``closure``, which records each state's parent, serves
-``orbit_keys``, ``k_equivalent``, ``mulclose`` and ``stabilizer``; the last
-multiplies out Schreier generators along the parent pointers and returns
-the few it closed, whose closures give the line-orbit suite its orbits.
-The transvection is an involution, so no state it reached is stepped back
-by it.
+breadth-first ``closure`` returns the set of states it reached;
+``subspace_orbit`` runs it on the keys of one subspace or of a tuple of
+them under any list of matrices, and serves ``orbit_keys``,
+``k_equivalent`` and every stabilizer in ``atlas``, each an orbit size
+|group| / |orbit| or a fiber of a larger orbit.  A generator that is an
+involution, such as the transvection, never steps a state back to the one
+it came from.
 ``congruence_image`` moves one point, each diagonal entry of A M A^T a sum
 of squares; ``act_subspace`` moves each basis row with it and reduces.
 """
 
 from __future__ import annotations
 
-from collections.abc import KeysView
 from itertools import product
 
 from .errors import ResourceBudgetError, VerificationError
@@ -70,20 +70,6 @@ def mat3_det(gf: GF, a) -> int:
         ^ mul[a[1]][mul[a[3]][a[8]] ^ mul[a[5]][a[6]]]
         ^ mul[a[2]][mul[a[3]][a[7]] ^ mul[a[4]][a[6]]]
     )
-
-
-def mat3_inv(gf: GF, a) -> tuple[int, ...]:
-    m = gf._mul
-    d = mat3_det(gf, a)
-    if d == 0:
-        raise ValueError("singular matrix has no inverse")
-    di = gf._inv[d]
-    adj = (
-        m[a[4]][a[8]] ^ m[a[5]][a[7]], m[a[2]][a[7]] ^ m[a[1]][a[8]], m[a[1]][a[5]] ^ m[a[2]][a[4]],
-        m[a[5]][a[6]] ^ m[a[3]][a[8]], m[a[0]][a[8]] ^ m[a[2]][a[6]], m[a[2]][a[3]] ^ m[a[0]][a[5]],
-        m[a[3]][a[7]] ^ m[a[4]][a[6]], m[a[1]][a[6]] ^ m[a[0]][a[7]], m[a[0]][a[4]] ^ m[a[1]][a[3]],
-    )
-    return tuple(m[di][v] for v in adj)
 
 
 def lift(gf: GF, a) -> tuple[tuple[int, ...], ...]:
@@ -328,13 +314,6 @@ def generators(gf: GF) -> tuple[tuple[int, ...], ...]:
     raise VerificationError("no primitive cubic over GF(%d)" % gf.q)
 
 
-def mulclose(gf: GF, gens, limit: int | None = None) -> set[tuple[int, ...]]:
-    """Closure of a generating set under products, all elements normalized."""
-    gens = [normalize_point(gf, g) for g in gens]
-    return set(closure(
-        IDENTITY3, lambda x, k: normalize_point(gf, mat3_mul(gf, x, gens[k])), len(gens), limit))
-
-
 def pgl_elements(gf: GF) -> set[tuple[int, ...]]:
     """The full projectivity group as normalized matrices (practical q <= 4).
 
@@ -358,54 +337,71 @@ def pgl_elements(gf: GF) -> set[tuple[int, ...]]:
 
 
 def closure(start, step, ngens: int, max_keys: int | None = None, target=None,
-            involutions=()) -> dict:
+            involutions=()) -> set:
     """Breadth-first closure of ``start`` under ``step(state, i)``, i < ngens.
 
-    Returns {state: parent} in discovery order, ``start`` mapping to None;
-    each state's parent is the one it was first reached from, so the
-    parents span the orbit as a tree.  Returns early, with the states found
-    so far, once ``target`` is among them, and raises ResourceBudgetError
-    once there are more than ``max_keys`` states.  Generators listed in
-    ``involutions`` are their own inverse: a state first reached by one is
-    not stepped by it again, since that step leads back to its parent.
+    Returns the set of states reached.  Returns early, with the states
+    found so far, once ``target`` is among them, and raises
+    ResourceBudgetError once there are more than ``max_keys`` states.
+    Generators listed in ``involutions`` are their own inverse: a state
+    first reached by one is not stepped by it again, since that step leads
+    back to a state already found.
     """
     # found[j] picks the moves of frontier[j]: 0 for all, n for all but
     # involutions[n - 1], the one that first reached it; one byte per state
     moves = [range(ngens)] + [[j for j in range(ngens) if j != i] for i in involutions]
     code = {i: n for n, i in enumerate(involutions, 1)}
-    tree = {start: None}
+    seen = {start}
     frontier, found = [start], bytearray(1)
-    while frontier and target not in tree:
+    while frontier and target not in seen:
         new, new_found = [], bytearray()
         for k, c in zip(frontier, found):
             for i in moves[c]:
                 k2 = step(k, i)
-                if k2 not in tree:
-                    tree[k2] = k
+                if k2 not in seen:
+                    seen.add(k2)
                     if k2 == target:
-                        return tree
-                    if max_keys is not None and len(tree) > max_keys:
+                        return seen
+                    if max_keys is not None and len(seen) > max_keys:
                         raise ResourceBudgetError(
                             "orbit enumeration exceeded %d keys" % max_keys,
-                            partial=len(tree),
+                            partial=len(seen),
                         )
                     new.append(k2)
                     new_found.append(code.get(i, 0))
         frontier, found = new, new_found
-    return tree
+    return seen
 
 
-def _generator_orbit(s: Subspace, max_keys: int | None, target: int | None) -> dict:
-    pa = PackedAction(s.gf)
-    movers = [pa.mover(pa.tables(g), len(s.rows)) for g in generators(s.gf)]
-    return closure(s.key_int(), lambda k, i: movers[i](k), len(movers), max_keys, target,
-                   involutions=(0,))
+def subspace_orbit(subspaces, gens, max_keys: int | None = None, target=None) -> set:
+    """Orbit of a tuple of one to three subspaces under the group generated
+    by the matrices ``gens``: one ``closure`` over ``PackedAction`` movers.
+
+    The state of one subspace is its packed key, that of two or three the
+    tuple of their keys.  Generators whose square is the identity
+    (projectively) are passed to ``closure`` as involutions.
+    """
+    gf = subspaces[0].gf
+    pa = PackedAction(gf)
+    tables = [pa.tables(a) for a in gens]
+    involutions = [i for i, a in enumerate(gens)
+                   if normalize_point(gf, mat3_mul(gf, a, a)) == IDENTITY3]
+    m0, *rest = [[pa.mover(t, len(s.rows)) for t in tables] for s in subspaces]
+    start = tuple(s.key_int() for s in subspaces)
+    if not rest:
+        start, step = start[0], lambda k, i: m0[i](k)
+    elif len(rest) == 1:
+        (m1,) = rest
+        step = lambda st, i: (m0[i](st[0]), m1[i](st[1]))
+    else:
+        m1, m2 = rest
+        step = lambda st, i: (m0[i](st[0]), m1[i](st[1]), m2[i](st[2]))
+    return closure(start, step, len(gens), max_keys, target, involutions)
 
 
-def orbit_keys(s: Subspace, max_keys: int | None = None) -> KeysView[int]:
-    """Packed keys of the full orbit of s, by breadth-first closure: a
-    set-like view of the closure's parent map, not copied into a set."""
-    return _generator_orbit(s, max_keys, None).keys()
+def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
+    """Packed keys of the full orbit of s, by breadth-first closure."""
+    return subspace_orbit((s,), generators(s.gf), max_keys)
 
 
 def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> bool:
@@ -421,59 +417,5 @@ def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> boo
     if point_class_counts(s1) != point_class_counts(s2):
         return False
     target = s2.key_int()
-    return target in _generator_orbit(s1, max_keys, target)
+    return target in subspace_orbit((s1,), generators(s1.gf), max_keys, target)
 
-
-def stabilizer(gf: GF, state0, step) -> tuple[set[tuple[int, ...]], int, list[tuple[int, ...]]]:
-    """Full stabilizer of a hashable state, the size of its orbit, and the
-    Schreier generators whose closure it is.
-
-    ``step(state, k)`` applies generator k of ``generators(gf)``, the first
-    an involution.  By Schreier's lemma the elements w(step(s, k))^-1 g_k
-    w(s) generate the stabilizer, the witness w(s) being the product of the
-    generators along the closure's parent chain from state0 to s; a witness
-    is built only when needed, and kept.  Schreier generators not yet in the
-    closure are kept and closed as they come, the closure is returned once
-    it reaches |group| / |orbit| (at once, with no generators, when that is
-    1), and an overshoot or a shortfall fails loudly.
-    """
-    gens = generators(gf)
-    tree = closure(state0, step, len(gens), involutions=(0,))
-    order = pgl_order(gf.q)
-    if order % len(tree):
-        raise VerificationError("orbit size %d does not divide %d" % (len(tree), order))
-    target = order // len(tree)
-    if target == 1:
-        return {IDENTITY3}, len(tree), []
-    witness = {state0: IDENTITY3}
-
-    def word(s):
-        # States come in discovery order, so a parent's witness is known
-        # or one call away.
-        if s not in witness:
-            p = tree[s]
-            k = next(k for k in range(len(gens)) if step(p, k) == s)
-            witness[s] = normalize_point(gf, mat3_mul(gf, gens[k], word(p)))
-        return witness[s]
-
-    picked: list[tuple[int, ...]] = []
-    group: set[tuple[int, ...]] = {IDENTITY3}
-    for s in tree:
-        for k, a in enumerate(gens):
-            h = normalize_point(
-                gf, mat3_mul(gf, mat3_inv(gf, word(step(s, k))), mat3_mul(gf, a, word(s)))
-            )
-            if h in group:
-                continue
-            picked.append(h)
-            try:
-                group = mulclose(gf, picked, limit=target)
-            except ResourceBudgetError as exc:
-                raise VerificationError(
-                    "stabilizer closure overshot %d elements" % target
-                ) from exc
-            if len(group) == target:
-                return group, len(tree), picked
-    raise VerificationError(
-        "Schreier generators closed at %d, expected %d" % (len(group), target)
-    )

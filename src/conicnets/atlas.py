@@ -23,15 +23,13 @@ import random
 from collections import Counter
 
 from .action import (
-    PackedAction,
     act_subspace,
-    closure,
     congruence_image,
     generators,
     orbit_keys,
     pgl_elements,
     pgl_order,
-    stabilizer,
+    subspace_orbit,
 )
 from .errors import (
     ClassificationError,
@@ -209,8 +207,8 @@ def plane_stabilizer_order(s: Subspace) -> int:
     whose first row is u or whose last two rows are kernels (unit vectors
     fill the rest), the plane has u or w at e0, and its stabilizer lies in
     H, the q^3 (q-1) (q^2-1) normalized matrices with first row, or first
-    column, (1,0,0): the order is |H| / |H s|, H s a ``closure`` (refused
-    past 2^18 planes).  The whole group fixes the nucleus plane.
+    column, (1,0,0): the order is |H| / |H s|, H s a ``subspace_orbit``
+    (refused past 2^18 planes).  The whole group fixes the nucleus plane.
     """
     gf, q = s.gf, s.gf.q
     meet = nucleus_cut(s)[0]
@@ -223,10 +221,7 @@ def plane_stabilizer_order(s: Subspace) -> int:
     units = [tuple(int(i == j) for i in range(3)) for j in range(3) if j not in pivots]
     point = meet.dim == 0
     moved = act_subspace(s, sum(kernels + units if point else units + kernels, ()))
-    pa = PackedAction(gf)
-    movers = [pa.mover(pa.tables(a), 3) for a in _kernel_subgroup_generators(gf, point)]
-    orbit = closure(moved.key_int(), lambda k, i: movers[i](k), len(movers),
-                    max_keys=2**18, involutions=(0, 1, 2))
+    orbit = subspace_orbit((moved,), _kernel_subgroup_generators(gf, point), max_keys=2**18)
     return q**3 * (q - 1) * (q * q - 1) // len(orbit)
 
 
@@ -594,10 +589,8 @@ def verify_distributions(gf: GF) -> dict:
 
 
 def _partition_chunk(state, chunk):
-    """A label's stabilizer order, or one enumeration chunk's sweep tally."""
+    """One enumeration chunk's sweep tally."""
     gf = field(state["q"], state["modulus"])
-    if isinstance(chunk, str):
-        return plane_stabilizer_order(representative(gf, chunk))
     index = state["index"]
     tally: Counter = Counter()
     stray: list[int] = []
@@ -651,26 +644,23 @@ def _run_chunks(worker, state: dict, chunks, workers: int):
 def verify_partition(gf: GF, workers: int = 0) -> dict:
     """Reproduce the 18-orbit partition of planes meeting the nucleus plane.
 
-    At every q each representative's stabilizer is counted directly and
-    must equal its closed form (VerificationError otherwise), and the orbit
+    At every q each representative's stabilizer is counted first, in this
+    process (``plane_stabilizer_order``), and must equal its closed form
+    (VerificationError otherwise, before any sweep), and the orbit
     sizes |G| / |stabilizer| must sum to the count of planes meeting the
     nucleus plane.  The classifier reads only invariants, so its 18
     distinct labels on the representatives make the orbits disjoint.  For
     q <= 4 (exhaustive mode; q = 8 is representative mode) the orbit key
     sets are the oracle: every plane is swept, every meeting plane must lie
-    in one, tallies must equal the sizes, and the classifier must agree.
+    in one, tallies must equal the sizes, and the classifier must agree;
+    the sweep's plane chunks are what ``workers`` processes share.
     """
     q = gf.q
     if q > 8:
         raise ConfigurationError("partition verification supports q in {2, 4, 8}")
     exhaustive = q <= 4
     reps = representatives(gf)
-    index = {key: label for label, keys in orbit_atlas(gf).items()
-             for key in keys} if exhaustive else {}
-    chunks = list(LABELS) + (plane_enumeration_chunks(gf) if exhaustive else [])
-    state = {"q": q, "modulus": gf.modulus, "index": index}
-    results = _run_chunks(_partition_chunk, state, chunks, workers)
-    orders = dict(zip(LABELS, results))
+    orders = {label: plane_stabilizer_order(reps[label]) for label in LABELS}
     for label, order in orders.items():
         want = expected_stabilizer_order(label, q)
         if order != want:
@@ -698,10 +688,13 @@ def verify_partition(gf: GF, workers: int = 0) -> dict:
     ))
     totals = {"orbit_count": len(LABELS), "family_size": total}
     if exhaustive:
+        index = {key: label for label, keys in orbit_atlas(gf).items() for key in keys}
+        state = {"q": q, "modulus": gf.modulus, "index": index}
         tally: Counter = Counter()
         stray: list[int] = []
         meeting = agree = 0
-        for t, st, m, ag in results[len(LABELS):]:
+        for t, st, m, ag in _run_chunks(_partition_chunk, state,
+                                        plane_enumeration_chunks(gf), workers):
             tally.update(t)
             stray.extend(st)
             meeting += m
@@ -848,34 +841,34 @@ def _lines_through_in(gf: GF, p, amb: Subspace) -> dict[int, Subspace]:
     return out
 
 
-def _subgroup_orbits_on_lines(gf: GF, gens, keyed: dict[int, Subspace]):
-    """Orbit partition of the given lines under the subgroup generated by
-    gens, in order of each orbit's least key: an orbit is the closure of a
-    line under the generators' tables, and one that leaves the given lines
-    raises VerificationError."""
-    pa = PackedAction(gf)
-    movers = [pa.mover(pa.tables(a), 2) for a in gens]
+def _conic_point_subgroup_generators(gf: GF) -> list[tuple[int, ...]]:
+    """Generators of H_p, the stabilizer of e1 and so of its Veronese point
+    (0,0,0,1,0,0): those of the kernel subgroup fixing e0 (first column
+    (1,0,0)) with coordinates 0 and 1 swapped."""
+    swap = (1, 0, 2)
+    return [tuple(a[3 * swap[i] + swap[j]] for i in range(3) for j in range(3))
+            for a in _kernel_subgroup_generators(gf, False)]
+
+
+def _fiber_orbits(gens, fixed: tuple[Subspace, ...], keyed: dict[int, Subspace]):
+    """Orbits on the given lines of the stabilizer S of the subspaces
+    ``fixed``, in order of each orbit's least key, for ``gens`` generating
+    a subgroup K that holds S.  The S-orbit of a line l is a fiber of a
+    K-orbit: the lines l' with (fixed, l') in K (fixed, l), since the
+    element of K that carries the one to the other fixes ``fixed``.  An
+    orbit that leaves the given lines raises VerificationError."""
+    head = tuple(s.key_int() for s in fixed)
     orbits: list[set[int]] = []
     placed: set[int] = set()
     for k in sorted(keyed):
         if k in placed:
             continue
-        comp = set(closure(k, lambda x, i: movers[i](x), len(movers)))
+        comp = {st[-1] for st in subspace_orbit((*fixed, keyed[k]), gens) if st[:-1] == head}
         if not comp <= keyed.keys():
             raise VerificationError("a line orbit leaves its candidate set")
         orbits.append(comp)
         placed |= comp
     return orbits
-
-
-def _pair_stabilizer(gf: GF, s: Subspace, t: Subspace):
-    """Full stabilizer of a pair of subspaces, the size of the pair's orbit,
-    and the Schreier generators of the stabilizer (action.stabilizer)."""
-    pa = PackedAction(gf)
-    tables = [pa.tables(a) for a in generators(gf)]
-    ms, mt = ([pa.mover(tab, len(x.rows)) for tab in tables] for x in (s, t))
-    return stabilizer(gf, (s.key_int(), t.key_int()),
-                      lambda st, k: (ms[k](st[0]), mt[k](st[1])))
 
 
 def verify_line_orbits(gf: GF) -> dict:
@@ -888,42 +881,55 @@ def verify_line_orbits(gf: GF) -> dict:
     a second hyperplane splits the tangency-candidate lines into exactly
     two orbits, and two specific line stabilizers have orders 6 and 2 with
     a 480-line hyperplane count.
+
+    A stabilizer's order is |PGL(3,q)| / |orbit|, the orbit a
+    ``subspace_orbit`` under ``generators``; its orbits on lines are
+    ``_fiber_orbits`` under a subgroup of order q^3 (q-1) (q^2-1) that is
+    checked to hold it by the same count: H_p, fixing v(e1), for the pair,
+    and P's stabilizer (``_kernel_subgroup_generators``) for the joint one.
     """
     q = gf.q
     if q not in (4, 8):
         raise ConfigurationError("line-orbit verification supports q in {4, 8}")
     checks = []
+    group = generators(gf)
+    kernel_order = q**3 * (q - 1) * (q * q - 1)
 
     l0 = span(gf, [(0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0)])
     R = (0, 1, 0, 1, 0, 0)
-    stab, pair_orbit, stab_gens = _pair_stabilizer(gf, l0, span(gf, [R]))
+    # l0 is spanned by R and its nuclear point, so the (line, point) pair
+    # and the two points have one stabilizer; points move faster.
+    pair = (span(gf, [R]), span(gf, [(0, 1, 0, 0, 1, 0)]))
+    pair_orbit = len(subspace_orbit(pair, group))
+    order = pgl_order(q) // pair_orbit
     want_order = q * q * (q - 1)
     checks.append(_check(
         "pair_stabilizer_order",
-        len(stab) == want_order and pair_orbit * want_order == pgl_order(q),
-        {"order": len(stab), "expected": want_order, "pair_orbit": pair_orbit},
+        order == want_order and pair_orbit * want_order == pgl_order(q),
+        {"order": order, "expected": want_order, "pair_orbit": pair_orbit},
     ))
     fixed_pt = (0, 0, 0, 1, 0, 0)
+    # H_p holds the pair's stabilizer exactly when the pair's orbit under
+    # it has |H_p| / order states.
+    point_gens = _conic_point_subgroup_generators(gf)
     checks.append(_check(
         "pair_stabilizer_fixes_conic_point",
-        all(congruence_image(gf, a, fixed_pt) == fixed_pt for a in stab),
+        kernel_order == order * len(subspace_orbit(pair, point_gens)),
         {"point": list(fixed_pt)},
     ))
     if q == 4:
-        lk = l0.key_int()
-        direct = {
-            a for a in pgl_elements(gf)
-            if congruence_image(gf, a, R) == R
-            and act_subspace(l0, a).key_int() == lk
-        }
+        filtered = sum(
+            1 for a in pgl_elements(gf)
+            if congruence_image(gf, a, R) == R and act_subspace(l0, a) == l0
+        )
         checks.append(_check(
             "pair_stabilizer_matches_group_filter",
-            direct == stab,
-            {"filter_order": len(direct)},
+            filtered == order,
+            {"filter_order": filtered},
         ))
     conic_plane = span(gf, [_e(0), _e(1), _e(3)])  # the conic plane of the line X2 = 0
     keyed = _lines_through_in(gf, R, conic_plane)
-    orbits = _subgroup_orbits_on_lines(gf, stab_gens, keyed)
+    orbits = _fiber_orbits(point_gens, pair, keyed)
     shape = sorted(
         (len(comp), sorted({point_class_counts(keyed[k])[0] for k in comp}))
         for comp in orbits
@@ -938,20 +944,24 @@ def verify_line_orbits(gf: GF) -> dict:
     if q == 4:
         P = (0, 0, 0, 0, 1, 0)
         H = span(gf, [_e(j) for j in range(5)])
-        # H = {m22 = 0} and the conic plane are fixed by the same matrices,
-        # those with A^T e2 a multiple of e2, so the stabilizer walks the
-        # three-row plane in place of the five-row hyperplane.
-        joint, _, joint_gens = _pair_stabilizer(gf, span(gf, [P]), conic_plane)
+        # H = {m22 = 0}, the conic plane and the nuclear point with kernel
+        # e2 are fixed by the same matrices, those with A^T e2 a multiple of
+        # e2, so the stabilizer walks that point in place of the hyperplane.
+        points = (span(gf, [P]), span(gf, [(0, 1, 0, 0, 0, 0)]))
+        joint = pgl_order(q) // len(subspace_orbit(points, group))
         checks.append(_check(
             "joint_stabilizer_order",
-            len(joint) == (q - 1) ** 2 * q * q,
-            {"order": len(joint), "expected": (q - 1) ** 2 * q * q},
+            joint == (q - 1) ** 2 * q * q,
+            {"order": joint, "expected": (q - 1) ** 2 * q * q},
         ))
         cand = {
             k: l for k, l in _lines_through_in(gf, P, H).items()
             if point_class_counts(l) == (0, 1, 1, q - 1) and any(r[0] for r in l.rows)
         }
-        orbits = _subgroup_orbits_on_lines(gf, joint_gens, cand)
+        # the kernel subgroup fixing e0, the kernel of P, is P's stabilizer
+        kernel_gens = _kernel_subgroup_generators(gf, True)
+        holds = kernel_order == joint * len(subspace_orbit(points, kernel_gens))
+        orbits = _fiber_orbits(kernel_gens, points, cand)
         rep_a = span(gf, [(1, 1, 0, 0, 0, 0), P]).key_int()
         rep_b = span(gf, [(1, 0, 1, 0, 0, 0), P]).key_int()
         split = [i for i, comp in enumerate(orbits) if rep_a in comp] != [
@@ -959,7 +969,7 @@ def verify_line_orbits(gf: GF) -> dict:
         ]
         checks.append(_check(
             "tangency_candidate_orbits",
-            len(orbits) == 2 and split,
+            holds and len(orbits) == 2 and split,
             {"orbit_sizes": sorted(len(c) for c in orbits),
              "candidates": len(cand)},
         ))
@@ -981,7 +991,7 @@ def verify_line_orbits(gf: GF) -> dict:
             1 for k in oa
             if k >> (top + w) == (k >> w) & m and (k >> top) & m == k & m
         )
-        want = q**3 * (q - 1) * (q * q - 1) // 6
+        want = kernel_order // 6
         checks.append(_check(
             "triangle_lines_in_hyperplane",
             contained == want,

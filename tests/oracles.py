@@ -1,12 +1,22 @@
 """Brute-force references that only tests call: point-by-point passes and
-per-point actions the package replaced by closed forms or kernel scans, and
-helpers the package itself has no use for.  Tests compare the package
-against them."""
+per-point actions the package replaced by closed forms or kernel scans,
+stabilizers as sets of group elements (Schreier's lemma) where the package
+counts orbits, and helpers the package itself has no use for.  Tests
+compare the package against them."""
 
 from itertools import product
 
-from conicnets.action import act_subspace, congruence_image, pgl_order
-from conicnets.errors import OutOfFamilyError
+from conicnets.action import (
+    IDENTITY3,
+    act_subspace,
+    closure,
+    congruence_image,
+    generators,
+    mat3_det,
+    mat3_mul,
+    pgl_order,
+)
+from conicnets.errors import OutOfFamilyError, ResourceBudgetError, VerificationError
 from conicnets.gf import GF
 from conicnets.invariants import nucleus_cut
 from conicnets.projgeom import Subspace, normalize_point, nullspace, rref
@@ -153,3 +163,87 @@ def stabilizer_order_by_candidates(s: Subspace) -> int:
             a = (1, 0, 0, x, b, c, y, e, f) if point else (1, x, y, 0, b, c, 0, e, f)
             count += all(congruence_image(gf, a, r) in pts for r in moved.rows)
     return count
+
+
+# -- stabilizers as element sets ----------------------------------------------
+
+
+def mat3_inv(gf: GF, a) -> tuple[int, ...]:
+    m = gf._mul
+    d = mat3_det(gf, a)
+    if d == 0:
+        raise ValueError("singular matrix has no inverse")
+    di = gf._inv[d]
+    adj = (
+        m[a[4]][a[8]] ^ m[a[5]][a[7]], m[a[2]][a[7]] ^ m[a[1]][a[8]], m[a[1]][a[5]] ^ m[a[2]][a[4]],
+        m[a[5]][a[6]] ^ m[a[3]][a[8]], m[a[0]][a[8]] ^ m[a[2]][a[6]], m[a[2]][a[3]] ^ m[a[0]][a[5]],
+        m[a[3]][a[7]] ^ m[a[4]][a[6]], m[a[1]][a[6]] ^ m[a[0]][a[7]], m[a[0]][a[4]] ^ m[a[1]][a[3]],
+    )
+    return tuple(m[di][v] for v in adj)
+
+
+def mulclose(gf: GF, gens, limit: int | None = None) -> set[tuple[int, ...]]:
+    """Closure of a generating set under products, all elements normalized."""
+    gens = [normalize_point(gf, g) for g in gens]
+    return closure(
+        IDENTITY3, lambda x, k: normalize_point(gf, mat3_mul(gf, x, gens[k])), len(gens), limit)
+
+
+def orbit_transversal(gf: GF, state0, act):
+    """Breadth-first orbit of a state under ``generators(gf)``, applied by
+    act(state, k).  Returns the witness of every state, the matrix that maps
+    state0 to it, and its parent (p, k): the state p and generator k that
+    first reached it, None for state0.  Both dicts are in discovery order."""
+    gens = generators(gf)
+    witness, parent = {state0: IDENTITY3}, {state0: None}
+    frontier = [state0]
+    while frontier:
+        new = []
+        for s in frontier:
+            u = witness[s]
+            for k in range(len(gens)):
+                s2 = act(s, k)
+                if s2 not in witness:
+                    witness[s2] = normalize_point(gf, mat3_mul(gf, gens[k], u))
+                    parent[s2] = (s, k)
+                    new.append(s2)
+        frontier = new
+    return witness, parent
+
+
+def stabilizer(gf: GF, state0, act):
+    """Full stabilizer of a hashable state as a set of normalized matrices,
+    the size of its orbit, and the Schreier generators whose closure it is.
+
+    By Schreier's lemma the elements w(act(s, k))^-1 g_k w(s), with w the
+    witnesses of ``orbit_transversal``, generate the stabilizer.  Those not
+    yet in the closure are kept and closed as they come; the closure is
+    returned once it reaches |group| / |orbit| (at once, with no
+    generators, when that is 1), and an overshoot or a shortfall fails
+    loudly."""
+    gens = generators(gf)
+    witness = orbit_transversal(gf, state0, act)[0]
+    order = pgl_order(gf.q)
+    if order % len(witness):
+        raise VerificationError("orbit size %d does not divide %d" % (len(witness), order))
+    target = order // len(witness)
+    if target == 1:
+        return {IDENTITY3}, len(witness), []
+    picked: list[tuple[int, ...]] = []
+    group: set[tuple[int, ...]] = {IDENTITY3}
+    for s, u in witness.items():
+        for k, a in enumerate(gens):
+            h = normalize_point(
+                gf, mat3_mul(gf, mat3_inv(gf, witness[act(s, k)]), mat3_mul(gf, a, u)))
+            if h in group:
+                continue
+            picked.append(h)
+            try:
+                group = mulclose(gf, picked, limit=target)
+            except ResourceBudgetError as exc:
+                raise VerificationError(
+                    "stabilizer closure overshot %d elements" % target) from exc
+            if len(group) == target:
+                return group, len(witness), picked
+    raise VerificationError(
+        "Schreier generators closed at %d, expected %d" % (len(group), target))

@@ -1,10 +1,11 @@
 """The PGL(3,q) action on PG(2,q) and its lift to PG(5,q).
 
 The packed kernel is checked against the brute-force code it replaced,
-which lives on here only: the lift as a congruence product, the RREF of
-``projgeom``, a breadth-first orbit on row tuples, the closure of the
-whole Schreier generator set, and line orbits as the images under every
-element of a stabilizer.
+which lives on here and in ``oracles`` only: the lift as a congruence
+product, the RREF of ``projgeom``, a breadth-first orbit on row tuples,
+stabilizers as element sets (Schreier generators closed as they come, and
+group filters), and line orbits as the images under every element of a
+stabilizer.
 """
 
 import random
@@ -22,13 +23,11 @@ from conicnets.action import (
     k_equivalent,
     lift,
     mat3_det,
-    mat3_inv,
     mat3_mul,
-    mulclose,
     orbit_keys,
     pgl_elements,
     pgl_order,
-    stabilizer,
+    subspace_orbit,
 )
 from conicnets.atlas import plane_stabilizer_order, representative, representatives
 from conicnets.errors import ResourceBudgetError, VerificationError
@@ -36,7 +35,15 @@ from conicnets.gf import field
 from conicnets.invariants import point_class_counts
 from conicnets.projgeom import normalize_point, pack_rows, pg_points, rref, span
 from conicnets.veronese import nucleus_plane, veronese
-from oracles import act_point, act_point_pg2, sym_matrix
+from oracles import (
+    act_point,
+    act_point_pg2,
+    mat3_inv,
+    mulclose,
+    orbit_transversal,
+    stabilizer,
+    sym_matrix,
+)
 
 
 def test_pgl_order_formula():
@@ -347,37 +354,17 @@ def test_congruence_image_matches_lifted_point(q):
             assert congruence_image(gf, a, y) == act_point(gf, l, y), (a, y)
 
 
-def orbit_transversal(gf, state0, act):
-    """Breadth-first orbit of a state, storing for every state a witness
-    matrix that maps state0 to it; the oracle for ``stabilizer``."""
-    gens = generators(gf)
-    tr = {state0: IDENTITY3}
-    frontier = [state0]
-    while frontier:
-        new = []
-        for s in frontier:
-            u = tr[s]
-            for k in range(len(gens)):
-                s2 = act(s, k)
-                if s2 not in tr:
-                    tr[s2] = normalize_point(gf, mat3_mul(gf, gens[k], u))
-                    new.append(s2)
-        frontier = new
-    return tr
+R, P = (0, 1, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0)
+
+
+def _line_and_point(gf):
+    """The (line, point) pair (l0, R) the line-orbit report names."""
+    return span(gf, [R, (0, 0, 0, 1, 1, 0)]), span(gf, [R])
 
 
 def _pair_action(gf):
-    """The (line, point) pair of the line-orbit suite and the generators'
-    action on it."""
-    line = span(gf, [(0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0)])
-    point = (0, 1, 0, 1, 0, 0)
-    pa = PackedAction(gf)
-    movers = [(pa.mover(t, 2), pa.mover(t, 1)) for t in map(pa.tables, generators(gf))]
-
-    def act(state, k):
-        return movers[k][0](state[0]), movers[k][1](state[1])
-
-    return (line.key_int(), pack_rows(gf, [point])), act
+    """The packed (l0, R) pair and the generators' action on it."""
+    return _packed_step(*_line_and_point(gf))
 
 
 def test_on_demand_schreier_closure_matches_full_schreier_set(gf4):
@@ -385,7 +372,7 @@ def test_on_demand_schreier_closure_matches_full_schreier_set(gf4):
     generators as they come gives the closure of all of them."""
     state0, act = _pair_action(gf4)
     gens = generators(gf4)
-    tr = orbit_transversal(gf4, state0, act)
+    tr = orbit_transversal(gf4, state0, act)[0]
     schreier = {
         normalize_point(gf4, mat3_mul(gf4, mat3_inv(gf4, tr[act(s, k)]), mat3_mul(gf4, a, u)))
         for s, u in tr.items() for k, a in enumerate(gens)
@@ -395,24 +382,25 @@ def test_on_demand_schreier_closure_matches_full_schreier_set(gf4):
     assert len(full) == 4 * 4 * 3
 
 
-def test_closure_parents_span_the_orbit(gf4):
-    """Every state but the start is one generator step from its parent,
-    and the states come in the witness-storing BFS's discovery order."""
+def test_closure_reaches_the_transversal_orbit(gf4):
+    """The closure holds the states of the witness-storing BFS, and no
+    generator step leaves it."""
     state0, act = _pair_action(gf4)
-    tree = closure(state0, act, 2)
-    assert len(tree) == 1260 and tree[state0] is None
-    assert list(tree) == list(orbit_transversal(gf4, state0, act))
-    for s, parent in tree.items():
-        if s != state0:
-            assert s in (act(parent, 0), act(parent, 1))
+    seen = closure(state0, act, 2)
+    assert len(seen) == 1260
+    assert seen == orbit_transversal(gf4, state0, act)[0].keys()
+    assert all(act(s, k) in seen for s in seen for k in range(2))
 
 
 def test_closure_target_returns_early(gf4):
+    """A closure watching for a target stops with a proper subset of the
+    orbit that holds the target."""
     state0, act = _pair_action(gf4)
-    full = list(closure(state0, act, 2))
-    tree = closure(state0, act, 2, target=full[100])
-    assert list(tree) == full[:101]
-    assert closure(state0, act, 2, target=state0) == {state0: None}
+    full = closure(state0, act, 2)
+    for target in list(orbit_transversal(gf4, state0, act)[0])[1:1000:99]:
+        part = closure(state0, act, 2, target=target)
+        assert target in part and part < full
+    assert closure(state0, act, 2, target=state0) == {state0}
 
 
 def test_closure_max_keys_raises_with_partial(gf4):
@@ -423,11 +411,17 @@ def test_closure_max_keys_raises_with_partial(gf4):
     assert len(closure(state0, act, 2, max_keys=1260)) == 1260
 
 
-def _packed_step(s):
-    """Packed start key of a subspace and the generators' action on it."""
-    pa = PackedAction(s.gf)
-    movers = [pa.mover(pa.tables(a), len(s.rows)) for a in generators(s.gf)]
-    return s.key_int(), lambda k, i: movers[i](k)
+def _packed_step(*subspaces):
+    """Packed start state of one subspace (its key) or of several (the
+    tuple of keys), and the generators' action on it."""
+    gf = subspaces[0].gf
+    pa = PackedAction(gf)
+    tables = [pa.tables(a) for a in generators(gf)]
+    movers = [[pa.mover(t, len(s.rows)) for s in subspaces] for t in tables]
+    if len(subspaces) == 1:
+        return subspaces[0].key_int(), lambda k, i: movers[i][0](k)
+    return (tuple(s.key_int() for s in subspaces),
+            lambda st, i: tuple(m(k) for m, k in zip(movers[i], st)))
 
 
 def test_stabilizer_can_be_trivial(gf2):
@@ -438,16 +432,17 @@ def test_stabilizer_can_be_trivial(gf2):
 
 
 def test_closure_involution_skip_keeps_the_tree(gf2, gf4):
-    """Not stepping a state back by the involution that reached it leaves
-    the parent map, items and discovery order, as the plain BFS has it."""
+    """Not stepping a state back by the involution that reached it reaches
+    the same states as the plain BFS, with one step saved per state that
+    the involution reached first (the parents of ``orbit_transversal``)."""
     b, c = atlas.sigma20_parameters(gf4)
     lines = [span(gf4, [(1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0)]),
              span(gf4, [(1, 0, b, c, 0, 1), (0, 1, 0, 1, 0, 0)])]
-    cases = [_packed_step(s) for s in list(representatives(gf2).values()) + lines]
-    cases.append(_pair_action(gf4))
+    cases = [(gf2, _packed_step(s)) for s in representatives(gf2).values()]
+    cases += [(gf4, _packed_step(s)) for s in lines] + [(gf4, _pair_action(gf4))]
     assert len(cases) == 21
     sizes = []
-    for start, step in cases:
+    for gf, (start, step) in cases:
         calls = []
 
         def counted(k, i):
@@ -456,9 +451,9 @@ def test_closure_involution_skip_keeps_the_tree(gf2, gf4):
 
         plain = closure(start, counted, 2)
         n_plain = len(calls)
-        assert list(closure(start, counted, 2, involutions=(0,)).items()) == list(plain.items())
-        # one step saved per state that generator 0 reached first
-        by_t = sum(1 for k, p in plain.items() if p is not None and step(p, 0) == k)
+        assert closure(start, counted, 2, involutions=(0,)) == plain
+        parent = orbit_transversal(gf, start, step)[1]
+        by_t = sum(1 for p in parent.values() if p is not None and p[1] == 0)
         assert n_plain - (len(calls) - n_plain) == by_t
         sizes.append(len(plain))
     assert sizes[18:] == [10080, 30240, 1260]
@@ -482,51 +477,64 @@ def test_k_equivalent_stops_at_its_target(gf4, sample_matrices, monkeypatch):
     s = representative(gf4, "Sigma17")
     moved = act_subspace(s, sample_matrices(gf4)[0])
     assert k_equivalent(s, moved)
-    (tree,) = trees
-    assert list(tree)[-1] == moved.key_int()
-    assert len(tree) < len(orbit_keys(s))
-
-
-@pytest.mark.parametrize("q", (2, 4))
-def test_joint_stabilizer_matches_group_filter(q):
-    """The Schreier stabilizer of (P, conic plane of X2 = 0), which the
-    line-orbit suite walks, against the elements of the group that fix P
-    and the hyperplane H = {m22 = 0}: the two pairs have one stabilizer."""
-    gf = field(q)
-    point = span(gf, [(0, 0, 0, 0, 1, 0)])
-    hyperplane = span(gf, [atlas._e(j) for j in range(5)])
-    conic_plane = span(gf, [atlas._e(i) for i in (0, 1, 3)])
-    joint, orbit, _ = atlas._pair_stabilizer(gf, point, conic_plane)
-    p = point.rows[0]
-    direct = {a for a in pgl_elements(gf)
-              if congruence_image(gf, a, p) == p and act_subspace(hyperplane, a) == hyperplane}
-    assert joint == direct
-    assert len(joint) == (q - 1) ** 2 * q * q
-    assert orbit * len(joint) == pgl_order(q)
+    (seen,) = trees
+    assert moved.key_int() in seen
+    assert len(seen) < len(orbit_keys(s))
 
 
 def _line_orbit_cases(gf):
-    """The two stabilizers of the line-orbit suite, each with the candidate
-    lines it splits: the (line, point) pair stabilizer with the lines of the
-    conic plane through R, and the joint stabilizer of P and the conic plane,
-    which is that of P and H, with the tangency candidates through P inside
-    H."""
+    """The two stabilizers of the line-orbit suite, each as the subspaces
+    it fixes, the generators of the subgroup whose orbits it is read from,
+    and the candidate lines it splits: R with the nuclear point of the line
+    l0 = span(R, (0,0,0,1,1,0)) (fixed by the same elements as the pair
+    (l0, R)) with H_p and the lines of the conic plane through R, and P
+    with the nuclear point of kernel e2 (fixed by the same elements as P
+    and the hyperplane H) with the kernel subgroup of e0 and the tangency
+    candidates through P inside H."""
     q = gf.q
-    R, P = (0, 1, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0)
-    line = span(gf, [R, (0, 0, 0, 1, 1, 0)])
     hyperplane = span(gf, [atlas._e(j) for j in range(5)])
     conic_plane = span(gf, [atlas._e(i) for i in (0, 1, 3)])
     conic_lines = atlas._lines_through_in(gf, R, conic_plane)
     tangency = {k: l for k, l in atlas._lines_through_in(gf, P, hyperplane).items()
                 if point_class_counts(l) == (0, 1, 1, q - 1) and any(r[0] for r in l.rows)}
-    return [(atlas._pair_stabilizer(gf, line, span(gf, [R])), conic_lines),
-            (atlas._pair_stabilizer(gf, span(gf, [P]), conic_plane), tangency)]
+    return [((span(gf, [R]), span(gf, [(0, 1, 0, 0, 1, 0)])),
+             atlas._conic_point_subgroup_generators(gf), conic_lines),
+            ((span(gf, [P]), span(gf, [(0, 1, 0, 0, 0, 0)])),
+             atlas._kernel_subgroup_generators(gf, True), tangency)]
+
+
+def group_filter(gf, fixed):
+    """The elements of the whole group that fix each subspace: the
+    stabilizer by its definition.  One subspace is a point, tested first."""
+    (p,) = next(t.rows for t in fixed if len(t.rows) == 1)
+    return {a for a in pgl_elements(gf)
+            if congruence_image(gf, a, p) == p and all(act_subspace(t, a) == t for t in fixed)}
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_joint_stabilizer_matches_group_filter(q):
+    """The joint stabilizer of the line-orbit suite, of P and the nuclear
+    point of kernel e2, against the elements of the group that fix P and
+    the hyperplane H = {m22 = 0}, or P and the conic plane of X2 = 0: the
+    three pairs have one stabilizer, of order |G| / |G (P, e2's point)|,
+    and the Schreier oracle finds it.  Likewise R and the nuclear point of
+    l0 have the stabilizer of the pair (l0, R)."""
+    gf = field(q)
+    (r, nuclear), (point, kernel_point) = (case[0] for case in _line_orbit_cases(gf))
+    direct = group_filter(gf, (point, span(gf, [atlas._e(j) for j in range(5)])))
+    assert direct == group_filter(gf, (point, span(gf, [atlas._e(i) for i in (0, 1, 3)])))
+    assert direct == group_filter(gf, (point, kernel_point))
+    assert len(direct) == (q - 1) ** 2 * q * q
+    assert len(subspace_orbit((point, kernel_point), generators(gf))) * len(direct) \
+        == pgl_order(q)
+    assert stabilizer(gf, *_packed_step(point, kernel_point))[0] == direct
+    assert group_filter(gf, _line_and_point(gf)) == group_filter(gf, (r, nuclear))
 
 
 def orbits_by_every_element(gf, members, keyed):
     """Orbit partition of the given lines under a subgroup, given as the
     set of all its elements: the orbit of a line is its set of images.  The
-    oracle for the closure over Schreier generators."""
+    oracle for the fibers of orbits under a larger subgroup."""
     pa = PackedAction(gf)
     images = {k: {k} for k in keyed}
     for a in members:
@@ -547,32 +555,80 @@ def orbits_by_every_element(gf, members, keyed):
 
 @pytest.mark.parametrize("q", (2, 4))
 def test_stabilizer_generators_close_to_the_stabilizer(q):
+    """The Schreier oracle's stabilizers are the group filters, and their
+    Schreier generators close to them."""
     gf = field(q)
-    for (group, _, gens), _ in _line_orbit_cases(gf):
+    for fixed, _, _ in _line_orbit_cases(gf):
+        group, _, gens = stabilizer(gf, *_packed_step(*fixed))
+        assert group == group_filter(gf, fixed)
         assert mulclose(gf, gens) == group
 
 
 def test_pair_stabilizer_generators_close_to_the_stabilizer_q8(gf8):
-    line = span(gf8, [(0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0)])
-    group, _, gens = atlas._pair_stabilizer(gf8, line, span(gf8, [(0, 1, 0, 1, 0, 0)]))
+    group, _, gens = stabilizer(gf8, *_packed_step(*_line_and_point(gf8)))
     assert len(group) == 8 * 8 * 7
     assert mulclose(gf8, gens) == group
 
 
 @pytest.mark.parametrize("q", (2, 4))
 def test_line_orbits_by_closure_match_images_under_every_element(q):
+    """Both stabilizers of the line-orbit suite: the order |G| / |orbit| is
+    the size of the group filter, the subgroup holds the filter, and the
+    fibers of its orbits are the orbits of the filter's elements."""
     gf = field(q)
     sizes = []
-    for (group, _, gens), keyed in _line_orbit_cases(gf):
-        orbits = atlas._subgroup_orbits_on_lines(gf, gens, keyed)
-        assert orbits == orbits_by_every_element(gf, group, keyed)
+    for fixed, gens, keyed in _line_orbit_cases(gf):
+        direct = group_filter(gf, fixed)
+        assert len(subspace_orbit(fixed, generators(gf))) * len(direct) == pgl_order(q)
+        assert direct <= mulclose(gf, gens)
+        orbits = atlas._fiber_orbits(gens, fixed, keyed)
+        assert orbits == orbits_by_every_element(gf, direct, keyed)
         sizes.append(sorted(len(c) for c in orbits))
     assert sizes[0] == [1, q // 2, q // 2]
 
 
+def test_pair_fiber_orbits_match_schreier_oracle_q8(gf8):
+    """At q = 8 the pair's fibers under H_p are the orbits of the 448
+    elements of the Schreier oracle's stabilizer of (l0, R)."""
+    fixed, gens, keyed = _line_orbit_cases(gf8)[0]
+    group = stabilizer(gf8, *_packed_step(*_line_and_point(gf8)))[0]
+    orbits = atlas._fiber_orbits(gens, fixed, keyed)
+    assert orbits == orbits_by_every_element(gf8, group, keyed)
+    assert sorted(map(len, orbits)) == [1, 4, 4]
+
+
 def test_line_orbit_leaving_its_candidates_raises(gf4):
-    (group, _, gens), keyed = _line_orbit_cases(gf4)[0]
-    orbit = next(c for c in orbits_by_every_element(gf4, group, keyed) if len(c) > 1)
+    fixed, gens, keyed = _line_orbit_cases(gf4)[0]
+    orbit = next(c for c in atlas._fiber_orbits(gens, fixed, keyed) if len(c) > 1)
     keyed.pop(min(orbit))
     with pytest.raises(VerificationError, match="leaves its candidate set"):
-        atlas._subgroup_orbits_on_lines(gf4, gens, keyed)
+        atlas._fiber_orbits(gens, fixed, keyed)
+
+
+@pytest.mark.parametrize("point, q, dropped",
+                         [(False, q, d) for q in (4, 8) for d in range(4)]
+                         + [(True, 4, d) for d in range(4)])
+def test_identity_for_a_subgroup_generator_fails_a_line_orbit_check(point, q, dropped,
+                                                                      monkeypatch):
+    """With any one generator of H_p (point False: it is built from the
+    kernel subgroup fixing e0 as a column) or of the kernel subgroup of P
+    (point True) replaced by the identity, some check of the line-orbit
+    report fails."""
+    real = atlas._kernel_subgroup_generators
+
+    def fewer(gf, p):
+        gens = list(real(gf, p))
+        if p == point:
+            gens[dropped] = IDENTITY3
+        return tuple(gens)
+
+    monkeypatch.setattr(atlas, "_kernel_subgroup_generators", fewer)
+    assert not all(c["pass"] for c in atlas.verify_line_orbits(field(q))["checks"])
+
+
+def test_dropping_a_stabilizer_element_fails_the_group_filter(gf4, monkeypatch):
+    real = atlas.pgl_elements
+    monkeypatch.setattr(atlas, "pgl_elements", lambda gf: real(gf) - {IDENTITY3})
+    checks = {c["name"]: c for c in atlas.verify_line_orbits(gf4)["checks"]}
+    assert not checks["pair_stabilizer_matches_group_filter"]["pass"]
+    assert checks["pair_stabilizer_matches_group_filter"]["details"]["filter_order"] == 47

@@ -16,7 +16,6 @@ from conicnets.action import (
     k_equivalent,
     mat3_det,
     mat3_mul,
-    mulclose,
     orbit_keys,
     pgl_order,
 )
@@ -76,7 +75,7 @@ from conicnets.projgeom import (
 )
 from conicnets.veronese import expected_census, form_eval
 import oracles
-from oracles import stabilizer_order_by_candidates, unpack_rows
+from oracles import mulclose, stabilizer_order_by_candidates, unpack_rows
 
 veronese = importlib.import_module("conicnets.veronese")
 
@@ -583,7 +582,7 @@ def test_dropping_a_kernel_subgroup_generator_breaks_the_partition(dropped, monk
     """With any one generator replaced by the identity, the closure covers
     part of the subgroup, some stabilizer order comes out too large, and the
     q = 4 partition report refuses it.  The plane sweep is left out: the
-    stabilizer check reads only the 18 label chunks."""
+    stabilizer check runs before it."""
     real = atlas._kernel_subgroup_generators
 
     def fewer(gf, point):
@@ -708,6 +707,21 @@ def test_verify_partition_rejects_a_wrong_stabilizer_table(gf2, monkeypatch):
                         lambda label, q: real(label, q) * (2 if label == "Sigma18" else 1))
     with pytest.raises(VerificationError, match="Sigma18"):
         verify_partition(gf2)
+
+
+@pytest.mark.parametrize("workers", (0, 2))
+def test_wrong_stabilizer_order_raises_before_the_sweep(gf4, monkeypatch, workers):
+    """The 18 orders are counted and checked in the calling process before
+    any plane chunk is enumerated, in one process or with a pool."""
+    real = atlas.plane_stabilizer_order
+    monkeypatch.setattr(atlas, "plane_stabilizer_order",
+                        lambda s: real(s) + (classify_plane(s) == "Sigma22"))
+    calls = []
+    monkeypatch.setattr(atlas, "enumerate_planes_chunk", lambda *args: calls.append(args))
+    monkeypatch.setattr(atlas, "get_context", lambda: pytest.fail("a pool was started"))
+    with pytest.raises(VerificationError, match="stabilizer of Sigma22 has order 2"):
+        verify_partition(gf4, workers=workers)
+    assert calls == []
 
 
 @pytest.mark.slow
