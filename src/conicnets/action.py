@@ -13,7 +13,7 @@ Orbits are closed under two generators, the transvection I + E01 and a
 Singer cycle: by Kantor's theorem a subgroup of GL(3,q) holding a Singer
 cycle contains SL(3,q) or lies in GammaL(1,q^3), which has no involution
 for q even, and the Singer cycle's determinant is primitive.
-``pgl_elements`` lists the whole group row by row.
+``pgl_elements`` streams the whole group row by row.
 
 Orbit work runs on packed rows: a 6-vector held as one int, e bits per
 entry, first entry in the highest bits (the layout of ``projgeom.pack_rows``),
@@ -21,18 +21,18 @@ so a subspace key is its reduced packed rows joined together.  The action is
 linear and addition is XOR, so the image of a packed row v is
 ``hi[v >> 3e] ^ lo[v & (2^3e - 1)]`` for two split tables of q^3 entries
 each; scaling by c uses one such pair per c.  ``PackedAction`` builds these
-tables per call.  Its ``mover`` binds one matrix's tables into a map from
+tables per instance.  Its ``mover`` binds one matrix's tables into a map from
 n-row keys to image keys for points, lines and planes (n = 1, 2, 3): the one
 packed elimination, straight-line code with no dependent-row branch, since
 a lift of an invertible matrix drops no row.  ``projgeom.rref`` is the one
 general elimination.  Every orbit walk steps through movers.  One
 breadth-first ``closure`` returns the set of states it reached;
-``subspace_orbit`` runs it on the keys of one subspace or of a tuple of
-them under any list of matrices, and serves ``orbit_keys``,
-``k_equivalent`` and every stabilizer in ``atlas``, each an orbit size
-|group| / |orbit| or a fiber of a larger orbit.  A generator that is an
-involution, such as the transvection, never steps a state back to the one
-it came from.
+``PackedAction.orbit`` runs it on the keys of one subspace or of a tuple of
+them under any list of matrices, and serves ``k_equivalent`` and every
+stabilizer in ``atlas``, each an orbit size |group| / |orbit| or a fiber of
+a larger orbit.  A generator that is an involution, such as the
+transvection, never steps a state back to the one it came from.
+``orbit_keys`` sweeps a plane with a nuclear kernel, one mover call per key.
 ``congruence_image`` moves one point, each diagonal entry of A M A^T a sum
 of squares; ``act_subspace`` moves each basis row with it and reduces.
 """
@@ -164,6 +164,25 @@ class PackedAction:
 
     def tables(self, a) -> tuple[list[int], list[int]]:
         return _split_tables(self.gf, lift(self.gf, a))
+
+    def walk(self, subspaces, gens):
+        """``closure``'s (start, step, involutions) for subspaces under ``gens``:
+        a state is one key or a tuple of keys; an involution squares to I."""
+        gf = self.gf
+        tables = [self.tables(a) for a in gens]
+        involutions = [i for i, a in enumerate(gens)
+                       if normalize_point(gf, mat3_mul(gf, a, a)) == IDENTITY3]
+        movers = [[self.mover(t, len(s.rows)) for t in tables] for s in subspaces]
+        if len(movers) == 1:
+            (m,) = movers
+            return subspaces[0].key_int(), lambda k, i: m[i](k), involutions
+        step = lambda st, i: tuple(m[i](k) for m, k in zip(movers, st))
+        return tuple(s.key_int() for s in subspaces), step, involutions
+
+    def orbit(self, subspaces, gens, max_keys: int | None = None, target=None) -> set:
+        """Orbit of the ``walk`` of ``subspaces``: one ``closure``."""
+        start, step, involutions = self.walk(subspaces, gens)
+        return closure(start, step, len(gens), max_keys, target, involutions)
 
     def mover(self, tables, n: int):
         """The map key -> image key of n-row subspaces under ``tables``,
@@ -314,8 +333,8 @@ def generators(gf: GF) -> tuple[tuple[int, ...], ...]:
     raise VerificationError("no primitive cubic over GF(%d)" % gf.q)
 
 
-def pgl_elements(gf: GF) -> set[tuple[int, ...]]:
-    """The full projectivity group as normalized matrices (practical q <= 4).
+def pgl_elements(gf: GF):
+    """Yields the full projectivity group as normalized matrices (q <= 4).
 
     Enumerated row by row: a normalized first row, then any second row off
     its span, then any third row off the span of both.  Each element of
@@ -323,14 +342,12 @@ def pgl_elements(gf: GF) -> set[tuple[int, ...]]:
     """
     mul, els = gf._mul, gf.elements
     vectors = list(product(els, repeat=3))
-    out = set()
     for r0 in pg_points(gf, 2):
         line = {tuple(mul[c][x] for x in r0) for c in els}
         for r1 in vectors:
             if r1 not in line:
                 plane = {tuple(u ^ mul[c][x] for u, x in zip(p, r1)) for p in line for c in els}
-                out.update(r0 + r1 + r2 for r2 in vectors if r2 not in plane)
-    return out
+                yield from (r0 + r1 + r2 for r2 in vectors if r2 not in plane)
 
 
 # -- orbits ----------------------------------------------------------------
@@ -374,34 +391,39 @@ def closure(start, step, ngens: int, max_keys: int | None = None, target=None,
 
 
 def subspace_orbit(subspaces, gens, max_keys: int | None = None, target=None) -> set:
-    """Orbit of a tuple of one to three subspaces under the group generated
-    by the matrices ``gens``: one ``closure`` over ``PackedAction`` movers.
-
-    The state of one subspace is its packed key, that of two or three the
-    tuple of their keys.  Generators whose square is the identity
-    (projectively) are passed to ``closure`` as involutions.
-    """
-    gf = subspaces[0].gf
-    pa = PackedAction(gf)
-    tables = [pa.tables(a) for a in gens]
-    involutions = [i for i, a in enumerate(gens)
-                   if normalize_point(gf, mat3_mul(gf, a, a)) == IDENTITY3]
-    m0, *rest = [[pa.mover(t, len(s.rows)) for t in tables] for s in subspaces]
-    start = tuple(s.key_int() for s in subspaces)
-    if not rest:
-        start, step = start[0], lambda k, i: m0[i](k)
-    elif len(rest) == 1:
-        (m1,) = rest
-        step = lambda st, i: (m0[i](st[0]), m1[i](st[1]))
-    else:
-        m1, m2 = rest
-        step = lambda st, i: (m0[i](st[0]), m1[i](st[1]), m2[i](st[2]))
-    return closure(start, step, len(gens), max_keys, target, involutions)
+    """Orbit of a tuple of subspaces under the group generated by the
+    matrices ``gens``: ``PackedAction.orbit`` on tables of its own."""
+    return PackedAction(subspaces[0].gf).orbit(subspaces, gens, max_keys, target)
 
 
 def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
-    """Packed keys of the full orbit of s, by breadth-first closure."""
-    return subspace_orbit((s,), generators(s.gf), max_keys)
+    """Packed keys of the full orbit of s, refused for q > 16 before any
+    table is built and once more than ``max_keys`` keys are held.
+
+    A plane meeting the nucleus plane in a point or a line is the union of
+    its ``atlas.kernel_fiber`` F and F's images under S^1 .. S^(q^2+q), S the
+    Singer cycle, each a map of S's mover over the last.  S moves kernels
+    regularly: a count other than (q^2+q+1) |F| raises VerificationError.
+    The nucleus plane is its own orbit; any other subspace is a ``closure``."""
+    from .atlas import kernel_fiber
+    from .invariants import nucleus_cut
+    pa, gens, n = PackedAction(s.gf), generators(s.gf), s.gf.q * s.gf.q + s.gf.q + 1
+    meet = nucleus_cut(s)[0] if len(s.rows) == 3 else None
+    if meet is None:
+        return pa.orbit((s,), gens, max_keys)
+    if meet.dim == 2:
+        return {s.key_int()}
+    fiber = list(kernel_fiber(s, meet, pa, max_keys))
+    out, image, move = set(fiber), fiber, pa.mover(pa.tables(gens[1]), 3)
+    for _ in range(n - 1):
+        image = list(map(move, image))
+        out.update(image)
+        if max_keys is not None and len(out) > max_keys:
+            raise ResourceBudgetError("orbit enumeration exceeded %d keys" % max_keys,
+                                      partial=len(out))
+    if len(out) != n * len(fiber):
+        raise VerificationError("the Singer images of a kernel fiber overlap")
+    return out
 
 
 def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> bool:

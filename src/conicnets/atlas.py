@@ -23,12 +23,14 @@ import random
 from collections import Counter
 
 from .action import (
+    PackedAction,
     act_subspace,
     congruence_image,
     generators,
     orbit_keys,
     pgl_elements,
     pgl_order,
+    closure,
     subspace_orbit,
 )
 from .errors import (
@@ -197,32 +199,36 @@ def _kernel_subgroup_generators(gf: GF, point: bool) -> tuple[tuple[int, ...], .
             (1, 0, 0, 0, gf.primitive_element(), 0, 0, 0, 1))
 
 
+def kernel_fiber(s: Subspace, meet: Subspace, pa: PackedAction, max_keys: int | None) -> set[int]:
+    """Packed keys of H (C s), the planes of the orbit of s whose kernel is
+    e0, for s meeting the nucleus plane in the point or line ``meet``.
+    Kernels u = (y4, y2, y1) of nuclear points (the basis of the meet) move
+    by u -> A^-T u, the dual vector w of the kernels' line by w -> A w.  C,
+    whose first row is u or whose last two rows are kernels (unit vectors
+    fill the rest), moves u or w to e0, whose stabilizer H is the q^3 (q-1)
+    (q^2-1) normalized matrices with first row, or first column, (1,0,0)."""
+    kernels = [(y[4], y[2], y[1]) for y in meet.rows]
+    pivots = [r.index(1) for r in rref(s.gf, kernels)]
+    units = [tuple(int(i == j) for i in range(3)) for j in range(3) if j not in pivots]
+    point = meet.dim == 0
+    moved = act_subspace(s, sum(kernels + units if point else units + kernels, ()))
+    return pa.orbit((moved,), _kernel_subgroup_generators(s.gf, point), max_keys)
+
+
 def plane_stabilizer_order(s: Subspace) -> int:
     """Order of the stabilizer in PGL(3,q) of a plane meeting the nucleus
     plane, by orbit-stabilizer inside the subgroup H that holds it.
 
-    Kernels u = (y4, y2, y1) of nuclear points (the basis of the meet)
-    move by u -> A^-T u, so the stabilizer fixes the one kernel u, or the
-    dual vector w (moving by w -> A w) of the kernels' line.  Moved by C,
-    whose first row is u or whose last two rows are kernels (unit vectors
-    fill the rest), the plane has u or w at e0, and its stabilizer lies in
-    H, the q^3 (q-1) (q^2-1) normalized matrices with first row, or first
-    column, (1,0,0): the order is |H| / |H s|, H s a ``subspace_orbit``
-    (refused past 2^18 planes).  The whole group fixes the nucleus plane.
-    """
+    The stabilizer fixes the plane's kernel, so moved by C it lies in H:
+    the order is |H| / |``kernel_fiber``|, refused past 2^18 planes.  The
+    whole group fixes the nucleus plane."""
     gf, q = s.gf, s.gf.q
     meet = nucleus_cut(s)[0]
     if meet is None:
         raise OutOfFamilyError("plane misses the nucleus plane")
     if meet.dim == 2:
         return pgl_order(q)
-    kernels = [(y[4], y[2], y[1]) for y in meet.rows]
-    pivots = [r.index(1) for r in rref(gf, kernels)]
-    units = [tuple(int(i == j) for i in range(3)) for j in range(3) if j not in pivots]
-    point = meet.dim == 0
-    moved = act_subspace(s, sum(kernels + units if point else units + kernels, ()))
-    orbit = subspace_orbit((moved,), _kernel_subgroup_generators(gf, point), max_keys=2**18)
-    return q**3 * (q - 1) * (q * q - 1) // len(orbit)
+    return q**3 * (q - 1) * (q * q - 1) // len(kernel_fiber(s, meet, PackedAction(gf), 2**18))
 
 
 # -- parameter searches ----------------------------------------------------
@@ -855,15 +861,22 @@ def _fiber_orbits(gens, fixed: tuple[Subspace, ...], keyed: dict[int, Subspace])
     ``fixed``, in order of each orbit's least key, for ``gens`` generating
     a subgroup K that holds S.  The S-orbit of a line l is a fiber of a
     K-orbit: the lines l' with (fixed, l') in K (fixed, l), since the
-    element of K that carries the one to the other fixes ``fixed``.  An
+    element of K that carries the one to the other fixes ``fixed``.  K fixed
+    is tabled by one walk, so a fiber's closure moves only the line; an
     orbit that leaves the given lines raises VerificationError."""
-    head = tuple(s.key_int() for s in fixed)
+    pa = PackedAction(fixed[0].gf)
+    head, step, involutions = pa.walk(fixed, gens)
+    table = {}  # (state, i) -> image: each met once, no involution skipped
+    closure(head, lambda st, i: table.setdefault((st, i), step(st, i)), len(gens))
+    movers = [pa.mover(pa.tables(a), 2) for a in gens]
     orbits: list[set[int]] = []
     placed: set[int] = set()
     for k in sorted(keyed):
         if k in placed:
             continue
-        comp = {st[-1] for st in subspace_orbit((*fixed, keyed[k]), gens) if st[:-1] == head}
+        seen = closure((head, k), lambda st, i: (table[st[0], i], movers[i](st[1])),
+                       len(gens), involutions=involutions)
+        comp = {line for st, line in seen if st == head}
         if not comp <= keyed.keys():
             raise VerificationError("a line orbit leaves its candidate set")
         orbits.append(comp)
@@ -882,8 +895,8 @@ def verify_line_orbits(gf: GF) -> dict:
     two orbits, and two specific line stabilizers have orders 6 and 2 with
     a 480-line hyperplane count.
 
-    A stabilizer's order is |PGL(3,q)| / |orbit|, the orbit a
-    ``subspace_orbit`` under ``generators``; its orbits on lines are
+    A stabilizer's order is |PGL(3,q)| / |orbit|, the orbit walked under
+    ``generators``, or in H after a kernel move; its orbits on lines are
     ``_fiber_orbits`` under a subgroup of order q^3 (q-1) (q^2-1) that is
     checked to hold it by the same count: H_p, fixing v(e1), for the pair,
     and P's stabilizer (``_kernel_subgroup_generators``) for the joint one.
@@ -897,15 +910,18 @@ def verify_line_orbits(gf: GF) -> dict:
 
     l0 = span(gf, [(0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0)])
     R = (0, 1, 0, 1, 0, 0)
-    # l0 is spanned by R and its nuclear point, so the (line, point) pair
+    # l0 is spanned by R and its nuclear point N, so the (line, point) pair
     # and the two points have one stabilizer; points move faster.
+    # |G pair| = |G N| |H (C pair)|: C moves N's kernel (1,0,1) to e0, fixed by H.
     pair = (span(gf, [R]), span(gf, [(0, 1, 0, 0, 1, 0)]))
-    pair_orbit = len(subspace_orbit(pair, group))
+    nuclear_orbit = len(subspace_orbit(pair[1:], group))
+    moved = tuple(act_subspace(t, (1, 0, 1, 0, 1, 0, 0, 0, 1)) for t in pair)
+    pair_orbit = nuclear_orbit * len(subspace_orbit(moved, _kernel_subgroup_generators(gf, True)))
     order = pgl_order(q) // pair_orbit
     want_order = q * q * (q - 1)
     checks.append(_check(
         "pair_stabilizer_order",
-        order == want_order and pair_orbit * want_order == pgl_order(q),
+        pair_orbit * want_order == pgl_order(q) and nuclear_orbit == q * q + q + 1,
         {"order": order, "expected": want_order, "pair_orbit": pair_orbit},
     ))
     fixed_pt = (0, 0, 0, 1, 0, 0)
@@ -918,9 +934,11 @@ def verify_line_orbits(gf: GF) -> dict:
         {"point": list(fixed_pt)},
     ))
     if q == 4:
+        # Diagonal entry i of A R A^T is a_i1^2, R's only diagonal entry
+        # being m11, so A fixes R only if a_01 = a_21 = 0.
         filtered = sum(
             1 for a in pgl_elements(gf)
-            if congruence_image(gf, a, R) == R and act_subspace(l0, a) == l0
+            if a[1] == a[7] == 0 and congruence_image(gf, a, R) == R and act_subspace(l0, a) == l0
         )
         checks.append(_check(
             "pair_stabilizer_matches_group_filter",

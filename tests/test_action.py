@@ -102,8 +102,12 @@ def test_generators_are_a_transvection_and_a_singer_cycle(e):
 
 @pytest.mark.parametrize("q", (2, 4))
 def test_pgl_elements_matches_generator_closure(q):
+    """The stream meets each element once: as many as the group's order,
+    and as a set the closure of the generators."""
     gf = field(q)
-    assert pgl_elements(gf) == mulclose(gf, generators(gf))
+    elements = list(pgl_elements(gf))
+    assert len(elements) == pgl_order(q)
+    assert set(elements) == mulclose(gf, generators(gf))
 
 
 def test_matrix_algebra(gf4, sample_matrices):
@@ -326,9 +330,41 @@ def tuple_orbit_keys(s):
 
 
 @pytest.mark.parametrize("q", (2, 4))
-def test_packed_orbit_keys_match_tuple_bfs(q):
-    for label, s in representatives(field(q)).items():
-        assert orbit_keys(s) == tuple_orbit_keys(s), label
+def test_packed_orbit_keys_match_tuple_bfs(q, sample_matrices):
+    """Swept or walked, each orbit is the tuple BFS's, from the
+    representative and from moved copies of it."""
+    gf = field(q)
+    moves = sample_matrices(gf)[2:4]
+    for label, s in representatives(gf).items():
+        want = tuple_orbit_keys(s)
+        assert orbit_keys(s) == want, label
+        for a in moves:
+            assert orbit_keys(act_subspace(s, a)) == want, label
+
+
+@pytest.mark.parametrize("q", (2, 4, 8))
+def test_singer_sweep_needs_the_singer_cycle(q, monkeypatch):
+    """With the transvection in the Singer cycle's place the images of a
+    kernel fiber overlap (the transvection is an involution), and the count
+    check refuses the sweep.  A point's breadth-first orbit is then the
+    transvection's, two points."""
+    gf = field(q)
+    monkeypatch.setattr(action, "generators", lambda gf: (action.TRANSVECTION,) * 2)
+    for label in ("Sigma8", "Sigma15"):
+        with pytest.raises(VerificationError, match="Singer images"):
+            orbit_keys(representative(gf, label))
+    assert len(orbit_keys(span(gf, [veronese(gf, (0, 1, 0))]))) == 2
+
+
+def test_sweep_takes_one_packed_action(gf4, monkeypatch):
+    """The fiber walk and the Singer sweep of one orbit share one set of
+    scale tables."""
+    built = []
+    real = PackedAction.__init__
+    monkeypatch.setattr(PackedAction, "__init__",
+                        lambda self, gf: built.append(gf) or real(self, gf))
+    assert len(orbit_keys(representative(gf4, "Sigma9"))) == 1260
+    assert len(built) == 1
 
 
 def test_act_subspace_matches_congruence_lift(gf8):
@@ -624,11 +660,37 @@ def test_identity_for_a_subgroup_generator_fails_a_line_orbit_check(point, q, dr
 
     monkeypatch.setattr(atlas, "_kernel_subgroup_generators", fewer)
     assert not all(c["pass"] for c in atlas.verify_line_orbits(field(q))["checks"])
+    # the same subgroup sweeps the orbits of planes with that kind of meet
+    label = "Sigma22" if point else "Sigma8"
+    assert len(orbit_keys(representative(field(q), label))) \
+        < pgl_order(q) // atlas.expected_stabilizer_order(label, q)
+
+
+@pytest.mark.parametrize("q", (4, 8))
+def test_pair_count_needs_the_singer_cycle(q, monkeypatch):
+    """The pair's orbit size is |G N| |H (C pair)|, and |G N| is walked,
+    not assumed: with the transvection alone it is 2, and the check fails."""
+    real = atlas.generators
+    monkeypatch.setattr(atlas, "generators", lambda gf: real(gf)[:1])
+    checks = {c["name"]: c for c in atlas.verify_line_orbits(field(q))["checks"]}
+    assert not checks["pair_stabilizer_order"]["pass"]
+
+
+def test_prefiltered_group_filter_matches_the_plain_filter(gf4):
+    """The streamed filter, which tests a_01 = a_21 = 0 before moving R,
+    counts what the plain filter over the whole group as a set counts."""
+    R = (0, 1, 0, 1, 0, 0)
+    l0 = span(gf4, [R, (0, 0, 0, 1, 1, 0)])
+    plain = sum(1 for a in set(pgl_elements(gf4))
+                if congruence_image(gf4, a, R) == R and act_subspace(l0, a) == l0)
+    checks = {c["name"]: c for c in atlas.verify_line_orbits(gf4)["checks"]}
+    assert checks["pair_stabilizer_matches_group_filter"]["details"]["filter_order"] \
+        == plain == 48
 
 
 def test_dropping_a_stabilizer_element_fails_the_group_filter(gf4, monkeypatch):
     real = atlas.pgl_elements
-    monkeypatch.setattr(atlas, "pgl_elements", lambda gf: real(gf) - {IDENTITY3})
+    monkeypatch.setattr(atlas, "pgl_elements", lambda gf: set(real(gf)) - {IDENTITY3})
     checks = {c["name"]: c for c in atlas.verify_line_orbits(gf4)["checks"]}
     assert not checks["pair_stabilizer_matches_group_filter"]["pass"]
     assert checks["pair_stabilizer_matches_group_filter"]["details"]["filter_order"] == 47
