@@ -20,30 +20,34 @@ entry, first entry in the highest bits (the layout of ``projgeom.pack_rows``),
 so a subspace key is its reduced packed rows joined together.  The action is
 linear and addition is XOR, so the image of a packed row v is
 ``hi[v >> 3e] ^ lo[v & (2^3e - 1)]`` for two split tables of q^3 entries
-each; scaling by c uses one such pair per c.  ``PackedAction`` builds these
-tables per instance.  Its ``mover`` binds one matrix's tables into a map from
-n-row keys to image keys for points, lines and planes (n = 1, 2, 3): the one
-packed elimination, straight-line code with no dependent-row branch, since
-a lift of an invertible matrix drops no row.  ``projgeom.rref`` is the one
-general elimination.  Every orbit walk steps through movers.  One
-breadth-first ``closure`` returns the set of states it reached;
-``PackedAction.orbit`` runs it on the keys of one subspace or of a tuple of
-them under any list of matrices, and serves ``k_equivalent`` and every
-stabilizer in ``atlas``, each an orbit size |group| / |orbit| or a fiber of
-a larger orbit.  A generator that is an involution, such as the
-transvection, never steps a state back to the one it came from.
-``orbit_keys`` sweeps a plane with a nuclear kernel, one mover call per key.
+each; scaling by c uses one such pair per c.  ``packed_action`` builds one
+``PackedAction`` per field per process.  Its ``mover`` binds one matrix's
+tables into a map from n-row keys to image keys for points, lines and
+planes (n = 1, 2, 3): the one packed elimination, straight-line code with no
+dependent-row branch, since a lift of an invertible matrix drops no row.
+Every orbit walk steps through movers.  One breadth-first ``closure``
+returns the set of states it reached; ``subspace_orbit`` runs it on the
+``PackedAction.walk`` of a tuple of subspaces under any list of matrices.
+A generator that is an involution, such as the transvection, never steps a
+state back to the one it came from.  ``kernel_fiber``, the one kernel move,
+walks subspaces carried by C, which takes a nuclear kernel to e0, under the
+kernel's stabilizer H: ``orbit_keys`` sweeps a plane's fiber by the Singer
+cycle, one mover call per key, and ``atlas`` counts stabilizers by it.
 ``congruence_image`` moves one point, each diagonal entry of A M A^T a sum
 of squares; ``act_subspace`` moves each basis row with it and reduces.
+Layers import in one order: gf, projgeom, veronese, invariants, action,
+atlas, cli.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 
 from .errors import ResourceBudgetError, VerificationError
 from .gf import GF
-from .projgeom import Subspace, normalize_point, pg_points, rref
+from .invariants import nucleus_cut, nucleus_meet_dim, point_class_counts
+from .projgeom import Subspace, mat3_det, normalize_point, pg_points, rref
 
 IDENTITY3 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
@@ -61,15 +65,6 @@ def mat3_mul(gf: GF, a, b) -> tuple[int, ...]:
         m0, m1, m2 = mul[a[i]], mul[a[i + 1]], mul[a[i + 2]]
         out += (m0[b0] ^ m1[b3] ^ m2[b6], m0[b1] ^ m1[b4] ^ m2[b7], m0[b2] ^ m1[b5] ^ m2[b8])
     return tuple(out)
-
-
-def mat3_det(gf: GF, a) -> int:
-    mul = gf._mul
-    return (
-        mul[a[0]][mul[a[4]][a[8]] ^ mul[a[5]][a[7]]]
-        ^ mul[a[1]][mul[a[3]][a[8]] ^ mul[a[5]][a[6]]]
-        ^ mul[a[2]][mul[a[3]][a[7]] ^ mul[a[4]][a[6]]]
-    )
 
 
 def lift(gf: GF, a) -> tuple[tuple[int, ...], ...]:
@@ -142,9 +137,8 @@ class PackedAction:
     the ``shi``/``slo`` lists; ``tables(a)`` builds the split image tables
     of lift(a).  A subspace with n basis rows is passed around as its
     packed key, and ``mover(tables, n)`` maps it to its image key for n in
-    1..3, the only packed elimination.  All tables are built per instance,
-    q^3 entries each, so this serves only the small fields where orbits
-    can be enumerated.
+    1..3, the only packed elimination.  Every table has q^3 entries, so
+    this serves only the small fields where orbits can be enumerated.
     """
 
     def __init__(self, gf: GF):
@@ -178,11 +172,6 @@ class PackedAction:
             return subspaces[0].key_int(), lambda k, i: m[i](k), involutions
         step = lambda st, i: tuple(m[i](k) for m, k in zip(movers, st))
         return tuple(s.key_int() for s in subspaces), step, involutions
-
-    def orbit(self, subspaces, gens, max_keys: int | None = None, target=None) -> set:
-        """Orbit of the ``walk`` of ``subspaces``: one ``closure``."""
-        start, step, involutions = self.walk(subspaces, gens)
-        return closure(start, step, len(gens), max_keys, target, involutions)
 
     def mover(self, tables, n: int):
         """The map key -> image key of n-row subspaces under ``tables``,
@@ -284,6 +273,9 @@ class PackedAction:
             return (d << w | b) << w | a
 
         return (move1, move2, move3)[n - 1]
+
+
+packed_action = functools.cache(PackedAction)
 
 
 # -- generators and the group ---------------------------------------------
@@ -392,8 +384,45 @@ def closure(start, step, ngens: int, max_keys: int | None = None, target=None,
 
 def subspace_orbit(subspaces, gens, max_keys: int | None = None, target=None) -> set:
     """Orbit of a tuple of subspaces under the group generated by the
-    matrices ``gens``: ``PackedAction.orbit`` on tables of its own."""
-    return PackedAction(subspaces[0].gf).orbit(subspaces, gens, max_keys, target)
+    matrices ``gens``: one ``closure`` of their ``PackedAction.walk``."""
+    start, step, involutions = packed_action(subspaces[0].gf).walk(subspaces, gens)
+    return closure(start, step, len(gens), max_keys, target, involutions)
+
+
+def _kernel_subgroup_generators(gf: GF, point: bool) -> tuple[tuple[int, ...], ...]:
+    """x12(1), x21(1), x10(1) (point) or x01(1) (line), diag(1, w, 1) for w
+    primitive: its conjugates of x12(1), x21(1) give GL(2,q) in the lower
+    block, whose conjugates of the third give every translation of H."""
+    return ((1, 0, 0, 0, 1, 1, 0, 0, 1), (1, 0, 0, 0, 1, 0, 0, 1, 1),
+            (1, 0, 0, 1, 1, 0, 0, 0, 1) if point else (1, 1, 0, 0, 1, 0, 0, 0, 1),
+            (1, 0, 0, 0, gf.primitive_element(), 0, 0, 0, 1))
+
+
+def _conic_point_subgroup_generators(gf: GF) -> list[tuple[int, ...]]:
+    """Generators of H_p, the stabilizer of e1 and so of its Veronese point
+    (0,0,0,1,0,0): those of the kernel subgroup fixing e0 (first column
+    (1,0,0)) with coordinates 0 and 1 swapped."""
+    swap = (1, 0, 2)
+    return [tuple(a[3 * swap[i] + swap[j]] for i in range(3) for j in range(3))
+            for a in _kernel_subgroup_generators(gf, False)]
+
+
+def kernel_fiber(subspaces, meet: Subspace, max_keys: int | None = None) -> set:
+    """Orbit under H of the ``subspaces`` moved by C, for ``meet`` a point
+    or line of the nucleus plane that their stabilizer fixes; for a plane
+    and its meet, the planes of its orbit with kernel e0.  Kernels
+    u = (y4, y2, y1) of nuclear points (the basis of the meet) move by
+    u -> A^-T u, the dual vector w of the kernels' line by w -> A w.  C,
+    whose first row is u or whose last two rows are kernels (unit vectors
+    fill the rest), moves u or w to e0, whose stabilizer H is the q^3 (q-1)
+    (q^2-1) normalized matrices with first row, or first column, (1,0,0)."""
+    kernels = [(y[4], y[2], y[1]) for y in meet.rows]
+    pivots = [r.index(1) for r in rref(meet.gf, kernels)]
+    units = [tuple(int(i == j) for i in range(3)) for j in range(3) if j not in pivots]
+    point = meet.dim == 0
+    c = sum(kernels + units if point else units + kernels, ())
+    return subspace_orbit(tuple(act_subspace(s, c) for s in subspaces),
+                          _kernel_subgroup_generators(meet.gf, point), max_keys)
 
 
 def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
@@ -401,19 +430,17 @@ def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     table is built and once more than ``max_keys`` keys are held.
 
     A plane meeting the nucleus plane in a point or a line is the union of
-    its ``atlas.kernel_fiber`` F and F's images under S^1 .. S^(q^2+q), S the
+    its ``kernel_fiber`` F and F's images under S^1 .. S^(q^2+q), S the
     Singer cycle, each a map of S's mover over the last.  S moves kernels
     regularly: a count other than (q^2+q+1) |F| raises VerificationError.
     The nucleus plane is its own orbit; any other subspace is a ``closure``."""
-    from .atlas import kernel_fiber
-    from .invariants import nucleus_cut
-    pa, gens, n = PackedAction(s.gf), generators(s.gf), s.gf.q * s.gf.q + s.gf.q + 1
+    pa, gens, n = packed_action(s.gf), generators(s.gf), s.gf.q * s.gf.q + s.gf.q + 1
     meet = nucleus_cut(s)[0] if len(s.rows) == 3 else None
     if meet is None:
-        return pa.orbit((s,), gens, max_keys)
+        return subspace_orbit((s,), gens, max_keys)
     if meet.dim == 2:
         return {s.key_int()}
-    fiber = list(kernel_fiber(s, meet, pa, max_keys))
+    fiber = list(kernel_fiber((s,), meet, max_keys))
     out, image, move = set(fiber), fiber, pa.mover(pa.tables(gens[1]), 3)
     for _ in range(n - 1):
         image = list(map(move, image))
@@ -432,8 +459,6 @@ def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> boo
         raise ValueError("subspaces live in different spaces")
     if len(s1.rows) != len(s2.rows):
         return False
-    from .invariants import nucleus_meet_dim, point_class_counts
-
     if nucleus_meet_dim(s1) != nucleus_meet_dim(s2):
         return False
     if point_class_counts(s1) != point_class_counts(s2):

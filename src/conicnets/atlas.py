@@ -23,14 +23,17 @@ import random
 from collections import Counter
 
 from .action import (
-    PackedAction,
+    _conic_point_subgroup_generators,
+    _kernel_subgroup_generators,
     act_subspace,
+    closure,
     congruence_image,
     generators,
+    kernel_fiber,
     orbit_keys,
+    packed_action,
     pgl_elements,
     pgl_order,
-    closure,
     subspace_orbit,
 )
 from .errors import (
@@ -190,31 +193,6 @@ def expected_stabilizer_order(label: str, q: int) -> int:
     return table[label]
 
 
-def _kernel_subgroup_generators(gf: GF, point: bool) -> tuple[tuple[int, ...], ...]:
-    """x12(1), x21(1), x10(1) (point) or x01(1) (line), diag(1, w, 1) for w
-    primitive: its conjugates of x12(1), x21(1) give GL(2,q) in the lower
-    block, whose conjugates of the third give every translation of H."""
-    return ((1, 0, 0, 0, 1, 1, 0, 0, 1), (1, 0, 0, 0, 1, 0, 0, 1, 1),
-            (1, 0, 0, 1, 1, 0, 0, 0, 1) if point else (1, 1, 0, 0, 1, 0, 0, 0, 1),
-            (1, 0, 0, 0, gf.primitive_element(), 0, 0, 0, 1))
-
-
-def kernel_fiber(s: Subspace, meet: Subspace, pa: PackedAction, max_keys: int | None) -> set[int]:
-    """Packed keys of H (C s), the planes of the orbit of s whose kernel is
-    e0, for s meeting the nucleus plane in the point or line ``meet``.
-    Kernels u = (y4, y2, y1) of nuclear points (the basis of the meet) move
-    by u -> A^-T u, the dual vector w of the kernels' line by w -> A w.  C,
-    whose first row is u or whose last two rows are kernels (unit vectors
-    fill the rest), moves u or w to e0, whose stabilizer H is the q^3 (q-1)
-    (q^2-1) normalized matrices with first row, or first column, (1,0,0)."""
-    kernels = [(y[4], y[2], y[1]) for y in meet.rows]
-    pivots = [r.index(1) for r in rref(s.gf, kernels)]
-    units = [tuple(int(i == j) for i in range(3)) for j in range(3) if j not in pivots]
-    point = meet.dim == 0
-    moved = act_subspace(s, sum(kernels + units if point else units + kernels, ()))
-    return pa.orbit((moved,), _kernel_subgroup_generators(s.gf, point), max_keys)
-
-
 def plane_stabilizer_order(s: Subspace) -> int:
     """Order of the stabilizer in PGL(3,q) of a plane meeting the nucleus
     plane, by orbit-stabilizer inside the subgroup H that holds it.
@@ -222,13 +200,13 @@ def plane_stabilizer_order(s: Subspace) -> int:
     The stabilizer fixes the plane's kernel, so moved by C it lies in H:
     the order is |H| / |``kernel_fiber``|, refused past 2^18 planes.  The
     whole group fixes the nucleus plane."""
-    gf, q = s.gf, s.gf.q
+    q = s.gf.q
     meet = nucleus_cut(s)[0]
     if meet is None:
         raise OutOfFamilyError("plane misses the nucleus plane")
     if meet.dim == 2:
         return pgl_order(q)
-    return q**3 * (q - 1) * (q * q - 1) // len(kernel_fiber(s, meet, PackedAction(gf), 2**18))
+    return q**3 * (q - 1) * (q * q - 1) // len(kernel_fiber((s,), meet, 2**18))
 
 
 # -- parameter searches ----------------------------------------------------
@@ -847,15 +825,6 @@ def _lines_through_in(gf: GF, p, amb: Subspace) -> dict[int, Subspace]:
     return out
 
 
-def _conic_point_subgroup_generators(gf: GF) -> list[tuple[int, ...]]:
-    """Generators of H_p, the stabilizer of e1 and so of its Veronese point
-    (0,0,0,1,0,0): those of the kernel subgroup fixing e0 (first column
-    (1,0,0)) with coordinates 0 and 1 swapped."""
-    swap = (1, 0, 2)
-    return [tuple(a[3 * swap[i] + swap[j]] for i in range(3) for j in range(3))
-            for a in _kernel_subgroup_generators(gf, False)]
-
-
 def _fiber_orbits(gens, fixed: tuple[Subspace, ...], keyed: dict[int, Subspace]):
     """Orbits on the given lines of the stabilizer S of the subspaces
     ``fixed``, in order of each orbit's least key, for ``gens`` generating
@@ -864,7 +833,7 @@ def _fiber_orbits(gens, fixed: tuple[Subspace, ...], keyed: dict[int, Subspace])
     element of K that carries the one to the other fixes ``fixed``.  K fixed
     is tabled by one walk, so a fiber's closure moves only the line; an
     orbit that leaves the given lines raises VerificationError."""
-    pa = PackedAction(fixed[0].gf)
+    pa = packed_action(fixed[0].gf)
     head, step, involutions = pa.walk(fixed, gens)
     table = {}  # (state, i) -> image: each met once, no involution skipped
     closure(head, lambda st, i: table.setdefault((st, i), step(st, i)), len(gens))
@@ -912,11 +881,10 @@ def verify_line_orbits(gf: GF) -> dict:
     R = (0, 1, 0, 1, 0, 0)
     # l0 is spanned by R and its nuclear point N, so the (line, point) pair
     # and the two points have one stabilizer; points move faster.
-    # |G pair| = |G N| |H (C pair)|: C moves N's kernel (1,0,1) to e0, fixed by H.
+    # |G pair| = |G N| |H (C pair)|, C moving N's kernel to e0.
     pair = (span(gf, [R]), span(gf, [(0, 1, 0, 0, 1, 0)]))
     nuclear_orbit = len(subspace_orbit(pair[1:], group))
-    moved = tuple(act_subspace(t, (1, 0, 1, 0, 1, 0, 0, 0, 1)) for t in pair)
-    pair_orbit = nuclear_orbit * len(subspace_orbit(moved, _kernel_subgroup_generators(gf, True)))
+    pair_orbit = nuclear_orbit * len(kernel_fiber(pair, pair[1]))
     order = pgl_order(q) // pair_orbit
     want_order = q * q * (q - 1)
     checks.append(_check(
@@ -976,10 +944,9 @@ def verify_line_orbits(gf: GF) -> dict:
             k: l for k, l in _lines_through_in(gf, P, H).items()
             if point_class_counts(l) == (0, 1, 1, q - 1) and any(r[0] for r in l.rows)
         }
-        # the kernel subgroup fixing e0, the kernel of P, is P's stabilizer
-        kernel_gens = _kernel_subgroup_generators(gf, True)
-        holds = kernel_order == joint * len(subspace_orbit(points, kernel_gens))
-        orbits = _fiber_orbits(kernel_gens, points, cand)
+        # P's kernel is e0 (C is the identity), so H is P's stabilizer
+        holds = kernel_order == joint * len(kernel_fiber(points, points[0]))
+        orbits = _fiber_orbits(_kernel_subgroup_generators(gf, True), points, cand)
         rep_a = span(gf, [(1, 1, 0, 0, 0, 0), P]).key_int()
         rep_b = span(gf, [(1, 0, 1, 0, 0, 0), P]).key_int()
         split = [i for i, comp in enumerate(orbits) if rep_a in comp] != [

@@ -38,10 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .action import mat3_det
 from .errors import ClassificationError
 from .gf import GF
-from .projgeom import Subspace, annihilator, nullspace, pg_points, rref
+from .projgeom import Subspace, annihilator, mat3_det, nullspace, pg_points, rref
 from .veronese import classify_conic, point_class, veronese
 
 CUBIC_MONOMIALS = (

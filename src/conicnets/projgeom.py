@@ -58,6 +58,15 @@ def rank(gf: GF, rows) -> int:
     return len(rref(gf, rows))
 
 
+def mat3_det(gf: GF, a) -> int:
+    mul = gf._mul
+    return (
+        mul[a[0]][mul[a[4]][a[8]] ^ mul[a[5]][a[7]]]
+        ^ mul[a[1]][mul[a[3]][a[8]] ^ mul[a[5]][a[6]]]
+        ^ mul[a[2]][mul[a[3]][a[7]] ^ mul[a[4]][a[6]]]
+    )
+
+
 def annihilator(gf: GF, red, width: int) -> tuple[tuple[int, ...], ...]:
     """Basis of {v : row . v = 0 for every row} for rows ``red`` already in
     canonical RREF, one vector per free column, read off without reduction

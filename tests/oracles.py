@@ -19,7 +19,7 @@ from conicnets.action import (
 from conicnets.errors import OutOfFamilyError, ResourceBudgetError, VerificationError
 from conicnets.gf import GF
 from conicnets.invariants import nucleus_cut
-from conicnets.projgeom import Subspace, normalize_point, nullspace, rref
+from conicnets.projgeom import Subspace, normalize_point, nullspace, rref, span
 from conicnets.veronese import point_class
 
 
@@ -163,6 +163,15 @@ def stabilizer_order_by_candidates(s: Subspace) -> int:
             a = (1, 0, 0, x, b, c, y, e, f) if point else (1, x, y, 0, b, c, 0, e, f)
             count += all(congruence_image(gf, a, r) in pts for r in moved.rows)
     return count
+
+
+def hand_moved_pair(gf: GF) -> tuple[tuple[Subspace, Subspace], tuple[Subspace, Subspace]]:
+    """The line-orbit suite's pair (R, N), N = (0,1,0,0,1,0) the nuclear
+    point of kernel (1,0,1), and the pair moved by the hand-written
+    C = (1,0,1; 0,1,0; 0,0,1), whose first row is that kernel: the move to
+    e0 that ``kernel_fiber`` builds from N."""
+    pair = (span(gf, [(0, 1, 0, 1, 0, 0)]), span(gf, [(0, 1, 0, 0, 1, 0)]))
+    return pair, tuple(act_subspace(t, (1, 0, 1, 0, 1, 0, 0, 0, 1)) for t in pair)
 
 
 # -- stabilizers as element sets ----------------------------------------------

@@ -21,15 +21,22 @@ from conicnets.action import (
     congruence_image,
     generators,
     k_equivalent,
+    kernel_fiber,
     lift,
     mat3_det,
     mat3_mul,
     orbit_keys,
+    packed_action,
     pgl_elements,
     pgl_order,
     subspace_orbit,
 )
-from conicnets.atlas import plane_stabilizer_order, representative, representatives
+from conicnets.atlas import (
+    plane_stabilizer_order,
+    representative,
+    representatives,
+    verify_partition,
+)
 from conicnets.errors import ResourceBudgetError, VerificationError
 from conicnets.gf import field
 from conicnets.invariants import point_class_counts
@@ -38,6 +45,7 @@ from conicnets.veronese import nucleus_plane, veronese
 from oracles import (
     act_point,
     act_point_pg2,
+    hand_moved_pair,
     mat3_inv,
     mulclose,
     orbit_transversal,
@@ -356,15 +364,24 @@ def test_singer_sweep_needs_the_singer_cycle(q, monkeypatch):
     assert len(orbit_keys(span(gf, [veronese(gf, (0, 1, 0))]))) == 2
 
 
-def test_sweep_takes_one_packed_action(gf4, monkeypatch):
-    """The fiber walk and the Singer sweep of one orbit share one set of
-    scale tables."""
+def test_one_packed_action_per_field(gf4, monkeypatch):
+    """One process builds a field's scale tables once: a sweep, the 18
+    stabilizer counts and the line-orbit report share them.  A refused
+    field is refused on every call, not remembered."""
+    packed_action.cache_clear()
     built = []
     real = PackedAction.__init__
     monkeypatch.setattr(PackedAction, "__init__",
-                        lambda self, gf: built.append(gf) or real(self, gf))
+                        lambda self, gf: built.append(gf.q) or real(self, gf))
     assert len(orbit_keys(representative(gf4, "Sigma9"))) == 1260
-    assert len(built) == 1
+    for s in representatives(gf4).values():
+        plane_stabilizer_order(s)
+    assert all(c["pass"] for c in atlas.verify_line_orbits(gf4)["checks"])
+    assert built == [4]
+    for _ in range(2):
+        with pytest.raises(ResourceBudgetError, match="q <= 16"):
+            packed_action(field(32))
+    assert built == [4, 32, 32]
 
 
 def test_act_subspace_matches_congruence_lift(gf8):
@@ -534,9 +551,9 @@ def _line_orbit_cases(gf):
     tangency = {k: l for k, l in atlas._lines_through_in(gf, P, hyperplane).items()
                 if point_class_counts(l) == (0, 1, 1, q - 1) and any(r[0] for r in l.rows)}
     return [((span(gf, [R]), span(gf, [(0, 1, 0, 0, 1, 0)])),
-             atlas._conic_point_subgroup_generators(gf), conic_lines),
+             action._conic_point_subgroup_generators(gf), conic_lines),
             ((span(gf, [P]), span(gf, [(0, 1, 0, 0, 0, 0)])),
-             atlas._kernel_subgroup_generators(gf, True), tangency)]
+             action._kernel_subgroup_generators(gf, True), tangency)]
 
 
 def group_filter(gf, fixed):
@@ -650,7 +667,7 @@ def test_identity_for_a_subgroup_generator_fails_a_line_orbit_check(point, q, dr
     kernel subgroup fixing e0 as a column) or of the kernel subgroup of P
     (point True) replaced by the identity, some check of the line-orbit
     report fails."""
-    real = atlas._kernel_subgroup_generators
+    real = action._kernel_subgroup_generators
 
     def fewer(gf, p):
         gens = list(real(gf, p))
@@ -658,12 +675,47 @@ def test_identity_for_a_subgroup_generator_fails_a_line_orbit_check(point, q, dr
             gens[dropped] = IDENTITY3
         return tuple(gens)
 
-    monkeypatch.setattr(atlas, "_kernel_subgroup_generators", fewer)
+    monkeypatch.setattr(action, "_kernel_subgroup_generators", fewer)
     assert not all(c["pass"] for c in atlas.verify_line_orbits(field(q))["checks"])
     # the same subgroup sweeps the orbits of planes with that kind of meet
     label = "Sigma22" if point else "Sigma8"
     assert len(orbit_keys(representative(field(q), label))) \
         < pgl_order(q) // atlas.expected_stabilizer_order(label, q)
+
+
+@pytest.mark.parametrize("q", (4, 8))
+def test_kernel_fiber_matches_the_hand_move(q):
+    """From the pair's nuclear point N, ``kernel_fiber`` builds the C that
+    the oracle writes by hand, and walks the moved pair under H.  From the
+    joint check's P, whose kernel is e0, C is the identity."""
+    gf = field(q)
+    kernel_gens = action._kernel_subgroup_generators(gf, True)
+    pair, moved = hand_moved_pair(gf)
+    assert kernel_fiber(pair, pair[1]) == subspace_orbit(moved, kernel_gens)
+    points = (span(gf, [P]), span(gf, [(0, 1, 0, 0, 0, 0)]))
+    assert kernel_fiber(points, points[0]) == subspace_orbit(points, kernel_gens)
+
+
+def _identity_kernel_move(monkeypatch):
+    """Mutant: ``kernel_fiber`` walks its subspaces unmoved, C = I."""
+    real = action.act_subspace
+    monkeypatch.setattr(action, "act_subspace", lambda s, a: real(s, IDENTITY3))
+
+
+@pytest.mark.parametrize("q", (4, 8))
+def test_identity_kernel_move_fails_the_pair_count(q, monkeypatch):
+    """Unmoved, the pair's kernel is not e0, so H does not hold its
+    stabilizer and the pair count comes out wrong."""
+    _identity_kernel_move(monkeypatch)
+    checks = {c["name"]: c for c in atlas.verify_line_orbits(field(q))["checks"]}
+    assert not checks["pair_stabilizer_order"]["pass"]
+
+
+def test_identity_kernel_move_fails_the_partition_stabilizer_check(monkeypatch):
+    _identity_kernel_move(monkeypatch)
+    monkeypatch.setattr(atlas, "plane_enumeration_chunks", lambda gf: [])
+    with pytest.raises(VerificationError, match="stabilizer of Sigma"):
+        verify_partition(field(4))
 
 
 @pytest.mark.parametrize("q", (4, 8))

@@ -22,7 +22,7 @@ from conicnets.action import (
 import importlib
 import re
 
-from conicnets import atlas, cli, invariants, projgeom
+from conicnets import action, atlas, cli, invariants, projgeom
 from conicnets.atlas import (
     EMPTY_BASE_LABELS,
     EXPECTED_CUBIC_KIND,
@@ -540,7 +540,7 @@ def test_kernel_subgroup_generators_generate_it(q):
     normalized matrices."""
     gf = field(q)
     for point in (True, False):
-        gens = atlas._kernel_subgroup_generators(gf, point)
+        gens = action._kernel_subgroup_generators(gf, point)
         assert len(gens) == 4
         for g in gens:
             assert (g[:3] if point else g[::3]) == (1, 0, 0) and mat3_det(gf, g), g
@@ -583,14 +583,14 @@ def test_dropping_a_kernel_subgroup_generator_breaks_the_partition(dropped, monk
     part of the subgroup, some stabilizer order comes out too large, and the
     q = 4 partition report refuses it.  The plane sweep is left out: the
     stabilizer check runs before it."""
-    real = atlas._kernel_subgroup_generators
+    real = action._kernel_subgroup_generators
 
     def fewer(gf, point):
         gens = list(real(gf, point))
         gens[dropped] = IDENTITY3
         return tuple(gens)
 
-    monkeypatch.setattr(atlas, "_kernel_subgroup_generators", fewer)
+    monkeypatch.setattr(action, "_kernel_subgroup_generators", fewer)
     monkeypatch.setattr(atlas, "plane_enumeration_chunks", lambda gf: [])
     with pytest.raises(VerificationError, match="stabilizer of Sigma"):
         verify_partition(field(4))
@@ -768,3 +768,15 @@ def test_verify_known_net_report(gf4):
     names = [c["name"] for c in report["checks"]]
     assert names == ["classifies_as_sigma18", "empty_base", "single_double_line"]
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_reports_do_not_depend_on_call_order(gf4, gf8):
+    """With the per-field tables cold or warm, and one report before or
+    after the other, each report serializes to the same bytes every time."""
+    action.packed_action.cache_clear()
+    reports = {"line-orbits": lambda: atlas.verify_line_orbits(gf4),
+               "partition": lambda: atlas.verify_partition(gf8)}
+    texts = {name: set() for name in reports}
+    for name in ("line-orbits", "partition", "partition", "line-orbits"):
+        texts[name].add(cli._json(reports[name]()))
+    assert all(len(t) == 1 for t in texts.values())

@@ -1,7 +1,8 @@
-"""Package-wide rules: the package imports only the standard library,
+"""Package-wide rules: the package imports only the standard library, its
+modules import one another at module level only and without a cycle,
 importing the command line loads no multiprocessing, every function the
-benchmark tracer wraps still exists, and every name a docstring quotes
-still exists."""
+benchmark tracer wraps and every package attribute the benchmark reads
+still exists, and every name a docstring quotes still exists."""
 
 import ast
 import importlib
@@ -29,6 +30,59 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "__future__", (path.name, name)
+
+
+def _package_imports():
+    """(module, imported package module, inside a function) for each
+    relative import of each package module."""
+    for path in sorted(Path(conicnets.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_function = {id(n) for f in ast.walk(tree)
+                       if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                       for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                for name in names:
+                    yield path.stem, name, id(node) in in_function
+
+
+def test_package_imports_sit_at_module_level_without_a_cycle():
+    """A relative import inside a function hides a cycle between layers;
+    the module-level graph orders the layers."""
+    edges = {}
+    for module, name, in_function in _package_imports():
+        assert not in_function, (module, name)
+        edges.setdefault(module, set()).add(name)
+    done, active = set(), []
+
+    def visit(module):
+        assert module not in active, active[active.index(module):] + [module]
+        if module not in done:
+            active.append(module)
+            for name in sorted(edges.get(module, ())):
+                visit(name)
+            active.pop()
+            done.add(module)
+
+    for module in sorted(edges):
+        visit(module)
+
+
+def test_benchmark_reads_only_existing_attributes():
+    """Every ``action.``, ``atlas.``, ``gf.``, ``projgeom.`` and ``cli.``
+    attribute that the benchmark driver and worker read resolves in the
+    package.  The two files are parsed, not run."""
+    read = set()
+    for name in ("run.py", "worker.py"):
+        tree = ast.parse((ROOT / "perfbench" / name).read_text(encoding="utf-8"))
+        read.update((n.value.id, n.attr) for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                    and n.value.id in ("action", "atlas", "gf", "projgeom", "cli"))
+    assert ("action", "mat3_det") in read
+    missing = [(module, attr) for module, attr in sorted(read)
+               if not hasattr(importlib.import_module("conicnets." + module), attr)]
+    assert not missing
 
 
 def test_tracer_targets_resolve_to_callables(monkeypatch):
