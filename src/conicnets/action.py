@@ -30,9 +30,9 @@ returns the set of states it reached; ``subspace_orbit`` runs it on the
 ``PackedAction.walk`` of a tuple of subspaces under any list of matrices.
 A generator that is an involution, such as the transvection, never steps a
 state back to the one it came from.  ``kernel_fiber``, the one kernel move,
-walks subspaces carried by C, which takes a nuclear kernel to e0, under the
-kernel's stabilizer H: ``orbit_keys`` sweeps a plane's fiber by the Singer
-cycle, one mover call per key, and ``atlas`` counts stabilizers by it.
+walks subspaces carried by C, which takes their ``anchor`` to e0, under its
+stabilizer H: ``orbit_keys`` sweeps an anchored subspace's fiber by the
+Singer cycle, one mover call per key, and ``atlas`` counts stabilizers by it.
 ``congruence_image`` moves one point, each diagonal entry of A M A^T a sum
 of squares; ``act_subspace`` moves each basis row with it and reduces.
 Layers import in one order: gf, projgeom, veronese, invariants, action,
@@ -46,8 +46,8 @@ from itertools import product
 
 from .errors import ResourceBudgetError, VerificationError
 from .gf import GF
-from .invariants import nucleus_cut, nucleus_meet_dim, point_class_counts
-from .projgeom import Subspace, mat3_det, normalize_point, pg_points, rref
+from .invariants import nucleus_meet_dim, point_class_counts
+from .projgeom import Subspace, annihilator, mat3_det, normalize_point, pg_points, rref
 
 IDENTITY3 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
@@ -135,7 +135,7 @@ class PackedAction:
 
     Holds the scale tables of the field, one split pair per nonzero c in
     the ``shi``/``slo`` lists; ``tables(a)`` builds the split image tables
-    of lift(a).  A subspace with n basis rows is passed around as its
+    of lift(a), once per matrix.  A subspace with n basis rows is passed around as its
     packed key, and ``mover(tables, n)`` maps it to its image key for n in
     1..3, the only packed elimination.  Every table has q^3 entries, so
     this serves only the small fields where orbits can be enumerated.
@@ -155,9 +155,12 @@ class PackedAction:
         self.slo = [None] + [lo for _, lo in scale]
         # pivot[b]: shift of the highest nonzero e-bit field of a row of bit length b
         self.pivot = [0] + [(b - 1) // e * e for b in range(1, 6 * e + 1)]
+        self._tables: dict = {}
 
     def tables(self, a) -> tuple[list[int], list[int]]:
-        return _split_tables(self.gf, lift(self.gf, a))
+        if a not in self._tables:
+            self._tables[a] = _split_tables(self.gf, lift(self.gf, a))
+        return self._tables[a]
 
     def walk(self, subspaces, gens):
         """``closure``'s (start, step, involutions) for subspaces under ``gens``:
@@ -306,6 +309,7 @@ def _has_order(gf: GF, a, n: int) -> bool:
     return power(n) == IDENTITY3 and all(power(n // p) != IDENTITY3 for p in primes)
 
 
+@functools.cache
 def generators(gf: GF) -> tuple[tuple[int, ...], ...]:
     """The transvection I + E01 and a Singer cycle, which generate PGL(3,q).
 
@@ -315,7 +319,8 @@ def generators(gf: GF) -> tuple[tuple[int, ...], ...]:
     GL(3,q) holding a Singer cycle contains SL(3,q) or lies in
     GammaL(1,q^3), of odd order 3(q^3 - 1) for q even, which holds no
     involution such as the transvection.  The determinant c is primitive
-    in GF(q), so the pair generates GL(3,q), hence PGL(3,q)."""
+    in GF(q), so the pair generates GL(3,q), hence PGL(3,q).  Searched
+    once per field."""
     for a in gf.elements:
         for b in gf.elements:
             for c in gf.nonzero:
@@ -330,7 +335,8 @@ def pgl_elements(gf: GF):
 
     Enumerated row by row: a normalized first row, then any second row off
     its span, then any third row off the span of both.  Each element of
-    PGL(3,q) is met once, by its matrix with first nonzero entry 1.
+    PGL(3,q) is met once, by its matrix with first nonzero entry 1.  Only
+    the tests' group filters and a perfbench tracer target read it.
     """
     mul, els = gf._mul, gf.elements
     vectors = list(product(els, repeat=3))
@@ -407,41 +413,55 @@ def _conic_point_subgroup_generators(gf: GF) -> list[tuple[int, ...]]:
             for a in _kernel_subgroup_generators(gf, False)]
 
 
-def kernel_fiber(subspaces, meet: Subspace, max_keys: int | None = None) -> set:
-    """Orbit under H of the ``subspaces`` moved by C, for ``meet`` a point
-    or line of the nucleus plane that their stabilizer fixes; for a plane
-    and its meet, the planes of its orbit with kernel e0.  Kernels
-    u = (y4, y2, y1) of nuclear points (the basis of the meet) move by
-    u -> A^-T u, the dual vector w of the kernels' line by w -> A w.  C,
-    whose first row is u or whose last two rows are kernels (unit vectors
-    fill the rest), moves u or w to e0, whose stabilizer H is the q^3 (q-1)
-    (q^2-1) normalized matrices with first row, or first column, (1,0,0)."""
-    kernels = [(y[4], y[2], y[1]) for y in meet.rows]
-    pivots = [r.index(1) for r in rref(meet.gf, kernels)]
+def anchor(s: Subspace) -> list[tuple[int, ...]]:
+    """Kernels of s (1 to 3 rows): vectors u moving by A^-T, like the kernel
+    (y4, y2, y1) of a nuclear point, one for a point and two for a line of
+    PG(2,q).  They are the kernels of s's meet with the nucleus plane when
+    it is nonempty, else the dual of the span of the square roots of s's
+    diagonal columns (y0, y3, y5), which moves by A: the diagonal of
+    A M A^T is sum_s m_ss a_is^2.  A plane missing the nucleus plane has
+    none; one elimination, as in ``nucleus_cut``, serves both cases."""
+    gf, root = s.gf, s.gf._sqrt
+    red = rref(gf, [(r[0], r[3], r[5]) + r for r in s.rows])
+    kernels = [(r[7], r[5], r[4]) for r in red if not (r[0] | r[1] | r[2])]
+    return kernels or list(annihilator(gf, [(root[r[0]], root[r[1]], root[r[2]]) for r in red], 3))
+
+
+def kernel_fiber(subspaces, kernels, max_keys: int | None = None) -> set:
+    """Orbit under H of the ``subspaces`` moved by C, for ``kernels`` an
+    ``anchor`` (u, or two spanning a line of dual w) fixed by their
+    stabilizer; for one subspace, its orbit's members anchored at e0.  C,
+    whose first row is u or last two rows the kernels (unit vectors fill the
+    rest), moves u or w to e0, whose stabilizer H is the q^3 (q-1) (q^2-1)
+    normalized matrices with first row, or first column, (1,0,0)."""
+    gf = subspaces[0].gf
+    pivots = [r.index(1) for r in rref(gf, kernels)]
     units = [tuple(int(i == j) for i in range(3)) for j in range(3) if j not in pivots]
-    point = meet.dim == 0
+    point = len(kernels) == 1
     c = sum(kernels + units if point else units + kernels, ())
     return subspace_orbit(tuple(act_subspace(s, c) for s in subspaces),
-                          _kernel_subgroup_generators(meet.gf, point), max_keys)
+                          _kernel_subgroup_generators(gf, point), max_keys)
 
 
 def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     """Packed keys of the full orbit of s, refused for q > 16 before any
-    table is built and once more than ``max_keys`` keys are held.
+    table is built, for other than 1 to 3 rows before its anchor is sought,
+    and once more than ``max_keys`` keys are held.
 
-    A plane meeting the nucleus plane in a point or a line is the union of
-    its ``kernel_fiber`` F and F's images under S^1 .. S^(q^2+q), S the
-    Singer cycle, each a map of S's mover over the last.  S moves kernels
+    A point, line or plane with an ``anchor`` is the union of its
+    ``kernel_fiber`` F and F's images under S^1 .. S^(q^2+q), S the Singer
+    cycle, each a map of S's mover over the last.  S moves anchors
     regularly: a count other than (q^2+q+1) |F| raises VerificationError.
-    The nucleus plane is its own orbit; any other subspace is a ``closure``."""
+    The nucleus plane is its own orbit; a plane missing it is a ``closure``."""
     pa, gens, n = packed_action(s.gf), generators(s.gf), s.gf.q * s.gf.q + s.gf.q + 1
-    meet = nucleus_cut(s)[0] if len(s.rows) == 3 else None
-    if meet is None:
+    move = pa.mover(pa.tables(gens[1]), len(s.rows))
+    kernels = anchor(s)
+    if not kernels:
         return subspace_orbit((s,), gens, max_keys)
-    if meet.dim == 2:
+    if len(kernels) == 3:
         return {s.key_int()}
-    fiber = list(kernel_fiber((s,), meet, max_keys))
-    out, image, move = set(fiber), fiber, pa.mover(pa.tables(gens[1]), 3)
+    fiber = list(kernel_fiber((s,), kernels, max_keys))
+    out, image = set(fiber), fiber
     for _ in range(n - 1):
         image = list(map(move, image))
         out.update(image)

@@ -21,18 +21,19 @@ import functools
 import os
 import random
 from collections import Counter
+from itertools import product
 
 from .action import (
     _conic_point_subgroup_generators,
     _kernel_subgroup_generators,
     act_subspace,
+    anchor,
     closure,
     congruence_image,
     generators,
     kernel_fiber,
     orbit_keys,
     packed_action,
-    pgl_elements,
     pgl_order,
     subspace_orbit,
 )
@@ -206,7 +207,7 @@ def plane_stabilizer_order(s: Subspace) -> int:
         raise OutOfFamilyError("plane misses the nucleus plane")
     if meet.dim == 2:
         return pgl_order(q)
-    return q**3 * (q - 1) * (q * q - 1) // len(kernel_fiber((s,), meet, 2**18))
+    return q**3 * (q - 1) * (q * q - 1) // len(kernel_fiber((s,), anchor(meet), 2**18))
 
 
 # -- parameter searches ----------------------------------------------------
@@ -853,6 +854,15 @@ def _fiber_orbits(gens, fixed: tuple[Subspace, ...], keyed: dict[int, Subspace])
     return orbits
 
 
+def _middle_column_fixers(gf: GF):
+    """The matrices with middle column e1, one per element of PGL(3,q) with
+    a_01 = a_21 = 0: they hold every element fixing R = (0,1,0,1,0,0), as
+    diagonal entry i of A R A^T is a_i1^2."""
+    mul, els = gf._mul, gf.elements
+    return ((a0, 0, a2, a3, 1, a5, a6, 0, a8) for a0, a2, a6, a8 in product(els, repeat=4)
+            if mul[a0][a8] != mul[a2][a6] for a3, a5 in product(els, repeat=2))
+
+
 def verify_line_orbits(gf: GF) -> dict:
     """Brute-force the supporting line-orbit facts.
 
@@ -869,6 +879,8 @@ def verify_line_orbits(gf: GF) -> dict:
     ``_fiber_orbits`` under a subgroup of order q^3 (q-1) (q^2-1) that is
     checked to hold it by the same count: H_p, fixing v(e1), for the pair,
     and P's stabilizer (``_kernel_subgroup_generators``) for the joint one.
+    The lines missing the nucleus plane have order |H| / |``kernel_fiber``|;
+    the pair's filter runs over the 2,880 ``_middle_column_fixers``.
     """
     q = gf.q
     if q not in (4, 8):
@@ -884,7 +896,7 @@ def verify_line_orbits(gf: GF) -> dict:
     # |G pair| = |G N| |H (C pair)|, C moving N's kernel to e0.
     pair = (span(gf, [R]), span(gf, [(0, 1, 0, 0, 1, 0)]))
     nuclear_orbit = len(subspace_orbit(pair[1:], group))
-    pair_orbit = nuclear_orbit * len(kernel_fiber(pair, pair[1]))
+    pair_orbit = nuclear_orbit * len(kernel_fiber(pair, anchor(pair[1])))
     order = pgl_order(q) // pair_orbit
     want_order = q * q * (q - 1)
     checks.append(_check(
@@ -902,11 +914,9 @@ def verify_line_orbits(gf: GF) -> dict:
         {"point": list(fixed_pt)},
     ))
     if q == 4:
-        # Diagonal entry i of A R A^T is a_i1^2, R's only diagonal entry
-        # being m11, so A fixes R only if a_01 = a_21 = 0.
         filtered = sum(
-            1 for a in pgl_elements(gf)
-            if a[1] == a[7] == 0 and congruence_image(gf, a, R) == R and act_subspace(l0, a) == l0
+            1 for a in _middle_column_fixers(gf)
+            if congruence_image(gf, a, R) == R and act_subspace(l0, a) == l0
         )
         checks.append(_check(
             "pair_stabilizer_matches_group_filter",
@@ -945,7 +955,7 @@ def verify_line_orbits(gf: GF) -> dict:
             if point_class_counts(l) == (0, 1, 1, q - 1) and any(r[0] for r in l.rows)
         }
         # P's kernel is e0 (C is the identity), so H is P's stabilizer
-        holds = kernel_order == joint * len(kernel_fiber(points, points[0]))
+        holds = kernel_order == joint * len(kernel_fiber(points, anchor(points[0])))
         orbits = _fiber_orbits(_kernel_subgroup_generators(gf, True), points, cand)
         rep_a = span(gf, [(1, 1, 0, 0, 0, 0), P]).key_int()
         rep_b = span(gf, [(1, 0, 1, 0, 0, 0), P]).key_int()
@@ -963,12 +973,12 @@ def verify_line_orbits(gf: GF) -> dict:
         oa = orbit_keys(la)
         b, c = sigma20_parameters(gf)
         lb = span(gf, [(1, 0, b, c, 0, 1), (0, 1, 0, 1, 0, 0)])
-        ob = orbit_keys(lb)
+        # |G| / |G l| = |H| / |F|; the sweep checked |oa| = (q^2+q+1) |F|
+        fibers = [len(oa) // (q * q + q + 1), len(kernel_fiber((lb,), anchor(lb)))]
         checks.append(_check(
             "special_line_stabilizers",
-            pgl_order(q) == 6 * len(oa) and pgl_order(q) == 2 * len(ob),
-            {"orders": [pgl_order(q) // len(oa), pgl_order(q) // len(ob)],
-             "expected": [6, 2]},
+            kernel_order == 6 * fibers[0] and kernel_order == 2 * fibers[1],
+            {"orders": [kernel_order // f for f in fibers], "expected": [6, 2]},
         ))
         # x00 = x22 on both rows: first and last e-bit fields of each
         top, w, m = 5 * gf.e, 6 * gf.e, q - 1

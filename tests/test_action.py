@@ -17,6 +17,7 @@ from conicnets.action import (
     IDENTITY3,
     PackedAction,
     act_subspace,
+    anchor,
     closure,
     congruence_image,
     generators,
@@ -306,9 +307,11 @@ def test_movers_match_rref_and_image(q):
         assert len(orders[2]) == 2 and len(orders[3]) == 6
 
 
-def test_mover_takes_one_to_three_rows(gf4):
+def test_mover_takes_one_to_three_rows(gf4, monkeypatch):
     """Packed movers serve points, lines and planes only; a solid or a
-    hyperplane key is refused up front rather than misread."""
+    hyperplane key is refused up front rather than misread, and
+    ``orbit_keys`` refuses a solid before it seeks an anchor."""
+    monkeypatch.setattr(action, "anchor", lambda s: pytest.fail("anchor sought"))
     pa = PackedAction(gf4)
     tables = pa.tables(generators(gf4)[1])
     for n in (0, 4, 5):
@@ -350,18 +353,83 @@ def test_packed_orbit_keys_match_tuple_bfs(q, sample_matrices):
             assert orbit_keys(act_subspace(s, a)) == want, label
 
 
+def _anchored_cases(gf):
+    """Points and lines of each anchor kind, with the number of kernel
+    vectors of their ``anchor``: missing the nucleus plane (a point's
+    anchor is a kernel line, a line's a kernel point), a line meeting it in
+    a point, and a point and a line inside it."""
+    v = lambda p: veronese(gf, p)
+    return [(span(gf, [v((1, 0, 0))]), 2),
+            (span(gf, [(1, 0, 0, 1, 0, 0)]), 2),
+            (span(gf, [R]), 2),
+            (span(gf, [(1, 0, 0, 1, 0, 1)]), 2),
+            (span(gf, [v((1, 0, 0)), v((0, 1, 0))]), 1),
+            (span(gf, [(1, 0, 0, 0, 0, 1), R]), 1),
+            (span(gf, [R, (0, 0, 0, 1, 1, 0)]), 1),
+            (span(gf, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]), 1),
+            (span(gf, [(0, 1, 0, 0, 0, 0)]), 1),
+            (span(gf, [(0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]), 2)]
+
+
+def _sweep_mismatches(gf, moves):
+    """Indices of the anchored cases whose swept orbit, from the subspace
+    or from a copy moved by one of ``moves``, is refused or is not the
+    tuple BFS's."""
+    bad = []
+    for i, (s, _) in enumerate(_anchored_cases(gf)):
+        want = tuple_orbit_keys(s)
+        for t in [s] + [act_subspace(s, a) for a in moves]:
+            try:
+                ok = orbit_keys(t) == want
+            except VerificationError:
+                ok = False
+            if not ok:
+                bad.append(i)
+                break
+    return bad
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_anchored_point_and_line_orbits_match_tuple_bfs(q, sample_matrices):
+    """Points and lines are swept like planes: every anchor kind gives the
+    tuple BFS's orbit, from the subspace and from moved copies of it."""
+    gf = field(q)
+    cases = _anchored_cases(gf)
+    assert [len(anchor(s)) for s, _ in cases] == [k for _, k in cases]
+    assert anchor(cases[6][0]) == anchor(span(gf, [(0, 1, 0, 0, 1, 0)]))
+    assert _sweep_mismatches(gf, sample_matrices(gf)[2:4]) == []
+
+
+@pytest.mark.parametrize("mutant", ("unrooted", "undualized"))
+def test_anchor_mutants_break_the_sweep_q4(mutant, gf4, sample_matrices, monkeypatch):
+    """Mutants of the anchor of a subspace missing the nucleus plane: the
+    diagonal columns without their square roots (at q = 2 the root is the
+    identity), or their span in place of its dual.  Each moves otherwise
+    than the subspace, and some swept orbit comes out wrong or refused."""
+    if mutant == "unrooted":
+        monkeypatch.setattr(gf4, "_sqrt", list(range(4)))
+    else:
+        monkeypatch.setattr(action, "annihilator", lambda gf, red, width: list(red))
+    assert _sweep_mismatches(gf4, sample_matrices(gf4)[2:4])
+
+
 @pytest.mark.parametrize("q", (2, 4, 8))
 def test_singer_sweep_needs_the_singer_cycle(q, monkeypatch):
     """With the transvection in the Singer cycle's place the images of a
     kernel fiber overlap (the transvection is an involution), and the count
-    check refuses the sweep.  A point's breadth-first orbit is then the
-    transvection's, two points."""
+    check refuses the sweep of planes, lines and points alike.  The
+    breadth-first orbit of a plane missing the nucleus plane is then the
+    transvection's, two planes."""
     gf = field(q)
     monkeypatch.setattr(action, "generators", lambda gf: (action.TRANSVECTION,) * 2)
-    for label in ("Sigma8", "Sigma15"):
+    swept = [representative(gf, "Sigma8"), representative(gf, "Sigma15"),
+             span(gf, [veronese(gf, (0, 1, 0))]),
+             span(gf, [veronese(gf, (1, 0, 0)), veronese(gf, (0, 1, 0))])]
+    for s in swept:
         with pytest.raises(VerificationError, match="Singer images"):
-            orbit_keys(representative(gf, label))
-    assert len(orbit_keys(span(gf, [veronese(gf, (0, 1, 0))]))) == 2
+            orbit_keys(s)
+    diagonal = span(gf, [veronese(gf, p) for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+    assert len(orbit_keys(diagonal)) == 2
 
 
 def test_one_packed_action_per_field(gf4, monkeypatch):
@@ -691,9 +759,10 @@ def test_kernel_fiber_matches_the_hand_move(q):
     gf = field(q)
     kernel_gens = action._kernel_subgroup_generators(gf, True)
     pair, moved = hand_moved_pair(gf)
-    assert kernel_fiber(pair, pair[1]) == subspace_orbit(moved, kernel_gens)
+    assert kernel_fiber(pair, anchor(pair[1])) == subspace_orbit(moved, kernel_gens)
     points = (span(gf, [P]), span(gf, [(0, 1, 0, 0, 0, 0)]))
-    assert kernel_fiber(points, points[0]) == subspace_orbit(points, kernel_gens)
+    assert anchor(points[0]) == [(1, 0, 0)]
+    assert kernel_fiber(points, anchor(points[0])) == subspace_orbit(points, kernel_gens)
 
 
 def _identity_kernel_move(monkeypatch):
@@ -705,8 +774,15 @@ def _identity_kernel_move(monkeypatch):
 @pytest.mark.parametrize("q", (4, 8))
 def test_identity_kernel_move_fails_the_pair_count(q, monkeypatch):
     """Unmoved, the pair's kernel is not e0, so H does not hold its
-    stabilizer and the pair count comes out wrong."""
+    stabilizer and the pair count comes out wrong.  At q = 4 the suite's
+    two special lines are swept through the same move, and the sweep
+    refuses it; walked breadth-first, they leave the pair count to report."""
     _identity_kernel_move(monkeypatch)
+    if q == 4:
+        with pytest.raises(VerificationError, match="Singer images"):
+            atlas.verify_line_orbits(field(q))
+        monkeypatch.setattr(atlas, "orbit_keys",
+                            lambda s: subspace_orbit((s,), generators(s.gf)))
     checks = {c["name"]: c for c in atlas.verify_line_orbits(field(q))["checks"]}
     assert not checks["pair_stabilizer_order"]["pass"]
 
@@ -729,7 +805,7 @@ def test_pair_count_needs_the_singer_cycle(q, monkeypatch):
 
 
 def test_prefiltered_group_filter_matches_the_plain_filter(gf4):
-    """The streamed filter, which tests a_01 = a_21 = 0 before moving R,
+    """The filter over the matrices with a_01 = a_21 = 0 and a_11 = 1
     counts what the plain filter over the whole group as a set counts."""
     R = (0, 1, 0, 1, 0, 0)
     l0 = span(gf4, [R, (0, 0, 0, 1, 1, 0)])
@@ -740,9 +816,48 @@ def test_prefiltered_group_filter_matches_the_plain_filter(gf4):
         == plain == 48
 
 
+@pytest.mark.parametrize("q", (2, 4))
+def test_middle_column_fixers_are_the_group_elements_fixing_e1(q):
+    """The filter's direct enumeration, normalized, is the set of group
+    elements with a_01 = a_21 = 0, each met once."""
+    gf = field(q)
+    direct = [normalize_point(gf, a) for a in atlas._middle_column_fixers(gf)]
+    want = {a for a in pgl_elements(gf) if a[1] == a[7] == 0}
+    assert len(direct) == len(set(direct)) == len(want) == q**2 * (q * q - 1) * (q * q - q)
+    assert set(direct) == want
+
+
+def test_line_orbit_suite_walks_neither_the_lines_nor_the_group(gf4, monkeypatch):
+    """A work count in place of a timing: the q = 4 suite holds at most
+    5,000 closure states (42,481 when its two line orbits were walked
+    breadth-first) and draws no element of ``pgl_elements`` (60,480 when
+    its filter streamed the whole group)."""
+    states, draws = [], []
+    real_closure, real_elements = action.closure, action.pgl_elements
+
+    def counted_closure(*args, **kwargs):
+        seen = real_closure(*args, **kwargs)
+        states.append(len(seen))
+        return seen
+
+    def counted_elements(gf):
+        for a in real_elements(gf):
+            draws.append(a)
+            yield a
+
+    for module in (action, atlas):
+        monkeypatch.setattr(module, "closure", counted_closure)
+        if hasattr(module, "pgl_elements"):
+            monkeypatch.setattr(module, "pgl_elements", counted_elements)
+    assert all(c["pass"] for c in atlas.verify_line_orbits(gf4)["checks"])
+    assert 0 < sum(states) <= 5000
+    assert draws == []
+
+
 def test_dropping_a_stabilizer_element_fails_the_group_filter(gf4, monkeypatch):
-    real = atlas.pgl_elements
-    monkeypatch.setattr(atlas, "pgl_elements", lambda gf: set(real(gf)) - {IDENTITY3})
+    real = atlas._middle_column_fixers
+    monkeypatch.setattr(atlas, "_middle_column_fixers",
+                        lambda gf: (a for a in real(gf) if a != IDENTITY3))
     checks = {c["name"]: c for c in atlas.verify_line_orbits(gf4)["checks"]}
     assert not checks["pair_stabilizer_matches_group_filter"]["pass"]
     assert checks["pair_stabilizer_matches_group_filter"]["details"]["filter_order"] == 47
