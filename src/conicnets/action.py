@@ -30,9 +30,11 @@ returns the set of states it reached; ``subspace_orbit`` runs it on the
 ``PackedAction.walk`` of a tuple of subspaces under any list of matrices.
 A generator that is an involution, such as the transvection, never steps a
 state back to the one it came from.  ``kernel_fiber``, the one kernel move,
-walks subspaces carried by C, which takes their ``anchor`` to e0, under its
-stabilizer H: ``orbit_keys`` sweeps an anchored subspace's fiber by the
-Singer cycle, one mover call per key, and ``atlas`` counts stabilizers by it.
+walks subspaces carried by C, which takes their ``anchor`` (from
+``invariants``) to e0, under its stabilizer H.  Every orbit question about
+an anchored subspace is answered on that fiber: ``orbit_keys`` sweeps it by
+the Singer cycle, one mover call per key, ``k_equivalent`` compares two
+fibers, and ``atlas`` counts stabilizers and line orbits by it.
 ``congruence_image`` moves one point, each diagonal entry of A M A^T a sum
 of squares; ``act_subspace`` moves each basis row with it and reduces.
 Layers import in one order: gf, projgeom, veronese, invariants, action,
@@ -46,8 +48,8 @@ from itertools import product
 
 from .errors import ResourceBudgetError, VerificationError
 from .gf import GF
-from .invariants import nucleus_meet_dim, point_class_counts
-from .projgeom import Subspace, annihilator, mat3_det, normalize_point, pg_points, rref
+from .invariants import anchor, nucleus_meet_dim, point_class_counts
+from .projgeom import Subspace, mat3_det, normalize_point, pg_points, rref
 
 IDENTITY3 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
@@ -351,13 +353,11 @@ def pgl_elements(gf: GF):
 # -- orbits ----------------------------------------------------------------
 
 
-def closure(start, step, ngens: int, max_keys: int | None = None, target=None,
-            involutions=()) -> set:
+def closure(start, step, ngens: int, max_keys: int | None = None, involutions=()) -> set:
     """Breadth-first closure of ``start`` under ``step(state, i)``, i < ngens.
 
-    Returns the set of states reached.  Returns early, with the states
-    found so far, once ``target`` is among them, and raises
-    ResourceBudgetError once there are more than ``max_keys`` states.
+    Returns the set of states reached, and raises ResourceBudgetError once
+    there are more than ``max_keys`` states.
     Generators listed in ``involutions`` are their own inverse: a state
     first reached by one is not stepped by it again, since that step leads
     back to a state already found.
@@ -368,15 +368,13 @@ def closure(start, step, ngens: int, max_keys: int | None = None, target=None,
     code = {i: n for n, i in enumerate(involutions, 1)}
     seen = {start}
     frontier, found = [start], bytearray(1)
-    while frontier and target not in seen:
+    while frontier:
         new, new_found = [], bytearray()
         for k, c in zip(frontier, found):
             for i in moves[c]:
                 k2 = step(k, i)
                 if k2 not in seen:
                     seen.add(k2)
-                    if k2 == target:
-                        return seen
                     if max_keys is not None and len(seen) > max_keys:
                         raise ResourceBudgetError(
                             "orbit enumeration exceeded %d keys" % max_keys,
@@ -388,11 +386,11 @@ def closure(start, step, ngens: int, max_keys: int | None = None, target=None,
     return seen
 
 
-def subspace_orbit(subspaces, gens, max_keys: int | None = None, target=None) -> set:
+def subspace_orbit(subspaces, gens, max_keys: int | None = None) -> set:
     """Orbit of a tuple of subspaces under the group generated by the
     matrices ``gens``: one ``closure`` of their ``PackedAction.walk``."""
     start, step, involutions = packed_action(subspaces[0].gf).walk(subspaces, gens)
-    return closure(start, step, len(gens), max_keys, target, involutions)
+    return closure(start, step, len(gens), max_keys, involutions)
 
 
 def _kernel_subgroup_generators(gf: GF, point: bool) -> tuple[tuple[int, ...], ...]:
@@ -411,20 +409,6 @@ def _conic_point_subgroup_generators(gf: GF) -> list[tuple[int, ...]]:
     swap = (1, 0, 2)
     return [tuple(a[3 * swap[i] + swap[j]] for i in range(3) for j in range(3))
             for a in _kernel_subgroup_generators(gf, False)]
-
-
-def anchor(s: Subspace) -> list[tuple[int, ...]]:
-    """Kernels of s (1 to 3 rows): vectors u moving by A^-T, like the kernel
-    (y4, y2, y1) of a nuclear point, one for a point and two for a line of
-    PG(2,q).  They are the kernels of s's meet with the nucleus plane when
-    it is nonempty, else the dual of the span of the square roots of s's
-    diagonal columns (y0, y3, y5), which moves by A: the diagonal of
-    A M A^T is sum_s m_ss a_is^2.  A plane missing the nucleus plane has
-    none; one elimination, as in ``nucleus_cut``, serves both cases."""
-    gf, root = s.gf, s.gf._sqrt
-    red = rref(gf, [(r[0], r[3], r[5]) + r for r in s.rows])
-    kernels = [(r[7], r[5], r[4]) for r in red if not (r[0] | r[1] | r[2])]
-    return kernels or list(annihilator(gf, [(root[r[0]], root[r[1]], root[r[2]]) for r in red], 3))
 
 
 def kernel_fiber(subspaces, kernels, max_keys: int | None = None) -> set:
@@ -474,7 +458,10 @@ def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
 
 
 def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> bool:
-    """Same orbit?  Cheap invariants first, then BFS from s1 watching for s2."""
+    """Same orbit?  Cheap invariants first.  Then a point or line anchor
+    compares the two ``kernel_fiber`` sets, each an H-orbit, so equal or
+    disjoint; the nucleus plane, or a plane missing it, looks s2 up in
+    ``orbit_keys`` of s1.  ``max_keys`` caps each walk."""
     if s1.gf != s2.gf or s1.n != s2.n:
         raise ValueError("subspaces live in different spaces")
     if len(s1.rows) != len(s2.rows):
@@ -483,6 +470,8 @@ def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> boo
         return False
     if point_class_counts(s1) != point_class_counts(s2):
         return False
-    target = s2.key_int()
-    return target in subspace_orbit((s1,), generators(s1.gf), max_keys, target)
+    kernels = anchor(s1)
+    if len(kernels) in (1, 2):
+        return kernel_fiber((s1,), kernels, max_keys) == kernel_fiber((s2,), anchor(s2), max_keys)
+    return s2.key_int() in orbit_keys(s1, max_keys)
 

@@ -27,7 +27,6 @@ from .action import (
     _conic_point_subgroup_generators,
     _kernel_subgroup_generators,
     act_subspace,
-    anchor,
     closure,
     congruence_image,
     generators,
@@ -47,6 +46,7 @@ from .errors import (
 from .gf import GF, field
 from .invariants import (
     PlaneSignature,
+    anchor,
     double_line_hyperplane_count,
     nuclear_point_count,
     nucleus_cut,
@@ -198,16 +198,18 @@ def plane_stabilizer_order(s: Subspace) -> int:
     """Order of the stabilizer in PGL(3,q) of a plane meeting the nucleus
     plane, by orbit-stabilizer inside the subgroup H that holds it.
 
-    The stabilizer fixes the plane's kernel, so moved by C it lies in H:
-    the order is |H| / |``kernel_fiber``|, refused past 2^18 planes.  The
-    whole group fixes the nucleus plane."""
-    q = s.gf.q
-    meet = nucleus_cut(s)[0]
-    if meet is None:
+    The stabilizer fixes the plane's ``anchor``, its nuclear kernel point
+    or line, so moved by C it lies in H: the order is |H| /
+    |``kernel_fiber``|, refused past 2^18 planes.  The whole group fixes
+    the nucleus plane, whose anchor is all three kernels."""
+    if s.n != 5 or s.dim != 2:
+        raise ValueError("expected a plane of PG(5, q)")
+    q, kernels = s.gf.q, anchor(s)
+    if not kernels:
         raise OutOfFamilyError("plane misses the nucleus plane")
-    if meet.dim == 2:
+    if len(kernels) == 3:
         return pgl_order(q)
-    return q**3 * (q - 1) * (q * q - 1) // len(kernel_fiber((s,), anchor(meet), 2**18))
+    return q**3 * (q - 1) * (q * q - 1) // len(kernel_fiber((s,), kernels, 2**18))
 
 
 # -- parameter searches ----------------------------------------------------
@@ -827,17 +829,18 @@ def _lines_through_in(gf: GF, p, amb: Subspace) -> dict[int, Subspace]:
 
 
 def _fiber_orbits(gens, fixed: tuple[Subspace, ...], keyed: dict[int, Subspace]):
-    """Orbits on the given lines of the stabilizer S of the subspaces
-    ``fixed``, in order of each orbit's least key, for ``gens`` generating
-    a subgroup K that holds S.  The S-orbit of a line l is a fiber of a
-    K-orbit: the lines l' with (fixed, l') in K (fixed, l), since the
-    element of K that carries the one to the other fixes ``fixed``.  K fixed
-    is tabled by one walk, so a fiber's closure moves only the line; an
-    orbit that leaves the given lines raises VerificationError."""
+    """(orbits, |K fixed|): the orbits on the given lines of the stabilizer
+    S of the subspaces ``fixed``, in order of each orbit's least key, for
+    ``gens`` generating a subgroup K that holds S.  The S-orbit of a line l
+    is a fiber of a K-orbit: the lines l' with (fixed, l') in K (fixed, l),
+    since the element of K that carries the one to the other fixes
+    ``fixed``.  K fixed is tabled by one walk, whose size is returned, so a
+    fiber's closure moves only the line; an orbit that leaves the given
+    lines raises VerificationError."""
     pa = packed_action(fixed[0].gf)
     head, step, involutions = pa.walk(fixed, gens)
     table = {}  # (state, i) -> image: each met once, no involution skipped
-    closure(head, lambda st, i: table.setdefault((st, i), step(st, i)), len(gens))
+    size = len(closure(head, lambda st, i: table.setdefault((st, i), step(st, i)), len(gens)))
     movers = [pa.mover(pa.tables(a), 2) for a in gens]
     orbits: list[set[int]] = []
     placed: set[int] = set()
@@ -851,7 +854,7 @@ def _fiber_orbits(gens, fixed: tuple[Subspace, ...], keyed: dict[int, Subspace])
             raise VerificationError("a line orbit leaves its candidate set")
         orbits.append(comp)
         placed |= comp
-    return orbits
+    return orbits, size
 
 
 def _middle_column_fixers(gf: GF):
@@ -905,12 +908,14 @@ def verify_line_orbits(gf: GF) -> dict:
         {"order": order, "expected": want_order, "pair_orbit": pair_orbit},
     ))
     fixed_pt = (0, 0, 0, 1, 0, 0)
+    conic_plane = span(gf, [_e(0), _e(1), _e(3)])  # the conic plane of the line X2 = 0
+    keyed = _lines_through_in(gf, R, conic_plane)
     # H_p holds the pair's stabilizer exactly when the pair's orbit under
     # it has |H_p| / order states.
-    point_gens = _conic_point_subgroup_generators(gf)
+    orbits, walked = _fiber_orbits(_conic_point_subgroup_generators(gf), pair, keyed)
     checks.append(_check(
         "pair_stabilizer_fixes_conic_point",
-        kernel_order == order * len(subspace_orbit(pair, point_gens)),
+        kernel_order == order * walked,
         {"point": list(fixed_pt)},
     ))
     if q == 4:
@@ -923,9 +928,6 @@ def verify_line_orbits(gf: GF) -> dict:
             filtered == order,
             {"filter_order": filtered},
         ))
-    conic_plane = span(gf, [_e(0), _e(1), _e(3)])  # the conic plane of the line X2 = 0
-    keyed = _lines_through_in(gf, R, conic_plane)
-    orbits = _fiber_orbits(point_gens, pair, keyed)
     shape = sorted(
         (len(comp), sorted({point_class_counts(keyed[k])[0] for k in comp}))
         for comp in orbits
@@ -954,9 +956,9 @@ def verify_line_orbits(gf: GF) -> dict:
             k: l for k, l in _lines_through_in(gf, P, H).items()
             if point_class_counts(l) == (0, 1, 1, q - 1) and any(r[0] for r in l.rows)
         }
-        # P's kernel is e0 (C is the identity), so H is P's stabilizer
-        holds = kernel_order == joint * len(kernel_fiber(points, anchor(points[0])))
-        orbits = _fiber_orbits(_kernel_subgroup_generators(gf, True), points, cand)
+        # P's kernel is e0, so the kernel subgroup of a point is P's stabilizer
+        orbits, walked = _fiber_orbits(_kernel_subgroup_generators(gf, True), points, cand)
+        holds = kernel_order == joint * walked
         rep_a = span(gf, [(1, 1, 0, 0, 0, 0), P]).key_int()
         rep_b = span(gf, [(1, 0, 1, 0, 0, 0), P]).key_int()
         split = [i for i, comp in enumerate(orbits) if rep_a in comp] != [

@@ -20,6 +20,8 @@ invariants collected here:
     for the nuclear points, the annihilator's cross columns 1, 2, 4 for the
     double-line hyperplanes;
   * nucleus_meet_dim, nucleus_cut: the meet with the nucleus plane;
+  * anchor: the kernel vectors of a point or line of PG(2,q) that moves
+    with a point, line or plane, from the elimination nucleus_cut makes;
   * veronese_points: the points of PG(2,q) whose image lies in a plane;
   * the determinantal cubic, its rational points, and its factorization
     type over GF(q), read off the pencil of lines through one rational
@@ -30,7 +32,8 @@ invariants collected here:
     the part of plane_signature that classification reads, from the pencil
     at the plane's nuclear point and the closed forms above, with no scan.
 
-All are constant on orbits of the lifted projectivity group.
+All but anchor, which moves with its subspace, are constant on orbits of
+the lifted projectivity group.
 """
 
 from __future__ import annotations
@@ -137,24 +140,42 @@ def nucleus_meet_dim(s: Subspace) -> int:
     return len(s.rows) - len(rref(s.gf, cols)) - 1
 
 
+def _diagonal_cut(s: Subspace):
+    """(meet rows, root span) of a subspace, from one elimination of its
+    basis rows prefixed by their diagonal coordinates 0, 3, 5: rows with a
+    zero prefix are an RREF basis of its meet with the nucleus plane, and
+    the square roots (a field automorphism) of the other prefixes, still in
+    RREF, span the points p of PG(2,q) whose v(p) can lie in it."""
+    root = s.gf._sqrt
+    red = rref(s.gf, [(r[0], r[3], r[5]) + r for r in s.rows])
+    return ([r[3:] for r in red if not (r[0] | r[1] | r[2])],
+            [(root[r[0]], root[r[1]], root[r[2]]) for r in red if r[0] | r[1] | r[2]])
+
+
 def nucleus_cut(s: Subspace):
     """(meet, veronese_points) of a plane, its meet with the nucleus plane
     in RREF, or (None, None) when the meet is empty: a point lies on the
     nucleus plane iff its diagonal coordinates 0, 3, 5 vanish, so that is
     when the diagonal block has a nonzero mat3_det, and no elimination is
-    made.  Otherwise one elimination of the basis rows prefixed by their
-    diagonal coordinates gives both: rows with a zero prefix are the meet's
-    basis, and the square roots (a field automorphism) of the others span
-    the points (veronese_points)."""
+    made.  Otherwise ``_diagonal_cut`` gives the meet's basis and the span
+    of the points (veronese_points)."""
     _require_plane(s)
-    gf, root = s.gf, s.gf._sqrt
-    diag = [(r[0], r[3], r[5]) for r in s.rows]
-    if mat3_det(gf, diag[0] + diag[1] + diag[2]):
+    gf, (a, b, c) = s.gf, s.rows
+    if mat3_det(gf, (a[0], a[3], a[5], b[0], b[3], b[5], c[0], c[3], c[5])):
         return None, None
-    red = rref(gf, [d + r for d, r in zip(diag, s.rows)])
-    meet = Subspace.from_rref(gf, s.n, tuple(r[3:] for r in red if not (r[0] | r[1] | r[2])))
-    span = [(root[r[0]], root[r[1]], root[r[2]]) for r in red if r[0] | r[1] | r[2]]
-    return meet, _points_in_span(s, span)
+    meet, span = _diagonal_cut(s)
+    return Subspace.from_rref(gf, s.n, tuple(meet)), _points_in_span(s, span)
+
+
+def anchor(s: Subspace) -> list[tuple[int, ...]]:
+    """Kernels of s (1 to 3 rows): vectors u moving by A^-T, like the kernel
+    (y4, y2, y1) of a nuclear point, one for a point and two for a line of
+    PG(2,q).  They are the kernels of s's meet with the nucleus plane when
+    it is nonempty, else the dual of the root span of ``_diagonal_cut``,
+    which moves by A: the diagonal of A M A^T is sum_s m_ss a_is^2.  A
+    plane missing the nucleus plane has none, and the nucleus plane three."""
+    meet, span = _diagonal_cut(s)
+    return [(r[4], r[2], r[1]) for r in meet] or list(annihilator(s.gf, span, 3))
 
 
 def veronese_points(s: Subspace) -> list[tuple[int, ...]]:

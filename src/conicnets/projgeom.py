@@ -14,7 +14,7 @@ from dataclasses import InitVar, dataclass
 from itertools import combinations, product
 from math import prod
 
-from .gf import GF, field
+from .gf import GF
 
 
 # -- row reduction ------------------------------------------------------
@@ -204,11 +204,6 @@ def span(gf: GF, vectors, n: int | None = None) -> Subspace:
     return Subspace.from_rref(gf, n, rows)
 
 
-def subspace_from_json(obj: dict, modulus: int | None = None) -> Subspace:
-    gf = field(obj["q"], modulus)
-    return span(gf, obj["rows"], n=obj["n"])
-
-
 def meet(a: Subspace, b: Subspace) -> Subspace | None:
     """Intersection subspace, or None when the intersection is empty."""
     _check_ambient(a, b)
@@ -268,14 +263,6 @@ def _pattern_rows(gf: GF, width: int, pivots, first_free: int | None):
         for (i, j), v in zip(free_pos, (first_free,) + rest):
             rows[i][j] = v
         yield tuple(tuple(row) for row in rows)
-
-
-def enumerate_planes(gf: GF):
-    """All planes of PG(5, q) as Subspace objects, exactly once: the chunks
-    of plane_enumeration_chunks in order, which walks pivot-column patterns
-    lexicographically, then free entries in row-major field order."""
-    for chunk in plane_enumeration_chunks(gf):
-        yield from enumerate_planes_chunk(gf, chunk)
 
 
 def plane_enumeration_chunks(gf: GF) -> list[tuple[tuple[int, ...], int | None]]:

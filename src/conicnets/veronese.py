@@ -21,7 +21,7 @@ in that hyperplane.
 
 from __future__ import annotations
 
-from .errors import ClassificationError, brief
+from .errors import brief
 from .gf import GF
 from .projgeom import Subspace, annihilator, normalize_point, nullspace, pg_points, rref, span
 
@@ -145,27 +145,6 @@ def delta_inv(h: Subspace) -> tuple[int, ...]:
         raise ValueError("expected a hyperplane of PG(5,q)")
     (form,) = rref(h.gf, annihilator(h.gf, h.rows, 6))
     return form
-
-
-def classify_hyperplane(h: Subspace) -> str:
-    """Conic class of the form cutting out h.
-
-    Cross-checked against the number of Veronese points the hyperplane
-    actually contains.
-    """
-    gf = h.gf
-    form = delta_inv(h)
-    kind = classify_conic(gf, form)
-    hits = sum(1 for p in pg_points(gf, 2) if h.contains_point(veronese(gf, p)))
-    q = gf.q
-    expected = {"DoubleLine": q + 1, "RealPair": 2 * q + 1,
-                "ImaginaryPair": 1, "Nonsingular": q + 1}[kind]
-    if hits != expected:
-        raise ClassificationError(
-            "hyperplane %s classified %s but contains %d Veronese points"
-            % (h.key_hex(), kind, hits)
-        )
-    return kind
 
 
 def form_to_str(form) -> str:

@@ -16,11 +16,25 @@ from conicnets.action import (
     mat3_mul,
     pgl_order,
 )
-from conicnets.errors import OutOfFamilyError, ResourceBudgetError, VerificationError
-from conicnets.gf import GF
+from conicnets.errors import (
+    ClassificationError,
+    OutOfFamilyError,
+    ResourceBudgetError,
+    VerificationError,
+)
+from conicnets.gf import GF, field
 from conicnets.invariants import nucleus_cut
-from conicnets.projgeom import Subspace, normalize_point, nullspace, rref, span
-from conicnets.veronese import point_class
+from conicnets.projgeom import (
+    Subspace,
+    enumerate_planes_chunk,
+    normalize_point,
+    nullspace,
+    pg_points,
+    plane_enumeration_chunks,
+    rref,
+    span,
+)
+from conicnets.veronese import classify_conic, delta_inv, point_class, veronese
 
 
 def sym_matrix(y) -> tuple[tuple[int, int, int], ...]:
@@ -131,6 +145,37 @@ def unpack_rows(gf: GF, key: int, width: int, r: int) -> tuple[tuple[int, ...], 
         key >>= e
     flat.reverse()
     return tuple(tuple(flat[i * width:(i + 1) * width]) for i in range(r))
+
+
+def enumerate_planes(gf: GF):
+    """All planes of PG(5, q) as Subspace objects, exactly once: the chunks
+    of plane_enumeration_chunks in order, which walks pivot-column patterns
+    lexicographically, then free entries in row-major field order."""
+    for chunk in plane_enumeration_chunks(gf):
+        yield from enumerate_planes_chunk(gf, chunk)
+
+
+def subspace_from_json(obj: dict, modulus: int | None = None) -> Subspace:
+    """The subspace of a ``Subspace.to_json`` record."""
+    gf = field(obj["q"], modulus)
+    return span(gf, obj["rows"], n=obj["n"])
+
+
+def classify_hyperplane(h: Subspace) -> str:
+    """Conic class of the form cutting out h, cross-checked against the
+    number of Veronese points the hyperplane actually contains."""
+    gf = h.gf
+    kind = classify_conic(gf, delta_inv(h))
+    hits = sum(1 for p in pg_points(gf, 2) if h.contains_point(veronese(gf, p)))
+    q = gf.q
+    expected = {"DoubleLine": q + 1, "RealPair": 2 * q + 1,
+                "ImaginaryPair": 1, "Nonsingular": q + 1}[kind]
+    if hits != expected:
+        raise ClassificationError(
+            "hyperplane %s classified %s but contains %d Veronese points"
+            % (h.key_hex(), kind, hits)
+        )
+    return kind
 
 
 def stabilizer_order_by_candidates(s: Subspace) -> int:

@@ -12,12 +12,11 @@ import random
 
 import pytest
 
-from conicnets import action, atlas
+from conicnets import action, atlas, invariants
 from conicnets.action import (
     IDENTITY3,
     PackedAction,
     act_subspace,
-    anchor,
     closure,
     congruence_image,
     generators,
@@ -40,7 +39,7 @@ from conicnets.atlas import (
 )
 from conicnets.errors import ResourceBudgetError, VerificationError
 from conicnets.gf import field
-from conicnets.invariants import point_class_counts
+from conicnets.invariants import anchor, plane_key, point_class_counts
 from conicnets.projgeom import normalize_point, pack_rows, pg_points, rref, span
 from conicnets.veronese import nucleus_plane, veronese
 from oracles import (
@@ -202,11 +201,13 @@ def test_stabilizer_direct_agrees_q2(gf2):
 
 
 def test_k_equivalent_on_moved_copies(gf4, sample_matrices):
-    s = representative(gf4, "Sigma17")
-    a = sample_matrices(gf4)[1]
-    moved = act_subspace(act_subspace(s, a), sample_matrices(gf4)[0])
-    assert k_equivalent(s, moved)
-    assert not k_equivalent(s, representative(gf4, "Sigma18"))
+    """Each of the 18 representatives is equivalent to its own moved copy
+    and to no other orbit's."""
+    a, b = sample_matrices(gf4)[:2]
+    reps = representatives(gf4)
+    moved = {label: act_subspace(act_subspace(s, b), a) for label, s in reps.items()}
+    assert [[k_equivalent(reps[x], moved[y]) for y in reps] for x in reps] \
+        == [[x == y for y in reps] for x in reps]
 
 
 def test_orbit_budget_enforced(gf4):
@@ -409,7 +410,7 @@ def test_anchor_mutants_break_the_sweep_q4(mutant, gf4, sample_matrices, monkeyp
     if mutant == "unrooted":
         monkeypatch.setattr(gf4, "_sqrt", list(range(4)))
     else:
-        monkeypatch.setattr(action, "annihilator", lambda gf, red, width: list(red))
+        monkeypatch.setattr(invariants, "annihilator", lambda gf, red, width: list(red))
     assert _sweep_mismatches(gf4, sample_matrices(gf4)[2:4])
 
 
@@ -513,17 +514,6 @@ def test_closure_reaches_the_transversal_orbit(gf4):
     assert all(act(s, k) in seen for s in seen for k in range(2))
 
 
-def test_closure_target_returns_early(gf4):
-    """A closure watching for a target stops with a proper subset of the
-    orbit that holds the target."""
-    state0, act = _pair_action(gf4)
-    full = closure(state0, act, 2)
-    for target in list(orbit_transversal(gf4, state0, act)[0])[1:1000:99]:
-        part = closure(state0, act, 2, target=target)
-        assert target in part and part < full
-    assert closure(state0, act, 2, target=state0) == {state0}
-
-
 def test_closure_max_keys_raises_with_partial(gf4):
     state0, act = _pair_action(gf4)
     with pytest.raises(ResourceBudgetError, match="orbit enumeration exceeded 100 keys") as info:
@@ -587,20 +577,31 @@ def test_transvection_is_an_involution(e):
     assert mat3_mul(gf, t, t) == IDENTITY3
 
 
-def test_k_equivalent_stops_at_its_target(gf4, sample_matrices, monkeypatch):
-    trees = []
+@pytest.mark.parametrize("q", (4, 8))
+def test_k_equivalent_compares_two_kernel_fibers(q, sample_matrices, monkeypatch):
+    """A work count in place of a timing: a plane and a moved copy are
+    equivalent by two fibers of |orbit| / (q^2+q+1) states, not a walk of
+    the orbit.  Sigma3 and Sigma4 share a plane key, so only the fibers
+    tell a moved Sigma4 from Sigma3."""
+    gf = field(q)
+    states = []
+    real = action.closure
 
     def recording(*args, **kwargs):
-        trees.append(closure(*args, **kwargs))
-        return trees[-1]
+        seen = real(*args, **kwargs)
+        states.append(len(seen))
+        return seen
 
     monkeypatch.setattr(action, "closure", recording)
-    s = representative(gf4, "Sigma17")
-    moved = act_subspace(s, sample_matrices(gf4)[0])
-    assert k_equivalent(s, moved)
-    (seen,) = trees
-    assert moved.key_int() in seen
-    assert len(seen) < len(orbit_keys(s))
+    g = sample_matrices(gf)[-1]
+    s = representative(gf, "Sigma17")
+    assert k_equivalent(s, act_subspace(s, g))
+    orbit = pgl_order(q) // atlas.expected_stabilizer_order("Sigma17", q)
+    assert len(states) == 2 and sum(states) <= 2 * orbit // (q * q + q + 1)
+    sigma3, sigma4 = representative(gf, "Sigma3"), representative(gf, "Sigma4")
+    assert plane_key(sigma3) == plane_key(sigma4)
+    assert not k_equivalent(sigma3, act_subspace(sigma4, g))
+    assert k_equivalent(sigma4, act_subspace(sigma4, g))
 
 
 def _line_orbit_cases(gf):
@@ -702,8 +703,9 @@ def test_line_orbits_by_closure_match_images_under_every_element(q):
         direct = group_filter(gf, fixed)
         assert len(subspace_orbit(fixed, generators(gf))) * len(direct) == pgl_order(q)
         assert direct <= mulclose(gf, gens)
-        orbits = atlas._fiber_orbits(gens, fixed, keyed)
+        orbits, walked = atlas._fiber_orbits(gens, fixed, keyed)
         assert orbits == orbits_by_every_element(gf, direct, keyed)
+        assert walked * len(direct) == q**3 * (q - 1) * (q * q - 1)
         sizes.append(sorted(len(c) for c in orbits))
     assert sizes[0] == [1, q // 2, q // 2]
 
@@ -713,14 +715,15 @@ def test_pair_fiber_orbits_match_schreier_oracle_q8(gf8):
     elements of the Schreier oracle's stabilizer of (l0, R)."""
     fixed, gens, keyed = _line_orbit_cases(gf8)[0]
     group = stabilizer(gf8, *_packed_step(*_line_and_point(gf8)))[0]
-    orbits = atlas._fiber_orbits(gens, fixed, keyed)
+    orbits, walked = atlas._fiber_orbits(gens, fixed, keyed)
     assert orbits == orbits_by_every_element(gf8, group, keyed)
+    assert walked * len(group) == 8**3 * 7 * 63
     assert sorted(map(len, orbits)) == [1, 4, 4]
 
 
 def test_line_orbit_leaving_its_candidates_raises(gf4):
     fixed, gens, keyed = _line_orbit_cases(gf4)[0]
-    orbit = next(c for c in atlas._fiber_orbits(gens, fixed, keyed) if len(c) > 1)
+    orbit = next(c for c in atlas._fiber_orbits(gens, fixed, keyed)[0] if len(c) > 1)
     keyed.pop(min(orbit))
     with pytest.raises(VerificationError, match="leaves its candidate set"):
         atlas._fiber_orbits(gens, fixed, keyed)
@@ -743,7 +746,8 @@ def test_identity_for_a_subgroup_generator_fails_a_line_orbit_check(point, q, dr
             gens[dropped] = IDENTITY3
         return tuple(gens)
 
-    monkeypatch.setattr(action, "_kernel_subgroup_generators", fewer)
+    for module in (action, atlas):
+        monkeypatch.setattr(module, "_kernel_subgroup_generators", fewer)
     assert not all(c["pass"] for c in atlas.verify_line_orbits(field(q))["checks"])
     # the same subgroup sweeps the orbits of planes with that kind of meet
     label = "Sigma22" if point else "Sigma8"
@@ -827,11 +831,13 @@ def test_middle_column_fixers_are_the_group_elements_fixing_e1(q):
     assert set(direct) == want
 
 
-def test_line_orbit_suite_walks_neither_the_lines_nor_the_group(gf4, monkeypatch):
+def test_line_orbit_suite_walks_neither_the_lines_nor_the_group(monkeypatch):
     """A work count in place of a timing: the q = 4 suite holds at most
-    5,000 closure states (42,481 when its two line orbits were walked
-    breadth-first) and draws no element of ``pgl_elements`` (60,480 when
-    its filter streamed the whole group)."""
+    4,001 closure states in 12 closures (42,481 when its two line orbits
+    were walked breadth-first, 4,081 in 14 when each stabilizer's subgroup
+    orbit was walked apart from its fibers' table), the q = 8 suite 5,617
+    in 6, and neither draws an element of ``pgl_elements`` (60,480 when the
+    q = 4 filter streamed the whole group)."""
     states, draws = [], []
     real_closure, real_elements = action.closure, action.pgl_elements
 
@@ -849,8 +855,10 @@ def test_line_orbit_suite_walks_neither_the_lines_nor_the_group(gf4, monkeypatch
         monkeypatch.setattr(module, "closure", counted_closure)
         if hasattr(module, "pgl_elements"):
             monkeypatch.setattr(module, "pgl_elements", counted_elements)
-    assert all(c["pass"] for c in atlas.verify_line_orbits(gf4)["checks"])
-    assert 0 < sum(states) <= 5000
+    for q, bound, walks in ((4, 4001, 12), (8, 5617, 6)):
+        states.clear()
+        assert all(c["pass"] for c in atlas.verify_line_orbits(field(q))["checks"])
+        assert len(states) <= walks and 0 < sum(states) <= bound, q
     assert draws == []
 
 

@@ -636,6 +636,29 @@ def test_plane_stabilizer_order_tests_no_candidates(gf4, monkeypatch):
     assert len(calls) >= kernel_subgroup_order(4)
 
 
+def test_plane_stabilizer_order_eliminates_once_and_lists_no_points(gf4, rref_calls,
+                                                                     monkeypatch):
+    """The count reads the plane's anchor off one elimination of its rows
+    prefixed by their diagonal columns and runs no Veronese-point pass: the
+    anchor, the kernels' pivots and the move by C make three rref calls per
+    meeting plane (four when a ``nucleus_cut`` and a second reduction of
+    its meet found the kernels), and the nucleus plane makes one.  A
+    non-plane still raises ValueError, and a plane missing the nucleus
+    plane OutOfFamilyError."""
+    monkeypatch.setattr(invariants, "_points_in_span",
+                        lambda *args: pytest.fail("a Veronese-point pass ran"))
+    for label in LABELS:
+        s = representative(gf4, label)
+        rref_calls.clear()
+        assert plane_stabilizer_order(s) == expected_stabilizer_order(label, 4), label
+        assert len(rref_calls) == (1 if label == "SigmaN" else 3), label
+    with pytest.raises(ValueError, match="expected a plane"):
+        plane_stabilizer_order(span(gf4, [(0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]))
+    with pytest.raises(OutOfFamilyError):
+        plane_stabilizer_order(span(gf4, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+                                          (0, 0, 0, 0, 0, 1)]))
+
+
 def test_plane_stabilizer_order_on_moved_planes(gf4, sample_matrices):
     g = sample_matrices(gf4)[0]
     for label in ("Sigma3", "Sigma8", "Sigma16", "Sigma22"):

@@ -48,7 +48,6 @@ from conicnets.invariants import (
 )
 from conicnets.projgeom import (
     Subspace,
-    enumerate_planes,
     meet,
     normalize_point,
     pg_points,
@@ -57,7 +56,7 @@ from conicnets.projgeom import (
     span,
 )
 from conicnets.veronese import classify_conic, form_eval, nucleus_plane, veronese
-from oracles import cubic_zeros_and_counts
+from oracles import cubic_zeros_and_counts, enumerate_planes
 
 CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 

@@ -10,7 +10,6 @@ from conicnets.invariants import forms_through
 from conicnets.projgeom import (
     Subspace,
     annihilator,
-    enumerate_planes,
     enumerate_planes_chunk,
     gaussian_binomial,
     join,
@@ -23,10 +22,9 @@ from conicnets.projgeom import (
     rank,
     rref,
     span,
-    subspace_from_json,
 )
 from conicnets.veronese import delta_inv
-from oracles import unpack_rows
+from oracles import enumerate_planes, subspace_from_json, unpack_rows
 
 
 def hyperplanes_through(s: Subspace):

@@ -8,7 +8,6 @@ from conicnets.veronese import (
     POINT_CLASSES,
     census,
     classify_conic,
-    classify_hyperplane,
     delta,
     delta_inv,
     expected_census,
@@ -19,7 +18,7 @@ from conicnets.veronese import (
     point_class,
     veronese,
 )
-from oracles import conic_nucleus, conic_plane_of, sym_matrix
+from oracles import classify_hyperplane, conic_nucleus, conic_plane_of, sym_matrix
 
 
 def test_veronese_images_have_rank_one(gf4):
