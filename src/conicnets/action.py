@@ -29,12 +29,14 @@ Every orbit walk steps through movers.  One breadth-first ``closure``
 returns the set of states it reached; ``subspace_orbit`` runs it on the
 ``PackedAction.walk`` of a tuple of subspaces under any list of matrices.
 A generator that is an involution, such as the transvection, never steps a
-state back to the one it came from.  ``kernel_fiber``, the one kernel move,
-walks subspaces carried by C, which takes their ``anchor`` (from
-``invariants``) to e0, under its stabilizer H.  Every orbit question about
-an anchored subspace is answered on that fiber: ``orbit_keys`` sweeps it by
-the Singer cycle, one mover call per key, ``k_equivalent`` compares two
-fibers, and ``atlas`` counts stabilizers and line orbits by it.
+state back to the one it came from.  ``_kernel_move`` builds the one C,
+which takes an ``anchor`` (from ``invariants``) to e0, with the generators
+of e0's stabilizer H.  Every orbit question about an anchored subspace is
+answered in H: ``kernel_fiber`` walks the subspaces carried by C,
+``orbit_keys`` sweeps that fiber by the Singer cycle, one mover call per
+key, ``k_equivalent`` compares two fibers, ``atlas`` counts stabilizers by
+it, and ``fiber_orbits`` splits lines by the stabilizer of subspaces that
+fix an anchor.
 ``congruence_image`` moves one point, each diagonal entry of A M A^T a sum
 of squares; ``act_subspace`` moves each basis row with it and reduces.
 Layers import in one order: gf, projgeom, veronese, invariants, action,
@@ -402,29 +404,55 @@ def _kernel_subgroup_generators(gf: GF, point: bool) -> tuple[tuple[int, ...], .
             (1, 0, 0, 0, gf.primitive_element(), 0, 0, 0, 1))
 
 
-def _conic_point_subgroup_generators(gf: GF) -> list[tuple[int, ...]]:
-    """Generators of H_p, the stabilizer of e1 and so of its Veronese point
-    (0,0,0,1,0,0): those of the kernel subgroup fixing e0 (first column
-    (1,0,0)) with coordinates 0 and 1 swapped."""
-    swap = (1, 0, 2)
-    return [tuple(a[3 * swap[i] + swap[j]] for i in range(3) for j in range(3))
-            for a in _kernel_subgroup_generators(gf, False)]
-
-
-def kernel_fiber(subspaces, kernels, max_keys: int | None = None) -> set:
-    """Orbit under H of the ``subspaces`` moved by C, for ``kernels`` an
-    ``anchor`` (u, or two spanning a line of dual w) fixed by their
-    stabilizer; for one subspace, its orbit's members anchored at e0.  C,
-    whose first row is u or last two rows the kernels (unit vectors fill the
-    rest), moves u or w to e0, whose stabilizer H is the q^3 (q-1) (q^2-1)
-    normalized matrices with first row, or first column, (1,0,0)."""
-    gf = subspaces[0].gf
+def _kernel_move(gf: GF, kernels):
+    """(C, generators of H) for ``kernels`` an ``anchor``, u or two spanning
+    a line of dual w: C, whose first row is u or last two rows the kernels
+    (unit vectors fill the rest), moves u or w to e0, whose stabilizer H is
+    the q^3 (q-1) (q^2-1) normalized matrices with first row, or first
+    column, (1,0,0).  The one place C is built."""
     pivots = [r.index(1) for r in rref(gf, kernels)]
     units = [tuple(int(i == j) for i in range(3)) for j in range(3) if j not in pivots]
     point = len(kernels) == 1
     c = sum(kernels + units if point else units + kernels, ())
-    return subspace_orbit(tuple(act_subspace(s, c) for s in subspaces),
-                          _kernel_subgroup_generators(gf, point), max_keys)
+    return c, _kernel_subgroup_generators(gf, point)
+
+
+def kernel_fiber(subspaces, kernels, max_keys: int | None = None) -> set:
+    """Orbit under H of the ``subspaces`` moved by C (``_kernel_move``), for
+    ``kernels`` an ``anchor`` fixed by their stabilizer; for one subspace,
+    its orbit's members anchored at e0."""
+    c, gens = _kernel_move(subspaces[0].gf, kernels)
+    return subspace_orbit(tuple(act_subspace(s, c) for s in subspaces), gens, max_keys)
+
+
+def fiber_orbits(fixed, lines: dict, kernels) -> tuple[list[set[int]], int]:
+    """(orbits, |H (C fixed)|): the orbits of the stabilizer S of the
+    subspaces ``fixed`` on the ``lines`` (packed key -> line), as sets of
+    those keys in order of least key, for ``kernels`` an ``anchor`` that S
+    fixes.  With C from ``_kernel_move``, C S C^-1 lies in H, and the orbit
+    of C l is the fiber {l' : (C fixed, l') in H (C fixed, C l)}.  H (C fixed)
+    is tabled by one walk, so a fiber's closure moves only the line; an
+    orbit that leaves the given lines raises VerificationError."""
+    gf = fixed[0].gf
+    c, gens = _kernel_move(gf, kernels)
+    pa = packed_action(gf)
+    head, step, involutions = pa.walk(tuple(act_subspace(s, c) for s in fixed), gens)
+    table = {}  # (state, i) -> image: each met once, no involution skipped
+    size = len(closure(head, lambda st, i: table.setdefault((st, i), step(st, i)), len(gens)))
+    movers = [pa.mover(pa.tables(a), 2) for a in gens]
+    own = {act_subspace(l, c).key_int(): k for k, l in sorted(lines.items())}
+    orbits, placed = [], set()
+    for m, k in own.items():
+        if k in placed:
+            continue
+        seen = closure((head, m), lambda st, i: (table[st[0], i], movers[i](st[1])),
+                       len(gens), involutions=involutions)
+        comp = {line for st, line in seen if st == head}
+        if not comp <= own.keys():
+            raise VerificationError("a line orbit leaves its candidate set")
+        orbits.append({own[line] for line in comp})
+        placed |= orbits[-1]
+    return orbits, size
 
 
 def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:

@@ -24,15 +24,12 @@ from collections import Counter
 from itertools import product
 
 from .action import (
-    _conic_point_subgroup_generators,
-    _kernel_subgroup_generators,
     act_subspace,
-    closure,
     congruence_image,
+    fiber_orbits,
     generators,
     kernel_fiber,
     orbit_keys,
-    packed_action,
     pgl_order,
     subspace_orbit,
 )
@@ -828,35 +825,6 @@ def _lines_through_in(gf: GF, p, amb: Subspace) -> dict[int, Subspace]:
     return out
 
 
-def _fiber_orbits(gens, fixed: tuple[Subspace, ...], keyed: dict[int, Subspace]):
-    """(orbits, |K fixed|): the orbits on the given lines of the stabilizer
-    S of the subspaces ``fixed``, in order of each orbit's least key, for
-    ``gens`` generating a subgroup K that holds S.  The S-orbit of a line l
-    is a fiber of a K-orbit: the lines l' with (fixed, l') in K (fixed, l),
-    since the element of K that carries the one to the other fixes
-    ``fixed``.  K fixed is tabled by one walk, whose size is returned, so a
-    fiber's closure moves only the line; an orbit that leaves the given
-    lines raises VerificationError."""
-    pa = packed_action(fixed[0].gf)
-    head, step, involutions = pa.walk(fixed, gens)
-    table = {}  # (state, i) -> image: each met once, no involution skipped
-    size = len(closure(head, lambda st, i: table.setdefault((st, i), step(st, i)), len(gens)))
-    movers = [pa.mover(pa.tables(a), 2) for a in gens]
-    orbits: list[set[int]] = []
-    placed: set[int] = set()
-    for k in sorted(keyed):
-        if k in placed:
-            continue
-        seen = closure((head, k), lambda st, i: (table[st[0], i], movers[i](st[1])),
-                       len(gens), involutions=involutions)
-        comp = {line for st, line in seen if st == head}
-        if not comp <= keyed.keys():
-            raise VerificationError("a line orbit leaves its candidate set")
-        orbits.append(comp)
-        placed |= comp
-    return orbits, size
-
-
 def _middle_column_fixers(gf: GF):
     """The matrices with middle column e1, one per element of PGL(3,q) with
     a_01 = a_21 = 0: they hold every element fixing R = (0,1,0,1,0,0), as
@@ -879,9 +847,9 @@ def verify_line_orbits(gf: GF) -> dict:
 
     A stabilizer's order is |PGL(3,q)| / |orbit|, the orbit walked under
     ``generators``, or in H after a kernel move; its orbits on lines are
-    ``_fiber_orbits`` under a subgroup of order q^3 (q-1) (q^2-1) that is
-    checked to hold it by the same count: H_p, fixing v(e1), for the pair,
-    and P's stabilizer (``_kernel_subgroup_generators``) for the joint one.
+    ``fiber_orbits`` in H, of order q^3 (q-1) (q^2-1), after the kernel
+    move of an ``anchor`` it fixes, and H is checked to hold it by the same
+    count: v(e1)'s for the pair, and P's for the joint one.
     The lines missing the nucleus plane have order |H| / |``kernel_fiber``|;
     the pair's filter runs over the 2,880 ``_middle_column_fixers``.
     """
@@ -910,9 +878,9 @@ def verify_line_orbits(gf: GF) -> dict:
     fixed_pt = (0, 0, 0, 1, 0, 0)
     conic_plane = span(gf, [_e(0), _e(1), _e(3)])  # the conic plane of the line X2 = 0
     keyed = _lines_through_in(gf, R, conic_plane)
-    # H_p holds the pair's stabilizer exactly when the pair's orbit under
-    # it has |H_p| / order states.
-    orbits, walked = _fiber_orbits(_conic_point_subgroup_generators(gf), pair, keyed)
+    # the stabilizer fixes v(e1), so H holds it after C swaps e0 and e1
+    # exactly when the pair's orbit under H has |H| / order states
+    orbits, walked = fiber_orbits(pair, keyed, anchor(span(gf, [fixed_pt])))
     checks.append(_check(
         "pair_stabilizer_fixes_conic_point",
         kernel_order == order * walked,
@@ -956,8 +924,8 @@ def verify_line_orbits(gf: GF) -> dict:
             k: l for k, l in _lines_through_in(gf, P, H).items()
             if point_class_counts(l) == (0, 1, 1, q - 1) and any(r[0] for r in l.rows)
         }
-        # P's kernel is e0, so the kernel subgroup of a point is P's stabilizer
-        orbits, walked = _fiber_orbits(_kernel_subgroup_generators(gf, True), points, cand)
+        # P's kernel is e0, so C is the identity and H is P's stabilizer
+        orbits, walked = fiber_orbits(points, cand, anchor(points[0]))
         holds = kernel_order == joint * walked
         rep_a = span(gf, [(1, 1, 0, 0, 0, 0), P]).key_int()
         rep_b = span(gf, [(1, 0, 1, 0, 0, 0), P]).key_int()

@@ -19,6 +19,7 @@ from conicnets.action import (
     act_subspace,
     closure,
     congruence_image,
+    fiber_orbits,
     generators,
     k_equivalent,
     kernel_fiber,
@@ -453,6 +454,19 @@ def test_one_packed_action_per_field(gf4, monkeypatch):
     assert built == [4, 32, 32]
 
 
+@pytest.mark.parametrize("q", (4, 8))
+def test_line_orbit_suite_tables_only_group_and_kernel_generators(q):
+    """The line-orbit suite builds split tables for the two generators and
+    the two kernel subgroups' generators only, 6 matrices (x01(1) is the
+    transvection), and for no conjugated copy of them (9 with one)."""
+    gf = field(q)
+    packed_action.cache_clear()
+    assert all(c["pass"] for c in atlas.verify_line_orbits(gf)["checks"])
+    want = {*generators(gf), *action._kernel_subgroup_generators(gf, True),
+            *action._kernel_subgroup_generators(gf, False)}
+    assert set(packed_action(gf)._tables) == want and len(want) == 6
+
+
 def test_act_subspace_matches_congruence_lift(gf8):
     for a in _random_projectivities(gf8, 20, 3):
         l = congruence_lift(gf8, a)
@@ -606,12 +620,12 @@ def test_k_equivalent_compares_two_kernel_fibers(q, sample_matrices, monkeypatch
 
 def _line_orbit_cases(gf):
     """The two stabilizers of the line-orbit suite, each as the subspaces
-    it fixes, the generators of the subgroup whose orbits it is read from,
-    and the candidate lines it splits: R with the nuclear point of the line
-    l0 = span(R, (0,0,0,1,1,0)) (fixed by the same elements as the pair
-    (l0, R)) with H_p and the lines of the conic plane through R, and P
-    with the nuclear point of kernel e2 (fixed by the same elements as P
-    and the hyperplane H) with the kernel subgroup of e0 and the tangency
+    it fixes, the anchor it fixes, whose kernel move its orbits are read
+    after, and the candidate lines it splits: R with the nuclear point of
+    the line l0 = span(R, (0,0,0,1,1,0)) (fixed by the same elements as the
+    pair (l0, R)) with the anchor of v(e1) and the lines of the conic plane
+    through R, and P with the nuclear point of kernel e2 (fixed by the same
+    elements as P and the hyperplane H) with P's anchor e0 and the tangency
     candidates through P inside H."""
     q = gf.q
     hyperplane = span(gf, [atlas._e(j) for j in range(5)])
@@ -620,9 +634,9 @@ def _line_orbit_cases(gf):
     tangency = {k: l for k, l in atlas._lines_through_in(gf, P, hyperplane).items()
                 if point_class_counts(l) == (0, 1, 1, q - 1) and any(r[0] for r in l.rows)}
     return [((span(gf, [R]), span(gf, [(0, 1, 0, 0, 1, 0)])),
-             action._conic_point_subgroup_generators(gf), conic_lines),
+             anchor(span(gf, [(0, 0, 0, 1, 0, 0)])), conic_lines),
             ((span(gf, [P]), span(gf, [(0, 1, 0, 0, 0, 0)])),
-             action._kernel_subgroup_generators(gf, True), tangency)]
+             anchor(span(gf, [P])), tangency)]
 
 
 def group_filter(gf, fixed):
@@ -695,15 +709,19 @@ def test_pair_stabilizer_generators_close_to_the_stabilizer_q8(gf8):
 @pytest.mark.parametrize("q", (2, 4))
 def test_line_orbits_by_closure_match_images_under_every_element(q):
     """Both stabilizers of the line-orbit suite: the order |G| / |orbit| is
-    the size of the group filter, the subgroup holds the filter, and the
-    fibers of its orbits are the orbits of the filter's elements."""
+    the size of the group filter, H holds the filter conjugated by the
+    kernel move C, and the fibers of its orbits are the orbits of the
+    filter's elements."""
     gf = field(q)
     sizes = []
-    for fixed, gens, keyed in _line_orbit_cases(gf):
+    for fixed, kernels, keyed in _line_orbit_cases(gf):
         direct = group_filter(gf, fixed)
         assert len(subspace_orbit(fixed, generators(gf))) * len(direct) == pgl_order(q)
-        assert direct <= mulclose(gf, gens)
-        orbits, walked = atlas._fiber_orbits(gens, fixed, keyed)
+        c, gens = action._kernel_move(gf, kernels)
+        conjugated = {normalize_point(gf, mat3_mul(gf, mat3_mul(gf, c, a), mat3_inv(gf, c)))
+                      for a in direct}
+        assert conjugated <= mulclose(gf, gens)
+        orbits, walked = fiber_orbits(fixed, keyed, kernels)
         assert orbits == orbits_by_every_element(gf, direct, keyed)
         assert walked * len(direct) == q**3 * (q - 1) * (q * q - 1)
         sizes.append(sorted(len(c) for c in orbits))
@@ -711,22 +729,23 @@ def test_line_orbits_by_closure_match_images_under_every_element(q):
 
 
 def test_pair_fiber_orbits_match_schreier_oracle_q8(gf8):
-    """At q = 8 the pair's fibers under H_p are the orbits of the 448
-    elements of the Schreier oracle's stabilizer of (l0, R)."""
-    fixed, gens, keyed = _line_orbit_cases(gf8)[0]
+    """At q = 8 the pair's fibers in H, after C swaps e0 and e1, are the
+    orbits of the 448 elements of the Schreier oracle's stabilizer of
+    (l0, R)."""
+    fixed, kernels, keyed = _line_orbit_cases(gf8)[0]
     group = stabilizer(gf8, *_packed_step(*_line_and_point(gf8)))[0]
-    orbits, walked = atlas._fiber_orbits(gens, fixed, keyed)
+    orbits, walked = fiber_orbits(fixed, keyed, kernels)
     assert orbits == orbits_by_every_element(gf8, group, keyed)
     assert walked * len(group) == 8**3 * 7 * 63
     assert sorted(map(len, orbits)) == [1, 4, 4]
 
 
 def test_line_orbit_leaving_its_candidates_raises(gf4):
-    fixed, gens, keyed = _line_orbit_cases(gf4)[0]
-    orbit = next(c for c in atlas._fiber_orbits(gens, fixed, keyed)[0] if len(c) > 1)
+    fixed, kernels, keyed = _line_orbit_cases(gf4)[0]
+    orbit = next(c for c in fiber_orbits(fixed, keyed, kernels)[0] if len(c) > 1)
     keyed.pop(min(orbit))
     with pytest.raises(VerificationError, match="leaves its candidate set"):
-        atlas._fiber_orbits(gens, fixed, keyed)
+        fiber_orbits(fixed, keyed, kernels)
 
 
 @pytest.mark.parametrize("point, q, dropped",
@@ -734,10 +753,10 @@ def test_line_orbit_leaving_its_candidates_raises(gf4):
                          + [(True, 4, d) for d in range(4)])
 def test_identity_for_a_subgroup_generator_fails_a_line_orbit_check(point, q, dropped,
                                                                       monkeypatch):
-    """With any one generator of H_p (point False: it is built from the
-    kernel subgroup fixing e0 as a column) or of the kernel subgroup of P
-    (point True) replaced by the identity, some check of the line-orbit
-    report fails."""
+    """With any one generator of the kernel subgroup of a line (point
+    False: the pair's fibers walk it after C swaps e0 and e1) or of a point
+    (point True: P's stabilizer) replaced by the identity, some check of
+    the line-orbit report fails."""
     real = action._kernel_subgroup_generators
 
     def fewer(gf, p):
@@ -746,8 +765,7 @@ def test_identity_for_a_subgroup_generator_fails_a_line_orbit_check(point, q, dr
             gens[dropped] = IDENTITY3
         return tuple(gens)
 
-    for module in (action, atlas):
-        monkeypatch.setattr(module, "_kernel_subgroup_generators", fewer)
+    monkeypatch.setattr(action, "_kernel_subgroup_generators", fewer)
     assert not all(c["pass"] for c in atlas.verify_line_orbits(field(q))["checks"])
     # the same subgroup sweeps the orbits of planes with that kind of meet
     label = "Sigma22" if point else "Sigma8"
@@ -851,10 +869,8 @@ def test_line_orbit_suite_walks_neither_the_lines_nor_the_group(monkeypatch):
             draws.append(a)
             yield a
 
-    for module in (action, atlas):
-        monkeypatch.setattr(module, "closure", counted_closure)
-        if hasattr(module, "pgl_elements"):
-            monkeypatch.setattr(module, "pgl_elements", counted_elements)
+    monkeypatch.setattr(action, "closure", counted_closure)
+    monkeypatch.setattr(action, "pgl_elements", counted_elements)
     for q, bound, walks in ((4, 4001, 12), (8, 5617, 6)):
         states.clear()
         assert all(c["pass"] for c in atlas.verify_line_orbits(field(q))["checks"])
