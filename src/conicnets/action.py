@@ -33,10 +33,13 @@ state back to the one it came from.  ``_kernel_move`` builds the one C,
 which takes an ``anchor`` (from ``invariants``) to e0, with the generators
 of e0's stabilizer H.  Every orbit question about an anchored subspace is
 answered in H: ``kernel_fiber`` walks the subspaces carried by C,
-``orbit_keys`` sweeps that fiber by the Singer cycle, one mover call per
-key, ``k_equivalent`` compares two fibers, ``atlas`` counts stabilizers by
-it, and ``fiber_orbits`` splits lines by the stabilizer of subspaces that
-fix an anchor.
+``orbit_keys`` copies that fiber to every anchor position, cell by cell of
+the positions under the lower unitriangular group (``_anchor_cells``),
+``k_equivalent`` compares two fibers, ``atlas`` counts stabilizers by it,
+and ``fiber_orbits`` splits lines by the stabilizer of subspaces that fix
+an anchor.  A lower unitriangular matrix lifts to a lower unitriangular
+one, which keeps every pivot, so its ``PackedAction.triangular_mover``
+only back-substitutes.
 ``congruence_image`` moves one point, each diagonal entry of A M A^T a sum
 of squares; ``act_subspace`` moves each basis row with it and reduces.
 Layers import in one order: gf, projgeom, veronese, invariants, action,
@@ -281,6 +284,40 @@ class PackedAction:
 
         return (move1, move2, move3)[n - 1]
 
+    def triangular_mover(self, a, n: int):
+        """``mover(tables(a), n)`` for a lower unitriangular a, any other a
+        refused with ValueError before a table is built.  lift(a) is lower
+        unitriangular in (00, 01, 02, 11, 12, 22), so a mapped row keeps its
+        pivot and pivot entry 1 and the rows stay in order: a plane needs at
+        most three conditional eliminations, a line one and a point none.
+        One move serves all three, a key of fewer rows reading as zero rows
+        above its own, which map to zero and eliminate nothing."""
+        if (a[0], a[1], a[2], a[4], a[5], a[8]) != (1, 0, 0, 1, 0, 1):
+            raise ValueError("not lower unitriangular: %r" % (a,))
+        if not 1 <= n <= 3:
+            raise ValueError("packed movers take 1 to 3 rows, got %d" % n)
+        hi, lo = self.tables(a)
+        w, s3, m3, m6 = self.w, self.s3, self.m3, self.m6
+        shi, slo, pivot, m = self.shi, self.slo, self.pivot, self.gf.q - 1
+
+        def move(key):
+            a, b, d = key >> 2 * w, (key >> w) & m6, key & m6
+            a = hi[a >> s3] ^ lo[a & m3]
+            b = hi[b >> s3] ^ lo[b & m3]
+            d = hi[d >> s3] ^ lo[d & m3]
+            sd = pivot[d.bit_length()]
+            c = (b >> sd) & m
+            if c:
+                b ^= shi[c][d >> s3] ^ slo[c][d & m3]
+            c = (a >> sd) & m
+            if c:
+                a ^= shi[c][d >> s3] ^ slo[c][d & m3]
+            c = (a >> pivot[b.bit_length()]) & m
+            if c:
+                a ^= shi[c][b >> s3] ^ slo[c][b & m3]
+            return (a << w | b) << w | d
+
+        return move
 
 packed_action = functools.cache(PackedAction)
 
@@ -455,33 +492,60 @@ def fiber_orbits(fixed, lines: dict, kernels) -> tuple[list[set[int]], int]:
     return orbits, size
 
 
+SWAP01 = (0, 1, 0, 1, 0, 0, 0, 0, 1)
+SWAP02 = (0, 0, 1, 0, 1, 0, 1, 0, 0)
+
+
+def _anchor_cells(gf: GF, point: bool):
+    """The anchor positions' cells under the lower unitriangular group, as
+    (swap moving e0 into the cell or None, the x_ij(t) over the GF(2)-basis
+    t = 1, 2, 4, ... of GF(q) that walk the cell from there once).  Points
+    move by A^-T (cells of 1, q, q^2), lines by A (cells of q^2, q, 1)."""
+
+    def x(i, j):
+        return [tuple(t if k == 3 * i + j else IDENTITY3[k] for k in range(9))
+                for t in (1 << b for b in range(gf.e))]
+
+    if point:
+        return (None, []), (SWAP01, x(1, 0)), (SWAP02, x(2, 0) + x(2, 1))
+    return (None, x(1, 0) + x(2, 0)), (SWAP01, x(2, 1)), (SWAP02, [])
+
+
 def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     """Packed keys of the full orbit of s, refused for q > 16 before any
     table is built, for other than 1 to 3 rows before its anchor is sought,
     and once more than ``max_keys`` keys are held.
 
-    A point, line or plane with an ``anchor`` is the union of its
-    ``kernel_fiber`` F and F's images under S^1 .. S^(q^2+q), S the Singer
-    cycle, each a map of S's mover over the last.  S moves anchors
-    regularly: a count other than (q^2+q+1) |F| raises VerificationError.
-    The nucleus plane is its own orbit; a plane missing it is a ``closure``."""
-    pa, gens, n = packed_action(s.gf), generators(s.gf), s.gf.q * s.gf.q + s.gf.q + 1
-    move = pa.mover(pa.tables(gens[1]), len(s.rows))
+    A point, line or plane with an ``anchor`` is the union of q^2+q+1
+    copies of its ``kernel_fiber`` F, one per anchor position, swept cell
+    by cell (``_anchor_cells``): a cell's first copy is F or its image under
+    the cell's swap, and each further copy is one ``triangular_mover`` map
+    of the last, so one copy is held at a time.  A count other than
+    (q^2+q+1) |F| raises VerificationError.  The nucleus plane is its own
+    orbit; a plane missing it is a ``closure``."""
+    pa, n = packed_action(s.gf), len(s.rows)
+    swaps = {a: pa.mover(pa.tables(a), n) for a in (SWAP01, SWAP02)}
     kernels = anchor(s)
     if not kernels:
-        return subspace_orbit((s,), gens, max_keys)
+        return subspace_orbit((s,), generators(s.gf), max_keys)
     if len(kernels) == 3:
         return {s.key_int()}
     fiber = list(kernel_fiber((s,), kernels, max_keys))
-    out, image = set(fiber), fiber
-    for _ in range(n - 1):
-        image = list(map(move, image))
-        out.update(image)
-        if max_keys is not None and len(out) > max_keys:
-            raise ResourceBudgetError("orbit enumeration exceeded %d keys" % max_keys,
-                                      partial=len(out))
-    if len(out) != n * len(fiber):
-        raise VerificationError("the Singer images of a kernel fiber overlap")
+    out = set()
+    for base, gens in _anchor_cells(s.gf, len(kernels) == 1):
+        image = fiber if base is None else list(map(swaps[base], fiber))
+        moves = [pa.triangular_mover(a, n) for a in gens]
+        # Gray code order: copy i is copy i - 1 moved by the generator of
+        # i's lowest set bit, so each element of the cell's group is met once
+        for i in range(1 << len(moves)):
+            if i:
+                image = list(map(moves[(i & -i).bit_length() - 1], image))
+            out.update(image)
+            if max_keys is not None and len(out) > max_keys:
+                raise ResourceBudgetError("orbit enumeration exceeded %d keys" % max_keys,
+                                          partial=len(out))
+    if len(out) != (s.gf.q**2 + s.gf.q + 1) * len(fiber):
+        raise VerificationError("the cell images of a kernel fiber overlap")
     return out
 
 

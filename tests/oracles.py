@@ -12,9 +12,12 @@ from conicnets.action import (
     closure,
     congruence_image,
     generators,
+    kernel_fiber,
     mat3_det,
     mat3_mul,
+    packed_action,
     pgl_order,
+    subspace_orbit,
 )
 from conicnets.errors import (
     ClassificationError,
@@ -23,7 +26,7 @@ from conicnets.errors import (
     VerificationError,
 )
 from conicnets.gf import GF, field
-from conicnets.invariants import nucleus_cut
+from conicnets.invariants import anchor, nucleus_cut
 from conicnets.projgeom import (
     Subspace,
     enumerate_planes_chunk,
@@ -217,6 +220,32 @@ def hand_moved_pair(gf: GF) -> tuple[tuple[Subspace, Subspace], tuple[Subspace, 
     e0 that ``kernel_fiber`` builds from N."""
     pair = (span(gf, [(0, 1, 0, 1, 0, 0)]), span(gf, [(0, 1, 0, 0, 1, 0)]))
     return pair, tuple(act_subspace(t, (1, 0, 1, 0, 1, 0, 0, 0, 1)) for t in pair)
+
+
+def singer_orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
+    """The orbit of s as ``action.orbit_keys`` swept it before its cell
+    sweep: the ``kernel_fiber`` F of an anchored s and F's images under
+    S^1 .. S^(q^2+q), S the Singer cycle, which moves the anchor positions
+    regularly, each image one generic mover map of the last; a count other
+    than (q^2+q+1) |F| raises VerificationError."""
+    pa, gens, n = packed_action(s.gf), generators(s.gf), s.gf.q * s.gf.q + s.gf.q + 1
+    move = pa.mover(pa.tables(gens[1]), len(s.rows))
+    kernels = anchor(s)
+    if not kernels:
+        return subspace_orbit((s,), gens, max_keys)
+    if len(kernels) == 3:
+        return {s.key_int()}
+    fiber = list(kernel_fiber((s,), kernels, max_keys))
+    out, image = set(fiber), fiber
+    for _ in range(n - 1):
+        image = list(map(move, image))
+        out.update(image)
+        if max_keys is not None and len(out) > max_keys:
+            raise ResourceBudgetError("orbit enumeration exceeded %d keys" % max_keys,
+                                      partial=len(out))
+    if len(out) != n * len(fiber):
+        raise VerificationError("the Singer images of a kernel fiber overlap")
+    return out
 
 
 # -- stabilizers as element sets ----------------------------------------------

@@ -2,10 +2,10 @@
 
 The packed kernel is checked against the brute-force code it replaced,
 which lives on here and in ``oracles`` only: the lift as a congruence
-product, the RREF of ``projgeom``, a breadth-first orbit on row tuples,
-stabilizers as element sets (Schreier generators closed as they come, and
-group filters), and line orbits as the images under every element of a
-stabilizer.
+product, the RREF of ``projgeom``, a breadth-first orbit on row tuples, the
+Singer sweep of kernel fibers, stabilizers as element sets (Schreier
+generators closed as they come, and group filters), and line orbits as the
+images under every element of a stabilizer.
 """
 
 import random
@@ -50,6 +50,7 @@ from oracles import (
     mat3_inv,
     mulclose,
     orbit_transversal,
+    singer_orbit_keys,
     stabilizer,
     sym_matrix,
 )
@@ -415,23 +416,200 @@ def test_anchor_mutants_break_the_sweep_q4(mutant, gf4, sample_matrices, monkeyp
     assert _sweep_mismatches(gf4, sample_matrices(gf4)[2:4])
 
 
+def _cell_sweep_cases(gf):
+    """Planes anchored at a kernel point and at a kernel line, and a point
+    and a line off the nucleus plane."""
+    return [representative(gf, "Sigma8"), representative(gf, "Sigma15"),
+            span(gf, [veronese(gf, (0, 1, 0))]),
+            span(gf, [veronese(gf, (1, 0, 0)), veronese(gf, (0, 1, 0))])]
+
+
+def _cell_mutants(gf, point):
+    """(name, value) patches of ``action``: ``_anchor_cells`` with one
+    generator dropped, and each swap replaced by the identity."""
+    cells = action._anchor_cells(gf, point)
+    for i, (base, gens) in enumerate(cells):
+        for j in range(len(gens)):
+            fewer = cells[:i] + ((base, gens[:j] + gens[j + 1:]),) + cells[i + 1:]
+            yield "_anchor_cells", lambda gf, point, fewer=fewer: fewer
+    yield "SWAP01", IDENTITY3
+    yield "SWAP02", IDENTITY3
+
+
 @pytest.mark.parametrize("q", (2, 4, 8))
-def test_singer_sweep_needs_the_singer_cycle(q, monkeypatch):
-    """With the transvection in the Singer cycle's place the images of a
-    kernel fiber overlap (the transvection is an involution), and the count
-    check refuses the sweep of planes, lines and points alike.  The
-    breadth-first orbit of a plane missing the nucleus plane is then the
-    transvection's, two planes."""
+def test_cell_sweep_needs_every_generator_and_swap(q, monkeypatch):
+    """With any one cell generator dropped, or a cell's swap replaced by
+    the identity, some anchor position gets no copy of the kernel fiber or
+    two, and the count check refuses the sweep of planes, lines and points
+    alike.  The breadth-first orbit of a plane missing the nucleus plane,
+    under the transvection alone, is two planes."""
     gf = field(q)
+    cases = _cell_sweep_cases(gf)
+    assert sorted(len(anchor(s)) for s in cases) == [1, 1, 2, 2]
+    for s in cases:
+        mutants = list(_cell_mutants(gf, len(anchor(s)) == 1))
+        assert len(mutants) == 3 * gf.e + 2
+        for name, value in mutants:
+            with monkeypatch.context() as patch:
+                patch.setattr(action, name, value)
+                with pytest.raises(VerificationError, match="cell images"):
+                    orbit_keys(s)
     monkeypatch.setattr(action, "generators", lambda gf: (action.TRANSVECTION,) * 2)
-    swept = [representative(gf, "Sigma8"), representative(gf, "Sigma15"),
-             span(gf, [veronese(gf, (0, 1, 0))]),
-             span(gf, [veronese(gf, (1, 0, 0)), veronese(gf, (0, 1, 0))])]
-    for s in swept:
-        with pytest.raises(VerificationError, match="Singer images"):
-            orbit_keys(s)
     diagonal = span(gf, [veronese(gf, p) for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
     assert len(orbit_keys(diagonal)) == 2
+
+
+def _spanned_by_rows(s):
+    """s, the points of its basis rows and the lines of pairs of them."""
+    rows = s.rows
+    return [s, *(span(s.gf, [r]) for r in rows),
+            *(span(s.gf, [rows[i], rows[j]]) for i in range(3) for j in range(i + 1, 3))]
+
+
+def _sweep_against_oracle(planes, budget):
+    """(agreeing, refused by both): the points, lines and planes spanned by
+    the basis rows of ``planes``, swept by ``orbit_keys`` and by the Singer
+    oracle under ``budget``; a disagreement fails."""
+    agree = refused = 0
+    for s in planes:
+        for t in _spanned_by_rows(s):
+            got = []
+            for sweep in (orbit_keys, singer_orbit_keys):
+                try:
+                    got.append(sweep(t, budget))
+                except ResourceBudgetError:
+                    got.append(None)
+            assert got[0] == got[1], t.rows
+            agree += got[0] is not None
+            refused += got[0] is None
+    return agree, refused
+
+
+def _with_moved_copies(gf, labels):
+    (a,) = _random_projectivities(gf, 1, gf.q)
+    reps = [representative(gf, label) for label in labels]
+    return reps + [act_subspace(s, a) for s in reps]
+
+
+@pytest.mark.parametrize("q, labels, refused", [
+    (2, atlas.LABELS, 0), (4, atlas.LABELS, 0),
+    (8, ("Sigma1", "Sigma7", "Sigma8", "Sigma15", "Sigma16", "SigmaN"), 4),
+    pytest.param(8, atlas.LABELS, 63, marks=pytest.mark.slow)])
+def test_cell_sweep_matches_the_singer_sweep(q, labels, refused):
+    """Cell by cell or by Singer images, each orbit has the same keys: the
+    points, lines and planes spanned by the basis rows of the
+    representatives and of moved copies.  At q = 8 an orbit past 50,000 keys
+    is refused by both sweeps; tier 1 takes the six orbits of at most 5,256
+    planes, and -m slow all 18."""
+    gf = field(q)
+    assert _sweep_against_oracle(_with_moved_copies(gf, labels), 50000 if q == 8 else None) \
+        == (14 * len(labels) - refused, refused)
+
+
+def test_cell_sweep_matches_the_singer_sweep_q16():
+    """At q = 16, the orbits of at most 80,000 keys among the points, lines
+    and planes spanned by moved copies of Sigma1, Sigma7, Sigma16 and
+    Sigma8, each orbit past that refused by both sweeps."""
+    (a,) = _random_projectivities(field(16), 1, 16)
+    moved = [act_subspace(representative(field(16), label), a)
+             for label in ("Sigma1", "Sigma7", "Sigma16", "Sigma8")]
+    assert _sweep_against_oracle(moved, 80000) == (22, 6)
+
+
+def _unreduced_mover(self, a, n):
+    """Mutant of ``triangular_mover``: the rows mapped, not back-substituted."""
+    hi, lo = self.tables(a)
+    w, s3, m3, m6 = self.w, self.s3, self.m3, self.m6
+    rows = lambda key: ((key >> w * i) & m6 for i in range(n))
+    return lambda key: sum((hi[r >> s3] ^ lo[r & m3]) << w * i for i, r in enumerate(rows(key)))
+
+
+def test_triangular_mover_without_back_substitution_fails_the_oracle(gf4, monkeypatch):
+    """Mapped but not back-substituted, the keys of lines and planes leave
+    reduced form, and their swept orbits differ from the oracle's (or are
+    refused); a point needs no back-substitution, so its orbits agree."""
+    monkeypatch.setattr(PackedAction, "triangular_mover", _unreduced_mover)
+    s = representative(gf4, "Sigma15")
+    cases = _spanned_by_rows(s)
+
+    def agrees(t):
+        try:
+            return orbit_keys(t) == singer_orbit_keys(t)
+        except VerificationError:
+            return False
+
+    plane, points, lines = agrees(cases[0]), list(map(agrees, cases[1:4])), map(agrees, cases[4:])
+    assert not plane and all(points) and not all(lines)
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_sweep_generators_lift_to_unitriangular_matrices(e):
+    """The premise of ``triangular_mover``: the lift of every cell
+    generator is lower unitriangular with unit diagonal in the order
+    (00, 01, 02, 11, 12, 22), at q = 2 .. 256."""
+    gf = field(2**e)
+    gens = {a for point in (True, False) for _, cell in action._anchor_cells(gf, point)
+            for a in cell}
+    assert len(gens) == 3 * e
+    for a in gens:
+        l = lift(gf, a)
+        assert all(l[i][i] == 1 and not any(l[i][i + 1:]) for i in range(6)), a
+
+
+@pytest.mark.parametrize("q", (2, 4, 8))
+def test_anchor_cells_cover_each_position_once(q):
+    """Each cell's generators, over its swap's image of e0, reach q^2+q+1
+    distinct anchor positions in all, every point of PG(2,q): points move
+    by A^-T and lines by A."""
+    gf = field(q)
+    for point in (True, False):
+        reached = []
+        for base, gens in action._anchor_cells(gf, point):
+            group = [IDENTITY3]
+            for a in gens:
+                group += [mat3_mul(gf, a, g) for g in group]
+            for g in group:
+                g = mat3_mul(gf, g, base or IDENTITY3)
+                # the image of e0: the first column of A^-T or of A
+                reached.append(normalize_point(gf, mat3_inv(gf, g)[:3] if point else g[::3]))
+        assert len(reached) == len(set(reached)) == q * q + q + 1
+        assert set(reached) == set(pg_points(gf, 2))
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_triangular_mover_matches_the_mover(q):
+    """On random full-rank RREF keys of 1, 2 and 3 rows, the
+    back-substitution move of a lower unitriangular matrix, a cell
+    generator or a random one, equals the generic mover's."""
+    gf = field(q)
+    pa = PackedAction(gf)
+    rng = random.Random(q)
+    cells = [a for p in (True, False) for _, gens in action._anchor_cells(gf, p) for a in gens]
+    lower = [(1, 0, 0, rng.randrange(q), 1, 0, rng.randrange(q), rng.randrange(q), 1)
+             for _ in range(6)]
+    for a in cells + lower:
+        for n in (1, 2, 3):
+            move, fast = pa.mover(pa.tables(a), n), pa.triangular_mover(a, n)
+            for _ in range(40):
+                rows = ()
+                while len(rows) < n:
+                    rows = rref(gf, [[rng.randrange(q) if rng.random() < 0.5 else 0
+                                      for _ in range(6)] for _ in range(n)])
+                key = pack_rows(gf, rows)
+                assert fast(key) == move(key), (a, rows)
+
+
+def test_triangular_mover_refuses_other_matrices(gf4):
+    """The Singer cycle, both swaps and diag(1, w, 1) are refused with
+    ValueError before any table is built, and so is a 4-row key."""
+    pa = PackedAction(gf4)
+    for a in (generators(gf4)[1], action.SWAP01, action.SWAP02,
+              (1, 0, 0, 0, gf4.primitive_element(), 0, 0, 0, 1)):
+        with pytest.raises(ValueError, match="not lower unitriangular"):
+            pa.triangular_mover(a, 3)
+    assert pa._tables == {}
+    with pytest.raises(ValueError, match="1 to 3 rows"):
+        pa.triangular_mover(IDENTITY3, 4)
 
 
 def test_one_packed_action_per_field(gf4, monkeypatch):
@@ -457,14 +635,21 @@ def test_one_packed_action_per_field(gf4, monkeypatch):
 @pytest.mark.parametrize("q", (4, 8))
 def test_line_orbit_suite_tables_only_group_and_kernel_generators(q):
     """The line-orbit suite builds split tables for the two generators and
-    the two kernel subgroups' generators only, 6 matrices (x01(1) is the
-    transvection), and for no conjugated copy of them (9 with one)."""
+    the two kernel subgroups' generators, 6 matrices (x01(1) is the
+    transvection), and at q = 4, where it sweeps a special line, for the two
+    swaps and the cell generators x10(t), x20(t), x21(t), t = 1, 2 (x10(1)
+    and x21(1) are kernel generators): 12.  It builds them for no
+    conjugated copy (one more with one)."""
     gf = field(q)
     packed_action.cache_clear()
     assert all(c["pass"] for c in atlas.verify_line_orbits(gf)["checks"])
     want = {*generators(gf), *action._kernel_subgroup_generators(gf, True),
             *action._kernel_subgroup_generators(gf, False)}
-    assert set(packed_action(gf)._tables) == want and len(want) == 6
+    if q == 4:
+        want |= {action.SWAP01, action.SWAP02,
+                 *(a for point in (True, False)
+                   for _, gens in action._anchor_cells(gf, point) for a in gens)}
+    assert set(packed_action(gf)._tables) == want and len(want) == (12 if q == 4 else 6)
 
 
 def test_act_subspace_matches_congruence_lift(gf8):
@@ -801,7 +986,7 @@ def test_identity_kernel_move_fails_the_pair_count(q, monkeypatch):
     refuses it; walked breadth-first, they leave the pair count to report."""
     _identity_kernel_move(monkeypatch)
     if q == 4:
-        with pytest.raises(VerificationError, match="Singer images"):
+        with pytest.raises(VerificationError, match="cell images"):
             atlas.verify_line_orbits(field(q))
         monkeypatch.setattr(atlas, "orbit_keys",
                             lambda s: subspace_orbit((s,), generators(s.gf)))
