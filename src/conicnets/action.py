@@ -9,11 +9,9 @@ with the Veronese embedding: lift(A) maps the image of p to the image of A p.
 Matrices of PG(2,q) projectivities are flat 9-tuples (row-major),
 normalized as points (``projgeom.normalize_point``): first nonzero entry 1.
 
-Orbits are closed under two generators, the transvection I + E01 and a
-Singer cycle: by Kantor's theorem a subgroup of GL(3,q) holding a Singer
-cycle contains SL(3,q) or lies in GammaL(1,q^3), which has no involution
-for q even, and the Singer cycle's determinant is primitive.
-``pgl_elements`` streams the whole group row by row.
+Orbits are closed under ``generators``, the transvection I + E01 and a
+closed-form M of primitive determinant that permutes the root groups.
+``pgl_elements`` lists the whole group as the nonsingular points of PG(8,q).
 
 Orbit work runs on packed rows: a 6-vector held as one int, e bits per
 entry, first entry in the highest bits (the layout of ``projgeom.pack_rows``),
@@ -49,7 +47,6 @@ atlas, cli.
 from __future__ import annotations
 
 import functools
-from itertools import product
 
 from .errors import ResourceBudgetError, VerificationError
 from .gf import GF
@@ -328,65 +325,28 @@ packed_action = functools.cache(PackedAction)
 TRANSVECTION = (1, 1, 0, 0, 1, 0, 0, 0, 1)
 
 
-def _has_order(gf: GF, a, n: int) -> bool:
-    """Whether a has order exactly n in GL(3,q): a^n = I and a^(n/p) != I
-    for every prime p dividing n."""
-
-    def power(k):
-        out, b = IDENTITY3, a
-        while k:
-            if k & 1:
-                out = mat3_mul(gf, out, b)
-            b, k = mat3_mul(gf, b, b), k >> 1
-        return out
-
-    primes, m, p = [], n, 2
-    while m > 1:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    return power(n) == IDENTITY3 and all(power(n // p) != IDENTITY3 for p in primes)
-
-
-@functools.cache
 def generators(gf: GF) -> tuple[tuple[int, ...], ...]:
-    """The transvection I + E01 and a Singer cycle, which generate PGL(3,q).
+    """The transvection x01(1) and M = [[0,0,w],[1,0,0],[0,1,0]] normalized,
+    w = ``gf.primitive_element()``, which generate PGL(3,q) for every even q.
 
-    The Singer cycle is the companion matrix of the first primitive cubic
-    x^3 + a x^2 + b x + c, one of order q^3 - 1 in GL(3,q).  By Kantor's
-    theorem (Linear groups containing a Singer cycle, 1980) a subgroup of
-    GL(3,q) holding a Singer cycle contains SL(3,q) or lies in
-    GammaL(1,q^3), of odd order 3(q^3 - 1) for q even, which holds no
-    involution such as the transvection.  The determinant c is primitive
-    in GF(q), so the pair generates GL(3,q), hence PGL(3,q).  Searched
-    once per field."""
-    for a in gf.elements:
-        for b in gf.elements:
-            for c in gf.nonzero:
-                singer = (0, 1, 0, 0, 0, 1, c, b, a)
-                if _has_order(gf, singer, gf.q**3 - 1):
-                    return TRANSVECTION, singer
-    raise VerificationError("no primitive cubic over GF(%d)" % gf.q)
+    With xij(t) = I + t Eij, conjugation by M (e0 -> e1 -> e2 -> w e0) takes
+    x01(t) -> x12(t), x12(t) -> x20(t/w) and x20(t) -> x01(wt), and the
+    commutator of xij(a) and xjk(b) is xik(ab).  So with x01(t) the group
+    holds x20(t/w), x21(t/w) = [x20(t/w), x01(1)], x02(1) = [x01(1), x12(1)]
+    and x01(t/w) = [x02(1), x21(t/w)]: x01 holds every power of w, so all
+    of GF(q), and its conjugates and commutators fill the other five root
+    groups, so SL(3,q) (Taylor, The Geometry of the Classical Groups).  And
+    det M = w (w^-2 normalized, q - 1 odd) is primitive, so GL(3,q)."""
+    w = gf.primitive_element()
+    return TRANSVECTION, normalize_point(gf, (0, 0, w, 1, 0, 0, 0, 1, 0))
 
 
 def pgl_elements(gf: GF):
-    """Yields the full projectivity group as normalized matrices (q <= 4).
-
-    Enumerated row by row: a normalized first row, then any second row off
-    its span, then any third row off the span of both.  Each element of
-    PGL(3,q) is met once, by its matrix with first nonzero entry 1.  Only
-    the tests' group filters and a perfbench tracer target read it.
-    """
-    mul, els = gf._mul, gf.elements
-    vectors = list(product(els, repeat=3))
-    for r0 in pg_points(gf, 2):
-        line = {tuple(mul[c][x] for x in r0) for c in els}
-        for r1 in vectors:
-            if r1 not in line:
-                plane = {tuple(u ^ mul[c][x] for u, x in zip(p, r1)) for p in line for c in els}
-                yield from (r0 + r1 + r2 for r2 in vectors if r2 not in plane)
+    """The full projectivity group as normalized matrices (q <= 4): the
+    nonsingular points of PG(8,q), in ``pg_points`` order, which builds them
+    as one list (87,381 at q = 4).  Only the tests' group filters and a
+    perfbench tracer target read it."""
+    return (a for a in pg_points(gf, 8) if mat3_det(gf, a))
 
 
 # -- orbits ----------------------------------------------------------------

@@ -319,8 +319,10 @@ def representative_pattern(gf: GF, label: str, overrides: dict | None = None):
 
 @functools.cache
 def _rep_data(gf: GF):
+    """(representatives, their parameters, their computed signatures)."""
     reps: dict[str, Subspace] = {}
     params: dict[str, dict[str, int]] = {}
+    sigs: dict[str, PlaneSignature] = {}
     for label in LABELS:
         rows, pars = representative_pattern(gf, label)
         s = plane_from_pattern(gf, rows)
@@ -329,9 +331,8 @@ def _rep_data(gf: GF):
             raise VerificationError(
                 "representative %s has signature %r, expected %r" % (label, sig, want)
             )
-        reps[label] = s
-        params[label] = pars
-    return reps, params
+        reps[label], params[label], sigs[label] = s, pars, sig
+    return reps, params, sigs
 
 
 def representatives(gf: GF) -> dict[str, Subspace]:
@@ -544,10 +545,10 @@ def _orbit_rows(gf: GF, orders: dict[str, int] | None) -> list[dict]:
 def verify_distributions(gf: GF) -> dict:
     """Check every representative's computed signature against the
     closed-form one: point and hyperplane distributions, cubic kind and
-    point count.  Works for any q without enumeration."""
+    point count, as computed once by ``_rep_data``.  Works for any q
+    without enumeration."""
     checks = []
-    for label in LABELS:
-        sig = plane_signature(representatives(gf)[label])
+    for label, sig in _rep_data(gf)[2].items():
         checks.append(_check(
             "distribution[%s]" % label,
             sig == expected_signature(label, gf.q),

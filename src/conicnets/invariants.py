@@ -413,12 +413,11 @@ def cubic_pencil(gf: GF, cubic, p=(1, 0, 0)) -> tuple[int, str]:
     raise ClassificationError("component line meets the residual conic in %d points" % hits)
 
 
-def cubic_type(gf: GF, cubic, zeros=None) -> str:
+def cubic_type(gf: GF, cubic) -> str:
     """Factorization type of a nonzero cubic form over GF(q), q even.
 
-    ``zeros`` holds rational zeros of the cubic; the pencil of lines through
-    the first of them gives the type (cubic_pencil).  When it is not given,
-    PG(2,q) is scanned for one zero.  Types are the CUBIC_KINDS strings.
+    The pencil of lines through a rational zero, found by a scan of PG(2,q),
+    gives the type (cubic_pencil), one of the CUBIC_KINDS strings.
 
     The kinds cover the determinantal cubics of planes meeting the nucleus
     plane.  Off that family two more shapes occur, a line plus a conic the
@@ -427,7 +426,7 @@ def cubic_type(gf: GF, cubic, zeros=None) -> str:
     """
     if not any(cubic):
         raise ValueError("the zero cubic has no factorization type")
-    return cubic_pencil(gf, cubic, zeros[0] if zeros else _first_zero(gf, cubic))[1]
+    return cubic_pencil(gf, cubic, _first_zero(gf, cubic))[1]
 
 
 # -- line profile and full signature ---------------------------------------

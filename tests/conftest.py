@@ -6,6 +6,7 @@ from conicnets import projgeom
 from conicnets.action import generators
 from conicnets.gf import field
 from conicnets.projgeom import normalize_point
+from oracles import singer_generators
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +50,8 @@ def rref_calls(monkeypatch):
 def sample_matrices():
     """Some projectivities, for tests that need group elements: the
     transvections I + E01 and I + E10, a primitive diagonal and a coordinate
-    cycle, then the generating pair, each once and none the identity."""
+    cycle, then the generating pair and the oracle's Singer cycle, each once
+    and none the identity."""
 
     def samples(gf):
         out = []
@@ -59,6 +61,7 @@ def sample_matrices():
             (gf.primitive_element(), 0, 0, 0, 1, 0, 0, 0, 1),
             (0, 0, 1, 1, 0, 0, 0, 1, 0),
             *generators(gf),
+            singer_generators(gf)[1],
         ):
             a = normalize_point(gf, a)
             if a != (1, 0, 0, 0, 1, 0, 0, 0, 1) and a not in out:

@@ -1,13 +1,16 @@
 """Brute-force references that only tests call: point-by-point passes and
 per-point actions the package replaced by closed forms or kernel scans,
 stabilizers as sets of group elements (Schreier's lemma) where the package
-counts orbits, and helpers the package itself has no use for.  Tests
-compare the package against them."""
+counts orbits, a Singer cycle for the sweep the package replaced, and
+helpers the package itself has no use for.  Tests compare the package
+against them."""
 
+import functools
 from itertools import product
 
 from conicnets.action import (
     IDENTITY3,
+    TRANSVECTION,
     act_subspace,
     closure,
     congruence_image,
@@ -222,13 +225,50 @@ def hand_moved_pair(gf: GF) -> tuple[tuple[Subspace, Subspace], tuple[Subspace, 
     return pair, tuple(act_subspace(t, (1, 0, 1, 0, 1, 0, 0, 0, 1)) for t in pair)
 
 
+def _has_order(gf: GF, a, n: int) -> bool:
+    """Whether a has order exactly n in GL(3,q): a^n = I and a^(n/p) != I
+    for every prime p dividing n."""
+
+    def power(k):
+        out, b = IDENTITY3, a
+        while k:
+            if k & 1:
+                out = mat3_mul(gf, out, b)
+            b, k = mat3_mul(gf, b, b), k >> 1
+        return out
+
+    primes, m, p = [], n, 2
+    while m > 1:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return power(n) == IDENTITY3 and all(power(n // p) != IDENTITY3 for p in primes)
+
+
+@functools.cache
+def singer_generators(gf: GF) -> tuple[tuple[int, ...], ...]:
+    """The transvection I + E01 and a Singer cycle: the companion matrix of
+    the first primitive cubic x^3 + a x^2 + b x + c, one of order q^3 - 1
+    in GL(3,q), which moves the points of PG(2,q) regularly.  Searched once
+    per field."""
+    for a in gf.elements:
+        for b in gf.elements:
+            for c in gf.nonzero:
+                singer = (0, 1, 0, 0, 0, 1, c, b, a)
+                if _has_order(gf, singer, gf.q**3 - 1):
+                    return TRANSVECTION, singer
+    raise VerificationError("no primitive cubic over GF(%d)" % gf.q)
+
+
 def singer_orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     """The orbit of s as ``action.orbit_keys`` swept it before its cell
     sweep: the ``kernel_fiber`` F of an anchored s and F's images under
     S^1 .. S^(q^2+q), S the Singer cycle, which moves the anchor positions
     regularly, each image one generic mover map of the last; a count other
     than (q^2+q+1) |F| raises VerificationError."""
-    pa, gens, n = packed_action(s.gf), generators(s.gf), s.gf.q * s.gf.q + s.gf.q + 1
+    pa, gens, n = packed_action(s.gf), singer_generators(s.gf), s.gf.q * s.gf.q + s.gf.q + 1
     move = pa.mover(pa.tables(gens[1]), len(s.rows))
     kernels = anchor(s)
     if not kernels:

@@ -42,7 +42,7 @@ from conicnets.errors import ResourceBudgetError, VerificationError
 from conicnets.gf import field
 from conicnets.invariants import anchor, plane_key, point_class_counts
 from conicnets.projgeom import normalize_point, pack_rows, pg_points, rref, span
-from conicnets.veronese import nucleus_plane, veronese
+from conicnets.veronese import nucleus_plane, point_class, veronese
 from oracles import (
     act_point,
     act_point_pg2,
@@ -50,6 +50,7 @@ from oracles import (
     mat3_inv,
     mulclose,
     orbit_transversal,
+    singer_generators,
     singer_orbit_keys,
     stabilizer,
     sym_matrix,
@@ -85,10 +86,40 @@ def _gl_order_divides(gf, a, n):
 
 
 @pytest.mark.parametrize("e", range(1, 9))
-def test_generators_are_a_transvection_and_a_singer_cycle(e):
+def test_generators_meet_the_premises_of_their_proof(e):
+    """What the proof in ``generators`` rests on, at q = 2 .. 256: the
+    first generator is x01(1); conjugation by M takes x01(t) to x12(t),
+    x12(t) to x20(t/w) and x20(t) to x01(wt) for every t, w primitive;
+    det M is primitive; and M is not an involution, so the transvection is
+    the one generator that ``closure`` never steps back by."""
     q = 2**e
     gf = field(q)
-    t, s = generators(gf)
+    t, m = generators(gf)
+    w, m_inv = gf.primitive_element(), mat3_inv(gf, m)
+
+    def x(i, j, c):
+        return tuple(c if k == 3 * i + j else IDENTITY3[k] for k in range(9))
+
+    for c in gf.elements:
+        for (i, j), (k, l), d in (((0, 1), (1, 2), c), ((1, 2), (2, 0), gf.div(c, w)),
+                                  ((2, 0), (0, 1), gf.mul(w, c))):
+            assert mat3_mul(gf, mat3_mul(gf, m, x(i, j, c)), m_inv) == x(k, l, d), (i, j, c)
+    assert t == x(0, 1, 1)
+    det, order = mat3_det(gf, m), 1
+    power = det
+    while power != 1:
+        power, order = gf.mul(power, det), order + 1
+    assert order == q - 1
+    assert normalize_point(gf, mat3_mul(gf, m, m)) != IDENTITY3
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_generators_are_a_transvection_and_a_singer_cycle(e):
+    """The oracle's Singer pair: the transvection and the companion matrix
+    of a cubic, of order exactly q^3 - 1 in GL(3,q)."""
+    q = 2**e
+    gf = field(q)
+    t, s = singer_generators(gf)
     assert t == (1, 1, 0, 0, 1, 0, 0, 0, 1)
     # companion matrix of a cubic with nonzero constant term
     assert s[:6] == (0, 1, 0, 0, 0, 1) and s[6] != 0
@@ -108,6 +139,17 @@ def test_generators_are_a_transvection_and_a_singer_cycle(e):
         while x != IDENTITY3:
             x, order = mat3_mul(gf, x, s), order + 1
         assert order == n
+
+
+@pytest.mark.parametrize("q", (8, 16))
+def test_generators_walk_the_singer_pairs_point_orbits(q):
+    """A nuclear point and a secant point have the same orbit under
+    ``generators`` as under the oracle's Singer pair."""
+    gf = field(q)
+    for y, kind in (((0, 1, 0, 0, 0, 0), "rank2_nuclear"), ((1, 0, 0, 1, 0, 0), "rank2_secant")):
+        assert point_class(gf, y) == kind
+        p = span(gf, [y])
+        assert subspace_orbit((p,), generators(gf)) == subspace_orbit((p,), singer_generators(gf))
 
 
 @pytest.mark.parametrize("q", (2, 4))
@@ -600,7 +642,7 @@ def test_triangular_mover_matches_the_mover(q):
 
 
 def test_triangular_mover_refuses_other_matrices(gf4):
-    """The Singer cycle, both swaps and diag(1, w, 1) are refused with
+    """The generator M, both swaps and diag(1, w, 1) are refused with
     ValueError before any table is built, and so is a 4-row key."""
     pa = PackedAction(gf4)
     for a in (generators(gf4)[1], action.SWAP01, action.SWAP02,
@@ -1002,7 +1044,7 @@ def test_identity_kernel_move_fails_the_partition_stabilizer_check(monkeypatch):
 
 
 @pytest.mark.parametrize("q", (4, 8))
-def test_pair_count_needs_the_singer_cycle(q, monkeypatch):
+def test_pair_count_needs_the_second_generator(q, monkeypatch):
     """The pair's orbit size is |G N| |H (C pair)|, and |G N| is walked,
     not assumed: with the transvection alone it is 2, and the check fails."""
     real = atlas.generators

@@ -643,8 +643,6 @@ def test_cubic_type_matches_trial_division_on_every_cubic_q2(gf2):
             continue
         want = _outcome(_cubic_type_by_trial_division, gf2, coeffs)
         assert _outcome(cubic_type, gf2, coeffs) == want, coeffs
-        zeros = cubic_points(gf2, coeffs)
-        assert _outcome(cubic_type, gf2, coeffs, zeros) == want, coeffs
         kinds.add(want)
     assert set(CUBIC_KINDS) <= kinds
 
@@ -669,9 +667,8 @@ def test_pencil_type_does_not_depend_on_the_vertex_q2(gf2):
         want = _outcome(_cubic_type_by_trial_division, gf2, coeffs)
         zeros = cubic_points(gf2, coeffs)
         expect = want if want is ClassificationError else (len(zeros), want)
-        for i, p in enumerate(zeros):
+        for p in zeros:
             assert _outcome(cubic_pencil, gf2, coeffs, p) == expect, (coeffs, p)
-            assert _outcome(cubic_type, gf2, coeffs, zeros[i:] + zeros[:i]) == want, (coeffs, p)
             vertices += 1
     assert vertices > 1023
 
