@@ -1,11 +1,13 @@
 """Orbit atlas for planes meeting the nucleus plane of the Veronese surface.
 
-Ships the 18 orbit representatives with their field-dependent parameter
-searches, the closed-form orbit table (point and hyperplane distributions,
-cubic kinds, stabilizer orders) with an orbit-stabilizer count to check it
-against, the end-to-end classifier for planes and for nets of conics, the
-plane <-> net correspondence, and the verification reports that back the
-``conicnets verify`` command line.
+Ships ``ORBIT_TABLE``, one row for each of the 18 orbits: the
+representative's basis rows with the field-dependent parameter searches
+that fill them, the cubic kind, and the closed forms in q of the point and
+hyperplane distributions and the stabilizer order, which the
+``expected_*`` functions read.  Around it: an orbit-stabilizer count to
+check the table against, the end-to-end classifier for planes and for nets
+of conics, the plane <-> net correspondence, and the verification reports
+that back the ``conicnets verify`` command line.
 
 Every report is a plain dict::
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import functools
 import os
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import product
 
 from .action import (
@@ -65,149 +67,6 @@ from .projgeom import (
 
 SCHEMA = "conicnets-report/1"
 
-LABELS = (
-    "Sigma1", "Sigma3", "Sigma4", "Sigma7", "Sigma8", "Sigma9", "Sigma10",
-    "Sigma11", "Sigma15", "SigmaN", "Sigma16", "Sigma17", "Sigma18",
-    "Sigma19", "Sigma20", "Sigma21", "Sigma22", "Sigma23",
-)
-
-# Orbits whose planes carry no rank-1 point; their nets have an empty base.
-EMPTY_BASE_LABELS = (
-    "SigmaN", "Sigma16", "Sigma17", "Sigma18", "Sigma19", "Sigma20",
-    "Sigma21", "Sigma22", "Sigma23",
-)
-
-# Cubic-curve kind pinned per orbit; None marks the identically zero cubic
-# (planes inside the rank <= 2 hypersurface).
-EXPECTED_CUBIC_KIND: dict[str, str | None] = {
-    "Sigma1": None,
-    "Sigma3": "LinePlusDoubleLine",
-    "Sigma4": "LinePlusDoubleLine",
-    "Sigma7": None,
-    "Sigma8": "LinePlusDoubleLine",
-    "Sigma9": "LinePlusDoubleLine",
-    "Sigma10": "LinePlusConic_Tangent",
-    "Sigma11": "IrreducibleCubic",
-    "Sigma15": "TripleLine",
-    "SigmaN": None,
-    "Sigma16": "TripleLine",
-    "Sigma17": "LinePlusDoubleLine",
-    "Sigma18": "NoRationalComponentPoint",
-    "Sigma19": "ThreeConcurrentLines",
-    "Sigma20": "LinePlusImaginaryPair",
-    "Sigma21": "LinePlusDoubleLine",
-    "Sigma22": "IrreducibleCubic",
-    "Sigma23": "LinePlusConic_Tangent",
-}
-
-
-def expected_point_distribution(label: str, q: int) -> tuple[int, int, int, int]:
-    """Point-class counts (rank1, rank2 nuclear, rank2 secant, rank3) of a
-    plane in the named orbit, as closed formulas in q."""
-    n = q * q + q + 1
-    table = {
-        "Sigma1": (q + 1, 1, q * q - 1, 0),
-        "Sigma3": (2, 1, 2 * q - 2, q * q - q),
-        "Sigma4": (2, 1, 2 * q - 2, q * q - q),
-        "Sigma7": (1, q + 1, q * q - 1, 0),
-        "Sigma8": (1, q + 1, q - 1, q * q - q),
-        "Sigma9": (1, 1, 2 * q - 1, q * q - q),
-        "Sigma10": (1, 1, 2 * q - 1, q * q - q),
-        "Sigma11": (1, 1, q - 1, q * q),
-        "Sigma15": (1, 1, q - 1, q * q),
-        "SigmaN": (0, n, 0, 0),
-        "Sigma16": (0, q + 1, 0, q * q),
-        "Sigma17": (0, q + 1, q, q * q - q),
-        "Sigma18": (0, 1, 0, q * q + q),
-        "Sigma19": (0, 1, 3 * q, q * q - 2 * q),
-        "Sigma20": (0, 1, q, q * q),
-        "Sigma21": (0, 1, 2 * q, q * q - q),
-        "Sigma22": (0, 1, q, q * q),
-        "Sigma23": (0, 1, 2 * q, q * q - q),
-    }
-    return table[label]
-
-
-def expected_hyperplane_distribution(label: str, q: int) -> tuple[int, int, int, int]:
-    """Conic-class counts (DoubleLine, RealPair, ImaginaryPair, Nonsingular)
-    of the hyperplanes through a plane in the named orbit, as closed
-    formulas in q with h = q/2."""
-    h = q // 2
-    table = {
-        "Sigma1": (1, q * q + q, 0, 0),
-        "Sigma3": (1, 2 * q, 0, q * q - q),
-        "Sigma4": (1, 2 * q, 0, q * q - q),
-        "Sigma7": (q + 1, h * (q + 1), h * (q - 1), 0),
-        "Sigma8": (q + 1, q, 0, q * q - q),
-        "Sigma9": (1, 3 * h, h, q * q - q),
-        "Sigma10": (1, 3 * h, h, q * q - q),
-        "Sigma11": (1, q, 0, q * q),
-        "Sigma15": (1, q, 0, q * q),
-        "SigmaN": (q * q + q + 1, 0, 0, 0),
-        "Sigma16": (q + 1, 0, 0, q * q),
-        "Sigma17": (q + 1, h, h, q * q - q),
-        "Sigma18": (1, 0, 0, q * q + q),
-        "Sigma19": (1, 3 * h, 3 * h, q * q - 2 * q),
-        "Sigma20": (1, h, h, q * q),
-        "Sigma21": (1, q, q, q * q - q),
-        "Sigma22": (1, h, h, q * q),
-        "Sigma23": (1, q, q, q * q - q),
-    }
-    return table[label]
-
-
-@functools.cache
-def expected_signature(label: str, q: int) -> PlaneSignature:
-    """The signature shared by every plane of the named orbit, from the
-    closed-form tables."""
-    return PlaneSignature(expected_point_distribution(label, q), EXPECTED_CUBIC_KIND[label],
-                          expected_hyperplane_distribution(label, q))
-
-
-def expected_stabilizer_order(label: str, q: int) -> int:
-    """Order of the stabilizer in PGL(3,q) of a plane in the named orbit, as
-    closed formulas in q; the orbit has pgl_order(q) / order planes."""
-    g = pgl_order(q)
-    table = {
-        "Sigma1": g // (q * q + q + 1),
-        "Sigma3": q * (q - 1) ** 2,
-        "Sigma4": 2 * q * (q - 1),
-        "Sigma7": g // (q * q + q + 1),
-        "Sigma8": q * q * (q - 1) ** 2,
-        "Sigma9": q * q * (q - 1),
-        "Sigma10": q * (q - 1),
-        "Sigma11": q - 1,
-        "Sigma15": q**3 * (q - 1),
-        "SigmaN": g,
-        "Sigma16": q**3 * (q * q - 1),
-        "Sigma17": q * q * (q - 1),
-        "Sigma18": 3 * q * q,
-        "Sigma19": 6 * q * q,
-        "Sigma20": 2 * q * q,
-        "Sigma21": 2 * q * (q - 1),
-        "Sigma22": 1,
-        "Sigma23": q,
-    }
-    return table[label]
-
-
-def plane_stabilizer_order(s: Subspace) -> int:
-    """Order of the stabilizer in PGL(3,q) of a plane meeting the nucleus
-    plane, by orbit-stabilizer inside the subgroup H that holds it.
-
-    The stabilizer fixes the plane's ``anchor``, its nuclear kernel point
-    or line, so moved by C it lies in H: the order is |H| /
-    |``kernel_fiber``|, refused past 2^18 planes.  The whole group fixes
-    the nucleus plane, whose anchor is all three kernels."""
-    if s.n != 5 or s.dim != 2:
-        raise ValueError("expected a plane of PG(5, q)")
-    q, kernels = s.gf.q, anchor(s)
-    if not kernels:
-        raise OutOfFamilyError("plane misses the nucleus plane")
-    if len(kernels) == 3:
-        return pgl_order(q)
-    return q**3 * (q - 1) * (q * q - 1) // len(kernel_fiber((s,), kernels, 2**18))
-
 
 # -- parameter searches ----------------------------------------------------
 
@@ -248,6 +107,118 @@ def sigma21_parameter(gf: GF) -> int:
     raise ConfigurationError("no element of trace 1 in GF(%d)" % gf.q)
 
 
+# -- the orbit table ---------------------------------------------------------
+
+Orbit = namedtuple("Orbit", "rows cubic_kind forms search", defaults=(None,))
+
+# One row per orbit.  rows: the representative's three basis rows, one
+# coefficient per character in the order m00 m01 m02 m11 m12 m22, with a
+# letter where search (or an override) puts a parameter.  cubic_kind: None
+# marks the identically zero cubic (planes inside the rank <= 2
+# hypersurface).  forms(q, h, n, g), with h = q/2, n = q^2+q+1 and
+# g = |PGL(3,q)|, gives the closed forms: the point-class counts od0 (rank1,
+# rank2 nuclear, rank2 secant, rank3), the conic-class counts od4 of the
+# hyperplanes through the plane (DoubleLine, RealPair, ImaginaryPair,
+# Nonsingular) and the stabilizer order in PGL(3,q).
+ORBIT_TABLE = {
+    "Sigma1": Orbit("100000 010000 000100", None, lambda q, h, n, g: (
+        (q + 1, 1, q * q - 1, 0), (1, q * q + q, 0, 0), g // n)),
+    "Sigma3": Orbit("100000 000100 001000", "LinePlusDoubleLine", lambda q, h, n, g: (
+        (2, 1, 2 * q - 2, q * q - q), (1, 2 * q, 0, q * q - q), q * (q - 1) ** 2)),
+    "Sigma4": Orbit("100000 000100 001010", "LinePlusDoubleLine", lambda q, h, n, g: (
+        (2, 1, 2 * q - 2, q * q - q), (1, 2 * q, 0, q * q - q), 2 * q * (q - 1))),
+    "Sigma7": Orbit("100000 010000 001000", None, lambda q, h, n, g: (
+        (1, q + 1, q * q - 1, 0), (q + 1, h * (q + 1), h * (q - 1), 0), g // n)),
+    "Sigma8": Orbit("100000 010000 000010", "LinePlusDoubleLine", lambda q, h, n, g: (
+        (1, q + 1, q - 1, q * q - q), (q + 1, q, 0, q * q - q), q * q * (q - 1) ** 2)),
+    "Sigma9": Orbit("100000 010000 000110", "LinePlusDoubleLine", lambda q, h, n, g: (
+        (1, 1, 2 * q - 1, q * q - q), (1, 3 * h, h, q * q - q), q * q * (q - 1))),
+    "Sigma10": Orbit("100000 010000 000101", "LinePlusConic_Tangent", lambda q, h, n, g: (
+        (1, 1, 2 * q - 1, q * q - q), (1, 3 * h, h, q * q - q), q * (q - 1))),
+    "Sigma11": Orbit("100001 010000 000111", "IrreducibleCubic", lambda q, h, n, g: (
+        (1, 1, q - 1, q * q), (1, q, 0, q * q), q - 1)),
+    "Sigma15": Orbit("100000 010000 001100", "TripleLine", lambda q, h, n, g: (
+        (1, 1, q - 1, q * q), (1, q, 0, q * q), q**3 * (q - 1))),
+    "SigmaN": Orbit("010000 001000 000010", None, lambda q, h, n, g: (
+        (0, n, 0, 0), (n, 0, 0, 0), g)),
+    "Sigma16": Orbit("010000 000010 001100", "TripleLine", lambda q, h, n, g: (
+        (0, q + 1, 0, q * q), (q + 1, 0, 0, q * q), q**3 * (q * q - 1))),
+    "Sigma17": Orbit("010000 001000 000101", "LinePlusDoubleLine", lambda q, h, n, g: (
+        (0, q + 1, q, q * q - q), (q + 1, h, h, q * q - q), q * q * (q - 1))),
+    "Sigma18": Orbit("100010 010000 001c10", "NoRationalComponentPoint", lambda q, h, n, g: (
+        (0, 1, 0, q * q + q), (1, 0, 0, q * q + q), 3 * q * q), sigma18_parameter),
+    "Sigma19": Orbit("100001 010100 000110", "ThreeConcurrentLines", lambda q, h, n, g: (
+        (0, 1, 3 * q, q * q - 2 * q), (1, 3 * h, 3 * h, q * q - 2 * q), 6 * q * q)),
+    "Sigma20": Orbit("10bc01 010100 000110", "LinePlusImaginaryPair", lambda q, h, n, g: (
+        (0, 1, q, q * q), (1, h, h, q * q), 2 * q * q), sigma20_parameters),
+    "Sigma21": Orbit("110000 000010 0a0100", "LinePlusDoubleLine", lambda q, h, n, g: (
+        (0, 1, 2 * q, q * q - q), (1, q, q, q * q - q), 2 * q * (q - 1)), sigma21_parameter),
+    "Sigma22": Orbit("110000 000010 011100", "IrreducibleCubic", lambda q, h, n, g: (
+        (0, 1, q, q * q), (1, h, h, q * q), 1)),
+    "Sigma23": Orbit("101000 000010 0a0100", "LinePlusConic_Tangent", lambda q, h, n, g: (
+        (0, 1, 2 * q, q * q - q), (1, q, q, q * q - q), q), sigma21_parameter),
+}
+
+LABELS = tuple(ORBIT_TABLE)
+
+# Orbits whose planes carry no rank-1 point; their nets have an empty base.
+EMPTY_BASE_LABELS = (
+    "SigmaN", "Sigma16", "Sigma17", "Sigma18", "Sigma19", "Sigma20",
+    "Sigma21", "Sigma22", "Sigma23",
+)
+
+EXPECTED_CUBIC_KIND = {label: row.cubic_kind for label, row in ORBIT_TABLE.items()}
+
+
+def _closed_forms(label: str, q: int):
+    return ORBIT_TABLE[label].forms(q, q // 2, q * q + q + 1, pgl_order(q))
+
+
+def expected_point_distribution(label: str, q: int) -> tuple[int, int, int, int]:
+    """Point-class counts (rank1, rank2 nuclear, rank2 secant, rank3) of a
+    plane in the named orbit: od0 of its ``ORBIT_TABLE`` row."""
+    return _closed_forms(label, q)[0]
+
+
+def expected_hyperplane_distribution(label: str, q: int) -> tuple[int, int, int, int]:
+    """Conic-class counts (DoubleLine, RealPair, ImaginaryPair, Nonsingular)
+    of the hyperplanes through a plane in the named orbit: od4 of its
+    ``ORBIT_TABLE`` row."""
+    return _closed_forms(label, q)[1]
+
+
+@functools.cache
+def expected_signature(label: str, q: int) -> PlaneSignature:
+    """The signature shared by every plane of the named orbit: its
+    ``ORBIT_TABLE`` row's od0, cubic kind and od4."""
+    od0, od4, _ = _closed_forms(label, q)
+    return PlaneSignature(od0, ORBIT_TABLE[label].cubic_kind, od4)
+
+
+def expected_stabilizer_order(label: str, q: int) -> int:
+    """Order of the stabilizer in PGL(3,q) of a plane in the named orbit,
+    from its ``ORBIT_TABLE`` row; the orbit has pgl_order(q) / order planes."""
+    return _closed_forms(label, q)[2]
+
+
+def plane_stabilizer_order(s: Subspace) -> int:
+    """Order of the stabilizer in PGL(3,q) of a plane meeting the nucleus
+    plane, by orbit-stabilizer inside the subgroup H that holds it.
+
+    The stabilizer fixes the plane's ``anchor``, its nuclear kernel point
+    or line, so moved by C it lies in H: the order is |H| /
+    |``kernel_fiber``|, refused past 2^18 planes.  The whole group fixes
+    the nucleus plane, whose anchor is all three kernels."""
+    if s.n != 5 or s.dim != 2:
+        raise ValueError("expected a plane of PG(5, q)")
+    q, kernels = s.gf.q, anchor(s)
+    if not kernels:
+        raise OutOfFamilyError("plane misses the nucleus plane")
+    if len(kernels) == 3:
+        return pgl_order(q)
+    return q**3 * (q - 1) * (q * q - 1) // len(kernel_fiber((s,), kernels, 2**18))
+
+
 def _e(i: int) -> tuple[int, ...]:
     row = [0] * 6
     row[i] = 1
@@ -256,65 +227,35 @@ def _e(i: int) -> tuple[int, ...]:
 
 def representative_pattern(gf: GF, label: str, overrides: dict | None = None):
     """Basis rows (coefficient 6-vectors) and parameters for the named orbit
-    representative.
+    representative: its ``ORBIT_TABLE`` row with each parameter letter
+    replaced by a field element.
 
-    Parameterized families (Sigma18 takes c, Sigma20 b and c, Sigma21 and
-    Sigma23 a) search the field for the first valid value; overrides
-    substitute explicit field elements instead, and any other name raises.
-    An overridden pattern is returned unvalidated, so it need not lie in the
+    The values come from the row's search (Sigma18 takes c, Sigma20 b and c,
+    Sigma21 and Sigma23 a); overrides give explicit field elements instead,
+    for every parameter of the row, and any other name raises.  An
+    overridden pattern is returned unvalidated, so it need not lie in the
     named orbit.
     """
-
-    def pick(key: str, searched) -> int:
-        if overrides and key in overrides:
-            v = overrides[key]
-            if type(v) is not int or not 0 <= v < gf.q:
-                raise ConfigurationError(
-                    "parameter %s=%s is not a GF(%d) element" % (key, brief.repr(v), gf.q)
-                )
-            return v
-        return searched()
-
-    if label not in LABELS:
+    if label not in ORBIT_TABLE:
         raise ConfigurationError("unknown orbit label %s" % brief.repr(label))
-    takes = {"Sigma18": ("c",), "Sigma20": ("b", "c"), "Sigma21": ("a",), "Sigma23": ("a",)}
-    unknown = ", ".join(sorted(map(str, set(overrides or ()) - set(takes.get(label, ())))))
+    row, overrides = ORBIT_TABLE[label], overrides or {}
+    slots = sorted(set(row.rows) - set("01 "))
+    unknown = ", ".join(sorted(map(str, set(overrides) - set(slots))))
     if unknown:
         raise ConfigurationError("orbit %s takes no parameter %s" % (label, brief.repr(unknown)))
-    fixed = {
-        "Sigma1": (_e(0), _e(1), _e(3)),
-        "Sigma3": (_e(0), _e(3), _e(2)),
-        "Sigma4": (_e(0), _e(3), (0, 0, 1, 0, 1, 0)),
-        "Sigma7": (_e(0), _e(1), _e(2)),
-        "Sigma8": (_e(0), _e(1), _e(4)),
-        "Sigma9": (_e(0), _e(1), (0, 0, 0, 1, 1, 0)),
-        "Sigma10": (_e(0), _e(1), (0, 0, 0, 1, 0, 1)),
-        "Sigma11": ((1, 0, 0, 0, 0, 1), _e(1), (0, 0, 0, 1, 1, 1)),
-        "Sigma15": (_e(0), _e(1), (0, 0, 1, 1, 0, 0)),
-        "SigmaN": (_e(1), _e(2), _e(4)),
-        "Sigma16": (_e(1), _e(4), (0, 0, 1, 1, 0, 0)),
-        "Sigma17": (_e(1), _e(2), (0, 0, 0, 1, 0, 1)),
-        "Sigma19": ((1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0)),
-        "Sigma22": ((1, 1, 0, 0, 0, 0), _e(4), (0, 1, 1, 1, 0, 0)),
-    }
-    if label in fixed:
-        return fixed[label], {}
-    if label == "Sigma18":
-        c = pick("c", lambda: sigma18_parameter(gf))
-        return ((1, 0, 0, 0, 1, 0), _e(1), (0, 0, 1, c, 1, 0)), {"c": c}
-    if label == "Sigma20":
-        searched = sigma20_parameters(gf) if not overrides else (None, None)
-        b = pick("b", lambda: searched[0])
-        c = pick("c", lambda: searched[1])
-        if b is None or c is None:
-            raise ConfigurationError("Sigma20 needs both b and c when overriding")
-        return (
-            ((1, 0, b, c, 0, 1), (0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0)),
-            {"b": b, "c": c},
-        )
-    a = pick("a", lambda: sigma21_parameter(gf))  # Sigma21 or Sigma23
-    first = (1, 1, 0, 0, 0, 0) if label == "Sigma21" else (1, 0, 1, 0, 0, 0)
-    return (first, _e(4), (0, a, 0, 1, 0, 0)), {"a": a}
+    values = {key: overrides[key] for key in slots if key in overrides}
+    for key, v in values.items():
+        if type(v) is not int or not 0 <= v < gf.q:
+            raise ConfigurationError(
+                "parameter %s=%s is not a GF(%d) element" % (key, brief.repr(v), gf.q)
+            )
+    missing = ", ".join(key for key in slots if key not in values)
+    if values and missing:
+        raise ConfigurationError("orbit %s needs parameter %s when overriding" % (label, missing))
+    if missing:
+        found = row.search(gf)
+        values = dict(zip(slots, found if len(slots) > 1 else (found,)))
+    return tuple(tuple(int(values.get(c, c)) for c in r) for r in row.rows.split()), values
 
 
 @functools.cache
@@ -546,7 +487,12 @@ def verify_distributions(gf: GF) -> dict:
     """Check every representative's computed signature against the
     closed-form one: point and hyperplane distributions, cubic kind and
     point count, as computed once by ``_rep_data``.  Works for any q
-    without enumeration."""
+    without enumeration.
+
+    ``_rep_data`` itself raises VerificationError (exit 4 on the command
+    line) on a representative whose signature is off its ``ORBIT_TABLE``
+    row, before any report is built, so a ``distribution[...]`` check
+    reads false only if that validation is bypassed."""
     checks = []
     for label, sig in _rep_data(gf)[2].items():
         checks.append(_check(

@@ -329,8 +329,11 @@ def test_representative_pattern_override_validation(gf4):
         representative_pattern(gf4, "Sigma21", {"a": True})
     with pytest.raises(ConfigurationError):
         representative_pattern(gf4, "Sigma21", {"a": 2.0})
-    with pytest.raises(ConfigurationError):
+    # a partial override names the parameter it lacks
+    with pytest.raises(ConfigurationError, match="^orbit Sigma20 needs parameter c when"):
         representative_pattern(gf4, "Sigma20", {"b": 0})
+    with pytest.raises(ConfigurationError, match="^orbit Sigma20 needs parameter b when"):
+        representative_pattern(gf4, "Sigma20", {"c": 3})
     with pytest.raises(ConfigurationError):
         representative_pattern(gf4, "NotALabel")
 
@@ -669,10 +672,37 @@ def test_plane_stabilizer_order_on_moved_planes(gf4, sample_matrices):
                                           (0, 0, 0, 0, 0, 1)]))
 
 
+def _differences(values, order):
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
+
+
+def test_closed_forms_are_polynomials_of_low_degree():
+    """The degrees the two identities below rest on.  Over the even q from
+    2 to 40 every od0 and od4 cell has vanishing third differences, so it
+    is a polynomial in q of degree at most 2 there.  Over every q from 2 to
+    40 each stabilizer order and orbit size |PGL(3,q)| / order has
+    vanishing ninth differences, so it is a polynomial of degree at most 8."""
+    evens, every = range(2, 41, 2), range(2, 41)
+    for label in LABELS:
+        for reader in (expected_point_distribution, expected_hyperplane_distribution):
+            for cell in zip(*(reader(label, q) for q in evens)):
+                assert not any(_differences(cell, 3)), (label, reader.__name__, cell)
+        orders = [expected_stabilizer_order(label, q) for q in every]
+        sizes = [pgl_order(q) // order for q, order in zip(every, orders)]
+        assert not any(_differences(orders, 9)), label
+        assert not any(_differences(sizes, 9)), label
+    # the check has teeth: a cell off by one at a single q breaks it
+    assert any(_differences([q * q + (q == 20) for q in evens], 3))
+
+
 @pytest.mark.parametrize("q", range(2, 40))
 def test_stabilizer_table_sizes_sum_to_meeting_count(q):
-    """Both sides are polynomials in q of degree at most 9, so agreement at
-    38 integers makes this an identity in q."""
+    """Both sides are polynomials in q of degree at most 9: the orbit sizes
+    by test_closed_forms_are_polynomials_of_low_degree, the meeting count
+    by its Gaussian binomial.  So agreement at 38 integers makes this an
+    identity in q."""
     g = pgl_order(q)
     assert all(g % expected_stabilizer_order(label, q) == 0 for label in LABELS)
     total = sum(g // expected_stabilizer_order(label, q) for label in LABELS)
@@ -688,8 +718,10 @@ def test_distribution_tables_double_count_points_and_hyperplanes():
     double line, which contains the nucleus plane, else all but the q^6
     planes in it that miss its line of the nucleus plane.  A plane's double
     lines are its nuclear points.  For even q (the tables use h = q/2) both
-    sides are polynomials in q of degree at most 11, so agreement at the 20
-    even q from 2 to 40 makes these identities in q."""
+    sides are polynomials in q of degree at most 11, the left by
+    test_closed_forms_are_polynomials_of_low_degree (an orbit size of degree
+    at most 8 times a cell of degree at most 2), so agreement at the 20 even
+    q from 2 to 40 makes these identities in q."""
     for q in range(2, 41, 2):
         g, n, q6 = pgl_order(q), q * q + q + 1, q**6
         assert all(g % expected_stabilizer_order(label, q) == 0 for label in LABELS)
@@ -735,6 +767,59 @@ def test_verify_partition_rejects_a_wrong_stabilizer_table(gf2, monkeypatch):
                         lambda label, q: real(label, q) * (2 if label == "Sigma18" else 1))
     with pytest.raises(VerificationError, match="Sigma18"):
         verify_partition(gf2)
+
+
+@pytest.fixture
+def table_row():
+    """Replace a field of one ORBIT_TABLE row for one test, with the caches
+    that read the table cleared before and after."""
+    saved = dict(atlas.ORBIT_TABLE)
+
+    def clear():
+        for cached in (atlas.expected_signature, atlas.signature_table, atlas.key_table,
+                       atlas._rep_data):
+            cached.cache_clear()
+
+    def replace(label, **fields):
+        atlas.ORBIT_TABLE[label] = atlas.ORBIT_TABLE[label]._replace(**fields)
+        clear()
+
+    yield replace
+    atlas.ORBIT_TABLE.update(saved)
+    clear()
+
+
+def test_a_wrong_od4_cell_fails_the_distributions_suite(table_row, capsys):
+    forms = atlas.ORBIT_TABLE["Sigma17"].forms
+
+    def wrong(*args):
+        od0, (double, real, imaginary, nonsingular), order = forms(*args)
+        return od0, (double, real, imaginary + 1, nonsingular), order
+
+    table_row("Sigma17", forms=wrong)
+    assert cli.main(["verify", "--q", "2", "--suite", "distributions"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("verification failure: representative Sigma17 ")
+
+
+def test_a_wrong_stabilizer_cell_fails_the_partition(gf2, table_row):
+    forms = atlas.ORBIT_TABLE["Sigma23"].forms
+
+    def wrong(*args):
+        od0, od4, order = forms(*args)
+        return od0, od4, order + 1
+
+    table_row("Sigma23", forms=wrong)
+    with pytest.raises(VerificationError, match="stabilizer of Sigma23 has order 2, expected 3"):
+        verify_partition(gf2)
+
+
+def test_a_wrong_cubic_kind_fails_the_classifier(gf4, table_row):
+    rows, _ = representative_pattern(gf4, "Sigma22")
+    plane = plane_from_pattern(gf4, rows)
+    table_row("Sigma22", cubic_kind="TripleLine")
+    with pytest.raises(ClassificationError, match="key lookup: key matches no catalogued orbit"):
+        classify_plane(plane)
 
 
 @pytest.mark.parametrize("workers", (0, 2))

@@ -240,6 +240,13 @@ def test_exit_code_rejects_non_field_elements(command, payload, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_partial_parameter_override_names_the_missing_parameter(capsys):
+    payload = {"label": "Sigma20", "parameters": {"c": 1}}
+    code, out, err = run(["classify-plane", "--q", "4", "--data", json.dumps(payload)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: orbit Sigma20 needs parameter b when overriding\n"
+
+
 SIGMA7_Q4 = [list(r) for r in atlas.representative_pattern(field(4), "Sigma7")[0]]
 
 
