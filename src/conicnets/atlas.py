@@ -801,8 +801,8 @@ def verify_line_orbits(gf: GF) -> dict:
     the pair's filter runs over the 2,880 ``_middle_column_fixers``.
     """
     q = gf.q
-    if q not in (4, 8):
-        raise ConfigurationError("line-orbit verification supports q in {4, 8}")
+    if q not in (4, 8, 16):
+        raise ConfigurationError("line-orbit verification supports q in {4, 8, 16}")
     checks = []
     group = generators(gf)
     kernel_order = q**3 * (q - 1) * (q * q - 1)

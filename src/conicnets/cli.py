@@ -6,6 +6,10 @@ classified family, 4 verification or internal-consistency failure, 5
 resource budget exhausted.  Output is deterministic for a fixed
 configuration: keys are sorted, there are no timestamps, and worker counts
 never change the bytes.
+
+A well-formed command line, a command and then pairs of an exact option
+string and a value, is read from the Actions that ``build_parser`` keeps;
+argparse parses any other, and writes every help, usage and error message.
 """
 
 from __future__ import annotations
@@ -261,15 +265,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(c["pass"] for c in report["checks"]) else EXIT_VERIFY
 
 
+def _option(p: argparse.ArgumentParser, name: str, **kwargs) -> None:
+    """Add a plain store option to p and keep its Action in p.options, the
+    option table that ``_read_options`` reads."""
+    p.options[name] = p.add_argument(name, **kwargs)
+
+
 def _add_common(p: argparse.ArgumentParser, io_input: bool = False) -> None:
-    p.add_argument("--q", type=int, required=True,
-                   help="field size, a power of 2 from 2 to 256")
-    p.add_argument("--modulus", type=int, default=None,
-                   help="override the irreducible modulus polynomial (bit mask)")
-    p.add_argument("--output", default=None, help="write the report here instead of stdout")
+    p.options = {}
+    _option(p, "--q", type=int, required=True,
+            help="field size, a power of 2 from 2 to 256")
+    _option(p, "--modulus", type=int, default=None,
+            help="override the irreducible modulus polynomial (bit mask)")
+    _option(p, "--output", default=None, help="write the report here instead of stdout")
     if io_input:
-        p.add_argument("--data", default=None, help="inline JSON input")
-        p.add_argument("--input", default=None, help="read JSON input from this file")
+        _option(p, "--data", default=None, help="inline JSON input")
+        _option(p, "--input", default=None, help="read JSON input from this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,19 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atlas", help="build the orbit atlas and partition report")
     _add_common(p)
-    p.add_argument("--workers", type=int, default=0, help="parallel sweep processes")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    _option(p, "--workers", type=int, default=0, help="parallel sweep processes")
+    _option(p, "--format", choices=("json", "csv"), default="json")
     p.set_defaults(run=cmd_atlas)
 
     p = sub.add_parser("verify", help="run one verification suite")
     _add_common(p)
-    p.add_argument("--suite", choices=SUITES, required=True)
-    p.add_argument("--workers", type=int, default=0, help="parallel sweep processes")
-    p.add_argument("--samples", type=int, default=None,
-                   help="sample the double-lines suite at any q "
-                        "(default: every plane for q <= 4, else 100000)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="sampling seed of the double-lines suite (default: 0)")
+    _option(p, "--suite", choices=SUITES, required=True)
+    _option(p, "--workers", type=int, default=0, help="parallel sweep processes")
+    _option(p, "--samples", type=int, default=None,
+            help="sample the double-lines suite at any q "
+                 "(default: every plane for q <= 4, else 100000)")
+    _option(p, "--seed", type=int, default=None,
+            help="sampling seed of the double-lines suite (default: 0)")
     p.set_defaults(run=cmd_verify)
 
     parser.commands = sub.choices  # subcommand name -> its parser, for main
@@ -314,13 +325,45 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _read_options(command: argparse.ArgumentParser, argv: list) -> argparse.Namespace | None:
+    """The namespace ``command.parse_args(argv)`` returns, read from the
+    command's option table when argv is pairs of an exact option string and
+    a value that does not start with "-", each option given at most once,
+    every value of its type and choices, and every required option given;
+    None for any other argv, which argparse then parses and reports."""
+    options = command.options
+    given = dict(zip(argv[::2], argv[1::2]))
+    if len(argv) % 2 or 2 * len(given) != len(argv) or not given.keys() <= options.keys():
+        return None
+    args = argparse.Namespace(run=command.get_default("run"))
+    for name, action in options.items():
+        if name not in given:
+            if action.required:
+                return None
+            setattr(args, action.dest, action.default)
+            continue
+        value = given[name]
+        if value.startswith("-"):
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except ValueError:
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        setattr(args, action.dest, value)
+    return args
+
+
 def main(argv=None) -> int:
-    """Run one request.  A known command's own parser reads its options in one
-    pass; -h, a missing or an unknown command go to the top-level parser."""
+    """Run one request.  A well-formed command line is read from the
+    command's option table; any other goes to the command's own parser, and
+    -h, a missing or an unknown command to the top-level parser."""
     argv = sys.argv[1:] if argv is None else argv
     parser = _parser()
     command = parser.commands.get(argv[0]) if argv else None
-    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+    args = ((_read_options(command, argv[1:]) or command.parse_args(argv[1:]))
+            if command else parser.parse_args(argv))
     try:
         if getattr(args, "workers", 0) < 0:
             raise UsageError("--workers must be 0 or more, got %d" % args.workers)

@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import multiprocessing
 
@@ -194,7 +195,7 @@ def test_exit_code_usage_errors(capsys):
     code, _, err = run(["classify-plane", "--q", "4", "--input", "/no/such/file"], capsys)
     assert code == 2
     code, _, err = run(["verify", "--q", "2", "--suite", "line-orbits"], capsys)
-    assert code == 2  # suite defined only for q = 4, 8
+    assert code == 2  # suite defined only for q = 4, 8, 16
     code, _, err = run(
         ["classify-net", "--q", "4", "--data", '{"forms": ["X9^2", "X0^2", "X1^2"]}'],
         capsys,
@@ -409,16 +410,48 @@ def test_parser_is_shared_without_carrying_state(capsys, tmp_path):
     assert cli._parser() is cli._parser()
     assert cli.build_parser() is not cli.build_parser()
     path = tmp_path / "report.json"
-    code, out, _ = run(["verify", "--q", "2", "--suite", "known-net",
-                        "--output", str(path)], capsys)
+    argv = ["verify", "--q", "2", "--suite", "known-net"]
+    code, out, _ = run(argv + ["--output", str(path)], capsys)
     assert code == 0 and out == ""
-    # a usage error in between exits 2 and leaves the next call unaffected
+    code, before, _ = run(argv, capsys)
+    assert code == 0
+    # a usage error in between exits 2 and leaves the next call unaffected,
+    # read from the option table or by argparse
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "--q", "2"])
     assert info.value.code == 2
-    code, out, _ = run(["verify", "--q", "2", "--suite", "known-net"], capsys)
+    code, after, _ = run(argv, capsys)
     assert code == 0
-    assert json.loads(out) == json.loads(path.read_text())
+    code, parsed, _ = run(["verify", "--q=2", "--suite", "known-net"], capsys)
+    assert code == 0
+    assert after == parsed == before == path.read_text()
+
+
+def test_requests_give_the_same_bytes_without_the_option_reader(capsys, monkeypatch):
+    """Exit code, stdout and stderr of a request are the same whether the
+    option reader or argparse reads its command line."""
+    requests = []
+    for q in (4, 8, 16):
+        for label in ("Sigma3", "Sigma19", "Sigma22"):
+            s = atlas.representative(field(q), label)
+            requests += [
+                ["classify-plane", "--q", str(q), "--data", json.dumps({"rows": s.rows})],
+                ["classify-net", "--data", json.dumps({"forms": atlas.net_of_plane(s)}),
+                 "--q", str(q)],
+            ]
+    requests += [
+        ["classify-plane", "--q", "4", "--data",
+         '{"rows": [[1,0,0,0,0,0],[0,0,0,1,0,0],[0,0,0,0,0,1]]}'],
+        ["classify-plane", "--q", "4", "--data", "not json"],
+        ["classify-plane", "--q", "6", "--data", '{"label": "Sigma9"}'],
+        ["classify-net", "--q", "4", "--data", '{"forms": ["X9^2", "X0^2", "X1^2"]}'],
+        ["verify", "--q", "2", "--suite", "known-net"],
+        ["atlas", "--q", "2", "--format", "csv"],
+    ]
+    outputs = [run(argv, capsys) for argv in requests]
+    assert {code for code, _, _ in outputs} == {0, 2, 3}
+    monkeypatch.setattr(cli, "_read_options", lambda command, argv: None)
+    assert [run(argv, capsys) for argv in requests] == outputs
 
 
 @pytest.mark.parametrize("payload", [
@@ -443,8 +476,8 @@ def test_huge_input_values_give_a_short_one_line_message(payload, capsys):
     assert len(err.encode()) < 200, err
 
 
-def test_classify_requests_parse_their_arguments_once(capsys, monkeypatch):
-    """Only the command's own parser reads a classify request's options."""
+def _count_argparse_passes(monkeypatch) -> list:
+    """A list that gains the prog of each parser that parses a command line."""
     calls = []
     real = argparse.ArgumentParser.parse_known_args
 
@@ -453,16 +486,138 @@ def test_classify_requests_parse_their_arguments_once(capsys, monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    return calls
+
+
+def test_well_formed_classify_requests_skip_argparse(capsys, monkeypatch):
+    """A well-formed classify request is read from its command's option
+    table with no argparse pass.  Any other command line gets exactly one
+    pass, by the command's own parser, which reports or runs it as before."""
+    calls = _count_argparse_passes(monkeypatch)
     for argv in (
         ["classify-plane", "--q", "4", "--data", json.dumps({"rows": SIGMA19_Q4})],
-        ["classify-plane", "--q", "8", "--data", '{"label": "Sigma18"}'],
+        ["classify-plane", "--data", '{"label": "Sigma18"}', "--q", "8"],
         ["classify-net", "--q", "4", "--data", json.dumps({"forms": EXAMPLE_NET_Q4})],
-        ["classify-net", "--q", "16", "--data", json.dumps({"forms": EXAMPLE_NET_Q4})],
+        ["classify-net", "--output", "", "--q", "16", "--data",
+         json.dumps({"forms": EXAMPLE_NET_Q4})],
     ):
         calls.clear()
         code, out, _ = run(argv, capsys)
-        assert code == 0 and json.loads(out)["q"] == int(argv[2])
+        assert code == 0 and json.loads(out)["q"] in (4, 8, 16)
+        assert calls == [], argv
+    data = json.dumps({"rows": SIGMA19_Q4})
+    for argv, message in (
+        (["classify-plane", "--q", "x", "--data", data], "argument --q: invalid int value: 'x'"),
+        (["classify-net", "--q", "4", "--foo", "1"], "unrecognized arguments: --foo 1"),
+    ):
+        calls.clear()
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == ""
+        assert err.startswith("usage: conicnets %s [-h] --q Q" % argv[0])
+        assert err.endswith("\nconicnets %s: error: %s\n" % (argv[0], message))
         assert calls == ["conicnets " + argv[0]], argv
+    calls.clear()
+    code, out, _ = run(["classify-plane", "--q=4", "--data", data], capsys)
+    assert code == 0 and json.loads(out)["label"] == "Sigma19"
+    assert calls == ["conicnets classify-plane"]
+
+
+# One value of each option that its parser takes.
+_OPTION_VALUES = {
+    "--q": "4", "--modulus": "19", "--output": "report.json", "--data": "{}",
+    "--input": "in.json", "--workers": "2", "--format": "csv", "--suite": "partition",
+    "--samples": "10", "--seed": "3",
+}
+
+
+def _well_formed_argvs(command: str):
+    """Every option order and every omission of each command's options,
+    required ones included."""
+    names = list(cli._parser().commands[command].options)
+    for k in range(len(names) + 1):
+        for subset in itertools.permutations(names, k):
+            yield [word for name in subset for word in (name, _OPTION_VALUES[name])]
+
+
+# Command lines of the reader's shape whose values argparse may reject: the
+# reader must read each exactly as argparse does, or decline it as argparse
+# does.
+_VALUE_ARGVS = {
+    "classify-plane": [
+        ["--q", ""], ["--q", "x"], ["--q", "4.0"], ["--q", " 4 "], ["--q", "1_6"],
+        ["--q", "4", "--data", ""], ["--q", "4", "--modulus", "0x13"],
+        ["--q", "4", "--output", "", "--input", ""],
+    ],
+    "classify-net": [["--q", "8", "--data", "", "--input", ""], ["--q", "8 "], ["--q", "eight"]],
+    "atlas": [
+        ["--q", "2", "--format", "xml"], ["--q", "2", "--format", "CSV"],
+        ["--q", "2", "--format", ""], ["--q", "2", "--workers", "two"],
+        ["--q", "2", "--workers", ""],
+    ],
+    "verify": [
+        ["--q", "4", "--suite", "nonsense"], ["--q", "4", "--suite", ""],
+        ["--q", "4", "--suite", "partition", "--samples", "1e3"],
+        ["--q", "4", "--suite", "double-lines", "--seed", "x"],
+    ],
+}
+
+# Command lines outside the reader's shape, which it must leave to argparse,
+# though argparse accepts some of them: a prefix, --opt=v, a repeat, a
+# dashed value.
+_OFF_SHAPE_ARGVS = {
+    "classify-plane": [
+        ["--q", "4", "--dat", "{}"], ["--q", "4", "--d", "{}"], ["--q", "4", "--mod", "19"],
+        ["--q=4"], ["--q", "4", "--data={}"], ["--q", "4", "--q", "8"],
+        ["--q", "4", "--data", "{}", "--data", "[]"], ["-h"], ["--q", "4", "--help"],
+        ["--q", "-4"], ["--q", "4", "--modulus", "-1"], ["--q", "4", "--data", "-"],
+        ["--q", "4", "--output", "-o"], ["--q", "4", "--input", "--data"], ["--", "--q", "4"],
+        ["--q"], ["--q", "4", "--data"], ["--q", "4", "extra"], ["4", "--q"],
+        ["--q", "4", "--foo", "1"], ["--q", "4", "--workers", "2"],
+    ],
+    "classify-net": [
+        ["--q", "8", "--in", "f.json"], ["--q", "8", "--i", "f.json"], ["--q", "8", "--q", "8"],
+        ["--q", "8", "--output=r.json"], ["--q", "8", "-h"], ["--q", "8", "--data", "-1"],
+        ["--q", "8", "--suite", "known-net"],
+    ],
+    "atlas": [
+        ["--q", "2", "--form", "csv"], ["--q", "2", "--w", "2"], ["--q", "2", "--format=csv"],
+        ["--q", "2", "--format", "csv", "--format", "json"], ["--q", "2", "--workers", "-1"],
+        ["--q", "2", "--format"], ["--q", "2", "--data", "{}"], ["--q", "2", "-h"],
+    ],
+    "verify": [
+        ["--q", "4", "--su", "partition"], ["--q", "4", "--se", "1", "--suite", "partition"],
+        ["--q", "4", "--s", "partition"], ["--q", "4", "--suite=partition"],
+        ["--q", "4", "--suite", "partition", "--suite", "known-net"],
+        ["--q", "4", "--suite", "double-lines", "--seed", "-1"],
+        ["--q", "4", "--suite", "double-lines", "--samples", "--seed"],
+        ["--q", "4", "--suite"], ["--q", "4", "--suite", "partition", "--format", "csv"],
+    ],
+}
+
+
+def _parse_or_none(command, argv):
+    """vars() of the namespace argparse returns for argv, or None where it
+    exits (a usage error, or -h)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(command.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@pytest.mark.parametrize("name", ["classify-plane", "classify-net", "atlas", "verify"])
+def test_option_reader_agrees_with_argparse(name):
+    """argparse is the oracle: the reader reads every command line of its
+    shape as argparse does, or declines it where argparse rejects it, and
+    it declines every command line outside its shape."""
+    command = cli._parser().commands[name]
+    for argv in itertools.chain(_well_formed_argvs(name), _VALUE_ARGVS[name]):
+        args = cli._read_options(command, argv)
+        assert (None if args is None else vars(args)) == _parse_or_none(command, argv), argv
+    for argv in _OFF_SHAPE_ARGVS[name]:
+        assert cli._read_options(command, argv) is None, argv
 
 
 def test_unknown_option_is_reported_by_the_command_parser(capsys):

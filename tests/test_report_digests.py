@@ -6,9 +6,9 @@ projectivity and sent through ``classify-plane`` and through
 to that of ``verify --suite distributions --q 16``.  Any change to the
 classifier that alters a label, an invariant or the report layout shows up
 as a digest mismatch naming the request.  The ``verify --suite
-line-orbits`` reports at q = 4 and 8 are pinned the same way, so the group
-action behind them cannot change an orbit, an order or a count unnoticed,
-and so are the partition sweep at q = 2 (orbit sizes and stabilizer orders)
+line-orbits`` reports at q = 4, 8 and 16 are pinned the same way, so the
+group action behind them cannot change an orbit, an order or a count
+unnoticed, and so are the partition sweep at q = 2 (orbit sizes and stabilizer orders)
 and the double-line sweeps at q = 2 (every plane) and q = 8 (sampled).
 The unmoved representatives at q = 4 and 16, sent by label to
 ``classify-plane`` and by their nets' form strings to ``classify-net``,
@@ -176,10 +176,11 @@ def test_report_bytes_are_pinned(capsys):
 LINE_ORBITS_PINNED = {
     4: 'd9ded9997f6ad463acf18ff4d1e5cfb2099b623b88699a1de2285aa5e0f0061e',
     8: 'fbeda6f0e07d96b1f828d17053d0ce8924776163e61d2d2f8a711e17a569ee93',
+    16: '61d825c6417623904b0c34dbfec9e461a40db2b8cd5344ecd9c59461601eaff0',
 }
 
 
-@pytest.mark.parametrize("q", (4, 8))
+@pytest.mark.parametrize("q", (4, 8, 16))
 def test_line_orbit_report_bytes_are_pinned(q, capsys):
     out = _report(["verify", "--q", str(q), "--suite", "line-orbits"], capsys)
     assert hashlib.sha256(out.encode()).hexdigest() == LINE_ORBITS_PINNED[q]
