@@ -2,12 +2,13 @@
 
 Ships ``ORBIT_TABLE``, one row for each of the 18 orbits: the
 representative's basis rows with the field-dependent parameter searches
-that fill them, the cubic kind, and the closed forms in q of the point and
-hyperplane distributions and the stabilizer order, which the
-``expected_*`` functions read.  Around it: an orbit-stabilizer count to
-check the table against, the end-to-end classifier for planes and for nets
-of conics, the plane <-> net correspondence, and the verification reports
-that back the ``conicnets verify`` command line.
+that fill them, the cubic kind, and the closed forms in q of the point
+distribution (``hyperplane_distribution`` gives the hyperplanes') and the
+stabilizer order, which the ``expected_*`` functions read.  Around it: an
+orbit-stabilizer count to check the table against, the end-to-end
+classifier for planes and for nets of conics, the plane <-> net
+correspondence, and the verification reports that back the
+``conicnets verify`` command line.
 
 Every report is a plain dict::
 
@@ -47,6 +48,8 @@ from .invariants import (
     PlaneSignature,
     anchor,
     double_line_hyperplane_count,
+    hyperplane_class_counts,
+    hyperplane_distribution,
     nuclear_point_count,
     nucleus_cut,
     plane_key_at,
@@ -115,48 +118,47 @@ Orbit = namedtuple("Orbit", "rows cubic_kind forms search", defaults=(None,))
 # coefficient per character in the order m00 m01 m02 m11 m12 m22, with a
 # letter where search (or an override) puts a parameter.  cubic_kind: None
 # marks the identically zero cubic (planes inside the rank <= 2
-# hypersurface).  forms(q, h, n, g), with h = q/2, n = q^2+q+1 and
-# g = |PGL(3,q)|, gives the closed forms: the point-class counts od0 (rank1,
-# rank2 nuclear, rank2 secant, rank3), the conic-class counts od4 of the
-# hyperplanes through the plane (DoubleLine, RealPair, ImaginaryPair,
-# Nonsingular) and the stabilizer order in PGL(3,q).
+# hypersurface).  forms(q, n, g), with n = q^2+q+1 and g = |PGL(3,q)|,
+# gives the closed forms of the point-class counts od0 (rank1, rank2
+# nuclear, rank2 secant, rank3) and of the stabilizer order in PGL(3,q);
+# od4 is no column, it is invariants.hyperplane_distribution of od0.
 ORBIT_TABLE = {
-    "Sigma1": Orbit("100000 010000 000100", None, lambda q, h, n, g: (
-        (q + 1, 1, q * q - 1, 0), (1, q * q + q, 0, 0), g // n)),
-    "Sigma3": Orbit("100000 000100 001000", "LinePlusDoubleLine", lambda q, h, n, g: (
-        (2, 1, 2 * q - 2, q * q - q), (1, 2 * q, 0, q * q - q), q * (q - 1) ** 2)),
-    "Sigma4": Orbit("100000 000100 001010", "LinePlusDoubleLine", lambda q, h, n, g: (
-        (2, 1, 2 * q - 2, q * q - q), (1, 2 * q, 0, q * q - q), 2 * q * (q - 1))),
-    "Sigma7": Orbit("100000 010000 001000", None, lambda q, h, n, g: (
-        (1, q + 1, q * q - 1, 0), (q + 1, h * (q + 1), h * (q - 1), 0), g // n)),
-    "Sigma8": Orbit("100000 010000 000010", "LinePlusDoubleLine", lambda q, h, n, g: (
-        (1, q + 1, q - 1, q * q - q), (q + 1, q, 0, q * q - q), q * q * (q - 1) ** 2)),
-    "Sigma9": Orbit("100000 010000 000110", "LinePlusDoubleLine", lambda q, h, n, g: (
-        (1, 1, 2 * q - 1, q * q - q), (1, 3 * h, h, q * q - q), q * q * (q - 1))),
-    "Sigma10": Orbit("100000 010000 000101", "LinePlusConic_Tangent", lambda q, h, n, g: (
-        (1, 1, 2 * q - 1, q * q - q), (1, 3 * h, h, q * q - q), q * (q - 1))),
-    "Sigma11": Orbit("100001 010000 000111", "IrreducibleCubic", lambda q, h, n, g: (
-        (1, 1, q - 1, q * q), (1, q, 0, q * q), q - 1)),
-    "Sigma15": Orbit("100000 010000 001100", "TripleLine", lambda q, h, n, g: (
-        (1, 1, q - 1, q * q), (1, q, 0, q * q), q**3 * (q - 1))),
-    "SigmaN": Orbit("010000 001000 000010", None, lambda q, h, n, g: (
-        (0, n, 0, 0), (n, 0, 0, 0), g)),
-    "Sigma16": Orbit("010000 000010 001100", "TripleLine", lambda q, h, n, g: (
-        (0, q + 1, 0, q * q), (q + 1, 0, 0, q * q), q**3 * (q * q - 1))),
-    "Sigma17": Orbit("010000 001000 000101", "LinePlusDoubleLine", lambda q, h, n, g: (
-        (0, q + 1, q, q * q - q), (q + 1, h, h, q * q - q), q * q * (q - 1))),
-    "Sigma18": Orbit("100010 010000 001c10", "NoRationalComponentPoint", lambda q, h, n, g: (
-        (0, 1, 0, q * q + q), (1, 0, 0, q * q + q), 3 * q * q), sigma18_parameter),
-    "Sigma19": Orbit("100001 010100 000110", "ThreeConcurrentLines", lambda q, h, n, g: (
-        (0, 1, 3 * q, q * q - 2 * q), (1, 3 * h, 3 * h, q * q - 2 * q), 6 * q * q)),
-    "Sigma20": Orbit("10bc01 010100 000110", "LinePlusImaginaryPair", lambda q, h, n, g: (
-        (0, 1, q, q * q), (1, h, h, q * q), 2 * q * q), sigma20_parameters),
-    "Sigma21": Orbit("110000 000010 0a0100", "LinePlusDoubleLine", lambda q, h, n, g: (
-        (0, 1, 2 * q, q * q - q), (1, q, q, q * q - q), 2 * q * (q - 1)), sigma21_parameter),
-    "Sigma22": Orbit("110000 000010 011100", "IrreducibleCubic", lambda q, h, n, g: (
-        (0, 1, q, q * q), (1, h, h, q * q), 1)),
-    "Sigma23": Orbit("101000 000010 0a0100", "LinePlusConic_Tangent", lambda q, h, n, g: (
-        (0, 1, 2 * q, q * q - q), (1, q, q, q * q - q), q), sigma21_parameter),
+    "Sigma1": Orbit("100000 010000 000100", None, lambda q, n, g: (
+        (q + 1, 1, q * q - 1, 0), g // n)),
+    "Sigma3": Orbit("100000 000100 001000", "LinePlusDoubleLine", lambda q, n, g: (
+        (2, 1, 2 * q - 2, q * q - q), q * (q - 1) ** 2)),
+    "Sigma4": Orbit("100000 000100 001010", "LinePlusDoubleLine", lambda q, n, g: (
+        (2, 1, 2 * q - 2, q * q - q), 2 * q * (q - 1))),
+    "Sigma7": Orbit("100000 010000 001000", None, lambda q, n, g: (
+        (1, q + 1, q * q - 1, 0), g // n)),
+    "Sigma8": Orbit("100000 010000 000010", "LinePlusDoubleLine", lambda q, n, g: (
+        (1, q + 1, q - 1, q * q - q), q * q * (q - 1) ** 2)),
+    "Sigma9": Orbit("100000 010000 000110", "LinePlusDoubleLine", lambda q, n, g: (
+        (1, 1, 2 * q - 1, q * q - q), q * q * (q - 1))),
+    "Sigma10": Orbit("100000 010000 000101", "LinePlusConic_Tangent", lambda q, n, g: (
+        (1, 1, 2 * q - 1, q * q - q), q * (q - 1))),
+    "Sigma11": Orbit("100001 010000 000111", "IrreducibleCubic", lambda q, n, g: (
+        (1, 1, q - 1, q * q), q - 1)),
+    "Sigma15": Orbit("100000 010000 001100", "TripleLine", lambda q, n, g: (
+        (1, 1, q - 1, q * q), q**3 * (q - 1))),
+    "SigmaN": Orbit("010000 001000 000010", None, lambda q, n, g: (
+        (0, n, 0, 0), g)),
+    "Sigma16": Orbit("010000 000010 001100", "TripleLine", lambda q, n, g: (
+        (0, q + 1, 0, q * q), q**3 * (q * q - 1))),
+    "Sigma17": Orbit("010000 001000 000101", "LinePlusDoubleLine", lambda q, n, g: (
+        (0, q + 1, q, q * q - q), q * q * (q - 1))),
+    "Sigma18": Orbit("100010 010000 001c10", "NoRationalComponentPoint", lambda q, n, g: (
+        (0, 1, 0, q * q + q), 3 * q * q), sigma18_parameter),
+    "Sigma19": Orbit("100001 010100 000110", "ThreeConcurrentLines", lambda q, n, g: (
+        (0, 1, 3 * q, q * q - 2 * q), 6 * q * q)),
+    "Sigma20": Orbit("10bc01 010100 000110", "LinePlusImaginaryPair", lambda q, n, g: (
+        (0, 1, q, q * q), 2 * q * q), sigma20_parameters),
+    "Sigma21": Orbit("110000 000010 0a0100", "LinePlusDoubleLine", lambda q, n, g: (
+        (0, 1, 2 * q, q * q - q), 2 * q * (q - 1)), sigma21_parameter),
+    "Sigma22": Orbit("110000 000010 011100", "IrreducibleCubic", lambda q, n, g: (
+        (0, 1, q, q * q), 1)),
+    "Sigma23": Orbit("101000 000010 0a0100", "LinePlusConic_Tangent", lambda q, n, g: (
+        (0, 1, 2 * q, q * q - q), q), sigma21_parameter),
 }
 
 LABELS = tuple(ORBIT_TABLE)
@@ -171,7 +173,7 @@ EXPECTED_CUBIC_KIND = {label: row.cubic_kind for label, row in ORBIT_TABLE.items
 
 
 def _closed_forms(label: str, q: int):
-    return ORBIT_TABLE[label].forms(q, q // 2, q * q + q + 1, pgl_order(q))
+    return ORBIT_TABLE[label].forms(q, q * q + q + 1, pgl_order(q))
 
 
 def expected_point_distribution(label: str, q: int) -> tuple[int, int, int, int]:
@@ -182,23 +184,22 @@ def expected_point_distribution(label: str, q: int) -> tuple[int, int, int, int]
 
 def expected_hyperplane_distribution(label: str, q: int) -> tuple[int, int, int, int]:
     """Conic-class counts (DoubleLine, RealPair, ImaginaryPair, Nonsingular)
-    of the hyperplanes through a plane in the named orbit: od4 of its
-    ``ORBIT_TABLE`` row."""
-    return _closed_forms(label, q)[1]
+    of the hyperplanes through a plane in the named orbit:
+    ``hyperplane_distribution`` of its od0."""
+    return hyperplane_distribution(expected_point_distribution(label, q), q)
 
 
 @functools.cache
 def expected_signature(label: str, q: int) -> PlaneSignature:
     """The signature shared by every plane of the named orbit: its
-    ``ORBIT_TABLE`` row's od0, cubic kind and od4."""
-    od0, od4, _ = _closed_forms(label, q)
-    return PlaneSignature(od0, ORBIT_TABLE[label].cubic_kind, od4)
+    ``ORBIT_TABLE`` row's od0 and cubic kind."""
+    return PlaneSignature(expected_point_distribution(label, q), ORBIT_TABLE[label].cubic_kind)
 
 
 def expected_stabilizer_order(label: str, q: int) -> int:
     """Order of the stabilizer in PGL(3,q) of a plane in the named orbit,
     from its ``ORBIT_TABLE`` row; the orbit has pgl_order(q) / order planes."""
-    return _closed_forms(label, q)[2]
+    return _closed_forms(label, q)[1]
 
 
 def plane_stabilizer_order(s: Subspace) -> int:
@@ -260,24 +261,18 @@ def representative_pattern(gf: GF, label: str, overrides: dict | None = None):
 
 @functools.cache
 def _rep_data(gf: GF):
-    """(representatives, their parameters, their computed signatures)."""
+    """(representatives, their parameters)."""
     reps: dict[str, Subspace] = {}
     params: dict[str, dict[str, int]] = {}
-    sigs: dict[str, PlaneSignature] = {}
     for label in LABELS:
-        rows, pars = representative_pattern(gf, label)
-        s = plane_from_pattern(gf, rows)
-        sig, want = plane_signature(s), expected_signature(label, gf.q)
-        if sig != want:
-            raise VerificationError(
-                "representative %s has signature %r, expected %r" % (label, sig, want)
-            )
-        reps[label], params[label], sigs[label] = s, pars, sig
-    return reps, params, sigs
+        rows, params[label] = representative_pattern(gf, label)
+        reps[label] = plane_from_pattern(gf, rows)
+    return reps, params
 
 
 def representatives(gf: GF) -> dict[str, Subspace]:
-    """All 18 validated orbit representatives, cached per field."""
+    """All 18 orbit representatives, cached per field; checked against their
+    rows by ``verify_distributions``."""
     return _rep_data(gf)[0]
 
 
@@ -287,7 +282,7 @@ def representative_parameters(gf: GF) -> dict[str, dict[str, int]]:
 
 
 def representative(gf: GF, label: str) -> Subspace:
-    """Validated plane representative of one orbit."""
+    """Plane representative of one orbit, from ``representatives``."""
     if label not in LABELS:
         raise ConfigurationError("unknown orbit label %s" % brief.repr(label))
     return representatives(gf)[label]
@@ -301,21 +296,13 @@ def signature_table(gf: GF) -> dict[PlaneSignature, tuple[str, ...]]:
     """Signature -> orbit labels, from the closed-form tables.
 
     Every signature names one orbit except the one Sigma3 and Sigma4 share,
-    which classify_plane resolves separately.
+    which classify_plane resolves separately.  A plane_key tuple looks up
+    the signature it equals.
     """
     build: dict[PlaneSignature, list[str]] = {}
     for label in LABELS:
         build.setdefault(expected_signature(label, gf.q), []).append(label)
     return {sig: tuple(ls) for sig, ls in build.items()}
-
-
-@functools.cache
-def key_table(gf: GF) -> dict[tuple, tuple[str, ...]]:
-    """Plane key (PlaneSignature.key) -> orbit labels, from signature_table."""
-    table: dict[tuple, tuple[str, ...]] = {}
-    for sig, labels in signature_table(gf).items():
-        table[sig.key] = table.get(sig.key, ()) + labels
-    return table
 
 
 @functools.cache
@@ -338,12 +325,11 @@ def classify_plane_at(s: Subspace, meet: Subspace | None, points) -> str:
     The meet decides whether the plane is in the family, gives the nuclear
     point at which plane_key_at reads the plane's key, and feeds the
     tie-break below.  The key, the point-class counts and cubic-curve kind,
-    is looked up in key_table; it pins down every label except Sigma3 and
-    Sigma4.  The hyperplane classes separate no further orbit, so they are
-    not computed here.  A plane of either orbit holds one nuclear point and
-    two rank-1 points v(p).  The nuclear point lies on the conic
-    plane {M : M u = 0} of one line of PG(2,q), its kernel u = (y4, y2, y1),
-    and v(p) lies there iff p.u = 0: for one p for Sigma3, for neither for
+    is looked up in signature_table; it pins down every label except Sigma3
+    and Sigma4.  A plane of either orbit holds one nuclear point and two
+    rank-1 points v(p).  The nuclear point lies on the conic plane
+    {M : M u = 0} of one line of PG(2,q), its kernel u = (y4, y2, y1), and
+    v(p) lies there iff p.u = 0: for one p for Sigma3, for neither for
     Sigma4.  The count is invariant because the lifted group commutes with
     the Veronese map, so it carries conic planes to conic planes.  A
     ClassificationError names the plane's packed hex key and the stage that
@@ -360,7 +346,7 @@ def classify_plane_at(s: Subspace, meet: Subspace | None, points) -> str:
         key = plane_key_at(s, meet, points)
     except ClassificationError as exc:
         raise fail("key lookup", str(exc)) from exc
-    labels = key_table(gf).get(key, ())
+    labels = signature_table(gf).get(key, ())
     if not labels:
         raise fail("key lookup", "key matches no catalogued orbit: %r" % (key,))
     if len(labels) == 1:
@@ -484,22 +470,20 @@ def _orbit_rows(gf: GF, orders: dict[str, int] | None) -> list[dict]:
 
 
 def verify_distributions(gf: GF) -> dict:
-    """Check every representative's computed signature against the
-    closed-form one: point and hyperplane distributions, cubic kind and
-    point count, as computed once by ``_rep_data``.  Works for any q
-    without enumeration.
-
-    ``_rep_data`` itself raises VerificationError (exit 4 on the command
-    line) on a representative whose signature is off its ``ORBIT_TABLE``
-    row, before any report is built, so a ``distribution[...]`` check
-    reads false only if that validation is bypassed."""
+    """Check every representative against its ``ORBIT_TABLE`` row: its
+    signature (point distribution, cubic kind and point count) and its
+    hyperplane distribution, scanned by ``hyperplane_class_counts``, against
+    the closed forms.  Works for any q without enumeration.  A row off its
+    representative fails one ``distribution[...]`` check of a full report."""
     checks = []
-    for label, sig in _rep_data(gf)[2].items():
+    for label, s in representatives(gf).items():
+        sig, want = plane_signature(s), expected_signature(label, gf.q)
+        od4 = hyperplane_class_counts(s)
         checks.append(_check(
             "distribution[%s]" % label,
-            sig == expected_signature(label, gf.q),
+            sig == want and od4 == want.hyperplane_counts,
             {"od0": list(sig.point_counts),
-             "expected": list(expected_point_distribution(label, gf.q)),
+             "expected": list(want.point_counts),
              "cubic_type": sig.cubic_kind},
         ))
     empty = [label for label in LABELS

@@ -13,7 +13,7 @@ invariants collected here:
   * point_class_counts: how many points of each rank class the subspace
     contains (rank1, rank2_nuclear, rank2_secant, rank3);
   * hyperplane_class_counts: the conic classes of the q^2+q+1 hyperplanes
-    through a plane (DoubleLine, RealPair, ImaginaryPair, Nonsingular);
+    through a plane, a scan of what hyperplane_distribution computes;
   * nuclear_point_count, double_line_hyperplane_count: the two sides of
     the double-line identity, each a scan of the kernel of a 3x3 block over
     the q^2+q+1 points of PG(2,q): the basis's diagonal columns 0, 3, 5
@@ -29,8 +29,8 @@ invariants collected here:
   * line_class_profile: the multiset of point-class counts of the lines
     inside a plane;
   * plane_key: the point-class counts with the cubic's factorization type,
-    the part of plane_signature that classification reads, from the pencil
-    at the plane's nuclear point and the closed forms above, with no scan.
+    which are the whole plane_signature, from the pencil at the plane's
+    nuclear point and the closed forms above, with no scan.
 
 All but anchor, which moves with its subspace, are constant on orbits of
 the lifted projectivity group.
@@ -38,8 +38,9 @@ the lifted projectivity group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from math import isqrt
+from typing import NamedTuple
 
 from .errors import ClassificationError
 from .gf import GF
@@ -94,6 +95,22 @@ def hyperplane_class_counts(s: Subspace) -> tuple[int, int, int, int]:
     for form in forms_through(s):
         out[idx[classify_conic(s.gf, form)]] += 1
     return tuple(out)
+
+
+def hyperplane_distribution(point_counts, q: int) -> tuple[int, int, int, int]:
+    """(DoubleLine, RealPair, ImaginaryPair, Nonsingular) counts of the n =
+    q^2+q+1 conics Q through a plane W with point-class counts (r, u, s, t):
+    (u, ((q+1) r + s) / 2, (s - (q-1) r) / 2, t).  Proof: the double lines
+    are (W + N)^perp, N the nucleus plane, so u; x lies on the conics
+    (W + <v(x)>)^perp, so sum |Z(Q)| = n (q+1) + r q^2, as |Z(Q)| is q+1,
+    2q+1, 1, q+1 by class (Hirschfeld); Q is singular at x iff it vanishes
+    on the tangent plane <v(x), x w^T + w x^T>, and these planes hold each
+    rank-1 and secant point once, each nuclear point q+1 times and no rank-3
+    point, so (q+1) DoubleLine + RealPair + ImaginaryPair = r + s + (q+1) u.
+    This is the MacWilliams transform of the point distribution (Delsarte);
+    the scan hyperplane_class_counts checks it."""
+    rank1, nuclear, secant, rank3 = point_counts
+    return nuclear, ((q + 1) * rank1 + secant) // 2, (secant - (q - 1) * rank1) // 2, rank3
 
 
 def _kernel_count(gf: GF, u, v, w) -> int:
@@ -458,14 +475,12 @@ def line_class_profile(s: Subspace) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(sorted(point_class_counts(l) for l in lines_in_plane(s)))
 
 
-@dataclass(frozen=True)
-class PlaneSignature:
-    """Orbit invariants of a plane, used to look orbits up in the atlas.
-    Only the computed invariants are stored; the rest follow from them."""
+class PlaneSignature(NamedTuple):
+    """Orbit invariants of a plane, used to look orbits up in the atlas:
+    the plane_key tuple, which it equals; the rest follow from it."""
 
     point_counts: tuple[int, int, int, int]
     cubic_kind: str | None
-    hyperplane_counts: tuple[int, int, int, int]
 
     @property
     def nucleus_meet_dim(self) -> int:  # nuclear count 0, 1, q+1 or q^2+q+1
@@ -480,9 +495,8 @@ class PlaneSignature:
         return None if self.cubic_kind is None else sum(self.point_counts[:3])
 
     @property
-    def key(self) -> tuple:
-        """(point_counts, cubic_kind): what plane_key computes."""
-        return self.point_counts, self.cubic_kind
+    def hyperplane_counts(self) -> tuple[int, int, int, int]:  # q^2+q+1 points
+        return hyperplane_distribution(self.point_counts, isqrt(sum(self.point_counts) - 1))
 
     def to_json(self) -> dict:
         return {
@@ -536,4 +550,4 @@ def plane_key_at(s: Subspace, meet: Subspace | None, points) -> tuple:
 
 
 def plane_signature(s: Subspace) -> PlaneSignature:
-    return PlaneSignature(*plane_key(s), hyperplane_class_counts(s))
+    return PlaneSignature(*plane_key(s))

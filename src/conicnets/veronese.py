@@ -175,7 +175,7 @@ def form_from_str(text: str) -> tuple[int, ...]:
         coeff = 1
         mono = term
         head, star, rest = term.partition("*")
-        if head.isdigit():
+        if head.isascii() and head.isdigit():
             coeff = int(head)
             mono = rest
         if mono not in index:

@@ -107,6 +107,7 @@ def test_representatives_validate_at_all_supported_orders(q):
     for label, s in reps.items():
         assert s.dim == 2
         assert point_class_counts(s) == expected_point_distribution(label, q)
+        assert plane_signature(s) == expected_signature(label, q)
 
 
 def test_expected_distribution_rows_sum(gf8):
@@ -164,12 +165,27 @@ def test_closed_form_signatures_match_computed(q):
         assert plane_signature(plane_from_pattern(gf, rows)) == expected_signature(label, q), label
 
 
+def test_signatures_and_representatives_scan_no_hyperplane(monkeypatch):
+    """A signature's hyperplane counts come from its point counts; only
+    verify_distributions scans the hyperplanes through a plane."""
+    def forbidden(s):
+        raise AssertionError("hyperplane scan")
+
+    for module in (atlas, invariants):
+        monkeypatch.setattr(module, "hyperplane_class_counts", forbidden)
+    atlas._rep_data.cache_clear()
+    for label, s in representatives(field(8)).items():
+        sig = plane_signature(s)
+        assert sig == expected_signature(label, 8), label
+        assert sig.hyperplane_counts == expected_hyperplane_distribution(label, 8), label
+
+
 @pytest.mark.parametrize("e", range(1, 9))
 def test_short_key_collides_only_for_sigma3_sigma4(e):
     q = 2**e
     by_key: dict = {}
     for label in LABELS:
-        by_key.setdefault(expected_signature(label, q).key, []).append(label)
+        by_key.setdefault(expected_signature(label, q), []).append(label)
     assert [ls for ls in by_key.values() if len(ls) > 1] == [["Sigma3", "Sigma4"]]
     assert len(by_key) == 17
 
@@ -263,8 +279,8 @@ def test_classify_plane_agrees_with_orbit_atlas_on_sigma3_sigma4_q4(gf4):
 
 def test_classify_plane_rejects_unexpected_signature_collisions(gf4, monkeypatch):
     s = representative(gf4, "Sigma9")
-    table = {plane_signature(s).key: ("Sigma9", "Sigma10")}
-    monkeypatch.setattr(atlas, "key_table", lambda gf: table)
+    table = {plane_signature(s): ("Sigma9", "Sigma10")}
+    monkeypatch.setattr(atlas, "signature_table", lambda gf: table)
     with pytest.raises(ClassificationError, match="plane %s, key lookup: " % s.key_hex()):
         classify_plane(s)
 
@@ -776,8 +792,7 @@ def table_row():
     saved = dict(atlas.ORBIT_TABLE)
 
     def clear():
-        for cached in (atlas.expected_signature, atlas.signature_table, atlas.key_table,
-                       atlas._rep_data):
+        for cached in (atlas.expected_signature, atlas.signature_table, atlas._rep_data):
             cached.cache_clear()
 
     def replace(label, **fields):
@@ -789,25 +804,32 @@ def table_row():
     clear()
 
 
-def test_a_wrong_od4_cell_fails_the_distributions_suite(table_row, capsys):
+def test_a_wrong_od0_cell_fails_one_distribution_check_and_the_partition(table_row, capsys):
+    """The suite reports a row off its representative as one false check,
+    with every other check still listed; the partition's classifier finds
+    no orbit for that representative."""
     forms = atlas.ORBIT_TABLE["Sigma17"].forms
 
     def wrong(*args):
-        od0, (double, real, imaginary, nonsingular), order = forms(*args)
-        return od0, (double, real, imaginary + 1, nonsingular), order
+        (rank1, nuclear, secant, rank3), order = forms(*args)
+        return (rank1, nuclear, secant + 1, rank3 - 1), order
 
     table_row("Sigma17", forms=wrong)
     assert cli.main(["verify", "--q", "2", "--suite", "distributions"]) == 4
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("verification failure: representative Sigma17 ")
+    assert err == ""
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == [
+        "distribution[Sigma17]"]
+    assert cli.main(["verify", "--q", "2", "--suite", "partition"]) == 4
+    assert "key lookup: key matches no catalogued orbit" in capsys.readouterr().err
 
 
 def test_a_wrong_stabilizer_cell_fails_the_partition(gf2, table_row):
     forms = atlas.ORBIT_TABLE["Sigma23"].forms
 
     def wrong(*args):
-        od0, od4, order = forms(*args)
-        return od0, od4, order + 1
+        od0, order = forms(*args)
+        return od0, order + 1
 
     table_row("Sigma23", forms=wrong)
     with pytest.raises(VerificationError, match="stabilizer of Sigma23 has order 2, expected 3"):

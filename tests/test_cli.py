@@ -3,7 +3,6 @@ byte-level determinism."""
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import itertools
 import json
@@ -223,6 +222,9 @@ def _with(rows, i, j, value):
     ("classify-net", {"forms": [[0, 0, -3, 1, 0, 0], [1, 0, 1, 0, 1, 0], [0, 0, 0, 0, 0, 1]]}),
     # a repeated monomial would cancel the bad coefficient by XOR
     ("classify-net", {"forms": ["9*X0*X2 + 9*X0*X2 + X1^2", "X0^2", "X2^2"]}),
+    # a non-ASCII digit is no coefficient: an Arabic-Indic 3, a superscript 2
+    ("classify-net", {"forms": ["\u0663*X0*X2 + X1^2"] + EXAMPLE_NET_Q4[1:]}),
+    ("classify-net", {"forms": ["\u00b2*X2^2", "X0*X2 + X1^2", "X0^2 + X1*X2"]}),
     # label parameters: a bool is not 1, a float is not truncated
     ("classify-plane", {"label": "Sigma21", "parameters": {"a": True}}),
     ("classify-plane", {"label": "Sigma21", "parameters": {"a": 2.7}}),
@@ -231,6 +233,7 @@ def _with(rows, i, j, value):
     ("classify-plane", {"label": "Sigma21", "parameters": {"a": 1, "b": 2}}),
 ], ids=["row-negative", "row-too-large", "row-bool", "row-float",
         "form-string-coefficient", "form-vector-negative", "form-string-repeated-monomial",
+        "form-string-arabic-indic-digit", "form-string-superscript-digit",
         "label-parameter-bool", "label-parameter-float", "label-parameter-unknown",
         "label-parameter-extra"])
 def test_exit_code_rejects_non_field_elements(command, payload, capsys):
@@ -344,25 +347,25 @@ def test_exit_code_verification_failure(capsys, monkeypatch):
     assert code == 4
 
 
-def test_exit_code_representative_fails_validation(capsys, monkeypatch):
-    """A built representative whose signature disagrees with the closed-form
-    table is an internal-consistency failure: exit 4, before any check."""
-    table = atlas.expected_signature
+def test_exit_code_representative_fails_a_distribution_check(capsys, monkeypatch):
+    """A representative whose scanned hyperplane distribution disagrees
+    with its table row fails its one distribution check: exit 4, with the
+    whole report on stdout.  The scan is the suite's check of the
+    transform, made once per representative."""
+    wrong = atlas.representatives(field(4))["Sigma9"]
+    scan, calls = atlas.hyperplane_class_counts, []
 
-    def skewed(label, q):
-        sig = table(label, q)
-        if label == "Sigma9":
-            return dataclasses.replace(sig, hyperplane_counts=(0, 0, 0, 0))
-        return sig
+    def skewed(s):
+        calls.append(s)
+        double, real, imaginary, nonsingular = scan(s)
+        return double, real - (s is wrong), imaginary + (s is wrong), nonsingular
 
-    monkeypatch.setattr(atlas, "expected_signature", skewed)
-    atlas._rep_data.cache_clear()
-    try:
-        code, out, err = run(["verify", "--q", "2", "--suite", "distributions"], capsys)
-    finally:
-        atlas._rep_data.cache_clear()
-    assert code == 4 and out == ""
-    assert err.startswith("verification failure: representative Sigma9 ")
+    monkeypatch.setattr(atlas, "hyperplane_class_counts", skewed)
+    code, out, err = run(["verify", "--q", "4", "--suite", "distributions"], capsys)
+    assert (code, err) == (4, "")
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == [
+        "distribution[Sigma9]"]
+    assert len(calls) == len(atlas.LABELS)
 
 
 def test_exit_code_resource_budget(capsys, monkeypatch):

@@ -36,6 +36,7 @@ from conicnets.invariants import (
     double_line_hyperplane_count,
     forms_through,
     hyperplane_class_counts,
+    hyperplane_distribution,
     line_class_profile,
     lines_in_plane,
     nuclear_point_count,
@@ -55,7 +56,14 @@ from conicnets.projgeom import (
     rref,
     span,
 )
-from conicnets.veronese import classify_conic, form_eval, nucleus_plane, veronese
+from conicnets.veronese import (
+    classify_conic,
+    expected_census,
+    form_eval,
+    nucleus_plane,
+    point_class,
+    veronese,
+)
 from oracles import cubic_zeros_and_counts, enumerate_planes
 
 CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
@@ -146,6 +154,65 @@ def test_double_line_hyperplane_count_matches_oracles(q):
         assert n == _double_lines_through(s) == hyperplane_class_counts(s)[0], s
         counts[nuclear, n] += 1
     assert set(counts) == {(n, n) for n in (0, 1, q + 1, q * q + q + 1)}
+
+
+def _seeded_planes(gf, count):
+    """count random planes, most off the family, then count through a random
+    nuclear point, on it."""
+    rng = random.Random(gf.q)
+    planes = [atlas._sample_plane(gf, rng) for _ in range(count)]
+    while len(planes) < 2 * count:
+        nuclear = (0, rng.randrange(gf.q), rng.randrange(gf.q), 0, rng.randrange(gf.q), 0)
+        rows = rref(gf, [nuclear] + [[rng.randrange(gf.q) for _ in range(6)] for _ in range(2)])
+        if len(rows) == 3:
+            planes.append(Subspace.from_rref(gf, 5, rows))
+    return planes
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_hyperplane_distribution_matches_the_scan(q):
+    """The transform of the point-class counts against the conic classes of
+    the forms through the plane: every plane at q=2, and at q = 4, 8 and 16
+    seeded planes off the family and through a nuclear point, and the moved
+    representatives, which meet the nucleus plane in a point, a line or the
+    whole plane."""
+    gf = field(q)
+    if q == 2:
+        planes = list(enumerate_planes(gf))
+    else:
+        planes = _seeded_planes(gf, 100)
+        planes += [act_subspace(s, MOVE) for s in representatives(gf).values()]
+    meets = Counter()
+    for s in planes:
+        assert hyperplane_class_counts(s) == hyperplane_distribution(point_class_counts(s), q), s
+        meets[nucleus_meet_dim(s)] += 1
+    assert set(meets) == {-1, 0, 1, 2}, meets
+
+
+@pytest.mark.parametrize("q", (2, 4, 8))
+def test_tangent_planes_hold_points_by_class(q):
+    """The lemma behind hyperplane_distribution's singular-point count: the
+    tangent planes <v(x), x w^T + w x^T> of the Veronese surface hold each
+    rank-1 and secant point once, each nuclear point q+1 times and no
+    rank-3 point."""
+    gf = field(q)
+    mul = gf._mul
+    held = Counter()
+    for x in pg_points(gf, 2):
+        # x w^T + w x^T for w = e0, e1, e2: its diagonal vanishes
+        cross = [(0, mul[x[0]][w[1]] ^ mul[w[0]][x[1]], mul[x[0]][w[2]] ^ mul[w[0]][x[2]],
+                  0, mul[x[1]][w[2]] ^ mul[w[1]][x[2]], 0)
+                 for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        tangent = span(gf, [veronese(gf, x)] + cross)
+        assert tangent.dim == 2, x
+        held.update(tangent.points())
+    times = {"rank1": 1, "rank2_nuclear": q + 1, "rank2_secant": 1, "rank3": 0}
+    classes = Counter()
+    for y, k in held.items():
+        assert k == times[point_class(gf, y)], y
+        classes[point_class(gf, y)] += 1
+    census = expected_census(q)
+    assert classes == {c: census[c] for c in ("rank1", "rank2_nuclear", "rank2_secant")}
 
 
 def test_nucleus_meet_dim(gf4):
@@ -696,14 +763,11 @@ def test_pencil_rejects_a_point_off_the_cubic(gf4):
 
 @pytest.mark.parametrize("q", (8, 16, 64, 256))
 def test_plane_key_of_moved_representatives_matches_the_closed_forms(q, sample_matrices):
-    # the patterns, not representatives(): those are validated by a scan of
-    # all q^2+q+1 hyperplanes through each plane, seconds at q = 256
     gf = field(q)
     g0, g1 = sample_matrices(gf)[0], sample_matrices(gf)[-1]
-    for label in LABELS:
-        s = plane_from_pattern(gf, representative_pattern(gf, label)[0])
+    for label, s in representatives(gf).items():
         s = act_subspace(act_subspace(s, g0), g1)
-        assert plane_key(s) == expected_signature(label, q).key, (q, label)
+        assert plane_key(s) == expected_signature(label, q), (q, label)
 
 
 def _check_fused_pass(s):

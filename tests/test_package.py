@@ -175,3 +175,30 @@ def test_docstring_identifiers_name_something():
                 if not ok:
                     stale.append((fname, getattr(node, "name", "<module>"), quoted))
     assert not stale
+
+
+def test_module_level_caches_are_the_known_ones():
+    """The package's process-wide caches, pinned so that a new one is a
+    decision: every ``functools.cache`` (a decorator or a call) in
+    ``src/``, and every module-level container that a function stores into
+    by subscript, found by parsing the modules."""
+    cached, stored = set(), set()
+    for path in sorted(Path(conicnets.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module_names = {t.id for node in tree.body
+                        if isinstance(node, (ast.Assign, ast.AnnAssign))
+                        for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                        if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                cached.update(node.name for d in node.decorator_list
+                              if ast.unparse(d) == "functools.cache")
+                stored.update((path.stem, n.value.id) for n in ast.walk(node)
+                              if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+                              and isinstance(n.value, ast.Name) and n.value.id in module_names)
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                  and ast.unparse(node.value.func) == "functools.cache"):
+                cached.update(t.id for t in node.targets)
+    assert cached == {"expected_signature", "_rep_data", "signature_table", "orbit_atlas",
+                      "packed_action", "_parser"}
+    assert stored == {("gf", "_FIELDS")}

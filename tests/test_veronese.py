@@ -168,6 +168,13 @@ def test_form_string_rejects_repeated_monomials(text):
         form_from_str(text)
 
 
+@pytest.mark.parametrize("text", ["\u0663*X0*X2", "\u00b2*X2^2", "X1^2 + \uff13*X0^2"])
+def test_form_string_coefficients_are_ascii_digits(text):
+    # str.isdigit accepts these, and int() reads the first as 3
+    with pytest.raises(ValueError, match="^unknown monomial"):
+        form_from_str(text)
+
+
 def test_conic_plane_and_nucleus(gf4):
     # the conic plane over a line of PG(2,q) holds its Veronese image; the
     # image conic's nucleus is a nuclear rank-2 point on that plane
