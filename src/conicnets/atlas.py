@@ -10,12 +10,16 @@ classifier for planes and for nets of conics, the plane <-> net
 correspondence, and the verification reports that back the
 ``conicnets verify`` command line.
 
-Every report is a plain dict::
+Every report is a plain dict that ``_report`` builds, the same envelope
+for each suite::
 
-    {"schema": ..., "q": ..., "orbits": [...], "totals": {...},
+    {"schema": ..., "q": ..., "suite": ..., "totals": {...},
      "checks": [{"name": ..., "pass": ..., "details": ...}, ...]}
 
-so it serializes to JSON without further massaging.
+with "orbits" and "mode" where the suite has them, so it serializes to
+JSON without further massaging.  The exhaustive and sampled suites run
+their chunks through ``_sweep``, which sums the chunks' counters and keeps
+the 16 least witness keys.
 """
 
 from __future__ import annotations
@@ -442,6 +446,10 @@ def _check(name: str, ok: bool, details) -> dict:
     return {"name": name, "pass": bool(ok), "details": details}
 
 
+def _report(gf: GF, suite: str, checks: list, **fields) -> dict:
+    return {"schema": SCHEMA, "q": gf.q, "suite": suite, "checks": checks, **fields}
+
+
 def planes_meeting_nucleus_count(q: int) -> int:
     """Number of planes of PG(5, q) meeting a fixed plane: all planes minus
     the q^9 complements."""
@@ -493,21 +501,17 @@ def verify_distributions(gf: GF) -> dict:
         tuple(empty) == EMPTY_BASE_LABELS and len(empty) == 9,
         {"labels": empty},
     ))
-    return {
-        "schema": SCHEMA,
-        "q": gf.q,
-        "suite": "distributions",
-        "orbits": _orbit_rows(gf, None),
-        "totals": {"orbit_count": len(LABELS)},
-        "checks": checks,
-    }
+    return _report(gf, "distributions", checks, orbits=_orbit_rows(gf, None),
+                   totals={"orbit_count": len(LABELS)})
 
 
 def _partition_chunk(state, chunk):
-    """One enumeration chunk's sweep tally."""
+    """One enumeration chunk's sweep: (Counter of the meeting planes by
+    orbit label, with "meeting" and "agree" counts, the 16 least keys of
+    meeting planes in no orbit)."""
     gf = field(state["q"], state["modulus"])
     index = state["index"]
-    tally: Counter = Counter()
+    labels: list[str] = []
     stray: list[int] = []
     meeting = agree = 0
     for s in enumerate_planes_chunk(gf, chunk):
@@ -518,12 +522,11 @@ def _partition_chunk(state, chunk):
         key = s.key_int()
         label = index.get(key)
         if label is None:
-            if len(stray) < 16:
-                stray.append(key)
+            stray.append(key)
             continue
-        tally[label] += 1
+        labels.append(label)
         agree += classify_plane_at(s, meet, points) == label
-    return tally, stray, meeting, agree
+    return Counter(labels, meeting=meeting, agree=agree), sorted(stray)[:16]
 
 
 _task = None  # a pool process's sweep task, bound as the process starts
@@ -544,16 +547,20 @@ def get_context():
     return multiprocessing.get_context()
 
 
-def _run_chunks(worker, state: dict, chunks, workers: int):
-    """worker(state, chunk) over every chunk, in chunk order.  Pool
-    processes get the state once, through the pool initializer, so any
-    start method works; more processes than chunks or CPUs would idle."""
+def _sweep(worker, state: dict, chunks, workers: int) -> tuple[Counter, list[int]]:
+    """worker(state, chunk) -> (Counter, keys) over every chunk: the sum of
+    the Counters and the 16 least keys.  Pool processes get the state once,
+    through the pool initializer, so any start method works; more processes
+    than chunks or CPUs would idle."""
     workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         with get_context().Pool(workers, initializer=_bind_task,
                                 initargs=(worker, state)) as pool:
-            return pool.map(_run_task, chunks, chunksize=1)
-    return [worker(state, chunk) for chunk in chunks]
+            results = pool.map(_run_task, chunks, chunksize=1)
+    else:
+        results = [worker(state, chunk) for chunk in chunks]
+    total: Counter = sum((tally for tally, _ in results), Counter())
+    return total, sorted(key for _, keys in results for key in keys)[:16]
 
 
 def verify_partition(gf: GF, workers: int = 0) -> dict:
@@ -605,21 +612,13 @@ def verify_partition(gf: GF, workers: int = 0) -> dict:
     if exhaustive:
         index = {key: label for label, keys in orbit_atlas(gf).items() for key in keys}
         state = {"q": q, "modulus": gf.modulus, "index": index}
-        tally: Counter = Counter()
-        stray: list[int] = []
-        meeting = agree = 0
-        for t, st, m, ag in _run_chunks(_partition_chunk, state,
-                                        plane_enumeration_chunks(gf), workers):
-            tally.update(t)
-            stray.extend(st)
-            meeting += m
-            agree += ag
-        checked = sum(tally.values())
+        tally, stray = _sweep(_partition_chunk, state, plane_enumeration_chunks(gf), workers)
+        meeting, agree = tally["meeting"], tally["agree"]
+        checked = sum(tally[label] for label in LABELS)
         checks.append(_check(
             "every_meeting_plane_classified",
             not stray and meeting == expected_total,
-            {"meeting": meeting, "expected": expected_total,
-             "unclassified_keys": sorted(stray)[:16]},
+            {"meeting": meeting, "expected": expected_total, "unclassified_keys": stray},
         ))
         checks.append(_check(
             "stream_tallies_match_orbit_sizes",
@@ -632,29 +631,22 @@ def verify_partition(gf: GF, workers: int = 0) -> dict:
             {"checked": checked, "agree": agree},
         ))
         totals["planes_streamed"] = meeting
-    return {
-        "schema": SCHEMA,
-        "q": q,
-        "suite": "partition",
-        "mode": "exhaustive" if exhaustive else "representative",
-        "orbits": _orbit_rows(gf, orders),
-        "totals": totals,
-        "checks": checks,
-    }
+    return _report(gf, "partition", checks, totals=totals, orbits=_orbit_rows(gf, orders),
+                   mode="exhaustive" if exhaustive else "representative")
 
 
 def _double_line_tally(planes):
-    total = meeting = violations = 0
+    """(Counter of "planes", "meeting" and "violations", the 16 least keys
+    of the violating planes)."""
+    total = meeting = 0
     bad: list[int] = []
     for s in planes:
         total += 1
         nuclear = nuclear_point_count(s)
         meeting += nuclear > 0
         if nuclear != double_line_hyperplane_count(s):
-            violations += 1
-            if len(bad) < 16:
-                bad.append(s.key_int())
-    return total, meeting, violations, bad
+            bad.append(s.key_int())
+    return Counter(planes=total, meeting=meeting, violations=len(bad)), sorted(bad)[:16]
 
 
 def _double_line_chunk(state, chunk):
@@ -708,13 +700,10 @@ def verify_double_lines(
         base, extra = divmod(samples, 128)
         worker = _double_line_sample_chunk
         chunks = [(seed * (2**32) + i, base + (i < extra)) for i in range(128)]
-    total = meeting = violations = 0
-    bad: list[int] = []
-    for t, m, v, b in _run_chunks(worker, {"q": q, "modulus": gf.modulus}, chunks, workers):
-        total += t
-        meeting += m
-        violations += v
-        bad.extend(b)
+    tally, bad = _sweep(worker, {"q": q, "modulus": gf.modulus}, chunks, workers)
+    total, violations = tally["planes"], tally["violations"]
+    totals = {"planes" if exhaustive else "planes_sampled": total,
+              "meeting_nucleus_plane": tally["meeting"], "violations": violations}
     checks = []
     if exhaustive:
         expected = gaussian_binomial(6, 3, q)
@@ -723,23 +712,15 @@ def verify_double_lines(
             total == expected,
             {"planes": total, "expected": expected},
         ))
-        totals = {"planes": total, "meeting_nucleus_plane": meeting, "violations": violations}
     else:
-        totals = {"planes_sampled": total, "meeting_nucleus_plane": meeting,
-                  "violations": violations, "seed": seed}
+        totals["seed"] = seed
     checks.append(_check(
         "identity_holds",
         not violations,
-        {"violations": violations, "witness_keys": sorted(bad)[:16]},
+        {"violations": violations, "witness_keys": bad},
     ))
-    return {
-        "schema": SCHEMA,
-        "q": q,
-        "suite": "double-lines",
-        "mode": "exhaustive" if exhaustive else "sampled",
-        "totals": totals,
-        "checks": checks,
-    }
+    return _report(gf, "double-lines", checks, totals=totals,
+                   mode="exhaustive" if exhaustive else "sampled")
 
 
 # -- line-orbit verification --------------------------------------------------
@@ -894,13 +875,7 @@ def verify_line_orbits(gf: GF) -> dict:
             {"count": contained, "expected": want},
         ))
 
-    return {
-        "schema": SCHEMA,
-        "q": q,
-        "suite": "line-orbits",
-        "totals": {"checks": len(checks)},
-        "checks": checks,
-    }
+    return _report(gf, "line-orbits", checks, totals={"checks": len(checks)})
 
 
 def verify_known_net(gf: GF) -> dict:
@@ -914,10 +889,4 @@ def verify_known_net(gf: GF) -> dict:
         _check("empty_base", not base, {"base_points": len(base)}),
         _check("single_double_line", doubles == 1, {"double_lines": doubles}),
     ]
-    return {
-        "schema": SCHEMA,
-        "q": gf.q,
-        "suite": "known-net",
-        "totals": {"forms": [list(f) for f in forms]},
-        "checks": checks,
-    }
+    return _report(gf, "known-net", checks, totals={"forms": [list(f) for f in forms]})

@@ -42,7 +42,15 @@ EXIT_OUT_OF_FAMILY = 3
 EXIT_VERIFY = 4
 EXIT_BUDGET = 5
 
-SUITES = ("distributions", "double-lines", "line-orbits", "partition", "known-net")
+# verify --suite name -> the runner that builds its report from the field and args.
+SUITES = {
+    "distributions": lambda gf, args: atlas.verify_distributions(gf),
+    "double-lines": lambda gf, args: atlas.verify_double_lines(
+        gf, samples=args.samples, seed=args.seed or 0, workers=args.workers),
+    "line-orbits": lambda gf, args: atlas.verify_line_orbits(gf),
+    "partition": lambda gf, args: atlas.verify_partition(gf, workers=args.workers),
+    "known-net": lambda gf, args: atlas.verify_known_net(gf),
+}
 
 
 class UsageError(ValueError):
@@ -85,6 +93,12 @@ def _read_payload(args) -> dict:
     return payload
 
 
+def _take_only(payload: dict, what: str, keys: set) -> None:
+    unknown = ", ".join(sorted(payload.keys() - keys))
+    if unknown:
+        raise UsageError("%s input takes no key %s" % (what, brief.repr(unknown)))
+
+
 def _plane_from_payload(gf: GF, payload: dict) -> Subspace:
     if "forms" in payload:
         raise UsageError('plane input takes no "forms" key')
@@ -92,6 +106,7 @@ def _plane_from_payload(gf: GF, payload: dict) -> Subspace:
         raise UsageError('plane input takes "rows" or "label", not both')
     if "parameters" in payload and "label" not in payload:
         raise UsageError('plane input gives "parameters" without "label"')
+    _take_only(payload, "plane", {"rows", "label", "parameters"})
     if "rows" in payload:
         rows = payload["rows"]
         if (not isinstance(rows, list) or len(rows) != 3
@@ -117,6 +132,7 @@ def _forms_from_payload(gf: GF, payload: dict):
         raise UsageError('net input needs "forms": three coefficient vectors or strings')
     if payload.keys() & {"rows", "label", "parameters"}:
         raise UsageError('net input takes "forms" alone, not "rows", "label" or "parameters"')
+    _take_only(payload, "net", {"forms"})
     out = []
     for f in forms:
         if isinstance(f, str):
@@ -234,12 +250,8 @@ def cmd_classify_net(args) -> int:
 
 
 def cmd_atlas(args) -> int:
-    gf = _field(args)
-    report = atlas.verify_partition(gf, workers=args.workers)
-    if args.format == "csv":
-        _emit(args, _atlas_csv(report))
-    else:
-        _emit(args, report)
+    report = atlas.verify_partition(_field(args), workers=args.workers)
+    _emit(args, _atlas_csv(report) if args.format == "csv" else report)
     return EXIT_OK if all(c["pass"] for c in report["checks"]) else EXIT_VERIFY
 
 
@@ -249,18 +261,7 @@ def cmd_verify(args) -> int:
         for flag in ("samples", "seed"):
             if getattr(args, flag) is not None:
                 raise UsageError("--%s applies only to --suite double-lines" % flag)
-    if args.suite == "distributions":
-        report = atlas.verify_distributions(gf)
-    elif args.suite == "double-lines":
-        report = atlas.verify_double_lines(
-            gf, samples=args.samples, seed=args.seed or 0, workers=args.workers,
-        )
-    elif args.suite == "line-orbits":
-        report = atlas.verify_line_orbits(gf)
-    elif args.suite == "partition":
-        report = atlas.verify_partition(gf, workers=args.workers)
-    else:
-        report = atlas.verify_known_net(gf)
+    report = SUITES[args.suite](gf, args)
     _emit(args, report)
     return EXIT_OK if all(c["pass"] for c in report["checks"]) else EXIT_VERIFY
 

@@ -38,6 +38,7 @@ the lifted projectivity group.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from math import isqrt
 from typing import NamedTuple
@@ -45,7 +46,7 @@ from typing import NamedTuple
 from .errors import ClassificationError
 from .gf import GF
 from .projgeom import Subspace, annihilator, mat3_det, nullspace, pg_points, rref
-from .veronese import classify_conic, point_class, veronese
+from .veronese import CONIC_CLASSES, POINT_CLASSES, classify_conic, point_class, veronese
 
 CUBIC_MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -72,12 +73,8 @@ def _require_plane(s: Subspace) -> None:
 
 def point_class_counts(s: Subspace) -> tuple[int, int, int, int]:
     """(rank1, rank2_nuclear, rank2_secant, rank3) counts over the points."""
-    gf = s.gf
-    idx = {"rank1": 0, "rank2_nuclear": 1, "rank2_secant": 2, "rank3": 3}
-    out = [0, 0, 0, 0]
-    for p in s.points():
-        out[idx[point_class(gf, p)]] += 1
-    return tuple(out)
+    counts = Counter(point_class(s.gf, p) for p in s.points())
+    return tuple(counts[c] for c in POINT_CLASSES)
 
 
 def forms_through(s: Subspace) -> list[tuple[int, ...]]:
@@ -90,11 +87,8 @@ def hyperplane_class_counts(s: Subspace) -> tuple[int, int, int, int]:
     """(DoubleLine, RealPair, ImaginaryPair, Nonsingular) counts over the
     hyperplanes through a plane, read off their conic forms."""
     _require_plane(s)
-    idx = {"DoubleLine": 0, "RealPair": 1, "ImaginaryPair": 2, "Nonsingular": 3}
-    out = [0, 0, 0, 0]
-    for form in forms_through(s):
-        out[idx[classify_conic(s.gf, form)]] += 1
-    return tuple(out)
+    counts = Counter(classify_conic(s.gf, form) for form in forms_through(s))
+    return tuple(counts[c] for c in CONIC_CLASSES)
 
 
 def hyperplane_distribution(point_counts, q: int) -> tuple[int, int, int, int]:

@@ -503,17 +503,24 @@ def test_verify_double_lines_rejects_a_negative_seed(gf2):
 
 def test_double_line_violations_are_all_counted(gf2, monkeypatch):
     """Every violation is counted, though each chunk keeps at most 16
-    witness keys, whichever side of the identity is off by one."""
+    witness keys, whichever side of the identity is off by one.  As every
+    plane violates, the witnesses are the 16 least keys of all the planes,
+    in one process or with a pool; the 3,000 samples put over 16 planes in
+    each of the 128 sample chunks."""
+    keys = []
     for side in ("double_line_hyperplane_count", "nuclear_point_count"):
         real = getattr(atlas, side)
         with monkeypatch.context() as m:
-            m.setattr(atlas, side, lambda s, real=real: real(s) + 1)
-            for report, n in ((verify_double_lines(gf2), 1395),
-                              (verify_double_lines(gf2, samples=300, seed=3), 300)):
-                holds = report["checks"][-1]
-                assert holds["name"] == "identity_holds" and not holds["pass"], side
-                assert report["totals"]["violations"] == holds["details"]["violations"] == n
-                assert 0 < len(holds["details"]["witness_keys"]) <= 16
+            m.setattr(atlas, side, lambda s, real=real: keys.append(s.key_int()) or real(s) + 1)
+            for kwargs, n in (({}, 1395), ({"samples": 3000, "seed": 3}, 3000)):
+                keys.clear()
+                serial = verify_double_lines(gf2, **kwargs)
+                least = sorted(keys)[:16]
+                for report in (serial, verify_double_lines(gf2, workers=2, **kwargs)):
+                    holds = report["checks"][-1]
+                    assert holds["name"] == "identity_holds" and not holds["pass"], side
+                    assert report["totals"]["violations"] == holds["details"]["violations"] == n
+                    assert holds["details"]["witness_keys"] == least, (side, kwargs)
 
 
 def test_double_line_sweep_makes_no_elimination_and_no_point_pass(gf2, rref_calls,
@@ -770,9 +777,9 @@ def test_partition_sweep_cuts_each_meeting_plane_once(gf4, rref_calls):
     rref_calls.clear()
     meeting = agree = 0
     for chunk in chunks:
-        tally, stray, m, a = atlas._partition_chunk(state, chunk)
+        tally, stray = atlas._partition_chunk(state, chunk)
         assert not stray
-        meeting, agree = meeting + m, agree + a
+        meeting, agree = meeting + tally["meeting"], agree + tally["agree"]
     assert planes == 17408 and meeting == 8192 == agree
     assert len(rref_calls) == meeting
 

@@ -271,9 +271,14 @@ SIGMA7_Q4 = [list(r) for r in atlas.representative_pattern(field(4), "Sigma7")[0
                                             "parameters": {"a": 1}})], ""),
     ("classify-plane", ["--data", json.dumps({"label": "Sigma3", "forms": EXAMPLE_NET_Q4})], ""),
     ("classify-plane", ["--data", json.dumps({"rows": SIGMA7_Q4, "forms": EXAMPLE_NET_Q4})], ""),
+    # a key neither command takes: it would be dropped unread
+    ("classify-plane", ["--data", json.dumps({"label": "Sigma18", "paramters": {"c": 1}})], ""),
+    ("classify-plane", ["--data", json.dumps({"rows": SIGMA7_Q4, "q": 4})], ""),
+    ("classify-net", ["--data", json.dumps({"forms": EXAMPLE_NET_Q4, "q": 8})], ""),
 ], ids=["data-empty", "data-and-input-plane", "data-and-input-net", "rows-and-label",
         "parameters-without-label", "net-with-label", "net-with-rows", "net-with-parameters",
-        "plane-label-with-forms", "plane-rows-with-forms"])
+        "plane-label-with-forms", "plane-rows-with-forms", "plane-label-misspelled-parameters",
+        "plane-rows-with-unknown-key", "net-with-unknown-key"])
 def test_exit_code_rejects_ambiguous_input(command, argv, stdin, capsys, monkeypatch, tmp_path):
     path = tmp_path / "input.json"
     path.write_text('{"label": "Sigma3", "forms": %s}' % json.dumps(EXAMPLE_NET_Q4))
@@ -283,6 +288,23 @@ def test_exit_code_rejects_ambiguous_input(command, argv, stdin, capsys, monkeyp
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    ("classify-plane", {"label": "Sigma18", "paramters": {"c": 1}},
+     "plane input takes no key 'paramters'"),
+    ("classify-plane", {"rows": SIGMA7_Q4, "q": 4, "a": 1}, "plane input takes no key 'a, q'"),
+    ("classify-net", {"forms": EXAMPLE_NET_Q4, "q": 8}, "net input takes no key 'q'"),
+    # a key of the other command keeps its own message
+    ("classify-plane", {"label": "Sigma3", "forms": EXAMPLE_NET_Q4, "q": 4},
+     'plane input takes no "forms" key'),
+    ("classify-net", {"forms": EXAMPLE_NET_Q4, "label": "Sigma3", "q": 4},
+     'net input takes "forms" alone, not "rows", "label" or "parameters"'),
+], ids=["plane-misspelled-key", "plane-two-unknown-keys", "net-unknown-key",
+        "plane-forms-and-unknown-key", "net-label-and-unknown-key"])
+def test_an_unknown_payload_key_is_named(command, payload, message, capsys):
+    code, out, err = run([command, "--q", "4", "--data", json.dumps(payload)], capsys)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,9 @@ line-orbits`` reports at q = 4, 8 and 16 are pinned the same way, so the
 group action behind them cannot change an orbit, an order or a count
 unnoticed, and so are the partition sweep at q = 2 (orbit sizes and stabilizer orders)
 and the double-line sweeps at q = 2 (every plane) and q = 8 (sampled).
+The ``verify --suite known-net`` reports at q = 2, 4 and 8 and the CSV of
+``atlas --q 2`` are pinned too, and the JSON of ``atlas --q 2`` is the
+partition report's bytes.
 The unmoved representatives at q = 4 and 16, sent by label to
 ``classify-plane`` and by their nets' form strings to ``classify-net``,
 are pinned as one digest per command and q.
@@ -216,6 +219,30 @@ def test_one_plane_off_by_one_breaks_the_double_line_report(monkeypatch, capsys)
     assert holds["name"] == "identity_holds" and not holds["pass"]
     assert holds["details"] == {"violations": 1, "witness_keys": [key]}
     assert hashlib.sha256(out.encode()).hexdigest() != SWEEPS_PINNED["double-lines --q 2"]
+
+
+KNOWN_NET_PINNED = {
+    2: 'a5c598c77547c5f3d08be63c62c9032655f6e56c940abbb135a2ce0137be6896',
+    4: '893707368144c1c3ef8c2070f92b6419921be9eb553234d92d1a12ff7eef7770',
+    8: '257ff6d446bea5bfda0bc8484c9b8b3b639f0e97d3ab05da2f6aca775099038d',
+}
+
+
+@pytest.mark.parametrize("q", (2, 4, 8))
+def test_known_net_report_bytes_are_pinned(q, capsys):
+    out = _report(["verify", "--q", str(q), "--suite", "known-net"], capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == KNOWN_NET_PINNED[q]
+
+
+ATLAS_CSV_Q2_PINNED = '6265aedb435ecbdc1503ca23b2dcab2fd08967539871b1ee8a1fd42d63ab2d02'
+
+
+def test_atlas_report_bytes_are_pinned(capsys):
+    """The q=2 atlas CSV is pinned, and its JSON is the partition report."""
+    out = _report(["atlas", "--q", "2", "--format", "csv"], capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == ATLAS_CSV_Q2_PINNED
+    assert (_report(["atlas", "--q", "2"], capsys)
+            == _report(["verify", "--q", "2", "--suite", "partition"], capsys))
 
 
 REPRESENTATIVES_PINNED = {
