@@ -44,6 +44,7 @@ from .errors import (
     ClassificationError,
     ConfigurationError,
     OutOfFamilyError,
+    ResourceBudgetError,
     VerificationError,
     brief,
 )
@@ -73,6 +74,9 @@ from .projgeom import (
 )
 
 SCHEMA = "conicnets-report/1"
+
+# The most planes the double-lines suite samples: 100 times its default.
+MAX_SAMPLES = 10_000_000
 
 
 # -- parameter searches ----------------------------------------------------
@@ -383,23 +387,15 @@ def net_of_plane(s: Subspace) -> tuple[tuple[int, ...], ...]:
 
 
 def plane_of_net(gf: GF, forms) -> Subspace:
-    """The plane of PG(5, q) whose dual hyperplanes carry the given net."""
-    return plane_and_double_lines_of_net(gf, forms)[0]
-
-
-def plane_and_double_lines_of_net(gf: GF, forms) -> tuple[Subspace, int]:
-    """(plane_of_net, net_double_line_count) from one reduction of the
-    forms; ValueError unless they are three linearly independent
-    coefficient 6-vectors."""
-    vecs = [tuple(f) for f in forms]
-    if len(vecs) != 3 or any(len(v) != 6 for v in vecs):
+    """The plane of PG(5, q) whose dual hyperplanes carry the given net;
+    ValueError unless the forms are three linearly independent coefficient
+    6-vectors."""
+    if len(forms) != 3 or any(len(f) != 6 for f in forms):
         raise ValueError("a net needs exactly three coefficient 6-vectors")
-    red = rref(gf, vecs)
+    red = rref(gf, forms)
     if len(red) != 3:
         raise ValueError("net basis forms are linearly dependent")
-    k = 3 - len(rref(gf, [(f[1], f[2], f[4]) for f in red]))
-    plane = Subspace.from_rref(gf, 5, rref(gf, annihilator(gf, red, 6)))
-    return plane, (gf.q**k - 1) // (gf.q - 1)
+    return Subspace.from_rref(gf, 5, rref(gf, annihilator(gf, red, 6)))
 
 
 def net_base_points(gf: GF, forms) -> list[tuple[int, ...]]:
@@ -421,7 +417,9 @@ def net_double_line_count(gf: GF, forms) -> int:
     cross columns.  Forms that are not a net raise ValueError, as in
     plane_of_net.
     """
-    return plane_and_double_lines_of_net(gf, forms)[1]
+    plane_of_net(gf, forms)  # the check that the forms are a net
+    k = 3 - len(rref(gf, [(f[1], f[2], f[4]) for f in forms]))
+    return (gf.q**k - 1) // (gf.q - 1)
 
 
 def classify_net(gf: GF, forms) -> str:
@@ -678,7 +676,8 @@ def verify_double_lines(
     double-line hyperplane classes through it, on every plane (exhaustive)
     or on uniformly sampled planes.  The mode follows ``samples`` alone: a
     sample count selects sampling at any q; without one, q <= 4 sweeps
-    every plane and larger q samples 100,000.
+    every plane and larger q samples 100,000.  More than ``MAX_SAMPLES``
+    raise ResourceBudgetError before any chunk is built.
 
     Sampling draws random full-rank 3x6 matrices, which is uniform on
     planes because every plane has the same number of ordered bases.  The
@@ -692,6 +691,9 @@ def verify_double_lines(
         samples = 100_000
     if samples < 1:
         raise ValueError("samples must be at least 1, got %d" % samples)
+    if samples > MAX_SAMPLES:
+        raise ResourceBudgetError("%s samples are past the budget of %d"
+                                  % (brief.repr(samples), MAX_SAMPLES))
     if seed < 0:
         raise ValueError("seed must be 0 or more, got %d" % seed)
     if exhaustive:

@@ -15,7 +15,6 @@ argparse parses any other, and writes every help, usage and error message.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -61,11 +60,13 @@ def _field(args) -> GF:
     return field(args.q, args.modulus)
 
 
-def _element(gf: GF, v) -> int:
-    """v itself when it is an element of GF(q); bools and floats are not."""
-    if type(v) is int and 0 <= v < gf.q:
-        return v
-    raise UsageError("%s is not an element of GF(%d)" % (brief.repr(v), gf.q))
+def _elements(gf: GF, values):
+    """values itself when each is an element of GF(q); bools and floats are not."""
+    q = gf.q
+    for v in values:
+        if type(v) is not int or not 0 <= v < q:
+            raise UsageError("%s is not an element of GF(%d)" % (brief.repr(v), q))
+    return values
 
 
 def _read_payload(args) -> dict:
@@ -94,8 +95,8 @@ def _read_payload(args) -> dict:
 
 
 def _take_only(payload: dict, what: str, keys: set) -> None:
-    unknown = ", ".join(sorted(payload.keys() - keys))
-    if unknown:
+    if not payload.keys() <= keys:
+        unknown = ", ".join(sorted(payload.keys() - keys))
         raise UsageError("%s input takes no key %s" % (what, brief.repr(unknown)))
 
 
@@ -112,7 +113,8 @@ def _plane_from_payload(gf: GF, payload: dict) -> Subspace:
         if (not isinstance(rows, list) or len(rows) != 3
                 or any(not isinstance(r, list) or len(r) != 6 for r in rows)):
             raise UsageError("rows must be a 3x6 array of field elements")
-        return plane_from_pattern(gf, [[_element(gf, v) for v in r] for r in rows])
+        _elements(gf, rows[0] + rows[1] + rows[2])
+        return plane_from_pattern(gf, rows)
     if "label" in payload:
         label = payload["label"]
         if not isinstance(label, str):
@@ -121,7 +123,7 @@ def _plane_from_payload(gf: GF, payload: dict) -> Subspace:
         if params is not None:
             if not isinstance(params, dict):
                 raise UsageError("parameters must be an object of field elements")
-            params = {k: _element(gf, v) for k, v in params.items()}
+            _elements(gf, params.values())
         return plane_from_pattern(gf, atlas.representative_pattern(gf, label, params)[0])
     raise UsageError('plane input needs "rows" or "label"')
 
@@ -140,9 +142,9 @@ def _forms_from_payload(gf: GF, payload: dict):
                 coeffs = form_from_str(f)
             except ValueError as exc:
                 raise UsageError("bad form %s: %s" % (brief.repr(f), exc)) from exc
-            out.append(tuple(_element(gf, v) for v in coeffs))
+            out.append(_elements(gf, coeffs))
         elif isinstance(f, list) and len(f) == 6:
-            out.append(tuple(_element(gf, v) for v in f))
+            out.append(_elements(gf, f))
         else:
             raise UsageError("each form must be a string or a 6-element array")
     return out
@@ -150,7 +152,7 @@ def _forms_from_payload(gf: GF, payload: dict):
 
 def _json(obj, indent: str = "") -> str:
     """json.dumps(obj, indent=2, sort_keys=True) byte for byte, for the types
-    records hold: dicts with str keys, lists, str, int, bool and None."""
+    reports hold: dicts with str keys, lists, str, int, bool and None."""
     t = type(obj)
     if t is list or t is dict:
         if not obj:
@@ -184,6 +186,8 @@ def _emit(args, obj: dict | str) -> None:
 
 
 def _atlas_csv(report: dict) -> str:
+    import csv  # only here: a classify request never loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([
@@ -205,47 +209,82 @@ def _atlas_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+def _template(shape: dict) -> str:
+    """json.dumps(shape, indent=2, sort_keys=True) + "\n" with its "%s" and
+    "%d" strings unquoted: a record template, its slots in sorted key order."""
+    text = json.dumps(shape, indent=2, sort_keys=True)
+    return text.replace('"%s"', "%s").replace('"%d"', "%d") + "\n"
+
+
+# The classify records have one fixed shape per command, so each is one
+# template, keys written here in sorted order; only the meet basis and the
+# base points have a variable length, and _rows writes them.
+_ROW, _COUNTS = ["%d"] * 6, ["%d"] * 4
+_PLANE_RECORD = _template({
+    "cubic_type": "%s", "intersection_with_nucleus_plane": {"basis": "%s", "dimension": "%d"},
+    "label": "%s", "od0": _COUNTS, "od4": _COUNTS, "plane": [_ROW] * 3, "q": "%d",
+    "schema": "%s", "signature": {"cubic_kind": "%s", "cubic_point_count": "%s",
+                                  "cubic_vanishes": "%s", "hyperplane_class_counts": _COUNTS,
+                                  "nucleus_meet_dim": "%d", "point_class_counts": _COUNTS},
+})
+_NET_RECORD = _template({
+    "base_points": "%s", "double_line_count": "%d", "form_vectors": [_ROW] * 3,
+    "forms": ["%s"] * 3, "label": "%s", "plane": [_ROW] * 3, "q": "%d", "schema": "%s",
+})
+_SCHEMA = _json_str(atlas.SCHEMA)
+
+
+def _rows(rows, pad: str) -> str:
+    """The JSON text of a list of int tuples of one length, closing at pad."""
+    if not rows:
+        return "[]"
+    inner = pad + "  "
+    row = "[\n  " + inner + (",\n  " + inner).join(["%d"] * len(rows[0])) + "\n" + inner + "]"
+    return "[\n" + inner + (",\n" + inner).join([row % r for r in rows]) + "\n" + pad + "]"
+
+
+def _plane_record(q: int, label: str, sig, plane_rows, meet_rows) -> str:
+    """The classify-plane record of a plane in orbit ``label``, whose
+    expected signature is sig, with nucleus meet basis meet_rows."""
+    kind = "null" if sig.cubic_kind is None else _json_str(sig.cubic_kind)
+    od0, od4, zeros = sig.point_counts, sig.hyperplane_counts, sig.cubic_point_count
+    r0, r1, r2 = plane_rows
+    return _PLANE_RECORD % (
+        kind, _rows(meet_rows, "    "), len(meet_rows) - 1, _json_str(label), *od0, *od4,
+        *r0, *r1, *r2, q, _SCHEMA, kind, "null" if zeros is None else zeros,
+        "true" if sig.cubic_kind is None else "false", *od4, sig.nucleus_meet_dim, *od0,
+    )
+
+
+def _net_record(q: int, label: str, forms, plane_rows, points, double_lines: int) -> str:
+    """The classify-net record of the net of forms, in orbit ``label``."""
+    (f0, f1, f2), (r0, r1, r2) = forms, plane_rows
+    return _NET_RECORD % (
+        _rows(points, "  "), double_lines, *f0, *f1, *f2, _json_str(form_to_str(f0)),
+        _json_str(form_to_str(f1)), _json_str(form_to_str(f2)), _json_str(label),
+        *r0, *r1, *r2, q, _SCHEMA,
+    )
+
+
 def cmd_classify_plane(args) -> int:
     gf = _field(args)
     plane = _plane_from_payload(gf, _read_payload(args))
     meet, points = nucleus_cut(plane)
     label = atlas.classify_plane_at(plane, meet, points)
     sig = atlas.expected_signature(label, gf.q)
-    record = {
-        "schema": atlas.SCHEMA,
-        "q": gf.q,
-        "label": label,
-        "signature": sig.to_json(),
-        "od0": list(sig.point_counts),
-        "od4": list(sig.hyperplane_counts),
-        "cubic_type": sig.cubic_kind,
-        "plane": [list(r) for r in plane.rows],
-        "intersection_with_nucleus_plane": {
-            "dimension": meet.dim,
-            "basis": [list(r) for r in meet.rows],
-        },
-    }
-    _emit(args, record)
+    _emit(args, _plane_record(gf.q, label, sig, plane.rows, meet.rows))
     return EXIT_OK
 
 
 def cmd_classify_net(args) -> int:
     gf = _field(args)
     forms = _forms_from_payload(gf, _read_payload(args))
-    plane, double_lines = atlas.plane_and_double_lines_of_net(gf, forms)
+    plane = atlas.plane_of_net(gf, forms)
     meet, points = nucleus_cut(plane)
     label = atlas.classify_plane_at(plane, meet, points)
-    record = {
-        "schema": atlas.SCHEMA,
-        "q": gf.q,
-        "label": label,
-        "forms": [form_to_str(f) for f in forms],
-        "form_vectors": [list(f) for f in forms],
-        "plane": [list(r) for r in plane.rows],
-        "base_points": [list(p) for p in points],
-        "double_line_count": double_lines,
-    }
-    _emit(args, record)
+    # the net's double lines are (plane + nucleus plane)^perp: as many as the meet's points
+    double_lines = (gf.q ** len(meet.rows) - 1) // (gf.q - 1)
+    _emit(args, _net_record(gf.q, label, forms, plane.rows, points, double_lines))
     return EXIT_OK
 
 
@@ -312,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     _option(p, "--suite", choices=SUITES, required=True)
     _option(p, "--workers", type=int, default=0, help="parallel sweep processes")
     _option(p, "--samples", type=int, default=None,
-            help="sample the double-lines suite at any q "
-                 "(default: every plane for q <= 4, else 100000)")
+            help="sample the double-lines suite at any q, at most %d planes "
+                 "(default: every plane for q <= 4, else 100000)" % atlas.MAX_SAMPLES)
     _option(p, "--seed", type=int, default=None,
             help="sampling seed of the double-lines suite (default: 0)")
     p.set_defaults(run=cmd_verify)
@@ -333,17 +372,17 @@ def _read_options(command: argparse.ArgumentParser, argv: list) -> argparse.Name
     every value of its type and choices, and every required option given;
     None for any other argv, which argparse then parses and reports."""
     options = command.options
-    given = dict(zip(argv[::2], argv[1::2]))
-    if len(argv) % 2 or 2 * len(given) != len(argv) or not given.keys() <= options.keys():
+    given = dict(zip(argv[::2], argv[1::2]))  # an odd argv or a repeat loses a pair
+    if 2 * len(given) != len(argv) or not given.keys() <= options.keys():
         return None
     args = argparse.Namespace(run=command.get_default("run"))
     for name, action in options.items():
-        if name not in given:
+        value = given.get(name)
+        if value is None:
             if action.required:
                 return None
             setattr(args, action.dest, action.default)
             continue
-        value = given[name]
         if value.startswith("-"):
             return None
         try:

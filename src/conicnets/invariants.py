@@ -204,27 +204,34 @@ def veronese_points(s: Subspace) -> list[tuple[int, ...]]:
 def _points_in_span(s: Subspace, span) -> list[tuple[int, ...]]:
     """The points p of the RREF ``span`` (None: all of PG(2,q)) with v(p)
     in the plane: those whose v(p) has no residual off the basis pivots
-    after subtracting the basis rows weighted by its pivot coordinates."""
+    after subtracting the basis rows weighted by its pivot coordinates.  On
+    the line a + t*b of a two-row span each residual coordinate is a
+    quadratic in t, so ``_roots`` of the first one that is not constant
+    gives at most two t, which the other two check."""
     gf = s.gf
     mul, sq = gf._mul, gf._sq
-    i0, i1, i2 = pivots = [r.index(1) for r in s.rows]
-    free = [(j, *(r[j] for r in s.rows)) for j in range(6) if j not in pivots]
+    r0, r1, r2 = s.rows
+    i0, i1, i2 = pivots = r0.index(1), r1.index(1), r2.index(1)
+    free = [(j, r0[j], r1[j], r2[j]) for j in range(6) if j not in pivots]
 
-    def residual(p):
-        y = veronese(gf, p)
+    def residual(y):
         m0, m1, m2 = mul[y[i0]], mul[y[i1]], mul[y[i2]]
         return [y[j] ^ m0[a] ^ m1[b] ^ m2[c] for j, a, b, c in free]
 
     if span is None or len(span) < 2:
-        return [p for p in (pg_points(gf, 2) if span is None else span) if not any(residual(p))]
-    # v(a + t*b) = v(a) + t^2 v(b) + t (v(a + b) + v(a) + v(b)); residual is linear
-    a, b = span
-    ra, rb = residual(a), residual(b)
-    rw = [x ^ y ^ z for x, y, z in zip(residual(tuple(u ^ v for u, v in zip(a, b))), ra, rb)]
-    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = zip(ra, rb, rw)
-    out = [tuple(u ^ mul[t][v] for u, v in zip(a, b)) for t in gf.elements
-           if not (x0 ^ mul[sq[t]][y0] ^ mul[t][z0] or x1 ^ mul[sq[t]][y1] ^ mul[t][z1]
-                   or x2 ^ mul[sq[t]][y2] ^ mul[t][z2])]
+        return [p for p in (pg_points(gf, 2) if span is None else span)
+                if not any(residual(veronese(gf, p)))]
+    # v(a + t*b) = v(a) + t^2 v(b) + t w, w the cross terms; residual is linear
+    (a0, a1, a2), (b0, b1, b2) = a, b = span
+    ma0, ma1, ma2 = mul[a0], mul[a1], mul[a2]
+    rb = residual((sq[b0], mul[b0][b1], mul[b0][b2], sq[b1], mul[b1][b2], sq[b2]))
+    eqs = list(zip(residual((sq[a0], ma0[a1], ma0[a2], sq[a1], ma1[a2], sq[a2])), rb,
+                   residual((0, ma0[b1] ^ ma1[b0], ma0[b2] ^ ma2[b0], 0, ma1[b2] ^ ma2[b1], 0))))
+    # x + t^2 y + t z = 0 for each (x, y, z) of eqs
+    x, y, z = next((e for e in eqs if e[1] or e[2]), (0, 0, 0))
+    ts = sorted(_roots(gf, y, z, x)) if y else [mul[x][gf._inv[z]]] if z else gf.elements
+    out = [(a0 ^ mul[t][b0], a1 ^ mul[t][b1], a2 ^ mul[t][b2]) for t in ts
+           if not any(x ^ mul[sq[t]][y] ^ mul[t][z] for x, y, z in eqs)]
     if not any(rb):
         out.append(b)
     return out
@@ -233,19 +240,12 @@ def _points_in_span(s: Subspace, span) -> list[tuple[int, ...]]:
 # -- the determinantal cubic ----------------------------------------------
 
 
-# CUBIC_MONOMIALS index of x_i*x_j*x_k for every ordered triple (i, j, k)
-_CUBE = {
-    ijk: CUBIC_MONOMIALS.index(tuple(ijk.count(v) for v in range(3)))
-    for ijk in product(range(3), repeat=3)
-}
-
-
 def cubic_form(s: Subspace) -> tuple[int, ...]:
     """Coefficients of det(x*B0 + y*B1 + z*B2) in CUBIC_MONOMIALS order.
 
     Each matrix entry is the linear form in (x, y, z) given by its column of
-    the basis.  a*d*f is expanded over the ordered index triples; squaring
-    is additive in characteristic 2, so a*e^2 + b^2*f + c^2*d contributes
+    the basis.  a*d*f is the quadratic form a*d times f; squaring is
+    additive in characteristic 2, so a*e^2 + b^2*f + c^2*d contributes
     a_i e_j^2 + b_j^2 f_i + c_j^2 d_i to x_i x_j^2.  The zero tuple is a
     legal value: planes inside the secant variety have identically
     vanishing determinant.
@@ -255,15 +255,28 @@ def cubic_form(s: Subspace) -> tuple[int, ...]:
 
 
 def _det_cubic(gf: GF, rows) -> tuple[int, ...]:
-    """cubic_form of any three basis rows, reduced or not."""
+    """cubic_form of any three basis rows, reduced or not, in straight-line
+    code; p_ij is the x_i x_j coefficient of a*d."""
     mul, sq = gf._mul, gf._sq
-    a, b, c, d, e, f = zip(*rows)
-    out = [0] * len(CUBIC_MONOMIALS)
-    for (i, j, k), n in _CUBE.items():
-        out[n] ^= mul[mul[a[i]][d[j]]][f[k]]
-        if j == k:
-            out[n] ^= mul[a[i]][sq[e[j]]] ^ mul[sq[b[j]]][f[i]] ^ mul[sq[c[j]]][d[i]]
-    return tuple(out)
+    (a0, b0, c0, d0, e0, f0), (a1, b1, c1, d1, e1, f1), (a2, b2, c2, d2, e2, f2) = rows
+    ma0, ma1, ma2, md0, md1, md2 = mul[a0], mul[a1], mul[a2], mul[d0], mul[d1], mul[d2]
+    mf0, mf1, mf2 = mul[f0], mul[f1], mul[f2]
+    p00, p11, p22 = ma0[d0], ma1[d1], ma2[d2]
+    p01, p02, p12 = ma0[d1] ^ ma1[d0], ma0[d2] ^ ma2[d0], ma1[d2] ^ ma2[d1]
+    b0, b1, b2, c0, c1, c2 = sq[b0], sq[b1], sq[b2], sq[c0], sq[c1], sq[c2]
+    e0, e1, e2 = sq[e0], sq[e1], sq[e2]
+    return (
+        mf0[p00] ^ ma0[e0] ^ mf0[b0] ^ md0[c0],
+        mf1[p00] ^ mf0[p01] ^ ma1[e0] ^ mf1[b0] ^ md1[c0],
+        mf2[p00] ^ mf0[p02] ^ ma2[e0] ^ mf2[b0] ^ md2[c0],
+        mf0[p11] ^ mf1[p01] ^ ma0[e1] ^ mf0[b1] ^ md0[c1],
+        mf2[p01] ^ mf1[p02] ^ mf0[p12],
+        mf0[p22] ^ mf2[p02] ^ ma0[e2] ^ mf0[b2] ^ md0[c2],
+        mf1[p11] ^ ma1[e1] ^ mf1[b1] ^ md1[c1],
+        mf2[p11] ^ mf1[p12] ^ ma2[e1] ^ mf2[b1] ^ md2[c1],
+        mf1[p22] ^ mf2[p12] ^ ma1[e2] ^ mf1[b2] ^ md1[c2],
+        mf2[p22] ^ ma2[e2] ^ mf2[b2] ^ md2[c2],
+    )
 
 
 def cubic_eval(gf: GF, cubic, p) -> int:
@@ -310,6 +323,13 @@ def _roots(gf: GF, a: int, b: int, c: int) -> list[int]:
         return []
     x = mul[b][inv[a]]
     return [mul[w][x], mul[w ^ 1][x]]
+
+
+# CUBIC_MONOMIALS index of x_i*x_j*x_k for every ordered triple (i, j, k)
+_CUBE = {
+    ijk: CUBIC_MONOMIALS.index(tuple(ijk.count(v) for v in range(3)))
+    for ijk in product(range(3), repeat=3)
+}
 
 
 # x_i * x_j * x_k of every CUBIC_MONOMIALS entry, as its index triple (i, j, k)

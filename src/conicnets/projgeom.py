@@ -10,7 +10,6 @@ is the stable serialization.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from itertools import combinations, product
 from math import prod
 
@@ -26,32 +25,28 @@ def rref(gf: GF, rows) -> tuple[tuple[int, ...], ...]:
     work = [list(r) for r in rows]
     if not work:
         return ()
-    width = len(work[0])
-    r = 0
-    for c in range(width):
-        pr = None
-        for i in range(r, len(work)):
+    n, r = len(work), 0
+    for c in range(len(work[0])):
+        for i in range(r, n):
             if work[i][c]:
-                pr = i
                 break
-        if pr is None:
+        else:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        a = work[r][c]
-        if a != 1:
-            ia = inv[a]
-            mia = mul[ia]
-            work[r] = [mia[v] for v in work[r]]
-        prow = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                mf = mul[work[i][c]]
-                row = work[i]
-                work[i] = [row[j] ^ mf[prow[j]] for j in range(width)]
+        prow = work[i]
+        work[i] = work[r]
+        if prow[c] != 1:
+            m = mul[inv[prow[c]]]
+            prow = [m[v] for v in prow]
+        work[r] = prow
+        for i in range(n):
+            row = work[i]
+            if row[c] and i != r:
+                mf = mul[row[c]]
+                work[i] = [x ^ mf[y] for x, y in zip(row, prow)]
         r += 1
-        if r == len(work):
+        if r == n:
             break
-    return tuple(tuple(row) for row in work[:r])
+    return tuple(map(tuple, work[:r]))
 
 
 def rank(gf: GF, rows) -> int:
@@ -116,29 +111,45 @@ def pg_points(gf: GF, n: int) -> list[tuple[int, ...]]:
 # -- subspaces ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A projective subspace of PG(n, q) as its canonical RREF basis."""
+    """A projective subspace of PG(n, q) as its canonical RREF basis;
+    immutable, equal and hashed by (gf, n, rows)."""
 
-    gf: GF
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-    reduced: InitVar[bool] = False
+    __slots__ = ("gf", "n", "rows")
 
-    def __post_init__(self, reduced):
-        width = self.n + 1
-        if not 1 <= len(self.rows) <= width:
+    def __init__(self, gf: GF, n: int, rows: tuple[tuple[int, ...], ...], reduced: bool = False):
+        width = n + 1
+        if not 1 <= len(rows) <= width:
             raise ValueError("basis must have between 1 and %d rows" % width)
-        for row in self.rows:
+        for row in rows:
             if len(row) != width:
                 raise ValueError("basis row width %d != %d" % (len(row), width))
-        if not reduced and self.rows != rref(self.gf, self.rows):
+        if not reduced and rows != rref(gf, rows):
             raise ValueError("basis rows are not in canonical RREF")
+        object.__setattr__(self, "gf", gf)  # past the immutable __setattr__
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rref(cls, gf: GF, n: int, rows) -> "Subspace":
         """A subspace of rows straight out of rref: no second reduction."""
         return cls(gf, n, rows, True)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to field %r of an immutable Subspace" % name)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows and self.n == other.n and self.gf == other.gf
+
+    def __hash__(self) -> int:
+        return hash((self.gf, self.n, self.rows))
+
+    def __reduce__(self):
+        return self.__class__, (self.gf, self.n, self.rows, True)
 
     @property
     def dim(self) -> int:
@@ -295,10 +306,9 @@ def plane_from_pattern(gf: GF, pattern) -> Subspace:
     (m00, m01, m02, m11, m12, m22), of the three parameters of a plane of
     symmetric 3x3 matrices.  The vectors must be linearly independent.
     """
-    vecs = [tuple(v) for v in pattern]
-    if len(vecs) != 3 or any(len(v) != 6 for v in vecs):
+    if len(pattern) != 3 or any(len(v) != 6 for v in pattern):
         raise ValueError("pattern must consist of three 6-tuples")
-    rows = rref(gf, vecs)
+    rows = rref(gf, pattern)
     if len(rows) != 3:
         raise ValueError("plane rows are linearly dependent")
     return Subspace.from_rref(gf, 5, rows)

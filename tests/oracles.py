@@ -1,11 +1,13 @@
 """Brute-force references that only tests call: point-by-point passes and
 per-point actions the package replaced by closed forms or kernel scans,
 stabilizers as sets of group elements (Schreier's lemma) where the package
-counts orbits, a Singer cycle for the sweep the package replaced, and
-helpers the package itself has no use for.  Tests compare the package
-against them."""
+counts orbits, a Singer cycle for the sweep the package replaced, the
+straightforward forms of code the package unrolled (row reduction, the
+determinantal cubic, the classify records as dicts), and helpers the
+package itself has no use for.  Tests compare the package against them."""
 
 import functools
+import json
 from itertools import product
 
 from conicnets.action import (
@@ -28,8 +30,9 @@ from conicnets.errors import (
     ResourceBudgetError,
     VerificationError,
 )
+from conicnets.atlas import SCHEMA
 from conicnets.gf import GF, field
-from conicnets.invariants import anchor, nucleus_cut
+from conicnets.invariants import CUBIC_MONOMIALS, anchor, nucleus_cut
 from conicnets.projgeom import (
     Subspace,
     enumerate_planes_chunk,
@@ -40,7 +43,7 @@ from conicnets.projgeom import (
     rref,
     span,
 )
-from conicnets.veronese import classify_conic, delta_inv, point_class, veronese
+from conicnets.veronese import classify_conic, delta_inv, form_to_str, point_class, veronese
 
 
 def sym_matrix(y) -> tuple[tuple[int, int, int], ...]:
@@ -370,3 +373,121 @@ def stabilizer(gf: GF, state0, act):
                 return group, len(witness), picked
     raise VerificationError(
         "Schreier generators closed at %d, expected %d" % (len(group), target))
+
+
+def rref_by_rows(gf: GF, rows) -> tuple[tuple[int, ...], ...]:
+    """projgeom.rref as it was written before it was tightened: the same
+    elimination, indexing every entry."""
+    mul, inv = gf._mul, gf._inv
+    work = [list(r) for r in rows]
+    if not work:
+        return ()
+    width = len(work[0])
+    r = 0
+    for c in range(width):
+        pr = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        a = work[r][c]
+        if a != 1:
+            mia = mul[inv[a]]
+            work[r] = [mia[v] for v in work[r]]
+        prow = work[r]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                mf = mul[work[i][c]]
+                row = work[i]
+                work[i] = [row[j] ^ mf[prow[j]] for j in range(width)]
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r])
+
+
+# CUBIC_MONOMIALS index of x_i*x_j*x_k for every ordered triple (i, j, k)
+_CUBE = {
+    ijk: CUBIC_MONOMIALS.index(tuple(ijk.count(v) for v in range(3)))
+    for ijk in product(range(3), repeat=3)
+}
+
+
+def det_cubic_by_triples(gf: GF, rows) -> tuple[int, ...]:
+    """invariants._det_cubic as a loop over the 27 ordered index triples:
+    a_i d_j f_k for a*d*f, and, when j == k, the x_i x_j^2 terms
+    a_i e_j^2 + b_j^2 f_i + c_j^2 d_i of a*e^2 + b^2*f + c^2*d."""
+    mul, sq = gf._mul, gf._sq
+    a, b, c, d, e, f = zip(*rows)
+    out = [0] * len(CUBIC_MONOMIALS)
+    for (i, j, k), n in _CUBE.items():
+        out[n] ^= mul[mul[a[i]][d[j]]][f[k]]
+        if j == k:
+            out[n] ^= mul[a[i]][sq[e[j]]] ^ mul[sq[b[j]]][f[i]] ^ mul[sq[c[j]]][d[i]]
+    return tuple(out)
+
+
+def points_in_span_by_scan(s: Subspace, span_rows) -> list[tuple[int, ...]]:
+    """invariants._points_in_span with the line a + t*b of a two-row span
+    scanned over every t of GF(q) in place of solving for t."""
+    gf = s.gf
+    mul, sq = gf._mul, gf._sq
+    i0, i1, i2 = pivots = [r.index(1) for r in s.rows]
+    free = [(j, *(r[j] for r in s.rows)) for j in range(6) if j not in pivots]
+
+    def residual(p):
+        y = veronese(gf, p)
+        m0, m1, m2 = mul[y[i0]], mul[y[i1]], mul[y[i2]]
+        return [y[j] ^ m0[a] ^ m1[b] ^ m2[c] for j, a, b, c in free]
+
+    if span_rows is None or len(span_rows) < 2:
+        return [p for p in (pg_points(gf, 2) if span_rows is None else span_rows)
+                if not any(residual(p))]
+    a, b = span_rows
+    ra, rb = residual(a), residual(b)
+    rw = [x ^ y ^ z for x, y, z in zip(residual(tuple(u ^ v for u, v in zip(a, b))), ra, rb)]
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = zip(ra, rb, rw)
+    out = [tuple(u ^ mul[t][v] for u, v in zip(a, b)) for t in gf.elements
+           if not (x0 ^ mul[sq[t]][y0] ^ mul[t][z0] or x1 ^ mul[sq[t]][y1] ^ mul[t][z1]
+                   or x2 ^ mul[sq[t]][y2] ^ mul[t][z2])]
+    if not any(rb):
+        out.append(b)
+    return out
+
+
+def plane_record_by_dict(q: int, label: str, sig, plane_rows, meet_rows) -> str:
+    """The classify-plane record built as a dict and written by json.dumps,
+    as the command line wrote it before its records became templates."""
+    record = {
+        "schema": SCHEMA,
+        "q": q,
+        "label": label,
+        "signature": sig.to_json(),
+        "od0": list(sig.point_counts),
+        "od4": list(sig.hyperplane_counts),
+        "cubic_type": sig.cubic_kind,
+        "plane": [list(r) for r in plane_rows],
+        "intersection_with_nucleus_plane": {
+            "dimension": len(meet_rows) - 1,
+            "basis": [list(r) for r in meet_rows],
+        },
+    }
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
+def net_record_by_dict(q: int, label: str, forms, plane_rows, points, double_lines: int) -> str:
+    """The classify-net record built as a dict and written by json.dumps."""
+    record = {
+        "schema": SCHEMA,
+        "q": q,
+        "label": label,
+        "forms": [form_to_str(f) for f in forms],
+        "form_vectors": [list(f) for f in forms],
+        "plane": [list(r) for r in plane_rows],
+        "base_points": [list(p) for p in points],
+        "double_line_count": double_lines,
+    }
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"

@@ -7,15 +7,20 @@ import io
 import itertools
 import json
 import multiprocessing
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conicnets import atlas, cli
-from conicnets.action import act_subspace
+from conicnets.action import act_subspace, mat3_det
 from conicnets.errors import ResourceBudgetError
 from conicnets.gf import field
+from conicnets.invariants import CUBIC_KINDS, PlaneSignature, nucleus_cut
+from conicnets.projgeom import Subspace, rref
+from oracles import net_record_by_dict, plane_record_by_dict
 
 
 def run(args, capsys):
@@ -403,11 +408,12 @@ def test_exit_code_resource_budget(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("q", (4, 16))
-def test_classify_requests_reduce_their_input_at_most_twice_or_four_times(q, capsys, rref_calls):
+def test_classify_requests_reduce_their_input_at_most_twice_or_three_times(q, capsys, rref_calls):
     """A classify-plane request reduces its rows once and its diagonal
     columns once (invariants.nucleus_cut); a classify-net request reduces
-    its forms, their annihilator and their cross columns, then the plane's
-    diagonal columns.  Every module's rref is counted."""
+    its forms and their annihilator, then the plane's diagonal columns, and
+    reads its double-line count off the meet.  Every module's rref is
+    counted."""
     gf = field(q)
     requests = []
     for label in atlas.LABELS:
@@ -419,7 +425,31 @@ def test_classify_requests_reduce_their_input_at_most_twice_or_four_times(q, cap
         rref_calls.clear()
         code, out, _ = run([command, "--q", str(q), "--data", json.dumps(payload)], capsys)
         assert code == 0 and json.loads(out)["label"] == label
-        assert len(rref_calls) <= {"classify-plane": 2, "classify-net": 4}[command], (command, label)
+        assert len(rref_calls) <= {"classify-plane": 2, "classify-net": 3}[command], (command, label)
+
+
+@pytest.mark.parametrize("q", (2, 4, 8))
+def test_net_records_count_the_double_lines_of_the_net(q, capsys):
+    """A classify-net record reads its double_line_count off the nucleus
+    meet, whose points match the net's double lines by duality; it equals
+    net_double_line_count, the kernel of the forms' cross columns, on the
+    moved representatives (every meet dimension) and on random nets."""
+    gf = field(q)
+    rng = random.Random(q)
+    planes = [act_subspace(s, (0, 1, 1, 1, 0, 1, 1, 1, 1)) for s in atlas.representatives(gf).values()]
+    while len(planes) < 60:
+        rows = rref(gf, [[rng.randrange(q) for _ in range(6)] for _ in range(3)])
+        if len(rows) == 3 and nucleus_cut(Subspace(gf, 5, rows))[0] is not None:
+            planes.append(Subspace(gf, 5, rows))
+    dims = set()
+    for s in planes:
+        forms = atlas.net_of_plane(s)
+        code, out, _ = run(["classify-net", "--q", str(q), "--data",
+                            json.dumps({"forms": [list(f) for f in forms]})], capsys)
+        assert code == 0
+        assert json.loads(out)["double_line_count"] == atlas.net_double_line_count(gf, forms), s
+        dims.add(nucleus_cut(s)[0].dim)
+    assert dims == {0, 1, 2}
 
 
 def test_argparse_usage_exits_2():
@@ -707,19 +737,35 @@ def test_record_writer_rejects_other_types(obj):
         cli._json(obj)
 
 
-def test_reports_are_written_as_json_dumps_writes_them(capsys, monkeypatch):
-    """Both classify records and every q=2 report of atlas and verify are
-    the bytes of json.dumps(indent=2, sort_keys=True)."""
-    gf = field(4)
+def test_reports_are_written_as_json_dumps_writes_them(capsys, monkeypatch, tmp_path):
+    """Each classify record is the bytes json.dumps(indent=2, sort_keys=True)
+    writes of its own JSON, on stdout and through --output: the 18 moved
+    representatives at q = 2, 4, 8, 16, 32 and 256, as planes and as nets.
+    Every q=2 report of atlas and verify is the bytes of json.dumps of the
+    dict handed to _emit."""
+    move = (0, 1, 1, 1, 0, 1, 1, 1, 1)  # a 0/1 matrix of determinant 1: invertible at every q
+    path = tmp_path / "record.json"
+    for q in (2, 4, 8, 16, 32, 256):
+        gf = field(q)
+        assert mat3_det(gf, move) == 1
+        for label in atlas.LABELS:
+            moved = act_subspace(atlas.representative(gf, label), move)
+            for argv in (
+                ["classify-plane", "--q", str(q), "--data",
+                 json.dumps({"rows": [list(r) for r in moved.rows]})],
+                ["classify-net", "--q", str(q), "--data",
+                 json.dumps({"forms": [list(f) for f in atlas.net_of_plane(moved)]})],
+            ):
+                code, out, _ = run(argv, capsys)
+                record = json.loads(out)
+                assert code == 0 and record["label"] == label, argv
+                assert out == json.dumps(record, indent=2, sort_keys=True) + "\n", argv
+                code, printed, _ = run(argv + ["--output", str(path)], capsys)
+                assert (code, printed) == (0, "") and path.read_bytes() == out.encode(), argv
+
     requests = [["atlas", "--q", "2"]] + [
         ["verify", "--q", "2", "--suite", suite] for suite in cli.SUITES if suite != "line-orbits"
     ]
-    for label in atlas.LABELS:
-        moved = act_subspace(atlas.representative(gf, label), (2, 1, 0, 0, 3, 1, 1, 0, 2))
-        requests.append(["classify-plane", "--q", "4", "--data",
-                         json.dumps({"rows": [list(r) for r in moved.rows]})])
-        requests.append(["classify-net", "--q", "4", "--data",
-                         json.dumps({"forms": [list(f) for f in atlas.net_of_plane(moved)]})])
     objs = []
     real = cli._emit
 
@@ -733,6 +779,64 @@ def test_reports_are_written_as_json_dumps_writes_them(capsys, monkeypatch):
         code, out, _ = run(argv, capsys)
         assert code == 0 and len(objs) == 1, argv
         assert out == json.dumps(objs[0], indent=2, sort_keys=True) + "\n", argv
+
+
+_elements_of = {q: st.integers(0, q - 1) for q in (2, 4, 8, 16, 256)}
+
+
+@pytest.mark.parametrize("meet_rows", (1, 2, 3), ids=["meet-point", "meet-line", "meet-plane"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_record_templates_match_the_record_dicts(meet_rows, data):
+    """The classify records written from templates equal the records built
+    as dicts and written by json.dumps (tests/oracles.py), on random
+    signatures, cubic kinds (null included), rows and base points (empty
+    included), at each meet dimension."""
+    q = data.draw(st.sampled_from(sorted(_elements_of)))
+    n = q * q + q + 1
+
+    def rows(width, low, high):
+        return st.lists(st.tuples(*[_elements_of[q]] * width), min_size=low, max_size=high)
+
+    c0, c1, c2 = sorted(data.draw(st.lists(st.integers(0, n), min_size=3, max_size=3)))
+    sig = PlaneSignature((c0, c1 - c0, c2 - c1, n - c2),
+                         data.draw(st.sampled_from(CUBIC_KINDS + (None,))))
+    label = data.draw(st.sampled_from(atlas.LABELS))
+    plane, meet = data.draw(rows(6, 3, 3)), data.draw(rows(6, meet_rows, meet_rows))
+    assert cli._plane_record(q, label, sig, plane, meet) == plane_record_by_dict(
+        q, label, sig, plane, meet)
+    forms = data.draw(st.lists(st.lists(_elements_of[q], min_size=6, max_size=6),
+                               min_size=3, max_size=3))
+    points = data.draw(rows(3, 0, 4))
+    double_lines = (1, q + 1, n)[meet_rows - 1]
+    assert cli._net_record(q, label, forms, plane, points, double_lines) == net_record_by_dict(
+        q, label, forms, plane, points, double_lines)
+
+
+@pytest.mark.parametrize("q", (4, 8))
+def test_samples_past_the_budget_are_refused_before_the_sweep(q, capsys, monkeypatch):
+    """--samples atlas.MAX_SAMPLES is split over the 128 sample chunks and
+    swept; one more, or an absurd count, exits 5 with a one-line message
+    and sweeps nothing."""
+    swept = []
+
+    def sweep(worker, state, chunks, workers):
+        swept.append(list(chunks))
+        return Counter(planes=sum(count for _, count in chunks)), []
+
+    monkeypatch.setattr(atlas, "_sweep", sweep)
+    argv = ["verify", "--q", str(q), "--suite", "double-lines", "--samples"]
+    code, out, err = run(argv + [str(atlas.MAX_SAMPLES)], capsys)
+    assert (code, err) == (0, "")
+    assert len(swept) == 1 and len(swept[0]) == 128
+    assert sum(count for _, count in swept[0]) == atlas.MAX_SAMPLES
+    assert json.loads(out)["totals"]["planes_sampled"] == atlas.MAX_SAMPLES
+    for samples in (atlas.MAX_SAMPLES + 1, 10**23 - 1):
+        swept.clear()
+        code, out, err = run(argv + [str(samples)], capsys)
+        assert (code, out, swept) == (5, "", [])
+        assert err == "resource budget exhausted: %d samples are past the budget of %d\n" % (
+            samples, atlas.MAX_SAMPLES)
 
 
 # -- malformed input, property-tested ---------------------------------------

@@ -40,6 +40,9 @@ from conicnets.invariants import (
     line_class_profile,
     lines_in_plane,
     nuclear_point_count,
+    _det_cubic,
+    _diagonal_cut,
+    _points_in_span,
     nucleus_cut,
     nucleus_meet_dim,
     plane_key,
@@ -64,7 +67,12 @@ from conicnets.veronese import (
     point_class,
     veronese,
 )
-from oracles import cubic_zeros_and_counts, enumerate_planes
+from oracles import (
+    cubic_zeros_and_counts,
+    det_cubic_by_triples,
+    enumerate_planes,
+    points_in_span_by_scan,
+)
 
 CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
@@ -821,3 +829,41 @@ def test_fused_point_pass_on_moved_representatives(q):
     for label, s in representatives(gf).items():
         vanishing += not _check_fused_pass(act_subspace(s, MOVE))
     assert vanishing == sum(EXPECTED_CUBIC_KIND[label] is None for label in LABELS)
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16, 256))
+def test_straight_line_cubic_matches_the_triple_loop(q):
+    """_det_cubic against the loop over ordered index triples it replaced
+    (tests/oracles.py), on random and sparse rows, reduced or not."""
+    gf = field(q)
+    rng = random.Random(11 * q)
+    for _ in range(400):
+        rows = [tuple(rng.choice((0, 1, rng.randrange(q), rng.randrange(q))) for _ in range(6))
+                for _ in range(3)]
+        assert _det_cubic(gf, rows) == det_cubic_by_triples(gf, rows), rows
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_points_in_span_match_the_scan_of_the_line(q):
+    """_points_in_span, which solves for t on the line a + t*b, against the
+    scan of every t it replaced (tests/oracles.py): the root spans of the
+    moved representatives and of sparse random planes, spans of 0, 1 and 2
+    rows, and every plane at q = 2."""
+    gf = field(q)
+    rng = random.Random(13 * q)
+    planes = [act_subspace(s, g) for s in representatives(gf).values()
+              for g in ((1, 1, 0, 0, 1, 0, 0, 0, 1), (0, 1, 1, 1, 0, 1, 1, 1, 1))]
+    if q == 2:
+        planes += list(enumerate_planes(gf))
+    while len(planes) < 700:
+        rows = rref(gf, [[rng.choice((0, 0, 1, rng.randrange(q))) for _ in range(6)]
+                         for _ in range(3)])
+        if len(rows) == 3:
+            planes.append(Subspace(gf, 5, rows))
+    sizes = Counter()
+    for s in planes:
+        span_rows = _diagonal_cut(s)[1]
+        if len(span_rows) < 3:
+            sizes[len(span_rows)] += 1
+            assert _points_in_span(s, span_rows) == points_in_span_by_scan(s, span_rows), s
+    assert set(sizes) == {0, 1, 2}

@@ -1,8 +1,9 @@
 """Package-wide rules: the package imports only the standard library, its
 modules import one another at module level only and without a cycle,
-importing the command line loads no multiprocessing, every function the
-benchmark tracer wraps and every package attribute the benchmark reads
-still exists, and every name a docstring quotes still exists."""
+importing the command line loads no multiprocessing, dataclasses or csv,
+every function the benchmark tracer wraps and every package attribute the
+benchmark reads still exists, and every name a docstring quotes still
+exists."""
 
 import ast
 import importlib
@@ -112,11 +113,14 @@ def test_tracer_targets_resolve_to_callables(monkeypatch):
 
 
 def test_cli_import_loads_no_multiprocessing():
-    """Importing multiprocessing costs every cold command-line call; only a
-    sweep that starts a pool imports it (atlas.get_context)."""
+    """Importing multiprocessing, dataclasses or csv costs every cold
+    command-line call; only a sweep that starts a pool imports the first
+    (atlas.get_context), nothing the second, and the atlas CSV writer the
+    third (cli._atlas_csv)."""
     src = str(Path(conicnets.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, conicnets.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    code = ("import sys, conicnets.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'dataclasses', 'csv')))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout == "[]\n"

@@ -1,5 +1,7 @@
 """Exact linear algebra and subspace bookkeeping in PG(n,q)."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -24,7 +26,7 @@ from conicnets.projgeom import (
     span,
 )
 from conicnets.veronese import delta_inv
-from oracles import enumerate_planes, subspace_from_json, unpack_rows
+from oracles import enumerate_planes, rref_by_rows, subspace_from_json, unpack_rows
 
 
 def hyperplanes_through(s: Subspace):
@@ -59,6 +61,40 @@ def test_rref_round_trips(q):
         assert pivots == sorted(pivots)
         for j, p in enumerate(pivots):
             assert all(red[i][p] == (1 if i == j else 0) for i in range(len(red)))
+
+
+@pytest.mark.parametrize("q", (2, 4, 16))
+def test_rref_matches_the_indexed_elimination(q):
+    """rref against the elimination it tightened (tests/oracles.py) on
+    random and sparse matrices of 1 to 5 rows and 1 to 9 columns, zero and
+    repeated rows included."""
+    gf = field(q)
+    rng = random.Random(7 * q)
+    for _ in range(1500):
+        width = rng.randrange(1, 10)
+        rows = [[rng.choice((0, 0, 1, rng.randrange(q))) for _ in range(width)]
+                for _ in range(rng.randrange(1, 6))]
+        if rng.random() < 0.2:
+            rows.append(list(rows[0]))
+        assert rref(gf, rows) == rref_by_rows(gf, rows), rows
+    assert rref(gf, []) == rref_by_rows(gf, []) == ()
+
+
+def test_subspaces_are_immutable_values(gf4):
+    """A Subspace has no instance dict and refuses assignment and deletion;
+    it equals, hashes, pickles and copies as (gf, n, rows)."""
+    s = Subspace(gf4, 2, ((1, 2, 0), (0, 0, 1)))
+    for name in ("gf", "n", "rows", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, None)
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert not hasattr(s, "__dict__")
+    assert s.rows == ((1, 2, 0), (0, 0, 1)) and s.n == 2 and s.gf == gf4
+    assert s != Subspace(gf4, 2, ((1, 3, 0), (0, 0, 1))) and s != Subspace(field(8), 2, s.rows)
+    assert s != s.rows and (s == s.rows) is False
+    for back in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert back == s and hash(back) == hash(s) and back.rows == s.rows
 
 
 def test_nullspace_is_the_kernel(gf4):
