@@ -30,14 +30,15 @@ A generator that is an involution, such as the transvection, never steps a
 state back to the one it came from.  ``_kernel_move`` builds the one C,
 which takes an ``anchor`` (from ``invariants``) to e0, with the generators
 of e0's stabilizer H.  Every orbit question about an anchored subspace is
-answered in H: ``kernel_fiber`` walks the subspaces carried by C,
-``orbit_keys`` copies that fiber to every anchor position, cell by cell of
-the positions under the lower unitriangular group (``_anchor_cells``),
-``k_equivalent`` compares two fibers, ``atlas`` counts stabilizers by it,
-and ``fiber_orbits`` splits lines by the stabilizer of subspaces that fix
-an anchor.  A lower unitriangular matrix lifts to a lower unitriangular
-one, which keeps every pivot, so its ``PackedAction.triangular_mover``
-only back-substitutes.
+answered in H: ``kernel_fiber`` walks the subspaces carried by C, by radical
+blocks where they are large, ``orbit_keys`` copies that fiber to every
+anchor position, cell by cell of the positions under the lower unitriangular
+group (``_anchor_cells``), ``k_equivalent`` compares two fibers, ``atlas``
+counts stabilizers by it, and ``fiber_orbits`` splits lines by the
+stabilizer of subspaces that fix an anchor.  A lower unitriangular matrix
+lifts to a lower unitriangular one, which keeps every pivot, so its
+``PackedAction.triangular_mover`` only back-substitutes, and its
+``PackedAction.cell_mover`` maps the big Schubert cell by affine tables.
 ``congruence_image`` moves one point, each diagonal entry of A M A^T a sum
 of squares; ``act_subspace`` moves each basis row with it and reduces.
 Layers import in one order: gf, projgeom, veronese, invariants, action,
@@ -47,6 +48,7 @@ atlas, cli.
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
 
 from .errors import ResourceBudgetError, VerificationError
 from .gf import GF
@@ -160,6 +162,7 @@ class PackedAction:
         # pivot[b]: shift of the highest nonzero e-bit field of a row of bit length b
         self.pivot = [0] + [(b - 1) // e * e for b in range(1, 6 * e + 1)]
         self._tables: dict = {}
+        self._cells: dict = {}
 
     def tables(self, a) -> tuple[list[int], list[int]]:
         if a not in self._tables:
@@ -168,12 +171,14 @@ class PackedAction:
 
     def walk(self, subspaces, gens):
         """``closure``'s (start, step, involutions) for subspaces under ``gens``:
-        a state is one key or a tuple of keys; an involution squares to I."""
+        a state is one key or a tuple of keys; an involution squares to I.
+        A lower unitriangular matrix moves by ``triangular_mover``."""
         gf = self.gf
-        tables = [self.tables(a) for a in gens]
         involutions = [i for i, a in enumerate(gens)
                        if normalize_point(gf, mat3_mul(gf, a, a)) == IDENTITY3]
-        movers = [[self.mover(t, len(s.rows)) for t in tables] for s in subspaces]
+        lower = lambda a: a[:3] + a[4:6] + a[8:] == (1, 0, 0, 1, 0, 1)
+        movers = [[self.triangular_mover(a, len(s.rows)) if lower(a)
+                   else self.mover(self.tables(a), len(s.rows)) for a in gens] for s in subspaces]
         if len(movers) == 1:
             (m,) = movers
             return subspaces[0].key_int(), lambda k, i: m[i](k), involutions
@@ -316,6 +321,36 @@ class PackedAction:
 
         return move
 
+    def big_cell(self, n: int) -> tuple[int, int]:
+        """(mask, identity block) of the n-row keys pivoted on the first n coordinates."""
+        e, rows = self.gf.e, range(0, n * self.w, self.w)
+        return (sum(((1 << n * e) - 1) << (6 - n) * e + r for r in rows),
+                sum(1 << (6 - n + k) * e + r for k, r in enumerate(rows)))
+
+    def cell_mover(self, a, n: int):
+        """``triangular_mover(a, n)`` on ``big_cell(n)``, the big Schubert
+        cell, where the lift feeds no free coordinate into a pivot one, so
+        the image is GF(2)-affine in the free bits: one table per chunk of
+        at most 3e of them, read off ``triangular_mover`` on the identity
+        block and its one-bit perturbations, and kept per (a, n)."""
+        if (a, n) not in self._cells:
+            move, (_, ident), s3 = self.triangular_mover(a, n), self.big_cell(n), self.s3
+            base, rows = move(ident), range(0, n * self.w, self.w)
+            cells = [(r, s3) for r in rows] + [(r + s3, (3 - n) * self.gf.e) for r in rows if n < 3]
+            for c, (shift, width) in enumerate(cells):
+                table = [0 if c else base]
+                for b in range(shift, shift + width):
+                    col = move(ident | 1 << b) ^ base
+                    table += [x ^ col for x in table]
+                cells[c] = shift, (1 << width) - 1, table
+            self._cells[a, n] = cells + [(0, 0, [0])] * (n == 1)  # 3 chunks, or 4 for a line
+        (_, m0, t0), (s1, m1, t1), (s2, m2, t2), *fourth = self._cells[a, n]  # the first at 0
+        if fourth:
+            ((s4, m4, t4),) = fourth
+            return lambda k: t0[k & m0] ^ t1[k >> s1 & m1] ^ t2[k >> s2 & m2] ^ t4[k >> s4 & m4]
+        return lambda k: t0[k & m0] ^ t1[k >> s1 & m1] ^ t2[k >> s2 & m2]
+
+
 packed_action = functools.cache(PackedAction)
 
 
@@ -414,12 +449,56 @@ def _kernel_move(gf: GF, kernels):
     return c, _kernel_subgroup_generators(gf, point)
 
 
-def kernel_fiber(subspaces, kernels, max_keys: int | None = None) -> set:
+def _gray(moves) -> list:
+    """Gray-code steps of the group on the GF(2)-basis ``moves``, each element met once."""
+    return [moves[(i & -i).bit_length() - 1] for i in range(1, 1 << len(moves))]
+
+
+def _radical_basis(gf: GF, gens) -> list:
+    """A GF(2)-basis of the radical U of H, x10(s) x20(t) or x01(s) x02(t):
+    r(t) = I + tN for the third of ``gens``, r = I + N, and t = 1, 2, 4, ...,
+    and their conjugates by the Levi involution x21(1) or x12(1) that moves them."""
+    roots = [tuple(x if i % 4 == 0 else gf._mul[1 << b][x] for i, x in enumerate(gens[2]))
+             for b in range(gf.e)]
+    return list(dict.fromkeys(roots + [mat3_mul(gf, mat3_mul(gf, s, x), s)
+                                       for s in gens[:2] for x in roots]))
+
+
+def kernel_fiber(subspaces, kernels, max_keys: int | None = None):
     """Orbit under H of the ``subspaces`` moved by C (``_kernel_move``), for
-    ``kernels`` an ``anchor`` fixed by their stabilizer; for one subspace,
-    its orbit's members anchored at e0."""
-    c, gens = _kernel_move(subspaces[0].gf, kernels)
-    return subspace_orbit(tuple(act_subspace(s, c) for s in subspaces), gens, max_keys)
+    ``kernels`` an ``anchor`` fixed by their stabilizer, as a set or a set-like
+    key view; for one subspace, its orbit's members anchored at e0.
+
+    H = U L, U the normal radical and L the Levi block GL(2,q), so the
+    U-orbits are blocks of one size that L permutes.  U x0 is swept first
+    (``_gray``); from q^2/2 states on, a ``closure`` walks L on blocks, each
+    new one swept whole, else ``subspace_orbit`` walks H.  A count other
+    than blocks |U x0| raises VerificationError; ``max_keys`` is per block."""
+    gf, pa = subspaces[0].gf, packed_action(subspaces[0].gf)
+    c, gens = _kernel_move(gf, kernels)
+    moved = tuple(act_subspace(s, c) for s in subspaces)
+    radical = _radical_basis(gf, gens)
+    start, move, _ = pa.walk(moved, radical)
+    sweep = lambda y, gray=_gray(range(len(radical))): accumulate(gray, move, initial=y)
+    head = {}  # state -> the state its block was swept from
+
+    def held(y):
+        if y not in head:
+            head.update(dict.fromkeys(sweep(y), y))
+            if max_keys is not None and len(head) > max_keys:
+                raise ResourceBudgetError("orbit enumeration exceeded %d keys" % max_keys,
+                                          partial=len(head))
+        return head[y]
+
+    held(start)
+    block = len(head)
+    if 2 * block < gf.q**2:
+        return subspace_orbit(moved, gens, max_keys)
+    _, step, involutions = pa.walk(moved, gens[:2] + gens[3:])
+    blocks = closure(start, lambda st, i: held(step(st, i)), 3, involutions=involutions)
+    if len(head) != len(blocks) * block:
+        raise VerificationError("the radical blocks of a kernel fiber overlap")
+    return head.keys()
 
 
 def fiber_orbits(fixed, lines: dict, kernels) -> tuple[list[set[int]], int]:
@@ -428,15 +507,15 @@ def fiber_orbits(fixed, lines: dict, kernels) -> tuple[list[set[int]], int]:
     those keys in order of least key, for ``kernels`` an ``anchor`` that S
     fixes.  With C from ``_kernel_move``, C S C^-1 lies in H, and the orbit
     of C l is the fiber {l' : (C fixed, l') in H (C fixed, C l)}.  H (C fixed)
-    is tabled by one walk, so a fiber's closure moves only the line; an
-    orbit that leaves the given lines raises VerificationError."""
+    is tabled by one walk, so a fiber's closure moves only the line, by
+    memoized moves; an orbit leaving the given lines raises VerificationError."""
     gf = fixed[0].gf
     c, gens = _kernel_move(gf, kernels)
     pa = packed_action(gf)
     head, step, involutions = pa.walk(tuple(act_subspace(s, c) for s in fixed), gens)
     table = {}  # (state, i) -> image: each met once, no involution skipped
     size = len(closure(head, lambda st, i: table.setdefault((st, i), step(st, i)), len(gens)))
-    movers = [pa.mover(pa.tables(a), 2) for a in gens]
+    movers = [functools.cache(pa.mover(pa.tables(a), 2)) for a in gens]
     own = {act_subspace(l, c).key_int(): k for k, l in sorted(lines.items())}
     orbits, placed = [], set()
     for m, k in own.items():
@@ -479,10 +558,11 @@ def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     A point, line or plane with an ``anchor`` is the union of q^2+q+1
     copies of its ``kernel_fiber`` F, one per anchor position, swept cell
     by cell (``_anchor_cells``): a cell's first copy is F or its image under
-    the cell's swap, and each further copy is one ``triangular_mover`` map
-    of the last, so one copy is held at a time.  A count other than
-    (q^2+q+1) |F| raises VerificationError.  The nucleus plane is its own
-    orbit; a plane missing it is a ``closure``."""
+    the cell's swap, and each further copy is the last moved by one cell
+    generator, its keys of the big Schubert cell by ``cell_mover`` and the
+    others by ``triangular_mover``, so one copy is held at a time.  A count
+    other than (q^2+q+1) |F| raises VerificationError.  The nucleus plane is
+    its own orbit; a plane missing it is a ``closure``."""
     pa, n = packed_action(s.gf), len(s.rows)
     swaps = {a: pa.mover(pa.tables(a), n) for a in (SWAP01, SWAP02)}
     kernels = anchor(s)
@@ -491,16 +571,16 @@ def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     if len(kernels) == 3:
         return {s.key_int()}
     fiber = list(kernel_fiber((s,), kernels, max_keys))
-    out = set()
+    (mask, cell), out = pa.big_cell(n), set()
     for base, gens in _anchor_cells(s.gf, len(kernels) == 1):
         image = fiber if base is None else list(map(swaps[base], fiber))
-        moves = [pa.triangular_mover(a, n) for a in gens]
-        # Gray code order: copy i is copy i - 1 moved by the generator of
-        # i's lowest set bit, so each element of the cell's group is met once
-        for i in range(1 << len(moves)):
-            if i:
-                image = list(map(moves[(i & -i).bit_length() - 1], image))
-            out.update(image)
+        big = [k for k in image if k & mask == cell]
+        rest = [k for k in image if k & mask != cell]
+        moves = [(pa.cell_mover(a, n), pa.triangular_mover(a, n)) for a in gens]
+        for move_big, move_rest in [(None, None)] + _gray(moves):
+            if move_big:
+                big, rest = list(map(move_big, big)), list(map(move_rest, rest))
+            out.update(big, rest)
             if max_keys is not None and len(out) > max_keys:
                 raise ResourceBudgetError("orbit enumeration exceeded %d keys" % max_keys,
                                           partial=len(out))

@@ -8,6 +8,7 @@ generators closed as they come, and group filters), and line orbits as the
 images under every element of a stabilizer.
 """
 
+import itertools
 import random
 
 import pytest
@@ -680,8 +681,10 @@ def test_line_orbit_suite_tables_only_group_and_kernel_generators(q):
     the two kernel subgroups' generators, 6 matrices (x01(1) is the
     transvection), and at q = 4, where it sweeps a special line, for the two
     swaps and the cell generators x10(t), x20(t), x21(t), t = 1, 2 (x10(1)
-    and x21(1) are kernel generators): 12.  It builds them for no
-    conjugated copy (one more with one)."""
+    and x21(1) are kernel generators): 12.  The pair's fiber sweeps its
+    first radical block, which adds the point radical's x10(t) x20(t) and
+    the x10(t) not yet tabled: 14 at q = 4 and 11 at q = 8.  It builds them
+    for no conjugated copy (one more with one)."""
     gf = field(q)
     packed_action.cache_clear()
     assert all(c["pass"] for c in atlas.verify_line_orbits(gf)["checks"])
@@ -691,7 +694,11 @@ def test_line_orbit_suite_tables_only_group_and_kernel_generators(q):
         want |= {action.SWAP01, action.SWAP02,
                  *(a for point in (True, False)
                    for _, gens in action._anchor_cells(gf, point) for a in gens)}
-    assert set(packed_action(gf)._tables) == want and len(want) == (12 if q == 4 else 6)
+    radical = {a for point in (True, False)
+               for a in action._radical_basis(gf, action._kernel_subgroup_generators(gf, point))}
+    built = set(packed_action(gf)._tables)
+    assert want <= built <= want | radical
+    assert len(want) == (12 if q == 4 else 6) and len(built) == (14 if q == 4 else 11)
 
 
 def test_act_subspace_matches_congruence_lift(gf8):
@@ -1014,6 +1021,184 @@ def test_kernel_fiber_matches_the_hand_move(q):
     assert kernel_fiber(points, anchor(points[0])) == subspace_orbit(points, kernel_gens)
 
 
+def _block_cases(gf, labels=atlas.LABELS):
+    """Each representative moved by one seeded projectivity, the point of
+    its first row and the lines of its first two and its last two rows:
+    those of them with a point or a line anchor."""
+    (a,) = _random_projectivities(gf, 1, gf.q)
+    cases = []
+    for label in labels:
+        s = act_subspace(representative(gf, label), a)
+        cases += [t for t in (s, span(gf, s.rows[:1]), span(gf, s.rows[:2]), span(gf, s.rows[1:]))
+                  if len(anchor(t)) in (1, 2)]
+    return cases
+
+
+def _block_oracle(cases):
+    """Per case, its kernel fiber as the ``closure`` of H, and the states
+    the block walk holds: |F| / |U x0| radical blocks when |U x0| >= q^2/2,
+    else |F|.  U x0 is walked under every x10(u), x20(u) (point anchor) or
+    x01(u), x02(u) (line anchor), the radical by its definition."""
+    out = []
+    for t in cases:
+        gf, kernels = t.gf, anchor(t)
+        c, gens = action._kernel_move(gf, kernels)
+        x0 = act_subspace(t, c)
+        fiber = subspace_orbit((x0,), gens)
+        roots = ((1, 0), (2, 0)) if len(kernels) == 1 else ((0, 1), (0, 2))
+        radical = [tuple(u if k == 3 * i + j else IDENTITY3[k] for k in range(9))
+                   for i, j in roots for u in gf.nonzero]
+        block = len(subspace_orbit((x0,), radical))
+        out.append((fiber, len(fiber) // block if 2 * block >= gf.q**2 else len(fiber)))
+    return out
+
+
+def _block_walk_mismatches(cases, want, monkeypatch):
+    """Indices of the cases whose ``kernel_fiber`` is refused, is not the
+    oracle's, or holds other than the oracle's states in its one closure."""
+    held, bad = [], []
+    real = action.closure
+
+    def recording(*args, **kwargs):
+        seen = real(*args, **kwargs)
+        held.append(len(seen))
+        return seen
+
+    with monkeypatch.context() as patch:
+        patch.setattr(action, "closure", recording)
+        for i, (t, (fiber, states)) in enumerate(zip(cases, want)):
+            held.clear()
+            try:
+                ok = kernel_fiber((t,), anchor(t)) == fiber and held == [states]
+            except VerificationError:
+                ok = False
+            if not ok:
+                bad.append(i)
+    return bad
+
+
+@pytest.mark.parametrize("q", (2, 4, 8))
+def test_block_walk_matches_the_kernel_closure(q, monkeypatch):
+    """Walked by radical blocks or by the closure of H, each fiber of the
+    moved representatives, their first rows, first two and last two rows
+    is the closure of H, and the walk holds blocks where |U x0| >= q^2/2
+    and states elsewhere; both kinds occur at each q."""
+    cases = _block_cases(field(q))
+    want = _block_oracle(cases)
+    assert _block_walk_mismatches(cases, want, monkeypatch) == []
+    assert {states < len(fiber) for fiber, states in want} == {True, False}
+
+
+def test_block_walk_matches_the_kernel_closure_q16(monkeypatch):
+    """At q = 16, Sigma3 and Sigma10 and moved copies of them, whose
+    radical blocks hold q^2 = 256 planes."""
+    cases = [t for s in (representative(field(16), "Sigma3"), representative(field(16), "Sigma10"))
+             for t in (s, act_subspace(s, _random_projectivities(field(16), 1, 16)[0]))]
+    assert _block_walk_mismatches(cases, _block_oracle(cases), monkeypatch) == []
+
+
+def _levi_dropped(i):
+    real = action._kernel_subgroup_generators
+    return "_kernel_subgroup_generators", \
+        lambda gf, point: tuple(IDENTITY3 if j == i else a for j, a in enumerate(real(gf, point)))
+
+
+@pytest.mark.parametrize("mutant", ("x12", "x21", "diag", "radical", "gray"))
+def test_block_walk_mutants_fail_the_oracle_q4(mutant, monkeypatch):
+    """A Levi generator replaced by the identity, the last radical
+    generator dropped, or the first step of the Gray walk skipped: some
+    fiber comes out wrong or refused."""
+    cases = _block_cases(field(4), ("Sigma8", "Sigma17", "Sigma22", "Sigma23"))
+    want = _block_oracle(cases)
+    name, value = {
+        "x12": _levi_dropped(0), "x21": _levi_dropped(1), "diag": _levi_dropped(3),
+        "radical": ("_radical_basis", lambda gf, gens, real=action._radical_basis:
+                    real(gf, gens)[:-1]),
+        "gray": ("_gray", lambda moves, real=action._gray: real(moves)[1:]),
+    }[mutant]
+    monkeypatch.setattr(action, name, value)
+    assert _block_walk_mismatches(cases, want, monkeypatch)
+
+
+def test_sigma22_q8_fiber_walks_levi_moves_on_blocks(monkeypatch):
+    """A work count in place of a timing: Sigma22's q = 8 fiber of 225,792
+    planes is 3,528 radical blocks of q^2 = 64, and the Levi walk on them
+    makes at most 3 x 3,528 moves (the closure of H made 799,687)."""
+    moves, held = [], []
+    real = action.closure
+
+    def counted(start, step, ngens, *args, **kwargs):
+        seen = real(start, lambda st, i: moves.append(i) or step(st, i), ngens, *args, **kwargs)
+        held.append(len(seen))
+        return seen
+
+    monkeypatch.setattr(action, "closure", counted)
+    s = representative(field(8), "Sigma22")
+    assert len(kernel_fiber((s,), anchor(s))) == 225792
+    assert held == [3528] and len(moves) <= 3 * 3528
+
+
+def _big_cell_keys(gf, n, rng=None, count=0):
+    """Keys of n-row subspaces whose first n coordinates are the identity
+    block: all of them, or ``count`` drawn by ``rng``."""
+    w, unit = 6 * gf.e, [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    if rng is None:
+        tails = list(itertools.product(range(gf.q), repeat=6 - n))
+        rows = [[pack_rows(gf, [u + t]) for t in tails] for u in unit]
+        picks = itertools.product(*rows)
+    else:
+        picks = ([pack_rows(gf, [u + tuple(rng.randrange(gf.q) for _ in range(6 - n))])
+                  for u in unit] for _ in range(count))
+    return [sum(r << w * (n - 1 - k) for k, r in enumerate(rows)) for rows in picks]
+
+
+def _cell_generators(gf):
+    return sorted({a for point in (True, False) for _, gens in action._anchor_cells(gf, point)
+                   for a in gens})
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_cell_mover_matches_the_triangular_mover(q):
+    """On every big-cell key at q = 2 and 4, and 2,000 seeded ones at
+    q = 8 and 16, of 1, 2 and 3 rows, each sweep generator's affine tables
+    give the back-substitution move's image; ``big_cell`` picks out the
+    identity block, and no table has more than q^3 entries."""
+    gf = field(q)
+    pa = PackedAction(gf)
+    rng = random.Random(q)
+    for n in (1, 2, 3):
+        keys = _big_cell_keys(gf, n, None if q <= 4 else rng, 2000)
+        mask, cell = pa.big_cell(n)
+        assert {k & mask for k in keys} == {cell}
+        for a in _cell_generators(gf):
+            assert list(map(pa.cell_mover(a, n), keys)) \
+                == list(map(pa.triangular_mover(a, n), keys)), (a, n)
+            assert max(len(t) for _, _, t in pa._cells[a, n]) <= q**3
+
+
+def test_cell_tables_need_their_constant_and_every_column(gf4):
+    """Tables that lose the image of the identity block, or any one
+    free-bit column, move some big-cell key otherwise than the
+    back-substitution move."""
+    pa = PackedAction(gf4)
+    keys = _big_cell_keys(gf4, 3, random.Random(3), 2000)
+    for a in _cell_generators(gf4):
+        move = pa.triangular_mover(a, 3)
+        pa.cell_mover(a, 3)
+        cells = pa._cells[a, 3]
+        (s0, m0, t0), *rest = cells
+        mutants = [[(s0, m0, [x ^ t0[0] for x in t0])] + rest]
+        for c, (shift, m, table) in enumerate(cells):
+            for b in range(m.bit_length()):
+                dropped = [table[v & ~(1 << b)] for v in range(len(table))]
+                mutants.append(cells[:c] + [(shift, m, dropped)] + cells[c + 1:])
+        assert len(mutants) == 1 + 9 * gf4.e
+        for mutant in mutants:
+            pa._cells[a, 3] = mutant
+            assert any(pa.cell_mover(a, 3)(k) != move(k) for k in keys)
+        pa._cells[a, 3] = cells
+
+
 def _identity_kernel_move(monkeypatch):
     """Mutant: ``kernel_fiber`` walks its subspaces unmoved, C = I."""
     real = action.act_subspace
@@ -1078,11 +1263,13 @@ def test_middle_column_fixers_are_the_group_elements_fixing_e1(q):
 
 def test_line_orbit_suite_walks_neither_the_lines_nor_the_group(monkeypatch):
     """A work count in place of a timing: the q = 4 suite holds at most
-    4,001 closure states in 12 closures (42,481 when its two line orbits
-    were walked breadth-first, 4,081 in 14 when each stabilizer's subgroup
-    orbit was walked apart from its fibers' table), the q = 8 suite 5,617
-    in 6, and neither draws an element of ``pgl_elements`` (60,480 when the
-    q = 4 filter streamed the whole group)."""
+    2,201 closure states in 12 closures (4,001 when the two special lines'
+    fibers were walked state by state and not by radical blocks, 42,481
+    when its two line orbits were walked breadth-first, 4,081 in 14 when
+    each stabilizer's subgroup orbit was walked apart from its fibers'
+    table), the q = 8 suite 5,617 in 6, and neither draws an element of
+    ``pgl_elements`` (60,480 when the q = 4 filter streamed the whole
+    group)."""
     states, draws = [], []
     real_closure, real_elements = action.closure, action.pgl_elements
 
@@ -1098,7 +1285,7 @@ def test_line_orbit_suite_walks_neither_the_lines_nor_the_group(monkeypatch):
 
     monkeypatch.setattr(action, "closure", counted_closure)
     monkeypatch.setattr(action, "pgl_elements", counted_elements)
-    for q, bound, walks in ((4, 4001, 12), (8, 5617, 6)):
+    for q, bound, walks in ((4, 2201, 12), (8, 5617, 6)):
         states.clear()
         assert all(c["pass"] for c in atlas.verify_line_orbits(field(q))["checks"])
         assert len(states) <= walks and 0 < sum(states) <= bound, q
