@@ -10,6 +10,8 @@ bookkeeping (orbit sizes, stabilizers, point distributions, cubic invariants,
 line-orbit splits) from scratch by exhaustive or sampled computation.
 """
 
+import types
+
 from .atlas import (
     EMPTY_BASE_LABELS,
     EXPECTED_CUBIC_KIND,
@@ -92,74 +94,7 @@ from .action import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GF",
-    "field",
-    "Subspace",
-    "span",
-    "meet",
-    "join",
-    "pg_points",
-    "plane_from_pattern",
-    "gaussian_binomial",
-    "POINT_CLASSES",
-    "veronese",
-    "point_class",
-    "census",
-    "expected_census",
-    "nucleus_plane",
-    "delta",
-    "delta_inv",
-    "form_eval",
-    "form_to_str",
-    "form_from_str",
-    "classify_conic",
-    "CUBIC_KINDS",
-    "PlaneSignature",
-    "plane_key",
-    "plane_signature",
-    "point_class_counts",
-    "nucleus_meet_dim",
-    "cubic_form",
-    "cubic_points",
-    "cubic_type",
-    "line_class_profile",
-    "orbit_keys",
-    "k_equivalent",
-    "pgl_elements",
-    "pgl_order",
-    "SCHEMA",
-    "LABELS",
-    "EMPTY_BASE_LABELS",
-    "EXPECTED_CUBIC_KIND",
-    "expected_hyperplane_distribution",
-    "expected_point_distribution",
-    "expected_signature",
-    "expected_stabilizer_order",
-    "plane_stabilizer_order",
-    "planes_meeting_nucleus_count",
-    "representative",
-    "representatives",
-    "representative_pattern",
-    "representative_parameters",
-    "signature_table",
-    "orbit_atlas",
-    "classify_plane",
-    "classify_net",
-    "net_of_plane",
-    "plane_of_net",
-    "net_base_points",
-    "net_double_line_count",
-    "example_net",
-    "verify_distributions",
-    "verify_double_lines",
-    "verify_line_orbits",
-    "verify_partition",
-    "verify_known_net",
-    "OutOfFamilyError",
-    "ClassificationError",
-    "VerificationError",
-    "ConfigurationError",
-    "ResourceBudgetError",
-    "__version__",
-]
+# Every name imported above; the submodules that the imports bind are left out.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+__all__.append("__version__")

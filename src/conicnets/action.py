@@ -18,14 +18,15 @@ entry, first entry in the highest bits (the layout of ``projgeom.pack_rows``),
 so a subspace key is its reduced packed rows joined together.  The action is
 linear and addition is XOR, so the image of a packed row v is
 ``hi[v >> 3e] ^ lo[v & (2^3e - 1)]`` for two split tables of q^3 entries
-each; scaling by c uses one such pair per c.  ``packed_action`` builds one
-``PackedAction`` per field per process.  Its ``mover`` binds one matrix's
+each; scaling by c uses one such pair per c.  ``packed_action`` reads the
+field's one ``PackedAction`` from its store (``gf.per_field``), built on
+first use and dropped by ``GF.forget``.  Its ``mover`` binds one matrix's
 tables into a map from n-row keys to image keys for points, lines and
 planes (n = 1, 2, 3): the one packed elimination, straight-line code with no
 dependent-row branch, since a lift of an invertible matrix drops no row.
 Every orbit walk steps through movers.  One breadth-first ``closure``
 returns the set of states it reached; ``subspace_orbit`` runs it on the
-``PackedAction.walk`` of a tuple of subspaces under any list of matrices.
+``PackedAction.walk`` of one subspace or a pair under any list of matrices.
 A generator that is an involution, such as the transvection, never steps a
 state back to the one it came from.  ``_kernel_move`` builds the one C,
 which takes an ``anchor`` (from ``invariants``) to e0, with the generators
@@ -47,11 +48,10 @@ atlas, cli.
 
 from __future__ import annotations
 
-import functools
 from itertools import accumulate
 
 from .errors import ResourceBudgetError, VerificationError
-from .gf import GF
+from .gf import GF, per_field
 from .invariants import anchor, nucleus_meet_dim, point_class_counts
 from .projgeom import Subspace, mat3_det, normalize_point, pg_points, rref
 
@@ -170,9 +170,12 @@ class PackedAction:
         return self._tables[a]
 
     def walk(self, subspaces, gens):
-        """``closure``'s (start, step, involutions) for subspaces under ``gens``:
-        a state is one key or a tuple of keys; an involution squares to I.
-        A lower unitriangular matrix moves by ``triangular_mover``."""
+        """``closure``'s (start, step, involutions) for one subspace or a pair
+        under ``gens``, other counts refused with ValueError: a state is one
+        key or a pair of keys; an involution squares to I.  A lower
+        unitriangular matrix moves by ``triangular_mover``."""
+        if not 1 <= len(subspaces) <= 2:
+            raise ValueError("a walk moves one subspace or a pair, got %d" % len(subspaces))
         gf = self.gf
         involutions = [i for i, a in enumerate(gens)
                        if normalize_point(gf, mat3_mul(gf, a, a)) == IDENTITY3]
@@ -182,7 +185,8 @@ class PackedAction:
         if len(movers) == 1:
             (m,) = movers
             return subspaces[0].key_int(), lambda k, i: m[i](k), involutions
-        step = lambda st, i: tuple(m[i](k) for m, k in zip(movers, st))
+        (m, n) = movers
+        step = lambda st, i: (m[i](st[0]), n[i](st[1]))
         return tuple(s.key_int() for s in subspaces), step, involutions
 
     def mover(self, tables, n: int):
@@ -351,7 +355,10 @@ class PackedAction:
         return lambda k: t0[k & m0] ^ t1[k >> s1 & m1] ^ t2[k >> s2 & m2]
 
 
-packed_action = functools.cache(PackedAction)
+@per_field
+def packed_action(gf: GF) -> PackedAction:
+    """The field's ``PackedAction``; a refused field stores nothing."""
+    return PackedAction(gf)
 
 
 # -- generators and the group ---------------------------------------------
@@ -421,7 +428,7 @@ def closure(start, step, ngens: int, max_keys: int | None = None, involutions=()
 
 
 def subspace_orbit(subspaces, gens, max_keys: int | None = None) -> set:
-    """Orbit of a tuple of subspaces under the group generated by the
+    """Orbit of one subspace or a pair under the group generated by the
     matrices ``gens``: one ``closure`` of their ``PackedAction.walk``."""
     start, step, involutions = packed_action(subspaces[0].gf).walk(subspaces, gens)
     return closure(start, step, len(gens), max_keys, involutions)
@@ -501,6 +508,17 @@ def kernel_fiber(subspaces, kernels, max_keys: int | None = None):
     return head.keys()
 
 
+class _Memo(dict):
+    """key -> move(key), each key moved once, on its first lookup."""
+
+    def __init__(self, move):
+        self.move = move
+
+    def __missing__(self, key):
+        self[key] = image = self.move(key)
+        return image
+
+
 def fiber_orbits(fixed, lines: dict, kernels) -> tuple[list[set[int]], int]:
     """(orbits, |H (C fixed)|): the orbits of the stabilizer S of the
     subspaces ``fixed`` on the ``lines`` (packed key -> line), as sets of
@@ -515,13 +533,13 @@ def fiber_orbits(fixed, lines: dict, kernels) -> tuple[list[set[int]], int]:
     head, step, involutions = pa.walk(tuple(act_subspace(s, c) for s in fixed), gens)
     table = {}  # (state, i) -> image: each met once, no involution skipped
     size = len(closure(head, lambda st, i: table.setdefault((st, i), step(st, i)), len(gens)))
-    movers = [functools.cache(pa.mover(pa.tables(a), 2)) for a in gens]
+    moved = [_Memo(pa.mover(pa.tables(a), 2)) for a in gens]
     own = {act_subspace(l, c).key_int(): k for k, l in sorted(lines.items())}
     orbits, placed = [], set()
     for m, k in own.items():
         if k in placed:
             continue
-        seen = closure((head, m), lambda st, i: (table[st[0], i], movers[i](st[1])),
+        seen = closure((head, m), lambda st, i: (table[st[0], i], moved[i][st[1]]),
                        len(gens), involutions=involutions)
         comp = {line for st, line in seen if st == head}
         if not comp <= own.keys():

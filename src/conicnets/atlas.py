@@ -48,7 +48,7 @@ from .errors import (
     VerificationError,
     brief,
 )
-from .gf import GF, field
+from .gf import GF, field, per_field
 from .invariants import (
     PlaneSignature,
     anchor,
@@ -197,11 +197,17 @@ def expected_hyperplane_distribution(label: str, q: int) -> tuple[int, int, int,
     return hyperplane_distribution(expected_point_distribution(label, q), q)
 
 
-@functools.cache
-def expected_signature(label: str, q: int) -> PlaneSignature:
-    """The signature shared by every plane of the named orbit: its
+@per_field
+def expected_signatures(gf: GF) -> dict[str, PlaneSignature]:
+    """Orbit label -> the signature shared by every plane of the orbit: its
     ``ORBIT_TABLE`` row's od0 and cubic kind."""
-    return PlaneSignature(expected_point_distribution(label, q), ORBIT_TABLE[label].cubic_kind)
+    return {label: PlaneSignature(expected_point_distribution(label, gf.q), row.cubic_kind)
+            for label, row in ORBIT_TABLE.items()}
+
+
+def expected_signature(label: str, q: int) -> PlaneSignature:
+    """The named orbit's entry of ``expected_signatures`` over GF(q)."""
+    return expected_signatures(field(q))[label]
 
 
 def expected_stabilizer_order(label: str, q: int) -> int:
@@ -267,7 +273,7 @@ def representative_pattern(gf: GF, label: str, overrides: dict | None = None):
     return tuple(tuple(int(values.get(c, c)) for c in r) for r in row.rows.split()), values
 
 
-@functools.cache
+@per_field
 def _rep_data(gf: GF):
     """(representatives, their parameters)."""
     reps: dict[str, Subspace] = {}
@@ -279,8 +285,9 @@ def _rep_data(gf: GF):
 
 
 def representatives(gf: GF) -> dict[str, Subspace]:
-    """All 18 orbit representatives, cached per field; checked against their
-    rows by ``verify_distributions``."""
+    """All 18 orbit representatives, built once per field and kept in its
+    store (``per_field``); checked against their rows by
+    ``verify_distributions``."""
     return _rep_data(gf)[0]
 
 
@@ -299,7 +306,7 @@ def representative(gf: GF, label: str) -> Subspace:
 # -- signature lookup and classification ------------------------------------
 
 
-@functools.cache
+@per_field
 def signature_table(gf: GF) -> dict[PlaneSignature, tuple[str, ...]]:
     """Signature -> orbit labels, from the closed-form tables.
 
@@ -308,12 +315,12 @@ def signature_table(gf: GF) -> dict[PlaneSignature, tuple[str, ...]]:
     the signature it equals.
     """
     build: dict[PlaneSignature, list[str]] = {}
-    for label in LABELS:
-        build.setdefault(expected_signature(label, gf.q), []).append(label)
+    for label, sig in expected_signatures(gf).items():
+        build.setdefault(sig, []).append(label)
     return {sig: tuple(ls) for sig, ls in build.items()}
 
 
-@functools.cache
+@per_field
 def orbit_atlas(gf: GF) -> dict[str, frozenset[int]]:
     """Orbit label -> frozenset of packed plane keys.  Exhaustive, q <= 4."""
     if gf.q > 4:
@@ -459,7 +466,7 @@ def _orbit_rows(gf: GF, orders: dict[str, int] | None) -> list[dict]:
     params = representative_parameters(gf)
     for label in LABELS:
         s = representatives(gf)[label]
-        sig = expected_signature(label, gf.q)
+        sig = expected_signatures(gf)[label]
         stab = orders[label] if orders else None
         rows.append({
             "label": label,
@@ -483,7 +490,7 @@ def verify_distributions(gf: GF) -> dict:
     representative fails one ``distribution[...]`` check of a full report."""
     checks = []
     for label, s in representatives(gf).items():
-        sig, want = plane_signature(s), expected_signature(label, gf.q)
+        sig, want = plane_signature(s), expected_signatures(gf)[label]
         od4 = hyperplane_class_counts(s)
         checks.append(_check(
             "distribution[%s]" % label,

@@ -150,34 +150,8 @@ def _forms_from_payload(gf: GF, payload: dict):
     return out
 
 
-def _json(obj, indent: str = "") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) byte for byte, for the types
-    reports hold: dicts with str keys, lists, str, int, bool and None."""
-    t = type(obj)
-    if t is list or t is dict:
-        if not obj:
-            return "[]" if t is list else "{}"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        if t is dict:  # a key that is not a str fails in _json_str
-            body = sep.join([_json_str(k) + ": " + _json(obj[k], inner) for k in sorted(obj)])
-            return "{\n" + inner + body + "\n" + indent + "}"
-        ints = set(map(type, obj)) == {int}
-        body = sep.join(map(int.__repr__, obj) if ints else [_json(v, inner) for v in obj])
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if t is str:
-        return _json_str(obj)
-    if t is int:
-        return int.__repr__(obj)
-    if t is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    raise TypeError("a record holds no %s" % t.__name__)
-
-
 def _emit(args, obj: dict | str) -> None:
-    text = _json(obj) + "\n" if isinstance(obj, dict) else obj
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n" if isinstance(obj, dict) else obj
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -271,7 +245,7 @@ def cmd_classify_plane(args) -> int:
     plane = _plane_from_payload(gf, _read_payload(args))
     meet, points = nucleus_cut(plane)
     label = atlas.classify_plane_at(plane, meet, points)
-    sig = atlas.expected_signature(label, gf.q)
+    sig = atlas.expected_signatures(gf)[label]
     _emit(args, _plane_record(gf.q, label, sig, plane.rows, meet.rows))
     return EXIT_OK
 

@@ -14,9 +14,15 @@ are reproducible across runs:
 
 A caller may override the modulus; it is validated for degree and
 irreducibility at construction time.
+
+``field`` interns one instance per (q, modulus).  Each keeps a store of the
+values that depend on the field alone, read through ``per_field``, and
+pickles and copies as ``field(q, modulus)``, so neither travels.
 """
 
 from __future__ import annotations
+
+import functools
 
 DEFAULT_MODULI = {
     1: 0b11,
@@ -125,6 +131,7 @@ class GF:
             if as_root[c] is None or x < as_root[c]:
                 as_root[c] = x
         self._as_root = as_root
+        self._store: dict = {}  # per_field function -> its value for this field
 
     def _clmul_mod(self, a: int, b: int) -> int:
         e, mod, top = self.e, self.modulus, 1 << self.e
@@ -211,7 +218,14 @@ class GF:
                 return g
         raise AssertionError("multiplicative group of %r has no generator" % self)
 
-    # -- identity ------------------------------------------------------
+    # -- identity and store --------------------------------------------
+
+    def forget(self) -> None:
+        """Empty this field's store: each ``per_field`` value is built again on its next read."""
+        self._store.clear()
+
+    def __reduce__(self):
+        return field, (self.q, self.modulus)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GF) and (self.q, self.modulus) == (other.q, other.modulus)
@@ -229,7 +243,8 @@ _FIELDS: dict[tuple[int, int], GF] = {}
 
 
 def field(q: int, modulus: int | None = None) -> GF:
-    """Cached GF instance; repeated calls with equal arguments share tables."""
+    """The interned GF instance; repeated calls with equal arguments share
+    its tables and its store."""
     if modulus is None:
         e = q.bit_length() - 1
         modulus = DEFAULT_MODULI.get(e, 0)
@@ -239,3 +254,16 @@ def field(q: int, modulus: int | None = None) -> GF:
         gf = GF(q, modulus)
         _FIELDS[key] = gf
     return gf
+
+
+def per_field(build):
+    """Decorator: read ``build(gf)`` through gf's store, building it on the
+    first read and keeping it until ``GF.forget``; a build that raises
+    keeps nothing, so it raises again on the next read."""
+
+    def read(gf: GF):
+        if build not in gf._store:
+            gf._store[build] = build(gf)
+        return gf._store[build]
+
+    return functools.wraps(build)(read)

@@ -10,6 +10,7 @@ images under every element of a stabilizer.
 
 import itertools
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -659,7 +660,7 @@ def test_one_packed_action_per_field(gf4, monkeypatch):
     """One process builds a field's scale tables once: a sweep, the 18
     stabilizer counts and the line-orbit report share them.  A refused
     field is refused on every call, not remembered."""
-    packed_action.cache_clear()
+    gf4.forget()
     built = []
     real = PackedAction.__init__
     monkeypatch.setattr(PackedAction, "__init__",
@@ -686,7 +687,7 @@ def test_line_orbit_suite_tables_only_group_and_kernel_generators(q):
     the x10(t) not yet tabled: 14 at q = 4 and 11 at q = 8.  It builds them
     for no conjugated copy (one more with one)."""
     gf = field(q)
-    packed_action.cache_clear()
+    gf.forget()
     assert all(c["pass"] for c in atlas.verify_line_orbits(gf)["checks"])
     want = {*generators(gf), *action._kernel_subgroup_generators(gf, True),
             *action._kernel_subgroup_generators(gf, False)}
@@ -816,6 +817,36 @@ def test_closure_involution_skip_keeps_the_tree(gf2, gf4):
         assert n_plain - (len(calls) - n_plain) == by_t
         sizes.append(len(plain))
     assert sizes[18:] == [10080, 30240, 1260]
+
+
+def test_pair_walk_moves_each_key_as_its_own_walk(gf2, gf4):
+    """A pair state steps each key as the walk of its one subspace does,
+    under the generic generators, lower unitriangular ones and involutions:
+    over every state of each pair's orbit at q = 2, and 2,000 seeded random
+    steps at q = 4.  A walk of no subspace or of three is refused before
+    any table is built."""
+    rng = random.Random(44)
+    for gf in (gf2, gf4):
+        pa = PackedAction(gf)
+        gens = generators(gf) + action._kernel_subgroup_generators(gf, True)
+        point = span(gf, [(0, 0, 0, 0, 1, 0)])
+        line = span(gf, [(1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0)])
+        plane = act_subspace(representative(gf, "Sigma10"), (1, 0, 0, 1, 1, 0, 0, 1, 1))
+        for bad in ((), (point, line, plane)):
+            with pytest.raises(ValueError, match="one subspace or a pair, got %d" % len(bad)):
+                pa.walk(bad, gens)
+        assert pa._tables == {}
+        for pair in ((point, line), (line, plane), (plane, point)):
+            start, step, involutions = pa.walk(pair, gens)
+            alone = [pa.walk((s,), gens) for s in pair]
+            assert start == tuple(k for k, _, _ in alone)
+            assert involutions == alone[0][2] == [0, 2, 3, 4] + [5] * (gf.q == 2)  # diag(1, 1, 1)
+            states = (closure(start, step, len(gens)) if gf.q == 2
+                      else accumulate(range(2000), lambda st, _: step(st, rng.randrange(6)),
+                                      initial=start))
+            for st in states:
+                for i in range(len(gens)):
+                    assert step(st, i) == tuple(move(k, i) for k, (_, move, _) in zip(st, alone))
 
 
 @pytest.mark.parametrize("e", range(1, 9))

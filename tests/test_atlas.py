@@ -23,6 +23,7 @@ import importlib
 import re
 
 from conicnets import action, atlas, cli, invariants, projgeom
+from conicnets import gf as gf_module
 from conicnets.atlas import (
     EMPTY_BASE_LABELS,
     EXPECTED_CUBIC_KIND,
@@ -173,7 +174,7 @@ def test_signatures_and_representatives_scan_no_hyperplane(monkeypatch):
 
     for module in (atlas, invariants):
         monkeypatch.setattr(module, "hyperplane_class_counts", forbidden)
-    atlas._rep_data.cache_clear()
+    field(8).forget()
     for label, s in representatives(field(8)).items():
         sig = plane_signature(s)
         assert sig == expected_signature(label, 8), label
@@ -794,13 +795,13 @@ def test_verify_partition_rejects_a_wrong_stabilizer_table(gf2, monkeypatch):
 
 @pytest.fixture
 def table_row():
-    """Replace a field of one ORBIT_TABLE row for one test, with the caches
-    that read the table cleared before and after."""
+    """Replace a field of one ORBIT_TABLE row for one test, with every
+    field's stored values, which read the table, forgotten before and after."""
     saved = dict(atlas.ORBIT_TABLE)
 
     def clear():
-        for cached in (atlas.expected_signature, atlas.signature_table, atlas._rep_data):
-            cached.cache_clear()
+        for gf in gf_module._FIELDS.values():
+            gf.forget()
 
     def replace(label, **fields):
         atlas.ORBIT_TABLE[label] = atlas.ORBIT_TABLE[label]._replace(**fields)
@@ -910,10 +911,11 @@ def test_verify_known_net_report(gf4):
 def test_reports_do_not_depend_on_call_order(gf4, gf8):
     """With the per-field tables cold or warm, and one report before or
     after the other, each report serializes to the same bytes every time."""
-    action.packed_action.cache_clear()
+    gf4.forget()
+    gf8.forget()
     reports = {"line-orbits": lambda: atlas.verify_line_orbits(gf4),
                "partition": lambda: atlas.verify_partition(gf8)}
     texts = {name: set() for name in reports}
     for name in ("line-orbits", "partition", "partition", "line-orbits"):
-        texts[name].add(cli._json(reports[name]()))
+        texts[name].add(json.dumps(reports[name](), indent=2, sort_keys=True))
     assert all(len(t) == 1 for t in texts.values())

@@ -705,36 +705,7 @@ def test_top_level_arguments_go_through_the_top_level_parser(argv, code, stream,
     assert {"out": err, "err": out}[stream] == ""
 
 
-# -- the record writer -------------------------------------------------------
-
-# Strings that need escaping: quotes, backslashes, control characters,
-# non-ASCII, a character outside the BMP and a lone surrogate.
-_json_text = st.one_of(st.text(max_size=8), st.sampled_from([
-    '"', "\\", "\n\t\x00\x1f\x7f", "\u00e9/\u2028", "a\U0001f600b", "\ud800", "",
-]))
-_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), _json_text)
-_json_values = st.recursive(
-    _json_scalars,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=5),
-        st.lists(st.one_of(st.integers(), st.booleans(), _json_text), max_size=5),
-        st.dictionaries(_json_text, inner, max_size=5),
-    ),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(obj=_json_values)
-def test_record_writer_matches_json_dumps(obj):
-    assert cli._json(obj) == json.dumps(obj, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("obj", [(1, 2), 1.5, {"a": {1: 2}}, {"a": [0, {"b", "c"}]}],
-                         ids=["tuple", "float", "int-key", "set"])
-def test_record_writer_rejects_other_types(obj):
-    with pytest.raises(TypeError):
-        cli._json(obj)
+# -- the report bytes ---------------------------------------------------------
 
 
 def test_reports_are_written_as_json_dumps_writes_them(capsys, monkeypatch, tmp_path):

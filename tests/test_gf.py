@@ -1,12 +1,17 @@
-"""Field arithmetic over GF(2^e).
+"""Field arithmetic over GF(2^e), and the store of per-field values.
 
 Everything here is exhaustive: the fields are small enough that the axioms
 can be checked on every element tuple.
 """
 
+import copy
+import pickle
+
 import pytest
 
-from conicnets.gf import field, is_irreducible
+from conicnets import action, atlas
+from conicnets.errors import ResourceBudgetError
+from conicnets.gf import GF, field, is_irreducible
 
 QS = (2, 4, 8, 16)
 
@@ -144,3 +149,54 @@ def test_element_range_checked():
         gf.mul(4, 1)
     with pytest.raises(ValueError):
         gf.add(1, -1)
+
+
+# -- the per-field store -----------------------------------------------------
+
+
+def _stored(gf):
+    return atlas.representatives(gf), atlas.signature_table(gf), action.packed_action(gf)
+
+
+def test_two_moduli_of_one_order_share_no_stored_value():
+    """GF(16) under two moduli is two fields: each builds its own
+    representatives, signature table and packed action, and forgetting
+    either one leaves the other warm."""
+    a, b = field(16), field(16, 0b11111)
+    a.forget()
+    b.forget()
+    first, second = _stored(a), _stored(b)
+    assert all(x is not y for x, y in zip(first, second))
+    assert first[1] == second[1]  # a signature depends on q alone
+    assert all(s.gf is a for s in first[0].values()) and all(s.gf is b for s in second[0].values())
+    b.forget()
+    assert all(x is y for x, y in zip(_stored(a), first))
+    rebuilt = _stored(b)
+    assert all(x is not y for x, y in zip(rebuilt, second))
+    a.forget()
+    assert all(x is y for x, y in zip(_stored(b), rebuilt))
+
+
+def test_fields_and_subspaces_pickle_and_copy_as_the_interned_field():
+    """A field, and a Subspace over it, pickle and copy back onto the
+    interned field with its warm store; the pickle holds neither tables nor
+    stored values, and a field built without ``field`` comes back interned."""
+    gf = field(16, 0b11111)
+    reps = atlas.representatives(gf)
+    s = reps["Sigma22"]
+    for back in (pickle.loads(pickle.dumps(gf)), copy.copy(gf), copy.deepcopy(gf)):
+        assert back is gf
+    for back in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert back == s and back.gf is gf
+    assert atlas.representatives(gf) is reps
+    assert len(pickle.dumps(field(256))) < 100
+    assert pickle.loads(pickle.dumps(GF(8))) is field(8)
+
+
+def test_a_refused_packed_action_is_refused_on_every_call_and_stores_nothing():
+    gf = field(32)
+    gf.forget()
+    for _ in range(2):
+        with pytest.raises(ResourceBudgetError, match="q <= 16"):
+            action.packed_action(gf)
+        assert gf._store == {}

@@ -182,11 +182,14 @@ def test_docstring_identifiers_name_something():
 
 
 def test_module_level_caches_are_the_known_ones():
-    """The package's process-wide caches, pinned so that a new one is a
-    decision: every ``functools.cache`` (a decorator or a call) in
-    ``src/``, and every module-level container that a function stores into
-    by subscript, found by parsing the modules."""
-    cached, stored = set(), set()
+    """The package's process-wide caches and per-field values, pinned so
+    that a new one is a decision: every ``functools.cache`` (a decorator or
+    a call, and none inside another expression) in ``src/``, every
+    module-level container that a function stores into by subscript, and
+    every function read through the field's store (``gf.per_field``),
+    found by parsing the modules."""
+    cached, stored, per_field, uses = set(), set(), set(), 0
+    kinds = {"functools.cache": cached, "per_field": per_field}
     for path in sorted(Path(conicnets.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         module_names = {t.id for node in tree.body
@@ -195,14 +198,17 @@ def test_module_level_caches_are_the_known_ones():
                         if isinstance(t, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
-                cached.update(node.name for d in node.decorator_list
-                              if ast.unparse(d) == "functools.cache")
+                for d in node.decorator_list:
+                    kinds.get(ast.unparse(d), set()).add(node.name)
                 stored.update((path.stem, n.value.id) for n in ast.walk(node)
                               if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
                               and isinstance(n.value, ast.Name) and n.value.id in module_names)
             elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-                  and ast.unparse(node.value.func) == "functools.cache"):
-                cached.update(t.id for t in node.targets)
-    assert cached == {"expected_signature", "_rep_data", "signature_table", "orbit_atlas",
-                      "packed_action", "_parser"}
+                  and ast.unparse(node.value.func) in kinds):
+                kinds[ast.unparse(node.value.func)].update(t.id for t in node.targets)
+            elif isinstance(node, ast.Attribute) and ast.unparse(node).startswith("functools."):
+                uses += node.attr in ("cache", "lru_cache")
+    assert cached == {"_parser"} and uses == 1
     assert stored == {("gf", "_FIELDS")}
+    assert per_field == {"_rep_data", "expected_signatures", "signature_table", "orbit_atlas",
+                         "packed_action"}
