@@ -24,9 +24,9 @@ first use and dropped by ``GF.forget``.  Its ``mover`` binds one matrix's
 tables into a map from n-row keys to image keys for points, lines and
 planes (n = 1, 2, 3): the one packed elimination, straight-line code with no
 dependent-row branch, since a lift of an invertible matrix drops no row.
-Every orbit walk steps through movers.  One breadth-first ``closure``
-returns the set of states it reached; ``subspace_orbit`` runs it on the
-``PackedAction.walk`` of one subspace or a pair under any list of matrices.
+Every orbit walk steps through movers, one int per state.  One breadth-first
+``closure`` returns the set of states it reached; ``subspace_orbit`` runs it
+on the ``PackedAction.walk`` of one subspace or a pair under any matrices.
 A generator that is an involution, such as the transvection, never steps a
 state back to the one it came from.  ``_kernel_move`` builds the one C,
 which takes an ``anchor`` (from ``invariants``) to e0, with the generators
@@ -38,8 +38,8 @@ group (``_anchor_cells``), ``k_equivalent`` compares two fibers, ``atlas``
 counts stabilizers by it, and ``fiber_orbits`` splits lines by the
 stabilizer of subspaces that fix an anchor.  A lower unitriangular matrix
 lifts to a lower unitriangular one, which keeps every pivot, so its
-``PackedAction.triangular_mover`` only back-substitutes, and its
-``PackedAction.cell_mover`` maps the big Schubert cell by affine tables.
+``PackedAction.triangular_mover`` only back-substitutes, and on the big
+Schubert cell ``_plane_sweep`` moves a copy's keys in bulk, as bytes planes.
 ``congruence_image`` moves one point, each diagonal entry of A M A^T a sum
 of squares; ``act_subspace`` moves each basis row with it and reduces.
 Layers import in one order: gf, projgeom, veronese, invariants, action,
@@ -48,6 +48,7 @@ atlas, cli.
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate
 
 from .errors import ResourceBudgetError, VerificationError
@@ -56,6 +57,7 @@ from .invariants import anchor, nucleus_meet_dim, point_class_counts
 from .projgeom import Subspace, mat3_det, normalize_point, pg_points, rref
 
 IDENTITY3 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+_BYTE0 = 0 if sys.byteorder == "little" else 7  # key byte i is native record byte i ^ _BYTE0
 
 
 def pgl_order(q: int) -> int:
@@ -172,8 +174,8 @@ class PackedAction:
     def walk(self, subspaces, gens):
         """``closure``'s (start, step, involutions) for one subspace or a pair
         under ``gens``, other counts refused with ValueError: a state is one
-        key or a pair of keys; an involution squares to I.  A lower
-        unitriangular matrix moves by ``triangular_mover``."""
+        int, a key or a pair packed ``first << width | second``; an involution
+        squares to I.  A lower unitriangular matrix moves by ``triangular_mover``."""
         if not 1 <= len(subspaces) <= 2:
             raise ValueError("a walk moves one subspace or a pair, got %d" % len(subspaces))
         gf = self.gf
@@ -185,9 +187,10 @@ class PackedAction:
         if len(movers) == 1:
             (m,) = movers
             return subspaces[0].key_int(), lambda k, i: m[i](k), involutions
-        (m, n) = movers
-        step = lambda st, i: (m[i](st[0]), n[i](st[1]))
-        return tuple(s.key_int() for s in subspaces), step, involutions
+        (m, n), width = movers, len(subspaces[1].rows) * self.w
+        low = (1 << width) - 1
+        step = lambda st, i: m[i](st >> width) << width | n[i](st & low)
+        return subspaces[0].key_int() << width | subspaces[1].key_int(), step, involutions
 
     def mover(self, tables, n: int):
         """The map key -> image key of n-row subspaces under ``tables``,
@@ -331,28 +334,49 @@ class PackedAction:
         return (sum(((1 << n * e) - 1) << (6 - n) * e + r for r in rows),
                 sum(1 << (6 - n + k) * e + r for k, r in enumerate(rows)))
 
-    def cell_mover(self, a, n: int):
-        """``triangular_mover(a, n)`` on ``big_cell(n)``, the big Schubert
-        cell, where the lift feeds no free coordinate into a pivot one, so
-        the image is GF(2)-affine in the free bits: one table per chunk of
-        at most 3e of them, read off ``triangular_mover`` on the identity
-        block and its one-bit perturbations, and kept per (a, n)."""
+    def cell_tables(self, a, n: int) -> list:
+        """``triangular_mover(a, n)`` on ``big_cell(n)``, where it is GF(2)-affine
+        in the free bits, as ``_plane_sweep`` tables kept per (a, n): entry o
+        lists the (i, t) whose translates by t of key byte i XOR to image byte
+        o, the identity block's image in byte 0's."""
         if (a, n) not in self._cells:
-            move, (_, ident), s3 = self.triangular_mover(a, n), self.big_cell(n), self.s3
-            base, rows = move(ident), range(0, n * self.w, self.w)
-            cells = [(r, s3) for r in rows] + [(r + s3, (3 - n) * self.gf.e) for r in rows if n < 3]
-            for c, (shift, width) in enumerate(cells):
-                table = [0 if c else base]
-                for b in range(shift, shift + width):
-                    col = move(ident | 1 << b) ^ base
-                    table += [x ^ col for x in table]
-                cells[c] = shift, (1 << width) - 1, table
-            self._cells[a, n] = cells + [(0, 0, [0])] * (n == 1)  # 3 chunks, or 4 for a line
-        (_, m0, t0), (s1, m1, t1), (s2, m2, t2), *fourth = self._cells[a, n]  # the first at 0
-        if fourth:
-            ((s4, m4, t4),) = fourth
-            return lambda k: t0[k & m0] ^ t1[k >> s1 & m1] ^ t2[k >> s2 & m2] ^ t4[k >> s4 & m4]
-        return lambda k: t0[k & m0] ^ t1[k >> s1 & m1] ^ t2[k >> s2 & m2]
+            move, (mask, ident) = self.triangular_mover(a, n), self.big_cell(n)
+            size, free = min(8, -(-n * self.w // 8)), ((1 << n * self.w) - 1) & ~mask
+            base, tables = move(ident), []
+            for i in range(size):
+                entries = [0 if i else base]
+                for b in range(8 * i, 8 * i + 8):
+                    col = move(ident | 1 << b) ^ base if free >> b & 1 else 0
+                    entries += [x ^ col for x in entries]
+                recs = _records(entries)
+                tables.append([recs[o ^ _BYTE0::8] for o in range(size)])
+            self._cells[a, n] = [[(i, t[o]) for i, t in enumerate(tables) if any(t[o])]
+                                 for o in range(size)]
+        return self._cells[a, n]
+
+
+def _records(keys) -> bytes:
+    """The keys' low 64 bits as native 8-byte words."""
+    from array import array  # only here: a classify request never loads it
+
+    return array("Q", map(((1 << 64) - 1).__and__, keys)).tobytes()
+
+
+def _plane_sweep(keys, steps, high: int):
+    """The big-cell ``keys``, then their images along ``steps`` (``cell_tables``),
+    as iterables of keys, held as ``_records``, one bytes plane per key byte.
+    Past bit 64 each key holds the pivot bits ``high`` (planes at q = 16)."""
+    recs = _records(keys)
+    for tables in [None, *steps]:
+        if tables:
+            planes, recs = [recs[i ^ _BYTE0::8] for i in range(len(tables))], bytearray(len(recs))
+            for o, terms in enumerate(tables):
+                x = 0
+                for i, t in terms:
+                    x ^= int.from_bytes(planes[i].translate(t), "little")
+                recs[o ^ _BYTE0::8] = x.to_bytes(len(recs) // 8, "little")
+        words = memoryview(recs).cast("Q")
+        yield map(high.__or__, words) if high else words
 
 
 @per_field
@@ -525,28 +549,29 @@ def fiber_orbits(fixed, lines: dict, kernels) -> tuple[list[set[int]], int]:
     those keys in order of least key, for ``kernels`` an ``anchor`` that S
     fixes.  With C from ``_kernel_move``, C S C^-1 lies in H, and the orbit
     of C l is the fiber {l' : (C fixed, l') in H (C fixed, C l)}.  H (C fixed)
-    is tabled by one walk, so a fiber's closure moves only the line, by
+    is walked once and tabled as per-generator index lists, so a fiber's
+    closure walks ints ``index << width | line`` and moves only the line, by
     memoized moves; an orbit leaving the given lines raises VerificationError."""
-    gf = fixed[0].gf
-    c, gens = _kernel_move(gf, kernels)
-    pa = packed_action(gf)
+    c, gens = _kernel_move(fixed[0].gf, kernels)
+    pa = packed_action(fixed[0].gf)
     head, step, involutions = pa.walk(tuple(act_subspace(s, c) for s in fixed), gens)
-    table = {}  # (state, i) -> image: each met once, no involution skipped
-    size = len(closure(head, lambda st, i: table.setdefault((st, i), step(st, i)), len(gens)))
+    index = {st: j for j, st in enumerate(closure(head, step, len(gens), involutions=involutions))}
+    nxt = [[index[step(st, i)] for st in index] for i in range(len(gens))]
     moved = [_Memo(pa.mover(pa.tables(a), 2)) for a in gens]
     own = {act_subspace(l, c).key_int(): k for k, l in sorted(lines.items())}
+    width, h, low = 2 * pa.w, index[head], (1 << 2 * pa.w) - 1
     orbits, placed = [], set()
     for m, k in own.items():
         if k in placed:
             continue
-        seen = closure((head, m), lambda st, i: (table[st[0], i], moved[i][st[1]]),
-                       len(gens), involutions=involutions)
-        comp = {line for st, line in seen if st == head}
+        seen = closure(h << width | m, lambda st, i: nxt[i][st >> width] << width
+                       | moved[i][st & low], len(gens), involutions=involutions)
+        comp = {st & low for st in seen if st >> width == h}
         if not comp <= own.keys():
             raise VerificationError("a line orbit leaves its candidate set")
         orbits.append({own[line] for line in comp})
         placed |= orbits[-1]
-    return orbits, size
+    return orbits, len(index)
 
 
 SWAP01 = (0, 1, 0, 1, 0, 0, 0, 0, 1)
@@ -577,7 +602,7 @@ def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     copies of its ``kernel_fiber`` F, one per anchor position, swept cell
     by cell (``_anchor_cells``): a cell's first copy is F or its image under
     the cell's swap, and each further copy is the last moved by one cell
-    generator, its keys of the big Schubert cell by ``cell_mover`` and the
+    generator, its keys of the big Schubert cell by ``_plane_sweep`` and the
     others by ``triangular_mover``, so one copy is held at a time.  A count
     other than (q^2+q+1) |F| raises VerificationError.  The nucleus plane is
     its own orbit; a plane missing it is a ``closure``."""
@@ -591,14 +616,13 @@ def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     fiber = list(kernel_fiber((s,), kernels, max_keys))
     (mask, cell), out = pa.big_cell(n), set()
     for base, gens in _anchor_cells(s.gf, len(kernels) == 1):
-        image = fiber if base is None else list(map(swaps[base], fiber))
-        big = [k for k in image if k & mask == cell]
-        rest = [k for k in image if k & mask != cell]
-        moves = [(pa.cell_mover(a, n), pa.triangular_mover(a, n)) for a in gens]
-        for move_big, move_rest in [(None, None)] + _gray(moves):
-            if move_big:
-                big, rest = list(map(move_big, big)), list(map(move_rest, rest))
-            out.update(big, rest)
+        image, gray = fiber if base is None else list(map(swaps[base], fiber)), _gray(gens)
+        big = _plane_sweep([k for k in image if k & mask == cell],
+                           [pa.cell_tables(a, n) for a in gray], cell >> 64 << 64)
+        rest = accumulate([pa.triangular_mover(a, n) for a in gray], lambda ks, m: [*map(m, ks)],
+                          initial=[k for k in image if k & mask != cell])
+        for copy in zip(big, rest):
+            out.update(*copy)
             if max_keys is not None and len(out) > max_keys:
                 raise ResourceBudgetError("orbit enumeration exceeded %d keys" % max_keys,
                                           partial=len(out))

@@ -736,14 +736,12 @@ def verify_double_lines(
 
 
 def _lines_through_in(gf: GF, p, amb: Subspace) -> dict[int, Subspace]:
-    """Distinct lines through p inside the subspace amb, keyed by packed key."""
-    out: dict[int, Subspace] = {}
-    for s in amb.points():
-        if s == p:
-            continue
-        l = span(gf, [p, s])
-        out[l.key_int()] = l
-    return out
+    """The lines through p inside the subspace amb, keyed by packed key, each
+    spanned once: with its one point on the hyperplane of amb that is zero
+    at p's pivot coordinate, which misses p."""
+    pivot = next(i for i, x in enumerate(p) if x)
+    lines = (span(gf, [p, s]) for s in amb.points() if not s[pivot])
+    return {l.key_int(): l for l in lines}
 
 
 def _middle_column_fixers(gf: GF):

@@ -2,6 +2,7 @@
 per-point actions the package replaced by closed forms or kernel scans,
 stabilizers as sets of group elements (Schreier's lemma) where the package
 counts orbits, a Singer cycle for the sweep the package replaced, the
+tuple-state walk of line orbits it replaced by int states, the
 straightforward forms of code the package unrolled (row reduction, the
 determinantal cubic, the classify records as dicts), and helpers the
 package itself has no use for.  Tests compare the package against them."""
@@ -13,6 +14,7 @@ from itertools import product
 from conicnets.action import (
     IDENTITY3,
     TRANSVECTION,
+    _kernel_move,
     act_subspace,
     closure,
     congruence_image,
@@ -288,6 +290,46 @@ def singer_orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
                                       partial=len(out))
     if len(out) != n * len(fiber):
         raise VerificationError("the Singer images of a kernel fiber overlap")
+    return out
+
+
+def fiber_orbits_by_tuples(fixed, lines: dict, kernels) -> tuple[list[set[int]], int]:
+    """``action.fiber_orbits`` as it walked before its states were ints: the
+    walk of H (C fixed) tabled as a dict from (state, generator) to the
+    image state, a state the tuple of the fixed subspaces' keys, and each
+    fiber's closure over (state, line key) tuples."""
+    gf = fixed[0].gf
+    c, gens = _kernel_move(gf, kernels)
+    pa = packed_action(gf)
+    walks = [pa.walk((act_subspace(s, c),), gens) for s in fixed]
+    head, involutions = tuple(start for start, _, _ in walks), walks[0][2]
+    step = lambda st, i: tuple(move(k, i) for k, (_, move, _) in zip(st, walks))
+    table = {}  # (state, i) -> image: each met once, no involution skipped
+    size = len(closure(head, lambda st, i: table.setdefault((st, i), step(st, i)), len(gens)))
+    moved = [pa.mover(pa.tables(a), 2) for a in gens]
+    own = {act_subspace(l, c).key_int(): k for k, l in sorted(lines.items())}
+    orbits, placed = [], set()
+    for m, k in own.items():
+        if k in placed:
+            continue
+        seen = closure((head, m), lambda st, i: (table[st[0], i], moved[i](st[1])),
+                       len(gens), involutions=involutions)
+        comp = {line for st, line in seen if st == head}
+        if not comp <= own.keys():
+            raise VerificationError("a line orbit leaves its candidate set")
+        orbits.append({own[line] for line in comp})
+        placed |= orbits[-1]
+    return orbits, size
+
+
+def lines_through_by_all_points(gf: GF, p, amb: Subspace) -> dict[int, Subspace]:
+    """The lines through p inside amb, spanned with every other point of amb
+    (q times each), keyed by packed key."""
+    out: dict[int, Subspace] = {}
+    for s in amb.points():
+        if s != p:
+            l = span(gf, [p, s])
+            out[l.key_int()] = l
     return out
 
 

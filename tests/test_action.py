@@ -48,7 +48,9 @@ from conicnets.veronese import nucleus_plane, point_class, veronese
 from oracles import (
     act_point,
     act_point_pg2,
+    fiber_orbits_by_tuples,
     hand_moved_pair,
+    lines_through_by_all_points,
     mat3_inv,
     mulclose,
     orbit_transversal,
@@ -820,11 +822,12 @@ def test_closure_involution_skip_keeps_the_tree(gf2, gf4):
 
 
 def test_pair_walk_moves_each_key_as_its_own_walk(gf2, gf4):
-    """A pair state steps each key as the walk of its one subspace does,
-    under the generic generators, lower unitriangular ones and involutions:
-    over every state of each pair's orbit at q = 2, and 2,000 seeded random
-    steps at q = 4.  A walk of no subspace or of three is refused before
-    any table is built."""
+    """A pair state is one int, the first key above the second's rows, and
+    it steps each key as the walk of its one subspace does, under the
+    generic generators, lower unitriangular ones and involutions: over
+    every state of each pair's orbit at q = 2, and 2,000 seeded random steps
+    at q = 4.  A walk of no subspace or of three is refused before any
+    table is built."""
     rng = random.Random(44)
     for gf in (gf2, gf4):
         pa = PackedAction(gf)
@@ -839,14 +842,17 @@ def test_pair_walk_moves_each_key_as_its_own_walk(gf2, gf4):
         for pair in ((point, line), (line, plane), (plane, point)):
             start, step, involutions = pa.walk(pair, gens)
             alone = [pa.walk((s,), gens) for s in pair]
-            assert start == tuple(k for k, _, _ in alone)
+            width = len(pair[1].rows) * 6 * gf.e
+            split = lambda st: (st >> width, st & (1 << width) - 1)
+            assert split(start) == tuple(k for k, _, _ in alone)
             assert involutions == alone[0][2] == [0, 2, 3, 4] + [5] * (gf.q == 2)  # diag(1, 1, 1)
             states = (closure(start, step, len(gens)) if gf.q == 2
                       else accumulate(range(2000), lambda st, _: step(st, rng.randrange(6)),
                                       initial=start))
             for st in states:
                 for i in range(len(gens)):
-                    assert step(st, i) == tuple(move(k, i) for k, (_, move, _) in zip(st, alone))
+                    assert split(step(st, i)) \
+                        == tuple(move(k, i) for k, (_, move, _) in zip(split(st), alone))
 
 
 @pytest.mark.parametrize("e", range(1, 9))
@@ -902,6 +908,25 @@ def _line_orbit_cases(gf):
              anchor(span(gf, [(0, 0, 0, 1, 0, 0)])), conic_lines),
             ((span(gf, [P]), span(gf, [(0, 1, 0, 0, 0, 0)])),
              anchor(span(gf, [P])), tangency)]
+
+
+@pytest.mark.parametrize("q", (2, 4, 8))
+def test_lines_through_span_each_line_once(q, monkeypatch):
+    """The suite's candidate lines, through R in the conic plane of X2 = 0
+    and through P in the hyperplane H = {m22 = 0}, are those spanned with
+    every other point of the subspace, and each is spanned once: q + 1 and
+    q^3 + q^2 + q + 1 spans, where the all-points enumeration makes q times
+    as many."""
+    gf = field(q)
+    hyperplane = span(gf, [atlas._e(j) for j in range(5)])
+    conic_plane = span(gf, [atlas._e(i) for i in (0, 1, 3)])
+    spans, real = [], atlas.span
+    monkeypatch.setattr(atlas, "span", lambda gf, rows: spans.append(rows) or real(gf, rows))
+    for p, amb, count in ((R, conic_plane, q + 1), (P, hyperplane, q**3 + q * q + q + 1)):
+        spans.clear()
+        lines = atlas._lines_through_in(gf, p, amb)
+        assert lines == lines_through_by_all_points(gf, p, amb)
+        assert len(lines) == len(spans) == count
 
 
 def group_filter(gf, fixed):
@@ -1011,6 +1036,20 @@ def test_line_orbit_leaving_its_candidates_raises(gf4):
     keyed.pop(min(orbit))
     with pytest.raises(VerificationError, match="leaves its candidate set"):
         fiber_orbits(fixed, keyed, kernels)
+
+
+@pytest.mark.parametrize("q, case", [(4, 0), (4, 1), (8, 0), (8, 1), (16, 0),
+                                     pytest.param(16, 1, marks=pytest.mark.slow)])
+def test_fiber_orbits_match_the_tuple_walk(q, case):
+    """Both of the suite's stabilizers: the walk of int states gives the
+    orbits and the walked size of the tuple-state walk it replaced, at
+    q = 4, 8 and 16.  At q = 16 the tangency candidates are 4,080 lines
+    walked with 272 states of H (about 7 s a side), so that case runs
+    under -m slow."""
+    fixed, kernels, keyed = _line_orbit_cases(field(q))[case]
+    orbits, walked = fiber_orbits(fixed, keyed, kernels)
+    assert (orbits, walked) == fiber_orbits_by_tuples(fixed, keyed, kernels)
+    assert len(orbits) == (3, 2)[case]
 
 
 @pytest.mark.parametrize("point, q, dropped",
@@ -1188,46 +1227,98 @@ def _cell_generators(gf):
                    for a in gens})
 
 
+def _table_moves(pa, a, n, keys):
+    """The big-cell keys moved in bulk: one byte-plane step of
+    ``cell_tables(a, n)``."""
+    copies = action._plane_sweep(keys, [pa.cell_tables(a, n)], pa.big_cell(n)[1] >> 64 << 64)
+    return list(list(copies)[1])
+
+
 @pytest.mark.parametrize("q", (2, 4, 8, 16))
-def test_cell_mover_matches_the_triangular_mover(q):
+def test_cell_tables_match_the_triangular_mover(q):
     """On every big-cell key at q = 2 and 4, and 2,000 seeded ones at
-    q = 8 and 16, of 1, 2 and 3 rows, each sweep generator's affine tables
-    give the back-substitution move's image; ``big_cell`` picks out the
-    identity block, and no table has more than q^3 entries."""
+    q = 8 and 16, of 1, 2 and 3 rows, each sweep generator's byte-plane
+    step gives the back-substitution move's image, keys past 64 bits (planes
+    at q = 16) included.  ``big_cell`` picks out the identity block, and
+    past bit 64 a key holds only its bits; each table is one
+    ``bytes.translate`` table of 256 entries, and there is one entry per key
+    byte below bit 64."""
     gf = field(q)
     pa = PackedAction(gf)
     rng = random.Random(q)
     for n in (1, 2, 3):
         keys = _big_cell_keys(gf, n, None if q <= 4 else rng, 2000)
         mask, cell = pa.big_cell(n)
-        assert {k & mask for k in keys} == {cell}
+        assert {k & mask for k in keys} == {cell} and {k >> 64 for k in keys} == {cell >> 64}
+        assert all(action._records([k])[i ^ action._BYTE0] == k >> 8 * i & 255
+                   for k in keys[:100] for i in range(8))
         for a in _cell_generators(gf):
-            assert list(map(pa.cell_mover(a, n), keys)) \
-                == list(map(pa.triangular_mover(a, n), keys)), (a, n)
-            assert max(len(t) for _, _, t in pa._cells[a, n]) <= q**3
+            assert _table_moves(pa, a, n, keys) == list(map(pa.triangular_mover(a, n), keys)), \
+                (a, n)
+            tables = pa.cell_tables(a, n)
+            assert len(tables) == min(8, -(-n * 6 * gf.e // 8))
+            assert {len(t) for terms in tables for _, t in terms} == {256}
+    assert max(k.bit_length() for k in keys) > 64 * (q == 16)
 
 
 def test_cell_tables_need_their_constant_and_every_column(gf4):
-    """Tables that lose the image of the identity block, or any one
-    free-bit column, move some big-cell key otherwise than the
-    back-substitution move."""
+    """Tables that lose the image of the identity block (folded into the
+    tables of key byte 0), or any one free-bit column, move some big-cell
+    key otherwise than the back-substitution move."""
     pa = PackedAction(gf4)
     keys = _big_cell_keys(gf4, 3, random.Random(3), 2000)
+    mask, _ = pa.big_cell(3)
+    free = [b for b in range(18 * gf4.e) if not mask >> b & 1]
+    assert len(free) == 9 * gf4.e
     for a in _cell_generators(gf4):
-        move = pa.triangular_mover(a, 3)
-        pa.cell_mover(a, 3)
-        cells = pa._cells[a, 3]
-        (s0, m0, t0), *rest = cells
-        mutants = [[(s0, m0, [x ^ t0[0] for x in t0])] + rest]
-        for c, (shift, m, table) in enumerate(cells):
-            for b in range(m.bit_length()):
-                dropped = [table[v & ~(1 << b)] for v in range(len(table))]
-                mutants.append(cells[:c] + [(shift, m, dropped)] + cells[c + 1:])
-        assert len(mutants) == 1 + 9 * gf4.e
+        move = list(map(pa.triangular_mover(a, 3), keys))
+        tables = pa.cell_tables(a, 3)
+        mutants = [[[(i, bytes(x ^ t[0] for x in t) if i == 0 else t) for i, t in terms]
+                    for terms in tables]]
+        for b in free:
+            i, bit = divmod(b, 8)
+            mutants.append([[(j, bytes(t[v & ~(1 << bit)] for v in range(256)) if j == i else t)
+                             for j, t in terms] for terms in tables])
         for mutant in mutants:
             pa._cells[a, 3] = mutant
-            assert any(pa.cell_mover(a, 3)(k) != move(k) for k in keys)
-        pa._cells[a, 3] = cells
+            assert _table_moves(pa, a, 3, keys) != move
+        pa._cells[a, 3] = tables
+        assert _table_moves(pa, a, 3, keys) == move
+
+
+def test_q4_orbit_sweep_moves_big_cell_copies_as_byte_planes(gf4, monkeypatch):
+    """A work count in place of a timing: the 18 q = 4 orbits, from the
+    representatives moved by one seeded projectivity and with the field's
+    tables built afresh, take 306 byte-plane steps (18 copies after the
+    first of each of 17 swept orbits; the nucleus plane is its own orbit)
+    that move 70,080 big-cell keys, 34,926 per-key triangular moves (the
+    keys off the big cell, the radical sweeps and the table builds) and
+    12,276 generic ones (the swap copies and the walks of H).  Moving the
+    big cell key by key again adds 70,080 triangular moves."""
+    counts = dict.fromkeys(("steps", "planes", "triangular", "generic"), 0)
+
+    def counted(name, build):
+        def wrapped(*args):
+            move = build(*args)
+            return lambda key: counts.__setitem__(name, counts[name] + 1) or move(key)
+        return wrapped
+
+    def sweep(keys, steps, high, real=action._plane_sweep):
+        for j, copy in enumerate(real(keys, steps, high)):
+            copy = list(copy)
+            counts["steps"] += j > 0
+            counts["planes"] += len(copy) * (j > 0)
+            yield copy
+
+    monkeypatch.setattr(PackedAction, "triangular_mover",
+                        counted("triangular", PackedAction.triangular_mover))
+    monkeypatch.setattr(PackedAction, "mover", counted("generic", PackedAction.mover))
+    monkeypatch.setattr(action, "_plane_sweep", sweep)
+    gf4.forget()
+    (a,) = _random_projectivities(gf4, 1, 4)
+    sizes = [len(orbit_keys(act_subspace(s, a))) for s in representatives(gf4).values()]
+    assert sum(sizes) == 114661
+    assert counts == {"steps": 306, "planes": 70080, "triangular": 34926, "generic": 12276}
 
 
 def _identity_kernel_move(monkeypatch):
