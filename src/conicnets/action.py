@@ -27,23 +27,21 @@ dependent-row branch, since a lift of an invertible matrix drops no row.
 Every orbit walk steps through movers, one int per state.  One breadth-first
 ``closure`` returns the set of states it reached; ``subspace_orbit`` runs it
 on the ``PackedAction.walk`` of one subspace or a pair under any matrices.
-A generator that is an involution, such as the transvection, never steps a
-state back to the one it came from.  ``_kernel_move`` builds the one C,
-which takes an ``anchor`` (from ``invariants``) to e0, with the generators
-of e0's stabilizer H.  Every orbit question about an anchored subspace is
-answered in H: ``kernel_fiber`` walks the subspaces carried by C, by radical
-blocks where they are large, ``orbit_keys`` copies that fiber to every
-anchor position, cell by cell of the positions under the lower unitriangular
-group (``_anchor_cells``), ``k_equivalent`` compares two fibers, ``atlas``
-counts stabilizers by it, and ``fiber_orbits`` splits lines by the
-stabilizer of subspaces that fix an anchor.  A lower unitriangular matrix
-lifts to a lower unitriangular one, which keeps every pivot, so its
+``_kernel_move`` builds the one C, which takes an ``anchor`` (from
+``invariants``) to e0, with the generators of e0's stabilizer H.  Every
+orbit question about an anchored subspace is answered in H:
+``kernel_fiber`` walks the subspaces carried by C, by radical blocks where
+they are large, ``orbit_keys`` copies that fiber to every anchor position,
+cell by cell of the positions under the lower unitriangular group
+(``_anchor_cells``), ``k_equivalent`` compares two fibers, and ``atlas``
+counts stabilizers by it.  A stabilizer given by generators is closed by
+``group_order`` and splits lines by ``line_orbits``.  A lower unitriangular
+matrix lifts to a lower unitriangular one, which keeps every pivot, so its
 ``PackedAction.triangular_mover`` only back-substitutes, and on the big
-Schubert cell ``_plane_sweep`` moves a copy's keys in bulk, as bytes planes.
-``congruence_image`` moves one point, each diagonal entry of A M A^T a sum
-of squares; ``act_subspace`` moves each basis row with it and reduces.
-Layers import in one order: gf, projgeom, veronese, invariants, action,
-atlas, cli.
+Schubert cell ``_plane_sweep`` moves a copy's keys in bulk.
+``congruence_image`` and ``act_subspace`` move a point and a subspace
+without tables.  Layers import in one order: gf, projgeom, veronese,
+invariants, action, atlas, cli.
 """
 
 from __future__ import annotations
@@ -532,46 +530,24 @@ def kernel_fiber(subspaces, kernels, max_keys: int | None = None):
     return head.keys()
 
 
-class _Memo(dict):
-    """key -> move(key), each key moved once, on its first lookup."""
-
-    def __init__(self, move):
-        self.move = move
-
-    def __missing__(self, key):
-        self[key] = image = self.move(key)
-        return image
+def group_order(gf: GF, gens) -> int:
+    """The order of the group the matrices ``gens`` generate: one ``closure``
+    of the identity under right multiplication, one normalized matrix a state."""
+    step = lambda a, i: normalize_point(gf, mat3_mul(gf, a, gens[i]))
+    return len(closure(IDENTITY3, step, len(gens)))
 
 
-def fiber_orbits(fixed, lines: dict, kernels) -> tuple[list[set[int]], int]:
-    """(orbits, |H (C fixed)|): the orbits of the stabilizer S of the
-    subspaces ``fixed`` on the ``lines`` (packed key -> line), as sets of
-    those keys in order of least key, for ``kernels`` an ``anchor`` that S
-    fixes.  With C from ``_kernel_move``, C S C^-1 lies in H, and the orbit
-    of C l is the fiber {l' : (C fixed, l') in H (C fixed, C l)}.  H (C fixed)
-    is walked once and tabled as per-generator index lists, so a fiber's
-    closure walks ints ``index << width | line`` and moves only the line, by
-    memoized moves; an orbit leaving the given lines raises VerificationError."""
-    c, gens = _kernel_move(fixed[0].gf, kernels)
-    pa = packed_action(fixed[0].gf)
-    head, step, involutions = pa.walk(tuple(act_subspace(s, c) for s in fixed), gens)
-    index = {st: j for j, st in enumerate(closure(head, step, len(gens), involutions=involutions))}
-    nxt = [[index[step(st, i)] for st in index] for i in range(len(gens))]
-    moved = [_Memo(pa.mover(pa.tables(a), 2)) for a in gens]
-    own = {act_subspace(l, c).key_int(): k for k, l in sorted(lines.items())}
-    width, h, low = 2 * pa.w, index[head], (1 << 2 * pa.w) - 1
-    orbits, placed = [], set()
-    for m, k in own.items():
-        if k in placed:
-            continue
-        seen = closure(h << width | m, lambda st, i: nxt[i][st >> width] << width
-                       | moved[i][st & low], len(gens), involutions=involutions)
-        comp = {st & low for st in seen if st >> width == h}
-        if not comp <= own.keys():
-            raise VerificationError("a line orbit leaves its candidate set")
-        orbits.append({own[line] for line in comp})
-        placed |= orbits[-1]
-    return orbits, len(index)
+def line_orbits(lines: dict, gens) -> list[set[int]]:
+    """The orbits on ``lines`` (packed key -> line) of the group the matrices
+    ``gens`` generate, as key sets in order of least key, one
+    ``subspace_orbit`` each; one leaving the lines raises VerificationError."""
+    orbits = []
+    for k in sorted(lines):
+        if not any(k in orbit for orbit in orbits):
+            orbits.append(subspace_orbit((lines[k],), gens))
+            if not orbits[-1] <= lines.keys():
+                raise VerificationError("a line orbit leaves its candidate set")
+    return orbits
 
 
 SWAP01 = (0, 1, 0, 1, 0, 0, 0, 0, 1)

@@ -33,9 +33,10 @@ from itertools import product
 from .action import (
     act_subspace,
     congruence_image,
-    fiber_orbits,
     generators,
+    group_order,
     kernel_fiber,
+    line_orbits,
     orbit_keys,
     pgl_order,
     subspace_orbit,
@@ -753,6 +754,21 @@ def _middle_column_fixers(gf: GF):
             if mul[a0][a8] != mul[a2][a6] for a3, a5 in product(els, repeat=2))
 
 
+def _stabilizer_generators(gf: GF):
+    """Closed-form generators of the suite's pair and joint stabilizers, w
+    primitive.  Fixing R forces a20 = a21 = 0 and a00 = a11, fixing N (kernel
+    (1,0,1)) a01 = 0 and a02 = a00 + a22, so the pair's is
+    {[[1,0,1+c],[b,1,d],[0,0,c]] : c != 0}: x10(t), t = 1, 2, 4, ..., and
+    D(w) = [[1,0,1+w],[0,1,0],[0,0,w]], whose conjugates of x10(t) fill d.
+    The joint one, {a01 = a02 = a20 = a21 = 0}: x10(1), x12(1) and the torus
+    diag(1,w,1), diag(1,1,w), which conjugates them to every root element."""
+    w = gf.primitive_element()
+    pair = [(1, 0, 0, 1 << b, 1, 0, 0, 0, 1) for b in range(gf.e)]
+    joint = [(1, 0, 0, 1, 1, 0, 0, 0, 1), (1, 0, 0, 0, 1, 1, 0, 0, 1),
+             (1, 0, 0, 0, w, 0, 0, 0, 1), (1, 0, 0, 0, 1, 0, 0, 0, w)]
+    return pair + [(1, 0, 1 ^ w, 0, 1, 0, 0, 0, w)], joint
+
+
 def verify_line_orbits(gf: GF) -> dict:
     """Brute-force the supporting line-orbit facts.
 
@@ -765,10 +781,9 @@ def verify_line_orbits(gf: GF) -> dict:
     a 480-line hyperplane count.
 
     A stabilizer's order is |PGL(3,q)| / |orbit|, the orbit walked under
-    ``generators``, or in H after a kernel move; its orbits on lines are
-    ``fiber_orbits`` in H, of order q^3 (q-1) (q^2-1), after the kernel
-    move of an ``anchor`` it fixes, and H is checked to hold it by the same
-    count: v(e1)'s for the pair, and P's for the joint one.
+    ``generators``, or in H, of order q^3 (q-1) (q^2-1), after a kernel
+    move.  Inside the pair and joint stabilizers, ``_stabilizer_generators``
+    that reach that order generate them and split lines by ``line_orbits``.
     The lines missing the nucleus plane have order |H| / |``kernel_fiber``|;
     the pair's filter runs over the 2,880 ``_middle_column_fixers``.
     """
@@ -780,11 +795,11 @@ def verify_line_orbits(gf: GF) -> dict:
     kernel_order = q**3 * (q - 1) * (q * q - 1)
 
     l0 = span(gf, [(0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0)])
-    R = (0, 1, 0, 1, 0, 0)
+    R, N = (0, 1, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0)
     # l0 is spanned by R and its nuclear point N, so the (line, point) pair
     # and the two points have one stabilizer; points move faster.
     # |G pair| = |G N| |H (C pair)|, C moving N's kernel to e0.
-    pair = (span(gf, [R]), span(gf, [(0, 1, 0, 0, 1, 0)]))
+    pair = (span(gf, [R]), span(gf, [N]))
     nuclear_orbit = len(subspace_orbit(pair[1:], group))
     pair_orbit = nuclear_orbit * len(kernel_fiber(pair, anchor(pair[1])))
     order = pgl_order(q) // pair_orbit
@@ -797,14 +812,14 @@ def verify_line_orbits(gf: GF) -> dict:
     fixed_pt = (0, 0, 0, 1, 0, 0)
     conic_plane = span(gf, [_e(0), _e(1), _e(3)])  # the conic plane of the line X2 = 0
     keyed = _lines_through_in(gf, R, conic_plane)
-    # the stabilizer fixes v(e1), so H holds it after C swaps e0 and e1
-    # exactly when the pair's orbit under H has |H| / order states
-    orbits, walked = fiber_orbits(pair, keyed, anchor(span(gf, [fixed_pt])))
+    pair_gens, joint_gens = _stabilizer_generators(gf)
+    fix = lambda gens, pts: all(congruence_image(gf, a, p) == p for a in gens for p in pts)
     checks.append(_check(
         "pair_stabilizer_fixes_conic_point",
-        kernel_order == order * walked,
+        fix(pair_gens, (R, N, fixed_pt)) and group_order(gf, pair_gens) == order,
         {"point": list(fixed_pt)},
     ))
+    orbits = line_orbits(keyed, pair_gens)
     if q == 4:
         filtered = sum(
             1 for a in _middle_column_fixers(gf)
@@ -832,7 +847,7 @@ def verify_line_orbits(gf: GF) -> dict:
         # H = {m22 = 0}, the conic plane and the nuclear point with kernel
         # e2 are fixed by the same matrices, those with A^T e2 a multiple of
         # e2, so the stabilizer walks that point in place of the hyperplane.
-        points = (span(gf, [P]), span(gf, [(0, 1, 0, 0, 0, 0)]))
+        points = (span(gf, [P]), span(gf, [_e(1)]))
         joint = pgl_order(q) // len(subspace_orbit(points, group))
         checks.append(_check(
             "joint_stabilizer_order",
@@ -843,9 +858,8 @@ def verify_line_orbits(gf: GF) -> dict:
             k: l for k, l in _lines_through_in(gf, P, H).items()
             if point_class_counts(l) == (0, 1, 1, q - 1) and any(r[0] for r in l.rows)
         }
-        # P's kernel is e0, so C is the identity and H is P's stabilizer
-        orbits, walked = fiber_orbits(points, cand, anchor(points[0]))
-        holds = kernel_order == joint * walked
+        orbits = line_orbits(cand, joint_gens)
+        holds = fix(joint_gens, (P, _e(1))) and group_order(gf, joint_gens) == joint
         rep_a = span(gf, [(1, 1, 0, 0, 0, 0), P]).key_int()
         rep_b = span(gf, [(1, 0, 1, 0, 0, 0), P]).key_int()
         split = [i for i, comp in enumerate(orbits) if rep_a in comp] != [

@@ -294,10 +294,16 @@ def singer_orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
 
 
 def fiber_orbits_by_tuples(fixed, lines: dict, kernels) -> tuple[list[set[int]], int]:
-    """``action.fiber_orbits`` as it walked before its states were ints: the
-    walk of H (C fixed) tabled as a dict from (state, generator) to the
-    image state, a state the tuple of the fixed subspaces' keys, and each
-    fiber's closure over (state, line key) tuples."""
+    """(orbits, |H (C fixed)|): the orbits of the stabilizer S of the
+    subspaces ``fixed`` on the ``lines`` (packed key -> line), as sets of
+    those keys in order of least key, found in H, for ``kernels`` an anchor
+    that S fixes, with no generator of S.  C from ``_kernel_move`` puts
+    C S C^-1 in H, and the orbit of C l is the fiber {l' : (C fixed, l') in
+    H (C fixed, C l)}: the walk of H (C fixed) is tabled as a dict from
+    (state, generator) to the image state, a state the tuple of the fixed
+    subspaces' keys, and each fiber is a closure over (state, line key)
+    tuples.  The reference for ``action.line_orbits`` under the line-orbit
+    suite's closed-form generators."""
     gf = fixed[0].gf
     c, gens = _kernel_move(gf, kernels)
     pa = packed_action(gf)

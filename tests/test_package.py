@@ -2,8 +2,8 @@
 modules import one another at module level only and without a cycle,
 importing the command line loads no multiprocessing, dataclasses or csv,
 every function the benchmark tracer wraps and every package attribute the
-benchmark reads still exists, and every name a docstring quotes still
-exists."""
+benchmark reads still exists, every name a docstring quotes still
+exists, and the sources keep to Python 3.10."""
 
 import ast
 import importlib
@@ -31,6 +31,22 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "__future__", (path.name, name)
+
+
+def test_sources_parse_as_python_3_10_and_name_their_byte_order():
+    """The package promises Python >= 3.10, so every module parses with
+    3.10's grammar, and every ``int.from_bytes`` and ``int.to_bytes`` call
+    names its byte order, which 3.10 requires (3.11 defaults it to "big")."""
+    conversions = 0
+    for path in sorted(Path(conicnets.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("from_bytes", "to_bytes")):
+                conversions += 1
+                named = len(node.args) >= 2 or any(k.arg == "byteorder" for k in node.keywords)
+                assert named, (path.name, node.lineno)
+    assert conversions
 
 
 def _package_imports():
