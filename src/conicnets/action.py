@@ -159,8 +159,9 @@ class PackedAction:
                  for c in gf.nonzero]
         self.shi = [None] + [hi for hi, _ in scale]
         self.slo = [None] + [lo for _, lo in scale]
-        # pivot[b]: shift of the highest nonzero e-bit field of a row of bit length b
-        self.pivot = [0] + [(b - 1) // e * e for b in range(1, 6 * e + 1)]
+        # pivot[b]: shift of the highest nonzero e-bit field of a row of bit length b;
+        # a zero row's 6e sorts it above every real row
+        self.pivot = [6 * e] + [(b - 1) // e * e for b in range(1, 6 * e + 1)]
         self._tables: dict = {}
         self._cells: dict = {}
 
@@ -170,35 +171,34 @@ class PackedAction:
         return self._tables[a]
 
     def walk(self, subspaces, gens):
-        """``closure``'s (start, step, involutions) for one subspace or a pair
-        under ``gens``, other counts refused with ValueError: a state is one
-        int, a key or a pair packed ``first << width | second``; an involution
-        squares to I.  A lower unitriangular matrix moves by ``triangular_mover``."""
+        """``closure``'s (start, step) for one subspace or a pair under
+        ``gens``, other counts refused with ValueError: a state is one int, a
+        key or a pair packed ``first << width | second``.  A lower
+        unitriangular matrix moves by ``triangular_mover``."""
         if not 1 <= len(subspaces) <= 2:
             raise ValueError("a walk moves one subspace or a pair, got %d" % len(subspaces))
-        gf = self.gf
-        involutions = [i for i, a in enumerate(gens)
-                       if normalize_point(gf, mat3_mul(gf, a, a)) == IDENTITY3]
         lower = lambda a: a[:3] + a[4:6] + a[8:] == (1, 0, 0, 1, 0, 1)
         movers = [[self.triangular_mover(a, len(s.rows)) if lower(a)
                    else self.mover(self.tables(a), len(s.rows)) for a in gens] for s in subspaces]
         if len(movers) == 1:
             (m,) = movers
-            return subspaces[0].key_int(), lambda k, i: m[i](k), involutions
+            return subspaces[0].key_int(), lambda k, i: m[i](k)
         (m, n), width = movers, len(subspaces[1].rows) * self.w
         low = (1 << width) - 1
         step = lambda st, i: m[i](st >> width) << width | n[i](st & low)
-        return subspaces[0].key_int() << width | subspaces[1].key_int(), step, involutions
+        return subspaces[0].key_int() << width | subspaces[1].key_int(), step
 
     def mover(self, tables, n: int):
         """The map key -> image key of n-row subspaces under ``tables``,
         n = 1, 2 or 3; other n raise ValueError.
 
-        The elimination is straight-line: map the rows, normalize the first,
-        then reduce, normalize and back-substitute the second and the third,
-        and order the rows by at most three pivot comparisons.  The tables
-        are those of an invertible matrix, so no mapped row is dependent and
-        none is dropped."""
+        A point is mapped and normalized.  Lines and planes share one
+        straight-line elimination, a line read as a plane with a zero top
+        row (pivot 6e, pivot entry 0: it sorts first and eliminates
+        nothing): map the rows, normalize the first, then reduce, normalize
+        and back-substitute the second and the third, and order the rows by
+        at most three pivot comparisons.  The tables are those of an
+        invertible matrix, so no mapped row is dependent and none is dropped."""
         if not 1 <= n <= 3:
             raise ValueError("packed movers take 1 to 3 rows, got %d" % n)
         hi, lo = tables
@@ -214,28 +214,6 @@ class PackedAction:
                 a = shi[c][a >> s3] ^ slo[c][a & m3]
             return a
 
-        def move2(key):
-            a, b = key >> w, key & m6
-            a = hi[a >> s3] ^ lo[a & m3]
-            b = hi[b >> s3] ^ lo[b & m3]
-            sa = pivot[a.bit_length()]
-            c = a >> sa
-            if c != 1:
-                c = inv[c]
-                a = shi[c][a >> s3] ^ slo[c][a & m3]
-            c = (b >> sa) & m
-            if c:
-                b ^= shi[c][a >> s3] ^ slo[c][a & m3]
-            sb = pivot[b.bit_length()]
-            c = b >> sb
-            if c != 1:
-                c = inv[c]
-                b = shi[c][b >> s3] ^ slo[c][b & m3]
-            c = (a >> sb) & m
-            if c:
-                a ^= shi[c][b >> s3] ^ slo[c][b & m3]
-            return a << w | b if sa > sb else b << w | a
-
         def move3(key):
             a, b, d = key >> 2 * w, (key >> w) & m6, key & m6
             a = hi[a >> s3] ^ lo[a & m3]
@@ -243,7 +221,7 @@ class PackedAction:
             d = hi[d >> s3] ^ lo[d & m3]
             sa = pivot[a.bit_length()]
             c = a >> sa
-            if c != 1:
+            if c > 1:
                 c = inv[c]
                 a = shi[c][a >> s3] ^ slo[c][a & m3]
             ah, al = a >> s3, a & m3
@@ -255,7 +233,7 @@ class PackedAction:
                 d ^= shi[c][ah] ^ slo[c][al]
             sb = pivot[b.bit_length()]
             c = b >> sb
-            if c != 1:
+            if c > 1:
                 c = inv[c]
                 b = shi[c][b >> s3] ^ slo[c][b & m3]
             bh, bl = b >> s3, b & m3
@@ -267,7 +245,7 @@ class PackedAction:
                 d ^= shi[c][bh] ^ slo[c][bl]
             sd = pivot[d.bit_length()]
             c = d >> sd
-            if c != 1:
+            if c > 1:
                 c = inv[c]
                 d = shi[c][d >> s3] ^ slo[c][d & m3]
             dh, dl = d >> s3, d & m3
@@ -289,7 +267,7 @@ class PackedAction:
                 return (b << w | d) << w | a
             return (d << w | b) << w | a
 
-        return (move1, move2, move3)[n - 1]
+        return move1 if n == 1 else move3
 
     def triangular_mover(self, a, n: int):
         """``mover(tables(a), n)`` for a lower unitriangular a, any other a
@@ -416,25 +394,17 @@ def pgl_elements(gf: GF):
 # -- orbits ----------------------------------------------------------------
 
 
-def closure(start, step, ngens: int, max_keys: int | None = None, involutions=()) -> set:
+def closure(start, step, ngens: int, max_keys: int | None = None) -> set:
     """Breadth-first closure of ``start`` under ``step(state, i)``, i < ngens.
 
     Returns the set of states reached, and raises ResourceBudgetError once
     there are more than ``max_keys`` states.
-    Generators listed in ``involutions`` are their own inverse: a state
-    first reached by one is not stepped by it again, since that step leads
-    back to a state already found.
     """
-    # found[j] picks the moves of frontier[j]: 0 for all, n for all but
-    # involutions[n - 1], the one that first reached it; one byte per state
-    moves = [range(ngens)] + [[j for j in range(ngens) if j != i] for i in involutions]
-    code = {i: n for n, i in enumerate(involutions, 1)}
-    seen = {start}
-    frontier, found = [start], bytearray(1)
+    seen, frontier = {start}, [start]
     while frontier:
-        new, new_found = [], bytearray()
-        for k, c in zip(frontier, found):
-            for i in moves[c]:
+        new = []
+        for k in frontier:
+            for i in range(ngens):
                 k2 = step(k, i)
                 if k2 not in seen:
                     seen.add(k2)
@@ -444,16 +414,15 @@ def closure(start, step, ngens: int, max_keys: int | None = None, involutions=()
                             partial=len(seen),
                         )
                     new.append(k2)
-                    new_found.append(code.get(i, 0))
-        frontier, found = new, new_found
+        frontier = new
     return seen
 
 
 def subspace_orbit(subspaces, gens, max_keys: int | None = None) -> set:
     """Orbit of one subspace or a pair under the group generated by the
     matrices ``gens``: one ``closure`` of their ``PackedAction.walk``."""
-    start, step, involutions = packed_action(subspaces[0].gf).walk(subspaces, gens)
-    return closure(start, step, len(gens), max_keys, involutions)
+    start, step = packed_action(subspaces[0].gf).walk(subspaces, gens)
+    return closure(start, step, len(gens), max_keys)
 
 
 def _kernel_subgroup_generators(gf: GF, point: bool) -> tuple[tuple[int, ...], ...]:
@@ -502,12 +471,13 @@ def kernel_fiber(subspaces, kernels, max_keys: int | None = None):
     U-orbits are blocks of one size that L permutes.  U x0 is swept first
     (``_gray``); from q^2/2 states on, a ``closure`` walks L on blocks, each
     new one swept whole, else ``subspace_orbit`` walks H.  A count other
-    than blocks |U x0| raises VerificationError; ``max_keys`` is per block."""
+    than blocks |U x0| raises VerificationError; ``max_keys`` bounds all the
+    states held, checked after each block is swept."""
     gf, pa = subspaces[0].gf, packed_action(subspaces[0].gf)
     c, gens = _kernel_move(gf, kernels)
     moved = tuple(act_subspace(s, c) for s in subspaces)
     radical = _radical_basis(gf, gens)
-    start, move, _ = pa.walk(moved, radical)
+    start, move = pa.walk(moved, radical)
     sweep = lambda y, gray=_gray(range(len(radical))): accumulate(gray, move, initial=y)
     head = {}  # state -> the state its block was swept from
 
@@ -523,8 +493,8 @@ def kernel_fiber(subspaces, kernels, max_keys: int | None = None):
     block = len(head)
     if 2 * block < gf.q**2:
         return subspace_orbit(moved, gens, max_keys)
-    _, step, involutions = pa.walk(moved, gens[:2] + gens[3:])
-    blocks = closure(start, lambda st, i: held(step(st, i)), 3, involutions=involutions)
+    _, step = pa.walk(moved, gens[:2] + gens[3:])
+    blocks = closure(start, lambda st, i: held(step(st, i)), 3)
     if len(head) != len(blocks) * block:
         raise VerificationError("the radical blocks of a kernel fiber overlap")
     return head.keys()

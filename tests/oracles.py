@@ -308,9 +308,9 @@ def fiber_orbits_by_tuples(fixed, lines: dict, kernels) -> tuple[list[set[int]],
     c, gens = _kernel_move(gf, kernels)
     pa = packed_action(gf)
     walks = [pa.walk((act_subspace(s, c),), gens) for s in fixed]
-    head, involutions = tuple(start for start, _, _ in walks), walks[0][2]
-    step = lambda st, i: tuple(move(k, i) for k, (_, move, _) in zip(st, walks))
-    table = {}  # (state, i) -> image: each met once, no involution skipped
+    head = tuple(start for start, _ in walks)
+    step = lambda st, i: tuple(move(k, i) for k, (_, move) in zip(st, walks))
+    table = {}  # (state, i) -> image: each met once
     size = len(closure(head, lambda st, i: table.setdefault((st, i), step(st, i)), len(gens)))
     moved = [pa.mover(pa.tables(a), 2) for a in gens]
     own = {act_subspace(l, c).key_int(): k for k, l in sorted(lines.items())}
@@ -318,8 +318,7 @@ def fiber_orbits_by_tuples(fixed, lines: dict, kernels) -> tuple[list[set[int]],
     for m, k in own.items():
         if k in placed:
             continue
-        seen = closure((head, m), lambda st, i: (table[st[0], i], moved[i](st[1])),
-                       len(gens), involutions=involutions)
+        seen = closure((head, m), lambda st, i: (table[st[0], i], moved[i](st[1])), len(gens))
         comp = {line for st, line in seen if st == head}
         if not comp <= own.keys():
             raise VerificationError("a line orbit leaves its candidate set")

@@ -264,6 +264,10 @@ def test_orbit_budget_enforced(gf4):
     with pytest.raises(ResourceBudgetError) as info:
         orbit_keys(s, max_keys=1000)
     assert info.value.partial >= 1000
+    # the fiber's 2,880 keys pass, and the copy loop stops at the fourth copy
+    with pytest.raises(ResourceBudgetError, match="exceeded 10000 keys") as info:
+        orbit_keys(s, max_keys=10_000)
+    assert info.value.partial == 4 * 2880
     # the split tables grow as q^3 per scalar: refused before any is built
     with pytest.raises(ResourceBudgetError):
         orbit_keys(span(field(32), [veronese(field(32), (1, 0, 0))]), max_keys=10)
@@ -798,10 +802,9 @@ def test_stabilizer_can_be_trivial(gf2):
     assert stabilizer(gf2, key, step) == ({IDENTITY3}, 168, [])
 
 
-def test_closure_involution_skip_keeps_the_tree(gf2, gf4):
-    """Not stepping a state back by the involution that reached it reaches
-    the same states as the plain BFS, with one step saved per state that
-    the involution reached first (the parents of ``orbit_transversal``)."""
+def test_closure_matches_the_transversal_states(gf2, gf4):
+    """The closure reaches the states of ``orbit_transversal`` on the 18
+    q = 2 representatives, two q = 4 lines and the q = 4 pair."""
     b, c = atlas.sigma20_parameters(gf4)
     lines = [span(gf4, [(1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0)]),
              span(gf4, [(1, 0, b, c, 0, 1), (0, 1, 0, 1, 0, 0)])]
@@ -810,26 +813,16 @@ def test_closure_involution_skip_keeps_the_tree(gf2, gf4):
     assert len(cases) == 21
     sizes = []
     for gf, (start, step) in cases:
-        calls = []
-
-        def counted(k, i):
-            calls.append(i)
-            return step(k, i)
-
-        plain = closure(start, counted, 2)
-        n_plain = len(calls)
-        assert closure(start, counted, 2, involutions=(0,)) == plain
-        parent = orbit_transversal(gf, start, step)[1]
-        by_t = sum(1 for p in parent.values() if p is not None and p[1] == 0)
-        assert n_plain - (len(calls) - n_plain) == by_t
-        sizes.append(len(plain))
+        seen = closure(start, step, 2)
+        assert seen == orbit_transversal(gf, start, step)[0].keys()
+        sizes.append(len(seen))
     assert sizes[18:] == [10080, 30240, 1260]
 
 
 def test_pair_walk_moves_each_key_as_its_own_walk(gf2, gf4):
     """A pair state is one int, the first key above the second's rows, and
     it steps each key as the walk of its one subspace does, under the
-    generic generators, lower unitriangular ones and involutions: over
+    generic generators and lower unitriangular ones: over
     every state of each pair's orbit at q = 2, and 2,000 seeded random steps
     at q = 4.  A walk of no subspace or of three is refused before any
     table is built."""
@@ -845,19 +838,18 @@ def test_pair_walk_moves_each_key_as_its_own_walk(gf2, gf4):
                 pa.walk(bad, gens)
         assert pa._tables == {}
         for pair in ((point, line), (line, plane), (plane, point)):
-            start, step, involutions = pa.walk(pair, gens)
+            start, step = pa.walk(pair, gens)
             alone = [pa.walk((s,), gens) for s in pair]
             width = len(pair[1].rows) * 6 * gf.e
             split = lambda st: (st >> width, st & (1 << width) - 1)
-            assert split(start) == tuple(k for k, _, _ in alone)
-            assert involutions == alone[0][2] == [0, 2, 3, 4] + [5] * (gf.q == 2)  # diag(1, 1, 1)
+            assert split(start) == tuple(k for k, _ in alone)
             states = (closure(start, step, len(gens)) if gf.q == 2
                       else accumulate(range(2000), lambda st, _: step(st, rng.randrange(6)),
                                       initial=start))
             for st in states:
                 for i in range(len(gens)):
                     assert split(step(st, i)) \
-                        == tuple(move(k, i) for k, (_, move, _) in zip(split(st), alone))
+                        == tuple(move(k, i) for k, (_, move) in zip(split(st), alone))
 
 
 @pytest.mark.parametrize("e", range(1, 9))
@@ -1074,7 +1066,7 @@ def test_fiber_orbits_match_the_tuple_walk(q, case):
     """Both of the suite's stabilizers: the line orbits under the closed-form
     generators are the fibers of the tuple-state walk in H, at q = 4, 8 and
     16.  At q = 16 that walk splits the 4,080 tangency candidates with 272
-    states of H (about 7 s), so that case runs under -m slow."""
+    states of H (about 9 s), so that case runs under -m slow."""
     fixed, kernels, keyed, gens = _line_orbit_cases(field(q))[case]
     orbits = line_orbits(keyed, gens)
     assert orbits == fiber_orbits_by_tuples(fixed, keyed, kernels)[0]
@@ -1257,6 +1249,16 @@ def test_block_walk_matches_the_kernel_closure_q16(monkeypatch):
     assert _block_walk_mismatches(cases, _block_oracle(cases), monkeypatch) == []
 
 
+def test_kernel_fiber_budget_bounds_the_small_block_walk(gf4):
+    """Sigma20's q = 4 radical block holds 4 < q^2/2 planes, so its fiber
+    of 90 is walked by the closure of H, which stops at 51 states."""
+    s = representative(gf4, "Sigma20")
+    assert len(kernel_fiber((s,), anchor(s), 90)) == 90
+    with pytest.raises(ResourceBudgetError, match="exceeded 50 keys") as info:
+        kernel_fiber((s,), anchor(s), 50)
+    assert info.value.partial == 51
+
+
 def _levi_dropped(i):
     real = action._kernel_subgroup_generators
     return "_kernel_subgroup_generators", \
@@ -1381,10 +1383,11 @@ def test_q4_orbit_sweep_moves_big_cell_copies_as_byte_planes(gf4, monkeypatch):
     representatives moved by one seeded projectivity and with the field's
     tables built afresh, take 306 byte-plane steps (18 copies after the
     first of each of 17 swept orbits; the nucleus plane is its own orbit)
-    that move 70,080 big-cell keys, 34,926 per-key triangular moves (the
+    that move 70,080 big-cell keys, 35,080 per-key triangular moves (the
     keys off the big cell, the radical sweeps and the table builds) and
-    12,276 generic ones (the swap copies and the walks of H).  Moving the
-    big cell key by key again adds 70,080 triangular moves."""
+    12,504 generic ones (the swap copies and the walks of H, which step
+    each state by every generator).  Moving the big cell key by key again
+    adds 70,080 triangular moves."""
     counts = dict.fromkeys(("steps", "planes", "triangular", "generic"), 0)
 
     def counted(name, build):
@@ -1408,7 +1411,7 @@ def test_q4_orbit_sweep_moves_big_cell_copies_as_byte_planes(gf4, monkeypatch):
     (a,) = _random_projectivities(gf4, 1, 4)
     sizes = [len(orbit_keys(act_subspace(s, a))) for s in representatives(gf4).values()]
     assert sum(sizes) == 114661
-    assert counts == {"steps": 306, "planes": 70080, "triangular": 34926, "generic": 12276}
+    assert counts == {"steps": 306, "planes": 70080, "triangular": 35080, "generic": 12504}
 
 
 def _identity_kernel_move(monkeypatch):

@@ -571,7 +571,7 @@ def test_kernel_subgroup_generators_generate_it(q):
         assert len(gens) == 4
         for g in gens:
             assert (g[:3] if point else g[::3]) == (1, 0, 0) and mat3_det(gf, g), g
-        # the closure steps no state back by the generators it calls involutions
+        # _radical_basis conjugates by s x s for s = x12(1), x21(1), which needs s = s^-1
         assert all(mat3_mul(gf, g, g) == IDENTITY3 for g in gens[:3])
         assert len(mulclose(gf, gens)) == kernel_subgroup_order(q)
 
