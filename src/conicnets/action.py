@@ -24,14 +24,14 @@ first use and dropped by ``GF.forget``.  Its ``mover`` binds one matrix's
 tables into a map from n-row keys to image keys for points, lines and
 planes (n = 1, 2, 3): the one packed elimination, straight-line code with no
 dependent-row branch, since a lift of an invertible matrix drops no row.
-Every orbit walk steps through movers, one int per state.  One breadth-first
-``closure`` returns the set of states it reached; ``subspace_orbit`` runs it
-on the ``PackedAction.walk`` of one subspace or a pair under any matrices.
+Every orbit walk moves one subspace's key, one int per state, under
+``PackedAction.movers``, and one breadth-first ``closure`` returns the states
+it reached; ``subspace_orbit`` runs it under any matrices.
 ``_kernel_move`` builds the one C, which takes an ``anchor`` (from
 ``invariants``) to e0, with the generators of e0's stabilizer H.  Every
 orbit question about an anchored subspace is answered in H:
-``kernel_fiber`` walks the subspaces carried by C, by radical blocks where
-they are large, ``orbit_keys`` copies that fiber to every anchor position,
+``kernel_fiber`` walks the subspace carried by C, by radical blocks where
+it is large, ``orbit_keys`` copies that fiber to every anchor position,
 cell by cell of the positions under the lower unitriangular group
 (``_anchor_cells``), ``k_equivalent`` compares two fibers, and ``atlas``
 counts stabilizers by it.  A stabilizer given by generators is closed by
@@ -136,6 +136,11 @@ def _split_tables(gf: GF, l) -> tuple[list[int], list[int]]:
     return hi, lo
 
 
+def _lower_unitriangular(a) -> bool:
+    """Whether the matrix a has unit diagonal and zeros above it."""
+    return (a[0], a[1], a[2], a[4], a[5], a[8]) == (1, 0, 0, 1, 0, 1)
+
+
 class PackedAction:
     """Projectivities acting on packed-row points, lines and planes of PG(5,q).
 
@@ -170,23 +175,12 @@ class PackedAction:
             self._tables[a] = _split_tables(self.gf, lift(self.gf, a))
         return self._tables[a]
 
-    def walk(self, subspaces, gens):
-        """``closure``'s (start, step) for one subspace or a pair under
-        ``gens``, other counts refused with ValueError: a state is one int, a
-        key or a pair packed ``first << width | second``.  A lower
-        unitriangular matrix moves by ``triangular_mover``."""
-        if not 1 <= len(subspaces) <= 2:
-            raise ValueError("a walk moves one subspace or a pair, got %d" % len(subspaces))
-        lower = lambda a: a[:3] + a[4:6] + a[8:] == (1, 0, 0, 1, 0, 1)
-        movers = [[self.triangular_mover(a, len(s.rows)) if lower(a)
-                   else self.mover(self.tables(a), len(s.rows)) for a in gens] for s in subspaces]
-        if len(movers) == 1:
-            (m,) = movers
-            return subspaces[0].key_int(), lambda k, i: m[i](k)
-        (m, n), width = movers, len(subspaces[1].rows) * self.w
-        low = (1 << width) - 1
-        step = lambda st, i: m[i](st >> width) << width | n[i](st & low)
-        return subspaces[0].key_int() << width | subspaces[1].key_int(), step
+    def movers(self, gens, n: int) -> list:
+        """One map key -> image key of n-row subspaces per matrix of ``gens``:
+        ``triangular_mover`` for a lower unitriangular one, else ``mover`` on
+        its ``tables``.  The one place a matrix's mover is picked."""
+        return [self.triangular_mover(a, n) if _lower_unitriangular(a)
+                else self.mover(self.tables(a), n) for a in gens]
 
     def mover(self, tables, n: int):
         """The map key -> image key of n-row subspaces under ``tables``,
@@ -277,7 +271,7 @@ class PackedAction:
         most three conditional eliminations, a line one and a point none.
         One move serves all three, a key of fewer rows reading as zero rows
         above its own, which map to zero and eliminate nothing."""
-        if (a[0], a[1], a[2], a[4], a[5], a[8]) != (1, 0, 0, 1, 0, 1):
+        if not _lower_unitriangular(a):
             raise ValueError("not lower unitriangular: %r" % (a,))
         if not 1 <= n <= 3:
             raise ValueError("packed movers take 1 to 3 rows, got %d" % n)
@@ -394,35 +388,33 @@ def pgl_elements(gf: GF):
 # -- orbits ----------------------------------------------------------------
 
 
-def closure(start, step, ngens: int, max_keys: int | None = None) -> set:
-    """Breadth-first closure of ``start`` under ``step(state, i)``, i < ngens.
+def _budget(held: int, max_keys: int | None) -> None:
+    """Refuse with ResourceBudgetError once more than ``max_keys`` keys are held."""
+    if max_keys is not None and held > max_keys:
+        raise ResourceBudgetError("orbit enumeration exceeded %d keys" % max_keys, partial=held)
 
-    Returns the set of states reached, and raises ResourceBudgetError once
-    there are more than ``max_keys`` states.
-    """
+
+def closure(start, moves, max_keys: int | None = None) -> set:
+    """The set of states a breadth-first walk reaches from ``start`` under
+    the maps ``moves``, refused (``_budget``) past ``max_keys`` states."""
     seen, frontier = {start}, [start]
     while frontier:
         new = []
         for k in frontier:
-            for i in range(ngens):
-                k2 = step(k, i)
+            for move in moves:
+                k2 = move(k)
                 if k2 not in seen:
                     seen.add(k2)
-                    if max_keys is not None and len(seen) > max_keys:
-                        raise ResourceBudgetError(
-                            "orbit enumeration exceeded %d keys" % max_keys,
-                            partial=len(seen),
-                        )
+                    _budget(len(seen), max_keys)
                     new.append(k2)
         frontier = new
     return seen
 
 
-def subspace_orbit(subspaces, gens, max_keys: int | None = None) -> set:
-    """Orbit of one subspace or a pair under the group generated by the
-    matrices ``gens``: one ``closure`` of their ``PackedAction.walk``."""
-    start, step = packed_action(subspaces[0].gf).walk(subspaces, gens)
-    return closure(start, step, len(gens), max_keys)
+def subspace_orbit(s: Subspace, gens, max_keys: int | None = None) -> set:
+    """Packed keys of the orbit of s under the group generated by the
+    matrices ``gens``: one ``closure`` of s's key under their movers."""
+    return closure(s.key_int(), packed_action(s.gf).movers(gens, len(s.rows)), max_keys)
 
 
 def _kernel_subgroup_generators(gf: GF, point: bool) -> tuple[tuple[int, ...], ...]:
@@ -462,10 +454,10 @@ def _radical_basis(gf: GF, gens) -> list:
                                        for s in gens[:2] for x in roots]))
 
 
-def kernel_fiber(subspaces, kernels, max_keys: int | None = None):
-    """Orbit under H of the ``subspaces`` moved by C (``_kernel_move``), for
-    ``kernels`` an ``anchor`` fixed by their stabilizer, as a set or a set-like
-    key view; for one subspace, its orbit's members anchored at e0.
+def kernel_fiber(s: Subspace, kernels, max_keys: int | None = None):
+    """Keys of the orbit under H of s moved by C (``_kernel_move``), as a set
+    or a set-like key view: for ``kernels`` the ``anchor`` of s, the members
+    of its orbit anchored at e0.
 
     H = U L, U the normal radical and L the Levi block GL(2,q), so the
     U-orbits are blocks of one size that L permutes.  U x0 is swept first
@@ -473,28 +465,25 @@ def kernel_fiber(subspaces, kernels, max_keys: int | None = None):
     new one swept whole, else ``subspace_orbit`` walks H.  A count other
     than blocks |U x0| raises VerificationError; ``max_keys`` bounds all the
     states held, checked after each block is swept."""
-    gf, pa = subspaces[0].gf, packed_action(subspaces[0].gf)
+    gf, pa, n = s.gf, packed_action(s.gf), len(s.rows)
     c, gens = _kernel_move(gf, kernels)
-    moved = tuple(act_subspace(s, c) for s in subspaces)
-    radical = _radical_basis(gf, gens)
-    start, move = pa.walk(moved, radical)
-    sweep = lambda y, gray=_gray(range(len(radical))): accumulate(gray, move, initial=y)
+    moved = act_subspace(s, c)
+    start, gray = moved.key_int(), _gray(pa.movers(_radical_basis(gf, gens), n))
+    sweep = lambda y: accumulate(gray, lambda k, move: move(k), initial=y)
     head = {}  # state -> the state its block was swept from
 
     def held(y):
         if y not in head:
             head.update(dict.fromkeys(sweep(y), y))
-            if max_keys is not None and len(head) > max_keys:
-                raise ResourceBudgetError("orbit enumeration exceeded %d keys" % max_keys,
-                                          partial=len(head))
+            _budget(len(head), max_keys)
         return head[y]
 
     held(start)
     block = len(head)
     if 2 * block < gf.q**2:
         return subspace_orbit(moved, gens, max_keys)
-    _, step = pa.walk(moved, gens[:2] + gens[3:])
-    blocks = closure(start, lambda st, i: held(step(st, i)), 3)
+    levi = pa.movers(gens[:2] + gens[3:], n)
+    blocks = closure(start, [lambda k, move=move: held(move(k)) for move in levi])
     if len(head) != len(blocks) * block:
         raise VerificationError("the radical blocks of a kernel fiber overlap")
     return head.keys()
@@ -503,8 +492,8 @@ def kernel_fiber(subspaces, kernels, max_keys: int | None = None):
 def group_order(gf: GF, gens) -> int:
     """The order of the group the matrices ``gens`` generate: one ``closure``
     of the identity under right multiplication, one normalized matrix a state."""
-    step = lambda a, i: normalize_point(gf, mat3_mul(gf, a, gens[i]))
-    return len(closure(IDENTITY3, step, len(gens)))
+    return len(closure(IDENTITY3, [lambda a, g=g: normalize_point(gf, mat3_mul(gf, a, g))
+                                   for g in gens]))
 
 
 def line_orbits(lines: dict, gens) -> list[set[int]]:
@@ -514,7 +503,7 @@ def line_orbits(lines: dict, gens) -> list[set[int]]:
     orbits = []
     for k in sorted(lines):
         if not any(k in orbit for orbit in orbits):
-            orbits.append(subspace_orbit((lines[k],), gens))
+            orbits.append(subspace_orbit(lines[k], gens))
             if not orbits[-1] <= lines.keys():
                 raise VerificationError("a line orbit leaves its candidate set")
     return orbits
@@ -553,25 +542,23 @@ def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     other than (q^2+q+1) |F| raises VerificationError.  The nucleus plane is
     its own orbit; a plane missing it is a ``closure``."""
     pa, n = packed_action(s.gf), len(s.rows)
-    swaps = {a: pa.mover(pa.tables(a), n) for a in (SWAP01, SWAP02)}
+    swaps = dict(zip((SWAP01, SWAP02), pa.movers((SWAP01, SWAP02), n)))
     kernels = anchor(s)
     if not kernels:
-        return subspace_orbit((s,), generators(s.gf), max_keys)
+        return subspace_orbit(s, generators(s.gf), max_keys)
     if len(kernels) == 3:
         return {s.key_int()}
-    fiber = list(kernel_fiber((s,), kernels, max_keys))
+    fiber = list(kernel_fiber(s, kernels, max_keys))
     (mask, cell), out = pa.big_cell(n), set()
     for base, gens in _anchor_cells(s.gf, len(kernels) == 1):
         image, gray = fiber if base is None else list(map(swaps[base], fiber)), _gray(gens)
         big = _plane_sweep([k for k in image if k & mask == cell],
                            [pa.cell_tables(a, n) for a in gray], cell >> 64 << 64)
-        rest = accumulate([pa.triangular_mover(a, n) for a in gray], lambda ks, m: [*map(m, ks)],
+        rest = accumulate(pa.movers(gray, n), lambda ks, m: [*map(m, ks)],
                           initial=[k for k in image if k & mask != cell])
         for copy in zip(big, rest):
             out.update(*copy)
-            if max_keys is not None and len(out) > max_keys:
-                raise ResourceBudgetError("orbit enumeration exceeded %d keys" % max_keys,
-                                          partial=len(out))
+            _budget(len(out), max_keys)
     if len(out) != (s.gf.q**2 + s.gf.q + 1) * len(fiber):
         raise VerificationError("the cell images of a kernel fiber overlap")
     return out
@@ -592,6 +579,6 @@ def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> boo
         return False
     kernels = anchor(s1)
     if len(kernels) in (1, 2):
-        return kernel_fiber((s1,), kernels, max_keys) == kernel_fiber((s2,), anchor(s2), max_keys)
+        return kernel_fiber(s1, kernels, max_keys) == kernel_fiber(s2, anchor(s2), max_keys)
     return s2.key_int() in orbit_keys(s1, max_keys)
 

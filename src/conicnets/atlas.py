@@ -232,7 +232,7 @@ def plane_stabilizer_order(s: Subspace) -> int:
         raise OutOfFamilyError("plane misses the nucleus plane")
     if len(kernels) == 3:
         return pgl_order(q)
-    return q**3 * (q - 1) * (q * q - 1) // len(kernel_fiber((s,), kernels, 2**18))
+    return q**3 * (q - 1) * (q * q - 1) // len(kernel_fiber(s, kernels, 2**18))
 
 
 def _e(i: int) -> tuple[int, ...]:
@@ -780,9 +780,13 @@ def verify_line_orbits(gf: GF) -> dict:
     two orbits, and two specific line stabilizers have orders 6 and 2 with
     a 480-line hyperplane count.
 
-    A stabilizer's order is |PGL(3,q)| / |orbit|, the orbit walked under
-    ``generators``, or in H, of order q^3 (q-1) (q^2-1), after a kernel
-    move.  Inside the pair and joint stabilizers, ``_stabilizer_generators``
+    A stabilizer's order is |PGL(3,q)| / |orbit|, an orbit walked one
+    subspace at a time under ``generators``, or in H, of order
+    q^3 (q-1) (q^2-1), after a kernel move C; for the nuclear point N, C
+    takes its kernel to e0.  Both pair counts require the premise that H
+    fixes C N = P (N's ``kernel_fiber`` is one point), P nuclear of kernel
+    e0: then |G (R, N)| = |G N| |H (C R)| and |G (P, e1)| = |G N| |H e1|.
+    Inside the pair and joint stabilizers, ``_stabilizer_generators``
     that reach that order generate them and split lines by ``line_orbits``.
     The lines missing the nucleus plane have order |H| / |``kernel_fiber``|;
     the pair's filter runs over the 2,880 ``_middle_column_fixers``.
@@ -796,17 +800,16 @@ def verify_line_orbits(gf: GF) -> dict:
 
     l0 = span(gf, [(0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0)])
     R, N = (0, 1, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0)
-    # l0 is spanned by R and its nuclear point N, so the (line, point) pair
-    # and the two points have one stabilizer; points move faster.
-    # |G pair| = |G N| |H (C pair)|, C moving N's kernel to e0.
-    pair = (span(gf, [R]), span(gf, [N]))
-    nuclear_orbit = len(subspace_orbit(pair[1:], group))
-    pair_orbit = nuclear_orbit * len(kernel_fiber(pair, anchor(pair[1])))
+    # l0 = span(R, N), N its nuclear point: (l0, R) and (R, N) have one stabilizer.
+    nuclear = span(gf, [N])
+    nuclear_orbit = len(subspace_orbit(nuclear, group))
+    premise = nuclear_orbit == q * q + q + 1 and len(kernel_fiber(nuclear, anchor(nuclear))) == 1
+    pair_orbit = nuclear_orbit * len(kernel_fiber(span(gf, [R]), anchor(nuclear)))
     order = pgl_order(q) // pair_orbit
     want_order = q * q * (q - 1)
     checks.append(_check(
         "pair_stabilizer_order",
-        pair_orbit * want_order == pgl_order(q) and nuclear_orbit == q * q + q + 1,
+        premise and pair_orbit * want_order == pgl_order(q),
         {"order": order, "expected": want_order, "pair_orbit": pair_orbit},
     ))
     fixed_pt = (0, 0, 0, 1, 0, 0)
@@ -847,11 +850,11 @@ def verify_line_orbits(gf: GF) -> dict:
         # H = {m22 = 0}, the conic plane and the nuclear point with kernel
         # e2 are fixed by the same matrices, those with A^T e2 a multiple of
         # e2, so the stabilizer walks that point in place of the hyperplane.
-        points = (span(gf, [P]), span(gf, [_e(1)]))
-        joint = pgl_order(q) // len(subspace_orbit(points, group))
+        joint_orbit = nuclear_orbit * len(kernel_fiber(span(gf, [_e(1)]), anchor(span(gf, [P]))))
+        joint = pgl_order(q) // joint_orbit
         checks.append(_check(
             "joint_stabilizer_order",
-            joint == (q - 1) ** 2 * q * q,
+            premise and joint == (q - 1) ** 2 * q * q,
             {"order": joint, "expected": (q - 1) ** 2 * q * q},
         ))
         cand = {
@@ -877,7 +880,7 @@ def verify_line_orbits(gf: GF) -> dict:
         b, c = sigma20_parameters(gf)
         lb = span(gf, [(1, 0, b, c, 0, 1), (0, 1, 0, 1, 0, 0)])
         # |G| / |G l| = |H| / |F|; the sweep checked |oa| = (q^2+q+1) |F|
-        fibers = [len(oa) // (q * q + q + 1), len(kernel_fiber((lb,), anchor(lb)))]
+        fibers = [len(oa) // (q * q + q + 1), len(kernel_fiber(lb, anchor(lb)))]
         checks.append(_check(
             "special_line_stabilizers",
             kernel_order == 6 * fibers[0] and kernel_order == 2 * fibers[1],

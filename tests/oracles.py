@@ -277,10 +277,10 @@ def singer_orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     move = pa.mover(pa.tables(gens[1]), len(s.rows))
     kernels = anchor(s)
     if not kernels:
-        return subspace_orbit((s,), gens, max_keys)
+        return subspace_orbit(s, gens, max_keys)
     if len(kernels) == 3:
         return {s.key_int()}
-    fiber = list(kernel_fiber((s,), kernels, max_keys))
+    fiber = list(kernel_fiber(s, kernels, max_keys))
     out, image = set(fiber), fiber
     for _ in range(n - 1):
         image = list(map(move, image))
@@ -307,18 +307,20 @@ def fiber_orbits_by_tuples(fixed, lines: dict, kernels) -> tuple[list[set[int]],
     gf = fixed[0].gf
     c, gens = _kernel_move(gf, kernels)
     pa = packed_action(gf)
-    walks = [pa.walk((act_subspace(s, c),), gens) for s in fixed]
-    head = tuple(start for start, _ in walks)
-    step = lambda st, i: tuple(move(k, i) for k, (_, move) in zip(st, walks))
+    head = tuple(act_subspace(s, c).key_int() for s in fixed)
+    walks = [pa.movers(gens, len(s.rows)) for s in fixed]
+    step = lambda st, i: tuple(moves[i](k) for k, moves in zip(st, walks))
     table = {}  # (state, i) -> image: each met once
-    size = len(closure(head, lambda st, i: table.setdefault((st, i), step(st, i)), len(gens)))
+    size = len(closure(head, [lambda st, i=i: table.setdefault((st, i), step(st, i))
+                              for i in range(len(gens))]))
     moved = [pa.mover(pa.tables(a), 2) for a in gens]
     own = {act_subspace(l, c).key_int(): k for k, l in sorted(lines.items())}
     orbits, placed = [], set()
     for m, k in own.items():
         if k in placed:
             continue
-        seen = closure((head, m), lambda st, i: (table[st[0], i], moved[i](st[1])), len(gens))
+        seen = closure((head, m), [lambda st, i=i: (table[st[0], i], moved[i](st[1]))
+                                   for i in range(len(gens))])
         comp = {line for st, line in seen if st == head}
         if not comp <= own.keys():
             raise VerificationError("a line orbit leaves its candidate set")
@@ -359,7 +361,7 @@ def mulclose(gf: GF, gens, limit: int | None = None) -> set[tuple[int, ...]]:
     """Closure of a generating set under products, all elements normalized."""
     gens = [normalize_point(gf, g) for g in gens]
     return closure(
-        IDENTITY3, lambda x, k: normalize_point(gf, mat3_mul(gf, x, gens[k])), len(gens), limit)
+        IDENTITY3, [lambda x, g=g: normalize_point(gf, mat3_mul(gf, x, g)) for g in gens], limit)
 
 
 def orbit_transversal(gf: GF, state0, act):

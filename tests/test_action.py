@@ -10,7 +10,6 @@ images under every element of a stabilizer.
 
 import itertools
 import random
-from itertools import accumulate
 
 import pytest
 
@@ -154,7 +153,7 @@ def test_generators_walk_the_singer_pairs_point_orbits(q):
     for y, kind in (((0, 1, 0, 0, 0, 0), "rank2_nuclear"), ((1, 0, 0, 1, 0, 0), "rank2_secant")):
         assert point_class(gf, y) == kind
         p = span(gf, [y])
-        assert subspace_orbit((p,), generators(gf)) == subspace_orbit((p,), singer_generators(gf))
+        assert subspace_orbit(p, generators(gf)) == subspace_orbit(p, singer_generators(gf))
 
 
 @pytest.mark.parametrize("q", (2, 4))
@@ -257,6 +256,10 @@ def test_k_equivalent_on_moved_copies(gf4, sample_matrices):
     moved = {label: act_subspace(act_subspace(s, b), a) for label, s in reps.items()}
     assert [[k_equivalent(reps[x], moved[y]) for y in reps] for x in reps] \
         == [[x == y for y in reps] for x in reps]
+    s = reps["Sigma1"]
+    assert not k_equivalent(span(gf4, s.rows[:2]), s)
+    with pytest.raises(ValueError, match="different spaces"):
+        k_equivalent(s, representative(field(2), "Sigma1"))
 
 
 def test_orbit_budget_enforced(gf4):
@@ -631,16 +634,21 @@ def test_anchor_cells_cover_each_position_once(q):
 def test_triangular_mover_matches_the_mover(q):
     """On random full-rank RREF keys of 1, 2 and 3 rows, the
     back-substitution move of a lower unitriangular matrix, a cell
-    generator or a random one, equals the generic mover's."""
+    generator or a random one, equals the generic mover's, and
+    ``PackedAction.movers`` picks it for exactly those matrices: not for
+    the generators or the swaps."""
     gf = field(q)
     pa = PackedAction(gf)
     rng = random.Random(q)
     cells = [a for p in (True, False) for _, gens in action._anchor_cells(gf, p) for a in gens]
     lower = [(1, 0, 0, rng.randrange(q), 1, 0, rng.randrange(q), rng.randrange(q), 1)
              for _ in range(6)]
-    for a in cells + lower:
+    others = [*generators(gf), action.SWAP01, action.SWAP02]
+    for a in cells + lower + others:
         for n in (1, 2, 3):
-            move, fast = pa.mover(pa.tables(a), n), pa.triangular_mover(a, n)
+            move, (fast,) = pa.mover(pa.tables(a), n), pa.movers([a], n)
+            assert (fast.__qualname__ == "PackedAction.triangular_mover.<locals>.move") \
+                == (a not in others), a
             for _ in range(40):
                 rows = ()
                 while len(rows) < n:
@@ -768,7 +776,7 @@ def test_closure_reaches_the_transversal_orbit(gf4):
     """The closure holds the states of the witness-storing BFS, and no
     generator step leaves it."""
     state0, act = _pair_action(gf4)
-    seen = closure(state0, act, 2)
+    seen = closure(state0, _moves(act))
     assert len(seen) == 1260
     assert seen == orbit_transversal(gf4, state0, act)[0].keys()
     assert all(act(s, k) in seen for s in seen for k in range(2))
@@ -777,9 +785,14 @@ def test_closure_reaches_the_transversal_orbit(gf4):
 def test_closure_max_keys_raises_with_partial(gf4):
     state0, act = _pair_action(gf4)
     with pytest.raises(ResourceBudgetError, match="orbit enumeration exceeded 100 keys") as info:
-        closure(state0, act, 2, max_keys=100)
+        closure(state0, _moves(act), max_keys=100)
     assert info.value.partial == 101
-    assert len(closure(state0, act, 2, max_keys=1260)) == 1260
+    assert len(closure(state0, _moves(act), max_keys=1260)) == 1260
+
+
+def _moves(step, ngens=2):
+    """``closure``'s maps for an action ``step(state, k)`` of ``ngens`` generators."""
+    return [lambda state, k=k: step(state, k) for k in range(ngens)]
 
 
 def _packed_step(*subspaces):
@@ -813,43 +826,10 @@ def test_closure_matches_the_transversal_states(gf2, gf4):
     assert len(cases) == 21
     sizes = []
     for gf, (start, step) in cases:
-        seen = closure(start, step, 2)
+        seen = closure(start, _moves(step))
         assert seen == orbit_transversal(gf, start, step)[0].keys()
         sizes.append(len(seen))
     assert sizes[18:] == [10080, 30240, 1260]
-
-
-def test_pair_walk_moves_each_key_as_its_own_walk(gf2, gf4):
-    """A pair state is one int, the first key above the second's rows, and
-    it steps each key as the walk of its one subspace does, under the
-    generic generators and lower unitriangular ones: over
-    every state of each pair's orbit at q = 2, and 2,000 seeded random steps
-    at q = 4.  A walk of no subspace or of three is refused before any
-    table is built."""
-    rng = random.Random(44)
-    for gf in (gf2, gf4):
-        pa = PackedAction(gf)
-        gens = generators(gf) + action._kernel_subgroup_generators(gf, True)
-        point = span(gf, [(0, 0, 0, 0, 1, 0)])
-        line = span(gf, [(1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0)])
-        plane = act_subspace(representative(gf, "Sigma10"), (1, 0, 0, 1, 1, 0, 0, 1, 1))
-        for bad in ((), (point, line, plane)):
-            with pytest.raises(ValueError, match="one subspace or a pair, got %d" % len(bad)):
-                pa.walk(bad, gens)
-        assert pa._tables == {}
-        for pair in ((point, line), (line, plane), (plane, point)):
-            start, step = pa.walk(pair, gens)
-            alone = [pa.walk((s,), gens) for s in pair]
-            width = len(pair[1].rows) * 6 * gf.e
-            split = lambda st: (st >> width, st & (1 << width) - 1)
-            assert split(start) == tuple(k for k, _ in alone)
-            states = (closure(start, step, len(gens)) if gf.q == 2
-                      else accumulate(range(2000), lambda st, _: step(st, rng.randrange(6)),
-                                      initial=start))
-            for st in states:
-                for i in range(len(gens)):
-                    assert split(step(st, i)) \
-                        == tuple(move(k, i) for k, (_, move) in zip(split(st), alone))
 
 
 @pytest.mark.parametrize("e", range(1, 9))
@@ -950,7 +930,7 @@ def test_joint_stabilizer_matches_group_filter(q):
     assert direct == group_filter(gf, (point, span(gf, [atlas._e(i) for i in (0, 1, 3)])))
     assert direct == group_filter(gf, (point, kernel_point))
     assert len(direct) == (q - 1) ** 2 * q * q
-    assert len(subspace_orbit((point, kernel_point), generators(gf))) * len(direct) \
+    assert len(orbit_transversal(gf, *_packed_step(point, kernel_point))[0]) * len(direct) \
         == pgl_order(q)
     assert stabilizer(gf, *_packed_step(point, kernel_point))[0] == direct
     assert group_filter(gf, _line_and_point(gf)) == group_filter(gf, (r, nuclear))
@@ -1028,7 +1008,7 @@ def test_line_orbits_by_closure_match_images_under_every_element(q):
     sizes = []
     for fixed, kernels, keyed, gens in _line_orbit_cases(gf):
         direct = group_filter(gf, fixed)
-        assert len(subspace_orbit(fixed, generators(gf))) * len(direct) == pgl_order(q)
+        assert len(orbit_transversal(gf, *_packed_step(*fixed))[0]) * len(direct) == pgl_order(q)
         c, kernel_gens = action._kernel_move(gf, kernels)
         conjugated = {normalize_point(gf, mat3_mul(gf, mat3_mul(gf, c, a), mat3_inv(gf, c)))
                       for a in direct}
@@ -1162,15 +1142,19 @@ def test_identity_for_a_subgroup_generator_fails_a_line_orbit_check(point, q, dr
 @pytest.mark.parametrize("q", (4, 8))
 def test_kernel_fiber_matches_the_hand_move(q):
     """From the pair's nuclear point N, ``kernel_fiber`` builds the C that
-    the oracle writes by hand, and walks the moved pair under H.  From the
-    joint check's P, whose kernel is e0, C is the identity."""
+    the oracle writes by hand and walks C R under H.  H fixes C N = P, so
+    the pair's orbit, walked on tuple states, has |G N| |H (C R)| members.
+    From the joint check's P, whose kernel is e0, C is the identity."""
     gf = field(q)
     kernel_gens = action._kernel_subgroup_generators(gf, True)
-    pair, moved = hand_moved_pair(gf)
-    assert kernel_fiber(pair, anchor(pair[1])) == subspace_orbit(moved, kernel_gens)
-    points = (span(gf, [P]), span(gf, [(0, 1, 0, 0, 0, 0)]))
-    assert anchor(points[0]) == [(1, 0, 0)]
-    assert kernel_fiber(points, anchor(points[0])) == subspace_orbit(points, kernel_gens)
+    (r, n), (moved_r, moved_n) = hand_moved_pair(gf)
+    point, e1 = span(gf, [P]), span(gf, [(0, 1, 0, 0, 0, 0)])
+    assert kernel_fiber(r, anchor(n)) == subspace_orbit(moved_r, kernel_gens)
+    assert kernel_fiber(n, anchor(n)) == {moved_n.key_int()} == {point.key_int()}
+    assert len(orbit_transversal(gf, *_packed_step(r, n))[0]) \
+        == len(subspace_orbit(n, generators(gf))) * len(kernel_fiber(r, anchor(n)))
+    assert anchor(point) == [(1, 0, 0)]
+    assert kernel_fiber(e1, anchor(point)) == subspace_orbit(e1, kernel_gens)
 
 
 def _block_cases(gf, labels=atlas.LABELS):
@@ -1196,11 +1180,11 @@ def _block_oracle(cases):
         gf, kernels = t.gf, anchor(t)
         c, gens = action._kernel_move(gf, kernels)
         x0 = act_subspace(t, c)
-        fiber = subspace_orbit((x0,), gens)
+        fiber = subspace_orbit(x0, gens)
         roots = ((1, 0), (2, 0)) if len(kernels) == 1 else ((0, 1), (0, 2))
         radical = [tuple(u if k == 3 * i + j else IDENTITY3[k] for k in range(9))
                    for i, j in roots for u in gf.nonzero]
-        block = len(subspace_orbit((x0,), radical))
+        block = len(subspace_orbit(x0, radical))
         out.append((fiber, len(fiber) // block if 2 * block >= gf.q**2 else len(fiber)))
     return out
 
@@ -1221,7 +1205,7 @@ def _block_walk_mismatches(cases, want, monkeypatch):
         for i, (t, (fiber, states)) in enumerate(zip(cases, want)):
             held.clear()
             try:
-                ok = kernel_fiber((t,), anchor(t)) == fiber and held == [states]
+                ok = kernel_fiber(t, anchor(t)) == fiber and held == [states]
             except VerificationError:
                 ok = False
             if not ok:
@@ -1253,9 +1237,9 @@ def test_kernel_fiber_budget_bounds_the_small_block_walk(gf4):
     """Sigma20's q = 4 radical block holds 4 < q^2/2 planes, so its fiber
     of 90 is walked by the closure of H, which stops at 51 states."""
     s = representative(gf4, "Sigma20")
-    assert len(kernel_fiber((s,), anchor(s), 90)) == 90
+    assert len(kernel_fiber(s, anchor(s), 90)) == 90
     with pytest.raises(ResourceBudgetError, match="exceeded 50 keys") as info:
-        kernel_fiber((s,), anchor(s), 50)
+        kernel_fiber(s, anchor(s), 50)
     assert info.value.partial == 51
 
 
@@ -1289,14 +1273,15 @@ def test_sigma22_q8_fiber_walks_levi_moves_on_blocks(monkeypatch):
     moves, held = [], []
     real = action.closure
 
-    def counted(start, step, ngens, *args, **kwargs):
-        seen = real(start, lambda st, i: moves.append(i) or step(st, i), ngens, *args, **kwargs)
+    def counted(start, maps, *args, **kwargs):
+        seen = real(start, [lambda st, m=m: moves.append(m) or m(st) for m in maps],
+                    *args, **kwargs)
         held.append(len(seen))
         return seen
 
     monkeypatch.setattr(action, "closure", counted)
     s = representative(field(8), "Sigma22")
-    assert len(kernel_fiber((s,), anchor(s))) == 225792
+    assert len(kernel_fiber(s, anchor(s))) == 225792
     assert held == [3528] and len(moves) <= 3 * 3528
 
 
@@ -1422,16 +1407,17 @@ def _identity_kernel_move(monkeypatch):
 
 @pytest.mark.parametrize("q", (4, 8))
 def test_identity_kernel_move_fails_the_pair_count(q, monkeypatch):
-    """Unmoved, the pair's kernel is not e0, so H does not hold its
-    stabilizer and the pair count comes out wrong.  At q = 4 the suite's
-    two special lines are swept through the same move, and the sweep
-    refuses it; walked breadth-first, they leave the pair count to report."""
+    """Unmoved, N's kernel is not e0, so H does not hold its stabilizer:
+    N's fiber is not one point, the premise of the pair count, and the
+    count fails.  At q = 4 the suite's two special lines are swept through
+    the same move, and the sweep refuses it; walked breadth-first, they
+    leave the pair count to report."""
     _identity_kernel_move(monkeypatch)
     if q == 4:
         with pytest.raises(VerificationError, match="cell images"):
             atlas.verify_line_orbits(field(q))
         monkeypatch.setattr(atlas, "orbit_keys",
-                            lambda s: subspace_orbit((s,), generators(s.gf)))
+                            lambda s: subspace_orbit(s, generators(s.gf)))
     checks = {c["name"]: c for c in atlas.verify_line_orbits(field(q))["checks"]}
     assert not checks["pair_stabilizer_order"]["pass"]
 
@@ -1477,13 +1463,9 @@ def test_middle_column_fixers_are_the_group_elements_fixing_e1(q):
 
 
 def test_line_orbit_suite_walks_neither_the_lines_nor_the_group(monkeypatch):
-    """A work count in place of a timing: the q = 4 suite holds 878 closure
-    states in 12 closures (2,201 when each stabilizer's line orbits were
-    fibers of its orbit in H, 4,001 when the two special lines' fibers were
-    walked state by state and not by radical blocks, 42,481 when its two
-    line orbits were walked breadth-first), the q = 8 suite 1,034 in 6
-    (5,617 as fibers), and neither draws an element of ``pgl_elements``
-    (60,480 when the q = 4 filter streamed the whole group)."""
+    """A work count in place of a timing: the q = 4 suite holds 479 closure
+    states in 13 closures, the q = 8 suite 1,035 in 7, and neither draws
+    an element of ``pgl_elements``."""
     states, draws = [], []
     real_closure, real_elements = action.closure, action.pgl_elements
 
@@ -1499,7 +1481,7 @@ def test_line_orbit_suite_walks_neither_the_lines_nor_the_group(monkeypatch):
 
     monkeypatch.setattr(action, "closure", counted_closure)
     monkeypatch.setattr(action, "pgl_elements", counted_elements)
-    for q, total, walks in ((4, 878, 12), (8, 1034, 6)):
+    for q, total, walks in ((4, 479, 13), (8, 1035, 7)):
         states.clear()
         assert all(c["pass"] for c in atlas.verify_line_orbits(field(q))["checks"])
         assert len(states) == walks and sum(states) == total, q

@@ -353,6 +353,8 @@ def test_representative_pattern_override_validation(gf4):
         representative_pattern(gf4, "Sigma20", {"c": 3})
     with pytest.raises(ConfigurationError):
         representative_pattern(gf4, "NotALabel")
+    with pytest.raises(ConfigurationError, match="unknown orbit label"):
+        representative(gf4, "Sigma99")
 
 
 def test_representative_parameters_table(gf4):
@@ -370,6 +372,8 @@ def test_net_plane_round_trip(gf4):
         forms = net_of_plane(s)
         assert len(forms) == 3
         assert plane_of_net(gf4, forms) == s
+    with pytest.raises(ValueError, match="expected a plane"):
+        net_of_plane(span(gf4, s.rows[:2]))
 
 
 def test_plane_of_net_rejects_dependent_forms(gf4):

@@ -200,6 +200,9 @@ def test_exit_code_usage_errors(capsys):
     assert code == 2
     code, _, err = run(["verify", "--q", "2", "--suite", "line-orbits"], capsys)
     assert code == 2  # suite defined only for q = 4, 8, 16
+    for argv in (["verify", "--q", "16", "--suite", "partition"], ["atlas", "--q", "16"]):
+        code, out, err = run(argv, capsys)  # the partition stops at q = 8
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
     code, _, err = run(
         ["classify-net", "--q", "4", "--data", '{"forms": ["X9^2", "X0^2", "X1^2"]}'],
         capsys,

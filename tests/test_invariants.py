@@ -378,6 +378,10 @@ def test_cubic_type_on_constructed_forms(q):
     # x * (y*z + x^2): at q = 2 the conic's one zero off the line is smooth
     transversal = _cubic({(3, 0, 0): 1, (1, 1, 1): 1})
     assert cubic_type(gf, transversal) == "LinePlusConic_Transversal"
+    with pytest.raises(ValueError, match="vanishes everywhere"):
+        cubic_points(gf, _cubic({}))
+    with pytest.raises(ValueError, match="no factorization type"):
+        cubic_type(gf, _cubic({}))
 
 
 def test_cubic_type_triangle_vs_concurrent(gf4):

@@ -201,10 +201,12 @@ def test_module_level_caches_are_the_known_ones():
     """The package's process-wide caches and per-field values, pinned so
     that a new one is a decision: every ``functools.cache`` (a decorator or
     a call, and none inside another expression) in ``src/``, every
-    module-level container that a function stores into by subscript, and
-    every function read through the field's store (``gf.per_field``),
-    found by parsing the modules."""
+    module-level container that a function stores into by subscript, every
+    attribute stored into by subscript (``x.attr[k] = v``, the instance
+    caches), and every function read through the field's store
+    (``gf.per_field``), found by parsing the modules."""
     cached, stored, per_field, uses = set(), set(), set(), 0
+    attributes = set()
     kinds = {"functools.cache": cached, "per_field": per_field}
     for path in sorted(Path(conicnets.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -224,7 +226,12 @@ def test_module_level_caches_are_the_known_ones():
                 kinds[ast.unparse(node.value.func)].update(t.id for t in node.targets)
             elif isinstance(node, ast.Attribute) and ast.unparse(node).startswith("functools."):
                 uses += node.attr in ("cache", "lru_cache")
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Attribute)):
+                attributes.add((path.stem, ast.unparse(node.value)))
     assert cached == {"_parser"} and uses == 1
     assert stored == {("gf", "_FIELDS")}
+    assert attributes == {("action", "self._tables"), ("action", "self._cells"),
+                          ("gf", "gf._store"), ("cli", "p.options")}
     assert per_field == {"_rep_data", "expected_signatures", "signature_table", "orbit_atlas",
                          "packed_action"}

@@ -202,6 +202,12 @@ def test_span_meet_join_dimensions(gf2):
     disjoint = span(gf2, [(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)])
     assert meet(a, disjoint) is None
     assert join(a, disjoint).dim == 5
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        meet(a, span(field(4), a.rows))
+    with pytest.raises(ValueError, match="empty set"):
+        span(gf2, [])
+    with pytest.raises(ValueError, match="zero vectors only"):
+        span(gf2, [(0,) * 6, (0,) * 6])
 
 
 def test_hyperplanes_through_counts(gf2, gf4):

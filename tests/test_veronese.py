@@ -101,7 +101,7 @@ def test_classify_conic_known_forms(q):
     # X0^2 + X0*X1 + a*X1^2 irreducible iff trace(a) = 1
     a = next(v for v in gf.elements if gf.trace(v) == 1)
     assert classify_conic(gf, (1, 1, 0, a, 0, 0)) == "ImaginaryPair"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero form"):
         classify_conic(gf, (0, 0, 0, 0, 0, 0))
 
 
@@ -141,6 +141,10 @@ def test_delta_round_trip(gf4):
         # incidence: nu(p) in h exactly when f(p) = 0
         for p in pg_points(gf4, 2):
             assert h.contains_point(veronese(gf4, p)) == (form_eval(gf4, form, p) == 0)
+    with pytest.raises(ValueError, match="expected a hyperplane"):
+        delta_inv(span(gf4, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]))
+    with pytest.raises(ValueError, match="zero vector"):
+        normalize_point(gf4, (0,) * 6)
 
 
 def test_classify_hyperplane_consistent(gf4):
