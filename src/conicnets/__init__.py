@@ -14,15 +14,12 @@ import types
 
 from .atlas import (
     EMPTY_BASE_LABELS,
-    EXPECTED_CUBIC_KIND,
     LABELS,
     SCHEMA,
     classify_net,
     classify_plane,
     example_net,
-    expected_hyperplane_distribution,
     expected_point_distribution,
-    expected_signature,
     expected_stabilizer_order,
     net_base_points,
     net_double_line_count,
@@ -76,7 +73,6 @@ from .veronese import (
     census,
     classify_conic,
     delta,
-    delta_inv,
     expected_census,
     form_eval,
     form_from_str,

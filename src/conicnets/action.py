@@ -21,9 +21,11 @@ linear and addition is XOR, so the image of a packed row v is
 each; scaling by c uses one such pair per c.  ``packed_action`` reads the
 field's one ``PackedAction`` from its store (``gf.per_field``), built on
 first use and dropped by ``GF.forget``.  Its ``mover`` binds one matrix's
-tables into a map from n-row keys to image keys for points, lines and
-planes (n = 1, 2, 3): the one packed elimination, straight-line code with no
-dependent-row branch, since a lift of an invertible matrix drops no row.
+tables into the one move of points, lines and planes, which reads a key as
+a plane: a line's has one zero row on top and a point's two, which map to
+zero and eliminate nothing.  The move is straight-line code with no
+dependent-row branch, since a lift of an invertible matrix drops no row;
+``PackedAction.key`` refuses any other row count.
 Every orbit walk moves one subspace's key, one int per state, under
 ``PackedAction.movers``, and one breadth-first ``closure`` returns the states
 it reached; ``subspace_orbit`` runs it under any matrices.
@@ -146,10 +148,10 @@ class PackedAction:
 
     Holds the scale tables of the field, one split pair per nonzero c in
     the ``shi``/``slo`` lists; ``tables(a)`` builds the split image tables
-    of lift(a), once per matrix.  A subspace with n basis rows is passed around as its
-    packed key, and ``mover(tables, n)`` maps it to its image key for n in
-    1..3, the only packed elimination.  Every table has q^3 entries, so
-    this serves only the small fields where orbits can be enumerated.
+    of lift(a), once per matrix.  A point, line or plane is passed around
+    as its packed ``key``, and ``mover(tables)`` maps it to its image key.
+    Every table has q^3 entries, so this serves only the small fields where
+    orbits can be enumerated.
     """
 
     def __init__(self, gf: GF):
@@ -175,38 +177,32 @@ class PackedAction:
             self._tables[a] = _split_tables(self.gf, lift(self.gf, a))
         return self._tables[a]
 
-    def movers(self, gens, n: int) -> list:
-        """One map key -> image key of n-row subspaces per matrix of ``gens``:
+    def key(self, s: Subspace) -> int:
+        """The packed key of s, refused with ValueError unless s has 1 to 3
+        rows: the one row-count check of every mover."""
+        if not 1 <= len(s.rows) <= 3:
+            raise ValueError("packed movers take 1 to 3 rows, got %d" % len(s.rows))
+        return s.key_int()
+
+    def movers(self, gens) -> list:
+        """One map key -> image key per matrix of ``gens``:
         ``triangular_mover`` for a lower unitriangular one, else ``mover`` on
         its ``tables``.  The one place a matrix's mover is picked."""
-        return [self.triangular_mover(a, n) if _lower_unitriangular(a)
-                else self.mover(self.tables(a), n) for a in gens]
+        return [self.triangular_mover(a) if _lower_unitriangular(a)
+                else self.mover(self.tables(a)) for a in gens]
 
-    def mover(self, tables, n: int):
-        """The map key -> image key of n-row subspaces under ``tables``,
-        n = 1, 2 or 3; other n raise ValueError.
-
-        A point is mapped and normalized.  Lines and planes share one
-        straight-line elimination, a line read as a plane with a zero top
-        row (pivot 6e, pivot entry 0: it sorts first and eliminates
-        nothing): map the rows, normalize the first, then reduce, normalize
-        and back-substitute the second and the third, and order the rows by
-        at most three pivot comparisons.  The tables are those of an
-        invertible matrix, so no mapped row is dependent and none is dropped."""
-        if not 1 <= n <= 3:
-            raise ValueError("packed movers take 1 to 3 rows, got %d" % n)
+    def mover(self, tables):
+        """The map key -> image key under ``tables`` of a point, line or
+        plane, each read as a plane with zero rows on top (pivot 6e, pivot
+        entry 0: such a row sorts first and eliminates nothing): map the
+        rows, normalize the first, then reduce, normalize and back-substitute
+        the second and the third, and order the rows by at most three pivot
+        comparisons.  The tables are those of an invertible matrix, so no
+        mapped row is dependent and none is dropped."""
         hi, lo = tables
         w, s3, m3, m6 = self.w, self.s3, self.m3, self.m6
         shi, slo, pivot = self.shi, self.slo, self.pivot
         m, inv = self.gf.q - 1, self.gf._inv
-
-        def move1(key):
-            a = hi[key >> s3] ^ lo[key & m3]
-            c = a >> pivot[a.bit_length()]
-            if c != 1:
-                c = inv[c]
-                a = shi[c][a >> s3] ^ slo[c][a & m3]
-            return a
 
         def move3(key):
             a, b, d = key >> 2 * w, (key >> w) & m6, key & m6
@@ -261,10 +257,10 @@ class PackedAction:
                 return (b << w | d) << w | a
             return (d << w | b) << w | a
 
-        return move1 if n == 1 else move3
+        return move3
 
-    def triangular_mover(self, a, n: int):
-        """``mover(tables(a), n)`` for a lower unitriangular a, any other a
+    def triangular_mover(self, a):
+        """``mover(tables(a))`` for a lower unitriangular a, any other a
         refused with ValueError before a table is built.  lift(a) is lower
         unitriangular in (00, 01, 02, 11, 12, 22), so a mapped row keeps its
         pivot and pivot entry 1 and the rows stay in order: a plane needs at
@@ -273,8 +269,6 @@ class PackedAction:
         above its own, which map to zero and eliminate nothing."""
         if not _lower_unitriangular(a):
             raise ValueError("not lower unitriangular: %r" % (a,))
-        if not 1 <= n <= 3:
-            raise ValueError("packed movers take 1 to 3 rows, got %d" % n)
         hi, lo = self.tables(a)
         w, s3, m3, m6 = self.w, self.s3, self.m3, self.m6
         shi, slo, pivot, m = self.shi, self.slo, self.pivot, self.gf.q - 1
@@ -305,12 +299,12 @@ class PackedAction:
                 sum(1 << (6 - n + k) * e + r for k, r in enumerate(rows)))
 
     def cell_tables(self, a, n: int) -> list:
-        """``triangular_mover(a, n)`` on ``big_cell(n)``, where it is GF(2)-affine
+        """``triangular_mover(a)`` on ``big_cell(n)``, where it is GF(2)-affine
         in the free bits, as ``_plane_sweep`` tables kept per (a, n): entry o
         lists the (i, t) whose translates by t of key byte i XOR to image byte
         o, the identity block's image in byte 0's."""
         if (a, n) not in self._cells:
-            move, (mask, ident) = self.triangular_mover(a, n), self.big_cell(n)
+            move, (mask, ident) = self.triangular_mover(a), self.big_cell(n)
             size, free = min(8, -(-n * self.w // 8)), ((1 << n * self.w) - 1) & ~mask
             base, tables = move(ident), []
             for i in range(size):
@@ -414,7 +408,8 @@ def closure(start, moves, max_keys: int | None = None) -> set:
 def subspace_orbit(s: Subspace, gens, max_keys: int | None = None) -> set:
     """Packed keys of the orbit of s under the group generated by the
     matrices ``gens``: one ``closure`` of s's key under their movers."""
-    return closure(s.key_int(), packed_action(s.gf).movers(gens, len(s.rows)), max_keys)
+    pa = packed_action(s.gf)
+    return closure(pa.key(s), pa.movers(gens), max_keys)
 
 
 def _kernel_subgroup_generators(gf: GF, point: bool) -> tuple[tuple[int, ...], ...]:
@@ -465,10 +460,10 @@ def kernel_fiber(s: Subspace, kernels, max_keys: int | None = None):
     new one swept whole, else ``subspace_orbit`` walks H.  A count other
     than blocks |U x0| raises VerificationError; ``max_keys`` bounds all the
     states held, checked after each block is swept."""
-    gf, pa, n = s.gf, packed_action(s.gf), len(s.rows)
+    gf, pa = s.gf, packed_action(s.gf)
     c, gens = _kernel_move(gf, kernels)
     moved = act_subspace(s, c)
-    start, gray = moved.key_int(), _gray(pa.movers(_radical_basis(gf, gens), n))
+    start, gray = pa.key(moved), _gray(pa.movers(_radical_basis(gf, gens)))
     sweep = lambda y: accumulate(gray, lambda k, move: move(k), initial=y)
     head = {}  # state -> the state its block was swept from
 
@@ -482,7 +477,7 @@ def kernel_fiber(s: Subspace, kernels, max_keys: int | None = None):
     block = len(head)
     if 2 * block < gf.q**2:
         return subspace_orbit(moved, gens, max_keys)
-    levi = pa.movers(gens[:2] + gens[3:], n)
+    levi = pa.movers(gens[:2] + gens[3:])
     blocks = closure(start, [lambda k, move=move: held(move(k)) for move in levi])
     if len(head) != len(blocks) * block:
         raise VerificationError("the radical blocks of a kernel fiber overlap")
@@ -530,8 +525,9 @@ def _anchor_cells(gf: GF, point: bool):
 
 def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     """Packed keys of the full orbit of s, refused for q > 16 before any
-    table is built, for other than 1 to 3 rows before its anchor is sought,
-    and once more than ``max_keys`` keys are held.
+    table is built, for other than 1 to 3 rows (``PackedAction.key``)
+    before its anchor is sought, and once more than ``max_keys`` keys are
+    held.
 
     A point, line or plane with an ``anchor`` is the union of q^2+q+1
     copies of its ``kernel_fiber`` F, one per anchor position, swept cell
@@ -542,19 +538,19 @@ def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     other than (q^2+q+1) |F| raises VerificationError.  The nucleus plane is
     its own orbit; a plane missing it is a ``closure``."""
     pa, n = packed_action(s.gf), len(s.rows)
-    swaps = dict(zip((SWAP01, SWAP02), pa.movers((SWAP01, SWAP02), n)))
-    kernels = anchor(s)
+    start, kernels = pa.key(s), anchor(s)
     if not kernels:
         return subspace_orbit(s, generators(s.gf), max_keys)
     if len(kernels) == 3:
-        return {s.key_int()}
+        return {start}
     fiber = list(kernel_fiber(s, kernels, max_keys))
     (mask, cell), out = pa.big_cell(n), set()
     for base, gens in _anchor_cells(s.gf, len(kernels) == 1):
-        image, gray = fiber if base is None else list(map(swaps[base], fiber)), _gray(gens)
+        image = fiber if base is None else list(map(pa.movers([base])[0], fiber))
+        gray = _gray(gens)
         big = _plane_sweep([k for k in image if k & mask == cell],
                            [pa.cell_tables(a, n) for a in gray], cell >> 64 << 64)
-        rest = accumulate(pa.movers(gray, n), lambda ks, m: [*map(m, ks)],
+        rest = accumulate(pa.movers(gray), lambda ks, m: [*map(m, ks)],
                           initial=[k for k in image if k & mask != cell])
         for copy in zip(big, rest):
             out.update(*copy)

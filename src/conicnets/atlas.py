@@ -49,13 +49,12 @@ from .errors import (
     VerificationError,
     brief,
 )
-from .gf import GF, field, per_field
+from .gf import GF, per_field
 from .invariants import (
     PlaneSignature,
     anchor,
     double_line_hyperplane_count,
     hyperplane_class_counts,
-    hyperplane_distribution,
     nuclear_point_count,
     nucleus_cut,
     plane_key_at,
@@ -178,8 +177,6 @@ EMPTY_BASE_LABELS = (
     "Sigma21", "Sigma22", "Sigma23",
 )
 
-EXPECTED_CUBIC_KIND = {label: row.cubic_kind for label, row in ORBIT_TABLE.items()}
-
 
 def _closed_forms(label: str, q: int):
     return ORBIT_TABLE[label].forms(q, q * q + q + 1, pgl_order(q))
@@ -191,24 +188,12 @@ def expected_point_distribution(label: str, q: int) -> tuple[int, int, int, int]
     return _closed_forms(label, q)[0]
 
 
-def expected_hyperplane_distribution(label: str, q: int) -> tuple[int, int, int, int]:
-    """Conic-class counts (DoubleLine, RealPair, ImaginaryPair, Nonsingular)
-    of the hyperplanes through a plane in the named orbit:
-    ``hyperplane_distribution`` of its od0."""
-    return hyperplane_distribution(expected_point_distribution(label, q), q)
-
-
 @per_field
 def expected_signatures(gf: GF) -> dict[str, PlaneSignature]:
     """Orbit label -> the signature shared by every plane of the orbit: its
     ``ORBIT_TABLE`` row's od0 and cubic kind."""
     return {label: PlaneSignature(expected_point_distribution(label, gf.q), row.cubic_kind)
             for label, row in ORBIT_TABLE.items()}
-
-
-def expected_signature(label: str, q: int) -> PlaneSignature:
-    """The named orbit's entry of ``expected_signatures`` over GF(q)."""
-    return expected_signatures(field(q))[label]
 
 
 def expected_stabilizer_order(label: str, q: int) -> int:
@@ -515,8 +500,7 @@ def _partition_chunk(state, chunk):
     """One enumeration chunk's sweep: (Counter of the meeting planes by
     orbit label, with "meeting" and "agree" counts, the 16 least keys of
     meeting planes in no orbit)."""
-    gf = field(state["q"], state["modulus"])
-    index = state["index"]
+    gf, index = state["gf"], state["index"]
     labels: list[str] = []
     stray: list[int] = []
     meeting = agree = 0
@@ -556,8 +540,9 @@ def get_context():
 def _sweep(worker, state: dict, chunks, workers: int) -> tuple[Counter, list[int]]:
     """worker(state, chunk) -> (Counter, keys) over every chunk: the sum of
     the Counters and the 16 least keys.  Pool processes get the state once,
-    through the pool initializer, so any start method works; more processes
-    than chunks or CPUs would idle."""
+    through the pool initializer, so any start method works: its field
+    pickles as ``field(q, modulus)``.  More processes than chunks or CPUs
+    would idle."""
     workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         with get_context().Pool(workers, initializer=_bind_task,
@@ -617,7 +602,7 @@ def verify_partition(gf: GF, workers: int = 0) -> dict:
     totals = {"orbit_count": len(LABELS), "family_size": total}
     if exhaustive:
         index = {key: label for label, keys in orbit_atlas(gf).items() for key in keys}
-        state = {"q": q, "modulus": gf.modulus, "index": index}
+        state = {"gf": gf, "index": index}
         tally, stray = _sweep(_partition_chunk, state, plane_enumeration_chunks(gf), workers)
         meeting, agree = tally["meeting"], tally["agree"]
         checked = sum(tally[label] for label in LABELS)
@@ -656,7 +641,7 @@ def _double_line_tally(planes):
 
 
 def _double_line_chunk(state, chunk):
-    return _double_line_tally(enumerate_planes_chunk(field(state["q"], state["modulus"]), chunk))
+    return _double_line_tally(enumerate_planes_chunk(state["gf"], chunk))
 
 
 def _sample_plane(gf: GF, rng: random.Random) -> Subspace:
@@ -669,9 +654,8 @@ def _sample_plane(gf: GF, rng: random.Random) -> Subspace:
 
 def _double_line_sample_chunk(state, args):
     seed, count = args
-    gf = field(state["q"], state["modulus"])
     rng = random.Random(seed)
-    return _double_line_tally(_sample_plane(gf, rng) for _ in range(count))
+    return _double_line_tally(_sample_plane(state["gf"], rng) for _ in range(count))
 
 
 def verify_double_lines(
@@ -710,7 +694,7 @@ def verify_double_lines(
         base, extra = divmod(samples, 128)
         worker = _double_line_sample_chunk
         chunks = [(seed * (2**32) + i, base + (i < extra)) for i in range(128)]
-    tally, bad = _sweep(worker, {"q": q, "modulus": gf.modulus}, chunks, workers)
+    tally, bad = _sweep(worker, {"gf": gf}, chunks, workers)
     total, violations = tally["planes"], tally["violations"]
     totals = {"planes" if exhaustive else "planes_sampled": total,
               "meeting_nucleus_plane": tally["meeting"], "violations": violations}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .errors import brief
 from .gf import GF
-from .projgeom import Subspace, annihilator, normalize_point, nullspace, pg_points, rref, span
+from .projgeom import Subspace, normalize_point, nullspace, pg_points, span
 
 POINT_CLASSES = ("rank1", "rank2_nuclear", "rank2_secant", "rank3")
 CONIC_CLASSES = ("DoubleLine", "RealPair", "ImaginaryPair", "Nonsingular")
@@ -137,14 +137,6 @@ def delta(gf: GF, form) -> Subspace:
     """Hyperplane of PG(5,q) whose points are the zero locus pairing of f."""
     form = normalize_point(gf, form)
     return Subspace.from_rref(gf, 5, nullspace(gf, (form,), 6))
-
-
-def delta_inv(h: Subspace) -> tuple[int, ...]:
-    """Coefficient 6-tuple (normalized) of the hyperplane h."""
-    if h.n != 5 or len(h.rows) != 5:
-        raise ValueError("expected a hyperplane of PG(5,q)")
-    (form,) = rref(h.gf, annihilator(h.gf, h.rows, 6))
-    return form
 
 
 def form_to_str(form) -> str:

@@ -45,7 +45,7 @@ from conicnets.projgeom import (
     rref,
     span,
 )
-from conicnets.veronese import classify_conic, delta_inv, form_to_str, point_class, veronese
+from conicnets.veronese import classify_conic, form_to_str, point_class, veronese
 
 
 def sym_matrix(y) -> tuple[tuple[int, int, int], ...]:
@@ -176,7 +176,7 @@ def classify_hyperplane(h: Subspace) -> str:
     """Conic class of the form cutting out h, cross-checked against the
     number of Veronese points the hyperplane actually contains."""
     gf = h.gf
-    kind = classify_conic(gf, delta_inv(h))
+    kind = classify_conic(gf, nullspace(gf, h.rows, 6)[0])
     hits = sum(1 for p in pg_points(gf, 2) if h.contains_point(veronese(gf, p)))
     q = gf.q
     expected = {"DoubleLine": q + 1, "RealPair": 2 * q + 1,
@@ -274,7 +274,7 @@ def singer_orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     regularly, each image one generic mover map of the last; a count other
     than (q^2+q+1) |F| raises VerificationError."""
     pa, gens, n = packed_action(s.gf), singer_generators(s.gf), s.gf.q * s.gf.q + s.gf.q + 1
-    move = pa.mover(pa.tables(gens[1]), len(s.rows))
+    move = pa.mover(pa.tables(gens[1]))
     kernels = anchor(s)
     if not kernels:
         return subspace_orbit(s, gens, max_keys)
@@ -308,12 +308,12 @@ def fiber_orbits_by_tuples(fixed, lines: dict, kernels) -> tuple[list[set[int]],
     c, gens = _kernel_move(gf, kernels)
     pa = packed_action(gf)
     head = tuple(act_subspace(s, c).key_int() for s in fixed)
-    walks = [pa.movers(gens, len(s.rows)) for s in fixed]
-    step = lambda st, i: tuple(moves[i](k) for k, moves in zip(st, walks))
+    moves = pa.movers(gens)
+    step = lambda st, i: tuple(map(moves[i], st))
     table = {}  # (state, i) -> image: each met once
     size = len(closure(head, [lambda st, i=i: table.setdefault((st, i), step(st, i))
                               for i in range(len(gens))]))
-    moved = [pa.mover(pa.tables(a), 2) for a in gens]
+    moved = [pa.mover(pa.tables(a)) for a in gens]
     own = {act_subspace(l, c).key_int(): k for k, l in sorted(lines.items())}
     orbits, placed = [], set()
     for m, k in own.items():

@@ -345,9 +345,8 @@ def test_movers_match_rref_and_image(q):
     rng = random.Random(q)
     orders = {2: set(), 3: set()}
     for a in list(generators(gf)) + _random_projectivities(gf, 8, q):
-        l, tables = lift(gf, a), pa.tables(a)
+        l, move = lift(gf, a), pa.mover(pa.tables(a))
         for n in (1, 2, 3):
-            move = pa.mover(tables, n)
             for _ in range(40):
                 rows = ()
                 while len(rows) < n:
@@ -365,17 +364,28 @@ def test_movers_match_rref_and_image(q):
 
 
 def test_mover_takes_one_to_three_rows(gf4, monkeypatch):
-    """Packed movers serve points, lines and planes only; a solid or a
-    hyperplane key is refused up front rather than misread, and
-    ``orbit_keys`` refuses a solid before it seeks an anchor."""
+    """Packed movers serve points, lines and planes only: ``PackedAction.key``
+    refuses a solid, a hyperplane and the whole space rather than misread
+    their keys, so ``subspace_orbit`` and ``kernel_fiber`` refuse them
+    before any table is built, and ``orbit_keys`` refuses a solid before it
+    seeks an anchor."""
     monkeypatch.setattr(action, "anchor", lambda s: pytest.fail("anchor sought"))
-    pa = PackedAction(gf4)
-    tables = pa.tables(generators(gf4)[1])
-    for n in (0, 4, 5):
+    gf4.forget()
+    pa = packed_action(gf4)
+    flats = {n: span(gf4, [atlas._e(j) for j in range(n)]) for n in range(1, 7)}
+    for n, s in flats.items():
+        if n <= 3:
+            assert pa.key(s) == s.key_int()
+            continue
+        with pytest.raises(ValueError, match="1 to 3 rows, got %d" % n):
+            pa.key(s)
         with pytest.raises(ValueError, match="1 to 3 rows"):
-            pa.mover(tables, n)
+            subspace_orbit(s, generators(gf4))
+        with pytest.raises(ValueError, match="1 to 3 rows"):
+            kernel_fiber(s, [(0, 0, 1)])
     with pytest.raises(ValueError, match="1 to 3 rows"):
-        orbit_keys(span(gf4, [atlas._e(j) for j in range(5)]))
+        orbit_keys(flats[4])
+    assert pa._tables == {}
 
 
 def tuple_orbit_keys(s):
@@ -570,11 +580,11 @@ def test_cell_sweep_matches_the_singer_sweep_q16():
     assert _sweep_against_oracle(moved, 80000) == (22, 6)
 
 
-def _unreduced_mover(self, a, n):
+def _unreduced_mover(self, a):
     """Mutant of ``triangular_mover``: the rows mapped, not back-substituted."""
     hi, lo = self.tables(a)
     w, s3, m3, m6 = self.w, self.s3, self.m3, self.m6
-    rows = lambda key: ((key >> w * i) & m6 for i in range(n))
+    rows = lambda key: ((key >> w * i) & m6 for i in range(3))
     return lambda key: sum((hi[r >> s3] ^ lo[r & m3]) << w * i for i, r in enumerate(rows(key)))
 
 
@@ -645,10 +655,10 @@ def test_triangular_mover_matches_the_mover(q):
              for _ in range(6)]
     others = [*generators(gf), action.SWAP01, action.SWAP02]
     for a in cells + lower + others:
+        move, (fast,) = pa.mover(pa.tables(a)), pa.movers([a])
+        assert (fast.__qualname__ == "PackedAction.triangular_mover.<locals>.move") \
+            == (a not in others), a
         for n in (1, 2, 3):
-            move, (fast,) = pa.mover(pa.tables(a), n), pa.movers([a], n)
-            assert (fast.__qualname__ == "PackedAction.triangular_mover.<locals>.move") \
-                == (a not in others), a
             for _ in range(40):
                 rows = ()
                 while len(rows) < n:
@@ -660,15 +670,13 @@ def test_triangular_mover_matches_the_mover(q):
 
 def test_triangular_mover_refuses_other_matrices(gf4):
     """The generator M, both swaps and diag(1, w, 1) are refused with
-    ValueError before any table is built, and so is a 4-row key."""
+    ValueError before any table is built."""
     pa = PackedAction(gf4)
     for a in (generators(gf4)[1], action.SWAP01, action.SWAP02,
               (1, 0, 0, 0, gf4.primitive_element(), 0, 0, 0, 1)):
         with pytest.raises(ValueError, match="not lower unitriangular"):
-            pa.triangular_mover(a, 3)
+            pa.triangular_mover(a)
     assert pa._tables == {}
-    with pytest.raises(ValueError, match="1 to 3 rows"):
-        pa.triangular_mover(IDENTITY3, 4)
 
 
 def test_one_packed_action_per_field(gf4, monkeypatch):
@@ -800,12 +808,11 @@ def _packed_step(*subspaces):
     tuple of keys), and the generators' action on it."""
     gf = subspaces[0].gf
     pa = PackedAction(gf)
-    tables = [pa.tables(a) for a in generators(gf)]
-    movers = [[pa.mover(t, len(s.rows)) for s in subspaces] for t in tables]
+    movers = [pa.mover(pa.tables(a)) for a in generators(gf)]
     if len(subspaces) == 1:
-        return subspaces[0].key_int(), lambda k, i: movers[i][0](k)
+        return subspaces[0].key_int(), lambda k, i: movers[i](k)
     return (tuple(s.key_int() for s in subspaces),
-            lambda st, i: tuple(m(k) for m, k in zip(movers[i], st)))
+            lambda st, i: tuple(map(movers[i], st)))
 
 
 def test_stabilizer_can_be_trivial(gf2):
@@ -943,7 +950,7 @@ def orbits_by_every_element(gf, members, keyed):
     pa = PackedAction(gf)
     images = {k: {k} for k in keyed}
     for a in members:
-        move = pa.mover(pa.tables(a), 2)
+        move = pa.mover(pa.tables(a))
         for k, imgs in images.items():
             imgs.add(move(k))
     orbits = []
@@ -1330,7 +1337,7 @@ def test_cell_tables_match_the_triangular_mover(q):
         assert all(action._records([k])[i ^ action._BYTE0] == k >> 8 * i & 255
                    for k in keys[:100] for i in range(8))
         for a in _cell_generators(gf):
-            assert _table_moves(pa, a, n, keys) == list(map(pa.triangular_mover(a, n), keys)), \
+            assert _table_moves(pa, a, n, keys) == list(map(pa.triangular_mover(a), keys)), \
                 (a, n)
             tables = pa.cell_tables(a, n)
             assert len(tables) == min(8, -(-n * 6 * gf.e // 8))
@@ -1348,7 +1355,7 @@ def test_cell_tables_need_their_constant_and_every_column(gf4):
     free = [b for b in range(18 * gf4.e) if not mask >> b & 1]
     assert len(free) == 9 * gf4.e
     for a in _cell_generators(gf4):
-        move = list(map(pa.triangular_mover(a, 3), keys))
+        move = list(map(pa.triangular_mover(a), keys))
         tables = pa.cell_tables(a, 3)
         mutants = [[[(i, bytes(x ^ t[0] for x in t) if i == 0 else t) for i, t in terms]
                     for terms in tables]]

@@ -26,14 +26,12 @@ from conicnets import action, atlas, cli, invariants, projgeom
 from conicnets import gf as gf_module
 from conicnets.atlas import (
     EMPTY_BASE_LABELS,
-    EXPECTED_CUBIC_KIND,
     LABELS,
     classify_net,
     classify_plane,
     example_net,
-    expected_hyperplane_distribution,
     expected_point_distribution,
-    expected_signature,
+    expected_signatures,
     expected_stabilizer_order,
     net_base_points,
     net_double_line_count,
@@ -63,7 +61,12 @@ from conicnets.errors import (
     VerificationError,
 )
 from conicnets.gf import field
-from conicnets.invariants import plane_key, plane_signature, point_class_counts
+from conicnets.invariants import (
+    hyperplane_distribution,
+    plane_key,
+    plane_signature,
+    point_class_counts,
+)
 from conicnets.projgeom import (
     Subspace,
     enumerate_planes_chunk,
@@ -97,7 +100,6 @@ def test_label_inventory():
     assert len(set(LABELS)) == 18
     assert set(EMPTY_BASE_LABELS) <= set(LABELS)
     assert len(EMPTY_BASE_LABELS) == 9
-    assert set(EXPECTED_CUBIC_KIND) == set(LABELS)
 
 
 @pytest.mark.parametrize("q", (2, 4, 8, 16))
@@ -108,7 +110,7 @@ def test_representatives_validate_at_all_supported_orders(q):
     for label, s in reps.items():
         assert s.dim == 2
         assert point_class_counts(s) == expected_point_distribution(label, q)
-        assert plane_signature(s) == expected_signature(label, q)
+        assert plane_signature(s) == expected_signatures(gf)[label]
 
 
 def test_expected_distribution_rows_sum(gf8):
@@ -163,7 +165,7 @@ def test_closed_form_signatures_match_computed(q):
     gf = field(q)
     for label in LABELS:
         rows, _ = representative_pattern(gf, label)
-        assert plane_signature(plane_from_pattern(gf, rows)) == expected_signature(label, q), label
+        assert plane_signature(plane_from_pattern(gf, rows)) == expected_signatures(gf)[label], label
 
 
 def test_signatures_and_representatives_scan_no_hyperplane(monkeypatch):
@@ -177,8 +179,9 @@ def test_signatures_and_representatives_scan_no_hyperplane(monkeypatch):
     field(8).forget()
     for label, s in representatives(field(8)).items():
         sig = plane_signature(s)
-        assert sig == expected_signature(label, 8), label
-        assert sig.hyperplane_counts == expected_hyperplane_distribution(label, 8), label
+        assert sig == expected_signatures(field(8))[label], label
+        assert sig.hyperplane_counts == hyperplane_distribution(
+            expected_point_distribution(label, 8), 8), label
 
 
 @pytest.mark.parametrize("e", range(1, 9))
@@ -186,7 +189,7 @@ def test_short_key_collides_only_for_sigma3_sigma4(e):
     q = 2**e
     by_key: dict = {}
     for label in LABELS:
-        by_key.setdefault(expected_signature(label, q), []).append(label)
+        by_key.setdefault(expected_signatures(field(q))[label], []).append(label)
     assert [ls for ls in by_key.values() if len(ls) > 1] == [["Sigma3", "Sigma4"]]
     assert len(by_key) == 17
 
@@ -714,9 +717,11 @@ def test_closed_forms_are_polynomials_of_low_degree():
     vanishing ninth differences, so it is a polynomial of degree at most 8."""
     evens, every = range(2, 41, 2), range(2, 41)
     for label in LABELS:
-        for reader in (expected_point_distribution, expected_hyperplane_distribution):
-            for cell in zip(*(reader(label, q) for q in evens)):
-                assert not any(_differences(cell, 3)), (label, reader.__name__, cell)
+        od0 = [expected_point_distribution(label, q) for q in evens]
+        od4 = [hyperplane_distribution(d, q) for d, q in zip(od0, evens)]
+        for name, table in (("od0", od0), ("od4", od4)):
+            for cell in zip(*table):
+                assert not any(_differences(cell, 3)), (label, name, cell)
         orders = [expected_stabilizer_order(label, q) for q in every]
         sizes = [pgl_order(q) // order for q, order in zip(every, orders)]
         assert not any(_differences(orders, 9)), label
@@ -755,7 +760,7 @@ def test_distribution_tables_double_count_points_and_hyperplanes():
         assert all(g % expected_stabilizer_order(label, q) == 0 for label in LABELS)
         sizes = [g // expected_stabilizer_order(label, q) for label in LABELS]
         od0 = [expected_point_distribution(label, q) for label in LABELS]
-        od4 = [expected_hyperplane_distribution(label, q) for label in LABELS]
+        od4 = [hyperplane_distribution(d, q) for d in od0]
         points = [sum(size * d[i] for size, d in zip(sizes, od0)) for i in range(4)]
         census = expected_census(q)
         m = gaussian_binomial(5, 2, q)
@@ -776,7 +781,7 @@ def test_partition_sweep_cuts_each_meeting_plane_once(gf4, rref_calls):
     that miss the nucleus plane and planes meeting it in a point, a line
     and the whole plane."""
     index = {key: label for label, keys in orbit_atlas(gf4).items() for key in keys}
-    state = {"q": 4, "modulus": gf4.modulus, "index": index}
+    state = {"gf": gf4, "index": index}
     chunks = [c for c in plane_enumeration_chunks(gf4) if c[0] in ((0, 1, 4), (1, 2, 4))]
     planes = sum(1 for c in chunks for _ in enumerate_planes_chunk(gf4, c))
     rref_calls.clear()

@@ -10,11 +10,11 @@ import pytest
 from conicnets import atlas
 from conicnets.action import act_subspace, mat3_det
 from conicnets.atlas import (
-    EXPECTED_CUBIC_KIND,
     LABELS,
+    ORBIT_TABLE,
     example_net,
     expected_point_distribution,
-    expected_signature,
+    expected_signatures,
     net_base_points,
     net_of_plane,
     representative,
@@ -335,7 +335,7 @@ def test_nucleus_cut_span_is_the_rooted_diagonal_rref_on_samples(q):
 def test_cubic_vanishes_exactly_for_secant_planes(gf4):
     for label in LABELS:
         cubic = cubic_form(representative(gf4, label))
-        assert any(cubic) == (EXPECTED_CUBIC_KIND[label] is not None), label
+        assert any(cubic) == (ORBIT_TABLE[label].cubic_kind is not None), label
 
 
 def test_cubic_form_marks_low_rank_points(gf2):
@@ -779,7 +779,7 @@ def test_plane_key_of_moved_representatives_matches_the_closed_forms(q, sample_m
     g0, g1 = sample_matrices(gf)[0], sample_matrices(gf)[-1]
     for label, s in representatives(gf).items():
         s = act_subspace(act_subspace(s, g0), g1)
-        assert plane_key(s) == expected_signature(label, q), (q, label)
+        assert plane_key(s) == expected_signatures(gf)[label], (q, label)
 
 
 def _check_fused_pass(s):
@@ -832,7 +832,7 @@ def test_fused_point_pass_on_moved_representatives(q):
     vanishing = 0
     for label, s in representatives(gf).items():
         vanishing += not _check_fused_pass(act_subspace(s, MOVE))
-    assert vanishing == sum(EXPECTED_CUBIC_KIND[label] is None for label in LABELS)
+    assert vanishing == sum(ORBIT_TABLE[label].cubic_kind is None for label in LABELS)
 
 
 @pytest.mark.parametrize("q", (2, 4, 8, 16, 256))

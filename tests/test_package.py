@@ -2,8 +2,8 @@
 modules import one another at module level only and without a cycle,
 importing the command line loads no multiprocessing, dataclasses or csv,
 every function the benchmark tracer wraps and every package attribute the
-benchmark reads still exists, every name a docstring quotes still
-exists, and the sources keep to Python 3.10."""
+benchmark reads still exists, every name a docstring or the README
+quotes still exists, and the sources keep to Python 3.10."""
 
 import ast
 import importlib
@@ -194,6 +194,22 @@ def test_docstring_identifiers_name_something():
                     ok = quoted in names or quoted in assigned
                 if not ok:
                     stale.append((fname, getattr(node, "name", "<module>"), quoted))
+    assert not stale
+
+
+def test_readme_identifiers_name_something():
+    """Every identifier or dotted name quoted in single backticks in
+    README.md occurs, each dotted part as a word, in the Python sources of
+    ``src/``, ``tests/``, ``perfbench/`` or ``demos/``.  Quoted
+    expressions such as ``q=4`` or ``perfbench/run.py`` are not checked."""
+    words = set()
+    for folder in ("src", "tests", "perfbench", "demos"):
+        for path in (ROOT / folder).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    ident = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+    quoted = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text(encoding="utf-8"))
+    stale = sorted({name for name in quoted if ident.fullmatch(name)
+                    and not all(part in words for part in name.split("."))})
     assert not stale
 
 

@@ -25,7 +25,6 @@ from conicnets.projgeom import (
     rref,
     span,
 )
-from conicnets.veronese import delta_inv
 from oracles import enumerate_planes, rref_by_rows, subspace_from_json, unpack_rows
 
 
@@ -135,7 +134,7 @@ def test_annihilator_of_rref_rows_reduces_to_the_nullspace(q):
 
 @pytest.mark.parametrize("q", (2, 4, 16))
 def test_null_spaces_of_subspaces_match_nullspace(q):
-    """net_of_plane, forms_through, delta_inv and meet reduce the
+    """net_of_plane, forms_through and meet reduce the
     annihilator of rows already in RREF; each equals its nullspace form."""
     gf = field(q)
     rng = random.Random(q)
@@ -149,8 +148,6 @@ def test_null_spaces_of_subspaces_match_nullspace(q):
         s = sample(3)
         assert net_of_plane(s) == nullspace(gf, s.rows, 6)
         assert forms_through(s) == Subspace(gf, 5, nullspace(gf, s.rows, 6)).points()
-        h = sample(5)
-        assert delta_inv(h) == nullspace(gf, h.rows, 6)[0]
         a, b = sample(rng.randrange(1, 6)), sample(rng.randrange(1, 6))
         rows = nullspace(gf, nullspace(gf, a.rows, 6) + nullspace(gf, b.rows, 6), 6)
         assert meet(a, b) == (Subspace(gf, 5, rows) if rows else None)
