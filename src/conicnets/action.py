@@ -563,18 +563,16 @@ def orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
 def k_equivalent(s1: Subspace, s2: Subspace, max_keys: int | None = None) -> bool:
     """Same orbit?  Cheap invariants first.  Then a point or line anchor
     compares the two ``kernel_fiber`` sets, each an H-orbit, so equal or
-    disjoint; the nucleus plane, or a plane missing it, looks s2 up in
-    ``orbit_keys`` of s1.  ``max_keys`` caps each walk."""
+    disjoint.  With three kernels both hold the nucleus plane, and G is
+    transitive on the subspaces through it of one dimension; a plane
+    missing it looks s2 up in its ``subspace_orbit``.  ``max_keys`` caps each walk."""
     if s1.gf != s2.gf or s1.n != s2.n:
         raise ValueError("subspaces live in different spaces")
-    if len(s1.rows) != len(s2.rows):
-        return False
-    if nucleus_meet_dim(s1) != nucleus_meet_dim(s2):
-        return False
-    if point_class_counts(s1) != point_class_counts(s2):
+    cheap = (lambda s: len(s.rows), nucleus_meet_dim, point_class_counts)
+    if any(f(s1) != f(s2) for f in cheap):
         return False
     kernels = anchor(s1)
     if len(kernels) in (1, 2):
         return kernel_fiber(s1, kernels, max_keys) == kernel_fiber(s2, anchor(s2), max_keys)
-    return s2.key_int() in orbit_keys(s1, max_keys)
+    return bool(kernels) or s2.key_int() in subspace_orbit(s1, generators(s1.gf), max_keys)
 

@@ -753,8 +753,15 @@ def _stabilizer_generators(gf: GF):
     return pair + [(1, 0, 1 ^ w, 0, 1, 0, 0, 0, w)], joint
 
 
+def _double_line_hyperplanes(l: Subspace) -> int:
+    """The double-line hyperplanes u0^2 y00 + u1^2 y11 + u2^2 y22 = 0 through l:
+    squaring is a bijection, so the points in the kernel of l's columns 0, 3, 5."""
+    q = l.gf.q
+    return (q ** (3 - len(rref(l.gf, [(r[0], r[3], r[5]) for r in l.rows]))) - 1) // (q - 1)
+
+
 def verify_line_orbits(gf: GF) -> dict:
-    """Brute-force the supporting line-orbit facts.
+    """Check the supporting line-orbit facts.
 
     For the rank-2 line meeting the nucleus plane in one point: its
     point-pair stabilizer splits the q+1 lines of the attached conic plane
@@ -772,8 +779,9 @@ def verify_line_orbits(gf: GF) -> dict:
     e0: then |G (R, N)| = |G N| |H (C R)| and |G (P, e1)| = |G N| |H e1|.
     Inside the pair and joint stabilizers, ``_stabilizer_generators``
     that reach that order generate them and split lines by ``line_orbits``.
-    The lines missing the nucleus plane have order |H| / |``kernel_fiber``|;
-    the pair's filter runs over the 2,880 ``_middle_column_fixers``.
+    The special lines miss the nucleus plane: orders |H| / |F|, F their
+    ``kernel_fiber``, and la's hyperplane count |F| ``_double_line_hyperplanes``,
+    with no full orbit built; the pair's filter runs over ``_middle_column_fixers``.
     """
     q = gf.q
     if q not in (4, 8, 16):
@@ -847,11 +855,9 @@ def verify_line_orbits(gf: GF) -> dict:
         }
         orbits = line_orbits(cand, joint_gens)
         holds = fix(joint_gens, (P, _e(1))) and group_order(gf, joint_gens) == joint
-        rep_a = span(gf, [(1, 1, 0, 0, 0, 0), P]).key_int()
-        rep_b = span(gf, [(1, 0, 1, 0, 0, 0), P]).key_int()
-        split = [i for i, comp in enumerate(orbits) if rep_a in comp] != [
-            i for i, comp in enumerate(orbits) if rep_b in comp
-        ]
+        where = [[i for i, comp in enumerate(orbits) if span(gf, [r, P]).key_int() in comp]
+                 for r in ((1, 1, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0))]
+        split = where[0] != where[1]
         checks.append(_check(
             "tangency_candidate_orbits",
             holds and len(orbits) == 2 and split,
@@ -860,22 +866,18 @@ def verify_line_orbits(gf: GF) -> dict:
         ))
 
         la = span(gf, [(1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0)])
-        oa = orbit_keys(la)
         b, c = sigma20_parameters(gf)
         lb = span(gf, [(1, 0, b, c, 0, 1), (0, 1, 0, 1, 0, 0)])
-        # |G| / |G l| = |H| / |F|; the sweep checked |oa| = (q^2+q+1) |F|
-        fibers = [len(oa) // (q * q + q + 1), len(kernel_fiber(lb, anchor(lb)))]
+        # |G| / |G l| = |H| / |F|, as G is transitive on the anchors
+        fibers = [len(kernel_fiber(l, anchor(l))) for l in (la, lb)]
         checks.append(_check(
             "special_line_stabilizers",
             kernel_order == 6 * fibers[0] and kernel_order == 2 * fibers[1],
             {"orders": [kernel_order // f for f in fibers], "expected": [6, 2]},
         ))
-        # x00 = x22 on both rows: first and last e-bit fields of each
-        top, w, m = 5 * gf.e, 6 * gf.e, q - 1
-        contained = sum(
-            1 for k in oa
-            if k >> (top + w) == (k >> w) & m and (k >> top) & m == k & m
-        )
+        # G is transitive on the q^2+q+1 double-line hyperplanes, so
+        # x00 = x22 (u = (1,0,1)) holds |G la| d / (q^2+q+1) = |F| d lines
+        contained = fibers[0] * _double_line_hyperplanes(la)
         want = kernel_order // 6
         checks.append(_check(
             "triangle_lines_in_hyperplane",

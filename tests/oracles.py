@@ -22,6 +22,7 @@ from conicnets.action import (
     kernel_fiber,
     mat3_det,
     mat3_mul,
+    orbit_keys,
     packed_action,
     pgl_order,
     subspace_orbit,
@@ -291,6 +292,17 @@ def singer_orbit_keys(s: Subspace, max_keys: int | None = None) -> set[int]:
     if len(out) != n * len(fiber):
         raise VerificationError("the Singer images of a kernel fiber overlap")
     return out
+
+
+def triangle_lines_by_scan(gf: GF) -> int:
+    """How many lines of the line-orbit suite's la orbit lie in the
+    double-line hyperplane x00 = x22, by the scan the suite replaced with
+    |F| d: la's whole ``orbit_keys``, each key tested for x00 = x22 on both
+    rows, the first and last e-bit fields of each."""
+    la = span(gf, [(1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0)])
+    top, w, m = 5 * gf.e, 6 * gf.e, gf.q - 1
+    return sum(1 for k in orbit_keys(la)
+               if k >> (top + w) == (k >> w) & m and (k >> top) & m == k & m)
 
 
 def fiber_orbits_by_tuples(fixed, lines: dict, kernels) -> tuple[list[set[int]], int]:

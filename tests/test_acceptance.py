@@ -28,7 +28,12 @@ from conicnets.gf import field
 from conicnets.invariants import plane_signature, point_class_counts
 from conicnets.projgeom import rank, rref, span
 from conicnets.veronese import census, expected_census, veronese
-from oracles import act_point, act_point_pg2, stabilizer_order_by_candidates
+from oracles import (
+    act_point,
+    act_point_pg2,
+    stabilizer_order_by_candidates,
+    triangle_lines_by_scan,
+)
 
 WORKERS = 4
 
@@ -168,12 +173,14 @@ def test_criterion_06_cubic_invariants_q4_q8():
 
 def test_criterion_07_special_line_stabilizers_and_count_q4(line_orbits):
     """At q = 4 the two marked line classes have stabilizer orders 6 and 2,
-    and the hyperplane holds (1/6) q^3 (q-1) (q^2-1) = 480 triangle lines."""
+    and the hyperplane holds (1/6) q^3 (q-1) (q^2-1) = 480 triangle lines,
+    as many as a scan of the whole orbit finds."""
     checks = _checks(line_orbits(4))
     assert checks["special_line_stabilizers"]["pass"]
     assert checks["special_line_stabilizers"]["details"]["orders"] == [6, 2]
     assert checks["triangle_lines_in_hyperplane"]["pass"]
     assert checks["triangle_lines_in_hyperplane"]["details"]["count"] == 480
+    assert triangle_lines_by_scan(field(4)) == 480
     q = 4
     assert 480 == q ** 3 * (q - 1) * (q * q - 1) // 6
 

@@ -44,7 +44,7 @@ from conicnets.errors import ResourceBudgetError, VerificationError
 from conicnets.gf import field
 from conicnets.invariants import anchor, plane_key, point_class_counts
 from conicnets.projgeom import normalize_point, pack_rows, pg_points, rref, span
-from conicnets.veronese import nucleus_plane, point_class, veronese
+from conicnets.veronese import delta, nucleus_plane, point_class, veronese
 from oracles import (
     act_point,
     act_point_pg2,
@@ -58,6 +58,7 @@ from oracles import (
     singer_orbit_keys,
     stabilizer,
     sym_matrix,
+    triangle_lines_by_scan,
 )
 
 
@@ -260,6 +261,27 @@ def test_k_equivalent_on_moved_copies(gf4, sample_matrices):
     assert not k_equivalent(span(gf4, s.rows[:2]), s)
     with pytest.raises(ValueError, match="different spaces"):
         k_equivalent(s, representative(field(2), "Sigma1"))
+
+
+def test_k_equivalent_walks_a_plane_missing_the_nucleus_plane(gf2, sample_matrices,
+                                                              monkeypatch):
+    """A plane missing the nucleus plane has no anchor, so s2 is looked up
+    in the orbit of s1 under the generators: each of two such planes with
+    the same point classes (orbits of 56 and 28 planes) is equivalent to
+    its moved copy and not to the other."""
+    walked, real = [], action.subspace_orbit
+    monkeypatch.setattr(action, "subspace_orbit",
+                        lambda s, gens, max_keys=None: walked.append(len(s.rows))
+                        or real(s, gens, max_keys))
+    monkeypatch.setattr(action, "kernel_fiber", lambda *args: pytest.fail("fiber walked"))
+    s = span(gf2, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 1), (0, 0, 1, 1, 0, 1)])
+    t = span(gf2, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 1), (0, 0, 1, 1, 1, 0)])
+    assert anchor(s) == anchor(t) == []
+    assert point_class_counts(s) == point_class_counts(t)
+    g = sample_matrices(gf2)[-1]
+    assert k_equivalent(s, act_subspace(s, g)) and k_equivalent(t, act_subspace(t, g))
+    assert not k_equivalent(s, t) and not k_equivalent(t, s)
+    assert walked == [3] * 4
 
 
 def test_orbit_budget_enforced(gf4):
@@ -704,12 +726,11 @@ def test_line_orbit_suite_tables_only_group_and_kernel_generators(q):
     """The line-orbit suite builds split tables for the two generators, the
     two kernel subgroups' generators, 6 matrices (x01(1) is the
     transvection), and D(w) of the pair's closed-form generators, and at
-    q = 4, where it sweeps a special line and splits the tangency
-    candidates, for the two swaps, the cell generators x10(t), x20(t),
-    x21(t), t = 1, 2 (x10(1) and x21(1) are kernel generators) and the
-    joint generator diag(1,1,w): 14.  The pair's fiber sweeps its first
+    q = 4, where it splits the tangency candidates, for the joint
+    generator diag(1,1,w): 8.  It sweeps no anchor cell, so it tables
+    neither a swap nor a cell generator.  The pair's fiber sweeps its first
     radical block, which adds the point radical's x10(t) x20(t) and the
-    x10(t) not yet tabled, which the pair's generators reuse: 16 at q = 4
+    x10(t) not yet tabled, which the pair's generators reuse: 11 at q = 4
     and 12 at q = 8.  It builds them for no conjugated copy (one more with
     one)."""
     gf = field(q)
@@ -719,14 +740,12 @@ def test_line_orbit_suite_tables_only_group_and_kernel_generators(q):
     want = {*generators(gf), *action._kernel_subgroup_generators(gf, True),
             *action._kernel_subgroup_generators(gf, False), pair[-1]}
     if q == 4:
-        want |= {action.SWAP01, action.SWAP02, joint[-1],
-                 *(a for point in (True, False)
-                   for _, gens in action._anchor_cells(gf, point) for a in gens)}
+        want.add(joint[-1])
     radical = {a for point in (True, False)
                for a in action._radical_basis(gf, action._kernel_subgroup_generators(gf, point))}
     built = set(packed_action(gf)._tables)
     assert want <= built <= want | radical
-    assert len(want) == (14 if q == 4 else 7) and len(built) == (16 if q == 4 else 12)
+    assert len(want) == (8 if q == 4 else 7) and len(built) == (11 if q == 4 else 12)
 
 
 def test_act_subspace_matches_congruence_lift(gf8):
@@ -1416,17 +1435,16 @@ def _identity_kernel_move(monkeypatch):
 def test_identity_kernel_move_fails_the_pair_count(q, monkeypatch):
     """Unmoved, N's kernel is not e0, so H does not hold its stabilizer:
     N's fiber is not one point, the premise of the pair count, and the
-    count fails.  At q = 4 the suite's two special lines are swept through
-    the same move, and the sweep refuses it; walked breadth-first, they
-    leave the pair count to report."""
+    count fails.  At q = 4 the joint count rests on the same premise, and
+    the two special lines' fibers are walked from the wrong anchor, so
+    their orders and the triangle count they give fail too."""
     _identity_kernel_move(monkeypatch)
+    checks = {c["name"]: c["pass"] for c in atlas.verify_line_orbits(field(q))["checks"]}
+    failed = {"pair_stabilizer_order"}
     if q == 4:
-        with pytest.raises(VerificationError, match="cell images"):
-            atlas.verify_line_orbits(field(q))
-        monkeypatch.setattr(atlas, "orbit_keys",
-                            lambda s: subspace_orbit(s, generators(s.gf)))
-    checks = {c["name"]: c for c in atlas.verify_line_orbits(field(q))["checks"]}
-    assert not checks["pair_stabilizer_order"]["pass"]
+        failed |= {"joint_stabilizer_order", "special_line_stabilizers",
+                   "triangle_lines_in_hyperplane"}
+    assert {name for name, ok in checks.items() if not ok} == failed
 
 
 def test_identity_kernel_move_fails_the_partition_stabilizer_check(monkeypatch):
@@ -1493,6 +1511,57 @@ def test_line_orbit_suite_walks_neither_the_lines_nor_the_group(monkeypatch):
         assert all(c["pass"] for c in atlas.verify_line_orbits(field(q))["checks"])
         assert len(states) == walks and sum(states) == total, q
     assert draws == []
+
+
+def test_line_orbit_suite_builds_no_full_orbit(monkeypatch):
+    """Every count of the suite comes from kernel fibers: at q = 4 and 8 it
+    calls neither ``orbit_keys`` nor the cell sweep's ``_plane_sweep`` and
+    ``cell_tables``."""
+    def refused(*args):
+        pytest.fail("the line-orbit suite swept a full orbit")
+
+    for module in (action, atlas):
+        monkeypatch.setattr(module, "orbit_keys", refused)
+    monkeypatch.setattr(action, "_plane_sweep", refused)
+    monkeypatch.setattr(PackedAction, "cell_tables", refused)
+    for q in (4, 8):
+        assert all(c["pass"] for c in atlas.verify_line_orbits(field(q))["checks"])
+
+
+def _random_lines(gf, n, seed):
+    rng, out = random.Random(seed), []
+    while len(out) < n:
+        l = span(gf, [tuple(rng.randrange(gf.q) for _ in range(6)) for _ in range(2)])
+        if len(l.rows) == 2:
+            out.append(l)
+    return out
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_double_line_hyperplanes_through_a_line_match_brute_force(q):
+    """d, the double-line hyperplanes through a line, against the forms with
+    zero cross coefficients whose ``delta`` contains it: for la (d = 1), a
+    line in the nucleus plane, one meeting it in a point and seeded random
+    lines."""
+    gf = field(q)
+    forms = [(a, 0, 0, b, 0, c) for a, b, c in pg_points(gf, 2)]
+    la = span(gf, [(1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0)])
+    inside = span(gf, [(0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)])
+    meeting = span(gf, [(0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)])
+    d = {}
+    for l in [la, inside, meeting, *_random_lines(gf, 6, q)]:
+        d[l] = atlas._double_line_hyperplanes(l)
+        assert d[l] == sum(1 for f in forms if delta(gf, f).contains(l)), l.rows
+    assert (d[la], d[inside], d[meeting]) == (1, q * q + q + 1, q + 1)
+
+
+@pytest.mark.slow
+def test_triangle_count_by_fibers_matches_the_orbit_scan_q8(gf8):
+    """At q = 8 the suite's double counting, |F(la)| d(la), equals the scan
+    of la's 2,747,136-key orbit: q^3 (q-1) (q^2-1) / 6 = 37,632 lines."""
+    la = span(gf8, [(1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0)])
+    count = len(kernel_fiber(la, anchor(la))) * atlas._double_line_hyperplanes(la)
+    assert count == triangle_lines_by_scan(gf8) == 37632
 
 
 def test_dropping_a_stabilizer_element_fails_the_group_filter(gf4, monkeypatch):
