@@ -67,6 +67,7 @@ from .projgeom import (
     annihilator,
     enumerate_planes_chunk,
     gaussian_binomial,
+    mat3_rank,
     plane_enumeration_chunks,
     plane_from_pattern,
     rref,
@@ -406,12 +407,12 @@ def net_double_line_count(gf: GF, forms) -> int:
     In characteristic 2 a form is a square exactly when its cross
     coefficients (a01, a02, a12) vanish, so the double lines are the points
     of the kernel of the linear map taking a form of the net to its cross
-    part: (q^k - 1) / (q - 1) of them, k = dim of the net - rank of its
-    cross columns.  Forms that are not a net raise ValueError, as in
+    part: (q^k - 1) / (q - 1) of them, k = dim of the net - mat3_rank of
+    its cross columns.  Forms that are not a net raise ValueError, as in
     plane_of_net.
     """
     plane_of_net(gf, forms)  # the check that the forms are a net
-    k = 3 - len(rref(gf, [(f[1], f[2], f[4]) for f in forms]))
+    k = 3 - mat3_rank(gf, [(f[1], f[2], f[4]) for f in forms])
     return (gf.q**k - 1) // (gf.q - 1)
 
 
@@ -753,13 +754,6 @@ def _stabilizer_generators(gf: GF):
     return pair + [(1, 0, 1 ^ w, 0, 1, 0, 0, 0, w)], joint
 
 
-def _double_line_hyperplanes(l: Subspace) -> int:
-    """The double-line hyperplanes u0^2 y00 + u1^2 y11 + u2^2 y22 = 0 through l:
-    squaring is a bijection, so the points in the kernel of l's columns 0, 3, 5."""
-    q = l.gf.q
-    return (q ** (3 - len(rref(l.gf, [(r[0], r[3], r[5]) for r in l.rows]))) - 1) // (q - 1)
-
-
 def verify_line_orbits(gf: GF) -> dict:
     """Check the supporting line-orbit facts.
 
@@ -780,8 +774,9 @@ def verify_line_orbits(gf: GF) -> dict:
     Inside the pair and joint stabilizers, ``_stabilizer_generators``
     that reach that order generate them and split lines by ``line_orbits``.
     The special lines miss the nucleus plane: orders |H| / |F|, F their
-    ``kernel_fiber``, and la's hyperplane count |F| ``_double_line_hyperplanes``,
-    with no full orbit built; the pair's filter runs over ``_middle_column_fixers``.
+    ``kernel_fiber``, and la's hyperplane count |F| d, d from the
+    ``mat3_rank`` of la's diagonal columns, with no full orbit built; the
+    pair's filter runs over ``_middle_column_fixers``.
     """
     q = gf.q
     if q not in (4, 8, 16):
@@ -875,9 +870,10 @@ def verify_line_orbits(gf: GF) -> dict:
             kernel_order == 6 * fibers[0] and kernel_order == 2 * fibers[1],
             {"orders": [kernel_order // f for f in fibers], "expected": [6, 2]},
         ))
-        # G is transitive on the q^2+q+1 double-line hyperplanes, so
-        # x00 = x22 (u = (1,0,1)) holds |G la| d / (q^2+q+1) = |F| d lines
-        contained = fibers[0] * _double_line_hyperplanes(la)
+        # G is transitive on the q^2+q+1 double-line hyperplanes v . (y00, y11, y22) = 0,
+        # so x00 = x22 holds |G la| d / (q^2+q+1) = |F| d lines, d of them through la
+        d = (q ** (3 - mat3_rank(gf, [(r[0], r[3], r[5]) for r in la.rows])) - 1) // (q - 1)
+        contained = fibers[0] * d
         want = kernel_order // 6
         checks.append(_check(
             "triangle_lines_in_hyperplane",

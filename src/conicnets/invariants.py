@@ -15,10 +15,10 @@ invariants collected here:
   * hyperplane_class_counts: the conic classes of the q^2+q+1 hyperplanes
     through a plane, a scan of what hyperplane_distribution computes;
   * nuclear_point_count, double_line_hyperplane_count: the two sides of
-    the double-line identity, each a scan of the kernel of a 3x3 block over
-    the q^2+q+1 points of PG(2,q): the basis's diagonal columns 0, 3, 5
-    for the nuclear points, the annihilator's cross columns 1, 2, 4 for the
-    double-line hyperplanes;
+    the double-line identity, each the (q^(3-r) - 1) / (q - 1) points of
+    the kernel of a 3x3 block of rank r (projgeom.mat3_rank, a closed form):
+    the basis's diagonal columns 0, 3, 5 for the nuclear points, the
+    annihilator's cross columns 1, 2, 4 for the double-line hyperplanes;
   * nucleus_meet_dim, nucleus_cut: the meet with the nucleus plane;
   * anchor: the kernel vectors of a point or line of PG(2,q) that moves
     with a point, line or plane, from the elimination nucleus_cut makes;
@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from .errors import ClassificationError
 from .gf import GF
-from .projgeom import Subspace, annihilator, mat3_det, nullspace, pg_points, rref
+from .projgeom import Subspace, annihilator, mat3_det, mat3_rank, nullspace, pg_points, rref
 from .veronese import CONIC_CLASSES, POINT_CLASSES, classify_conic, point_class, veronese
 
 CUBIC_MONOMIALS = (
@@ -107,48 +107,30 @@ def hyperplane_distribution(point_counts, q: int) -> tuple[int, int, int, int]:
     return nuclear, ((q + 1) * rank1 + secant) // 2, (secant - (q - 1) * rank1) // 2, rank3
 
 
-def _kernel_count(gf: GF, u, v, w) -> int:
-    """How many points (x, y, z) of PG(2,q) have x*u + y*v + z*w = 0, for
-    3-vectors u, v, w: a walk over (1, y, z), (0, 1, z) and (0, 0, 1) that
-    matches x*u + y*v against the multiples z*w (characteristic 2)."""
-    mul = gf._mul
-    zw = list(zip(mul[w[0]], mul[w[1]], mul[w[2]]))  # z*w, z in GF(q)
-    u0, u1, u2 = u
-    v0, v1, v2 = mul[v[0]], mul[v[1]], mul[v[2]]
-    count = zw.count(tuple(v)) + (not any(w))
-    for y in gf.elements:
-        count += zw.count((u0 ^ v0[y], u1 ^ v1[y], u2 ^ v2[y]))
-    return count
-
-
 def nuclear_point_count(s: Subspace) -> int:
-    """How many points of a plane are rank2_nuclear: a kernel scan of the
-    diagonal block, since a point x*B0 + y*B1 + z*B2 is nuclear exactly when
-    its diagonal coordinates 0, 3, 5 vanish (a nonzero alternating matrix
-    has rank 2)."""
+    """How many points of a plane are rank2_nuclear, (q^(m+1) - 1) / (q - 1)
+    for m its ``nucleus_meet_dim``: a point is nuclear exactly when its
+    diagonal coordinates 0, 3, 5 vanish (a nonzero alternating matrix has rank 2)."""
     _require_plane(s)
-    return _kernel_count(s.gf, *[(r[0], r[3], r[5]) for r in s.rows])
+    return (s.gf.q ** (nucleus_meet_dim(s) + 1) - 1) // (s.gf.q - 1)
 
 
 def double_line_hyperplane_count(s: Subspace) -> int:
     """How many hyperplanes through the plane cut the Veronese surface in a
     double line: the forms x*N0 + y*N1 + z*N2 over the unreduced
-    ``annihilator`` basis whose cross columns 1, 2, 4 vanish, counted by a
-    kernel scan of those columns; the count does not depend on the basis.
+    ``annihilator`` basis whose cross columns 1, 2, 4 vanish, as many as
+    the kernel points of those columns (``mat3_rank``), whatever the basis.
     Deliberately not derived from the nucleus meet dimension."""
     _require_plane(s)
-    return _kernel_count(s.gf, *[(r[1], r[2], r[4]) for r in annihilator(s.gf, s.rows, 6)])
+    q, cross = s.gf.q, [(r[1], r[2], r[4]) for r in annihilator(s.gf, s.rows, 6)]
+    return (q ** (3 - mat3_rank(s.gf, cross)) - 1) // (q - 1)
 
 
 def nucleus_meet_dim(s: Subspace) -> int:
-    """Projective dimension of the meet with the nucleus plane (-1: empty).
-
-    A point lies on the nucleus plane iff its diagonal coordinates 0, 3, 5
-    vanish, so the meet has vector dimension dim(s) - rank of those three
-    columns of the basis.
-    """
-    cols = [(r[0], r[3], r[5]) for r in s.rows]
-    return len(s.rows) - len(rref(s.gf, cols)) - 1
+    """Projective dimension of the meet with the nucleus plane (-1: empty):
+    a point lies on it iff its diagonal coordinates 0, 3, 5 vanish, so the
+    meet has vector dimension len(s.rows) - ``mat3_rank`` of those columns."""
+    return len(s.rows) - mat3_rank(s.gf, [(r[0], r[3], r[5]) for r in s.rows]) - 1
 
 
 def _diagonal_cut(s: Subspace):

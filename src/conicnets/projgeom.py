@@ -62,6 +62,27 @@ def mat3_det(gf: GF, a) -> int:
     )
 
 
+def mat3_rank(gf: GF, rows) -> int:
+    """Rank of 3-vectors with no elimination: 0, or 1 from the first nonzero
+    row a; 2 if a row b has a nonzero 2x2 minor with a, an entry of n = a x b;
+    3 if a later row c has det(a, b, c) = c . n nonzero.  Three rows of rank r
+    have a kernel of (q^(3-r) - 1) / (q - 1) points of PG(2,q)."""
+    mul, it = gf._mul, iter(rows)
+    for a in it:
+        if a[0] | a[1] | a[2]:
+            for b in it:  # rows between a and b are multiples of a
+                n0 = mul[a[1]][b[2]] ^ mul[a[2]][b[1]]
+                n1 = mul[a[2]][b[0]] ^ mul[a[0]][b[2]]
+                n2 = mul[a[0]][b[1]] ^ mul[a[1]][b[0]]
+                if n0 | n1 | n2:  # span(a, b) = n^perp holds every earlier row
+                    for c in it:
+                        if mul[c[0]][n0] ^ mul[c[1]][n1] ^ mul[c[2]][n2]:
+                            return 3
+                    return 2
+            return 1
+    return 0
+
+
 def annihilator(gf: GF, red, width: int) -> tuple[tuple[int, ...], ...]:
     """Basis of {v : row . v = 0 for every row} for rows ``red`` already in
     canonical RREF, one vector per free column, read off without reduction

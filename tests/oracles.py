@@ -1,11 +1,12 @@
 """Brute-force references that only tests call: point-by-point passes and
-per-point actions the package replaced by closed forms or kernel scans,
-stabilizers as sets of group elements (Schreier's lemma) where the package
-counts orbits, a Singer cycle for the sweep the package replaced, the
-tuple-state walk of line orbits it replaced by int states, the
-straightforward forms of code the package unrolled (row reduction, the
-determinantal cubic, the classify records as dicts), and helpers the
-package itself has no use for.  Tests compare the package against them."""
+per-point actions the package replaced by closed forms, the kernel scan it
+replaced by a closed-form rank, stabilizers as sets of group elements
+(Schreier's lemma) where the package counts orbits, a Singer cycle for
+the sweep the package replaced, the tuple-state walk of line orbits it
+replaced by int states, the straightforward forms of code the package
+unrolled (row reduction, the determinantal cubic, the classify records as
+dicts), and helpers the package itself has no use for.  Tests compare
+the package against them."""
 
 import functools
 import json
@@ -468,6 +469,21 @@ def rref_by_rows(gf: GF, rows) -> tuple[tuple[int, ...], ...]:
         if r == len(work):
             break
     return tuple(tuple(row) for row in work[:r])
+
+
+def kernel_points_by_scan(gf: GF, u, v, w) -> int:
+    """How many points (x, y, z) of PG(2,q) have x*u + y*v + z*w = 0, for
+    3-vectors u, v, w, by the walk that projgeom.mat3_rank replaced: over
+    (1, y, z), (0, 1, z) and (0, 0, 1), matching x*u + y*v against the
+    multiples z*w (characteristic 2)."""
+    mul = gf._mul
+    zw = list(zip(mul[w[0]], mul[w[1]], mul[w[2]]))  # z*w, z in GF(q)
+    u0, u1, u2 = u
+    v0, v1, v2 = mul[v[0]], mul[v[1]], mul[v[2]]
+    count = zw.count(tuple(v)) + (not any(w))
+    for y in gf.elements:
+        count += zw.count((u0 ^ v0[y], u1 ^ v1[y], u2 ^ v2[y]))
+    return count
 
 
 # CUBIC_MONOMIALS index of x_i*x_j*x_k for every ordered triple (i, j, k)

@@ -501,6 +501,16 @@ def test_verify_double_lines_q2_exhaustive(gf2):
     assert report["totals"]["violations"] == 0
 
 
+@pytest.mark.parametrize("q", (16, 64, 256))
+def test_double_line_identity_holds_on_sampled_planes_past_q8(q):
+    """Criterion 4 on 20,000 planes sampled with seed 0 at q = 16, 64 and
+    256: no violation, and some sampled planes meet the nucleus plane."""
+    report = verify_double_lines(field(q), samples=20_000, seed=0)
+    totals = report["totals"]
+    assert totals["planes_sampled"] == 20_000 and totals["meeting_nucleus_plane"] > 0
+    assert totals["violations"] == 0 and all(c["pass"] for c in report["checks"])
+
+
 def test_verify_double_lines_rejects_a_negative_seed(gf2):
     """Subchunk seeds are seed * 2**32 + i, and random.Random seeds with the
     absolute value: seed -1 would draw seed 1's subchunk 0."""
@@ -533,9 +543,9 @@ def test_double_line_violations_are_all_counted(gf2, monkeypatch):
 
 def test_double_line_sweep_makes_no_elimination_and_no_point_pass(gf2, rref_calls,
                                                                    monkeypatch):
-    """The exhaustive sweep reads both sides of the identity off kernel
-    scans of 3x3 blocks: no rref, no listing of PG(2,q), no pass over a
-    plane's points and no point classification."""
+    """The exhaustive sweep reads both sides of the identity off the
+    closed-form rank of 3x3 blocks: no rref, no listing of PG(2,q), no pass
+    over a plane's points and no point classification."""
     calls = []
     for name, real in (("pg_points", projgeom.pg_points), ("point_class", veronese.point_class)):
         def counting(*args, name=name, real=real):

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from itertools import product
 
 import pytest
 
@@ -15,6 +16,7 @@ from conicnets.projgeom import (
     enumerate_planes_chunk,
     gaussian_binomial,
     join,
+    mat3_rank,
     meet,
     nullspace,
     pack_rows,
@@ -25,7 +27,13 @@ from conicnets.projgeom import (
     rref,
     span,
 )
-from oracles import enumerate_planes, rref_by_rows, subspace_from_json, unpack_rows
+from oracles import (
+    enumerate_planes,
+    kernel_points_by_scan,
+    rref_by_rows,
+    subspace_from_json,
+    unpack_rows,
+)
 
 
 def hyperplanes_through(s: Subspace):
@@ -77,6 +85,57 @@ def test_rref_matches_the_indexed_elimination(q):
             rows.append(list(rows[0]))
         assert rref(gf, rows) == rref_by_rows(gf, rows), rows
     assert rref(gf, []) == rref_by_rows(gf, []) == ()
+
+
+def _kernel_points(gf, rows):
+    """The kernel count the package reads off mat3_rank."""
+    return (gf.q ** (3 - mat3_rank(gf, rows)) - 1) // (gf.q - 1)
+
+
+def test_mat3_rank_matches_the_kernel_scan_on_every_triple_q2(gf2):
+    """All 512 triples of 3-vectors at q=2: the kernel count read off
+    mat3_rank against the scan it replaced, and the rank of the first one,
+    two and three rows against rref."""
+    vectors = list(product(gf2.elements, repeat=3))
+    for u, v, w in product(vectors, repeat=3):
+        assert _kernel_points(gf2, (u, v, w)) == kernel_points_by_scan(gf2, u, v, w), (u, v, w)
+        for rows in ((u,), (u, v), (u, v, w)):
+            assert mat3_rank(gf2, rows) == rank(gf2, rows), rows
+
+
+@pytest.mark.parametrize("q", (4, 8, 16, 64, 256))
+def test_mat3_rank_matches_the_kernel_scan_on_seeded_triples(q):
+    """The zero block and 600 seeded triples, by turns multiples of one
+    vector (rank at most 1), two vectors and a combination of them (rank at
+    most 2) and three drawn vectors, in shuffled order, with zero and one
+    entries drawn often: the kernel count against the scan, and the rank
+    of the first one or two rows, and of the rows with a fourth drawn
+    vector, against rref."""
+    gf = field(q)
+    rng = random.Random(q)
+    draw = lambda: tuple(rng.choice((0, 1, rng.randrange(q), rng.randrange(q))) for _ in range(3))
+
+    def combination(*vectors):
+        out = (0, 0, 0)
+        for x in vectors:
+            c = rng.randrange(q)
+            out = tuple(o ^ gf.mul(c, v) for o, v in zip(out, x))
+        return out
+
+    triples = [[(0, 0, 0)] * 3]
+    for i in range(600):
+        a, b = draw(), draw()
+        kinds = ([combination(a) for _ in range(3)], [a, b, combination(a, b)], [a, b, draw()])
+        rows = kinds[i % 3]
+        rng.shuffle(rows)
+        triples.append(rows)
+    ranks = []
+    for rows in triples:
+        assert _kernel_points(gf, rows) == kernel_points_by_scan(gf, *rows), rows
+        for part in (rows[:1], rows[:2], rows + [draw()]):
+            assert mat3_rank(gf, part) == rank(gf, part), part
+        ranks.append(mat3_rank(gf, rows))
+    assert 3 * sum(r <= 1 for r in ranks) >= len(triples) and set(ranks) == {0, 1, 2, 3}
 
 
 def test_subspaces_are_immutable_values(gf4):

@@ -194,6 +194,8 @@ SWEEPS_PINNED = {
     "double-lines --q 2": '22de0c77eec15fd690e1bb974aa468dcb79ac48d5f51aa6ebd38dc83c3f3f4c1',
     "double-lines --q 8 --samples 2000":
         '13823a08ab862290dc332bd8800180cf6a5c0ae894234e6cdfac9794ecc0ed6e',
+    "double-lines --q 256 --samples 2000":
+        'f52003dd27f8be98df3e57aa8d8de2b1509af8050ec9d2d557e1a97570ca9b7b',
     "partition --q 8 --workers 4":
         '97f25aad41446607c26777dee74a658640cec45f21d23bc81d537c15c0d3373f',
 }
